@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,7 +33,7 @@ from .verify import run_property_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
-EXIT_ABORT = 2
+EXIT_ABORT = 2  # numerical abort or solver failure
 EXIT_INCONCLUSIVE = 3
 
 
@@ -98,13 +97,11 @@ def cmd_run(args) -> int:
     tag = exp.config_hash()
     manifest = _new_manifest(exp, "run")
     obj = exp.build_objective()
-    l_star = 0.0
-    l_tilde = math.nan
     try:
         mins = obj.find_minimizers(exp.chain.lam)
-        l_star = mins.l_star
-        l_tilde = mins.l_tilde
+        l_star, l_tilde, attained = mins.l_star, mins.l_tilde, mins.attained
     except RuntimeError as exc:
+        l_star, l_tilde, attained = 0.0, math.nan, None
         manifest.notes["minimizer"] = f"unavailable ({exc}); phi uses l_star = 0"
 
     aborted = None
@@ -131,6 +128,7 @@ def cmd_run(args) -> int:
                     "burn_in": summary.burn_in,
                     "retained_steps": summary.retained_steps,
                     "l_star": l_star,
+                    "l_star_attained": attained,
                     "l_tilde": l_tilde,
                     "final_cesaro_phi": summary.final_cesaro_phi,
                     "final_cesaro_risk": summary.final_cesaro_risk,
@@ -185,14 +183,7 @@ def _fit_verdict(fit: RateFit, label: str, expected: tuple[float, float]) -> tup
     ), True
 
 
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _sweep_eta(exp: ExperimentConfig, args):
+def _sweep_eta(exp: ExperimentConfig):
     _require(exp.eta_grid is not None and len(exp.eta_grid) >= 4, "eta sweep needs eta_grid with >= 4 points")
     _require(exp.eta_ref is not None, "eta sweep needs eta_ref")
     obj = exp.build_objective()
@@ -208,7 +199,7 @@ def _sweep_eta(exp: ExperimentConfig, args):
     return ["eta", "error", "se"], rows, fit, verdict, conclusive
 
 
-def _sweep_n_modes(exp: ExperimentConfig, args):
+def _sweep_n_modes(exp: ExperimentConfig):
     _require(exp.n_grid is not None and len(exp.n_grid) >= 4, "n_modes sweep needs n_grid with >= 4 points")
     _require(exp.n_ref is not None, "n_modes sweep needs n_ref")
     fit = galerkin_error_vs_n(
@@ -222,19 +213,18 @@ def _sweep_n_modes(exp: ExperimentConfig, args):
     return ["n_modes", "sqrt_mu_next", "error", "se"], rows, fit, verdict, conclusive
 
 
-def _sweep_beta(exp: ExperimentConfig, args):
+def _sweep_beta(exp: ExperimentConfig):
     _require(exp.beta_grid is not None and len(exp.beta_grid) >= 2, "beta sweep needs beta_grid with >= 2 points")
     obj = exp.build_objective()
     minimizer = obj.regularized_minimizer(exp.chain.lam)
-
-    def point(beta):
-        cfg = replace(exp.chain, beta=beta)
-        return gibbs_gap_empirical(cfg, obj, replicas=exp.replicas, minimizer=minimizer)
-
-    results = _parallel_map(point, sorted(exp.beta_grid), args.threads)
+    betas = sorted(exp.beta_grid)
+    results = [
+        gibbs_gap_empirical(replace(exp.chain, beta=beta), obj, replicas=exp.replicas, minimizer=minimizer)
+        for beta in betas
+    ]
     rows = [
         (beta, r["gap"], r["se"], r["bound"], int(r["passes_bound"]), int(r["inconclusive"]))
-        for beta, r in zip(sorted(exp.beta_grid), results)
+        for beta, r in zip(betas, results)
     ]
     conclusive = not any(r["inconclusive"] for r in results)
     gaps = [r["gap"] for r in results]
@@ -254,19 +244,17 @@ def _sweep_beta(exp: ExperimentConfig, args):
     return ["beta", "gap", "se", "bound", "passes_bound", "inconclusive"], rows, None, verdict, conclusive
 
 
-def _sweep_minibatch(exp: ExperimentConfig, args):
+def _sweep_minibatch(exp: ExperimentConfig):
     _require(exp.m_grid is not None and len(exp.m_grid) >= 2, "minibatch sweep needs m_grid with >= 2 points")
     obj = exp.build_objective()
     n_tr = obj.dataset.size
     _require(all(1 <= m <= n_tr for m in exp.m_grid), f"m_grid entries must be in 1..{n_tr}")
     _, l_center = obj.regularized_minimizer(exp.chain.lam)
-
-    def point(m):
-        cfg = replace(exp.chain, minibatch=m)
-        return sgld_discrepancy(cfg, obj, l_center, replicas=exp.replicas)
-
     ms = sorted(exp.m_grid)
-    results = _parallel_map(point, ms, args.threads)
+    results = [
+        sgld_discrepancy(replace(exp.chain, minibatch=m), obj, l_center, replicas=exp.replicas)
+        for m in ms
+    ]
     rows = [
         (m, r["discrepancy"], r["se"], r["r_n"], r["bound_shape"], r["c_fit"])
         for m, r in zip(ms, results)
@@ -306,7 +294,7 @@ def cmd_sweep(args) -> int:
     exp = _load_experiment(args)
     out = _out_dir(args)
     tag = exp.config_hash()
-    header, rows, fit, verdict, conclusive = _SWEEPS[args.axis](exp, args)
+    header, rows, fit, verdict, conclusive = _SWEEPS[args.axis](exp)
     csv_path = out / f"{tag}_sweep_{args.axis}.csv"
     _write_csv(csv_path, header, rows)
     verdict_lines = [verdict]
@@ -335,6 +323,10 @@ def _constants_section(exp: ExperimentConfig) -> list[str]:
         return [f"theory constants unavailable: minimizer search failed ({exc})"]
     tc = theory_constants(obj, exp.chain, mins, delta=exp.delta, kappa=exp.kappa)
     lines.append(f"regime: {tc.regime}")
+    if mins.attained:
+        lines.append(f"L* = L(x*): {mins.l_star!r}")
+    else:
+        lines.append("L* = 0 is the infimum; x* is not attained (separable data)")
     if tc.regime == "strict":
         lines.append("c_beta rationale: strict dissipativity (lambda > M mu0), geometric regime, c_beta = 1")
     else:
@@ -466,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, config_required=True):
         p.add_argument("--config", help="experiment config file", required=config_required)
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for sweep points")
         p.add_argument("--out", default=None, help="output directory (default: $RKLD_OUT or .)")
 
     common(sub.add_parser("run", help="simulate one chain and write its trajectory"))
@@ -493,6 +484,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NumericalAbort as exc:
         print(f"numerical abort at step {exc.step}", file=sys.stderr)
+        return EXIT_ABORT
+    except RuntimeError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_ABORT
 
 

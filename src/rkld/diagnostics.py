@@ -82,7 +82,7 @@ def spectral_gap(
     Strict regime: exact closed form (lam/mu0 - M) / (1 + eta lam/mu0).
     Bounded regime: formula evaluation for a user-supplied recurrence
     probability delta; not a certified gap (delta's admissible range is only
-    implicit in the theory).
+    implicit in the theory).  eta = 0 gives the continuous-time gap.
     """
     if regime == "strict":
         gap = lam / mu0 - M
@@ -94,8 +94,8 @@ def spectral_gap(
             raise ValueError("bounded regime requires the Lyapunov offset b and delta")
         if not (0.0 < delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
-        rho = 1.0 / (1.0 + lam * eta / mu0)
-        rho_unit = rho ** (1.0 / eta)  # contraction over one unit of time
+        # contraction over one unit of time; eta = 0 takes the exact limit
+        rho_unit = math.exp(-lam / mu0) if eta == 0 else (1.0 + lam * eta / mu0) ** (-1.0 / eta)
         b_bar = max(b, 1.0)
         kappa_c = b_bar + 1.0
         v_bar = 4.0 * b_bar / (math.sqrt((1.0 + rho_unit) / 2.0) - rho_unit)
@@ -132,7 +132,7 @@ class TheoryConstants:
     m: float
     c: float
     rho: float
-    b: float
+    b: float | None
     k1: float
     lambda_eta: float | None
     lambda_0: float | None
@@ -153,7 +153,8 @@ def theory_constants(
     """Assemble the constant table for a configured run.
 
     In the bounded regime the spectral gap is a formula evaluation for the
-    supplied delta and is left None when delta is None.
+    supplied delta and is left None when delta is None.  The strict-regime
+    Lyapunov offset b needs x* and is None when x* is not attained.
     """
     mu0 = obj.kernel.mu0
     M = obj.smoothness_constant()
@@ -164,7 +165,7 @@ def theory_constants(
     k1, _ = ou_moment_bounds(obj.kernel, cfg.lam, cfg.eta, cfg.beta, cfg.n_modes)
     if regime == "strict":
         rho = (1.0 + cfg.eta * M) / (1.0 + cfg.lam * cfg.eta / mu0)
-        b = minimizers.x_star.norm() + 2.0 * k1
+        b = minimizers.x_star.norm() + 2.0 * k1 if minimizers.attained else None
         lam_eta = spectral_gap("strict", cfg.lam, mu0, M, cfg.eta)
         lam_0 = spectral_gap("strict", cfg.lam, mu0, M, 0.0)
         c_beta = 1.0
@@ -173,7 +174,7 @@ def theory_constants(
         b = (mu0 / cfg.lam) * B + k1
         if delta is not None:
             lam_eta = spectral_gap("bounded", cfg.lam, mu0, M, cfg.eta, cfg.beta, b=b, delta=delta)
-            lam_0 = spectral_gap("bounded", cfg.lam, mu0, M, 1e-12, cfg.beta, b=b, delta=delta)
+            lam_0 = spectral_gap("bounded", cfg.lam, mu0, M, 0.0, cfg.beta, b=b, delta=delta)
         else:
             lam_eta = None
             lam_0 = None

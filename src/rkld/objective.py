@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import KernelSpec, SpectralVector, resolvent_scales
+from .spectral import KernelSpec, SpectralVector
 
 __all__ = [
     "Dataset",
@@ -169,16 +169,23 @@ def loss_family(tag: str) -> LossFamily:
         raise ValueError(f"unknown loss family: {tag!r}") from None
 
 
+_NEWTON_MAX_STEPS = 200  # damped Newton needs a handful; more means a degenerate problem
+
+
 @dataclass(frozen=True)
 class MinimizerPair:
-    """Reference minimizers of the raw and regularized truncated problems."""
+    """Reference minimizers of the raw and regularized truncated problems.
 
-    x_star: SpectralVector
+    ``attained`` is False when the data are separable under a margin loss:
+    then inf L = ``l_star`` = 0 is not attained and ``x_star`` is None.
+    """
+
+    x_star: SpectralVector | None
     x_tilde: SpectralVector
     l_star: float
     l_tilde: float
+    attained: bool
     local: bool  # True when the loss is non-convex and only a local point is certified
-    iterations: int
 
 
 class ObjectiveSpec:
@@ -286,9 +293,9 @@ class ObjectiveSpec:
     def dissipativity_constants(self, lam: float) -> tuple[str, float, float]:
         """(regime, m, c) such that <Ax - grad L(x), x> <= -m ||x||^2 + c.
 
-        Strict regime (lam > M mu0): m = (lam/mu0 - M)/2, with c from the
-        Young split of the M ||x|| ||x*|| cross term.  Bounded regime:
-        m = lam/(2 mu0), c = B^2 mu0 / (2 lam).
+        Strict regime (lam > M mu0): m = (lam/mu0 - M)/2, with
+        c = ||grad L(0)||^2 / (2 (lam/mu0 - M)) from the Young split at the
+        origin.  Bounded regime: m = lam/(2 mu0), c = B^2 mu0 / (2 lam).
         """
         if lam <= 0:
             raise ValueError("lambda must be positive")
@@ -297,10 +304,9 @@ class ObjectiveSpec:
         B = self.gradient_bound()
         strict_gap = lam / mu0 - M
         if strict_gap > 0:
-            m = strict_gap / 2.0
-            x_star_norm = self.find_minimizers(lam).x_star.norm()
-            c = (M * x_star_norm) ** 2 / (2.0 * strict_gap)
-            return "strict", m, max(c, np.finfo(float).tiny)
+            grad0 = self.grad_array(np.zeros(self.n_modes))
+            c = float(grad0 @ grad0) / (2.0 * strict_gap)
+            return "strict", strict_gap / 2.0, max(c, np.finfo(float).tiny)
         if B is not None:
             return "bounded", lam / (2.0 * mu0), B**2 * mu0 / (2.0 * lam)
         raise ValueError(
@@ -310,39 +316,24 @@ class ObjectiveSpec:
 
     # -- reference minimizers --
 
-    def find_minimizers(
-        self, lam: float, tol: float = 1e-9, max_iter: int = 500_000
-    ) -> MinimizerPair:
+    def find_minimizers(self, lam: float, tol: float = 1e-9) -> MinimizerPair:
         """Oracle minimizers x* (lam off) and x~ (lam on) of the truncated problem.
 
-        Squared loss is solved directly; other losses by a damped semi-implicit
-        iteration x <- S_t (x - t grad L(x)) until the first-order residual
-        drops below tol.  Results are global only for convex losses.
+        For a margin loss without a ridge term the search for x* stops at the
+        first iterate that separates the data, which proves that inf L = 0 is
+        not attained.  Results are global only for convex losses.
         """
-        if lam <= 0:
-            raise ValueError("lambda must be positive")
-        mu = self.kernel.eigenvalues(self.n_modes)
-        iters = 0
-        if self.loss.tag == "squared":
-            phi = self.features
-            n = self.dataset.size
-            h = phi.T @ phi / n + self.lambda0 * np.eye(self.n_modes)
-            rhs = phi.T @ self.dataset.y / n
-            x_star = np.linalg.lstsq(h, rhs, rcond=None)[0]
-            x_tilde = np.linalg.solve(h + lam * np.diag(1.0 / mu), rhs)
-            local = False
-        else:
-            x_star, it1, exact = self._descend(lam, with_reg=False, tol=tol, max_iter=max_iter)
-            x_tilde, it2, _ = self._descend(lam, with_reg=True, tol=tol, max_iter=max_iter)
-            iters = it1 + it2
-            local = self.loss.tag == "savage" or not exact
+        x_tilde, l_tilde = self.regularized_minimizer(lam, tol)
+        margin_loss = self.loss.tag in ("logistic", "savage") and self.lambda0 == 0
+        x_star = self._newton(np.zeros(self.n_modes), tol, stop_if_separated=margin_loss)
+        attained = x_star is not None
         return MinimizerPair(
-            x_star=SpectralVector(x_star),
-            x_tilde=SpectralVector(x_tilde),
-            l_star=float(self.risk_array(x_star)),
-            l_tilde=float(self.risk_array(x_tilde)),
-            local=local,
-            iterations=iters,
+            x_star=SpectralVector(x_star) if attained else None,
+            x_tilde=x_tilde,
+            l_star=float(self.risk_array(x_star)) if attained else 0.0,
+            l_tilde=l_tilde,
+            attained=attained,
+            local=self.loss.tag == "savage",
         )
 
     def regularized_minimizer(self, lam: float, tol: float = 1e-9) -> tuple[SpectralVector, float]:
@@ -350,43 +341,49 @@ class ObjectiveSpec:
         always has a finite minimizer, unlike the plain risk on separable data."""
         if lam <= 0:
             raise ValueError("lambda must be positive")
-        mu = self.kernel.eigenvalues(self.n_modes)
-        if self.loss.tag == "squared":
-            phi = self.features
-            n = self.dataset.size
-            h = phi.T @ phi / n + self.lambda0 * np.eye(self.n_modes)
-            rhs = phi.T @ self.dataset.y / n
-            x_tilde = np.linalg.solve(h + lam * np.diag(1.0 / mu), rhs)
-        else:
-            x_tilde, _, _ = self._descend(lam, with_reg=True, tol=tol, max_iter=500_000)
+        x_tilde = self._newton(lam / self.kernel.eigenvalues(self.n_modes), tol)
         return SpectralVector(x_tilde), float(self.risk_array(x_tilde))
 
-    def _descend(self, lam, with_reg, tol, max_iter):
-        mu = self.kernel.eigenvalues(self.n_modes)
-        step = 1.0 / max(self.smoothness_constant(), 1e-12)
-        s = resolvent_scales(self.kernel, lam, step, self.n_modes) if with_reg else None
+    def _newton(self, w: np.ndarray, tol: float, stop_if_separated: bool = False):
+        """Damped Newton from x = 0 on F(x) = L(x) + x^T diag(w) x / 2.
+
+        Steps solve with the eigendecomposition of the Hessian
+        Phi^T diag(l'') Phi / n + lambda0 I + diag(w), negative curvature
+        shifted out and null directions pseudo-inverted (so a rank-deficient
+        problem ends at its minimum-norm minimizer), then backtrack on F.
+        Returns None once min_i y_i u_i > 0 if ``stop_if_separated``.
+        """
+        phi, y = self.features, self.dataset.y
+        eps = np.finfo(float).eps
+
+        def objective(x):
+            return float(self.risk_array(x)) + 0.5 * float(x @ (w * x))
+
         x = np.zeros(self.n_modes)
-        g = self.grad_array(x)
-        prev_value = float(self.risk_array(x))
-        for it in range(1, max_iter + 1):
-            if with_reg:
-                x = s * (x - step * g)
-                g = self.grad_array(x)
-                resid = np.linalg.norm(g + lam * x / mu)
-            else:
-                x = x - step * g
-                g = self.grad_array(x)
-                resid = np.linalg.norm(g)
-            if resid < tol:
-                return x, it, True
-            if not with_reg and it % 256 == 0:
-                # separable losses attain their infimum only in the limit;
-                # accept the iterate once the risk value itself has plateaued
-                value = float(self.risk_array(x))
-                if abs(prev_value - value) < 1e-8 * max(1.0, abs(value)):
-                    return x, it, False
-                prev_value = value
-        raise RuntimeError(
-            f"minimizer search did not reach residual {tol:g} in {max_iter} iterations "
-            f"(last residual {resid:.3g})"
-        )
+        f = objective(x)
+        for _ in range(_NEWTON_MAX_STEPS):
+            u = phi @ x
+            if stop_if_separated and np.min(y * u) > 0.0:
+                return None
+            g = self.grad_array(x) + w * x
+            h = (phi.T * self.loss.d2(u, y)) @ phi / self.dataset.size
+            h[np.diag_indices_from(h)] += self.lambda0 + w
+            evals, evecs = np.linalg.eigh(h)
+            cutoff = self.n_modes * eps * float(np.max(np.abs(evals)))
+            if np.linalg.norm(g) < tol:
+                if evals[0] < -cutoff:
+                    raise RuntimeError(
+                        f"minimizer search ended where the Hessian has eigenvalue {evals[0]:.3g} < 0"
+                    )
+                return x
+            coef = evecs.T @ g
+            shifted = evals + max(0.0, -2.0 * evals[0])
+            d = -(evecs @ np.divide(coef, shifted, out=np.zeros_like(coef), where=np.abs(evals) > cutoff))
+            t = 1.0
+            # the rounding allowance admits the last steps, whose decrease F cannot resolve
+            while (f_new := objective(x + t * d)) > f + 1e-4 * t * float(g @ d) + 8.0 * eps * abs(f):
+                t *= 0.5
+                if t < 1e-12:
+                    raise RuntimeError(f"minimizer line search stalled, gradient norm {np.linalg.norm(g):.3g}")
+            x, f = x + t * d, f_new
+        raise RuntimeError(f"minimizer search took over {_NEWTON_MAX_STEPS} Newton steps")

@@ -5,6 +5,7 @@ import pytest
 
 from rkld.cli import main
 from rkld.config import ExperimentConfig
+from rkld.objective import ObjectiveSpec
 
 BASE = """
 [kernel]
@@ -24,6 +25,14 @@ n_modes = 8
 seed = 42
 horizon = 2000
 """
+
+# 20 classification points on 16 modes are separable: x* does not exist
+SEPARABLE_LOGISTIC = (
+    BASE.replace("loss = squared", "loss = logistic\nsynth_kind = classification")
+    .replace("synth_n = 8", "synth_n = 20")
+    .replace("synth_seed = 5", "synth_seed = 7")
+    .replace("n_modes = 8", "n_modes = 16")
+)
 
 
 @pytest.fixture
@@ -54,6 +63,7 @@ class TestRun:
         assert "," in rows[1][1] or "." in rows[1][2]
         summary = json.loads((out / f"{tag}_summary.json").read_text())
         assert "l_star" in summary and "l_tilde" in summary
+        assert summary["l_star_attained"] is True
         manifest = json.loads((out / f"{tag}_manifest.json").read_text())
         assert manifest["config_hash"] == tag
         assert any("trajectory" in o for o in manifest["outputs"])
@@ -107,6 +117,12 @@ class TestVerify:
         report = next(tmp_path.glob("*_verify.txt")).read_text()
         assert report.count("PASS") >= 10
 
+    def test_passes_on_separable_strict_logistic_config(self, tmp_path, capsys):
+        cfg = tmp_path / "logistic.ini"
+        cfg.write_text(SEPARABLE_LOGISTIC)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert "PASS dissipativity_probe: regime strict" in capsys.readouterr().out
+
     def test_fails_on_wrong_decay_law(self, tmp_path, capsys):
         cfg = tmp_path / "harmonic.ini"
         cfg.write_text(BASE.replace("[objective]", "decay = harmonic\n\n[objective]"))
@@ -148,6 +164,17 @@ class TestSweep:
         rc = main(["sweep", "--axis", "eta", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 3
 
+    def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        def fail(self, lam, tol=1e-9):
+            raise RuntimeError("line search stalled")
+
+        monkeypatch.setattr(ObjectiveSpec, "regularized_minimizer", fail)
+        cfg = tmp_path / "m.ini"
+        cfg.write_text(BASE + "\n[experiment]\nreplicas = 8\nm_grid = 2, 4, 8\n")
+        rc = main(["sweep", "--axis", "minibatch", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "solver failure: line search stalled\n"
+
 
 class TestReport:
     def test_report_replays_byte_identically(self, tmp_path, config_file):
@@ -167,6 +194,22 @@ class TestReport:
             header = next(csv.reader(fh))
         for col in ("source", "config_hash", "seed"):
             assert col in header
+
+    def test_separable_data_reports_unattained_infimum(self, tmp_path):
+        cfg = tmp_path / "logistic.ini"
+        cfg.write_text(SEPARABLE_LOGISTIC)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        tag = tag_of(cfg)
+        summary = json.loads((out / f"{tag}_summary.json").read_text())
+        assert summary["l_star"] == 0.0 and summary["l_star_attained"] is False
+        manifest = out / f"{tag}_manifest.json"
+        assert json.loads(manifest.read_text())["notes"] == {}
+        assert main(["report", "--manifest", str(manifest), "--out", str(out)]) == 0
+        report = (out / f"{tag}_report.txt").read_text()
+        assert "L* = 0 is the infimum; x* is not attained (separable data)" in report
+        assert "regime: strict" in report and "b (Lyapunov offset): n/a" in report
+        assert "unavailable" not in report
 
     def test_missing_outputs_exit_code(self, tmp_path, config_file):
         out = tmp_path / "out"

@@ -66,6 +66,18 @@ class TestClosedForms:
         g = spectral_gap("bounded", 1.0, 1.0, 2.0, 0.1, b=1.0, delta=0.5)
         assert 0 < g < 1
 
+    def test_spectral_gap_bounded_exact_limit(self):
+        # eta = 0 uses exp(-lam/mu0), the limit of (1 + lam eta/mu0)^(-1/eta)
+        lam, mu0, b, delta = 0.5, 2.0, 3.0, 0.4
+        r = math.exp(-lam / mu0)
+        v_bar = 4.0 * b / (math.sqrt((1.0 + r) / 2.0) - r)
+        expect = lam / (2.0 * mu0) / (4.0 * math.log((b + 1.0) * (v_bar + 1.0) / (1.0 - delta))) * delta
+        assert spectral_gap("bounded", lam, mu0, 1.0, 0.0, b=b, delta=delta) == pytest.approx(
+            expect, rel=1e-12
+        )
+        near = spectral_gap("bounded", lam, mu0, 1.0, 1e-6, b=b, delta=delta)
+        assert near == pytest.approx(expect, rel=1e-5)
+
     def test_discrepancy_budget(self):
         assert discrepancy_budget(10, 1.0, 0.1, 10, 5) == pytest.approx(1.0 / 9.0, abs=1e-15)
         assert discrepancy_budget(10, 1.0, 0.1, 10, 10) == 0.0
@@ -102,6 +114,16 @@ class TestTheoryConstants:
         pair = obj.find_minimizers(cfg.lam)
         assert c.b == pytest.approx(pair.x_star.norm() + 2.0 * c.k1, rel=1e-12)
 
+    def test_strict_regime_without_x_star(self):
+        obj = make_objective(loss="logistic", kind="classification", n_modes=8)
+        M = obj.smoothness_constant()
+        cfg = ChainConfig(eta=0.05, beta=4.0, lam=4.0 * M, n_modes=8, seed=1, horizon=100)
+        pair = obj.find_minimizers(cfg.lam)
+        assert not pair.attained  # 8 points, 8 modes: separable
+        c = theory_constants(obj, cfg, pair)
+        assert c.regime == "strict" and c.b is None
+        assert c.lambda_0 == pytest.approx(3.0 * M, rel=1e-12)
+
     def test_bounded_regime_table(self):
         obj = make_objective(loss="savage", kind="classification")
         M = obj.smoothness_constant()
@@ -113,6 +135,7 @@ class TestTheoryConstants:
         assert c.b == pytest.approx((1.0 / lam) * obj.gradient_bound() + c.k1, rel=1e-12)
         assert c.c_beta == pytest.approx(2.0)
         assert c.lambda_eta is not None and c.lambda_eta > 0
+        assert c.lambda_0 == spectral_gap("bounded", lam, obj.kernel.mu0, M, 0.0, b=c.b, delta=0.5)
         no_delta = theory_constants(obj, cfg)
         assert no_delta.lambda_eta is None
 

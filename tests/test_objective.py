@@ -11,6 +11,7 @@ from rkld.objective import (
     SAVAGE,
     SQUARED,
     Dataset,
+    LossFamily,
     ObjectiveSpec,
     loss_family,
 )
@@ -191,8 +192,11 @@ class TestConstants:
         regime, m, c = obj.dissipativity_constants(2.0 * M * obj.kernel.mu0)
         assert regime == "strict"
         assert m == pytest.approx(M / 2.0, rel=1e-12)
+        grad0 = obj.grad_array(np.zeros(8))
+        assert c == pytest.approx(float(grad0 @ grad0) / (2.0 * M), rel=1e-12)
+        # never larger than the Young split around x*, since ||grad L(0)|| <= M ||x*||
         x_star = obj.find_minimizers(2.0 * M).x_star.norm()
-        assert c == pytest.approx(M**2 * x_star**2 / (2.0 * M), rel=1e-10)
+        assert c <= M**2 * x_star**2 / (2.0 * M)
 
     def test_dissipativity_bounded(self):
         obj = two_point_objective(SAVAGE, n_modes=8)
@@ -223,14 +227,21 @@ class TestMinimizers:
         assert pair.l_tilde >= pair.l_star - 1e-12
         assert not pair.local
 
-    def test_logistic_regularized_stationarity(self):
+    @staticmethod
+    def _check_regularized_stationarity(loss):
         ds = Dataset.synthesize(10, seed=6, kind="classification")
-        obj = ObjectiveSpec(ds, LOGISTIC, KernelSpec(), 8)
+        obj = ObjectiveSpec(ds, loss, KernelSpec(), 8)
         x_tilde, l_tilde = obj.regularized_minimizer(1.0)
         mu = obj.kernel.eigenvalues(8)
         res = obj.grad_array(x_tilde.coeffs) + x_tilde.coeffs / mu
-        assert np.max(np.abs(res)) < 1e-7
+        assert np.linalg.norm(res) < 1e-9
         assert l_tilde == pytest.approx(obj.risk(x_tilde), abs=1e-15)
+
+    def test_logistic_regularized_stationarity(self):
+        self._check_regularized_stationarity(LOGISTIC)
+
+    def test_savage_regularized_stationarity(self):
+        self._check_regularized_stationarity(SAVAGE)
 
     def test_huge_lambda_shrinks_x_tilde(self):
         ds = Dataset.synthesize(12, seed=4)
@@ -246,3 +257,40 @@ class TestMinimizers:
         pair = obj.find_minimizers(1.0, tol=1e-7)
         x_tilde, _ = obj.regularized_minimizer(1.0, tol=1e-7)
         assert np.max(np.abs(pair.x_tilde.coeffs - x_tilde.coeffs)) < 1e-6
+        assert pair.attained
+        assert np.linalg.norm(obj.grad_array(pair.x_star.coeffs)) < 1e-7
+        assert pair.l_star == pytest.approx(0.497491, abs=1e-6)
+
+    @pytest.mark.parametrize("loss", [LOGISTIC, SAVAGE])
+    def test_separable_data_infimum_not_attained(self, loss):
+        ds = Dataset.synthesize(10, seed=6, kind="classification")
+        obj = ObjectiveSpec(ds, loss, KernelSpec(), 8)
+        pair = obj.find_minimizers(1.0)
+        assert pair.l_star == 0.0
+        assert not pair.attained and pair.x_star is None
+        assert pair.l_tilde > 0.0
+
+    def test_rank_deficient_x_star_is_minimum_norm(self):
+        ds = Dataset.synthesize(5, seed=3)
+        obj = ObjectiveSpec(ds, SQUARED, KernelSpec(gamma=0.5), 10)
+        pair = obj.find_minimizers(1.0)
+        assert pair.attained
+        expected = np.linalg.pinv(obj.features) @ ds.y
+        assert np.max(np.abs(pair.x_star.coeffs - expected)) < 1e-10
+
+    def test_negative_curvature_stationary_point_rejected(self):
+        class Cosine(LossFamily):
+            """l(u, y) = cos(u): u = 0 is stationary with l'' = -1."""
+
+            def value(self, u, y):
+                return np.cos(u)
+
+            def d1(self, u, y):
+                return -np.sin(u)
+
+            def d2(self, u, y):
+                return -np.cos(u)
+
+        obj = two_point_objective(Cosine("cosine", 1.0, 1.0))
+        with pytest.raises(RuntimeError, match="Hessian has eigenvalue"):
+            obj.regularized_minimizer(1e-3)
