@@ -15,15 +15,11 @@ from .diagnostics import (
 )
 from .dynamics import (
     ChainConfig,
-    ChainState,
     NumericalAbort,
     RunSummary,
-    coupled_run,
-    load_state,
     make_rng,
     run_chain,
     run_ensemble,
-    save_state,
 )
 from .objective import Dataset, LossFamily, MinimizerPair, ObjectiveSpec, loss_family
 from .spectral import (
@@ -31,11 +27,8 @@ from .spectral import (
     KernelSpec,
     SpectralVector,
     operator_a,
-    project,
     resolvent_s_eta,
-    resolvent_s_eta_prime,
     rkhs_norm,
-    weighted_norm,
 )
 
 __version__ = "0.1.0"

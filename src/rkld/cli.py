@@ -476,10 +476,7 @@ def main(argv=None) -> int:
     handlers = {"run": cmd_run, "verify": cmd_verify, "sweep": cmd_sweep, "report": cmd_report}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalAbort as exc:

@@ -17,13 +17,12 @@ import scipy.linalg
 
 from .dynamics import ChainConfig, run_ensemble, sigmoid_gap
 from .objective import MinimizerPair, ObjectiveSpec
-from .spectral import KernelSpec, SpectralVector, rkhs_norm
+from .spectral import KernelSpec, rkhs_norm
 
 __all__ = [
     "TheoryConstants",
     "RateFit",
     "theory_constants",
-    "sigmoid_statistic",
     "spectral_gap",
     "discrepancy_budget",
     "gibbs_concentration_bound",
@@ -31,7 +30,6 @@ __all__ = [
     "ou_moment_bounds",
     "fit_loglog",
     "ensemble_phi_estimate",
-    "ergodicity_decay_estimate",
     "weak_error_vs_eta",
     "galerkin_error_vs_n",
     "gibbs_gap_empirical",
@@ -60,11 +58,6 @@ def ou_moment_bounds(
     noise-only chain started at 0, and k(1) <= sqrt(k(2)) by Jensen."""
     k2 = float(np.sum(ou_stationary_variances(kernel, lam, eta, beta, n_modes)))
     return math.sqrt(k2), k2
-
-
-def sigmoid_statistic(obj: ObjectiveSpec, x: SpectralVector, l_star: float) -> float:
-    """Bounded test statistic sigma(L(x) - l_star) in [0, 1/2)."""
-    return float(sigmoid_gap(obj.risk(x) - l_star))
 
 
 def spectral_gap(
@@ -250,7 +243,7 @@ def fit_loglog(abscissae, ordinates, ordinate_errors=None, min_points: int = 4) 
     intercept = wm(ly) - slope * wm(lx)
     resid = ly - slope * lx - intercept
     dof = max(lx.size - 2, 1)
-    slope_se = math.sqrt(max(np.sum(w * resid**2) / np.sum(w) / dof, 1e-30) / sxx / lx.size * lx.size)
+    slope_se = math.sqrt(max(np.sum(w * resid**2) / np.sum(w) / dof, 1e-30) / sxx)
     # also fold in the propagated MC error floor
     se_mc = math.sqrt(1.0 / np.sum(w * (lx - wm(lx)) ** 2))
     fit.slope = slope
@@ -353,60 +346,6 @@ def ensemble_phi_estimate(
         extra={"chain_ids": [s.chain_id for s in summaries]},
     )
     return est, summaries
-
-
-def ergodicity_decay_estimate(
-    cfg: ChainConfig,
-    obj: ObjectiveSpec,
-    l_star: float,
-    replicas: int = 64,
-    ref_horizon_factor: int = 4,
-    ref_replicas: int = 8,
-) -> dict:
-    """Fit of the exponential decay of |E phi(X_n) - E phi(X^mu)| against eta*n.
-
-    The invariant-law expectation is the Cesaro tail of an independent longer
-    run.  The fit window keeps checkpoints before the plateau (difference
-    above 3 combined SEs); fewer than 4 such points is inconclusive.
-    Returns the fitted rate (positive means decay).
-    """
-    ref_cfg = replace(cfg, horizon=cfg.horizon * ref_horizon_factor, burn_in=None)
-    ref_est, _ = ensemble_phi_estimate(
-        ref_cfg, obj, ref_replicas, l_star, chain_id_base=1_000_000
-    )
-    summaries = run_ensemble(
-        cfg, obj, n_chains=replicas, l_star=l_star, chain_ids=list(range(replicas))
-    )
-    steps = summaries[0].steps
-    phis = np.stack([s.phi for s in summaries])  # (R, checkpoints)
-    mean_phi = phis.mean(axis=0)
-    se_phi = phis.std(axis=0, ddof=1) / math.sqrt(replicas)
-    diff = np.abs(mean_phi - ref_est.value)
-    total_se = np.hypot(se_phi, ref_est.se)
-    window = (diff > 3.0 * total_se) & (steps > 0)
-    # keep the initial contiguous pre-plateau segment
-    keep = []
-    for i in np.nonzero(steps > 0)[0]:
-        if window[i]:
-            keep.append(i)
-        else:
-            break
-    result = {
-        "steps": steps,
-        "diff": diff,
-        "se": total_se,
-        "reference": ref_est.value,
-        "reference_se": ref_est.se,
-        "inconclusive": len(keep) < 4,
-        "rate": math.nan,
-    }
-    if len(keep) >= 4:
-        idx = np.array(keep)
-        t = cfg.eta * steps[idx]
-        coeffs = np.polyfit(t, np.log(diff[idx]), 1)
-        result["rate"] = -float(coeffs[0])
-        result["fit_points"] = int(idx.size)
-    return result
 
 
 def weak_error_vs_eta(

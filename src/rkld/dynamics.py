@@ -1,52 +1,40 @@
-"""Chain iterators: Galerkin GLD, SGLD, the noise-only OU chain, couplings.
+"""The chain engine: Galerkin GLD, SGLD and the noise-only OU chain.
 
-One chain advances single-threaded; replica ensembles advance together as an
-(R, N+1) matrix with per-chain counter-based random streams, so trajectories
-are bit-identical whether a chain runs alone or inside an ensemble.  Noise is
-pregenerated in chunks to amortize generator overhead.
+Replica ensembles advance together as an (R, N+1) matrix with per-chain
+counter-based random streams, so trajectories are bit-identical whether a
+chain runs alone or inside an ensemble.  Rows that share a chain id share
+their noise, which couples runs from different starting points or of
+different dimension.  Noise is pregenerated in chunks to amortize generator
+overhead.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .objective import ObjectiveSpec
-from .spectral import SpectralVector, resolvent_scales
+from .spectral import KernelSpec, SpectralVector, resolvent_scales
 
 __all__ = [
     "ChainConfig",
-    "ChainState",
     "RunSummary",
     "NumericalAbort",
     "make_rng",
-    "gaussian_modes",
-    "initial_state",
-    "gld_step",
-    "sgld_step",
-    "ou_step",
-    "coupled_run",
     "run_chain",
     "run_ensemble",
     "sigmoid_gap",
-    "save_state",
-    "load_state",
 ]
 
 _STREAM_NOISE = 0
 _STREAM_BATCH = 1
 _CHUNK = 256
 
-CHECKPOINT_MAGIC = b"RKLD1"
-CHECKPOINT_VERSION = 1
-
 
 class NumericalAbort(RuntimeError):
-    """Raised when a chain produces a non-finite state or gradient."""
+    """Raised when a chain produces a non-finite state."""
 
     def __init__(self, message, step, partial=None):
         super().__init__(message)
@@ -101,16 +89,6 @@ class ChainConfig:
 
 
 @dataclass
-class ChainState:
-    """Iterate, step counter and the chain's private random streams."""
-
-    x: SpectralVector
-    step: int
-    noise_rng: np.random.Generator
-    batch_rng: np.random.Generator
-
-
-@dataclass
 class RunSummary:
     """Checkpointed trajectory statistics of one chain."""
 
@@ -133,118 +111,14 @@ def make_rng(seed: int, chain_id: int = 0, stream: int = 0) -> np.random.Generat
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, chain_id, stream))))
 
 
-def gaussian_modes(n_modes: int, rng: np.random.Generator) -> SpectralVector:
-    """Truncated cylindrical Gaussian: n_modes i.i.d. N(0, 1) coefficients."""
-    return SpectralVector(rng.standard_normal(n_modes))
-
-
-def initial_state(cfg: ChainConfig, chain_id: int = 0) -> ChainState:
-    return ChainState(
-        x=SpectralVector(cfg.x0_array()),
-        step=0,
-        noise_rng=make_rng(cfg.seed, chain_id, _STREAM_NOISE),
-        batch_rng=make_rng(cfg.seed, chain_id, _STREAM_BATCH),
-    )
-
-
 def sigmoid_gap(gap) -> np.ndarray | float:
     """sigma(u) = 1/(1 + exp(-u)) - 1/2, the bounded test-function transform."""
     return 1.0 / (1.0 + np.exp(-np.asarray(gap, dtype=float))) - 0.5
 
 
 def _scales(cfg: ChainConfig, obj: ObjectiveSpec | None) -> np.ndarray:
-    from .spectral import KernelSpec
-
     kernel = obj.kernel if obj is not None else KernelSpec()
     return resolvent_scales(kernel, cfg.lam, cfg.eta, cfg.n_modes)
-
-
-def _advance(x, grad, noise, scales, eta, noise_amp):
-    return scales * (x - eta * grad + noise_amp * noise)
-
-
-def _check_finite(arr, step, what):
-    if not np.all(np.isfinite(arr)):
-        raise NumericalAbort(f"non-finite {what} at step {step}", step=step)
-
-
-def gld_step(state: ChainState, cfg: ChainConfig, obj: ObjectiveSpec) -> ChainState:
-    """One full-gradient update X <- S_eta (X - eta grad L(X) + sqrt(2 eta/beta) eps)."""
-    if obj.n_modes != cfg.n_modes:
-        raise ValueError("objective mode count does not match config")
-    g = obj.grad_array(state.x.coeffs)
-    _check_finite(g, state.step, "gradient")
-    eps = state.noise_rng.standard_normal(cfg.n_modes)
-    new_x = _advance(
-        state.x.coeffs, g, eps, _scales(cfg, obj), cfg.eta, math.sqrt(2.0 * cfg.eta / cfg.beta)
-    )
-    _check_finite(new_x, state.step + 1, "state")
-    return replace(state, x=SpectralVector(new_x), step=state.step + 1)
-
-
-def sgld_step(state: ChainState, cfg: ChainConfig, obj: ObjectiveSpec) -> ChainState:
-    """One minibatch update; the batch stream is independent of the noise stream."""
-    if obj.n_modes != cfg.n_modes:
-        raise ValueError("objective mode count does not match config")
-    n_tr = obj.dataset.size
-    m = cfg.minibatch if cfg.minibatch is not None else n_tr
-    if not (1 <= m <= n_tr):
-        raise ValueError(f"minibatch size {m} out of range 1..{n_tr}")
-    batch = state.batch_rng.permutation(n_tr)[:m]
-    g = obj.stochastic_grad_array(state.x.coeffs, batch)
-    _check_finite(g, state.step, "stochastic gradient")
-    eps = state.noise_rng.standard_normal(cfg.n_modes)
-    new_x = _advance(
-        state.x.coeffs, g, eps, _scales(cfg, obj), cfg.eta, math.sqrt(2.0 * cfg.eta / cfg.beta)
-    )
-    _check_finite(new_x, state.step + 1, "state")
-    return replace(state, x=SpectralVector(new_x), step=state.step + 1)
-
-
-def ou_step(state: ChainState, cfg: ChainConfig, kernel=None) -> ChainState:
-    """Noise-only chain Z <- S_eta (Z + sqrt(2 eta/beta) eps)."""
-    from .spectral import KernelSpec
-
-    kernel = kernel if kernel is not None else KernelSpec()
-    scales = resolvent_scales(kernel, cfg.lam, cfg.eta, cfg.n_modes)
-    eps = state.noise_rng.standard_normal(cfg.n_modes)
-    new_x = _advance(
-        state.x.coeffs,
-        np.zeros(cfg.n_modes),
-        eps,
-        scales,
-        cfg.eta,
-        math.sqrt(2.0 * cfg.eta / cfg.beta),
-    )
-    return replace(state, x=SpectralVector(new_x), step=state.step + 1)
-
-
-def coupled_run(
-    cfg: ChainConfig,
-    obj: ObjectiveSpec,
-    x0a: SpectralVector,
-    x0b: SpectralVector,
-    horizon: int,
-) -> np.ndarray:
-    """Distances ||X_n - Y_n|| of two full-gradient chains driven by the same noise.
-
-    Returns an array of length horizon + 1 starting at the initial distance.
-    The noise cancels in the difference, so under strict dissipativity the
-    per-step ratio is bounded by (1 + eta M) / (1 + eta lam / mu0).
-    """
-    scales = _scales(cfg, obj)
-    amp = math.sqrt(2.0 * cfg.eta / cfg.beta)
-    rng = make_rng(cfg.seed, 0, _STREAM_NOISE)
-    xa = np.array(x0a.coeffs, copy=True)
-    xb = np.array(x0b.coeffs, copy=True)
-    dist = np.empty(horizon + 1)
-    dist[0] = np.linalg.norm(xa - xb)
-    for n in range(horizon):
-        eps = rng.standard_normal(cfg.n_modes)
-        xa = _advance(xa, obj.grad_array(xa), eps, scales, cfg.eta, amp)
-        xb = _advance(xb, obj.grad_array(xb), eps, scales, cfg.eta, amp)
-        dist[n + 1] = np.linalg.norm(xa - xb)
-    return dist
 
 
 def _draw_noise_block(rngs, chunk_len, n_modes):
@@ -405,70 +279,3 @@ def run_chain(
     return run_ensemble(
         cfg, obj, mode=mode, n_chains=1, l_star=l_star, observers=observers, chain_ids=[chain_id]
     )[0]
-
-
-# -- binary chain-state checkpoints (resumable runs) --
-
-
-def save_state(state: ChainState, path) -> None:
-    """Versioned little-endian snapshot of a ChainState (magic header RKLD1)."""
-    rng_blob = json.dumps(
-        {
-            "noise": _rng_state_to_jsonable(state.noise_rng),
-            "batch": _rng_state_to_jsonable(state.batch_rng),
-        }
-    ).encode()
-    coeffs = np.ascontiguousarray(state.x.coeffs, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<HQI", CHECKPOINT_VERSION, state.step, state.x.n_modes))
-        fh.write(coeffs.tobytes())
-        fh.write(struct.pack("<I", len(rng_blob)))
-        fh.write(rng_blob)
-
-
-def load_state(path) -> ChainState:
-    with open(path, "rb") as fh:
-        magic = fh.read(5)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a chain checkpoint (bad magic {magic!r})")
-        version, step, n_modes = struct.unpack("<HQI", fh.read(14))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        coeffs = np.frombuffer(fh.read(8 * n_modes), dtype="<f8").copy()
-        (blob_len,) = struct.unpack("<I", fh.read(4))
-        rng_states = json.loads(fh.read(blob_len).decode())
-    return ChainState(
-        x=SpectralVector(coeffs),
-        step=step,
-        noise_rng=_rng_from_jsonable(rng_states["noise"]),
-        batch_rng=_rng_from_jsonable(rng_states["batch"]),
-    )
-
-
-def _rng_state_to_jsonable(rng: np.random.Generator) -> dict:
-    def convert(v):
-        if isinstance(v, np.ndarray):
-            return {"__ndarray__": v.tolist(), "dtype": str(v.dtype)}
-        if isinstance(v, dict):
-            return {k: convert(w) for k, w in v.items()}
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        return v
-
-    return convert(rng.bit_generator.state)
-
-
-def _rng_from_jsonable(blob: dict) -> np.random.Generator:
-    def restore(v):
-        if isinstance(v, dict):
-            if "__ndarray__" in v:
-                return np.array(v["__ndarray__"], dtype=v["dtype"])
-            return {k: restore(w) for k, w in v.items()}
-        return v
-
-    state = restore(blob)
-    bitgen = np.random.Philox()
-    bitgen.state = state
-    rng = np.random.Generator(bitgen)
-    return rng

@@ -2,15 +2,15 @@
 
 Everything lives in the coefficient representation: an element of the
 (N+1)-dimensional Galerkin subspace is its coefficient vector in the cosine
-eigenbasis.  All operators used by the dynamics (A, the projections P_N, the
-resolvents S_eta and S'_eta) are diagonal in this basis, so they are stored
-as per-mode scale vectors and never as dense matrices.
+eigenbasis.  The operators of the scheme (the drift A and the resolvent
+S_eta) are diagonal in this basis, so they are stored as per-mode scale
+vectors and never as dense matrices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,13 +18,9 @@ __all__ = [
     "KernelSpec",
     "SpectralVector",
     "DiagonalOperator",
-    "weighted_norm",
     "rkhs_norm",
     "resolvent_s_eta",
-    "resolvent_s_eta_prime",
     "operator_a",
-    "identity_operator",
-    "project",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -115,13 +111,6 @@ class KernelSpec:
         mu_g = self.eigenvalues(n_modes) ** self.gamma
         return float(np.dot(mu_g * self.basis_row(z, n_modes), self.basis_row(z2, n_modes)))
 
-    def to_dict(self) -> dict:
-        return {"mu0": self.mu0, "gamma": self.gamma, "decay": self.decay, "basis": self.basis}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KernelSpec":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class SpectralVector:
@@ -206,12 +195,6 @@ class DiagonalOperator:
         return self.scale_per_mode * a
 
 
-def weighted_norm(x: SpectralVector, spec: KernelSpec, eps: float) -> float:
-    """Interpolation norm ||x||_eps = (sum mu_k^(2 eps) alpha_k^2)^(1/2)."""
-    mu = spec.eigenvalues(x.n_modes)
-    return float(np.sqrt(np.sum(mu ** (2.0 * eps) * x.coeffs**2)))
-
-
 def rkhs_norm(x: SpectralVector, spec: KernelSpec) -> float:
     """RKHS norm (sum alpha_k^2 / mu_k)^(1/2) on the truncated representation."""
     mu = spec.eigenvalues(x.n_modes)
@@ -236,39 +219,8 @@ def resolvent_s_eta(spec: KernelSpec, lam: float, eta: float, n_modes: int) -> D
     return DiagonalOperator(resolvent_scales(spec, lam, eta, n_modes), label="S_eta")
 
 
-def resolvent_s_eta_prime(
-    spec: KernelSpec, lam0: float, lam: float, eta: float, n_modes: int
-) -> DiagonalOperator:
-    """Modified resolvent absorbing an explicit ridge term into the implicit part.
-
-    Per-mode scale 1 / (1 + eta * (lam0 + lam / mu_k)); reduces to the plain
-    resolvent when lam0 = 0.
-    """
-    if lam0 < 0:
-        raise ValueError("lam0 must be nonnegative")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    scales = 1.0 / (1.0 + eta * (lam0 + lam / spec.eigenvalues(n_modes)))
-    return DiagonalOperator(scales, label="S_eta_prime")
-
-
 def operator_a(spec: KernelSpec, lam: float, n_modes: int) -> DiagonalOperator:
     """Drift operator A with A f_k = -(lam / mu_k) f_k."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
     return DiagonalOperator(-lam / spec.eigenvalues(n_modes), label="A")
-
-
-def identity_operator(n_modes: int) -> DiagonalOperator:
-    return DiagonalOperator(np.ones(n_modes), label="identity")
-
-
-def project(x: SpectralVector, n: int) -> SpectralVector:
-    """Orthogonal projection onto the first n modes (coefficients dropped)."""
-    if n < 1:
-        raise ValueError("projection dimension must be >= 1")
-    if n > x.n_modes:
-        raise ValueError(f"cannot project to {n} modes, vector has {x.n_modes}")
-    return SpectralVector(x.coeffs[:n])

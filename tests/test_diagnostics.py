@@ -13,12 +13,11 @@ from rkld.diagnostics import (
     quadratic_discrete_invariant,
     quadratic_gibbs_gap_exact,
     sgld_discrepancy,
-    sigmoid_statistic,
     spectral_gap,
     theorem_tail_bound,
     theory_constants,
 )
-from rkld.dynamics import ChainConfig
+from rkld.dynamics import ChainConfig, run_chain
 from rkld.objective import Dataset, ObjectiveSpec, loss_family
 from rkld.spectral import KernelSpec, SpectralVector
 
@@ -90,11 +89,13 @@ class TestClosedForms:
             gibbs_concentration_bound(-1.0, 1.0, 4.0, 1.0)
 
     def test_sigmoid_statistic(self):
+        # the engine's phi column at step 0 is sigma(L(x0) - l_star)
         obj = make_objective()
         x = SpectralVector.zeros(6)
         l0 = obj.risk(x)
-        assert sigmoid_statistic(obj, x, l0) == 0.0
-        assert sigmoid_statistic(obj, x, l0 - 1.0) == pytest.approx(0.2310585786, abs=1e-9)
+        cfg = ChainConfig(eta=0.05, beta=4.0, lam=1.0, n_modes=6, seed=1, horizon=1, x0=x)
+        assert run_chain(cfg, obj, l_star=l0).phi[0] == 0.0
+        assert run_chain(cfg, obj, l_star=l0 - 1.0).phi[0] == pytest.approx(0.2310585786, abs=1e-9)
 
 
 class TestTheoryConstants:

@@ -3,22 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rkld.dynamics import (
-    ChainConfig,
-    NumericalAbort,
-    coupled_run,
-    gld_step,
-    initial_state,
-    load_state,
-    make_rng,
-    ou_step,
-    run_chain,
-    run_ensemble,
-    save_state,
-    sgld_step,
-    sigmoid_gap,
-)
-from rkld.objective import Dataset, ObjectiveSpec, SQUARED, loss_family
+from rkld.dynamics import ChainConfig, NumericalAbort, make_rng, run_chain, run_ensemble, sigmoid_gap
+from rkld.objective import Dataset, ObjectiveSpec, loss_family
 from rkld.spectral import KernelSpec, SpectralVector, resolvent_scales
 
 
@@ -66,85 +52,59 @@ class TestSigmoidGap:
         assert np.allclose(vals + vals[::-1], 0.0, atol=1e-15)
 
 
+def final_state(cfg, obj=None, mode="gld"):
+    """X_horizon of chain 0, captured by an observer (burn_in must be 0)."""
+    seen = {}
+
+    def capture(step, x):
+        seen["x"] = x[0].copy()
+
+    run_chain(cfg, obj, mode=mode, observers=(capture,))
+    return seen["x"]
+
+
 class TestStepFunctions:
+    """The engine's update X <- S_eta (X - eta g + sqrt(2 eta/beta) eps)."""
+
     def test_gld_semi_implicit_identity(self):
         obj = make_objective()
-        cfg = make_cfg()
-        state = initial_state(cfg)
-        new = gld_step(state, cfg, obj)
+        cfg = make_cfg(horizon=1, burn_in=0)
+        new = final_state(cfg, obj)
         # reconstruct the pre-resolvent point and check both forms agree
         scales = resolvent_scales(obj.kernel, cfg.lam, cfg.eta, cfg.n_modes)
-        pre = new.x.coeffs / scales
+        pre = new / scales
         mu = obj.kernel.eigenvalues(cfg.n_modes)
-        back = new.x.coeffs + cfg.eta * cfg.lam * new.x.coeffs / mu
+        back = new + cfg.eta * cfg.lam * new / mu
         assert np.max(np.abs(pre - back)) < 1e-12
 
     def test_gld_deterministic_replay(self):
         obj = make_objective()
-        cfg = make_cfg()
-        a = initial_state(cfg)
-        b = initial_state(cfg)
-        for _ in range(200):
-            a = gld_step(a, cfg, obj)
-            b = gld_step(b, cfg, obj)
-        assert np.array_equal(a.x.coeffs, b.x.coeffs)
+        cfg = make_cfg(horizon=200, burn_in=0)
+        assert np.array_equal(final_state(cfg, obj), final_state(cfg, obj))
 
     def test_sgld_full_batch_matches_gld(self):
         obj = make_objective(n=8)
-        cfg = make_cfg(minibatch=8)
-        a = initial_state(cfg)
-        b = initial_state(cfg)
-        for _ in range(50):
-            a = gld_step(a, cfg, obj)
-            b = sgld_step(b, cfg, obj)
-        assert np.array_equal(a.x.coeffs, b.x.coeffs)
+        cfg = make_cfg(minibatch=8, horizon=50, burn_in=0)
+        assert np.array_equal(final_state(cfg, obj, "gld"), final_state(cfg, obj, "sgld"))
 
     def test_sgld_minibatch_diverges_from_gld(self):
         obj = make_objective(n=8)
-        cfg = make_cfg(minibatch=2)
-        a = initial_state(cfg)
-        b = initial_state(cfg)
-        for _ in range(50):
-            a = gld_step(a, cfg, obj)
-            b = sgld_step(b, cfg, obj)
-        assert not np.array_equal(a.x.coeffs, b.x.coeffs)
+        cfg = make_cfg(minibatch=2, horizon=50, burn_in=0)
+        assert not np.array_equal(final_state(cfg, obj, "gld"), final_state(cfg, obj, "sgld"))
 
     def test_ou_step_ignores_objective(self):
-        cfg = make_cfg()
-        s = initial_state(cfg)
-        s = ou_step(s, cfg)
-        assert s.step == 1
-        assert np.all(np.isfinite(s.x.coeffs))
+        cfg = make_cfg(horizon=1, burn_in=0)
+        s = run_ensemble(cfg, None, mode="ou")[0]
+        assert s.steps[-1] == 1
+        assert np.all(np.isfinite(s.norm))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_abort_on_blowup(self):
         # giant step size on the squared loss makes the explicit part diverge
         obj = make_objective()
         cfg = ChainConfig(eta=50.0, beta=100.0, lam=1e-6, n_modes=6, seed=1, horizon=10_000)
-        state = initial_state(cfg)
         with pytest.raises(NumericalAbort):
-            for _ in range(10_000):
-                state = gld_step(state, cfg, obj)
-
-
-class TestCoupledRun:
-    def test_noise_cancels_strict_contraction(self):
-        obj = make_objective()
-        M = obj.smoothness_constant()
-        lam = 4.0 * M * obj.kernel.mu0
-        cfg = make_cfg(lam=lam, eta=0.01)
-        rng = np.random.default_rng(0)
-        d = coupled_run(
-            cfg,
-            obj,
-            SpectralVector(rng.standard_normal(6)),
-            SpectralVector(rng.standard_normal(6)),
-            horizon=500,
-        )
-        rho = (1.0 + cfg.eta * M) / (1.0 + cfg.eta * lam / obj.kernel.mu0)
-        assert rho < 1.0
-        ratios = d[1:] / d[:-1]
-        assert np.all(ratios <= rho + 1e-9)
+            run_chain(cfg, obj)
 
 
 class TestRunEnsemble:
@@ -152,11 +112,14 @@ class TestRunEnsemble:
         obj = make_objective()
         cfg = make_cfg(horizon=64, burn_in=0)
         summary = run_chain(cfg, obj)
-        state = initial_state(cfg)
+        rng = make_rng(cfg.seed, 0, 0)
+        s = resolvent_scales(obj.kernel, cfg.lam, cfg.eta, cfg.n_modes)
+        amp = math.sqrt(2.0 * cfg.eta / cfg.beta)
+        x = np.zeros(cfg.n_modes)
         for _ in range(64):
-            state = gld_step(state, cfg, obj)
+            x = s * (x - cfg.eta * obj.grad_array(x) + amp * rng.standard_normal(cfg.n_modes))
         assert summary.steps[-1] == 64
-        assert summary.norm[-1] == pytest.approx(np.linalg.norm(state.x.coeffs), abs=1e-13)
+        assert summary.norm[-1] == pytest.approx(np.linalg.norm(x), abs=1e-13)
 
     def test_replica_independence_of_ensemble_size(self):
         obj = make_objective()
@@ -228,30 +191,6 @@ class TestRunEnsemble:
         assert partial is not None and len(partial) == 1
         assert partial[0].steps[0] == 0 and np.all(np.diff(partial[0].steps) > 0)
         assert np.isfinite(partial[0].risk[0])
-
-
-class TestCheckpoint:
-    def test_roundtrip_resumes_identically(self, tmp_path):
-        obj = make_objective()
-        cfg = make_cfg()
-        state = initial_state(cfg)
-        for _ in range(30):
-            state = gld_step(state, cfg, obj)
-        p = tmp_path / "chain.ckpt"
-        save_state(state, p)
-        resumed = load_state(p)
-        assert resumed.step == 30
-        assert np.array_equal(resumed.x.coeffs, state.x.coeffs)
-        for _ in range(20):
-            state = gld_step(state, cfg, obj)
-            resumed = gld_step(resumed, cfg, obj)
-        assert np.array_equal(resumed.x.coeffs, state.x.coeffs)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "junk.ckpt"
-        p.write_bytes(b"NOTRK" + b"\x00" * 40)
-        with pytest.raises(ValueError):
-            load_state(p)
 
 
 class TestRng:

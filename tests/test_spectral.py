@@ -10,13 +10,9 @@ from rkld.spectral import (
     DiagonalOperator,
     KernelSpec,
     SpectralVector,
-    identity_operator,
     operator_a,
-    project,
     resolvent_s_eta,
-    resolvent_s_eta_prime,
     rkhs_norm,
-    weighted_norm,
 )
 
 KERNEL = KernelSpec()
@@ -107,16 +103,8 @@ class TestKernelGamma:
 
 
 class TestNorms:
-    def test_weighted_norm_eps_zero_is_h_norm(self):
-        x = SpectralVector(np.array([1.0, -2.0, 3.0]))
-        assert weighted_norm(x, KERNEL, 0.0) == pytest.approx(x.norm(), abs=1e-14)
-
-    def test_weighted_norm_single_mode(self):
-        x = SpectralVector(np.array([0.0, 1.0]))
-        assert weighted_norm(x, KERNEL, 0.5) == pytest.approx(0.5, abs=1e-14)
-
     def test_zero_vector(self):
-        assert weighted_norm(SpectralVector(np.zeros(5)), KERNEL, 0.3) == 0.0
+        assert SpectralVector(np.zeros(5)).norm() == 0.0
         assert rkhs_norm(SpectralVector(np.zeros(5)), KERNEL) == 0.0
 
     def test_rkhs_norm_single_modes(self):
@@ -162,19 +150,6 @@ class TestResolvent:
         with pytest.raises(ValueError):
             resolvent_s_eta(KERNEL, 1.0, -0.1, 3)
 
-    def test_prime_reduces_at_lambda0_zero(self):
-        a = resolvent_s_eta(KERNEL, 2.0, 0.3, 7)
-        b = resolvent_s_eta_prime(KERNEL, 0.0, 2.0, 0.3, 7)
-        assert np.allclose(a.scale_per_mode, b.scale_per_mode, atol=0)
-
-    def test_prime_mode_scale(self):
-        op = resolvent_s_eta_prime(KERNEL, 1.0, 1.0, 1.0, 1)
-        assert op.scale_per_mode[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
-
-    def test_prime_requires_positive_lambda(self):
-        with pytest.raises(ValueError):
-            resolvent_s_eta_prime(KERNEL, 2.0, 0.0, 0.1, 3)
-
 
 class TestOperatorA:
     def test_mode_scales_negative(self):
@@ -192,28 +167,6 @@ class TestOperatorA:
         lhs = op.apply(x).dot(x)
         bound = -(lam / KERNEL.mu0) * x.norm() ** 2
         assert lhs <= bound + 1e-9 * (1.0 + abs(bound))
-
-
-class TestProjection:
-    def test_full_projection_identity(self):
-        x = SpectralVector(np.array([1.0, 2.0, 3.0]))
-        assert np.array_equal(project(x, 3).coeffs, x.coeffs)
-
-    def test_idempotent(self):
-        x = SpectralVector(np.arange(6, dtype=float))
-        once = project(x, 3)
-        assert np.array_equal(project(once, 3).coeffs, once.coeffs)
-
-    def test_over_projection_rejected(self):
-        with pytest.raises(ValueError):
-            project(SpectralVector(np.ones(3)), 4)
-
-    @given(finite_coeffs, st.integers(min_value=1, max_value=40))
-    @settings(max_examples=50)
-    def test_norm_nonincreasing(self, coeffs, n):
-        x = SpectralVector(coeffs)
-        n = min(n, x.n_modes)
-        assert project(x, n).norm() <= x.norm() + 1e-12
 
 
 class TestReproducingIdentity:
@@ -235,6 +188,6 @@ class TestDiagonalOperator:
         assert np.array_equal(op.apply(x).coeffs, np.array([2.0, -4.0, 4.0]))
 
     def test_identity(self):
-        op = identity_operator(4)
+        op = DiagonalOperator(np.ones(4))
         x = SpectralVector(np.array([3.0, -1.0, 0.0, 2.0]))
         assert np.array_equal(op.apply(x).coeffs, x.coeffs)
