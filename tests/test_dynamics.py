@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -105,6 +106,32 @@ class TestStepFunctions:
         cfg = ChainConfig(eta=50.0, beta=100.0, lam=1e-6, n_modes=6, seed=1, horizon=10_000)
         with pytest.raises(NumericalAbort):
             run_chain(cfg, obj)
+
+
+class TestCoupledRun:
+    def test_noise_cancels_strict_contraction(self):
+        obj = make_objective()
+        M = obj.smoothness_constant()
+        lam = 4.0 * M * obj.kernel.mu0
+        cfg = make_cfg(lam=lam, eta=0.01, horizon=500, burn_in=0)
+        rng = np.random.default_rng(0)
+        paths = []
+        for x0 in (SpectralVector(rng.standard_normal(6)), SpectralVector(rng.standard_normal(6))):
+            # one chain id for both runs: the shared noise cancels in the difference
+            path = [x0.coeffs]
+            run_ensemble(
+                dataclasses.replace(cfg, x0=x0),
+                obj,
+                chain_ids=[0],
+                observers=(lambda step, x: path.append(x[0].copy()),),
+            )
+            paths.append(np.array(path))
+        d = np.linalg.norm(paths[0] - paths[1], axis=1)
+        assert len(d) == 501
+        rho = (1.0 + cfg.eta * M) / (1.0 + cfg.eta * lam / obj.kernel.mu0)
+        assert rho < 1.0
+        ratios = d[1:] / d[:-1]
+        assert np.all(ratios <= rho + 1e-9)
 
 
 class TestRunEnsemble:
