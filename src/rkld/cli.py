@@ -25,6 +25,7 @@ from .diagnostics import (
     galerkin_error_vs_n,
     gibbs_gap_empirical,
     sgld_discrepancy,
+    tail_bound_terms,
     theory_constants,
     weak_error_vs_eta,
 )
@@ -226,14 +227,16 @@ def _sweep_beta(exp: ExperimentConfig):
         (beta, r["gap"], r["se"], r["bound"], int(r["passes_bound"]), int(r["inconclusive"]))
         for beta, r in zip(betas, results)
     ]
-    conclusive = not any(r["inconclusive"] for r in results)
+    conclusive = exp.replicas >= 2 and not any(r["inconclusive"] for r in results)
     gaps = [r["gap"] for r in results]
     ses = [r["se"] for r in results]
     monotone = all(
         gaps[i + 1] <= gaps[i] + 3.0 * math.hypot(ses[i], ses[i + 1]) for i in range(len(gaps) - 1)
     )
     bounded = all(r["passes_bound"] for r in results)
-    if not conclusive:
+    if exp.replicas < 2:
+        verdict = "INCONCLUSIVE gibbs gap vs beta: need >= 2 replicas for error bars"
+    elif not conclusive:
         verdict = "INCONCLUSIVE gibbs gap vs beta: stationarity check failed at some beta"
     else:
         word = "PASS" if monotone and bounded else "FAIL"
@@ -358,15 +361,10 @@ def _constants_section(exp: ExperimentConfig) -> list[str]:
     lines.append(f"tail bound decomposition at n = {n} (delta = {exp.tail_delta}):")
     markov = 5.0 / exp.tail_delta
     lines.append(f"  markov factor 5/delta: {markov!r}")
-    if tc.lambda_eta is not None and tc.lambda_0 is not None:
-        decay = math.exp(-tc.lambda_eta * (cfg.eta * n - 1.0))
-        disc = (tc.c_beta / tc.lambda_0) * cfg.eta ** (0.5 - tc.kappa)
-        gap = mins.l_tilde - mins.l_star
-        lines.append(f"  exp(-Lambda*_eta (eta n - 1)): {decay!r}")
-        lines.append(f"  (c_beta / Lambda*_0) eta^(1/2 - kappa): {disc!r}")
-        lines.append(f"  gibbs concentration term: {tc.gibbs_bound!r}")
-        lines.append(f"  L(x~) - L(x*): {gap!r}")
-        lines.append(f"  total (x markov factor): {markov * (decay + disc + tc.gibbs_bound + gap)!r}")
+    terms = tail_bound_terms(tc, mins, cfg.eta, n)
+    if terms is not None:
+        lines.extend(f"  {label}: {value!r}" for label, value in terms.items())
+        lines.append(f"  total (x markov factor): {markov * sum(terms.values())!r}")
     else:
         lines.append("  spectral gap needs [experiment] delta in the bounded regime; terms n/a")
     return lines

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .dynamics import ChainConfig, run_ensemble, sigmoid_gap
+from .dynamics import ChainConfig, run_ensemble
 from .objective import MinimizerPair, ObjectiveSpec
 from .spectral import KernelSpec, rkhs_norm
 
@@ -35,6 +35,7 @@ __all__ = [
     "gibbs_gap_empirical",
     "sgld_discrepancy",
     "theorem_tail_bound",
+    "tail_bound_terms",
     "quadratic_discrete_invariant",
     "quadratic_gibbs_gap_exact",
 ]
@@ -268,44 +269,26 @@ class Estimate:
     extra: dict = field(default_factory=dict)
 
 
+def _replica_mean_se(values) -> tuple[float, float]:
+    """Across-replica mean and its standard error, spread / sqrt(R); inf below 2 replicas."""
+    v = np.asarray(values, dtype=float)
+    se = float(np.std(v, ddof=1) / math.sqrt(v.size)) if v.size > 1 else math.inf
+    return float(np.mean(v)), se
+
+
 class _CesaroTracker:
-    """Observer accumulating Cesaro averages of a risk (and its sigmoid) under a
-    possibly different feature representation than the dynamics objective."""
+    """Observer summing the engine's per-chain risk over the first half of the
+    retained steps, for the first-half/second-half stationarity check; the
+    full Cesaro averages are RunSummary.final_cesaro_risk."""
 
-    def __init__(self, features, y, loss, l_star, split_halves=False, total_retained=None):
-        self.features = features
-        self.y = y
-        self.loss = loss
-        self.l_star = l_star
-        self.sum_phi = None
-        self.sum_risk = None
-        self.count = 0
-        self.split = split_halves
-        self.half_point = (total_retained // 2) if (split_halves and total_retained) else None
-        self.sum_risk_first = None
-        self.count_first = 0
+    def __init__(self, cfg: ChainConfig):
+        self.half_point = (cfg.horizon - cfg.burn_in_steps) // 2
+        self.last_step = cfg.burn_in_steps + self.half_point
+        self.sum_risk_first = 0.0
 
-    def __call__(self, step, x):
-        u = x @ self.features[:, : x.shape[1]].T
-        risk = np.mean(self.loss.value(u, self.y), axis=-1)
-        phi = sigmoid_gap(risk - self.l_star)
-        if self.sum_phi is None:
-            self.sum_phi = np.zeros_like(phi)
-            self.sum_risk = np.zeros_like(risk)
-            if self.split:
-                self.sum_risk_first = np.zeros_like(risk)
-        self.sum_phi += phi
-        self.sum_risk += risk
-        self.count += 1
-        if self.split and self.count <= self.half_point:
-            self.sum_risk_first += risk
-            self.count_first += 1
-
-    def mean_phi(self):
-        return self.sum_phi / self.count
-
-    def mean_risk(self):
-        return self.sum_risk / self.count
+    def __call__(self, step, x, risk):
+        if step <= self.last_step:
+            self.sum_risk_first = self.sum_risk_first + risk
 
 
 def ensemble_phi_estimate(
@@ -313,9 +296,7 @@ def ensemble_phi_estimate(
     obj: ObjectiveSpec,
     replicas: int,
     l_star: float,
-    mode: str = "gld",
     chain_id_base: int = 0,
-    tracker: _CesaroTracker | None = None,
     noise_modes: int | None = None,
 ):
     """Cesaro-tail estimate of E[phi] under the run's invariant law.
@@ -323,24 +304,18 @@ def ensemble_phi_estimate(
     Returns (Estimate, summaries).  The value is the across-replica mean of
     per-chain Cesaro averages; the SE is the replica spread / sqrt(R).
     """
-    observers = (tracker,) if tracker is not None else ()
     summaries = run_ensemble(
         cfg,
         obj,
-        mode=mode,
         n_chains=replicas,
         l_star=l_star,
-        observers=observers,
         chain_ids=[chain_id_base + r for r in range(replicas)],
         noise_modes=noise_modes,
     )
-    if tracker is not None:
-        vals = tracker.mean_phi()
-    else:
-        vals = np.array([s.final_cesaro_phi for s in summaries])
+    value, se = _replica_mean_se([s.final_cesaro_phi for s in summaries])
     est = Estimate(
-        value=float(np.mean(vals)),
-        se=float(np.std(vals, ddof=1) / math.sqrt(replicas)) if replicas > 1 else math.inf,
+        value=value,
+        se=se,
         replicas=replicas,
         seed=cfg.seed,
         extra={"chain_ids": [s.chain_id for s in summaries]},
@@ -382,45 +357,39 @@ def galerkin_error_vs_n(
     cfg_base: ChainConfig,
     n_list,
     n_ref: int,
-    lam_for_minimizer: float | None = None,
     replicas: int = 8,
 ) -> RateFit:
     """Invariant-law error against Galerkin dimension, abscissa mu_{N+1}^(1/2).
 
-    make_objective(n_modes) builds the truncated objective; the test function
-    is the sigmoid statistic of the *reference* (n_ref) risk evaluated on the
-    zero-padded truncated state, so all points measure against one functional.
+    make_objective(n_modes) builds the truncated objective; its first n
+    feature columns must not depend on n_modes (KernelSpec.feature_matrix
+    guarantees it).  Then each N-mode run's own Cesaro tail of phi is the
+    sigmoid statistic of the *reference* (n_ref) risk on the zero-padded
+    state, so all points measure against one functional.
     """
     n_list = sorted(n_list)
     if n_ref < 4 * max(n_list):
         raise ValueError("reference dimension must be at least 4x the largest N")
     obj_ref = make_objective(n_ref + 1)
-    lam = lam_for_minimizer if lam_for_minimizer is not None else cfg_base.lam
     # center the sigmoid statistic at the regularized minimum, which exists
     # for every loss (the plain risk may only attain its infimum in the limit)
-    _, l_star = obj_ref.regularized_minimizer(lam)
+    _, l_star = obj_ref.regularized_minimizer(cfg_base.lam)
 
     def per_replica_tails(n_modes):
         # all dimensions share noise streams (same chain ids, common draw
         # width n_ref+1), so per-replica differences are paired and their
         # MC variance is far below that of independent runs
-        obj_n = make_objective(n_modes)
         cfg = replace(cfg_base, n_modes=n_modes, burn_in=None)
-        retained = cfg.horizon - cfg.burn_in_steps
-        tracker = _CesaroTracker(
-            obj_ref.features, obj_ref.dataset.y, obj_ref.loss, l_star, total_retained=retained
+        _, summaries = ensemble_phi_estimate(
+            cfg, make_objective(n_modes), replicas, l_star, noise_modes=n_ref + 1
         )
-        ensemble_phi_estimate(
-            cfg, obj_n, replicas, l_star, tracker=tracker, noise_modes=n_ref + 1
-        )
-        return tracker.mean_phi()
+        return np.array([s.final_cesaro_phi for s in summaries])
 
     ref_tails = per_replica_tails(n_ref + 1)
     errs, ses, absc = [], [], []
     for n in n_list:
-        paired = per_replica_tails(n + 1) - ref_tails
-        errs.append(abs(float(np.mean(paired))))
-        se = float(np.std(paired, ddof=1) / math.sqrt(replicas)) if replicas > 1 else math.inf
+        mean, se = _replica_mean_se(per_replica_tails(n + 1) - ref_tails)
+        errs.append(abs(mean))
         ses.append(se)
         absc.append(math.sqrt(obj_ref.kernel.eigenvalue(n + 1)))
     return fit_loglog(np.array(absc), np.array(errs), np.array(ses))
@@ -440,33 +409,23 @@ def gibbs_gap_empirical(
     factor (the theory hides constants).  A first-half/second-half Cesaro
     disagreement beyond 3 sigma marks the estimate inconclusive.
     """
-    if cfg.eta > 0.01 or cfg.n_modes < 65:
-        raise ValueError("gibbs gap estimation requires eta <= 0.01 and N >= 64")
+    retained = cfg.horizon - cfg.burn_in_steps
+    if cfg.eta > 0.01 or cfg.n_modes < 65 or retained < 2:
+        raise ValueError("gibbs gap estimation requires eta <= 0.01, N >= 64 and 2 retained steps")
     if minimizer is None:
         minimizer = obj.regularized_minimizer(cfg.lam)
     x_tilde, l_tilde = minimizer
-    retained = cfg.horizon - cfg.burn_in_steps
-    tracker = _CesaroTracker(
-        obj.features,
-        obj.dataset.y,
-        obj.loss,
-        l_tilde,
-        split_halves=True,
-        total_retained=retained,
+    tracker = _CesaroTracker(cfg)
+    summaries = run_ensemble(
+        cfg, obj, n_chains=replicas, l_star=l_tilde, observers=(tracker,), chain_ids=list(range(replicas))
     )
-    _, summaries = ensemble_phi_estimate(
-        cfg, obj, replicas, l_tilde, tracker=tracker
-    )
-    mean_l = tracker.mean_risk()
-    gaps = mean_l - l_tilde
-    gap = float(np.mean(gaps))
-    se = float(np.std(gaps, ddof=1) / math.sqrt(replicas))
+    mean_l = np.array([s.final_cesaro_risk for s in summaries])
+    gap, se = _replica_mean_se(mean_l - l_tilde)
     # stationarity: first-half vs second-half Cesaro averages of L
-    first = tracker.sum_risk_first / tracker.count_first
-    second = (tracker.sum_risk - tracker.sum_risk_first) / (tracker.count - tracker.count_first)
-    half_diff = first - second
-    half_se = float(np.std(half_diff, ddof=1) / math.sqrt(replicas))
-    nonstationary = abs(float(np.mean(half_diff))) > 3.0 * max(half_se, 1e-300)
+    first = tracker.sum_risk_first / tracker.half_point
+    second = (mean_l * retained - tracker.sum_risk_first) / (retained - tracker.half_point)
+    half_mean, half_se = _replica_mean_se(first - second)
+    nonstationary = abs(half_mean) > 3.0 * max(half_se, 1e-300)
     bound = gibbs_concentration_bound(
         obj.smoothness_constant(),
         cfg.lam,
@@ -503,9 +462,8 @@ def sgld_discrepancy(
     sgld = run_ensemble(cfg, obj, mode="sgld", n_chains=replicas, l_star=l_star, chain_ids=ids)
     phi_x = np.array([s.phi[-1] for s in gld])
     phi_y = np.array([s.phi[-1] for s in sgld])
-    paired = phi_x - phi_y
-    disc = abs(float(np.mean(paired)))
-    se = float(np.std(paired, ddof=1) / math.sqrt(replicas)) if replicas > 1 else math.inf
+    mean, se = _replica_mean_se(phi_x - phi_y)
+    disc = abs(mean)
     m = cfg.minibatch if cfg.minibatch is not None else obj.dataset.size
     rn = discrepancy_budget(cfg.horizon, cfg.beta, cfg.eta, obj.dataset.size, m)
     shape = math.sqrt(rn) + rn**0.25
@@ -522,16 +480,31 @@ def sgld_discrepancy(
 
 
 class _RiskAtSteps:
-    """Observer recording the per-chain risk at a fixed set of steps."""
+    """Observer keeping the engine's per-chain risk at a fixed set of steps."""
 
-    def __init__(self, obj, steps):
-        self.obj = obj
+    def __init__(self, steps):
         self.steps = set(int(s) for s in steps)
         self.records: dict[int, np.ndarray] = {}
 
-    def __call__(self, step, x):
+    def __call__(self, step, x, risk):
         if step in self.steps:
-            self.records[step] = self.obj.risk_array(x).copy()
+            self.records[step] = risk
+
+
+def tail_bound_terms(
+    consts: TheoryConstants, minimizers: MinimizerPair, eta: float, n: int
+) -> dict[str, float] | None:
+    """The terms of the tail bound's right-hand side at step n, before the
+    5/delta factor, keyed by formula; None without a spectral gap."""
+    if consts.lambda_eta is None or consts.lambda_0 is None:
+        return None
+    return {
+        "exp(-Lambda*_eta (eta n - 1))": math.exp(-consts.lambda_eta * (eta * n - 1.0)),
+        "(c_beta / Lambda*_0) eta^(1/2 - kappa)": (consts.c_beta / consts.lambda_0)
+        * eta ** (0.5 - consts.kappa),
+        "gibbs concentration term": consts.gibbs_bound,
+        "L(x~) - L(x*)": minimizers.l_tilde - minimizers.l_star,
+    }
 
 
 def theorem_tail_bound(
@@ -555,7 +528,7 @@ def theorem_tail_bound(
         minimizers = obj.find_minimizers(cfg.lam)
     consts = theory_constants(obj, cfg, minimizers=minimizers, kappa=kappa)
     checkpoints = sorted(int(c) for c in checkpoints)
-    recorder = _RiskAtSteps(obj, checkpoints)
+    recorder = _RiskAtSteps(checkpoints)
     run_cfg = replace(cfg, horizon=max(checkpoints), burn_in=0)
     run_ensemble(
         run_cfg,
@@ -572,14 +545,8 @@ def theorem_tail_bound(
         exceed = risks - minimizers.l_star > delta
         p_hat = float(np.mean(exceed))
         p_se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / replicas) / replicas)
-        rhs = math.nan
-        if consts.lambda_eta is not None:
-            rhs = (5.0 / delta) * (
-                math.exp(-consts.lambda_eta * (cfg.eta * n - 1.0))
-                + (consts.c_beta / consts.lambda_0) * cfg.eta ** (0.5 - kappa)
-                + consts.gibbs_bound
-                + (minimizers.l_tilde - minimizers.l_star)
-            )
+        terms = tail_bound_terms(consts, minimizers, cfg.eta, n)
+        rhs = (5.0 / delta) * sum(terms.values()) if terms is not None else math.nan
         rows.append({"n": n, "p_hat": p_hat, "p_se": p_se, "rhs": rhs})
     return {
         "delta": delta,

@@ -139,8 +139,10 @@ def run_ensemble(
 
     Replica r uses the random streams keyed by (cfg.seed, chain_ids[r]), so
     the trajectory of any single replica is independent of the ensemble it
-    runs inside.  Observers are called as observer(step, X) with the full
-    (R, N+1) state matrix for every post-burn-in step.
+    runs inside.  Observers are called as observer(step, X, risk) for every
+    post-burn-in step, with the full (R, N+1) state matrix and the per-chain
+    risk obj.risk_array(X) that also feeds the Cesaro sums and checkpoints
+    (None without an objective); both arrays are read-only.
 
     noise_modes widens the per-step noise draw beyond the state dimension;
     fixing it across runs of different dimension couples them through common
@@ -191,16 +193,15 @@ def run_ensemble(
     ck_steps: list[int] = []
     ck_rows: list[tuple] = []  # (norm, risk, reg, phi, cesaro_phi) row arrays
 
-    def record(step):
+    def record(step, risk=None):
         norms = np.linalg.norm(x, axis=1)
         if track_risk:
-            risk = obj.risk_array(x)
+            if risk is None:
+                risk = obj.risk_array(x)
             reg = risk + 0.5 * cfg.lam * np.sum(x * x / mu, axis=1)
             phi = sigmoid_gap(risk - l_star)
         else:
-            risk = np.zeros(n_chains)
-            reg = np.zeros(n_chains)
-            phi = np.zeros(n_chains)
+            risk = reg = phi = np.zeros(n_chains)
         ces = cesaro_phi / retained if retained else np.full(n_chains, np.nan)
         ck_steps.append(step)
         ck_rows.append((norms, risk, reg, phi, ces))
@@ -248,19 +249,22 @@ def run_ensemble(
                 else:
                     g = 0.0
                 x = scales * (x - cfg.eta * g + amp * noise[:, t, :n])
+                x.setflags(write=False)
                 step += 1
                 if not np.all(np.isfinite(x)):
                     raise NumericalAbort(f"non-finite state at step {step}", step=step)
+                risk = None
                 if step > burn_in:
                     if track_risk:
                         risk = obj.risk_array(x)
+                        risk.setflags(write=False)
                         cesaro_risk += risk
                         cesaro_phi += sigmoid_gap(risk - l_star)
                     retained += 1
                     for observer in observers:
-                        observer(step, x)
+                        observer(step, x, risk)
                 if step % cadence == 0 or step == cfg.horizon:
-                    record(step)
+                    record(step, risk)
     except NumericalAbort as exc:
         exc.partial = summaries()
         raise

@@ -137,7 +137,7 @@ def test_04_ou_stationary_variance():
     sumsq = np.zeros((replicas, 8))
     count = 0
 
-    def accumulate(step, x):
+    def accumulate(step, x, risk):
         nonlocal count
         sums[:] += x
         sumsq[:] += x**2
@@ -174,7 +174,7 @@ def coupled_distances(cfg, obj, x0a, x0b):
             dataclasses.replace(cfg, burn_in=0, x0=x0),
             obj,
             chain_ids=[0],
-            observers=(lambda step, x: path.append(x[0].copy()),),
+            observers=(lambda step, x, risk: path.append(x[0].copy()),),
         )
         paths.append(np.array(path))
     return np.linalg.norm(paths[0] - paths[1], axis=1)

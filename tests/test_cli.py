@@ -164,6 +164,23 @@ class TestSweep:
         rc = main(["sweep", "--axis", "eta", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 3
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_replica_beta_sweep_is_inconclusive(self, tmp_path, capsys):
+        # one replica has no spread, so the gaps carry no error bars
+        text = (
+            BASE.replace("eta = 0.05", "eta = 0.01")
+            .replace("n_modes = 8", "n_modes = 65")
+            .replace("horizon = 2000", "horizon = 500")
+        )
+        cfg = tmp_path / "beta.ini"
+        cfg.write_text(text + "\n[experiment]\nreplicas = 1\nbeta_grid = 2, 4\n")
+        rc = main(["sweep", "--axis", "beta", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().out.startswith("INCONCLUSIVE gibbs gap vs beta: need >= 2 replicas")
+        with open(next(tmp_path.glob("*_sweep_beta.csv")), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["se"] for r in rows] == ["inf", "inf"]
+
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def fail(self, lam, tol=1e-9):
             raise RuntimeError("line search stalled")

@@ -8,6 +8,7 @@ from rkld.diagnostics import (
     ensemble_phi_estimate,
     fit_loglog,
     gibbs_concentration_bound,
+    gibbs_gap_empirical,
     ou_moment_bounds,
     ou_stationary_variances,
     quadratic_discrete_invariant,
@@ -203,6 +204,12 @@ class TestEstimators:
             math.sqrt(out["r_n"]) + out["r_n"] ** 0.25, rel=1e-12
         )
 
+    def test_gibbs_gap_needs_two_retained_steps(self):
+        # the stationarity check compares two nonempty halves of the retained steps
+        cfg = ChainConfig(eta=0.01, beta=4.0, lam=6.0, n_modes=65, seed=7, horizon=1)
+        with pytest.raises(ValueError, match="2 retained steps"):
+            gibbs_gap_empirical(cfg, make_objective(n_modes=65), replicas=2)
+
     def test_theorem_tail_bound_structure(self):
         obj = make_objective()
         M = obj.smoothness_constant()
@@ -261,6 +268,15 @@ class TestQuadraticOracle:
         g8 = quadratic_gibbs_gap_exact(obj, replace(cfg, beta=8.0))
         assert g4 > 0
         assert g8 == pytest.approx(g4 / 2.0, rel=1e-12)
+
+    def test_gibbs_gap_empirical_with_ridge_matches_exact(self):
+        # L(X_n) and L(x~) both carry the lambda0 ridge term; dropping it from
+        # the Cesaro average of L(X_n) misses the exact gap by about 24 SE
+        ds = Dataset.synthesize(24, seed=7)
+        obj = ObjectiveSpec(ds, loss_family("squared"), KernelSpec(), 65, lambda0=0.5)
+        cfg = ChainConfig(eta=0.01, beta=4.0, lam=6.0, n_modes=65, seed=7, horizon=5000)
+        out = gibbs_gap_empirical(cfg, obj, replicas=8)
+        assert abs(out["gap"] - quadratic_gibbs_gap_exact(obj, cfg)) <= 3.0 * out["se"]
 
     def test_rejects_non_quadratic(self):
         obj = make_objective(loss="logistic")

@@ -57,7 +57,7 @@ def final_state(cfg, obj=None, mode="gld"):
     """X_horizon of chain 0, captured by an observer (burn_in must be 0)."""
     seen = {}
 
-    def capture(step, x):
+    def capture(step, x, risk):
         seen["x"] = x[0].copy()
 
     run_chain(cfg, obj, mode=mode, observers=(capture,))
@@ -95,7 +95,9 @@ class TestStepFunctions:
 
     def test_ou_step_ignores_objective(self):
         cfg = make_cfg(horizon=1, burn_in=0)
-        s = run_ensemble(cfg, None, mode="ou")[0]
+        risks = []
+        s = run_ensemble(cfg, None, mode="ou", observers=(lambda step, x, risk: risks.append(risk),))[0]
+        assert risks == [None]
         assert s.steps[-1] == 1
         assert np.all(np.isfinite(s.norm))
 
@@ -123,7 +125,7 @@ class TestCoupledRun:
                 dataclasses.replace(cfg, x0=x0),
                 obj,
                 chain_ids=[0],
-                observers=(lambda step, x: path.append(x[0].copy()),),
+                observers=(lambda step, x, risk: path.append(x[0].copy()),),
             )
             paths.append(np.array(path))
         d = np.linalg.norm(paths[0] - paths[1], axis=1)
@@ -178,10 +180,25 @@ class TestRunEnsemble:
         with pytest.raises(ValueError):
             run_ensemble(cfg, obj, n_chains=1, noise_modes=3)
 
-    def test_cesaro_phi_recomputable_from_cadence_one_log(self):
+    def test_cesaro_phi_recomputable_from_cadence_one_log(self, monkeypatch):
         obj = make_objective()
         cfg = make_cfg(horizon=200, burn_in=40)  # cadence = max(1, 200//1000) = 1
-        s = run_chain(cfg, obj, l_star=0.1)
+        risk_array = ObjectiveSpec.risk_array
+        calls = []
+        monkeypatch.setattr(
+            ObjectiveSpec, "risk_array", lambda self, x: calls.append(1) or risk_array(self, x)
+        )
+        seen = []
+
+        def observe(step, x, risk):
+            assert not x.flags.writeable and not risk.flags.writeable
+            seen.append((x.copy(), risk.copy()))
+
+        s = run_chain(cfg, obj, l_star=0.1, observers=(observe,))
+        # one risk evaluation per checkpoint: steps 0..200 at cadence 1
+        assert len(calls) == cfg.horizon + 1
+        assert len(seen) == 160
+        assert all(np.array_equal(risk, risk_array(obj, x)) for x, risk in seen)
         post = s.steps > 40
         assert s.retained_steps == 160
         assert s.final_cesaro_phi == pytest.approx(float(np.mean(s.phi[post])), rel=1e-12)
@@ -195,7 +212,7 @@ class TestRunEnsemble:
         sumsq = np.zeros(4)
         count = 0
 
-        def accumulate(step, x):
+        def accumulate(step, x, risk):
             nonlocal count
             sums[:] += x[0]
             sumsq[:] += x[0] ** 2

@@ -82,6 +82,21 @@ class TestFeatureMap:
             psi = KERNEL.feature_map(z, 17)
             assert psi.norm() ** 2 == pytest.approx(KERNEL.kernel_gamma(z, z, 17), rel=1e-13)
 
+    @given(
+        hnp.arrays(np.float64, st.integers(1, 30), elements=st.floats(0.0, 1.0)),
+        st.integers(1, 140),
+        st.integers(0, 140),
+        st.sampled_from(["inverse-square", "harmonic"]),
+        st.floats(0.0, 3.0),
+    )
+    @settings(max_examples=100)
+    def test_columns_do_not_depend_on_truncation(self, z, n, extra, decay, gamma):
+        # galerkin_error_vs_n reads an N-mode chain's risk as the reference
+        # risk on the zero-padded state, which needs this bitwise
+        kernel = KernelSpec(gamma=gamma, decay=decay)
+        wide = kernel.feature_matrix(z, n + extra)
+        assert np.array_equal(kernel.feature_matrix(z, n), wide[:, :n])
+
 
 class TestKernelGamma:
     def test_symmetric(self):
