@@ -407,7 +407,8 @@ def gibbs_gap_empirical(
     Requires a fine discretization (eta <= 0.01, N >= 64).  The verdict
     compares against the closed-form concentration bound scaled by the slack
     factor (the theory hides constants).  A first-half/second-half Cesaro
-    disagreement beyond 3 sigma marks the estimate inconclusive.
+    disagreement beyond 3 sigma, or one replica (no sigma), marks the
+    estimate inconclusive.
     """
     retained = cfg.horizon - cfg.burn_in_steps
     if cfg.eta > 0.01 or cfg.n_modes < 65 or retained < 2:
@@ -425,7 +426,7 @@ def gibbs_gap_empirical(
     first = tracker.sum_risk_first / tracker.half_point
     second = (mean_l * retained - tracker.sum_risk_first) / (retained - tracker.half_point)
     half_mean, half_se = _replica_mean_se(first - second)
-    nonstationary = abs(half_mean) > 3.0 * max(half_se, 1e-300)
+    nonstationary = not math.isfinite(half_se) or abs(half_mean) > 3.0 * max(half_se, 1e-300)
     bound = gibbs_concentration_bound(
         obj.smoothness_constant(),
         cfg.lam,
@@ -458,6 +459,8 @@ def sgld_discrepancy(
     discrepancy / (sqrt(r_n) + r_n^(1/4)).
     """
     ids = list(range(replicas))
+    # only the last checkpoint's phi is read: retain one step, skip the Cesaro sums
+    cfg = replace(cfg, burn_in=cfg.horizon - 1)
     gld = run_ensemble(cfg, obj, mode="gld", n_chains=replicas, l_star=l_star, chain_ids=ids)
     sgld = run_ensemble(cfg, obj, mode="sgld", n_chains=replicas, l_star=l_star, chain_ids=ids)
     phi_x = np.array([s.phi[-1] for s in gld])

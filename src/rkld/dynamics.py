@@ -4,8 +4,8 @@ Replica ensembles advance together as an (R, N+1) matrix with per-chain
 counter-based random streams, so trajectories are bit-identical whether a
 chain runs alone or inside an ensemble.  Rows that share a chain id share
 their noise, which couples runs from different starting points or of
-different dimension.  Noise is pregenerated in chunks to amortize generator
-overhead.
+different dimension.  Noise and SGLD minibatch indices are pregenerated in
+per-chain chunks to amortize generator overhead.
 """
 
 from __future__ import annotations
@@ -125,6 +125,13 @@ def _draw_noise_block(rngs, chunk_len, n_modes):
     return np.stack([rng.standard_normal((chunk_len, n_modes)) for rng in rngs])
 
 
+def _draw_batch_block(rngs, chunk_len, n_tr, m):
+    # row t of one chain's permuted tile is the t-th rng.permutation(n_tr), and
+    # the generator ends in the same state, so chunking leaves the stream intact
+    tile = np.tile(np.arange(n_tr), (chunk_len, 1))
+    return np.stack([rng.permuted(tile, axis=1)[:, :m] for rng in rngs], axis=1)
+
+
 def run_ensemble(
     cfg: ChainConfig,
     obj: ObjectiveSpec | None = None,
@@ -172,15 +179,17 @@ def run_ensemble(
     burn_in = cfg.burn_in_steps
     cadence = cfg.checkpoint_every
     noise_rngs = [make_rng(cfg.seed, cid, _STREAM_NOISE) for cid in chain_ids]
-    batch_rngs = [make_rng(cfg.seed, cid, _STREAM_BATCH) for cid in chain_ids]
 
     x = np.tile(cfg.x0_array(), (n_chains, 1))
+    minibatched = False
     if mode == "sgld":
         n_tr = obj.dataset.size
         m = cfg.minibatch if cfg.minibatch is not None else n_tr
         if not (1 <= m <= n_tr):
             raise ValueError(f"minibatch size {m} out of range 1..{n_tr}")
-        full_batch = m == n_tr
+        minibatched = m < n_tr  # a full batch is the GLD gradient, exactly
+        if minibatched:
+            batch_rngs = [make_rng(cfg.seed, cid, _STREAM_BATCH) for cid in chain_ids]
 
     track_risk = obj is not None
     if track_risk:
@@ -235,19 +244,15 @@ def run_ensemble(
         while step < cfg.horizon:
             chunk_len = min(_CHUNK, cfg.horizon - step)
             noise = _draw_noise_block(noise_rngs, chunk_len, noise_modes)
+            if minibatched:
+                batches = _draw_batch_block(batch_rngs, chunk_len, n_tr, m)
             for t in range(chunk_len):
-                if mode == "gld":
-                    g = obj.grad_array(x)
-                elif mode == "sgld":
-                    if full_batch:
-                        g = obj.grad_array(x)
-                    else:
-                        g = np.empty_like(x)
-                        for r in range(n_chains):
-                            batch = batch_rngs[r].permutation(n_tr)[:m]
-                            g[r] = obj.stochastic_grad_array(x[r], batch)
-                else:
+                if minibatched:
+                    g = obj.stochastic_grad_array(x, batches[t])
+                elif mode == "ou":
                     g = 0.0
+                else:
+                    g = obj.grad_array(x)
                 x = scales * (x - cfg.eta * g + amp * noise[:, t, :n])
                 x.setflags(write=False)
                 step += 1

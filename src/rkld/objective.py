@@ -238,9 +238,11 @@ class ObjectiveSpec:
         return self.loss.d1(u, self.dataset.y)[..., None] * self.features
 
     def stochastic_grad_array(self, x: np.ndarray, batch: np.ndarray) -> np.ndarray:
+        """Minibatch gradient of one chain, x (N,) with batch (m,), or of R
+        chains at once, x (R, N) with one batch per chain in batch (R, m)."""
         rows = self.features[batch]
-        u = x @ rows.T
-        g = self.loss.d1(u, self.dataset.y[batch]) @ rows / len(batch)
+        u = np.matmul(rows, x[..., None])[..., 0]
+        g = np.matmul(self.loss.d1(u, self.dataset.y[batch])[..., None, :], rows)[..., 0, :] / batch.shape[-1]
         if self.lambda0:
             g = g + self.lambda0 * x
         return g

@@ -180,6 +180,8 @@ class TestSweep:
         with open(next(tmp_path.glob("*_sweep_beta.csv")), newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["se"] for r in rows] == ["inf", "inf"]
+        # nor a stationarity test: the half-split SE is inf too
+        assert [r["inconclusive"] for r in rows] == ["1", "1"]
 
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def fail(self, lam, tol=1e-9):

@@ -152,13 +152,48 @@ class TestRunEnsemble:
 
     def test_replica_independence_of_ensemble_size(self):
         obj = make_objective()
-        cfg = make_cfg(horizon=50)
-        solo = run_ensemble(cfg, obj, n_chains=1, chain_ids=[3])[0]
-        grouped = run_ensemble(cfg, obj, n_chains=4, chain_ids=[1, 2, 3, 4])[2]
-        assert grouped.chain_id == 3
-        assert np.array_equal(solo.norm, grouped.norm)
-        # risk evaluation batches over replicas, so only ulp-level drift is allowed
-        assert np.allclose(solo.risk, grouped.risk, rtol=1e-12, atol=0)
+        cfg = make_cfg(horizon=50, minibatch=3)
+        for mode in ("gld", "sgld"):
+            solo = run_ensemble(cfg, obj, mode=mode, n_chains=1, chain_ids=[3])[0]
+            grouped = run_ensemble(cfg, obj, mode=mode, n_chains=4, chain_ids=[1, 2, 3, 4])[2]
+            assert grouped.chain_id == 3
+            assert np.array_equal(solo.norm, grouped.norm)
+            # risk evaluation batches over replicas, so only ulp-level drift is allowed
+            assert np.allclose(solo.risk, grouped.risk, rtol=1e-12, atol=0)
+
+    def test_sgld_matches_per_chain_permutation_loop(self):
+        # horizon 600 crosses two noise/minibatch chunk boundaries
+        obj = make_objective(n=8)
+        cfg = make_cfg(horizon=600, burn_in=0, minibatch=3)
+        ids = [5, 2, 9]
+        states = []
+        capture = (lambda step, x, risk: states.append(x.copy()),)
+        run_ensemble(cfg, obj, mode="sgld", n_chains=3, chain_ids=ids, observers=capture)
+        s = resolvent_scales(obj.kernel, cfg.lam, cfg.eta, cfg.n_modes)
+        amp = math.sqrt(2.0 * cfg.eta / cfg.beta)
+        expect = np.empty((cfg.horizon, len(ids), cfg.n_modes))
+        for r, cid in enumerate(ids):
+            noise_rng, batch_rng = make_rng(cfg.seed, cid, 0), make_rng(cfg.seed, cid, 1)
+            x = np.zeros(cfg.n_modes)
+            for t in range(cfg.horizon):
+                batch = batch_rng.permutation(obj.dataset.size)[:3]
+                g = obj.stochastic_grad_array(x, batch)
+                x = s * (x - cfg.eta * g + amp * noise_rng.standard_normal(cfg.n_modes))
+                expect[t, r] = x
+        assert np.array_equal(np.array(states), expect)
+
+    def test_sgld_one_batched_gradient_per_step(self, monkeypatch):
+        obj = make_objective(n=8)
+        cfg = make_cfg(horizon=300, minibatch=3)
+        stochastic_grad_array = ObjectiveSpec.stochastic_grad_array
+        calls = []
+        monkeypatch.setattr(
+            ObjectiveSpec,
+            "stochastic_grad_array",
+            lambda self, x, batch: calls.append(x.shape) or stochastic_grad_array(self, x, batch),
+        )
+        run_ensemble(cfg, obj, mode="sgld", n_chains=8)
+        assert calls == [(8, cfg.n_modes)] * cfg.horizon
 
     def test_noise_modes_couples_dimensions(self):
         # widened common noise: the first-N modes of a wider chain follow the

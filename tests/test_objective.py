@@ -161,6 +161,22 @@ class TestMinibatch:
         g = obj.stochastic_grad(x, np.arange(6))
         assert np.max(np.abs(g.coeffs - obj.grad(x).coeffs)) < 1e-14
 
+    @pytest.mark.parametrize("loss", [SQUARED, LOGISTIC, SAVAGE], ids=lambda f: f.tag)
+    def test_stacked_batches_match_per_chain_calls(self, loss):
+        kind = "regression" if loss is SQUARED else "classification"
+        obj = ObjectiveSpec(Dataset.synthesize(10, seed=9, kind=kind), loss, KernelSpec(), 8, lambda0=0.1)
+        rng = np.random.default_rng(4)
+        xs = rng.standard_normal((5, 8))
+        batches = np.stack([rng.permutation(10)[:3] for _ in range(5)])
+        stacked = obj.stochastic_grad_array(xs, batches)
+        assert stacked.shape == (5, 8)
+        for x, batch, g in zip(xs, batches, stacked):
+            assert np.array_equal(obj.stochastic_grad_array(x, batch), g)
+            # the one-chain form keeps its row-vector formula, bit for bit
+            rows = obj.features[batch]
+            ref = loss.d1(x @ rows.T, obj.dataset.y[batch]) @ rows / 3 + 0.1 * x
+            assert np.array_equal(g, ref)
+
     def test_rejects_bad_batches(self):
         obj = self._objective()
         x = SpectralVector.zeros(6)
