@@ -2,7 +2,6 @@
 
 from .config import ConfigError, ExperimentConfig, Manifest
 from .diagnostics import (
-    Estimate,
     RateFit,
     TheoryConstants,
     discrepancy_budget,
@@ -18,6 +17,7 @@ from .dynamics import (
     NumericalAbort,
     RunSummary,
     make_rng,
+    run_blocks,
     run_chain,
     run_ensemble,
 )

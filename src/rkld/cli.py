@@ -23,7 +23,7 @@ from .config import ConfigError, ExperimentConfig, Manifest, _atomic_write_text
 from .diagnostics import (
     RateFit,
     galerkin_error_vs_n,
-    gibbs_gap_empirical,
+    gibbs_gap_vs_beta,
     sgld_discrepancy,
     tail_bound_terms,
     theory_constants,
@@ -34,7 +34,7 @@ from .verify import run_property_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
-EXIT_ABORT = 2  # numerical abort or solver failure
+EXIT_ABORT = 2  # numerical abort, solver failure or other numerical error
 EXIT_INCONCLUSIVE = 3
 
 
@@ -187,6 +187,7 @@ def _fit_verdict(fit: RateFit, label: str, expected: tuple[float, float]) -> tup
 def _sweep_eta(exp: ExperimentConfig):
     _require(exp.eta_grid is not None and len(exp.eta_grid) >= 4, "eta sweep needs eta_grid with >= 4 points")
     _require(exp.eta_ref is not None, "eta sweep needs eta_ref")
+    _require(exp.eta_ref <= min(exp.eta_grid) / 8.0, "eta sweep needs eta_ref <= min(eta_grid)/8")
     obj = exp.build_objective()
     _, l_center = obj.regularized_minimizer(exp.chain.lam)
     fit = weak_error_vs_eta(
@@ -203,6 +204,7 @@ def _sweep_eta(exp: ExperimentConfig):
 def _sweep_n_modes(exp: ExperimentConfig):
     _require(exp.n_grid is not None and len(exp.n_grid) >= 4, "n_modes sweep needs n_grid with >= 4 points")
     _require(exp.n_ref is not None, "n_modes sweep needs n_ref")
+    _require(exp.n_ref >= 4 * max(exp.n_grid), "n_modes sweep needs n_ref >= 4 * max(n_grid)")
     fit = galerkin_error_vs_n(
         exp.build_objective, exp.chain, exp.n_grid, exp.n_ref, replicas=exp.replicas
     )
@@ -216,13 +218,16 @@ def _sweep_n_modes(exp: ExperimentConfig):
 
 def _sweep_beta(exp: ExperimentConfig):
     _require(exp.beta_grid is not None and len(exp.beta_grid) >= 2, "beta sweep needs beta_grid with >= 2 points")
+    cfg = exp.chain
+    _require(min(exp.beta_grid) >= cfg.eta, "beta sweep needs every beta_grid entry >= eta")
+    _require(
+        cfg.eta <= 0.01 and cfg.n_modes >= 65 and cfg.horizon - cfg.burn_in_steps >= 2,
+        "beta sweep needs eta <= 0.01, n_modes >= 65 and 2 retained steps",
+    )
     obj = exp.build_objective()
-    minimizer = obj.regularized_minimizer(exp.chain.lam)
+    minimizer = obj.regularized_minimizer(cfg.lam)
     betas = sorted(exp.beta_grid)
-    results = [
-        gibbs_gap_empirical(replace(exp.chain, beta=beta), obj, replicas=exp.replicas, minimizer=minimizer)
-        for beta in betas
-    ]
+    results = gibbs_gap_vs_beta(cfg, obj, betas, replicas=exp.replicas, minimizer=minimizer)
     rows = [
         (beta, r["gap"], r["se"], r["bound"], int(r["passes_bound"]), int(r["inconclusive"]))
         for beta, r in zip(betas, results)
@@ -251,6 +256,7 @@ def _sweep_minibatch(exp: ExperimentConfig):
     _require(exp.m_grid is not None and len(exp.m_grid) >= 2, "minibatch sweep needs m_grid with >= 2 points")
     obj = exp.build_objective()
     n_tr = obj.dataset.size
+    _require(n_tr >= 2, "minibatch sweep needs at least 2 data points")
     _require(all(1 <= m <= n_tr for m in exp.m_grid), f"m_grid entries must be in 1..{n_tr}")
     _, l_center = obj.regularized_minimizer(exp.chain.lam)
     ms = sorted(exp.m_grid)
@@ -324,7 +330,10 @@ def _constants_section(exp: ExperimentConfig) -> list[str]:
         mins = obj.find_minimizers(exp.chain.lam)
     except RuntimeError as exc:
         return [f"theory constants unavailable: minimizer search failed ({exc})"]
-    tc = theory_constants(obj, exp.chain, mins, delta=exp.delta, kappa=exp.kappa)
+    try:
+        tc = theory_constants(obj, exp.chain, mins, delta=exp.delta, kappa=exp.kappa)
+    except ValueError as exc:  # no dissipativity regime, or delta outside (0, 1)
+        raise ConfigError(str(exc)) from None
     lines.append(f"regime: {tc.regime}")
     if mins.attained:
         lines.append(f"L* = L(x*): {mins.l_star!r}")
@@ -474,9 +483,12 @@ def main(argv=None) -> int:
     handlers = {"run": cmd_run, "verify": cmd_verify, "sweep": cmd_sweep, "report": cmd_report}
     try:
         return handlers[args.command](args)
-    except ValueError as exc:  # ConfigError included
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ValueError as exc:  # numerical, e.g. numpy.linalg.LinAlgError
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_ABORT
     except NumericalAbort as exc:
         print(f"numerical abort at step {exc.step}", file=sys.stderr)
         return EXIT_ABORT

@@ -225,13 +225,16 @@ class ExperimentConfig:
         )
 
     def build_objective(self, n_modes: int | None = None) -> ObjectiveSpec:
-        return ObjectiveSpec(
-            dataset=self.build_dataset(),
-            loss=self.loss,
-            kernel=self.kernel,
-            n_modes=n_modes if n_modes is not None else self.chain.n_modes,
-            lambda0=self.lambda0,
-        )
+        try:
+            return ObjectiveSpec(
+                dataset=self.build_dataset(),
+                loss=self.loss,
+                kernel=self.kernel,
+                n_modes=n_modes if n_modes is not None else self.chain.n_modes,
+                lambda0=self.lambda0,
+            )
+        except ValueError as exc:  # unreadable data file or bad objective settings
+            raise ConfigError(f"[objective] {exc}") from None
 
     def config_hash(self) -> str:
         canonical = "\n".join(

@@ -10,12 +10,12 @@ used, so every number is reproducible from its provenance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from .dynamics import ChainConfig, run_ensemble
+from .dynamics import ChainConfig, run_blocks, run_ensemble
 from .objective import MinimizerPair, ObjectiveSpec
 from .spectral import KernelSpec, rkhs_norm
 
@@ -29,9 +29,9 @@ __all__ = [
     "ou_stationary_variances",
     "ou_moment_bounds",
     "fit_loglog",
-    "ensemble_phi_estimate",
     "weak_error_vs_eta",
     "galerkin_error_vs_n",
+    "gibbs_gap_vs_beta",
     "gibbs_gap_empirical",
     "sgld_discrepancy",
     "theorem_tail_bound",
@@ -260,15 +260,6 @@ def fit_loglog(abscissae, ordinates, ordinate_errors=None, min_points: int = 4) 
 # -- empirical estimators --
 
 
-@dataclass
-class Estimate:
-    value: float
-    se: float
-    replicas: int
-    seed: int
-    extra: dict = field(default_factory=dict)
-
-
 def _replica_mean_se(values) -> tuple[float, float]:
     """Across-replica mean and its standard error, spread / sqrt(R); inf below 2 replicas."""
     v = np.asarray(values, dtype=float)
@@ -291,36 +282,9 @@ class _CesaroTracker:
             self.sum_risk_first = self.sum_risk_first + risk
 
 
-def ensemble_phi_estimate(
-    cfg: ChainConfig,
-    obj: ObjectiveSpec,
-    replicas: int,
-    l_star: float,
-    chain_id_base: int = 0,
-    noise_modes: int | None = None,
-):
-    """Cesaro-tail estimate of E[phi] under the run's invariant law.
-
-    Returns (Estimate, summaries).  The value is the across-replica mean of
-    per-chain Cesaro averages; the SE is the replica spread / sqrt(R).
-    """
-    summaries = run_ensemble(
-        cfg,
-        obj,
-        n_chains=replicas,
-        l_star=l_star,
-        chain_ids=[chain_id_base + r for r in range(replicas)],
-        noise_modes=noise_modes,
-    )
-    value, se = _replica_mean_se([s.final_cesaro_phi for s in summaries])
-    est = Estimate(
-        value=value,
-        se=se,
-        replicas=replicas,
-        seed=cfg.seed,
-        extra={"chain_ids": [s.chain_id for s in summaries]},
-    )
-    return est, summaries
+def _phi_tails(block_summaries) -> np.ndarray:
+    """Per-replica Cesaro tails of phi, one row per block."""
+    return np.array([[s.final_cesaro_phi for s in summaries] for summaries in block_summaries])
 
 
 def weak_error_vs_eta(
@@ -336,19 +300,21 @@ def weak_error_vs_eta(
 
     error(eta) = |Cesaro tail at eta - Cesaro tail at eta_ref| with SEs
     propagated; the fitted log-log slope estimates the weak order in eta.
+    One engine call runs every step size: the grid shares chain ids 0..R-1,
+    the reference runs on its own ids.
     """
     etas = sorted(etas)
     if eta_ref > min(etas) / 8.0:
         raise ValueError("reference step size must be at most min(etas)/8")
     horizon = horizon if horizon is not None else cfg_base.horizon
-    ref_cfg = replace(cfg_base, eta=eta_ref, horizon=horizon, burn_in=None)
-    ref_est, _ = ensemble_phi_estimate(ref_cfg, obj, replicas, l_star, chain_id_base=2_000_000)
-    errs, ses = [], []
-    for eta in etas:
-        cfg = replace(cfg_base, eta=eta, horizon=horizon, burn_in=None)
-        est, _ = ensemble_phi_estimate(cfg, obj, replicas, l_star)
-        errs.append(abs(est.value - ref_est.value))
-        ses.append(math.hypot(est.se, ref_est.se))
+    ids = list(range(replicas))
+    blocks = [
+        (replace(cfg_base, eta=eta, horizon=horizon, burn_in=None), obj, chain_ids, ())
+        for eta, chain_ids in [(eta_ref, [2_000_000 + r for r in ids])] + [(eta, ids) for eta in etas]
+    ]
+    (ref, ref_se), *points = [_replica_mean_se(t) for t in _phi_tails(run_blocks(blocks, l_star=l_star))]
+    errs = [abs(value - ref) for value, _ in points]
+    ses = [math.hypot(se, ref_se) for _, se in points]
     return fit_loglog(np.array(etas), np.array(errs), np.array(ses))
 
 
@@ -374,25 +340,69 @@ def galerkin_error_vs_n(
     # center the sigmoid statistic at the regularized minimum, which exists
     # for every loss (the plain risk may only attain its infimum in the limit)
     _, l_star = obj_ref.regularized_minimizer(cfg_base.lam)
-
-    def per_replica_tails(n_modes):
-        # all dimensions share noise streams (same chain ids, common draw
-        # width n_ref+1), so per-replica differences are paired and their
-        # MC variance is far below that of independent runs
-        cfg = replace(cfg_base, n_modes=n_modes, burn_in=None)
-        _, summaries = ensemble_phi_estimate(
-            cfg, make_objective(n_modes), replicas, l_star, noise_modes=n_ref + 1
-        )
-        return np.array([s.final_cesaro_phi for s in summaries])
-
-    ref_tails = per_replica_tails(n_ref + 1)
+    # one block per dimension on the same chain ids: every dimension reads
+    # the first N+1 components of the reference's noise, so per-replica
+    # differences are paired and their MC variance is far below that of
+    # independent runs
+    ids = list(range(replicas))
+    blocks = [
+        (replace(cfg_base, n_modes=n_modes, burn_in=None), obj, ids, ())
+        for n_modes, obj in [(n_ref + 1, obj_ref)] + [(n + 1, make_objective(n + 1)) for n in n_list]
+    ]
+    ref_tails, *tails = _phi_tails(run_blocks(blocks, l_star=l_star))
     errs, ses, absc = [], [], []
-    for n in n_list:
-        mean, se = _replica_mean_se(per_replica_tails(n + 1) - ref_tails)
+    for n, point_tails in zip(n_list, tails):
+        mean, se = _replica_mean_se(point_tails - ref_tails)
         errs.append(abs(mean))
         ses.append(se)
         absc.append(math.sqrt(obj_ref.kernel.eigenvalue(n + 1)))
     return fit_loglog(np.array(absc), np.array(errs), np.array(ses))
+
+
+def gibbs_gap_vs_beta(
+    cfg: ChainConfig,
+    obj: ObjectiveSpec,
+    betas,
+    replicas: int = 8,
+    minimizer: tuple | None = None,
+    slack: float = 10.0,
+) -> list[dict]:
+    """Empirical concentration gap at each inverse temperature, in one engine
+    call: Cesaro average of L minus L(x~), with cfg.beta replaced by each beta.
+
+    Requires a fine discretization (eta <= 0.01, N >= 64).  The verdict
+    compares against the closed-form concentration bound scaled by the slack
+    factor (the theory hides constants).  A first-half/second-half Cesaro
+    disagreement beyond 3 sigma, or one replica (no sigma), marks an
+    estimate inconclusive.  Every beta runs on chain ids 0..R-1.
+    """
+    retained = cfg.horizon - cfg.burn_in_steps
+    if cfg.eta > 0.01 or cfg.n_modes < 65 or retained < 2:
+        raise ValueError("gibbs gap estimation requires eta <= 0.01, N >= 64 and 2 retained steps")
+    if minimizer is None:
+        minimizer = obj.regularized_minimizer(cfg.lam)
+    x_tilde, l_tilde = minimizer
+    cfgs = [replace(cfg, beta=beta) for beta in betas]
+    trackers = [_CesaroTracker(c) for c in cfgs]
+    ids = list(range(replicas))
+    results = run_blocks([(c, obj, ids, (tracker,)) for c, tracker in zip(cfgs, trackers)], l_star=l_tilde)
+    M = obj.smoothness_constant()
+    x_tilde_hk = rkhs_norm(x_tilde, obj.kernel)
+    out = []
+    for c, tracker, summaries in zip(cfgs, trackers, results):
+        mean_l = np.array([s.final_cesaro_risk for s in summaries])
+        gap, se = _replica_mean_se(mean_l - l_tilde)
+        # stationarity: first-half vs second-half Cesaro averages of L
+        first = tracker.sum_risk_first / tracker.half_point
+        second = (mean_l * retained - tracker.sum_risk_first) / (retained - tracker.half_point)
+        half_mean, half_se = _replica_mean_se(first - second)
+        nonstationary = not math.isfinite(half_se) or abs(half_mean) > 3.0 * max(half_se, 1e-300)
+        bound = gibbs_concentration_bound(M, c.lam, c.beta, x_tilde_hk)
+        out.append(
+            dict(gap=gap, se=se, bound=bound, slack=slack, passes_bound=gap <= slack * bound,
+                 inconclusive=nonstationary, replicas=replicas, seed=c.seed)
+        )
+    return out
 
 
 def gibbs_gap_empirical(
@@ -402,47 +412,8 @@ def gibbs_gap_empirical(
     minimizer: tuple | None = None,
     slack: float = 10.0,
 ) -> dict:
-    """Empirical concentration gap: Cesaro average of L minus L(x~).
-
-    Requires a fine discretization (eta <= 0.01, N >= 64).  The verdict
-    compares against the closed-form concentration bound scaled by the slack
-    factor (the theory hides constants).  A first-half/second-half Cesaro
-    disagreement beyond 3 sigma, or one replica (no sigma), marks the
-    estimate inconclusive.
-    """
-    retained = cfg.horizon - cfg.burn_in_steps
-    if cfg.eta > 0.01 or cfg.n_modes < 65 or retained < 2:
-        raise ValueError("gibbs gap estimation requires eta <= 0.01, N >= 64 and 2 retained steps")
-    if minimizer is None:
-        minimizer = obj.regularized_minimizer(cfg.lam)
-    x_tilde, l_tilde = minimizer
-    tracker = _CesaroTracker(cfg)
-    summaries = run_ensemble(
-        cfg, obj, n_chains=replicas, l_star=l_tilde, observers=(tracker,), chain_ids=list(range(replicas))
-    )
-    mean_l = np.array([s.final_cesaro_risk for s in summaries])
-    gap, se = _replica_mean_se(mean_l - l_tilde)
-    # stationarity: first-half vs second-half Cesaro averages of L
-    first = tracker.sum_risk_first / tracker.half_point
-    second = (mean_l * retained - tracker.sum_risk_first) / (retained - tracker.half_point)
-    half_mean, half_se = _replica_mean_se(first - second)
-    nonstationary = not math.isfinite(half_se) or abs(half_mean) > 3.0 * max(half_se, 1e-300)
-    bound = gibbs_concentration_bound(
-        obj.smoothness_constant(),
-        cfg.lam,
-        cfg.beta,
-        rkhs_norm(x_tilde, obj.kernel),
-    )
-    return {
-        "gap": gap,
-        "se": se,
-        "bound": bound,
-        "slack": slack,
-        "passes_bound": gap <= slack * bound,
-        "inconclusive": nonstationary,
-        "replicas": replicas,
-        "seed": cfg.seed,
-    }
+    """gibbs_gap_vs_beta at the config's own beta."""
+    return gibbs_gap_vs_beta(cfg, obj, [cfg.beta], replicas, minimizer, slack)[0]
 
 
 def sgld_discrepancy(

@@ -2,10 +2,11 @@
 
 Replica ensembles advance together as an (R, N+1) matrix with per-chain
 counter-based random streams, so trajectories are bit-identical whether a
-chain runs alone or inside an ensemble.  Rows that share a chain id share
-their noise, which couples runs from different starting points or of
-different dimension.  Noise and SGLD minibatch indices are pregenerated in
-per-chain chunks to amortize generator overhead.
+chain runs alone or inside an ensemble.  Several ensembles (blocks) advance
+in lockstep through one loop; blocks that share a chain id share its noise,
+drawn once, which couples runs of different step size, temperature,
+starting point or dimension.  Noise and SGLD minibatch indices are
+pregenerated in per-chain chunks to amortize generator overhead.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "RunSummary",
     "NumericalAbort",
     "make_rng",
+    "run_blocks",
     "run_chain",
     "run_ensemble",
     "sigmoid_gap",
@@ -116,20 +118,171 @@ def sigmoid_gap(gap) -> np.ndarray | float:
     return 1.0 / (1.0 + np.exp(-np.asarray(gap, dtype=float))) - 0.5
 
 
-def _scales(cfg: ChainConfig, obj: ObjectiveSpec | None) -> np.ndarray:
-    kernel = obj.kernel if obj is not None else KernelSpec()
-    return resolvent_scales(kernel, cfg.lam, cfg.eta, cfg.n_modes)
+class _Block:
+    """One block's chains inside run_blocks: state, Cesaro sums, checkpoint log."""
+
+    def __init__(self, cfg, obj, chain_ids, observers, mode, l_star):
+        if mode in ("gld", "sgld"):
+            if obj is None:
+                raise ValueError(f"mode {mode!r} requires an objective")
+            if obj.n_modes != cfg.n_modes:
+                raise ValueError("objective mode count does not match config")
+        self.cfg, self.obj, self.mode, self.l_star = cfg, obj, mode, l_star
+        self.chain_ids = list(chain_ids)
+        self.observers = tuple(observers)
+        self.n = cfg.n_modes
+        self.scales = resolvent_scales(obj.kernel if obj is not None else KernelSpec(), cfg.lam, cfg.eta, self.n)
+        self.amp = math.sqrt(2.0 * cfg.eta / cfg.beta)
+        self.x = np.tile(cfg.x0_array(), (len(self.chain_ids), 1))
+        self.minibatch = None  # m when SGLD draws proper minibatches
+        if mode == "sgld":
+            n_tr = obj.dataset.size
+            m = cfg.minibatch if cfg.minibatch is not None else n_tr
+            if not (1 <= m <= n_tr):
+                raise ValueError(f"minibatch size {m} out of range 1..{n_tr}")
+            if m < n_tr:  # a full batch is the GLD gradient, exactly
+                self.minibatch = m
+                self.batch_rngs = [make_rng(cfg.seed, cid, _STREAM_BATCH) for cid in self.chain_ids]
+        if obj is not None:
+            self.mu = obj.kernel.eigenvalues(self.n)
+        self.cesaro_phi = np.zeros(len(self.chain_ids))
+        self.cesaro_risk = np.zeros(len(self.chain_ids))
+        self.retained = 0
+        self.ck_steps: list[int] = []
+        self.ck_rows: list[tuple] = []  # (norm, risk, reg, phi, cesaro_phi) row arrays
+
+    def draw_batches(self, chunk_len):
+        # row t of one chain's permuted tile is the t-th rng.permutation(n_tr), and
+        # the generator ends in the same state, so chunking leaves the stream intact
+        tile = np.tile(np.arange(self.obj.dataset.size), (chunk_len, 1))
+        self.batches = np.stack([rng.permuted(tile, axis=1)[:, : self.minibatch] for rng in self.batch_rngs], axis=1)
+
+    def advance(self, step, t, noise, retain):
+        """X <- S_eta (X - eta g + amp eps) with eps the block's rows of noise[:, t]."""
+        x = self.x
+        if self.minibatch is not None:
+            g = self.obj.stochastic_grad_array(x, self.batches[t])
+        elif self.mode == "ou":
+            g = 0.0
+        else:
+            g = self.obj.grad_array(x)
+        x = self.scales * (x - self.cfg.eta * g + self.amp * noise[self.rows, t, : self.n])
+        x.setflags(write=False)
+        self.x = x
+        if not np.all(np.isfinite(x)):
+            raise NumericalAbort(f"non-finite state at step {step}", step=step)
+        risk = None
+        if retain:
+            if self.obj is not None:
+                risk = self.obj.risk_array(x)
+                risk.setflags(write=False)
+                self.cesaro_risk += risk
+                self.cesaro_phi += sigmoid_gap(risk - self.l_star)
+            self.retained += 1
+            for observer in self.observers:
+                observer(step, x, risk)
+        return risk
+
+    def record(self, step, risk=None):
+        x = self.x
+        norms = np.linalg.norm(x, axis=1)
+        if self.obj is not None:
+            if risk is None:
+                risk = self.obj.risk_array(x)
+            reg = risk + 0.5 * self.cfg.lam * np.sum(x * x / self.mu, axis=1)
+            phi = sigmoid_gap(risk - self.l_star)
+        else:
+            risk = reg = phi = np.zeros(len(self.chain_ids))
+        retained = self.retained
+        ces = self.cesaro_phi / retained if retained else np.full(len(self.chain_ids), np.nan)
+        self.ck_steps.append(step)
+        self.ck_rows.append((norms, risk, reg, phi, ces))
+
+    def summaries(self) -> list[RunSummary]:
+        cols = [np.stack(col) for col in zip(*self.ck_rows)]  # record(0) always ran
+        steps_arr = np.array(self.ck_steps, dtype=int)
+        retained = self.retained
+        return [
+            RunSummary(
+                chain_id=cid,
+                mode=self.mode,
+                burn_in=self.cfg.burn_in_steps,
+                steps=steps_arr.copy(),
+                norm=cols[0][:, r].copy(),
+                risk=cols[1][:, r].copy(),
+                reg_objective=cols[2][:, r].copy(),
+                phi=cols[3][:, r].copy(),
+                cesaro_phi=cols[4][:, r].copy(),
+                final_cesaro_phi=float(self.cesaro_phi[r] / retained) if retained else math.nan,
+                final_cesaro_risk=float(self.cesaro_risk[r] / retained) if retained else math.nan,
+                retained_steps=retained,
+            )
+            for r, cid in enumerate(self.chain_ids)
+        ]
 
 
-def _draw_noise_block(rngs, chunk_len, n_modes):
-    return np.stack([rng.standard_normal((chunk_len, n_modes)) for rng in rngs])
+def run_blocks(blocks, mode: str = "gld", l_star: float = 0.0) -> list[list[RunSummary]]:
+    """Advance several ensembles in lockstep, one loop for all of them.
 
+    A block is a (cfg, obj, chain_ids, observers) tuple with the meaning of
+    run_ensemble's arguments.  Blocks must share the seed, horizon and burn-in.
+    Each distinct chain id draws its noise once per chunk, at the widest
+    block's n_modes, and every block reads the first N+1 components of its
+    chain ids' rows, so blocks that share a chain id share their noise
+    (common random numbers across step sizes, temperatures or dimensions).
+    A block as wide as the widest one gives the same bits as its solo
+    run_ensemble call; each block keeps its own matmuls, since stacking the
+    rows of several blocks into one matrix changes BLAS's summation order.
 
-def _draw_batch_block(rngs, chunk_len, n_tr, m):
-    # row t of one chain's permuted tile is the t-th rng.permutation(n_tr), and
-    # the generator ends in the same state, so chunking leaves the stream intact
-    tile = np.tile(np.arange(n_tr), (chunk_len, 1))
-    return np.stack([rng.permuted(tile, axis=1)[:, :m] for rng in rngs], axis=1)
+    Returns one list of summaries per block, ordered as the block's chain ids.
+    On a NumericalAbort in any block the run stops and exc.partial holds
+    these lists up to the aborted step.
+    """
+    if mode not in ("gld", "sgld", "ou"):
+        raise ValueError(f"unknown mode: {mode!r}")
+    if not blocks:
+        raise ValueError("run_blocks needs at least one block")
+    states = [_Block(cfg, obj, ids, observers, mode, l_star) for cfg, obj, ids, observers in blocks]
+    first = states[0].cfg
+    lockstep = (first.seed, first.horizon, first.burn_in_steps)
+    if any((s.cfg.seed, s.cfg.horizon, s.cfg.burn_in_steps) != lockstep for s in states):
+        raise ValueError("blocks must share seed, horizon and burn-in to run in lockstep")
+    horizon, burn_in, cadence = first.horizon, first.burn_in_steps, first.checkpoint_every
+
+    # one noise row per distinct chain id; a block's rows are a view when its
+    # ids are consecutive in first-appearance order
+    ids = list(dict.fromkeys(cid for s in states for cid in s.chain_ids))
+    position = {cid: i for i, cid in enumerate(ids)}
+    for s in states:
+        rows = [position[cid] for cid in s.chain_ids]
+        lo = rows[0] if rows else 0
+        s.rows = slice(lo, lo + len(rows)) if rows == list(range(lo, lo + len(rows))) else np.array(rows)
+    noise_rngs = [make_rng(first.seed, cid, _STREAM_NOISE) for cid in ids]
+    noise = np.empty((len(ids), min(_CHUNK, horizon), max(s.n for s in states)))
+
+    for s in states:
+        s.record(0)
+    step = 0
+    try:
+        while step < horizon:
+            chunk_len = min(_CHUNK, horizon - step)
+            for rng, row in zip(noise_rngs, noise):
+                rng.standard_normal(out=row[:chunk_len])
+            for s in states:
+                if s.minibatch is not None:
+                    s.draw_batches(chunk_len)
+            for t in range(chunk_len):
+                step += 1
+                retain = step > burn_in
+                checkpoint = step % cadence == 0 or step == horizon
+                for s in states:
+                    risk = s.advance(step, t, noise, retain)
+                    if checkpoint:
+                        s.record(step, risk)
+    except NumericalAbort as exc:
+        exc.partial = [s.summaries() for s in states]
+        raise
+    return [s.summaries() for s in states]
 
 
 def run_ensemble(
@@ -140,7 +293,6 @@ def run_ensemble(
     l_star: float = 0.0,
     observers: tuple = (),
     chain_ids=None,
-    noise_modes: int | None = None,
 ) -> list[RunSummary]:
     """Advance n_chains replicas of the configured chain and summarize each.
 
@@ -151,129 +303,17 @@ def run_ensemble(
     risk obj.risk_array(X) that also feeds the Cesaro sums and checkpoints
     (None without an objective); both arrays are read-only.
 
-    noise_modes widens the per-step noise draw beyond the state dimension;
-    fixing it across runs of different dimension couples them through common
-    random numbers (the chain consumes the first N+1 components).
-
-    Returns summaries ordered by chain id.
+    This is run_blocks with one block.  Returns summaries ordered by chain id.
     """
-    if mode not in ("gld", "sgld", "ou"):
-        raise ValueError(f"unknown mode: {mode!r}")
-    if mode in ("gld", "sgld"):
-        if obj is None:
-            raise ValueError(f"mode {mode!r} requires an objective")
-        if obj.n_modes != cfg.n_modes:
-            raise ValueError("objective mode count does not match config")
     if chain_ids is None:
         chain_ids = list(range(n_chains))
     if len(chain_ids) != n_chains:
         raise ValueError("chain_ids length must equal n_chains")
-
-    n = cfg.n_modes
-    if noise_modes is None:
-        noise_modes = n
-    elif noise_modes < n:
-        raise ValueError("noise_modes must be at least the state dimension")
-    scales = _scales(cfg, obj)
-    amp = math.sqrt(2.0 * cfg.eta / cfg.beta)
-    burn_in = cfg.burn_in_steps
-    cadence = cfg.checkpoint_every
-    noise_rngs = [make_rng(cfg.seed, cid, _STREAM_NOISE) for cid in chain_ids]
-
-    x = np.tile(cfg.x0_array(), (n_chains, 1))
-    minibatched = False
-    if mode == "sgld":
-        n_tr = obj.dataset.size
-        m = cfg.minibatch if cfg.minibatch is not None else n_tr
-        if not (1 <= m <= n_tr):
-            raise ValueError(f"minibatch size {m} out of range 1..{n_tr}")
-        minibatched = m < n_tr  # a full batch is the GLD gradient, exactly
-        if minibatched:
-            batch_rngs = [make_rng(cfg.seed, cid, _STREAM_BATCH) for cid in chain_ids]
-
-    track_risk = obj is not None
-    if track_risk:
-        mu = obj.kernel.eigenvalues(n)
-
-    cesaro_phi = np.zeros(n_chains)
-    cesaro_risk = np.zeros(n_chains)
-    retained = 0
-
-    ck_steps: list[int] = []
-    ck_rows: list[tuple] = []  # (norm, risk, reg, phi, cesaro_phi) row arrays
-
-    def record(step, risk=None):
-        norms = np.linalg.norm(x, axis=1)
-        if track_risk:
-            if risk is None:
-                risk = obj.risk_array(x)
-            reg = risk + 0.5 * cfg.lam * np.sum(x * x / mu, axis=1)
-            phi = sigmoid_gap(risk - l_star)
-        else:
-            risk = reg = phi = np.zeros(n_chains)
-        ces = cesaro_phi / retained if retained else np.full(n_chains, np.nan)
-        ck_steps.append(step)
-        ck_rows.append((norms, risk, reg, phi, ces))
-
-    def summaries():
-        cols = [np.stack(col) for col in zip(*ck_rows)] if ck_rows else [np.empty((0, n_chains))] * 5
-        steps_arr = np.array(ck_steps, dtype=int)
-        out = []
-        for r, cid in enumerate(chain_ids):
-            out.append(
-                RunSummary(
-                    chain_id=cid,
-                    mode=mode,
-                    burn_in=burn_in,
-                    steps=steps_arr.copy(),
-                    norm=cols[0][:, r].copy(),
-                    risk=cols[1][:, r].copy(),
-                    reg_objective=cols[2][:, r].copy(),
-                    phi=cols[3][:, r].copy(),
-                    cesaro_phi=cols[4][:, r].copy(),
-                    final_cesaro_phi=float(cesaro_phi[r] / retained) if retained else math.nan,
-                    final_cesaro_risk=float(cesaro_risk[r] / retained) if retained else math.nan,
-                    retained_steps=retained,
-                )
-            )
-        return out
-
-    record(0)
-    step = 0
     try:
-        while step < cfg.horizon:
-            chunk_len = min(_CHUNK, cfg.horizon - step)
-            noise = _draw_noise_block(noise_rngs, chunk_len, noise_modes)
-            if minibatched:
-                batches = _draw_batch_block(batch_rngs, chunk_len, n_tr, m)
-            for t in range(chunk_len):
-                if minibatched:
-                    g = obj.stochastic_grad_array(x, batches[t])
-                elif mode == "ou":
-                    g = 0.0
-                else:
-                    g = obj.grad_array(x)
-                x = scales * (x - cfg.eta * g + amp * noise[:, t, :n])
-                x.setflags(write=False)
-                step += 1
-                if not np.all(np.isfinite(x)):
-                    raise NumericalAbort(f"non-finite state at step {step}", step=step)
-                risk = None
-                if step > burn_in:
-                    if track_risk:
-                        risk = obj.risk_array(x)
-                        risk.setflags(write=False)
-                        cesaro_risk += risk
-                        cesaro_phi += sigmoid_gap(risk - l_star)
-                    retained += 1
-                    for observer in observers:
-                        observer(step, x, risk)
-                if step % cadence == 0 or step == cfg.horizon:
-                    record(step, risk)
+        return run_blocks([(cfg, obj, chain_ids, observers)], mode, l_star)[0]
     except NumericalAbort as exc:
-        exc.partial = summaries()
+        exc.partial = exc.partial[0]
         raise
-    return summaries()
 
 
 def run_chain(

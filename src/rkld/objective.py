@@ -247,34 +247,6 @@ class ObjectiveSpec:
             g = g + self.lambda0 * x
         return g
 
-    # -- SpectralVector surface --
-
-    def _check(self, x: SpectralVector) -> np.ndarray:
-        if x.n_modes != self.n_modes:
-            raise ValueError(f"mode count mismatch: {x.n_modes} != {self.n_modes}")
-        return x.coeffs
-
-    def risk(self, x: SpectralVector) -> float:
-        return float(self.risk_array(self._check(x)))
-
-    def regularized_risk(self, x: SpectralVector, lam: float) -> float:
-        from .spectral import rkhs_norm
-
-        return self.risk(x) + 0.5 * lam * rkhs_norm(x, self.kernel) ** 2
-
-    def grad(self, x: SpectralVector) -> SpectralVector:
-        return SpectralVector(self.grad_array(self._check(x)))
-
-    def stochastic_grad(self, x: SpectralVector, batch) -> SpectralVector:
-        batch = np.asarray(batch, dtype=int)
-        if batch.size == 0:
-            raise ValueError("minibatch must be nonempty")
-        if np.any(batch < 0) or np.any(batch >= self.dataset.size):
-            raise ValueError("minibatch index out of range")
-        if len(set(batch.tolist())) != batch.size:
-            raise ValueError("minibatch indices must be distinct (without replacement)")
-        return SpectralVector(self.stochastic_grad_array(self._check(x), batch))
-
     # -- theory constants --
 
     def kernel_diag_sup(self) -> float:

@@ -18,6 +18,7 @@ from rkld.diagnostics import (
     galerkin_error_vs_n,
     gibbs_concentration_bound,
     gibbs_gap_empirical,
+    gibbs_gap_vs_beta,
     ou_stationary_variances,
     quadratic_gibbs_gap_exact,
     sgld_discrepancy,
@@ -26,7 +27,7 @@ from rkld.diagnostics import (
     theory_constants,
     weak_error_vs_eta,
 )
-from rkld.dynamics import ChainConfig, run_ensemble
+from rkld.dynamics import ChainConfig, run_blocks, run_ensemble
 from rkld.objective import Dataset, ObjectiveSpec, loss_family
 from rkld.spectral import KernelSpec, SpectralVector, operator_a, resolvent_s_eta
 
@@ -165,19 +166,23 @@ def test_04_ou_stationary_variance():
 def coupled_distances(cfg, obj, x0a, x0b):
     """||X_n - Y_n||, n = 0..horizon, of two GLD chains on the same chain id.
 
-    Sharing the chain id shares the noise, which cancels in the difference.
+    One block per start in one engine call; sharing the chain id shares the
+    noise, which cancels in the difference.
     """
-    paths = []
-    for x0 in (x0a, x0b):
-        path = [x0.coeffs]
-        run_ensemble(
-            dataclasses.replace(cfg, burn_in=0, x0=x0),
-            obj,
-            chain_ids=[0],
-            observers=(lambda step, x, risk: path.append(x[0].copy()),),
-        )
-        paths.append(np.array(path))
-    return np.linalg.norm(paths[0] - paths[1], axis=1)
+    x0s = (x0a, x0b)
+    paths = [[x0.coeffs] for x0 in x0s]
+    run_blocks(
+        [
+            (
+                dataclasses.replace(cfg, burn_in=0, x0=x0),
+                obj,
+                [0],
+                (lambda step, x, risk, path=path: path.append(x[0].copy()),),
+            )
+            for x0, path in zip(x0s, paths)
+        ]
+    )
+    return np.linalg.norm(np.array(paths[0]) - np.array(paths[1]), axis=1)
 
 
 def test_05_coupled_contraction():
@@ -314,16 +319,11 @@ def test_10_gibbs_concentration_trend():
     # non-convex savage objective: gap monotone nonincreasing in beta
     obj = objective(loss="savage", n=24, n_modes=65, kind="classification")
     minimizer = obj.regularized_minimizer(1.0)
-    gaps, ses = [], []
-    inconclusive = False
-    for beta in (2.0, 4.0, 8.0, 16.0):
-        cfg = ChainConfig(
-            eta=0.01, beta=beta, lam=1.0, n_modes=65, seed=42, horizon=100_000
-        )
-        out = gibbs_gap_empirical(cfg, obj, replicas=8, minimizer=minimizer)
-        gaps.append(out["gap"])
-        ses.append(out["se"])
-        inconclusive = inconclusive or out["inconclusive"]
+    cfg = ChainConfig(eta=0.01, beta=2.0, lam=1.0, n_modes=65, seed=42, horizon=100_000)
+    results = gibbs_gap_vs_beta(cfg, obj, (2.0, 4.0, 8.0, 16.0), replicas=8, minimizer=minimizer)
+    gaps = [out["gap"] for out in results]
+    ses = [out["se"] for out in results]
+    inconclusive = any(out["inconclusive"] for out in results)
     monotone = all(
         gaps[i + 1] <= gaps[i] + 3.0 * math.hypot(ses[i], ses[i + 1])
         for i in range(len(gaps) - 1)

