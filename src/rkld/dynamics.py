@@ -61,10 +61,10 @@ class ChainConfig:
     def __post_init__(self):
         if not (self.eta > 0 and math.isfinite(self.eta)):
             raise ValueError("eta must be positive")
-        if self.beta < self.eta:
-            raise ValueError(f"beta >= eta required, got beta={self.beta}, eta={self.eta}")
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if not (self.beta >= self.eta and math.isfinite(self.beta)):
+            raise ValueError(f"finite beta >= eta required, got beta={self.beta}, eta={self.eta}")
+        if not (self.lam > 0 and math.isfinite(self.lam)):
+            raise ValueError("lambda must be positive and finite")
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
         if self.horizon < 1:
@@ -145,6 +145,9 @@ class _Block:
                 self.batch_rngs = [make_rng(cfg.seed, cid, _STREAM_BATCH) for cid in self.chain_ids]
         if obj is not None:
             self.mu = obj.kernel.eigenvalues(self.n)
+        # a full-batch chain evaluates each state once, on first need, for its risk and its next gradient
+        self.fused = mode != "ou" and self.minibatch is None
+        self.risk, self.g = None, 0.0  # risk None: the current states are not evaluated yet
         self.cesaro_phi = np.zeros(len(self.chain_ids))
         self.cesaro_risk = np.zeros(len(self.chain_ids))
         self.retained = 0
@@ -157,38 +160,44 @@ class _Block:
         tile = np.tile(np.arange(self.obj.dataset.size), (chunk_len, 1))
         self.batches = np.stack([rng.permuted(tile, axis=1)[:, : self.minibatch] for rng in self.batch_rngs], axis=1)
 
+    def evaluate(self):
+        """The risk of the current states, evaluated at most once per state."""
+        if self.risk is None:
+            if self.fused:
+                self.risk, self.g = self.obj.risk_and_grad_array(self.x)
+            else:
+                self.risk = self.obj.risk_array(self.x)
+            self.risk.setflags(write=False)
+        return self.risk
+
     def advance(self, step, t, noise, retain):
         """X <- S_eta (X - eta g + amp eps) with eps the block's rows of noise[:, t]."""
         x = self.x
+        if self.fused:
+            self.evaluate()  # unless a checkpoint or the observers already needed X's risk
         if self.minibatch is not None:
             g = self.obj.stochastic_grad_array(x, self.batches[t])
-        elif self.mode == "ou":
-            g = 0.0
         else:
-            g = self.obj.grad_array(x)
+            g = self.g  # from X's fused evaluation; 0 for the OU chain
         x = self.scales * (x - self.cfg.eta * g + self.amp * noise[self.rows, t, : self.n])
         x.setflags(write=False)
-        self.x = x
+        self.x, self.risk = x, None
         if not np.all(np.isfinite(x)):
             raise NumericalAbort(f"non-finite state at step {step}", step=step)
-        risk = None
         if retain:
             if self.obj is not None:
-                risk = self.obj.risk_array(x)
-                risk.setflags(write=False)
+                risk = self.evaluate()
                 self.cesaro_risk += risk
                 self.cesaro_phi += sigmoid_gap(risk - self.l_star)
             self.retained += 1
             for observer in self.observers:
-                observer(step, x, risk)
-        return risk
+                observer(step, x, self.risk)
 
-    def record(self, step, risk=None):
+    def record(self, step):
         x = self.x
         norms = np.linalg.norm(x, axis=1)
         if self.obj is not None:
-            if risk is None:
-                risk = self.obj.risk_array(x)
+            risk = self.evaluate()
             reg = risk + 0.5 * self.cfg.lam * np.sum(x * x / self.mu, axis=1)
             phi = sigmoid_gap(risk - self.l_star)
         else:
@@ -276,9 +285,9 @@ def run_blocks(blocks, mode: str = "gld", l_star: float = 0.0) -> list[list[RunS
                 retain = step > burn_in
                 checkpoint = step % cadence == 0 or step == horizon
                 for s in states:
-                    risk = s.advance(step, t, noise, retain)
+                    s.advance(step, t, noise, retain)
                     if checkpoint:
-                        s.record(step, risk)
+                        s.record(step)
     except NumericalAbort as exc:
         exc.partial = [s.summaries() for s in states]
         raise

@@ -44,8 +44,8 @@ class Dataset:
             raise ValueError("z and y must be 1-d arrays of equal length")
         if z.size < 1:
             raise ValueError("dataset must contain at least one point")
-        if np.any(z < 0.0) or np.any(z > 1.0):
-            raise ValueError("inputs must lie in [0, 1]")
+        if not (np.all((z >= 0.0) & (z <= 1.0)) and np.all(np.isfinite(y))):
+            raise ValueError("inputs must lie in [0, 1] and targets must be finite")
         z.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "z", z)
@@ -98,12 +98,11 @@ _SAVAGE_G = 2.0 * _SAVAGE_S2 * (1.0 - _SAVAGE_S2) ** 2 * (3.0 * _SAVAGE_S2 - 1.0
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # e = exp(-|t|) <= 1 cannot overflow, and each side of the where has the bits
+    # of the stable branch for its sign; min(t, -t) keeps a NaN's sign, unlike -|t|
+    e = np.exp(np.minimum(t, -t))
+    d = 1.0 + e
+    return np.where(t >= 0, 1.0 / d, e / d)
 
 
 @dataclass(frozen=True)
@@ -118,29 +117,27 @@ class LossFamily:
     second_derivative_bound: float
     first_derivative_bound: float | None
 
-    def value(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def value_and_d1(self, u: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """l(u, y) and l'(u, y) from one shared evaluation."""
         u = np.asarray(u, dtype=float)
         if self.tag == "squared":
-            return 0.5 * (u - y) ** 2
+            d = u - y
+            return 0.5 * d**2, d
         if self.tag == "logistic":
             # log(1 + exp(-y u)) via the stable softplus form
             t = -y * u
-            return np.logaddexp(0.0, t)
+            return np.logaddexp(0.0, t), -y * _sigmoid(t)
         if self.tag == "savage":
             s = _sigmoid(y * u)
-            return (1.0 - s) ** 2
+            v = (1.0 - s) ** 2
+            return v, -2.0 * y * s * v
         raise ValueError(f"unknown loss: {self.tag!r}")
 
+    def value(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self.value_and_d1(u, y)[0]
+
     def d1(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if self.tag == "squared":
-            return u - y
-        if self.tag == "logistic":
-            return -y * _sigmoid(-y * u)
-        if self.tag == "savage":
-            s = _sigmoid(y * u)
-            return -2.0 * y * s * (1.0 - s) ** 2
-        raise ValueError(f"unknown loss: {self.tag!r}")
+        return self.value_and_d1(u, y)[1]
 
     def d2(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -204,8 +201,8 @@ class ObjectiveSpec:
     ):
         if n_modes < 1:
             raise ValueError("n_modes must be >= 1")
-        if lambda0 < 0:
-            raise ValueError("lambda0 must be nonnegative")
+        if not (lambda0 >= 0 and math.isfinite(lambda0)):
+            raise ValueError("lambda0 must be nonnegative and finite")
         self.dataset = dataset
         self.loss = loss
         self.kernel = kernel
@@ -218,19 +215,24 @@ class ObjectiveSpec:
 
     # -- raw-array core used by the dynamics (x may be a matrix of chains) --
 
+    def risk_and_grad_array(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(risk_array(x), grad_array(x)), bit for bit, from one feature product."""
+        value, d1 = self.loss.value_and_d1(x @ self.features.T, self.dataset.y)
+        return self._risk(x, value), self._grad(x, d1)
+
     def risk_array(self, x: np.ndarray) -> np.ndarray:
-        u = x @ self.features.T
-        base = np.mean(self.loss.value(u, self.dataset.y), axis=-1)
-        if self.lambda0:
-            base = base + 0.5 * self.lambda0 * np.sum(x * x, axis=-1)
-        return base
+        return self._risk(x, self.loss.value(x @ self.features.T, self.dataset.y))
 
     def grad_array(self, x: np.ndarray) -> np.ndarray:
-        u = x @ self.features.T
-        g = self.loss.d1(u, self.dataset.y) @ self.features / self.dataset.size
-        if self.lambda0:
-            g = g + self.lambda0 * x
-        return g
+        return self._grad(x, self.loss.d1(x @ self.features.T, self.dataset.y))
+
+    def _risk(self, x, value):
+        risk = np.add.reduce(value, axis=-1) / self.dataset.size  # np.mean's bits, without its overhead
+        return risk + 0.5 * self.lambda0 * np.sum(x * x, axis=-1) if self.lambda0 else risk
+
+    def _grad(self, x, d1):
+        g = d1 @ self.features / self.dataset.size
+        return g + self.lambda0 * x if self.lambda0 else g
 
     def grad_components_array(self, x: np.ndarray) -> np.ndarray:
         """Per-sample gradients of the data term (ridge part excluded)."""

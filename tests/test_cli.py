@@ -209,7 +209,29 @@ SWEEP_PRECONDITIONS = {
 }
 
 
+NON_FINITE = {
+    "beta": ("beta = 4.0", "beta = nan", None),
+    "lambda": ("lambda = 6.0", "lambda = nan", None),
+    "lambda0": ("synth_seed = 5", "synth_seed = 5\nlambda0 = nan", None),
+    "data_z": ("synth_n = 8", "data = {data}", "z,y\n0.25,1.0\nnan,-1.0\n"),
+    "data_y": ("synth_n = 8", "data = {data}", "z,y\n0.25,1.0\n0.75,nan\n"),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("key", sorted(NON_FINITE))
+    def test_non_finite_value_is_config_error(self, key, tmp_path, capsys):
+        old, new, rows = NON_FINITE[key]
+        data = tmp_path / "data.csv"
+        if rows is not None:
+            data.write_text(rows)
+        cfg = tmp_path / "nan.ini"
+        cfg.write_text(BASE.replace(old, new.format(data=data)))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("case", sorted(SWEEP_PRECONDITIONS))
     def test_sweep_precondition_is_config_error(self, case, tmp_path, monkeypatch, capsys):
         # checked before any engine step, reported as a config error (exit 1)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -19,9 +20,9 @@ from rkld.objective import Dataset, ObjectiveSpec, loss_family
 from rkld.spectral import KernelSpec, SpectralVector, resolvent_scales
 
 
-def make_objective(n_modes=6, loss="squared", gamma=1.5, n=8, seed=5):
+def make_objective(n_modes=6, loss="squared", gamma=1.5, n=8, seed=5, lambda0=0.0):
     ds = Dataset.synthesize(n, seed=seed)
-    return ObjectiveSpec(ds, loss_family(loss), KernelSpec(gamma=gamma), n_modes)
+    return ObjectiveSpec(ds, loss_family(loss), KernelSpec(gamma=gamma), n_modes, lambda0=lambda0)
 
 
 def make_cfg(**kw):
@@ -190,6 +191,23 @@ class TestRunEnsemble:
                 expect[t, r] = x
         assert np.array_equal(np.array(states), expect)
 
+    @pytest.mark.parametrize("loss", ["squared", "logistic", "savage"])
+    def test_fused_evaluation_matches_separate_grad_and_risk_loop(self, loss):
+        # horizon 600 crosses two noise chunk boundaries; the engine evaluates
+        # each state once, the hand loop calls grad_array and risk_array apart
+        obj = make_objective(loss=loss, lambda0=0.1)
+        cfg = make_cfg(horizon=600, burn_in=0)
+        seen = []
+        run_chain(cfg, obj, observers=(lambda step, x, risk: seen.append((x.copy(), risk.copy())),))
+        noise = make_rng(cfg.seed, 0, 0).standard_normal((cfg.horizon, cfg.n_modes))
+        s = resolvent_scales(obj.kernel, cfg.lam, cfg.eta, cfg.n_modes)
+        amp = math.sqrt(2.0 * cfg.eta / cfg.beta)
+        x = np.zeros((1, cfg.n_modes))
+        assert len(seen) == cfg.horizon
+        for t, (seen_x, seen_risk) in enumerate(seen):
+            x = s * (x - cfg.eta * obj.grad_array(x) + amp * noise[t])
+            assert np.array_equal(seen_x, x) and np.array_equal(seen_risk, obj.risk_array(x))
+
     def test_sgld_one_batched_gradient_per_step(self, monkeypatch):
         obj = make_objective(n=8)
         cfg = make_cfg(horizon=300, minibatch=3)
@@ -230,10 +248,12 @@ class TestRunEnsemble:
         obj = make_objective()
         cfg = make_cfg(horizon=200, burn_in=40)  # cadence = max(1, 200//1000) = 1
         risk_array = ObjectiveSpec.risk_array
-        calls = []
-        monkeypatch.setattr(
-            ObjectiveSpec, "risk_array", lambda self, x: calls.append(1) or risk_array(self, x)
-        )
+        calls = collections.Counter()
+        for name in ("risk_and_grad_array", "risk_array", "grad_array"):
+            method = getattr(ObjectiveSpec, name)
+            monkeypatch.setattr(
+                ObjectiveSpec, name, lambda self, x, name=name, method=method: calls.update([name]) or method(self, x)
+            )
         seen = []
 
         def observe(step, x, risk):
@@ -241,8 +261,8 @@ class TestRunEnsemble:
             seen.append((x.copy(), risk.copy()))
 
         s = run_chain(cfg, obj, l_star=0.1, observers=(observe,))
-        # one risk evaluation per checkpoint: steps 0..200 at cadence 1
-        assert len(calls) == cfg.horizon + 1
+        # one fused evaluation per state X_0..X_200 feeds risk and gradient alike
+        assert [calls[name] for name in ("risk_and_grad_array", "risk_array", "grad_array")] == [cfg.horizon + 1, 0, 0]
         assert len(seen) == 160
         assert all(np.array_equal(risk, risk_array(obj, x)) for x, risk in seen)
         post = s.steps > 40

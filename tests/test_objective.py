@@ -1,10 +1,12 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rkld.objective import (
     LOGISTIC,
@@ -13,6 +15,7 @@ from rkld.objective import (
     Dataset,
     LossFamily,
     ObjectiveSpec,
+    _sigmoid,
     loss_family,
 )
 from rkld.dynamics import ChainConfig, run_chain
@@ -101,6 +104,79 @@ class TestLossFamilies:
         ua, ya = np.array([u]), np.array([y])
         fd = (fam.value(ua + h, ya) - fam.value(ua - h, ya))[0] / (2.0 * h)
         assert fam.d1(ua, ya)[0] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+
+def masked_sigmoid(t):
+    # the two-branch stable logistic that _sigmoid must reproduce bit for bit
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def separate_formulas(tag, u, y):
+    """l and l' from independent formulas, each with its own sigmoid."""
+    if tag == "squared":
+        return 0.5 * (u - y) ** 2, u - y
+    if tag == "logistic":
+        return np.logaddexp(0.0, -y * u), -y * masked_sigmoid(-y * u)
+    s = masked_sigmoid(y * u)
+    return (1.0 - s) ** 2, -2.0 * y * s * (1.0 - s) ** 2
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+U_SHAPES = st.one_of(hnp.array_shapes(min_dims=1, max_dims=1), hnp.array_shapes(min_dims=2, max_dims=2))
+
+
+def float_arrays(shape, bound=1e3):
+    return hnp.arrays(float, shape, elements=st.one_of(st.floats(-bound, bound), SPECIAL))
+
+
+class TestFusedEvaluationBits:
+    @given(st.data(), st.sampled_from(["squared", "logistic", "savage"]))
+    @settings(max_examples=150, deadline=None)
+    def test_value_and_d1_matches_separate_formulas(self, data, tag):
+        u = data.draw(U_SHAPES.flatmap(float_arrays))
+        y = data.draw(hnp.arrays(float, u.shape[-1], elements=st.floats(-3.0, 3.0)))
+        fam = loss_family(tag)
+        with np.errstate(invalid="ignore"):  # y = 0 with u = +-inf is 0 * inf in every form
+            value, d1 = fam.value_and_d1(u, y)
+            assert same_bits(value, fam.value(u, y)) and same_bits(d1, fam.d1(u, y))
+            ref_value, ref_d1 = separate_formulas(tag, u, y)
+        assert same_bits(value, ref_value) and same_bits(d1, ref_d1)
+
+    @given(U_SHAPES.flatmap(float_arrays))
+    @settings(max_examples=150, deadline=None)
+    def test_sigmoid_matches_masked_form_without_warnings(self, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert same_bits(_sigmoid(t), masked_sigmoid(t))
+
+    def test_sigmoid_cannot_overflow_at_extremes(self):
+        t = np.array([-1e308, -800.0, -0.0, 0.0, 800.0, 1e308, math.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert same_bits(_sigmoid(t), masked_sigmoid(t))
+        assert same_bits(_sigmoid(t)[:6], np.array([0.0, 0.0, 0.5, 0.5, 1.0, 1.0]))
+
+    @given(
+        st.data(),
+        st.sampled_from([SQUARED, LOGISTIC, SAVAGE]),
+        st.sampled_from([0.0, 0.1]),
+        st.sampled_from([(8,), (1, 8), (5, 8)]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_risk_and_grad_array_matches_separate_calls(self, data, loss, lambda0, shape):
+        x = data.draw(hnp.arrays(float, shape, elements=st.floats(-10.0, 10.0)))
+        obj = ObjectiveSpec(Dataset.synthesize(12, seed=3), loss, KernelSpec(), 8, lambda0=lambda0)
+        risk, grad = obj.risk_and_grad_array(x)
+        assert same_bits(risk, obj.risk_array(x)) and same_bits(grad, obj.grad_array(x))
 
 
 class TestRiskAndGradient:
