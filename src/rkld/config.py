@@ -9,6 +9,7 @@ error that may still surface is numerical non-finiteness.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import json
 import os
@@ -58,18 +59,18 @@ _SCHEMA = {
 _REQUIRED = {"chain": {"eta", "beta", "lambda", "n_modes", "seed", "horizon"}}
 
 
-def _get(section, parser, key, kind, default=None, where=""):
+def _get(parser, origin, section, key, kind, default=None):
     if not parser.has_option(section, key):
         if default is not None or key not in _REQUIRED.get(section, set()):
             return default
-        raise ConfigError(f"[{section}] missing required key '{key}'{where}")
+        raise ConfigError(f"{origin}: [{section}] missing required key '{key}'")
     raw = parser.get(section, key).strip()
     if raw == "":
         return default
     try:
         return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
+        raise ConfigError(f"{origin}: [{section}] {key} = {raw!r}: {exc}") from None
 
 
 def _grid(kind):
@@ -133,30 +134,33 @@ class ExperimentConfig:
                     raise ConfigError(f"{origin}: unknown key '{key}' in [{section}]")
         if not parser.has_section("chain"):
             raise ConfigError(f"{origin}: missing [chain] section")
+        get = functools.partial(_get, parser, origin)
 
+        # values are read before the constructors run, so a ConfigError is not wrapped twice
+        kernel_args = dict(
+            mu0=get("kernel", "mu0", float, 1.0),
+            gamma=get("kernel", "gamma", float, 1.5),
+            basis=get("kernel", "basis", str, "cosine"),
+            decay=get("kernel", "decay", str, "inverse-square"),
+        )
         try:
-            kernel = KernelSpec(
-                mu0=_get("kernel", parser, "mu0", float, 1.0),
-                gamma=_get("kernel", parser, "gamma", float, 1.5),
-                basis=_get("kernel", parser, "basis", str, "cosine"),
-                decay=_get("kernel", parser, "decay", str, "inverse-square"),
-            )
+            kernel = KernelSpec(**kernel_args)
         except ValueError as exc:
             raise ConfigError(f"{origin}: [kernel] {exc}") from None
 
-        loss_tag = _get("objective", parser, "loss", str, "squared")
+        loss_tag = get("objective", "loss", str, "squared")
         try:
             loss = loss_family(loss_tag)
         except ValueError as exc:
             raise ConfigError(f"{origin}: [objective] {exc}") from None
-        data_path = _get("objective", parser, "data", str, None)
+        data_path = get("objective", "data", str, None)
         if data_path is not None and not Path(data_path).is_file():
             raise ConfigError(f"{origin}: [objective] data file not found: {data_path}")
-        synth_kind = _get("objective", parser, "synth_kind", str, "regression")
+        synth_kind = get("objective", "synth_kind", str, "regression")
         if synth_kind not in ("regression", "classification"):
             raise ConfigError(f"{origin}: [objective] unknown synth_kind {synth_kind!r}")
 
-        minibatch_raw = _get("chain", parser, "minibatch", str, "full")
+        minibatch_raw = get("chain", "minibatch", str, "full")
         if minibatch_raw == "full":
             minibatch = None
         else:
@@ -166,27 +170,26 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"{origin}: [chain] minibatch must be an integer or 'full'"
                 ) from None
-        seed = _get("chain", parser, "seed", int)
-        if seed_override is not None:
-            seed = seed_override
+        seed = get("chain", "seed", int)
+        chain_args = dict(
+            eta=get("chain", "eta", float),
+            beta=get("chain", "beta", float),
+            lam=get("chain", "lambda", float),
+            n_modes=get("chain", "n_modes", int),
+            minibatch=minibatch,
+            seed=seed if seed_override is None else seed_override,
+            horizon=get("chain", "horizon", int),
+            burn_in=get("chain", "burn_in", int, None),
+        )
         try:
-            chain = ChainConfig(
-                eta=_get("chain", parser, "eta", float),
-                beta=_get("chain", parser, "beta", float),
-                lam=_get("chain", parser, "lambda", float),
-                n_modes=_get("chain", parser, "n_modes", int),
-                minibatch=minibatch,
-                seed=seed,
-                horizon=_get("chain", parser, "horizon", int),
-                burn_in=_get("chain", parser, "burn_in", int, None),
-            )
+            chain = ChainConfig(**chain_args)
         except ValueError as exc:
             raise ConfigError(f"{origin}: [chain] {exc}") from None
 
-        mode = _get("experiment", parser, "mode", str, "gld")
+        mode = get("experiment", "mode", str, "gld")
         if mode not in ("gld", "sgld", "ou"):
             raise ConfigError(f"{origin}: [experiment] unknown mode {mode!r}")
-        tail_delta = _get("experiment", parser, "tail_delta", float, 0.2)
+        tail_delta = get("experiment", "tail_delta", float, 0.2)
         if not (0.0 < tail_delta < 1.0):
             raise ConfigError(f"{origin}: [experiment] tail_delta must be in (0, 1)")
 
@@ -195,22 +198,22 @@ class ExperimentConfig:
             loss=loss,
             data_path=data_path,
             synth_kind=synth_kind,
-            synth_n=_get("objective", parser, "synth_n", int, 20),
-            synth_seed=_get("objective", parser, "synth_seed", int, 7),
-            synth_noise=_get("objective", parser, "synth_noise", float, 0.1),
-            lambda0=_get("objective", parser, "lambda0", float, 0.0),
+            synth_n=get("objective", "synth_n", int, 20),
+            synth_seed=get("objective", "synth_seed", int, 7),
+            synth_noise=get("objective", "synth_noise", float, 0.1),
+            lambda0=get("objective", "lambda0", float, 0.0),
             chain=chain,
             mode=mode,
-            replicas=_get("experiment", parser, "replicas", int, 8),
-            kappa=_get("experiment", parser, "kappa", float, 0.1),
-            delta=_get("experiment", parser, "delta", float, None),
+            replicas=get("experiment", "replicas", int, 8),
+            kappa=get("experiment", "kappa", float, 0.1),
+            delta=get("experiment", "delta", float, None),
             tail_delta=tail_delta,
-            eta_grid=_get("experiment", parser, "eta_grid", _grid(float), None),
-            eta_ref=_get("experiment", parser, "eta_ref", float, None),
-            n_grid=_get("experiment", parser, "n_grid", _grid(int), None),
-            n_ref=_get("experiment", parser, "n_ref", int, None),
-            beta_grid=_get("experiment", parser, "beta_grid", _grid(float), None),
-            m_grid=_get("experiment", parser, "m_grid", _grid(int), None),
+            eta_grid=get("experiment", "eta_grid", _grid(float), None),
+            eta_ref=get("experiment", "eta_ref", float, None),
+            n_grid=get("experiment", "n_grid", _grid(int), None),
+            n_ref=get("experiment", "n_ref", int, None),
+            beta_grid=get("experiment", "beta_grid", _grid(float), None),
+            m_grid=get("experiment", "m_grid", _grid(int), None),
             source_text=text,
         )
         if cfg.replicas < 1:

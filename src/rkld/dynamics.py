@@ -67,6 +67,8 @@ class ChainConfig:
             raise ValueError("lambda must be positive and finite")
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.burn_in is not None and not (0 <= self.burn_in < self.horizon):
@@ -119,7 +121,11 @@ def sigmoid_gap(gap) -> np.ndarray | float:
 
 
 class _Block:
-    """One block's chains inside run_blocks: state, Cesaro sums, checkpoint log."""
+    """One block's chains inside run_blocks: state, Cesaro sums, checkpoint log.
+
+    A step only steps and keeps what the bookkeeping needs; flush() turns that
+    into Cesaro sums and checkpoint rows once per noise chunk.
+    """
 
     def __init__(self, cfg, obj, chain_ids, observers, mode, l_star):
         if mode in ("gld", "sgld"):
@@ -145,14 +151,17 @@ class _Block:
                 self.batch_rngs = [make_rng(cfg.seed, cid, _STREAM_BATCH) for cid in self.chain_ids]
         if obj is not None:
             self.mu = obj.kernel.eigenvalues(self.n)
-        # a full-batch chain evaluates each state once, on first need, for its risk and its next gradient
+        # a full-batch chain evaluates every state once, for its risk and its next gradient;
+        # the others evaluate retained states, and checkpoint states at flush()
         self.fused = mode != "ou" and self.minibatch is None
-        self.risk, self.g = None, 0.0  # risk None: the current states are not evaluated yet
+        self.risk, self.g = None, 0.0  # risk None: the current states are not evaluated
         self.cesaro_phi = np.zeros(len(self.chain_ids))
         self.cesaro_risk = np.zeros(len(self.chain_ids))
         self.retained = 0
+        self.chunk_risks: list[np.ndarray] = []  # the risk of each retained step since the last flush
+        self.pending: list[tuple] = []  # (step, X, risk or None, len(chunk_risks), retained) per checkpoint
         self.ck_steps: list[int] = []
-        self.ck_rows: list[tuple] = []  # (norm, risk, reg, phi, cesaro_phi) row arrays
+        self.ck_cols: list[tuple] = []  # (norm, risk, reg, phi, cesaro_phi) (K, R) arrays per flush
 
     def draw_batches(self, chunk_len):
         # row t of one chain's permuted tile is the t-th rng.permutation(n_tr), and
@@ -161,54 +170,69 @@ class _Block:
         self.batches = np.stack([rng.permuted(tile, axis=1)[:, : self.minibatch] for rng in self.batch_rngs], axis=1)
 
     def evaluate(self):
-        """The risk of the current states, evaluated at most once per state."""
-        if self.risk is None:
-            if self.fused:
-                self.risk, self.g = self.obj.risk_and_grad_array(self.x)
-            else:
-                self.risk = self.obj.risk_array(self.x)
-            self.risk.setflags(write=False)
-        return self.risk
+        if self.fused:
+            self.risk, self.g = self.obj.risk_and_grad_array(self.x)
+        else:
+            self.risk = self.obj.risk_array(self.x)
+        self.risk.setflags(write=False)
 
     def advance(self, step, t, noise, retain):
         """X <- S_eta (X - eta g + amp eps) with eps the block's rows of noise[:, t]."""
-        x = self.x
-        if self.fused:
-            self.evaluate()  # unless a checkpoint or the observers already needed X's risk
         if self.minibatch is not None:
-            g = self.obj.stochastic_grad_array(x, self.batches[t])
+            g = self.obj.stochastic_grad_array(self.x, self.batches[t])
         else:
             g = self.g  # from X's fused evaluation; 0 for the OU chain
-        x = self.scales * (x - self.cfg.eta * g + self.amp * noise[self.rows, t, : self.n])
+        x = self.scales * (self.x - self.cfg.eta * g + self.amp * noise[self.rows, t, : self.n])
         x.setflags(write=False)
-        self.x, self.risk = x, None
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NumericalAbort(f"non-finite state at step {step}", step=step)
+        self.x, self.risk = x, None
+        if self.fused or (retain and self.obj is not None):
+            self.evaluate()
         if retain:
             if self.obj is not None:
-                risk = self.evaluate()
-                self.cesaro_risk += risk
-                self.cesaro_phi += sigmoid_gap(risk - self.l_star)
+                self.chunk_risks.append(self.risk)
             self.retained += 1
             for observer in self.observers:
                 observer(step, x, self.risk)
 
     def record(self, step):
-        x = self.x
-        norms = np.linalg.norm(x, axis=1)
+        self.pending.append((step, self.x, self.risk, len(self.chunk_risks), self.retained))
+
+    def flush(self):
+        """Cesaro sums and checkpoint rows since the last flush, with per-step bits:
+        np.add.accumulate adds row after row like +=, where np.sum along axis 0
+        would sum pairwise, and the rest acts per row or per (R, N+1) slice."""
+        sums = self.cesaro_phi[None]
+        if self.chunk_risks:
+            risks = np.stack(self.chunk_risks)
+            sums = np.add.accumulate(np.vstack([sums, sigmoid_gap(risks - self.l_star)]), axis=0)
+            self.cesaro_risk = np.add.accumulate(np.vstack([self.cesaro_risk[None], risks]), axis=0)[-1]
+            self.cesaro_phi = sums[-1]
+            self.chunk_risks = []
+        if not self.pending:
+            return
+        steps, xs, risks, rows, counts = zip(*self.pending)
+        self.pending = []
+        xs = np.stack(xs)
+        norms = np.linalg.norm(xs, axis=-1)
         if self.obj is not None:
-            risk = self.evaluate()
-            reg = risk + 0.5 * self.cfg.lam * np.sum(x * x / self.mu, axis=1)
+            risk = np.stack([np.zeros(len(self.chain_ids)) if r is None else r for r in risks])
+            missing = [k for k, r in enumerate(risks) if r is None]
+            if missing:  # states that no step evaluated: one call on the stacked (M, R, N+1) slices
+                risk[missing] = self.obj.risk_array(xs[missing])
+            reg = risk + 0.5 * self.cfg.lam * np.sum(xs * xs / self.mu, axis=-1)
             phi = sigmoid_gap(risk - self.l_star)
         else:
-            risk = reg = phi = np.zeros(len(self.chain_ids))
-        retained = self.retained
-        ces = self.cesaro_phi / retained if retained else np.full(len(self.chain_ids), np.nan)
-        self.ck_steps.append(step)
-        self.ck_rows.append((norms, risk, reg, phi, ces))
+            risk = reg = phi = np.zeros(norms.shape)
+        counts = np.array(counts)
+        ces = sums[list(rows)] / np.maximum(counts, 1)[:, None]
+        ces[counts == 0] = np.nan
+        self.ck_steps.extend(steps)
+        self.ck_cols.append((norms, risk, reg, phi, ces))
 
     def summaries(self) -> list[RunSummary]:
-        cols = [np.stack(col) for col in zip(*self.ck_rows)]  # record(0) always ran
+        cols = [np.concatenate(col) for col in zip(*self.ck_cols)]  # record(0) always ran
         steps_arr = np.array(self.ck_steps, dtype=int)
         retained = self.retained
         return [
@@ -270,6 +294,8 @@ def run_blocks(blocks, mode: str = "gld", l_star: float = 0.0) -> list[list[RunS
     noise = np.empty((len(ids), min(_CHUNK, horizon), max(s.n for s in states)))
 
     for s in states:
+        if s.fused:
+            s.evaluate()
         s.record(0)
     step = 0
     try:
@@ -288,7 +314,11 @@ def run_blocks(blocks, mode: str = "gld", l_star: float = 0.0) -> list[list[RunS
                     s.advance(step, t, noise, retain)
                     if checkpoint:
                         s.record(step)
+            for s in states:
+                s.flush()
     except NumericalAbort as exc:
+        for s in states:
+            s.flush()
         exc.partial = [s.summaries() for s in states]
         raise
     return [s.summaries() for s in states]

@@ -258,6 +258,34 @@ class TestExitCodes:
         assert main(["sweep", "--axis", "eta", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == "numerical error: Singular matrix\n"
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_is_config_error(self, where, command, tmp_path, capsys):
+        cfg = tmp_path / "seed.ini"
+        cfg.write_text(BASE.replace("seed = 42", "seed = -1") if where == "config" else BASE)
+        out = tmp_path / "out"
+        flag = ["--seed=-1"] if where == "flag" else []
+        assert main([command, "--config", str(cfg), "--out", str(out), *flag]) == 1
+        assert capsys.readouterr().err == f"config error: {cfg}: [chain] seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, old, raw",
+        [
+            ("kernel", "mu0", "mu0 = 1.0", "abc"),
+            ("chain", "n_modes", "n_modes = 8", "16.5"),
+            ("objective", "synth_n", "synth_n = 8", "x"),
+            ("chain", "seed", "seed = 42", "1.5"),
+        ],
+    )
+    def test_parse_error_names_its_location_once(self, section, key, old, raw, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(BASE.replace(old, f"{key} = {raw}"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: [{section}] {key} = {raw!r}: ")
+        assert err.count(f"[{section}]") == 1 and err.count(str(cfg)) == 1 and err.count("\n") == 1
+
     def test_unreadable_data_file_is_config_error(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("x,y\n0.5,1.0\n")

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rkld import dynamics
 from rkld.dynamics import (
     ChainConfig,
     NumericalAbort,
+    RunSummary,
     make_rng,
     run_blocks,
     run_chain,
@@ -352,6 +354,114 @@ def observed_run(blocks, mode, l_star):
     ]
     out = run_blocks([(cfg, obj, ids, obs) for (cfg, obj, ids), obs in zip(blocks, observers)], mode, l_star)
     return out, seen
+
+
+def observed_states(cfg, obj, mode, ids):
+    """X_0 and every state after it, up to the horizon or the aborted step, from
+    a burn_in=0 run's observer (the trajectory does not depend on burn-in)."""
+    states = [np.tile(cfg.x0_array(), (len(ids), 1))]
+    observer = (lambda step, x, risk: states.append(x.copy()),)
+    try:
+        run_ensemble(dataclasses.replace(cfg, burn_in=0), obj, mode, len(ids), observers=observer, chain_ids=ids)
+    except NumericalAbort:
+        pass
+    return states
+
+
+def reference_summaries(cfg, obj, mode, ids, l_star, states):
+    """Step-by-step bookkeeping over states[s] = X_s: norm, risk, ridge term
+    and phi at each checkpoint, running Cesaro sums with +=, NaN before the
+    first retained step."""
+    n_chains = len(ids)
+    ces_phi, ces_risk, retained = np.zeros(n_chains), np.zeros(n_chains), 0
+    steps, rows = [], []
+    for step, x in enumerate(states):
+        risk = obj.risk_array(x) if obj is not None else None
+        if step > cfg.burn_in_steps:
+            if obj is not None:
+                ces_risk += risk
+                ces_phi += sigmoid_gap(risk - l_star)
+            retained += 1
+        if step % cfg.checkpoint_every == 0 or step == cfg.horizon:
+            if obj is not None:
+                reg = risk + 0.5 * cfg.lam * np.sum(x * x / obj.kernel.eigenvalues(cfg.n_modes), axis=1)
+                row = (risk, reg, sigmoid_gap(risk - l_star))
+            else:
+                row = (np.zeros(n_chains),) * 3
+            ces = ces_phi / retained if retained else np.full(n_chains, np.nan)
+            steps.append(step)
+            rows.append((np.linalg.norm(x, axis=1), *row, ces))
+    cols = [np.stack(col) for col in zip(*rows)]
+    return [
+        RunSummary(
+            chain_id=cid,
+            mode=mode,
+            burn_in=cfg.burn_in_steps,
+            steps=np.array(steps, dtype=int),
+            norm=cols[0][:, r].copy(),
+            risk=cols[1][:, r].copy(),
+            reg_objective=cols[2][:, r].copy(),
+            phi=cols[3][:, r].copy(),
+            cesaro_phi=cols[4][:, r].copy(),
+            final_cesaro_phi=float(ces_phi[r] / retained) if retained else math.nan,
+            final_cesaro_risk=float(ces_risk[r] / retained) if retained else math.nan,
+            retained_steps=retained,
+        )
+        for r, cid in enumerate(ids)
+    ]
+
+
+class TestChunkedBookkeeping:
+    """The engine batches Cesaro sums and checkpoint rows once per noise chunk;
+    they must keep the bits of step-by-step bookkeeping."""
+
+    @pytest.mark.parametrize("horizon", [1, 255, 256, 257, 600, 2001])  # 2001: cadence 2
+    @pytest.mark.parametrize("n_chains", [1, 3])
+    @pytest.mark.parametrize("mode", ["gld", "sgld", "ou", "ou+objective"])
+    def test_summaries_equal_per_step_reference(self, mode, n_chains, horizon):
+        obj = None if mode == "ou" else make_objective(loss="savage", lambda0=0.1)
+        mode = mode.removesuffix("+objective")
+        ids = [4, 1, 7][:n_chains]
+        cfg = make_cfg(horizon=horizon, minibatch=3 if mode == "sgld" else None)
+        states = observed_states(cfg, obj, mode, ids)
+        for burn_in in sorted({0, 100, 256, 300} & set(range(horizon))):  # chunk-inner and chunk-edge burn-ins
+            run_cfg = dataclasses.replace(cfg, burn_in=burn_in)
+            summaries = run_ensemble(run_cfg, obj, mode, n_chains, l_star=0.3, chain_ids=ids)
+            expect = reference_summaries(run_cfg, obj, mode, ids, 0.3, states)
+            assert all(same_summary(a, b) for a, b in zip(summaries, expect, strict=True))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_partial_summary_equals_reference_after_a_flushed_chunk(self):
+        obj = make_objective()
+        cfg = ChainConfig(eta=10.0, beta=100.0, lam=1e-6, n_modes=6, seed=1, horizon=1000)
+        ids = [0, 2]
+        with pytest.raises(NumericalAbort) as exc_info:
+            run_ensemble(cfg, obj, n_chains=2, l_star=0.3, chain_ids=ids)
+        step = exc_info.value.step
+        assert step > 256
+        states = observed_states(cfg, obj, "gld", ids)
+        assert len(states) == step  # X_0 .. X_{step-1}
+        expect = reference_summaries(cfg, obj, "gld", ids, 0.3, states)
+        partial = exc_info.value.partial
+        assert partial[0].steps[-1] == step - 1 and partial[0].retained_steps > 0
+        assert all(same_summary(a, b) for a, b in zip(partial, expect, strict=True))
+
+    def test_minibatch_run_evaluates_once_per_chunk(self, monkeypatch):
+        obj = make_objective(n=8)
+        cfg = make_cfg(horizon=2000, burn_in=1999, minibatch=3)
+        risk_array = ObjectiveSpec.risk_array
+        calls = collections.Counter()
+        monkeypatch.setattr(
+            ObjectiveSpec, "risk_array", lambda self, x: calls.update(["risk"]) or risk_array(self, x)
+        )
+        gap = dynamics.sigmoid_gap
+        monkeypatch.setattr(dynamics, "sigmoid_gap", lambda u: calls.update(["phi"]) or gap(u))
+        summaries = run_ensemble(cfg, obj, mode="sgld", n_chains=8)
+        chunks = math.ceil(cfg.horizon / 256)
+        assert len(summaries[0].steps) == 1001 and summaries[0].retained_steps == 1
+        # step 0 and 1000 pre-burn-in checkpoints ride on the chunk flushes
+        assert calls["risk"] <= chunks + 1 + 1
+        assert calls["phi"] <= 2 * chunks
 
 
 class TestRunBlocks:
