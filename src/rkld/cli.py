@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from .diagnostics import (
     RateFit,
     galerkin_error_vs_n,
     gibbs_gap_vs_beta,
-    sgld_discrepancy,
+    sgld_discrepancy_vs_m,
     tail_bound_terms,
     theory_constants,
     weak_error_vs_eta,
@@ -260,10 +259,7 @@ def _sweep_minibatch(exp: ExperimentConfig):
     _require(all(1 <= m <= n_tr for m in exp.m_grid), f"m_grid entries must be in 1..{n_tr}")
     _, l_center = obj.regularized_minimizer(exp.chain.lam)
     ms = sorted(exp.m_grid)
-    results = [
-        sgld_discrepancy(replace(exp.chain, minibatch=m), obj, l_center, replicas=exp.replicas)
-        for m in ms
-    ]
+    results = sgld_discrepancy_vs_m(exp.chain, obj, l_center, ms, replicas=exp.replicas)
     rows = [
         (m, r["discrepancy"], r["se"], r["r_n"], r["bound_shape"], r["c_fit"])
         for m, r in zip(ms, results)

@@ -73,6 +73,15 @@ def _get(parser, origin, section, key, kind, default=None):
         raise ConfigError(f"{origin}: [{section}] {key} = {raw!r}: {exc}") from None
 
 
+def _minibatch(raw):
+    if raw == "full":
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError("must be an integer or 'full'") from None
+
+
 def _grid(kind):
     def parse(raw):
         vals = [kind(v.strip()) for v in raw.split(",") if v.strip()]
@@ -110,6 +119,7 @@ class ExperimentConfig:
     beta_grid: list[float] | None
     m_grid: list[int] | None
     source_text: str = ""
+    origin: str = "<config>"  # the config's path, for errors raised after parsing
 
     @classmethod
     def load(cls, path: str | Path, seed_override: int | None = None) -> "ExperimentConfig":
@@ -160,23 +170,13 @@ class ExperimentConfig:
         if synth_kind not in ("regression", "classification"):
             raise ConfigError(f"{origin}: [objective] unknown synth_kind {synth_kind!r}")
 
-        minibatch_raw = get("chain", "minibatch", str, "full")
-        if minibatch_raw == "full":
-            minibatch = None
-        else:
-            try:
-                minibatch = int(minibatch_raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{origin}: [chain] minibatch must be an integer or 'full'"
-                ) from None
         seed = get("chain", "seed", int)
         chain_args = dict(
             eta=get("chain", "eta", float),
             beta=get("chain", "beta", float),
             lam=get("chain", "lambda", float),
             n_modes=get("chain", "n_modes", int),
-            minibatch=minibatch,
+            minibatch=get("chain", "minibatch", _minibatch, None),
             seed=seed if seed_override is None else seed_override,
             horizon=get("chain", "horizon", int),
             burn_in=get("chain", "burn_in", int, None),
@@ -215,6 +215,7 @@ class ExperimentConfig:
             beta_grid=get("experiment", "beta_grid", _grid(float), None),
             m_grid=get("experiment", "m_grid", _grid(int), None),
             source_text=text,
+            origin=origin,
         )
         if cfg.replicas < 1:
             raise ConfigError(f"{origin}: [experiment] replicas must be >= 1")
@@ -229,15 +230,20 @@ class ExperimentConfig:
 
     def build_objective(self, n_modes: int | None = None) -> ObjectiveSpec:
         try:
+            dataset = self.build_dataset()
+        except ValueError as exc:  # an unreadable or invalid data file, or bad synthesis settings
+            where = f"data = {self.data_path!r}: " if self.data_path is not None else ""
+            raise ConfigError(f"{self.origin}: [objective] {where}{exc}") from None
+        try:
             return ObjectiveSpec(
-                dataset=self.build_dataset(),
+                dataset=dataset,
                 loss=self.loss,
                 kernel=self.kernel,
                 n_modes=n_modes if n_modes is not None else self.chain.n_modes,
                 lambda0=self.lambda0,
             )
-        except ValueError as exc:  # unreadable data file or bad objective settings
-            raise ConfigError(f"[objective] {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"{self.origin}: [objective] {exc}") from None
 
     def config_hash(self) -> str:
         canonical = "\n".join(

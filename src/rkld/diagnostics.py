@@ -34,6 +34,7 @@ __all__ = [
     "gibbs_gap_vs_beta",
     "gibbs_gap_empirical",
     "sgld_discrepancy",
+    "sgld_discrepancy_vs_m",
     "theorem_tail_bound",
     "tail_bound_terms",
     "quadratic_discrete_invariant",
@@ -416,41 +417,52 @@ def gibbs_gap_empirical(
     return gibbs_gap_vs_beta(cfg, obj, [cfg.beta], replicas, minimizer, slack)[0]
 
 
+def sgld_discrepancy_vs_m(
+    cfg: ChainConfig,
+    obj: ObjectiveSpec,
+    l_star: float,
+    ms,
+    replicas: int = 64,
+) -> list[dict]:
+    """Empirical |E phi(X_n) - E phi(Y_n)| between GLD and SGLD sharing noise
+    seeds, at each minibatch size m in ms, in one engine call.
+
+    One full-batch block (the GLD chain) and one SGLD block per m run on
+    chain ids 0..R-1, so every block reads the same noise and each m is
+    paired with the one GLD reference.  The minibatch stream is independent
+    of the noise stream, so at m = n_tr the two trajectories coincide
+    exactly.  Reports, per m, the exact r_n, the paired-replica discrepancy
+    with its SE, and the fitted constant discrepancy / (sqrt(r_n) + r_n^(1/4)).
+    """
+    n_tr = obj.dataset.size
+    budgets = [discrepancy_budget(cfg.horizon, cfg.beta, cfg.eta, n_tr, m) for m in ms]
+    ids = list(range(replicas))
+    # only the last checkpoint's phi is read: retain one step, skip the Cesaro sums
+    cfg = replace(cfg, burn_in=cfg.horizon - 1)
+    # SGLD with the full batch is the GLD chain, bit for bit
+    blocks = [(replace(cfg, minibatch=m), obj, ids, ()) for m in (None, *ms)]
+    gld, *sgld = run_blocks(blocks, mode="sgld", l_star=l_star)
+    phi_x = np.array([s.phi[-1] for s in gld])
+    out = []
+    for m, rn, summaries in zip(ms, budgets, sgld):
+        mean, se = _replica_mean_se(phi_x - np.array([s.phi[-1] for s in summaries]))
+        disc, shape = abs(mean), math.sqrt(rn) + rn**0.25
+        out.append(
+            dict(discrepancy=disc, se=se, r_n=rn, bound_shape=shape, c_fit=disc / shape if shape > 0 else math.nan,
+                 replicas=replicas, seed=cfg.seed, minibatch=m)
+        )
+    return out
+
+
 def sgld_discrepancy(
     cfg: ChainConfig,
     obj: ObjectiveSpec,
     l_star: float,
     replicas: int = 64,
 ) -> dict:
-    """Empirical |E phi(X_n) - E phi(Y_n)| between GLD and SGLD sharing noise seeds.
-
-    The minibatch stream is independent of the noise stream, so at
-    m = n_tr the two trajectories coincide exactly.  Reports the exact r_n,
-    the paired-replica discrepancy with its SE, and the fitted constant
-    discrepancy / (sqrt(r_n) + r_n^(1/4)).
-    """
-    ids = list(range(replicas))
-    # only the last checkpoint's phi is read: retain one step, skip the Cesaro sums
-    cfg = replace(cfg, burn_in=cfg.horizon - 1)
-    gld = run_ensemble(cfg, obj, mode="gld", n_chains=replicas, l_star=l_star, chain_ids=ids)
-    sgld = run_ensemble(cfg, obj, mode="sgld", n_chains=replicas, l_star=l_star, chain_ids=ids)
-    phi_x = np.array([s.phi[-1] for s in gld])
-    phi_y = np.array([s.phi[-1] for s in sgld])
-    mean, se = _replica_mean_se(phi_x - phi_y)
-    disc = abs(mean)
+    """sgld_discrepancy_vs_m at the config's own minibatch size (None: full batch)."""
     m = cfg.minibatch if cfg.minibatch is not None else obj.dataset.size
-    rn = discrepancy_budget(cfg.horizon, cfg.beta, cfg.eta, obj.dataset.size, m)
-    shape = math.sqrt(rn) + rn**0.25
-    return {
-        "discrepancy": disc,
-        "se": se,
-        "r_n": rn,
-        "bound_shape": shape,
-        "c_fit": disc / shape if shape > 0 else math.nan,
-        "replicas": replicas,
-        "seed": cfg.seed,
-        "minibatch": m,
-    }
+    return sgld_discrepancy_vs_m(cfg, obj, l_star, [m], replicas)[0]
 
 
 class _RiskAtSteps:

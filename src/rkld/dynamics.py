@@ -94,7 +94,11 @@ class ChainConfig:
 
 @dataclass
 class RunSummary:
-    """Checkpointed trajectory statistics of one chain."""
+    """Checkpointed trajectory statistics of one chain.
+
+    The arrays are read-only: a block's chains share one ``steps`` array, and
+    each other array is one chain's row of an (R, K) array of its block.
+    """
 
     chain_id: int
     mode: str
@@ -151,8 +155,9 @@ class _Block:
                 self.batch_rngs = [make_rng(cfg.seed, cid, _STREAM_BATCH) for cid in self.chain_ids]
         if obj is not None:
             self.mu = obj.kernel.eigenvalues(self.n)
-        # a full-batch chain evaluates every state once, for its risk and its next gradient;
-        # the others evaluate retained states, and checkpoint states at flush()
+        # a full-batch chain takes each state's gradient, and its risk from the same feature
+        # product where a retained step or a checkpoint reads it; the others evaluate
+        # retained states, and checkpoint states at flush()
         self.fused = mode != "ou" and self.minibatch is None
         self.risk, self.g = None, 0.0  # risk None: the current states are not evaluated
         self.cesaro_phi = np.zeros(len(self.chain_ids))
@@ -161,7 +166,10 @@ class _Block:
         self.chunk_risks: list[np.ndarray] = []  # the risk of each retained step since the last flush
         self.pending: list[tuple] = []  # (step, X, risk or None, len(chunk_risks), retained) per checkpoint
         self.ck_steps: list[int] = []
-        self.ck_cols: list[tuple] = []  # (norm, risk, reg, phi, cesaro_phi) (K, R) arrays per flush
+        # one (R, K) array per column (norm, risk, reg, phi, cesaro_phi) over the K
+        # checkpoints, step 0 and the horizon included, filled by flush()
+        n_ck = cfg.horizon // cfg.checkpoint_every + 1 + (cfg.horizon % cfg.checkpoint_every != 0)
+        self.cols = np.empty((5, len(self.chain_ids), n_ck))
 
     def draw_batches(self, chunk_len):
         # row t of one chain's permuted tile is the t-th rng.permutation(n_tr), and
@@ -176,25 +184,29 @@ class _Block:
             self.risk = self.obj.risk_array(self.x)
         self.risk.setflags(write=False)
 
-    def advance(self, step, t, noise, retain):
+    def advance(self, step, t, noise, retain, checkpoint):
         """X <- S_eta (X - eta g + amp eps) with eps the block's rows of noise[:, t]."""
         if self.minibatch is not None:
             g = self.obj.stochastic_grad_array(self.x, self.batches[t])
         else:
-            g = self.g  # from X's fused evaluation; 0 for the OU chain
+            g = self.g  # from X's last evaluation; 0 for the OU chain
         x = self.scales * (self.x - self.cfg.eta * g + self.amp * noise[self.rows, t, : self.n])
         x.setflags(write=False)
         if not np.isfinite(x).all():
             raise NumericalAbort(f"non-finite state at step {step}", step=step)
         self.x, self.risk = x, None
-        if self.fused or (retain and self.obj is not None):
+        if self.obj is not None and (retain or (checkpoint and self.fused)):
             self.evaluate()
+        elif self.fused:
+            self.g = self.obj.grad_array(x)  # no one reads this state's risk
         if retain:
             if self.obj is not None:
                 self.chunk_risks.append(self.risk)
             self.retained += 1
             for observer in self.observers:
                 observer(step, x, self.risk)
+        if checkpoint:
+            self.record(step)
 
     def record(self, step):
         self.pending.append((step, self.x, self.risk, len(self.chunk_risks), self.retained))
@@ -228,24 +240,29 @@ class _Block:
         counts = np.array(counts)
         ces = sums[list(rows)] / np.maximum(counts, 1)[:, None]
         ces[counts == 0] = np.nan
+        k0 = len(self.ck_steps)
         self.ck_steps.extend(steps)
-        self.ck_cols.append((norms, risk, reg, phi, ces))
+        for row, col in zip(self.cols, (norms, risk, reg, phi, ces)):
+            row[:, k0 : len(self.ck_steps)] = col.T
 
     def summaries(self) -> list[RunSummary]:
-        cols = [np.concatenate(col) for col in zip(*self.ck_cols)]  # record(0) always ran
-        steps_arr = np.array(self.ck_steps, dtype=int)
+        # each chain gets read-only, contiguous row views of the filled columns
+        cols = self.cols[:, :, : len(self.ck_steps)]
+        steps = np.array(self.ck_steps, dtype=int)
+        for a in (steps, cols):
+            a.setflags(write=False)
         retained = self.retained
         return [
             RunSummary(
                 chain_id=cid,
                 mode=self.mode,
                 burn_in=self.cfg.burn_in_steps,
-                steps=steps_arr.copy(),
-                norm=cols[0][:, r].copy(),
-                risk=cols[1][:, r].copy(),
-                reg_objective=cols[2][:, r].copy(),
-                phi=cols[3][:, r].copy(),
-                cesaro_phi=cols[4][:, r].copy(),
+                steps=steps,
+                norm=cols[0][r],
+                risk=cols[1][r],
+                reg_objective=cols[2][r],
+                phi=cols[3][r],
+                cesaro_phi=cols[4][r],
                 final_cesaro_phi=float(self.cesaro_phi[r] / retained) if retained else math.nan,
                 final_cesaro_risk=float(self.cesaro_risk[r] / retained) if retained else math.nan,
                 retained_steps=retained,
@@ -311,9 +328,7 @@ def run_blocks(blocks, mode: str = "gld", l_star: float = 0.0) -> list[list[RunS
                 retain = step > burn_in
                 checkpoint = step % cadence == 0 or step == horizon
                 for s in states:
-                    s.advance(step, t, noise, retain)
-                    if checkpoint:
-                        s.record(step)
+                    s.advance(step, t, noise, retain, checkpoint)
             for s in states:
                 s.flush()
     except NumericalAbort as exc:

@@ -21,7 +21,7 @@ from rkld.diagnostics import (
     gibbs_gap_vs_beta,
     ou_stationary_variances,
     quadratic_gibbs_gap_exact,
-    sgld_discrepancy,
+    sgld_discrepancy_vs_m,
     spectral_gap,
     theorem_tail_bound,
     theory_constants,
@@ -291,12 +291,8 @@ def test_09_sgld_discrepancy_in_m():
     t0 = time.time()
     obj = objective(n=10, n_modes=8)
     _, l_center = obj.regularized_minimizer(6.0)
-    results = []
-    for m in (2, 5, 10):
-        cfg = ChainConfig(
-            eta=0.05, beta=4.0, lam=6.0, n_modes=8, seed=42, horizon=2000, minibatch=m
-        )
-        results.append(sgld_discrepancy(cfg, obj, l_center, replicas=64))
+    cfg = ChainConfig(eta=0.05, beta=4.0, lam=6.0, n_modes=8, seed=42, horizon=2000)
+    results = sgld_discrepancy_vs_m(cfg, obj, l_center, (2, 5, 10), replicas=64)
     discs = [r["discrepancy"] for r in results]
     ses = [r["se"] for r in results]
     nonincreasing = all(

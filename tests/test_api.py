@@ -1,13 +1,18 @@
 """The public surface: every exported name exists.
 
 Catches dangling entries in a module's __all__ or in the package's
-re-exports after code is deleted or renamed.
+re-exports after code is deleted or renamed, and a heavy import reaching
+the CLI's start-up.
 """
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,3 +52,13 @@ def test_package_reexports_exist():
     for module, name in reexports:
         source = importlib.import_module(f"rkld.{module}")
         assert getattr(rkld, name) is getattr(source, name), f"rkld.{name}"
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # scipy.optimize alone costs about 20 MB of RSS and a quarter second of
+    # start-up; a fresh interpreter shows what `import rkld.cli` pulls in
+    src = str(Path(rkld.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, rkld.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -276,11 +276,12 @@ class TestExitCodes:
             ("chain", "n_modes", "n_modes = 8", "16.5"),
             ("objective", "synth_n", "synth_n = 8", "x"),
             ("chain", "seed", "seed = 42", "1.5"),
+            ("chain", "minibatch", None, "abc"),  # None: appended to [chain], the last section
         ],
     )
     def test_parse_error_names_its_location_once(self, section, key, old, raw, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text(BASE.replace(old, f"{key} = {raw}"))
+        cfg.write_text(BASE.replace(old, f"{key} = {raw}") if old else BASE + f"{key} = {raw}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {cfg}: [{section}] {key} = {raw!r}: ")
@@ -292,7 +293,8 @@ class TestExitCodes:
         cfg = tmp_path / "data.ini"
         cfg.write_text(BASE.replace("synth_n = 8", f"data = {data}\nsynth_n = 8"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.startswith("config error: [objective]")
+        reason = f"{data}: expected CSV header 'z,y'"
+        assert capsys.readouterr().err == f"config error: {cfg}: [objective] data = {str(data)!r}: {reason}\n"
 
 
 class TestReport:

@@ -62,6 +62,9 @@ class TestParsing:
         assert exp.chain.minibatch is None
         exp2 = ExperimentConfig.loads(BASE.replace("seed = 42", "seed = 42\nminibatch = 4"))
         assert exp2.chain.minibatch == 4
+        with pytest.raises(ConfigError) as exc_info:
+            ExperimentConfig.loads(BASE + "minibatch = abc\n", origin="exp.ini")
+        assert str(exc_info.value) == "exp.ini: [chain] minibatch = 'abc': must be an integer or 'full'"
 
     def test_seed_override(self):
         exp = ExperimentConfig.loads(BASE, seed_override=7)

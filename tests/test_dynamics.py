@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -272,6 +273,37 @@ class TestRunEnsemble:
         assert s.final_cesaro_phi == pytest.approx(float(np.mean(s.phi[post])), rel=1e-12)
         assert s.cesaro_phi[-1] == pytest.approx(s.final_cesaro_phi, rel=1e-12)
 
+    @pytest.mark.parametrize("mode", ["gld", "sgld"])  # sgld at m = n_tr is the GLD chain
+    def test_full_batch_risk_only_where_read(self, mode, monkeypatch):
+        # burn_in = horizon - 1 retains only the last step; cadence 2 checkpoints every even step
+        obj = make_objective(n=8)
+        cfg = make_cfg(horizon=2000, burn_in=1999, minibatch=8)
+        assert cfg.checkpoint_every == 2
+        calls = collections.Counter()
+        for name in ("risk_and_grad_array", "risk_array", "grad_array"):
+            method = getattr(ObjectiveSpec, name)
+            monkeypatch.setattr(
+                ObjectiveSpec, name, lambda self, x, name=name, method=method: calls.update([name]) or method(self, x)
+            )
+        summary = run_chain(cfg, obj, mode=mode)
+        # one fused evaluation per checkpoint, step 0 included; the odd steps take the gradient alone
+        assert [calls[name] for name in ("risk_and_grad_array", "risk_array", "grad_array")] == [1001, 0, 1000]
+        assert summary.steps.size == 1001 and summary.retained_steps == 1
+        monkeypatch.undo()
+        reference = run_chain(dataclasses.replace(cfg, burn_in=0), obj, mode=mode)
+        assert np.array_equal(summary.risk, reference.risk) and np.array_equal(summary.norm, reference.norm)
+
+    def test_summary_arrays_are_read_only_rows(self):
+        obj = make_objective()
+        summaries = run_ensemble(make_cfg(horizon=300), obj, n_chains=3)
+        fields = ("steps", "norm", "risk", "reg_objective", "phi", "cesaro_phi")
+        for a in summaries:
+            for name in fields:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(a, name)[0] = 1.0
+        for a, b in itertools.combinations(summaries, 2):
+            assert not any(np.shares_memory(getattr(a, name), getattr(b, name)) for name in fields[1:])
+
     def test_ou_mode_variance_matches_closed_form(self):
         # stationary per-mode variance (2 eta / beta) a_k^2 / (1 - a_k^2)
         cfg = ChainConfig(eta=0.5, beta=2.0, lam=1.0, n_modes=4, seed=11, horizon=200_000)
@@ -319,9 +351,10 @@ def same_summary(a, b) -> bool:
 
 @st.composite
 def block_sets(draw):
-    """1-4 blocks of N+1 in 3..9 (objectives shared per dimension) on
-    overlapping or disjoint chain ids, horizons across chunk boundaries."""
-    mode = draw(st.sampled_from(["gld", "ou"]))
+    """A mode (gld, sgld with m in 1..n_tr = 8 per block, or ou) and 1-4
+    blocks of N+1 in 3..9 (objectives shared per dimension) on overlapping
+    or disjoint chain ids, horizons across chunk boundaries."""
+    mode = draw(st.sampled_from(["gld", "sgld", "ou"]))
     horizon = draw(st.integers(1, 600))
     burn_in = draw(st.integers(0, horizon - 1))
     seed = draw(st.integers(0, 2**16))
@@ -331,7 +364,7 @@ def block_sets(draw):
         n_modes = draw(st.integers(3, 9))
         if n_modes not in objectives:
             objectives[n_modes] = make_objective(n_modes=n_modes)
-        obj = objectives[n_modes] if mode == "gld" or draw(st.booleans()) else None
+        obj = objectives[n_modes] if mode != "ou" or draw(st.booleans()) else None
         cfg = make_cfg(
             n_modes=n_modes,
             eta=draw(st.sampled_from([0.02, 0.05, 0.1])),
@@ -339,6 +372,7 @@ def block_sets(draw):
             seed=seed,
             horizon=horizon,
             burn_in=burn_in,
+            minibatch=draw(st.integers(1, 8)) if mode == "sgld" else None,
         )
         ids = draw(st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True))
         blocks.append((cfg, obj, ids))
@@ -481,7 +515,7 @@ class TestRunBlocks:
             else:
                 # a narrower block reads the call's noise width: pair it with the widest block
                 (solo, _), (solo_log, _) = observed_run([block, widest], mode, l_star)
-            assert [s.chain_id for s in summaries] == ids
+            assert [s.chain_id for s in summaries] == ids and {s.mode for s in summaries} == {mode}
             assert all(same_summary(a, b) for a, b in zip(summaries, solo, strict=True))
             assert len(log) == len(solo_log) == cfg.horizon - cfg.burn_in_steps
             for (step, x, risk), (solo_step, solo_x, solo_risk) in zip(log, solo_log):

@@ -147,9 +147,24 @@ class TestFusedEvaluationBits:
         fam = loss_family(tag)
         with np.errstate(invalid="ignore"):  # y = 0 with u = +-inf is 0 * inf in every form
             value, d1 = fam.value_and_d1(u, y)
-            assert same_bits(value, fam.value(u, y)) and same_bits(d1, fam.d1(u, y))
+            halves = fam.value(u, y), fam.d1(u, y)
             ref_value, ref_d1 = separate_formulas(tag, u, y)
         assert same_bits(value, ref_value) and same_bits(d1, ref_d1)
+        assert same_bits(halves[0], ref_value) and same_bits(halves[1], ref_d1)
+
+    @pytest.mark.parametrize("tag", ["squared", "logistic", "savage"])
+    def test_single_halves_match_separate_formulas_at_special_values(self, tag):
+        # every pairing of u and y from +-0, +-inf, NaN and ordinary values, as (n,) and (R, n)
+        grid = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -2.0]
+        u, y = map(np.array, zip(*itertools.product(grid, [0.0, -0.0, 1.0, -1.0, 2.5])))
+        fam = loss_family(tag)
+        for shaped in (u, np.stack([u, -u])):
+            with np.errstate(invalid="ignore"):
+                ref_value, ref_d1 = separate_formulas(tag, shaped, y)
+                halves = fam.value(shaped, y), fam.d1(shaped, y)
+                fused = fam.value_and_d1(shaped, y)
+            assert same_bits(halves[0], ref_value) and same_bits(halves[1], ref_d1)
+            assert same_bits(fused[0], ref_value) and same_bits(fused[1], ref_d1)
 
     @given(U_SHAPES.flatmap(float_arrays))
     @settings(max_examples=150, deadline=None)
