@@ -22,13 +22,6 @@ from .dynamics import (
     run_ensemble,
 )
 from .objective import Dataset, LossFamily, MinimizerPair, ObjectiveSpec, loss_family
-from .spectral import (
-    DiagonalOperator,
-    KernelSpec,
-    SpectralVector,
-    operator_a,
-    resolvent_s_eta,
-    rkhs_norm,
-)
+from .spectral import KernelSpec, resolvent_scales, rkhs_norm
 
 __version__ = "0.1.0"

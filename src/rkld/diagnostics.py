@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .dynamics import ChainConfig, run_blocks, run_ensemble
 from .objective import MinimizerPair, ObjectiveSpec
-from .spectral import KernelSpec, rkhs_norm
+from .spectral import KernelSpec, resolvent_scales, rkhs_norm
 
 __all__ = [
     "TheoryConstants",
@@ -49,7 +49,7 @@ def ou_stationary_variances(
     kernel: KernelSpec, lam: float, eta: float, beta: float, n_modes: int
 ) -> np.ndarray:
     """Per-mode stationary variance (2 eta / beta) a_k^2 / (1 - a_k^2)."""
-    a = 1.0 / (1.0 + lam * eta / kernel.eigenvalues(n_modes))
+    a = resolvent_scales(kernel, lam, eta, n_modes)
     return (2.0 * eta / beta) * a**2 / (1.0 - a**2)
 
 
@@ -160,7 +160,7 @@ def theory_constants(
     k1, _ = ou_moment_bounds(obj.kernel, cfg.lam, cfg.eta, cfg.beta, cfg.n_modes)
     if regime == "strict":
         rho = (1.0 + cfg.eta * M) / (1.0 + cfg.lam * cfg.eta / mu0)
-        b = minimizers.x_star.norm() + 2.0 * k1 if minimizers.attained else None
+        b = float(np.linalg.norm(minimizers.x_star)) + 2.0 * k1 if minimizers.attained else None
         lam_eta = spectral_gap("strict", cfg.lam, mu0, M, cfg.eta)
         lam_0 = spectral_gap("strict", cfg.lam, mu0, M, 0.0)
         c_beta = 1.0
@@ -508,7 +508,7 @@ def theorem_tail_bound(
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
-    if cfg.x0 is not None and cfg.x0.norm() > 1.0 + 1e-12:
+    if cfg.x0 is not None and np.linalg.norm(cfg.x0) > 1.0 + 1e-12:
         raise ValueError("theorem evaluation requires ||x0|| <= 1")
     if minimizers is None:
         minimizers = obj.find_minimizers(cfg.lam)
@@ -558,7 +558,7 @@ def quadratic_discrete_invariant(obj: ObjectiveSpec, cfg: ChainConfig):
     rhs = phi.T @ obj.dataset.y / obj.dataset.size
     mu = obj.kernel.eigenvalues(n)
     mean = np.linalg.solve(h_data + cfg.lam * np.diag(1.0 / mu), rhs)
-    s = 1.0 / (1.0 + cfg.lam * cfg.eta / mu)
+    s = resolvent_scales(obj.kernel, cfg.lam, cfg.eta, n)
     t_mat = s[:, None] * (np.eye(n) - cfg.eta * h_data)
     q_mat = (2.0 * cfg.eta / cfg.beta) * np.diag(s**2)
     cov = scipy.linalg.solve_discrete_lyapunov(t_mat, q_mat)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objective import ObjectiveSpec
-from .spectral import KernelSpec, SpectralVector, resolvent_scales
+from .spectral import KernelSpec, resolvent_scales
 
 __all__ = [
     "ChainConfig",
@@ -56,7 +56,7 @@ class ChainConfig:
     horizon: int
     minibatch: int | None = None  # None means full batch
     burn_in: int | None = None  # None means 20% of horizon
-    x0: SpectralVector | None = None  # None means the zero vector
+    x0: np.ndarray | None = None  # N+1 coefficients; None means the zero vector
 
     def __post_init__(self):
         if not (self.eta > 0 and math.isfinite(self.eta)):
@@ -75,8 +75,14 @@ class ChainConfig:
             raise ValueError("burn_in must satisfy 0 <= burn_in < horizon")
         if self.minibatch is not None and self.minibatch < 1:
             raise ValueError("minibatch size must be >= 1")
-        if self.x0 is not None and self.x0.n_modes != self.n_modes:
-            raise ValueError("x0 mode count does not match n_modes")
+        if self.x0 is not None:
+            x0 = np.array(self.x0, dtype=float, copy=True)
+            if x0.shape != (self.n_modes,):
+                raise ValueError(f"x0 must have shape ({self.n_modes},), got {x0.shape}")
+            if not np.all(np.isfinite(x0)):
+                raise ValueError("x0 must be finite")
+            x0.setflags(write=False)
+            object.__setattr__(self, "x0", x0)
 
     @property
     def burn_in_steps(self) -> int:
@@ -89,7 +95,7 @@ class ChainConfig:
     def x0_array(self) -> np.ndarray:
         if self.x0 is None:
             return np.zeros(self.n_modes)
-        return np.array(self.x0.coeffs, copy=True)
+        return np.array(self.x0, copy=True)
 
 
 @dataclass

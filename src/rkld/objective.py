@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import KernelSpec, SpectralVector
+from .spectral import KernelSpec
 
 __all__ = [
     "Dataset",
@@ -191,10 +191,11 @@ class MinimizerPair:
 
     ``attained`` is False when the data are separable under a margin loss:
     then inf L = ``l_star`` = 0 is not attained and ``x_star`` is None.
+    The coefficient arrays are read-only.
     """
 
-    x_star: SpectralVector | None
-    x_tilde: SpectralVector
+    x_star: np.ndarray | None
+    x_tilde: np.ndarray
     l_star: float
     l_tilde: float
     attained: bool
@@ -319,8 +320,10 @@ class ObjectiveSpec:
         margin_loss = self.loss.tag in ("logistic", "savage") and self.lambda0 == 0
         x_star = self._newton(np.zeros(self.n_modes), tol, stop_if_separated=margin_loss)
         attained = x_star is not None
+        if attained:
+            x_star.setflags(write=False)
         return MinimizerPair(
-            x_star=SpectralVector(x_star) if attained else None,
+            x_star=x_star,
             x_tilde=x_tilde,
             l_star=float(self.risk_array(x_star)) if attained else 0.0,
             l_tilde=l_tilde,
@@ -328,13 +331,14 @@ class ObjectiveSpec:
             local=self.loss.tag == "savage",
         )
 
-    def regularized_minimizer(self, lam: float, tol: float = 1e-9) -> tuple[SpectralVector, float]:
-        """x~ and L(x~) only; the regularized problem is strongly convex and
-        always has a finite minimizer, unlike the plain risk on separable data."""
+    def regularized_minimizer(self, lam: float, tol: float = 1e-9) -> tuple[np.ndarray, float]:
+        """Read-only x~ and L(x~) only; the regularized problem is strongly convex
+        and always has a finite minimizer, unlike the plain risk on separable data."""
         if lam <= 0:
             raise ValueError("lambda must be positive")
         x_tilde = self._newton(lam / self.kernel.eigenvalues(self.n_modes), tol)
-        return SpectralVector(x_tilde), float(self.risk_array(x_tilde))
+        x_tilde.setflags(write=False)
+        return x_tilde, float(self.risk_array(x_tilde))
 
     def _newton(self, w: np.ndarray, tol: float, stop_if_separated: bool = False):
         """Damped Newton from x = 0 on F(x) = L(x) + x^T diag(w) x / 2.

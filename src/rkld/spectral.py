@@ -1,10 +1,11 @@
-"""Mercer eigenbasis, spectral vectors and the diagonal operators of the scheme.
+"""Mercer eigenbasis, feature map, resolvent scales and the RKHS norm.
 
 Everything lives in the coefficient representation: an element of the
-(N+1)-dimensional Galerkin subspace is its coefficient vector in the cosine
-eigenbasis.  The operators of the scheme (the drift A and the resolvent
-S_eta) are diagonal in this basis, so they are stored as per-mode scale
-vectors and never as dense matrices.
+(N+1)-dimensional Galerkin subspace is its plain float array of N+1
+coefficients in the cosine eigenbasis.  The operators of the scheme (the
+drift A = -lam/mu_k and the resolvent S_eta = 1/(1 + lam eta/mu_k)) are
+diagonal in this basis, so they are per-mode scale arrays that multiply
+coefficient arrays elementwise, never dense matrices.
 """
 
 from __future__ import annotations
@@ -14,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "KernelSpec",
-    "SpectralVector",
-    "DiagonalOperator",
-    "rkhs_norm",
-    "resolvent_s_eta",
-    "operator_a",
-]
+__all__ = ["KernelSpec", "resolvent_scales", "rkhs_norm"]
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -102,9 +96,9 @@ class KernelSpec:
         rows[:, 0] = 1.0
         return rows * self.eigenvalues(n_modes) ** (self.gamma / 2.0)
 
-    def feature_map(self, z: float, n_modes: int) -> "SpectralVector":
+    def feature_map(self, z: float, n_modes: int) -> np.ndarray:
         """psi_gamma(z) truncated to n_modes coefficients."""
-        return SpectralVector(self.feature_matrix(np.array([z]), n_modes)[0])
+        return self.feature_matrix(np.array([z]), n_modes)[0]
 
     def kernel_gamma(self, z: float, z2: float, n_modes: int) -> float:
         """Truncated K_gamma(z, z') = sum_k mu_k^gamma f_k(z) f_k(z')."""
@@ -112,115 +106,20 @@ class KernelSpec:
         return float(np.dot(mu_g * self.basis_row(z, n_modes), self.basis_row(z2, n_modes)))
 
 
-@dataclass(frozen=True)
-class SpectralVector:
-    """Coefficients (alpha_0 ... alpha_N) of an element of H_N in the eigenbasis."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float, copy=True)
-        if c.ndim != 1 or c.size < 1:
-            raise ValueError("coefficients must form a nonempty 1-d vector")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def n_modes(self) -> int:
-        return self.coeffs.size
-
-    def norm(self) -> float:
-        """Plain H-norm, sqrt(sum alpha_k^2)."""
-        return float(np.linalg.norm(self.coeffs))
-
-    def dot(self, other: "SpectralVector") -> float:
-        if other.n_modes != self.n_modes:
-            raise ValueError("mode count mismatch")
-        return float(np.dot(self.coeffs, other.coeffs))
-
-    @classmethod
-    def zeros(cls, n_modes: int) -> "SpectralVector":
-        return cls(np.zeros(n_modes))
-
-    @classmethod
-    def unit(cls, k: int, n_modes: int) -> "SpectralVector":
-        c = np.zeros(n_modes)
-        c[k] = 1.0
-        return cls(c)
-
-    def __add__(self, other: "SpectralVector") -> "SpectralVector":
-        return SpectralVector(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralVector") -> "SpectralVector":
-        return SpectralVector(self.coeffs - other.coeffs)
-
-    def __mul__(self, a: float) -> "SpectralVector":
-        return SpectralVector(self.coeffs * a)
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class DiagonalOperator:
-    """Mode-wise multiplication operator, stored by its scale vector."""
-
-    scale_per_mode: np.ndarray
-    label: str = "identity"
-
-    def __post_init__(self):
-        s = np.array(self.scale_per_mode, dtype=float, copy=True)
-        if s.ndim != 1:
-            raise ValueError("scale vector must be 1-d")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("scale vector must be finite")
-        s.setflags(write=False)
-        object.__setattr__(self, "scale_per_mode", s)
-
-    @property
-    def n_modes(self) -> int:
-        return self.scale_per_mode.size
-
-    @property
-    def operator_norm(self) -> float:
-        return float(np.max(np.abs(self.scale_per_mode)))
-
-    def apply(self, x: SpectralVector) -> SpectralVector:
-        if x.n_modes != self.n_modes:
-            raise ValueError("mode count mismatch")
-        return SpectralVector(self.scale_per_mode * x.coeffs)
-
-    def apply_array(self, a: np.ndarray) -> np.ndarray:
-        return self.scale_per_mode * a
-
-
-def rkhs_norm(x: SpectralVector, spec: KernelSpec) -> float:
-    """RKHS norm (sum alpha_k^2 / mu_k)^(1/2) on the truncated representation."""
-    mu = spec.eigenvalues(x.n_modes)
-    return float(np.sqrt(np.sum(x.coeffs**2 / mu)))
+def rkhs_norm(x: np.ndarray, spec: KernelSpec) -> float:
+    """RKHS norm (sum alpha_k^2 / mu_k)^(1/2) of the coefficient array x."""
+    mu = spec.eigenvalues(x.size)
+    return float(np.sqrt(np.sum(x**2 / mu)))
 
 
 def resolvent_scales(spec: KernelSpec, lam: float, eta: float, n_modes: int) -> np.ndarray:
-    """Per-mode scales 1 / (1 + lam * eta / mu_k) of the resolvent."""
+    """Per-mode scales 1 / (1 + lam * eta / mu_k) of the resolvent S_eta.
+
+    eta = 0 is accepted and gives the identity (the step-size -> 0 limit);
+    negative eta or nonpositive lambda are rejected.
+    """
     if lam <= 0:
         raise ValueError("lambda must be positive")
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     return 1.0 / (1.0 + lam * eta / spec.eigenvalues(n_modes))
-
-
-def resolvent_s_eta(spec: KernelSpec, lam: float, eta: float, n_modes: int) -> DiagonalOperator:
-    """Semi-implicit resolvent of the RKHS regularizer.
-
-    eta = 0 is accepted and returns the identity (the step-size -> 0 limit);
-    negative eta or nonpositive lambda are rejected.
-    """
-    return DiagonalOperator(resolvent_scales(spec, lam, eta, n_modes), label="S_eta")
-
-
-def operator_a(spec: KernelSpec, lam: float, n_modes: int) -> DiagonalOperator:
-    """Drift operator A with A f_k = -(lam / mu_k) f_k."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    return DiagonalOperator(-lam / spec.eigenvalues(n_modes), label="A")

@@ -37,6 +37,25 @@ SEPARABLE_LOGISTIC = (
 )
 
 
+# the `rkld verify` battery, in report order
+VERIFY_PROPERTIES = (
+    "assumption1_eigenvalue_shape",
+    "eigenvalues_positive_nonincreasing",
+    "basis_orthonormality_quadrature",
+    "parseval_identity",
+    "reproducing_identity",
+    "a_negativity",
+    "resolvent_scales_and_norm",
+    "strict_gap_contraction_identity",
+    "gradient_finite_difference",
+    "minibatch_unbiasedness_and_variance",
+    "dissipativity_probe",
+    "determinism_bitwise",
+    "sgld_fullbatch_reduction",
+    "semi_implicit_identity",
+)
+
+
 @pytest.fixture
 def config_file(tmp_path):
     p = tmp_path / "exp.ini"
@@ -117,7 +136,9 @@ class TestVerify:
         console = capsys.readouterr().out
         assert "PASS" in console and "FAIL" not in console
         report = next(tmp_path.glob("*_verify.txt")).read_text()
-        assert report.count("PASS") >= 10
+        lines = report.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name in VERIFY_PROPERTIES]
+        assert console.splitlines() == lines + ["14/14 properties passed"]
 
     def test_passes_on_separable_strict_logistic_config(self, tmp_path, capsys):
         cfg = tmp_path / "logistic.ini"

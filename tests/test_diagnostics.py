@@ -24,7 +24,7 @@ from rkld.diagnostics import (
 )
 from rkld.dynamics import ChainConfig, run_chain
 from rkld.objective import Dataset, ObjectiveSpec, loss_family
-from rkld.spectral import KernelSpec, SpectralVector
+from rkld.spectral import KernelSpec
 
 
 def make_objective(n_modes=6, loss="squared", gamma=1.5, n=8, seed=5, kind="regression"):
@@ -96,8 +96,8 @@ class TestClosedForms:
     def test_sigmoid_statistic(self):
         # the engine's phi column at step 0 is sigma(L(x0) - l_star)
         obj = make_objective()
-        x = SpectralVector.zeros(6)
-        l0 = float(obj.risk_array(x.coeffs))
+        x = np.zeros(6)
+        l0 = float(obj.risk_array(x))
         cfg = ChainConfig(eta=0.05, beta=4.0, lam=1.0, n_modes=6, seed=1, horizon=1, x0=x)
         assert run_chain(cfg, obj, l_star=l0).phi[0] == 0.0
         assert run_chain(cfg, obj, l_star=l0 - 1.0).phi[0] == pytest.approx(0.2310585786, abs=1e-9)
@@ -118,7 +118,7 @@ class TestTheoryConstants:
         assert c.lambda_0 == pytest.approx(3.0 * M, rel=1e-12)
         assert c.gibbs_bound > 0
         pair = obj.find_minimizers(cfg.lam)
-        assert c.b == pytest.approx(pair.x_star.norm() + 2.0 * c.k1, rel=1e-12)
+        assert c.b == pytest.approx(np.linalg.norm(pair.x_star) + 2.0 * c.k1, rel=1e-12)
 
     def test_strict_regime_without_x_star(self):
         obj = make_objective(loss="logistic", kind="classification", n_modes=8)
@@ -269,7 +269,7 @@ class TestEstimators:
             n_modes=6,
             seed=3,
             horizon=100,
-            x0=SpectralVector(np.full(6, 2.0)),
+            x0=np.full(6, 2.0),
         )
         with pytest.raises(ValueError):
             theorem_tail_bound(cfg, obj, delta=0.2, checkpoints=[10], replicas=4)
@@ -285,7 +285,7 @@ class TestQuadraticOracle:
         obj, cfg = self._setup()
         mean, cov, _ = quadratic_discrete_invariant(obj, cfg)
         x_tilde, _ = obj.regularized_minimizer(cfg.lam)
-        assert np.max(np.abs(mean - x_tilde.coeffs)) < 1e-12
+        assert np.max(np.abs(mean - x_tilde)) < 1e-12
 
     def test_covariance_solves_fixed_point(self):
         obj, cfg = self._setup()

@@ -20,7 +20,7 @@ from rkld.dynamics import (
     sigmoid_gap,
 )
 from rkld.objective import Dataset, ObjectiveSpec, loss_family
-from rkld.spectral import KernelSpec, SpectralVector, resolvent_scales
+from rkld.spectral import KernelSpec, resolvent_scales
 
 
 def make_objective(n_modes=6, loss="squared", gamma=1.5, n=8, seed=5, lambda0=0.0):
@@ -53,7 +53,30 @@ class TestChainConfig:
 
     def test_x0_dimension_checked(self):
         with pytest.raises(ValueError):
-            make_cfg(x0=SpectralVector.zeros(3))
+            make_cfg(x0=np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "x0",
+        [np.zeros(5), np.zeros(7), np.zeros((1, 6)), np.zeros((6, 1)), np.zeros(()), [0.0] * 5,
+         np.array([0.0, 1.0, np.nan, 0.0, 0.0, 0.0]), np.full(6, np.inf), np.array([1.0, -np.inf, 0, 0, 0, 0])],
+        ids=["short", "long", "row", "column", "scalar", "short-list", "nan", "inf", "neg-inf"],
+    )
+    def test_x0_rejects_wrong_shape_or_non_finite(self, x0):
+        with pytest.raises(ValueError, match="x0 must"):
+            make_cfg(x0=x0)
+
+    def test_x0_is_a_read_only_copy(self):
+        obj = make_objective()
+        start = np.linspace(-1.0, 1.0, 6)
+        expect = run_chain(make_cfg(x0=start.copy()), obj).norm
+        cfg = make_cfg(x0=start)
+        start[:] = 5.0
+        assert cfg.x0.dtype == float and not cfg.x0.flags.writeable
+        assert np.array_equal(cfg.x0, np.linspace(-1.0, 1.0, 6))
+        with pytest.raises(ValueError):
+            cfg.x0[0] = 0.0
+        assert np.array_equal(run_chain(cfg, obj).norm, expect)
+        assert np.array_equal(make_cfg(x0=[0, 1, 2, 3, 4, 5]).x0, np.arange(6.0))
 
 
 class TestSigmoidGap:
@@ -131,8 +154,8 @@ class TestCoupledRun:
         lam = 4.0 * M * obj.kernel.mu0
         cfg = make_cfg(lam=lam, eta=0.01, horizon=500, burn_in=0)
         rng = np.random.default_rng(0)
-        x0s = (SpectralVector(rng.standard_normal(6)), SpectralVector(rng.standard_normal(6)))
-        paths = [[x0.coeffs] for x0 in x0s]
+        x0s = (rng.standard_normal(6), rng.standard_normal(6))
+        paths = [[x0] for x0 in x0s]
         # one block per start on one chain id: the shared noise cancels in the difference
         run_blocks(
             [

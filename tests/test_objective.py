@@ -19,7 +19,7 @@ from rkld.objective import (
     loss_family,
 )
 from rkld.dynamics import ChainConfig, run_chain
-from rkld.spectral import KernelSpec, SpectralVector, rkhs_norm
+from rkld.spectral import KernelSpec, rkhs_norm
 
 
 def two_point_objective(loss, gamma=1.5, n_modes=8, lambda0=0.0):
@@ -234,11 +234,12 @@ class TestRiskAndGradient:
     def test_regularized_risk_uses_rkhs_norm(self):
         # the engine's reg_objective column is L(x) + (lam/2) ||x||_HK^2
         obj = two_point_objective(SQUARED)
-        x = SpectralVector.unit(2, 8)
+        x = np.zeros(8)
+        x[2] = 1.0
         cfg = ChainConfig(eta=0.05, beta=4.0, lam=2.0, n_modes=8, seed=1, horizon=1, x0=x)
         reg = run_chain(cfg, obj).reg_objective[0]
-        assert reg == pytest.approx(obj.risk_array(x.coeffs) + 0.5 * 2.0 * 9.0, rel=1e-14)
-        assert reg == pytest.approx(obj.risk_array(x.coeffs) + 0.5 * 2.0 * rkhs_norm(x, obj.kernel) ** 2)
+        assert reg == pytest.approx(obj.risk_array(x) + 0.5 * 2.0 * 9.0, rel=1e-14)
+        assert reg == pytest.approx(obj.risk_array(x) + 0.5 * 2.0 * rkhs_norm(x, obj.kernel) ** 2)
 
 
 class TestMinibatch:
@@ -303,7 +304,7 @@ class TestConstants:
         grad0 = obj.grad_array(np.zeros(8))
         assert c == pytest.approx(float(grad0 @ grad0) / (2.0 * M), rel=1e-12)
         # never larger than the Young split around x*, since ||grad L(0)|| <= M ||x*||
-        x_star = obj.find_minimizers(2.0 * M).x_star.norm()
+        x_star = np.linalg.norm(obj.find_minimizers(2.0 * M).x_star)
         assert c <= M**2 * x_star**2 / (2.0 * M)
 
     def test_dissipativity_bounded(self):
@@ -328,9 +329,9 @@ class TestMinimizers:
         ds = Dataset.synthesize(12, seed=4)
         obj = ObjectiveSpec(ds, SQUARED, KernelSpec(), 10)
         pair = obj.find_minimizers(1.5)
-        assert np.max(np.abs(obj.grad_array(pair.x_star.coeffs))) < 1e-9
+        assert np.max(np.abs(obj.grad_array(pair.x_star))) < 1e-9
         mu = obj.kernel.eigenvalues(10)
-        res = obj.grad_array(pair.x_tilde.coeffs) + 1.5 * pair.x_tilde.coeffs / mu
+        res = obj.grad_array(pair.x_tilde) + 1.5 * pair.x_tilde / mu
         assert np.max(np.abs(res)) < 1e-9
         assert pair.l_tilde >= pair.l_star - 1e-12
         assert not pair.local
@@ -341,9 +342,9 @@ class TestMinimizers:
         obj = ObjectiveSpec(ds, loss, KernelSpec(), 8)
         x_tilde, l_tilde = obj.regularized_minimizer(1.0)
         mu = obj.kernel.eigenvalues(8)
-        res = obj.grad_array(x_tilde.coeffs) + x_tilde.coeffs / mu
+        res = obj.grad_array(x_tilde) + x_tilde / mu
         assert np.linalg.norm(res) < 1e-9
-        assert l_tilde == pytest.approx(obj.risk_array(x_tilde.coeffs), abs=1e-15)
+        assert l_tilde == pytest.approx(obj.risk_array(x_tilde), abs=1e-15)
 
     def test_logistic_regularized_stationarity(self):
         self._check_regularized_stationarity(LOGISTIC)
@@ -355,7 +356,7 @@ class TestMinimizers:
         ds = Dataset.synthesize(12, seed=4)
         obj = ObjectiveSpec(ds, SQUARED, KernelSpec(), 10)
         x_tilde, _ = obj.regularized_minimizer(1e6)
-        assert x_tilde.norm() < 1e-3
+        assert np.linalg.norm(x_tilde) < 1e-3
 
     def test_minimizer_matches_regularized_minimizer(self):
         base = Dataset.synthesize(10, seed=6, kind="classification")
@@ -364,10 +365,23 @@ class TestMinimizers:
         obj = ObjectiveSpec(Dataset(base.z, y), LOGISTIC, KernelSpec(), 4)
         pair = obj.find_minimizers(1.0, tol=1e-7)
         x_tilde, _ = obj.regularized_minimizer(1.0, tol=1e-7)
-        assert np.max(np.abs(pair.x_tilde.coeffs - x_tilde.coeffs)) < 1e-6
+        assert np.max(np.abs(pair.x_tilde - x_tilde)) < 1e-6
         assert pair.attained
-        assert np.linalg.norm(obj.grad_array(pair.x_star.coeffs)) < 1e-7
+        assert np.linalg.norm(obj.grad_array(pair.x_star)) < 1e-7
         assert pair.l_star == pytest.approx(0.497491, abs=1e-6)
+
+    @pytest.mark.parametrize("which", ["x_star", "x_tilde", "regularized_minimizer"])
+    def test_minimizers_are_read_only(self, which):
+        ds = Dataset.synthesize(12, seed=4)
+        obj = ObjectiveSpec(ds, SQUARED, KernelSpec(), 10)
+        if which == "regularized_minimizer":
+            x = obj.regularized_minimizer(1.5)[0]
+        else:
+            x = getattr(obj.find_minimizers(1.5), which)
+        with pytest.raises(ValueError):
+            x[0] = 1.0
+        with pytest.raises(ValueError):
+            x += 1.0
 
     @pytest.mark.parametrize("loss", [LOGISTIC, SAVAGE])
     def test_separable_data_infimum_not_attained(self, loss):
@@ -384,7 +398,7 @@ class TestMinimizers:
         pair = obj.find_minimizers(1.0)
         assert pair.attained
         expected = np.linalg.pinv(obj.features) @ ds.y
-        assert np.max(np.abs(pair.x_star.coeffs - expected)) < 1e-10
+        assert np.max(np.abs(pair.x_star - expected)) < 1e-10
 
     def test_negative_curvature_stationary_point_rejected(self):
         class Cosine(LossFamily):

@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rkld.spectral import (
-    DiagonalOperator,
-    KernelSpec,
-    SpectralVector,
-    operator_a,
-    resolvent_s_eta,
-    rkhs_norm,
-)
+from rkld.spectral import KernelSpec, resolvent_scales, rkhs_norm
 
 KERNEL = KernelSpec()
 
@@ -70,17 +63,17 @@ class TestFeatureMap:
         z = 0.3
         psi = KernelSpec(gamma=0.0).feature_map(z, 4)
         expect = [KERNEL.basis_eval(k, z) for k in range(4)]
-        assert np.allclose(psi.coeffs, expect, atol=1e-15)
+        assert np.allclose(psi, expect, atol=1e-15)
 
     def test_gamma_two_at_origin(self):
         psi = KernelSpec(gamma=2.0).feature_map(0.0, 3)
         expect = np.array([1.0, math.sqrt(2.0) / 4.0, math.sqrt(2.0) / 9.0])
-        assert np.allclose(psi.coeffs, expect, atol=1e-15)
+        assert np.allclose(psi, expect, atol=1e-15)
 
     def test_norm_equals_kernel_diagonal(self):
         for z in (0.0, 0.21, 0.77, 1.0):
             psi = KERNEL.feature_map(z, 17)
-            assert psi.norm() ** 2 == pytest.approx(KERNEL.kernel_gamma(z, z, 17), rel=1e-13)
+            assert float(np.linalg.norm(psi)) ** 2 == pytest.approx(KERNEL.kernel_gamma(z, z, 17), rel=1e-13)
 
     @given(
         hnp.arrays(np.float64, st.integers(1, 30), elements=st.floats(0.0, 1.0)),
@@ -119,90 +112,51 @@ class TestKernelGamma:
 
 class TestNorms:
     def test_zero_vector(self):
-        assert SpectralVector(np.zeros(5)).norm() == 0.0
-        assert rkhs_norm(SpectralVector(np.zeros(5)), KERNEL) == 0.0
+        assert rkhs_norm(np.zeros(5), KERNEL) == 0.0
 
     def test_rkhs_norm_single_modes(self):
-        assert rkhs_norm(SpectralVector(np.array([1.0])), KERNEL) == pytest.approx(1.0)
-        e2 = SpectralVector(np.array([0.0, 0.0, 1.0]))
+        assert rkhs_norm(np.array([1.0]), KERNEL) == pytest.approx(1.0)
+        e2 = np.array([0.0, 0.0, 1.0])
         assert rkhs_norm(e2, KERNEL) == pytest.approx(3.0, abs=1e-12)
 
     @given(finite_coeffs)
     def test_rkhs_dominates_h_norm(self, coeffs):
-        x = SpectralVector(coeffs)
-        assert rkhs_norm(x, KERNEL) >= (x.norm() / math.sqrt(KERNEL.mu0)) * (1.0 - 1e-12)
-
-    @given(finite_coeffs)
-    @settings(max_examples=50)
-    def test_parseval(self, coeffs):
-        x = SpectralVector(coeffs)
-        assert x.norm() ** 2 == pytest.approx(float(np.sum(coeffs**2)), rel=1e-12, abs=1e-12)
+        assert rkhs_norm(coeffs, KERNEL) >= (np.linalg.norm(coeffs) / math.sqrt(KERNEL.mu0)) * (1.0 - 1e-12)
 
 
 class TestResolvent:
     def test_eta_zero_is_identity(self):
-        op = resolvent_s_eta(KERNEL, 1.0, 0.0, 5)
-        assert np.allclose(op.scale_per_mode, 1.0)
+        s = resolvent_scales(KERNEL, 1.0, 0.0, 5)
+        assert np.allclose(s, 1.0)
 
     def test_mode_scales(self):
-        op = resolvent_s_eta(KERNEL, 1.0, 0.5, 2)
-        assert op.scale_per_mode[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert op.scale_per_mode[1] == pytest.approx(1.0 / 3.0, abs=1e-15)
+        s = resolvent_scales(KERNEL, 1.0, 0.5, 2)
+        assert s[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert s[1] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_operator_norm(self):
         for lam in (0.5, 1.0, 4.0):
             for eta in (0.01, 0.1, 1.0):
-                op = resolvent_s_eta(KERNEL, lam, eta, 9)
-                assert op.operator_norm == pytest.approx(
-                    1.0 / (1.0 + lam * eta / KERNEL.mu0), abs=1e-15
-                )
-                assert np.all(op.scale_per_mode > 0)
-                assert np.all(op.scale_per_mode <= op.operator_norm)
+                s = resolvent_scales(KERNEL, lam, eta, 9)
+                norm = np.max(np.abs(s))
+                assert norm == pytest.approx(1.0 / (1.0 + lam * eta / KERNEL.mu0), abs=1e-15)
+                assert np.all(s > 0)
+                assert np.all(s <= norm)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            resolvent_s_eta(KERNEL, 0.0, 0.1, 3)
+            resolvent_scales(KERNEL, 0.0, 0.1, 3)
         with pytest.raises(ValueError):
-            resolvent_s_eta(KERNEL, 1.0, -0.1, 3)
-
-
-class TestOperatorA:
-    def test_mode_scales_negative(self):
-        op = operator_a(KERNEL, 2.0, 4)
-        mu = KERNEL.eigenvalues(4)
-        assert np.allclose(op.scale_per_mode, -2.0 / mu, atol=1e-15)
-        assert np.all(op.scale_per_mode < 0)
-
-    @given(finite_coeffs)
-    @settings(max_examples=50)
-    def test_negativity_inequality(self, coeffs):
-        x = SpectralVector(coeffs)
-        lam = 1.5
-        op = operator_a(KERNEL, lam, x.n_modes)
-        lhs = op.apply(x).dot(x)
-        bound = -(lam / KERNEL.mu0) * x.norm() ** 2
-        assert lhs <= bound + 1e-9 * (1.0 + abs(bound))
+            resolvent_scales(KERNEL, 1.0, -0.1, 3)
 
 
 class TestReproducingIdentity:
     def test_inner_product_matches_expansion(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            x = SpectralVector(rng.standard_normal(25))
+            x = rng.standard_normal(25)
             z = rng.uniform(0.0, 1.0)
             psi = KERNEL.feature_map(z, 25)
             mu = KERNEL.eigenvalues(25)
-            direct = float(np.sum(mu ** (KERNEL.gamma / 2.0) * x.coeffs * KERNEL.basis_row(z, 25)))
-            assert abs(x.dot(psi) - direct) < 1e-12
-
-
-class TestDiagonalOperator:
-    def test_apply_is_mode_wise(self):
-        op = DiagonalOperator(np.array([2.0, -1.0, 0.5]), "test")
-        x = SpectralVector(np.array([1.0, 4.0, 8.0]))
-        assert np.array_equal(op.apply(x).coeffs, np.array([2.0, -4.0, 4.0]))
-
-    def test_identity(self):
-        op = DiagonalOperator(np.ones(4))
-        x = SpectralVector(np.array([3.0, -1.0, 0.0, 2.0]))
-        assert np.array_equal(op.apply(x).coeffs, x.coeffs)
+            direct = float(np.sum(mu ** (KERNEL.gamma / 2.0) * x * KERNEL.basis_row(z, 25)))
+            assert abs(float(np.dot(x, psi)) - direct) < 1e-12
