@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import ChainConfig, run_blocks, run_ensemble
 from .objective import MinimizerPair, ObjectiveSpec
@@ -549,7 +548,13 @@ def theorem_tail_bound(
 def quadratic_discrete_invariant(obj: ObjectiveSpec, cfg: ChainConfig):
     """Exact invariant Gaussian (mean, covariance) of the semi-implicit chain
     for the squared loss.  The mean equals the regularized minimizer for
-    every step size; the covariance solves the discrete Lyapunov equation."""
+    every step size; the covariance solves the discrete Lyapunov equation
+    C = T C T^T + Q with T = S (I - eta H) and Q = (2 eta / beta) S^2.
+
+    With D = S^(1/2), T = D M D^-1 for the symmetric M = D (I - eta H) D, so
+    one eigendecomposition M = V diag(l) V^T gives C = (D V) Y (D V)^T with
+    Y_ij = (V^T (2 eta / beta) S V)_ij / (1 - l_i l_j).  Raises ValueError
+    when the spectral radius max |l_i| of T is >= 1 (no invariant law)."""
     if obj.loss.tag != "squared":
         raise ValueError("exact invariant law available for the squared loss only")
     n = obj.n_modes
@@ -559,9 +564,16 @@ def quadratic_discrete_invariant(obj: ObjectiveSpec, cfg: ChainConfig):
     mu = obj.kernel.eigenvalues(n)
     mean = np.linalg.solve(h_data + cfg.lam * np.diag(1.0 / mu), rhs)
     s = resolvent_scales(obj.kernel, cfg.lam, cfg.eta, n)
-    t_mat = s[:, None] * (np.eye(n) - cfg.eta * h_data)
-    q_mat = (2.0 * cfg.eta / cfg.beta) * np.diag(s**2)
-    cov = scipy.linalg.solve_discrete_lyapunov(t_mat, q_mat)
+    d = np.sqrt(s)
+    lam_t, v = np.linalg.eigh(d[:, None] * (np.eye(n) - cfg.eta * h_data) * d)
+    rho = float(np.max(np.abs(lam_t)))
+    if rho >= 1.0:
+        raise ValueError(
+            f"the chain has no invariant law: spectral radius of T = S(I - eta H) is {rho:.6g} >= 1"
+        )
+    y = (2.0 * cfg.eta / cfg.beta) * ((v.T * s) @ v) / (1.0 - np.outer(lam_t, lam_t))
+    dv = d[:, None] * v
+    cov = dv @ y @ dv.T
     return mean, cov, h_data
 
 

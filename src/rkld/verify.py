@@ -48,24 +48,35 @@ def check_eigenvalues_monotone(kernel: KernelSpec, k_max: int = 64) -> PropertyR
     return _result("eigenvalues_positive_nonincreasing", ok, f"mu_0={mu[0]:.4g}, mu_{k_max}={mu[-1]:.4g}")
 
 
-def check_orthonormality(kernel: KernelSpec, k_max: int = 16, n_quad: int = 2048) -> PropertyResult:
+def _trapezoid_basis(kernel: KernelSpec, n_modes: int):
+    """Rows f_k(z_j) for k < n_modes on 2049 equispaced points of [0, 1], and
+    the trapezoid-rule weights of those points."""
+    n_quad = 2048
     z = np.linspace(0.0, 1.0, n_quad + 1)
-    rows = np.stack([kernel.basis_eval(k, z) for k in range(k_max + 1)])
+    rows = np.stack([kernel.basis_eval(k, z) for k in range(n_modes)])
     w = np.full(n_quad + 1, 1.0 / n_quad)
     w[0] *= 0.5
     w[-1] *= 0.5
+    return rows, w
+
+
+def check_orthonormality(kernel: KernelSpec, k_max: int = 16) -> PropertyResult:
+    rows, w = _trapezoid_basis(kernel, k_max + 1)
     gram = (rows * w) @ rows.T
     err = np.max(np.abs(gram - np.eye(k_max + 1)))
     return _result("basis_orthonormality_quadrature", err < 1e-6, f"max |gram - I| = {err:.3g}")
 
 
 def check_parseval(kernel: KernelSpec, seed: int) -> PropertyResult:
+    """||c||^2 against a quadrature of the squared function sum_k c_k f_k."""
+    rows, w = _trapezoid_basis(kernel, 40)
     rng = make_rng(seed, 0, 99)
     worst = 0.0
     for _ in range(20):
         c = rng.standard_normal(40)
-        worst = max(worst, abs(float(np.linalg.norm(c)) ** 2 - float(np.sum(c**2))))
-    return _result("parseval_identity", worst < 1e-12, f"max deviation {worst:.3g}")
+        norm2 = float(c @ c)
+        worst = max(worst, abs(float(w @ (c @ rows) ** 2) - norm2) / norm2)
+    return _result("parseval_identity", worst < 1e-12, f"max relative deviation {worst:.3g}")
 
 
 def check_reproducing_identity(kernel: KernelSpec, seed: int) -> PropertyResult:

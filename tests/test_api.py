@@ -1,8 +1,8 @@
 """The public surface: every exported name exists.
 
 Catches dangling entries in a module's __all__ or in the package's
-re-exports after code is deleted or renamed, and a heavy import reaching
-the CLI's start-up.
+re-exports after code is deleted or renamed, a heavy import reaching the
+CLI's start-up, and a third-party import missing from pyproject.toml.
 """
 
 import ast
@@ -10,6 +10,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,11 +55,27 @@ def test_package_reexports_exist():
         assert getattr(rkld, name) is getattr(source, name), f"rkld.{name}"
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    # scipy.optimize alone costs about 20 MB of RSS and a quarter second of
-    # start-up; a fresh interpreter shows what `import rkld.cli` pulls in
+def test_cli_import_loads_no_scipy():
+    # scipy.linalg alone added 24 MB of RSS and 0.3 s to `import rkld.cli`
+    # (2 cores, scipy 1.17); a fresh interpreter shows what the CLI pulls in
     src = str(Path(rkld.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, rkld.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    probe = "import sys, rkld, rkld.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_third_party_imports_are_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(rkld.__file__).resolve().parent
+    imported = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"rkld"}
+    pyproject = tomllib.loads((package.parent.parent / "pyproject.toml").read_text())
+    declared = {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0] for dep in pyproject["project"]["dependencies"]}
+    assert third_party == declared

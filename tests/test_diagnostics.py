@@ -315,6 +315,26 @@ class TestQuadraticOracle:
         out = gibbs_gap_empirical(cfg, obj, replicas=8)
         assert abs(out["gap"] - quadratic_gibbs_gap_exact(obj, cfg)) <= 3.0 * out["se"]
 
+    @pytest.mark.parametrize("n_modes", [6, 12])
+    @pytest.mark.parametrize("lambda0", [0.0, 0.5])
+    def test_covariance_matches_kronecker_solve(self, n_modes, lambda0):
+        # independent reference: (I - T (x) T) vec C = vec Q as one dense solve
+        ds = Dataset.synthesize(8, seed=5)
+        obj = ObjectiveSpec(ds, loss_family("squared"), KernelSpec(), n_modes, lambda0=lambda0)
+        cfg = ChainConfig(eta=0.05, beta=4.0, lam=2.0, n_modes=n_modes, seed=9, horizon=100)
+        _, cov, h = quadratic_discrete_invariant(obj, cfg)
+        s = 1.0 / (1.0 + cfg.lam * cfg.eta / obj.kernel.eigenvalues(n_modes))
+        t = s[:, None] * (np.eye(n_modes) - cfg.eta * h)
+        q = (2.0 * cfg.eta / cfg.beta) * np.diag(s**2)
+        vec_c = np.linalg.solve(np.eye(n_modes**2) - np.kron(t, t), q.reshape(-1))
+        assert np.max(np.abs(cov - vec_c.reshape(n_modes, n_modes))) < 1e-12
+
+    def test_rejects_unstable_chain(self):
+        obj = make_objective(n_modes=6)
+        cfg = ChainConfig(eta=50.0, beta=50.0, lam=1e-3, n_modes=6, seed=9, horizon=100)
+        with pytest.raises(ValueError, match="spectral radius"):
+            quadratic_discrete_invariant(obj, cfg)
+
     def test_rejects_non_quadratic(self):
         obj = make_objective(loss="logistic")
         cfg = ChainConfig(eta=0.05, beta=4.0, lam=2.0, n_modes=6, seed=9, horizon=100)

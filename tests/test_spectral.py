@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rkld.spectral import KernelSpec, resolvent_scales, rkhs_norm
+from rkld.verify import check_parseval
 
 KERNEL = KernelSpec()
 
@@ -160,3 +161,20 @@ class TestReproducingIdentity:
             mu = KERNEL.eigenvalues(25)
             direct = float(np.sum(mu ** (KERNEL.gamma / 2.0) * x * KERNEL.basis_row(z, 25)))
             assert abs(float(np.dot(x, psi)) - direct) < 1e-12
+
+
+class _CosineWithoutSqrt2(KernelSpec):
+    """f_k = cos(pi k z): orthogonal but not normalized for k >= 1."""
+
+    def basis_eval(self, k, z):
+        z = np.asarray(z, dtype=float)
+        return np.ones_like(z) if k == 0 else np.cos(math.pi * k * z)
+
+
+class TestParsevalCheck:
+    # the cosine basis passes in tests/test_cli.py::TestVerify
+    def test_fails_without_sqrt2(self):
+        # ||f_k||^2 = 1/2 for k >= 1, so the quadrature misses about half of ||c||^2
+        result = check_parseval(_CosineWithoutSqrt2(), seed=7)
+        assert not result.passed
+        assert float(result.detail.split()[-1]) > 0.4
