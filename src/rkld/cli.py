@@ -62,8 +62,6 @@ def _fmt(v):
 
 
 def _load_experiment(args) -> ExperimentConfig:
-    if not args.config:
-        raise ConfigError("--config PATH is required")
     return ExperimentConfig.load(args.config, seed_override=args.seed)
 
 
@@ -183,6 +181,13 @@ def _fit_verdict(fit: RateFit, label: str, expected: tuple[float, float]) -> tup
     ), True
 
 
+def _nonincreasing_within_3se(values, ses) -> bool:
+    """Each value is at most its predecessor plus 3 combined standard errors."""
+    return all(
+        values[i + 1] <= values[i] + 3.0 * math.hypot(ses[i], ses[i + 1]) for i in range(len(values) - 1)
+    )
+
+
 def _sweep_eta(exp: ExperimentConfig):
     _require(exp.eta_grid is not None and len(exp.eta_grid) >= 4, "eta sweep needs eta_grid with >= 4 points")
     _require(exp.eta_ref is not None, "eta sweep needs eta_ref")
@@ -232,11 +237,7 @@ def _sweep_beta(exp: ExperimentConfig):
         for beta, r in zip(betas, results)
     ]
     conclusive = exp.replicas >= 2 and not any(r["inconclusive"] for r in results)
-    gaps = [r["gap"] for r in results]
-    ses = [r["se"] for r in results]
-    monotone = all(
-        gaps[i + 1] <= gaps[i] + 3.0 * math.hypot(ses[i], ses[i + 1]) for i in range(len(gaps) - 1)
-    )
+    monotone = _nonincreasing_within_3se([r["gap"] for r in results], [r["se"] for r in results])
     bounded = all(r["passes_bound"] for r in results)
     if exp.replicas < 2:
         verdict = "INCONCLUSIVE gibbs gap vs beta: need >= 2 replicas for error bars"
@@ -270,14 +271,8 @@ def _sweep_minibatch(exp: ExperimentConfig):
         checks.append(("full-batch discrepancy exactly 0", results[-1]["discrepancy"] == 0.0))
     budgets = [r["bound_shape"] for r in results]
     checks.append(("closed-form budget nonincreasing in m", all(np.diff(budgets) <= 1e-15)))
-    discs = [r["discrepancy"] for r in results]
-    ses = [r["se"] for r in results]
-    checks.append(
-        (
-            "discrepancy nonincreasing within 3 sigma",
-            all(discs[i + 1] <= discs[i] + 3.0 * math.hypot(ses[i], ses[i + 1]) for i in range(len(discs) - 1)),
-        )
-    )
+    discs, ses = [r["discrepancy"] for r in results], [r["se"] for r in results]
+    checks.append(("discrepancy nonincreasing within 3 sigma", _nonincreasing_within_3se(discs, ses)))
     if not conclusive:
         verdict = "INCONCLUSIVE sgld discrepancy vs m: need >= 2 replicas for error bars"
     else:
@@ -393,9 +388,6 @@ def _empirical_section(manifest: Manifest) -> list[str]:
 
 
 def cmd_report(args) -> int:
-    if not args.manifest:
-        print("report requires --manifest PATH", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         manifest = Manifest.load(args.manifest)
     except (OSError, json.JSONDecodeError, KeyError) as exc:
@@ -458,19 +450,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rkld", description="Langevin dynamics in a spectral RKHS")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", help="experiment config file", required=config_required)
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="output directory (default: $RKLD_OUT or .)")
-
-    common(sub.add_parser("run", help="simulate one chain and write its trajectory"))
-    common(sub.add_parser("verify", help="run the closed-form property suite"))
+    run = sub.add_parser("run", help="simulate one chain and write its trajectory")
+    verify = sub.add_parser("verify", help="run the closed-form property suite")
     sweep = sub.add_parser("sweep", help="rate experiment along one axis")
     sweep.add_argument("--axis", choices=sorted(_SWEEPS), required=True)
-    common(sweep)
     report = sub.add_parser("report", help="consolidate a manifest into text + CSV bundle")
     report.add_argument("--manifest", required=True, help="manifest JSON from a previous command")
-    common(report, config_required=False)
+    for p in (run, verify, sweep):
+        p.add_argument("--config", help="experiment config file", required=True)
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    for p in (run, verify, sweep, report):
+        p.add_argument("--out", default=None, help="output directory (default: $RKLD_OUT or .)")
     return parser
 
 

@@ -67,7 +67,6 @@ def spectral_gap(
     mu0: float,
     M: float,
     eta: float,
-    beta: float | None = None,
     b: float | None = None,
     delta: float | None = None,
 ) -> float:
@@ -167,8 +166,8 @@ def theory_constants(
         rho = 1.0 / (1.0 + cfg.lam * cfg.eta / mu0)
         b = (mu0 / cfg.lam) * B + k1
         if delta is not None:
-            lam_eta = spectral_gap("bounded", cfg.lam, mu0, M, cfg.eta, cfg.beta, b=b, delta=delta)
-            lam_0 = spectral_gap("bounded", cfg.lam, mu0, M, 0.0, cfg.beta, b=b, delta=delta)
+            lam_eta = spectral_gap("bounded", cfg.lam, mu0, M, cfg.eta, b=b, delta=delta)
+            lam_0 = spectral_gap("bounded", cfg.lam, mu0, M, 0.0, b=b, delta=delta)
         else:
             lam_eta = None
             lam_0 = None
@@ -214,12 +213,15 @@ class RateFit:
         return (self.slope - 2.0 * self.slope_se, self.slope + 2.0 * self.slope_se)
 
 
-def fit_loglog(abscissae, ordinates, ordinate_errors=None, min_points: int = 4) -> RateFit:
+_MIN_FIT_POINTS = 4  # usable points below which a log-log slope says nothing
+
+
+def fit_loglog(abscissae, ordinates, ordinate_errors=None) -> RateFit:
     """Weighted least squares of log(ordinate) on log(abscissa).
 
     Points whose error bar covers half the ordinate are unusable (the sign of
     log-error would be MC noise); the fit is inconclusive when fewer than
-    min_points survive, when MC noise exceeds half the smallest ordinate gap,
+    _MIN_FIT_POINTS survive, when MC noise exceeds half the smallest ordinate gap,
     or when the slope's own standard error exceeds 0.5 (a two-sigma interval
     wider than a full unit of slope says nothing).
     """
@@ -228,8 +230,8 @@ def fit_loglog(abscissae, ordinates, ordinate_errors=None, min_points: int = 4) 
     err = np.zeros_like(y) if ordinate_errors is None else np.asarray(ordinate_errors, dtype=float)
     usable = (y > 0) & (err < 0.5 * y)
     fit = RateFit(x, y, err, math.nan, math.nan, math.nan, inconclusive=True)
-    if np.count_nonzero(usable) < min_points:
-        fit.reason = f"only {np.count_nonzero(usable)} usable points, need {min_points}"
+    if np.count_nonzero(usable) < _MIN_FIT_POINTS:
+        fit.reason = f"only {np.count_nonzero(usable)} usable points, need {_MIN_FIT_POINTS}"
         return fit
     gaps = np.abs(np.diff(np.sort(y[usable])))
     if gaps.size and np.max(err[usable]) > 0.5 * np.min(gaps[gaps > 0], initial=np.inf):
@@ -294,7 +296,6 @@ def weak_error_vs_eta(
     eta_ref: float,
     l_star: float,
     replicas: int = 8,
-    horizon: int | None = None,
 ) -> RateFit:
     """Invariant-law weak error against step size, by matched-seed Cesaro tails.
 
@@ -306,10 +307,9 @@ def weak_error_vs_eta(
     etas = sorted(etas)
     if eta_ref > min(etas) / 8.0:
         raise ValueError("reference step size must be at most min(etas)/8")
-    horizon = horizon if horizon is not None else cfg_base.horizon
     ids = list(range(replicas))
     blocks = [
-        (replace(cfg_base, eta=eta, horizon=horizon, burn_in=None), obj, chain_ids, ())
+        (replace(cfg_base, eta=eta, burn_in=None), obj, chain_ids, ())
         for eta, chain_ids in [(eta_ref, [2_000_000 + r for r in ids])] + [(eta, ids) for eta in etas]
     ]
     (ref, ref_se), *points = [_replica_mean_se(t) for t in _phi_tails(run_blocks(blocks, l_star=l_star))]
@@ -350,13 +350,17 @@ def galerkin_error_vs_n(
         for n_modes, obj in [(n_ref + 1, obj_ref)] + [(n + 1, make_objective(n + 1)) for n in n_list]
     ]
     ref_tails, *tails = _phi_tails(run_blocks(blocks, l_star=l_star))
+    mu = obj_ref.kernel.eigenvalues(max(n_list) + 2)
     errs, ses, absc = [], [], []
     for n, point_tails in zip(n_list, tails):
         mean, se = _replica_mean_se(point_tails - ref_tails)
         errs.append(abs(mean))
         ses.append(se)
-        absc.append(math.sqrt(obj_ref.kernel.eigenvalue(n + 1)))
+        absc.append(math.sqrt(mu[n + 1]))
     return fit_loglog(np.array(absc), np.array(errs), np.array(ses))
+
+
+_GIBBS_SLACK = 10.0  # factor on the concentration bound, whose constants the theory hides
 
 
 def gibbs_gap_vs_beta(
@@ -365,14 +369,13 @@ def gibbs_gap_vs_beta(
     betas,
     replicas: int = 8,
     minimizer: tuple | None = None,
-    slack: float = 10.0,
 ) -> list[dict]:
     """Empirical concentration gap at each inverse temperature, in one engine
     call: Cesaro average of L minus L(x~), with cfg.beta replaced by each beta.
 
     Requires a fine discretization (eta <= 0.01, N >= 64).  The verdict
     compares against the closed-form concentration bound scaled by the slack
-    factor (the theory hides constants).  A first-half/second-half Cesaro
+    factor _GIBBS_SLACK (the theory hides constants).  A first-half/second-half Cesaro
     disagreement beyond 3 sigma, or one replica (no sigma), marks an
     estimate inconclusive.  Every beta runs on chain ids 0..R-1.
     """
@@ -399,7 +402,7 @@ def gibbs_gap_vs_beta(
         nonstationary = not math.isfinite(half_se) or abs(half_mean) > 3.0 * max(half_se, 1e-300)
         bound = gibbs_concentration_bound(M, c.lam, c.beta, x_tilde_hk)
         out.append(
-            dict(gap=gap, se=se, bound=bound, slack=slack, passes_bound=gap <= slack * bound,
+            dict(gap=gap, se=se, bound=bound, slack=_GIBBS_SLACK, passes_bound=gap <= _GIBBS_SLACK * bound,
                  inconclusive=nonstationary, replicas=replicas, seed=c.seed)
         )
     return out
@@ -410,10 +413,9 @@ def gibbs_gap_empirical(
     obj: ObjectiveSpec,
     replicas: int = 8,
     minimizer: tuple | None = None,
-    slack: float = 10.0,
 ) -> dict:
     """gibbs_gap_vs_beta at the config's own beta."""
-    return gibbs_gap_vs_beta(cfg, obj, [cfg.beta], replicas, minimizer, slack)[0]
+    return gibbs_gap_vs_beta(cfg, obj, [cfg.beta], replicas, minimizer)[0]
 
 
 def sgld_discrepancy_vs_m(
@@ -498,8 +500,6 @@ def theorem_tail_bound(
     delta: float,
     checkpoints,
     replicas: int = 200,
-    minimizers: MinimizerPair | None = None,
-    kappa: float = 0.1,
 ) -> dict:
     """Empirical tail P(L(X_n) - L(x*) > delta) at the given steps, next to the
     assembled right-hand side of the high-probability bound (unit leading
@@ -509,17 +509,18 @@ def theorem_tail_bound(
         raise ValueError("delta must be in (0, 1)")
     if cfg.x0 is not None and np.linalg.norm(cfg.x0) > 1.0 + 1e-12:
         raise ValueError("theorem evaluation requires ||x0|| <= 1")
-    if minimizers is None:
-        minimizers = obj.find_minimizers(cfg.lam)
-    consts = theory_constants(obj, cfg, minimizers=minimizers, kappa=kappa)
     checkpoints = sorted(int(c) for c in checkpoints)
+    # with no burn-in the observer sees steps 1..max(checkpoints), not step 0
+    if not checkpoints or checkpoints[0] < 1:
+        raise ValueError(f"checkpoints must be a nonempty list of steps >= 1, got {checkpoints}")
+    minimizers = obj.find_minimizers(cfg.lam)
+    consts = theory_constants(obj, cfg, minimizers)
     recorder = _RiskAtSteps(checkpoints)
     run_cfg = replace(cfg, horizon=max(checkpoints), burn_in=0)
     run_ensemble(
         run_cfg,
         obj,
         mode="gld",
-        n_chains=replicas,
         l_star=minimizers.l_star,
         observers=(recorder,),
         chain_ids=list(range(replicas)),

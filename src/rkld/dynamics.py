@@ -38,10 +38,10 @@ _CHUNK = 256
 class NumericalAbort(RuntimeError):
     """Raised when a chain produces a non-finite state."""
 
-    def __init__(self, message, step, partial=None):
+    def __init__(self, message, step):
         super().__init__(message)
         self.step = step
-        self.partial = partial
+        self.partial = None  # the run's summaries up to the aborted step, set by run_blocks
 
 
 @dataclass(frozen=True)
@@ -349,12 +349,11 @@ def run_ensemble(
     cfg: ChainConfig,
     obj: ObjectiveSpec | None = None,
     mode: str = "gld",
-    n_chains: int = 1,
     l_star: float = 0.0,
     observers: tuple = (),
-    chain_ids=None,
+    chain_ids=(0,),
 ) -> list[RunSummary]:
-    """Advance n_chains replicas of the configured chain and summarize each.
+    """Advance one replica of the configured chain per chain id and summarize each.
 
     Replica r uses the random streams keyed by (cfg.seed, chain_ids[r]), so
     the trajectory of any single replica is independent of the ensemble it
@@ -365,10 +364,6 @@ def run_ensemble(
 
     This is run_blocks with one block.  Returns summaries ordered by chain id.
     """
-    if chain_ids is None:
-        chain_ids = list(range(n_chains))
-    if len(chain_ids) != n_chains:
-        raise ValueError("chain_ids length must equal n_chains")
     try:
         return run_blocks([(cfg, obj, chain_ids, observers)], mode, l_star)[0]
     except NumericalAbort as exc:
@@ -382,9 +377,6 @@ def run_chain(
     mode: str = "gld",
     l_star: float = 0.0,
     observers: tuple = (),
-    chain_id: int = 0,
 ) -> RunSummary:
-    """Single-chain driver; see run_ensemble for the contract."""
-    return run_ensemble(
-        cfg, obj, mode=mode, n_chains=1, l_star=l_star, observers=observers, chain_ids=[chain_id]
-    )[0]
+    """Chain id 0 alone; see run_ensemble for the contract."""
+    return run_ensemble(cfg, obj, mode=mode, l_star=l_star, observers=observers)[0]

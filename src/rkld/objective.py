@@ -63,7 +63,13 @@ class Dataset:
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != ["z", "y"]:
                 raise ValueError(f"{path}: expected CSV header 'z,y'")
-            rows = [(float(r[0]), float(r[1])) for r in reader if r]
+            rows = []
+            for r in reader:
+                if not r:
+                    continue
+                if len(r) != 2:
+                    raise ValueError(f"{path}: line {reader.line_num}: expected 2 fields, got {len(r)}")
+                rows.append((float(r[0]), float(r[1])))
         if not rows:
             raise ValueError(f"{path}: no data rows")
         z, y = zip(*rows)
@@ -183,6 +189,7 @@ def loss_family(tag: str) -> LossFamily:
 
 
 _NEWTON_MAX_STEPS = 200  # damped Newton needs a handful; more means a degenerate problem
+_NEWTON_TOL = 1e-9  # gradient norm at which the minimizer search stops
 
 
 @dataclass(frozen=True)
@@ -199,7 +206,6 @@ class MinimizerPair:
     l_star: float
     l_tilde: float
     attained: bool
-    local: bool  # True when the loss is non-convex and only a local point is certified
 
 
 class ObjectiveSpec:
@@ -309,16 +315,16 @@ class ObjectiveSpec:
 
     # -- reference minimizers --
 
-    def find_minimizers(self, lam: float, tol: float = 1e-9) -> MinimizerPair:
+    def find_minimizers(self, lam: float) -> MinimizerPair:
         """Oracle minimizers x* (lam off) and x~ (lam on) of the truncated problem.
 
         For a margin loss without a ridge term the search for x* stops at the
         first iterate that separates the data, which proves that inf L = 0 is
         not attained.  Results are global only for convex losses.
         """
-        x_tilde, l_tilde = self.regularized_minimizer(lam, tol)
+        x_tilde, l_tilde = self.regularized_minimizer(lam)
         margin_loss = self.loss.tag in ("logistic", "savage") and self.lambda0 == 0
-        x_star = self._newton(np.zeros(self.n_modes), tol, stop_if_separated=margin_loss)
+        x_star = self._newton(np.zeros(self.n_modes), stop_if_separated=margin_loss)
         attained = x_star is not None
         if attained:
             x_star.setflags(write=False)
@@ -328,19 +334,18 @@ class ObjectiveSpec:
             l_star=float(self.risk_array(x_star)) if attained else 0.0,
             l_tilde=l_tilde,
             attained=attained,
-            local=self.loss.tag == "savage",
         )
 
-    def regularized_minimizer(self, lam: float, tol: float = 1e-9) -> tuple[np.ndarray, float]:
+    def regularized_minimizer(self, lam: float) -> tuple[np.ndarray, float]:
         """Read-only x~ and L(x~) only; the regularized problem is strongly convex
         and always has a finite minimizer, unlike the plain risk on separable data."""
         if lam <= 0:
             raise ValueError("lambda must be positive")
-        x_tilde = self._newton(lam / self.kernel.eigenvalues(self.n_modes), tol)
+        x_tilde = self._newton(lam / self.kernel.eigenvalues(self.n_modes))
         x_tilde.setflags(write=False)
         return x_tilde, float(self.risk_array(x_tilde))
 
-    def _newton(self, w: np.ndarray, tol: float, stop_if_separated: bool = False):
+    def _newton(self, w: np.ndarray, stop_if_separated: bool = False):
         """Damped Newton from x = 0 on F(x) = L(x) + x^T diag(w) x / 2.
 
         Steps solve with the eigendecomposition of the Hessian
@@ -366,7 +371,7 @@ class ObjectiveSpec:
             h[np.diag_indices_from(h)] += self.lambda0 + w
             evals, evecs = np.linalg.eigh(h)
             cutoff = self.n_modes * eps * float(np.max(np.abs(evals)))
-            if np.linalg.norm(g) < tol:
+            if np.linalg.norm(g) < _NEWTON_TOL:
                 if evals[0] < -cutoff:
                     raise RuntimeError(
                         f"minimizer search ended where the Hessian has eigenvalue {evals[0]:.3g} < 0"

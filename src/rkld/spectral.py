@@ -45,13 +45,6 @@ class KernelSpec:
         if self.basis != "cosine":
             raise ValueError(f"unsupported basis family: {self.basis!r}")
 
-    def eigenvalue(self, k: int) -> float:
-        """mu_k for a single mode index."""
-        if k < 0:
-            raise ValueError("mode index must be >= 0")
-        power = 2 if self.decay == "inverse-square" else 1
-        return self.mu0 / (k + 1) ** power
-
     def eigenvalues(self, n_modes: int) -> np.ndarray:
         """Vector (mu_0, ..., mu_N) with N+1 = n_modes.
 

@@ -19,6 +19,9 @@ from .spectral import KernelSpec, resolvent_scales
 
 __all__ = ["PropertyResult", "run_property_suite"]
 
+_SPECTRUM_K_MAX = 64  # highest mode index of the eigenvalue checks
+_BASIS_K_MAX = 16  # highest mode index of the orthonormality quadrature
+
 
 @dataclass
 class PropertyResult:
@@ -31,21 +34,22 @@ def _result(name, passed, detail):
     return PropertyResult(name, bool(passed), detail)
 
 
-def check_assumption1_shape(kernel: KernelSpec, k_max: int = 64) -> PropertyResult:
-    k = np.arange(k_max + 1, dtype=float)
-    ratio = kernel.eigenvalues(k_max + 1) * (k + 1.0) ** 2 / kernel.mu0
+def check_assumption1_shape(kernel: KernelSpec) -> PropertyResult:
+    k = np.arange(_SPECTRUM_K_MAX + 1, dtype=float)
+    ratio = kernel.eigenvalues(_SPECTRUM_K_MAX + 1) * (k + 1.0) ** 2 / kernel.mu0
     ok = np.all(ratio <= 1.0 + 1e-9) and np.all(ratio >= 1.0 - 1e-9)
     return _result(
         "assumption1_eigenvalue_shape",
         ok,
-        f"mu_k (k+1)^2 / mu0 in [{ratio.min():.4g}, {ratio.max():.4g}] for k <= {k_max}",
+        f"mu_k (k+1)^2 / mu0 in [{ratio.min():.4g}, {ratio.max():.4g}] for k <= {_SPECTRUM_K_MAX}",
     )
 
 
-def check_eigenvalues_monotone(kernel: KernelSpec, k_max: int = 64) -> PropertyResult:
-    mu = kernel.eigenvalues(k_max + 1)
+def check_eigenvalues_monotone(kernel: KernelSpec) -> PropertyResult:
+    mu = kernel.eigenvalues(_SPECTRUM_K_MAX + 1)
     ok = np.all(mu > 0) and np.all(np.diff(mu) <= 0)
-    return _result("eigenvalues_positive_nonincreasing", ok, f"mu_0={mu[0]:.4g}, mu_{k_max}={mu[-1]:.4g}")
+    detail = f"mu_0={mu[0]:.4g}, mu_{_SPECTRUM_K_MAX}={mu[-1]:.4g}"
+    return _result("eigenvalues_positive_nonincreasing", ok, detail)
 
 
 def _trapezoid_basis(kernel: KernelSpec, n_modes: int):
@@ -60,10 +64,10 @@ def _trapezoid_basis(kernel: KernelSpec, n_modes: int):
     return rows, w
 
 
-def check_orthonormality(kernel: KernelSpec, k_max: int = 16) -> PropertyResult:
-    rows, w = _trapezoid_basis(kernel, k_max + 1)
+def check_orthonormality(kernel: KernelSpec) -> PropertyResult:
+    rows, w = _trapezoid_basis(kernel, _BASIS_K_MAX + 1)
     gram = (rows * w) @ rows.T
-    err = np.max(np.abs(gram - np.eye(k_max + 1)))
+    err = np.max(np.abs(gram - np.eye(_BASIS_K_MAX + 1)))
     return _result("basis_orthonormality_quadrature", err < 1e-6, f"max |gram - I| = {err:.3g}")
 
 

@@ -145,8 +145,7 @@ def test_04_ou_stationary_variance():
         count += 1
 
     run_ensemble(
-        cfg, None, mode="ou", n_chains=replicas, observers=(accumulate,),
-        chain_ids=list(range(replicas)),
+        cfg, None, mode="ou", observers=(accumulate,), chain_ids=list(range(replicas)),
     )
     assert count == 100_000
     var = sumsq / count - (sums / count) ** 2
@@ -222,7 +221,7 @@ def test_06_lyapunov_drift_bounded_logistic():
     )
     tc = theory_constants(obj, cfg)
     assert tc.regime == "bounded"
-    summaries = run_ensemble(cfg, obj, n_chains=200, chain_ids=list(range(200)))
+    summaries = run_ensemble(cfg, obj, chain_ids=list(range(200)))
     steps = summaries[0].steps
     norms = np.stack([s.norm for s in summaries])
     idx = np.linspace(1, len(steps) - 1, 10).astype(int)

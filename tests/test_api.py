@@ -1,8 +1,10 @@
-"""The public surface: every exported name exists.
+"""The public surface: every exported name exists, and nothing is settable
+that no caller sets.
 
 Catches dangling entries in a module's __all__ or in the package's
 re-exports after code is deleted or renamed, a heavy import reaching the
-CLI's start-up, and a third-party import missing from pyproject.toml.
+CLI's start-up, a third-party import missing from pyproject.toml, and a
+defaulted parameter that no call in src/, perfbench/ or tests/ passes.
 """
 
 import ast
@@ -79,3 +81,82 @@ def test_third_party_imports_are_declared_dependencies():
     pyproject = tomllib.loads((package.parent.parent / "pyproject.toml").read_text())
     declared = {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0] for dep in pyproject["project"]["dependencies"]}
     assert third_party == declared
+
+
+# Defaulted parameters that no scanned call can pass by name or position,
+# because the callee is only reached through a callback.
+CALLBACK_PARAMETERS = {
+    "ExperimentConfig.build_objective(n_modes)": "galerkin_error_vs_n calls it as make_objective(n_modes)",
+}
+
+
+def _parsed(*dirs):
+    for d in dirs:
+        for path in sorted(d.rglob("*.py")):
+            yield ast.parse(path.read_text(), filename=str(path))
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        "dataclass" in ast.unparse(d.func if isinstance(d, ast.Call) else d) for d in cls.decorator_list
+    )
+
+
+def _parameters(fn: ast.FunctionDef, method: bool):
+    """(positional names, keyword-only names, defaulted names), self or cls dropped."""
+    a = fn.args
+    positional = [p.arg for p in a.posonlyargs + a.args]
+    keyword_only = [p.arg for p in a.kwonlyargs]
+    defaulted = positional[len(positional) - len(a.defaults):]
+    defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return positional[1:] if method else positional, keyword_only, defaulted
+
+
+def _callables(tree):
+    """(label, the name a call uses, parameters) of every public function,
+    public method of a public class and non-dataclass __init__."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name, _parameters(node, method=False)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                if fn.name == "__init__" and not _is_dataclass(node):
+                    called_as = node.name
+                elif not fn.name.startswith("_"):
+                    called_as = fn.name
+                else:
+                    continue
+                static = any(ast.unparse(d) == "staticmethod" for d in fn.decorator_list)
+                yield f"{node.name}.{fn.name}", called_as, _parameters(fn, method=not static)
+
+
+def _passed(positional, keyword_only, call: ast.Call) -> set[str]:
+    """The parameters that `call` sets, by position or by keyword."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return {*positional, *keyword_only}
+    return set(positional[: len(call.args)]) | {k.arg for k in call.keywords}
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    # a parameter that nothing passes is a knob nobody turns: hard-code its value
+    root = Path(__file__).resolve().parent.parent
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in _parsed(root / "src" / "rkld", root / "perfbench", root / "tests"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed, defaulted = [], set()
+    for tree in _parsed(root / "src" / "rkld"):
+        for label, called_as, (positional, keyword_only, defaulted_names) in _callables(tree):
+            passed = set().union(*(_passed(positional, keyword_only, c) for c in calls.get(called_as, [])))
+            for name in defaulted_names:
+                key = f"{label}({name})"
+                defaulted.add(key)
+                if name not in passed and key not in CALLBACK_PARAMETERS:
+                    unpassed.append(key)
+    assert not unpassed, f"no call passes {unpassed}"
+    assert set(CALLBACK_PARAMETERS) <= defaulted, "stale CALLBACK_PARAMETERS entry"

@@ -207,7 +207,7 @@ class TestSweep:
         assert [r["inconclusive"] for r in rows] == ["1", "1"]
 
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        def fail(self, lam, tol=1e-9):
+        def fail(self, lam):
             raise RuntimeError("line search stalled")
 
         monkeypatch.setattr(ObjectiveSpec, "regularized_minimizer", fail)
@@ -317,8 +317,24 @@ class TestExitCodes:
         reason = f"{data}: expected CSV header 'z,y'"
         assert capsys.readouterr().err == f"config error: {cfg}: [objective] data = {str(data)!r}: {reason}\n"
 
+    @pytest.mark.parametrize("row, fields", [("0.5", 1), ("0.5,1.0,2.0", 3)])
+    def test_data_row_without_two_fields_is_config_error(self, row, fields, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text(f"z,y\n0.25,1.0\n{row}\n")
+        cfg = tmp_path / "data.ini"
+        cfg.write_text(BASE.replace("synth_n = 8", f"data = {data}\nsynth_n = 8"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        reason = f"{data}: line 3: expected 2 fields, got {fields}"
+        assert capsys.readouterr().err == f"config error: {cfg}: [objective] data = {str(data)!r}: {reason}\n"
+
 
 class TestReport:
+    @pytest.mark.parametrize("flag", [["--config", "x.ini"], ["--seed", "3"]])
+    def test_report_takes_only_manifest_and_out(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["report", "--manifest", str(tmp_path / "m.json"), "--out", str(tmp_path), *flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_report_replays_byte_identically(self, tmp_path, config_file):
         out = tmp_path / "out"
         assert main(["run", "--config", str(config_file), "--out", str(out)]) == 0

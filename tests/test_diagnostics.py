@@ -274,6 +274,18 @@ class TestEstimators:
         with pytest.raises(ValueError):
             theorem_tail_bound(cfg, obj, delta=0.2, checkpoints=[10], replicas=4)
 
+    @pytest.mark.parametrize("checkpoints", [[], [0, 10]])
+    def test_theorem_tail_bound_rejects_checkpoints_before_running(self, checkpoints, monkeypatch):
+        # the observer sees steps 1..H only, so step 0 would have no recorded risk
+        def no_engine(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(diagnostics, "run_ensemble", no_engine)
+        obj = make_objective()
+        cfg = ChainConfig(eta=0.1, beta=4.0, lam=4.0 * obj.smoothness_constant(), n_modes=6, seed=3, horizon=100)
+        with pytest.raises(ValueError, match="checkpoints"):
+            theorem_tail_bound(cfg, obj, delta=0.2, checkpoints=checkpoints, replicas=4)
+
 
 class TestQuadraticOracle:
     def _setup(self):

@@ -189,8 +189,8 @@ class TestRunEnsemble:
         obj = make_objective()
         cfg = make_cfg(horizon=50, minibatch=3)
         for mode in ("gld", "sgld"):
-            solo = run_ensemble(cfg, obj, mode=mode, n_chains=1, chain_ids=[3])[0]
-            grouped = run_ensemble(cfg, obj, mode=mode, n_chains=4, chain_ids=[1, 2, 3, 4])[2]
+            solo = run_ensemble(cfg, obj, mode=mode, chain_ids=[3])[0]
+            grouped = run_ensemble(cfg, obj, mode=mode, chain_ids=[1, 2, 3, 4])[2]
             assert grouped.chain_id == 3
             assert np.array_equal(solo.norm, grouped.norm)
             # risk evaluation batches over replicas, so only ulp-level drift is allowed
@@ -203,7 +203,7 @@ class TestRunEnsemble:
         ids = [5, 2, 9]
         states = []
         capture = (lambda step, x, risk: states.append(x.copy()),)
-        run_ensemble(cfg, obj, mode="sgld", n_chains=3, chain_ids=ids, observers=capture)
+        run_ensemble(cfg, obj, mode="sgld", chain_ids=ids, observers=capture)
         s = resolvent_scales(obj.kernel, cfg.lam, cfg.eta, cfg.n_modes)
         amp = math.sqrt(2.0 * cfg.eta / cfg.beta)
         expect = np.empty((cfg.horizon, len(ids), cfg.n_modes))
@@ -244,7 +244,7 @@ class TestRunEnsemble:
             "stochastic_grad_array",
             lambda self, x, batch: calls.append(x.shape) or stochastic_grad_array(self, x, batch),
         )
-        run_ensemble(cfg, obj, mode="sgld", n_chains=8)
+        run_ensemble(cfg, obj, mode="sgld", chain_ids=range(8))
         assert calls == [(8, cfg.n_modes)] * cfg.horizon
 
     def test_noise_modes_couples_dimensions(self):
@@ -318,7 +318,7 @@ class TestRunEnsemble:
 
     def test_summary_arrays_are_read_only_rows(self):
         obj = make_objective()
-        summaries = run_ensemble(make_cfg(horizon=300), obj, n_chains=3)
+        summaries = run_ensemble(make_cfg(horizon=300), obj, chain_ids=range(3))
         fields = ("steps", "norm", "risk", "reg_objective", "phi", "cesaro_phi")
         for a in summaries:
             for name in fields:
@@ -341,7 +341,7 @@ class TestRunEnsemble:
             sumsq[:] += x[0] ** 2
             count += 1
 
-        run_ensemble(cfg, None, mode="ou", n_chains=1, observers=(accumulate,))
+        run_ensemble(cfg, None, mode="ou", observers=(accumulate,))
         var = sumsq / count - (sums / count) ** 2
         a = resolvent_scales(kernel, cfg.lam, cfg.eta, 4)
         expect = (2.0 * cfg.eta / cfg.beta) * a**2 / (1.0 - a**2)
@@ -353,7 +353,7 @@ class TestRunEnsemble:
         obj = make_objective()
         cfg = ChainConfig(eta=50.0, beta=100.0, lam=1e-6, n_modes=6, seed=1, horizon=100_000)
         with pytest.raises(NumericalAbort) as exc_info:
-            run_ensemble(cfg, obj, n_chains=1)
+            run_ensemble(cfg, obj)
         partial = exc_info.value.partial
         assert partial is not None and len(partial) == 1
         assert partial[0].steps[0] == 0 and np.all(np.diff(partial[0].steps) > 0)
@@ -419,7 +419,7 @@ def observed_states(cfg, obj, mode, ids):
     states = [np.tile(cfg.x0_array(), (len(ids), 1))]
     observer = (lambda step, x, risk: states.append(x.copy()),)
     try:
-        run_ensemble(dataclasses.replace(cfg, burn_in=0), obj, mode, len(ids), observers=observer, chain_ids=ids)
+        run_ensemble(dataclasses.replace(cfg, burn_in=0), obj, mode, observers=observer, chain_ids=ids)
     except NumericalAbort:
         pass
     return states
@@ -483,7 +483,7 @@ class TestChunkedBookkeeping:
         states = observed_states(cfg, obj, mode, ids)
         for burn_in in sorted({0, 100, 256, 300} & set(range(horizon))):  # chunk-inner and chunk-edge burn-ins
             run_cfg = dataclasses.replace(cfg, burn_in=burn_in)
-            summaries = run_ensemble(run_cfg, obj, mode, n_chains, l_star=0.3, chain_ids=ids)
+            summaries = run_ensemble(run_cfg, obj, mode, l_star=0.3, chain_ids=ids)
             expect = reference_summaries(run_cfg, obj, mode, ids, 0.3, states)
             assert all(same_summary(a, b) for a, b in zip(summaries, expect, strict=True))
 
@@ -493,7 +493,7 @@ class TestChunkedBookkeeping:
         cfg = ChainConfig(eta=10.0, beta=100.0, lam=1e-6, n_modes=6, seed=1, horizon=1000)
         ids = [0, 2]
         with pytest.raises(NumericalAbort) as exc_info:
-            run_ensemble(cfg, obj, n_chains=2, l_star=0.3, chain_ids=ids)
+            run_ensemble(cfg, obj, l_star=0.3, chain_ids=ids)
         step = exc_info.value.step
         assert step > 256
         states = observed_states(cfg, obj, "gld", ids)
@@ -513,7 +513,7 @@ class TestChunkedBookkeeping:
         )
         gap = dynamics.sigmoid_gap
         monkeypatch.setattr(dynamics, "sigmoid_gap", lambda u: calls.update(["phi"]) or gap(u))
-        summaries = run_ensemble(cfg, obj, mode="sgld", n_chains=8)
+        summaries = run_ensemble(cfg, obj, mode="sgld", chain_ids=range(8))
         chunks = math.ceil(cfg.horizon / 256)
         assert len(summaries[0].steps) == 1001 and summaries[0].retained_steps == 1
         # step 0 and 1000 pre-burn-in checkpoints ride on the chunk flushes
@@ -534,7 +534,7 @@ class TestRunBlocks:
             if cfg.n_modes == width:
                 solo_log = []
                 observer = (lambda step, x, risk: solo_log.append((step, x.copy(), None if risk is None else risk.copy())),)
-                solo = run_ensemble(cfg, obj, mode, len(ids), l_star, observer, ids)
+                solo = run_ensemble(cfg, obj, mode, l_star, observer, ids)
             else:
                 # a narrower block reads the call's noise width: pair it with the widest block
                 (solo, _), (solo_log, _) = observed_run([block, widest], mode, l_star)

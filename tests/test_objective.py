@@ -334,7 +334,6 @@ class TestMinimizers:
         res = obj.grad_array(pair.x_tilde) + 1.5 * pair.x_tilde / mu
         assert np.max(np.abs(res)) < 1e-9
         assert pair.l_tilde >= pair.l_star - 1e-12
-        assert not pair.local
 
     @staticmethod
     def _check_regularized_stationarity(loss):
@@ -363,8 +362,8 @@ class TestMinimizers:
         y = base.y.copy()
         y[::3] = -y[::3]  # flipped labels keep the unregularized risk coercive
         obj = ObjectiveSpec(Dataset(base.z, y), LOGISTIC, KernelSpec(), 4)
-        pair = obj.find_minimizers(1.0, tol=1e-7)
-        x_tilde, _ = obj.regularized_minimizer(1.0, tol=1e-7)
+        pair = obj.find_minimizers(1.0)
+        x_tilde, _ = obj.regularized_minimizer(1.0)
         assert np.max(np.abs(pair.x_tilde - x_tilde)) < 1e-6
         assert pair.attained
         assert np.linalg.norm(obj.grad_array(pair.x_star)) < 1e-7

@@ -20,11 +20,11 @@ finite_coeffs = hnp.arrays(
 
 class TestEigenvalues:
     def test_leading(self):
-        assert KERNEL.eigenvalue(0) == 1.0
+        assert KERNEL.eigenvalues(1)[0] == 1.0
 
     def test_inverse_square_law(self):
-        assert KERNEL.eigenvalue(3) == 1.0 / 16.0
-        assert KernelSpec(mu0=0.5).eigenvalue(1) == 0.125
+        assert KERNEL.eigenvalues(4)[3] == 1.0 / 16.0
+        assert KernelSpec(mu0=0.5).eigenvalues(2)[1] == 0.125
 
     def test_positive_nonincreasing(self):
         mu = KERNEL.eigenvalues(100)
