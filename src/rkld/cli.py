@@ -164,9 +164,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_CONFIG
 
 
-def _require(condition: bool, message: str) -> None:
+def _require(exp: ExperimentConfig, condition: bool, message: str) -> None:
     if not condition:
-        raise ConfigError(message)
+        raise ConfigError(f"{exp.origin}: [experiment] {message}")
 
 
 def _fit_verdict(fit: RateFit, label: str, expected: tuple[float, float]) -> tuple[str, bool]:
@@ -189,9 +189,9 @@ def _nonincreasing_within_3se(values, ses) -> bool:
 
 
 def _sweep_eta(exp: ExperimentConfig):
-    _require(exp.eta_grid is not None and len(exp.eta_grid) >= 4, "eta sweep needs eta_grid with >= 4 points")
-    _require(exp.eta_ref is not None, "eta sweep needs eta_ref")
-    _require(exp.eta_ref <= min(exp.eta_grid) / 8.0, "eta sweep needs eta_ref <= min(eta_grid)/8")
+    _require(exp, exp.eta_grid is not None and len(exp.eta_grid) >= 4, "eta sweep needs eta_grid with >= 4 points")
+    _require(exp, exp.eta_ref is not None, "eta sweep needs eta_ref")
+    _require(exp, exp.eta_ref <= min(exp.eta_grid) / 8.0, "eta sweep needs eta_ref <= min(eta_grid)/8")
     obj = exp.build_objective()
     _, l_center = obj.regularized_minimizer(exp.chain.lam)
     fit = weak_error_vs_eta(
@@ -206,9 +206,9 @@ def _sweep_eta(exp: ExperimentConfig):
 
 
 def _sweep_n_modes(exp: ExperimentConfig):
-    _require(exp.n_grid is not None and len(exp.n_grid) >= 4, "n_modes sweep needs n_grid with >= 4 points")
-    _require(exp.n_ref is not None, "n_modes sweep needs n_ref")
-    _require(exp.n_ref >= 4 * max(exp.n_grid), "n_modes sweep needs n_ref >= 4 * max(n_grid)")
+    _require(exp, exp.n_grid is not None and len(exp.n_grid) >= 4, "n_modes sweep needs n_grid with >= 4 points")
+    _require(exp, exp.n_ref is not None, "n_modes sweep needs n_ref")
+    _require(exp, exp.n_ref >= 4 * max(exp.n_grid), "n_modes sweep needs n_ref >= 4 * max(n_grid)")
     fit = galerkin_error_vs_n(
         exp.build_objective, exp.chain, exp.n_grid, exp.n_ref, replicas=exp.replicas
     )
@@ -221,10 +221,11 @@ def _sweep_n_modes(exp: ExperimentConfig):
 
 
 def _sweep_beta(exp: ExperimentConfig):
-    _require(exp.beta_grid is not None and len(exp.beta_grid) >= 2, "beta sweep needs beta_grid with >= 2 points")
+    _require(exp, exp.beta_grid is not None and len(exp.beta_grid) >= 2, "beta sweep needs beta_grid with >= 2 points")
     cfg = exp.chain
-    _require(min(exp.beta_grid) >= cfg.eta, "beta sweep needs every beta_grid entry >= eta")
+    _require(exp, min(exp.beta_grid) >= cfg.eta, "beta sweep needs every beta_grid entry >= eta")
     _require(
+        exp,
         cfg.eta <= 0.01 and cfg.n_modes >= 65 and cfg.horizon - cfg.burn_in_steps >= 2,
         "beta sweep needs eta <= 0.01, n_modes >= 65 and 2 retained steps",
     )
@@ -253,11 +254,11 @@ def _sweep_beta(exp: ExperimentConfig):
 
 
 def _sweep_minibatch(exp: ExperimentConfig):
-    _require(exp.m_grid is not None and len(exp.m_grid) >= 2, "minibatch sweep needs m_grid with >= 2 points")
+    _require(exp, exp.m_grid is not None and len(exp.m_grid) >= 2, "minibatch sweep needs m_grid with >= 2 points")
     obj = exp.build_objective()
     n_tr = obj.dataset.size
-    _require(n_tr >= 2, "minibatch sweep needs at least 2 data points")
-    _require(all(1 <= m <= n_tr for m in exp.m_grid), f"m_grid entries must be in 1..{n_tr}")
+    _require(exp, n_tr >= 2, "minibatch sweep needs at least 2 data points")
+    _require(exp, all(1 <= m <= n_tr for m in exp.m_grid), f"m_grid entries must be in 1..{n_tr}")
     _, l_center = obj.regularized_minimizer(exp.chain.lam)
     ms = sorted(exp.m_grid)
     results = sgld_discrepancy_vs_m(exp.chain, obj, l_center, ms, replicas=exp.replicas)

@@ -9,11 +9,10 @@ error that may still surface is numerical non-finiteness.
 from __future__ import annotations
 
 import configparser
-import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .dynamics import ChainConfig
@@ -29,48 +28,7 @@ class ConfigError(ValueError):
     """Configuration file violation; carries a location-anchored message."""
 
 
-_SCHEMA = {
-    "kernel": {"mu0", "gamma", "basis", "decay"},
-    "objective": {
-        "loss",
-        "data",
-        "synth_kind",
-        "synth_n",
-        "synth_seed",
-        "synth_noise",
-        "lambda0",
-    },
-    "chain": {"eta", "beta", "lambda", "n_modes", "minibatch", "seed", "horizon", "burn_in"},
-    "experiment": {
-        "mode",
-        "replicas",
-        "kappa",
-        "delta",
-        "eta_grid",
-        "eta_ref",
-        "n_grid",
-        "n_ref",
-        "beta_grid",
-        "m_grid",
-        "tail_delta",
-    },
-}
-
-_REQUIRED = {"chain": {"eta", "beta", "lambda", "n_modes", "seed", "horizon"}}
-
-
-def _get(parser, origin, section, key, kind, default=None):
-    if not parser.has_option(section, key):
-        if default is not None or key not in _REQUIRED.get(section, set()):
-            return default
-        raise ConfigError(f"{origin}: [{section}] missing required key '{key}'")
-    raw = parser.get(section, key).strip()
-    if raw == "":
-        return default
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{origin}: [{section}] {key} = {raw!r}: {exc}") from None
+_REQUIRED = object()  # the default of a key that must be given
 
 
 def _minibatch(raw):
@@ -94,6 +52,76 @@ def _grid(kind):
     return parse
 
 
+def _checked(kind, ok, reason):
+    def parse(raw):
+        value = kind(raw)
+        if not ok(value):
+            raise ValueError(reason)
+        return value
+
+    return parse
+
+
+def _one_of(*options):
+    return _checked(str, options.__contains__, f"expected one of {', '.join(options)}")
+
+
+# section -> key -> (parser, default); an empty value means the default
+_KEYS = {
+    "kernel": {
+        "mu0": (float, 1.0),
+        "gamma": (float, 1.5),
+        "basis": (str, "cosine"),
+        "decay": (str, "inverse-square"),
+    },
+    "objective": {
+        "loss": (loss_family, loss_family("squared")),
+        "data": (_checked(str, lambda p: Path(p).is_file(), "file not found"), None),
+        "synth_kind": (_one_of("regression", "classification"), "regression"),
+        "synth_n": (int, 20),
+        "synth_seed": (int, 7),
+        "synth_noise": (float, 0.1),
+        "lambda0": (float, 0.0),
+    },
+    "chain": {
+        "eta": (float, _REQUIRED),
+        "beta": (float, _REQUIRED),
+        "lambda": (float, _REQUIRED),
+        "n_modes": (int, _REQUIRED),
+        "seed": (int, _REQUIRED),
+        "horizon": (int, _REQUIRED),
+        "minibatch": (_minibatch, None),
+        "burn_in": (int, None),
+    },
+    "experiment": {
+        "mode": (_one_of("gld", "sgld", "ou"), "gld"),
+        "replicas": (_checked(int, lambda n: n >= 1, "must be >= 1"), 8),
+        "kappa": (float, 0.1),
+        "delta": (float, None),
+        "tail_delta": (_checked(float, lambda d: 0.0 < d < 1.0, "must be in (0, 1)"), 0.2),
+        "eta_grid": (_grid(float), None),
+        "eta_ref": (float, None),
+        "n_grid": (_grid(int), None),
+        "n_ref": (int, None),
+        "beta_grid": (_grid(float), None),
+        "m_grid": (_grid(int), None),
+    },
+}
+
+
+def _parse_section(parser, origin, section):
+    values = {}
+    for key, (parse, default) in _KEYS[section].items():
+        raw = parser.get(section, key, fallback="").strip()
+        if raw == "" and default is _REQUIRED:
+            raise ConfigError(f"{origin}: [{section}] missing required key '{key}'")
+        try:
+            values[key] = parse(raw) if raw else default
+        except ValueError as exc:
+            raise ConfigError(f"{origin}: [{section}] {key} = {raw!r}: {exc}") from None
+    return values
+
+
 @dataclass
 class ExperimentConfig:
     """Parsed, validated experiment description."""
@@ -107,7 +135,7 @@ class ExperimentConfig:
     synth_noise: float
     lambda0: float
     chain: ChainConfig
-    mode: str
+    mode: str  # read by `rkld run` only, as is chain.minibatch
     replicas: int
     kappa: float
     delta: float | None
@@ -137,89 +165,30 @@ class ExperimentConfig:
         except configparser.Error as exc:
             raise ConfigError(f"{origin}: {exc}") from None
         for section in parser.sections():
-            if section not in _SCHEMA:
+            if section not in _KEYS:
                 raise ConfigError(f"{origin}: unknown section [{section}]")
             for key in parser.options(section):
-                if key not in _SCHEMA[section]:
+                if key not in _KEYS[section]:
                     raise ConfigError(f"{origin}: unknown key '{key}' in [{section}]")
         if not parser.has_section("chain"):
             raise ConfigError(f"{origin}: missing [chain] section")
-        get = functools.partial(_get, parser, origin)
-
-        # values are read before the constructors run, so a ConfigError is not wrapped twice
-        kernel_args = dict(
-            mu0=get("kernel", "mu0", float, 1.0),
-            gamma=get("kernel", "gamma", float, 1.5),
-            basis=get("kernel", "basis", str, "cosine"),
-            decay=get("kernel", "decay", str, "inverse-square"),
-        )
-        try:
-            kernel = KernelSpec(**kernel_args)
-        except ValueError as exc:
-            raise ConfigError(f"{origin}: [kernel] {exc}") from None
-
-        loss_tag = get("objective", "loss", str, "squared")
-        try:
-            loss = loss_family(loss_tag)
-        except ValueError as exc:
-            raise ConfigError(f"{origin}: [objective] {exc}") from None
-        data_path = get("objective", "data", str, None)
-        if data_path is not None and not Path(data_path).is_file():
-            raise ConfigError(f"{origin}: [objective] data file not found: {data_path}")
-        synth_kind = get("objective", "synth_kind", str, "regression")
-        if synth_kind not in ("regression", "classification"):
-            raise ConfigError(f"{origin}: [objective] unknown synth_kind {synth_kind!r}")
-
-        seed = get("chain", "seed", int)
-        chain_args = dict(
-            eta=get("chain", "eta", float),
-            beta=get("chain", "beta", float),
-            lam=get("chain", "lambda", float),
-            n_modes=get("chain", "n_modes", int),
-            minibatch=get("chain", "minibatch", _minibatch, None),
-            seed=seed if seed_override is None else seed_override,
-            horizon=get("chain", "horizon", int),
-            burn_in=get("chain", "burn_in", int, None),
-        )
-        try:
-            chain = ChainConfig(**chain_args)
-        except ValueError as exc:
-            raise ConfigError(f"{origin}: [chain] {exc}") from None
-
-        mode = get("experiment", "mode", str, "gld")
-        if mode not in ("gld", "sgld", "ou"):
-            raise ConfigError(f"{origin}: [experiment] unknown mode {mode!r}")
-        tail_delta = get("experiment", "tail_delta", float, 0.2)
-        if not (0.0 < tail_delta < 1.0):
-            raise ConfigError(f"{origin}: [experiment] tail_delta must be in (0, 1)")
-
-        cfg = cls(
-            kernel=kernel,
-            loss=loss,
-            data_path=data_path,
-            synth_kind=synth_kind,
-            synth_n=get("objective", "synth_n", int, 20),
-            synth_seed=get("objective", "synth_seed", int, 7),
-            synth_noise=get("objective", "synth_noise", float, 0.1),
-            lambda0=get("objective", "lambda0", float, 0.0),
-            chain=chain,
-            mode=mode,
-            replicas=get("experiment", "replicas", int, 8),
-            kappa=get("experiment", "kappa", float, 0.1),
-            delta=get("experiment", "delta", float, None),
-            tail_delta=tail_delta,
-            eta_grid=get("experiment", "eta_grid", _grid(float), None),
-            eta_ref=get("experiment", "eta_ref", float, None),
-            n_grid=get("experiment", "n_grid", _grid(int), None),
-            n_ref=get("experiment", "n_ref", int, None),
-            beta_grid=get("experiment", "beta_grid", _grid(float), None),
-            m_grid=get("experiment", "m_grid", _grid(int), None),
-            source_text=text,
-            origin=origin,
-        )
-        if cfg.replicas < 1:
-            raise ConfigError(f"{origin}: [experiment] replicas must be >= 1")
-        return cfg
+        kernel, objective, chain, experiment = (_parse_section(parser, origin, s) for s in _KEYS)
+        if chain["minibatch"] is not None and experiment["mode"] != "sgld":
+            raw = parser.get("chain", "minibatch").strip()
+            raise ConfigError(
+                f"{origin}: [chain] minibatch = {raw!r}: only [experiment] mode = sgld draws minibatches"
+            )
+        chain["lam"] = chain.pop("lambda")
+        objective["data_path"] = objective.pop("data")
+        if seed_override is not None:
+            chain["seed"] = seed_override
+        built = {}
+        for section, build, args in (("kernel", KernelSpec, kernel), ("chain", ChainConfig, chain)):
+            try:
+                built[section] = build(**args)
+            except ValueError as exc:
+                raise ConfigError(f"{origin}: [{section}] {exc}") from None
+        return cls(**built, **objective, **experiment, source_text=text, origin=origin)
 
     def build_dataset(self) -> Dataset:
         if self.data_path is not None:
@@ -234,6 +203,11 @@ class ExperimentConfig:
         except ValueError as exc:  # an unreadable or invalid data file, or bad synthesis settings
             where = f"data = {self.data_path!r}: " if self.data_path is not None else ""
             raise ConfigError(f"{self.origin}: [objective] {where}{exc}") from None
+        if self.chain.minibatch is not None and self.chain.minibatch > dataset.size:
+            raise ConfigError(
+                f"{self.origin}: [chain] minibatch = '{self.chain.minibatch}': "
+                f"larger than the {dataset.size} data points"
+            )
         try:
             return ObjectiveSpec(
                 dataset=dataset,
@@ -269,34 +243,15 @@ class Manifest:
         self.outputs.append(str(path))
 
     def save(self, path: str | Path):
-        blob = json.dumps(
-            {
-                "config_hash": self.config_hash,
-                "tool_version": self.tool_version,
-                "command": self.command,
-                "seed_table": self.seed_table,
-                "outputs": self.outputs,
-                "notes": self.notes,
-                "config_text": self.config_text,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        _atomic_write_text(path, blob + "\n")
+        _atomic_write_text(path, json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Manifest":
         with open(path) as fh:
             d = json.load(fh)
-        return cls(
-            config_hash=d["config_hash"],
-            tool_version=d.get("tool_version", ""),
-            command=d.get("command", ""),
-            seed_table=d.get("seed_table", {}),
-            outputs=d.get("outputs", []),
-            notes=d.get("notes", {}),
-            config_text=d.get("config_text", ""),
-        )
+        # an absent key takes its field's default; one without a default (config_hash) raises KeyError
+        kept = [f.name for f in fields(cls) if f.name in d or f.default is f.default_factory]
+        return cls(**{name: d[name] for name in kept})
 
 
 def _atomic_write_text(path: str | Path, text: str):

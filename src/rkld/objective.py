@@ -69,7 +69,13 @@ class Dataset:
                     continue
                 if len(r) != 2:
                     raise ValueError(f"{path}: line {reader.line_num}: expected 2 fields, got {len(r)}")
-                rows.append((float(r[0]), float(r[1])))
+                row = []
+                for name, raw in zip("zy", r):
+                    try:
+                        row.append(float(raw))
+                    except ValueError as exc:
+                        raise ValueError(f"{path}: line {reader.line_num}: {name} = {raw!r}: {exc}") from None
+                rows.append(row)
         if not rows:
             raise ValueError(f"{path}: no data rows")
         z, y = zip(*rows)

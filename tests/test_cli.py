@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -266,7 +267,24 @@ class TestExitCodes:
         cfg.write_text(base + "\n[experiment]\nreplicas = 2\n" + grid)
         assert main(["sweep", "--axis", axis, "--config", str(cfg), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert err.startswith(f"config error: {cfg}: [experiment] ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["eta", "beta", "lambda", "n_modes", "seed", "horizon"])
+    def test_empty_required_key_is_missing(self, key, tmp_path, capsys):
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} =", BASE, flags=re.M))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {cfg}: [chain] missing required key '{key}'\n"
+        assert not out.exists()
+
+    def test_minibatch_larger_than_data_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "m.ini"
+        cfg.write_text(BASE.replace("seed = 42", "seed = 42\nminibatch = 30") + "\n[experiment]\nmode = sgld\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {cfg}: [chain] minibatch = '30': larger than the 8 data points\n"
+        assert not any(out.iterdir())
 
     def test_numerical_value_error_exit_code(self, tmp_path, monkeypatch, capsys):
         # LinAlgError subclasses ValueError but is no config error
@@ -326,6 +344,18 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         reason = f"{data}: line 3: expected 2 fields, got {fields}"
         assert capsys.readouterr().err == f"config error: {cfg}: [objective] data = {str(data)!r}: {reason}\n"
+
+
+    @pytest.mark.parametrize("row, name, raw", [("abc,1.0", "z", "abc"), ("0.5,abc", "y", "abc"), ("0.5,", "y", "")])
+    def test_non_numeric_data_field_is_config_error(self, row, name, raw, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text(f"z,y\n{row}\n")
+        cfg = tmp_path / "data.ini"
+        cfg.write_text(BASE.replace("synth_n = 8", f"data = {data}\nsynth_n = 8"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: [objective] data = {str(data)!r}: {data}: line 2: {name} = {raw!r}: ")
+        assert err.count("\n") == 1
 
 
 class TestReport:

@@ -1,6 +1,9 @@
+import configparser
+from pathlib import Path
+
 import pytest
 
-from rkld.config import ConfigError, ExperimentConfig, Manifest
+from rkld.config import _KEYS, ConfigError, ExperimentConfig, Manifest
 
 BASE = """
 [kernel]
@@ -20,6 +23,9 @@ n_modes = 8
 seed = 42
 horizon = 2000
 """
+
+
+SGLD = "\n[experiment]\nmode = sgld\n"
 
 
 class TestParsing:
@@ -60,11 +66,50 @@ class TestParsing:
     def test_minibatch_full_keyword(self):
         exp = ExperimentConfig.loads(BASE.replace("seed = 42", "seed = 42\nminibatch = full"))
         assert exp.chain.minibatch is None
-        exp2 = ExperimentConfig.loads(BASE.replace("seed = 42", "seed = 42\nminibatch = 4"))
+        exp2 = ExperimentConfig.loads(BASE.replace("seed = 42", "seed = 42\nminibatch = 4") + SGLD)
         assert exp2.chain.minibatch == 4
         with pytest.raises(ConfigError) as exc_info:
             ExperimentConfig.loads(BASE + "minibatch = abc\n", origin="exp.ini")
         assert str(exc_info.value) == "exp.ini: [chain] minibatch = 'abc': must be an integer or 'full'"
+
+    @pytest.mark.parametrize("mode", [None, "gld", "ou"])
+    def test_minibatch_outside_sgld_rejected(self, mode):
+        # only an SGLD run draws minibatches; elsewhere the key would be silently ignored
+        text = BASE.replace("seed = 42", "seed = 42\nminibatch = 3")
+        if mode is not None:
+            text += f"\n[experiment]\nmode = {mode}\n"
+        with pytest.raises(ConfigError) as exc_info:
+            ExperimentConfig.loads(text, origin="exp.ini")
+        assert str(exc_info.value) == "exp.ini: [chain] minibatch = '3': only [experiment] mode = sgld draws minibatches"
+        full = ExperimentConfig.loads(text.replace("minibatch = 3", "minibatch = full"))
+        assert full.chain.minibatch is None
+
+    @pytest.mark.parametrize(
+        "section, line, reason",
+        [
+            ("objective", "loss = hinge", "unknown loss family: 'hinge'"),
+            ("objective", "synth_kind = ranking", "expected one of regression, classification"),
+            ("objective", "data = /no/such.csv", "file not found"),
+            ("experiment", "mode = mala", "expected one of gld, sgld, ou"),
+            ("experiment", "replicas = 0", "must be >= 1"),
+            ("experiment", "tail_delta = 1.0", "must be in (0, 1)"),
+            ("experiment", "tail_delta = nan", "must be in (0, 1)"),
+        ],
+    )
+    def test_per_key_rule_names_key_and_raw_value(self, section, line, reason):
+        key, raw = line.split(" = ")
+        text = BASE.replace("loss = squared\n", "") + "\n[experiment]\n"
+        with pytest.raises(ConfigError) as exc_info:
+            ExperimentConfig.loads(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"), origin="exp.ini")
+        assert str(exc_info.value) == f"exp.ini: [{section}] {key} = {raw!r}: {reason}"
+
+    def test_readme_lists_every_key(self):
+        # the README's ini block documents the format: same sections, same keys
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+        parser.read_string(block)
+        assert {s: set(parser.options(s)) for s in parser.sections()} == {s: set(keys) for s, keys in _KEYS.items()}
 
     def test_seed_override(self):
         exp = ExperimentConfig.loads(BASE, seed_override=7)
