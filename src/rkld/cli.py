@@ -324,8 +324,8 @@ def _constants_section(exp: ExperimentConfig) -> list[str]:
         return [f"theory constants unavailable: minimizer search failed ({exc})"]
     try:
         tc = theory_constants(obj, exp.chain, mins, delta=exp.delta, kappa=exp.kappa)
-    except ValueError as exc:  # no dissipativity regime, or delta outside (0, 1)
-        raise ConfigError(str(exc)) from None
+    except ValueError as exc:  # no dissipativity regime applies at this lambda
+        raise ConfigError(f"{exp.origin}: [chain] lambda = '{exp.chain.lam}': {exc}") from None
     lines.append(f"regime: {tc.regime}")
     if mins.attained:
         lines.append(f"L* = L(x*): {mins.l_star!r}")
@@ -400,7 +400,7 @@ def cmd_report(args) -> int:
             print(f"missing output: {p}", file=sys.stderr)
         return EXIT_CONFIG
     exp = ExperimentConfig.loads(
-        manifest.config_text, seed_override=manifest.seed_table.get("seed")
+        manifest.config_text, seed_override=manifest.seed_table.get("seed"), origin=args.manifest
     )
     out = _out_dir(args)
     tag = manifest.config_hash

@@ -66,6 +66,9 @@ def _one_of(*options):
     return _checked(str, options.__contains__, f"expected one of {', '.join(options)}")
 
 
+_unit_interval = _checked(float, lambda d: 0.0 < d < 1.0, "must be in (0, 1)")
+
+
 # section -> key -> (parser, default); an empty value means the default
 _KEYS = {
     "kernel": {
@@ -97,8 +100,8 @@ _KEYS = {
         "mode": (_one_of("gld", "sgld", "ou"), "gld"),
         "replicas": (_checked(int, lambda n: n >= 1, "must be >= 1"), 8),
         "kappa": (float, 0.1),
-        "delta": (float, None),
-        "tail_delta": (_checked(float, lambda d: 0.0 < d < 1.0, "must be in (0, 1)"), 0.2),
+        "delta": (_unit_interval, None),
+        "tail_delta": (_unit_interval, 0.2),
         "eta_grid": (_grid(float), None),
         "eta_ref": (float, None),
         "n_grid": (_grid(int), None),
@@ -147,7 +150,7 @@ class ExperimentConfig:
     beta_grid: list[float] | None
     m_grid: list[int] | None
     source_text: str = ""
-    origin: str = "<config>"  # the config's path, for errors raised after parsing
+    origin: str = "<config>"  # the config's or manifest's path, for errors raised after parsing
 
     @classmethod
     def load(cls, path: str | Path, seed_override: int | None = None) -> "ExperimentConfig":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import ChainConfig, run_blocks, run_ensemble
+from .dynamics import ChainConfig, run_blocks
 from .objective import MinimizerPair, ObjectiveSpec
 from .spectral import KernelSpec, resolvent_scales, rkhs_norm
 
@@ -312,7 +312,8 @@ def weak_error_vs_eta(
         (replace(cfg_base, eta=eta, burn_in=None), obj, chain_ids, ())
         for eta, chain_ids in [(eta_ref, [2_000_000 + r for r in ids])] + [(eta, ids) for eta in etas]
     ]
-    (ref, ref_se), *points = [_replica_mean_se(t) for t in _phi_tails(run_blocks(blocks, l_star=l_star))]
+    results = run_blocks(blocks, l_star=l_star, checkpoints=(cfg_base.horizon,))
+    (ref, ref_se), *points = [_replica_mean_se(t) for t in _phi_tails(results)]
     errs = [abs(value - ref) for value, _ in points]
     ses = [math.hypot(se, ref_se) for _, se in points]
     return fit_loglog(np.array(etas), np.array(errs), np.array(ses))
@@ -349,7 +350,7 @@ def galerkin_error_vs_n(
         (replace(cfg_base, n_modes=n_modes, burn_in=None), obj, ids, ())
         for n_modes, obj in [(n_ref + 1, obj_ref)] + [(n + 1, make_objective(n + 1)) for n in n_list]
     ]
-    ref_tails, *tails = _phi_tails(run_blocks(blocks, l_star=l_star))
+    ref_tails, *tails = _phi_tails(run_blocks(blocks, l_star=l_star, checkpoints=(cfg_base.horizon,)))
     mu = obj_ref.kernel.eigenvalues(max(n_list) + 2)
     errs, ses, absc = [], [], []
     for n, point_tails in zip(n_list, tails):
@@ -388,7 +389,8 @@ def gibbs_gap_vs_beta(
     cfgs = [replace(cfg, beta=beta) for beta in betas]
     trackers = [_CesaroTracker(c) for c in cfgs]
     ids = list(range(replicas))
-    results = run_blocks([(c, obj, ids, (tracker,)) for c, tracker in zip(cfgs, trackers)], l_star=l_tilde)
+    blocks = [(c, obj, ids, (tracker,)) for c, tracker in zip(cfgs, trackers)]
+    results = run_blocks(blocks, l_star=l_tilde, checkpoints=(cfg.horizon,))
     M = obj.smoothness_constant()
     x_tilde_hk = rkhs_norm(x_tilde, obj.kernel)
     out = []
@@ -438,11 +440,11 @@ def sgld_discrepancy_vs_m(
     n_tr = obj.dataset.size
     budgets = [discrepancy_budget(cfg.horizon, cfg.beta, cfg.eta, n_tr, m) for m in ms]
     ids = list(range(replicas))
-    # only the last checkpoint's phi is read: retain one step, skip the Cesaro sums
+    # only the horizon's phi is read: retain one step, skip the Cesaro sums
     cfg = replace(cfg, burn_in=cfg.horizon - 1)
     # SGLD with the full batch is the GLD chain, bit for bit
     blocks = [(replace(cfg, minibatch=m), obj, ids, ()) for m in (None, *ms)]
-    gld, *sgld = run_blocks(blocks, mode="sgld", l_star=l_star)
+    gld, *sgld = run_blocks(blocks, mode="sgld", l_star=l_star, checkpoints=(cfg.horizon,))
     phi_x = np.array([s.phi[-1] for s in gld])
     out = []
     for m, rn, summaries in zip(ms, budgets, sgld):
@@ -464,18 +466,6 @@ def sgld_discrepancy(
     """sgld_discrepancy_vs_m at the config's own minibatch size (None: full batch)."""
     m = cfg.minibatch if cfg.minibatch is not None else obj.dataset.size
     return sgld_discrepancy_vs_m(cfg, obj, l_star, [m], replicas)[0]
-
-
-class _RiskAtSteps:
-    """Observer keeping the engine's per-chain risk at a fixed set of steps."""
-
-    def __init__(self, steps):
-        self.steps = set(int(s) for s in steps)
-        self.records: dict[int, np.ndarray] = {}
-
-    def __call__(self, step, x, risk):
-        if step in self.steps:
-            self.records[step] = risk
 
 
 def tail_bound_terms(
@@ -510,25 +500,21 @@ def theorem_tail_bound(
     if cfg.x0 is not None and np.linalg.norm(cfg.x0) > 1.0 + 1e-12:
         raise ValueError("theorem evaluation requires ||x0|| <= 1")
     checkpoints = sorted(int(c) for c in checkpoints)
-    # with no burn-in the observer sees steps 1..max(checkpoints), not step 0
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError(f"checkpoints must be a nonempty list of steps >= 1, got {checkpoints}")
     minimizers = obj.find_minimizers(cfg.lam)
     consts = theory_constants(obj, cfg, minimizers)
-    recorder = _RiskAtSteps(checkpoints)
-    run_cfg = replace(cfg, horizon=max(checkpoints), burn_in=0)
-    run_ensemble(
-        run_cfg,
-        obj,
-        mode="gld",
-        l_star=minimizers.l_star,
-        observers=(recorder,),
-        chain_ids=list(range(replicas)),
-    )
+    # the risk at a checkpoint is recorded whether or not the step is retained:
+    # retain only the last step, which skips the Cesaro sums' evaluations
+    horizon = checkpoints[-1]
+    run_cfg = replace(cfg, horizon=horizon, burn_in=horizon - 1)
+    block = (run_cfg, obj, list(range(replicas)), ())
+    [summaries] = run_blocks([block], l_star=minimizers.l_star, checkpoints=checkpoints)
+    risk = np.array([s.risk for s in summaries])  # (R, K): one column per recorded step
+    column = {int(step): k for k, step in enumerate(summaries[0].steps)}
     rows = []
     for n in checkpoints:
-        risks = recorder.records[n]
-        exceed = risks - minimizers.l_star > delta
+        exceed = risk[:, column[n]] - minimizers.l_star > delta
         p_hat = float(np.mean(exceed))
         p_se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / replicas) / replicas)
         terms = tail_bound_terms(consts, minimizers, cfg.eta, n)

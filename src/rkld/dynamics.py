@@ -137,7 +137,7 @@ class _Block:
     into Cesaro sums and checkpoint rows once per noise chunk.
     """
 
-    def __init__(self, cfg, obj, chain_ids, observers, mode, l_star):
+    def __init__(self, cfg, obj, chain_ids, observers, mode, l_star, n_checkpoints):
         if mode in ("gld", "sgld"):
             if obj is None:
                 raise ValueError(f"mode {mode!r} requires an objective")
@@ -173,9 +173,8 @@ class _Block:
         self.pending: list[tuple] = []  # (step, X, risk or None, len(chunk_risks), retained) per checkpoint
         self.ck_steps: list[int] = []
         # one (R, K) array per column (norm, risk, reg, phi, cesaro_phi) over the K
-        # checkpoints, step 0 and the horizon included, filled by flush()
-        n_ck = cfg.horizon // cfg.checkpoint_every + 1 + (cfg.horizon % cfg.checkpoint_every != 0)
-        self.cols = np.empty((5, len(self.chain_ids), n_ck))
+        # checkpoints, step 0 included, filled by flush()
+        self.cols = np.empty((5, len(self.chain_ids), n_checkpoints + 1))
 
     def draw_batches(self, chunk_len):
         # row t of one chain's permuted tile is the t-th rng.permutation(n_tr), and
@@ -277,7 +276,7 @@ class _Block:
         ]
 
 
-def run_blocks(blocks, mode: str = "gld", l_star: float = 0.0) -> list[list[RunSummary]]:
+def run_blocks(blocks, mode: str = "gld", l_star: float = 0.0, checkpoints=None) -> list[list[RunSummary]]:
     """Advance several ensembles in lockstep, one loop for all of them.
 
     A block is a (cfg, obj, chain_ids, observers) tuple with the meaning of
@@ -290,6 +289,11 @@ def run_blocks(blocks, mode: str = "gld", l_star: float = 0.0) -> list[list[RunS
     run_ensemble call; each block keeps its own matmuls, since stacking the
     rows of several blocks into one matrix changes BLAS's summation order.
 
+    checkpoints are the steps in 1..horizon whose rows the summaries keep,
+    after step 0's; None means every checkpoint_every-th step and the
+    horizon.  A checkpoint only adds a row: the trajectories and the Cesaro
+    sums do not depend on it.
+
     Returns one list of summaries per block, ordered as the block's chain ids.
     On a NumericalAbort in any block the run stops and exc.partial holds
     these lists up to the aborted step.
@@ -298,12 +302,19 @@ def run_blocks(blocks, mode: str = "gld", l_star: float = 0.0) -> list[list[RunS
         raise ValueError(f"unknown mode: {mode!r}")
     if not blocks:
         raise ValueError("run_blocks needs at least one block")
-    states = [_Block(cfg, obj, ids, observers, mode, l_star) for cfg, obj, ids, observers in blocks]
-    first = states[0].cfg
-    lockstep = (first.seed, first.horizon, first.burn_in_steps)
-    if any((s.cfg.seed, s.cfg.horizon, s.cfg.burn_in_steps) != lockstep for s in states):
+    first = blocks[0][0]
+    horizon, burn_in = first.horizon, first.burn_in_steps
+    if checkpoints is None:
+        checkpoints = {*range(first.checkpoint_every, horizon + 1, first.checkpoint_every), horizon}
+    else:
+        checkpoints = {int(c) for c in checkpoints}
+        if not all(1 <= c <= horizon for c in checkpoints):
+            raise ValueError(f"checkpoints must lie in 1..{horizon}, got {sorted(checkpoints)}")
+    states = [
+        _Block(cfg, obj, ids, observers, mode, l_star, len(checkpoints)) for cfg, obj, ids, observers in blocks
+    ]
+    if any((s.cfg.seed, s.cfg.horizon, s.cfg.burn_in_steps) != (first.seed, horizon, burn_in) for s in states):
         raise ValueError("blocks must share seed, horizon and burn-in to run in lockstep")
-    horizon, burn_in, cadence = first.horizon, first.burn_in_steps, first.checkpoint_every
 
     # one noise row per distinct chain id; a block's rows are a view when its
     # ids are consecutive in first-appearance order
@@ -332,7 +343,7 @@ def run_blocks(blocks, mode: str = "gld", l_star: float = 0.0) -> list[list[RunS
             for t in range(chunk_len):
                 step += 1
                 retain = step > burn_in
-                checkpoint = step % cadence == 0 or step == horizon
+                checkpoint = step in checkpoints
                 for s in states:
                     s.advance(step, t, noise, retain, checkpoint)
             for s in states:

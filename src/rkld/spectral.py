@@ -93,11 +93,6 @@ class KernelSpec:
         """psi_gamma(z) truncated to n_modes coefficients."""
         return self.feature_matrix(np.array([z]), n_modes)[0]
 
-    def kernel_gamma(self, z: float, z2: float, n_modes: int) -> float:
-        """Truncated K_gamma(z, z') = sum_k mu_k^gamma f_k(z) f_k(z')."""
-        mu_g = self.eigenvalues(n_modes) ** self.gamma
-        return float(np.dot(mu_g * self.basis_row(z, n_modes), self.basis_row(z2, n_modes)))
-
 
 def rkhs_norm(x: np.ndarray, spec: KernelSpec) -> float:
     """RKHS norm (sum alpha_k^2 / mu_k)^(1/2) of the coefficient array x."""

@@ -278,6 +278,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {cfg}: [chain] missing required key '{key}'\n"
         assert not out.exists()
 
+    def test_delta_outside_unit_interval_fails_at_parse_time(self, tmp_path, capsys):
+        # a bounded-regime savage config, where delta feeds the spectral gap
+        cfg = tmp_path / "delta.ini"
+        cfg.write_text(BASE.replace("squared", "savage").replace("lambda = 6.0", "lambda = 0.1") + "\n[experiment]\ndelta = 1.5\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {cfg}: [experiment] delta = '1.5': must be in (0, 1)\n"
+        assert not out.exists()
+
     def test_minibatch_larger_than_data_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "m.ini"
         cfg.write_text(BASE.replace("seed = 42", "seed = 42\nminibatch = 30") + "\n[experiment]\nmode = sgld\n")
@@ -398,6 +407,19 @@ class TestReport:
         assert "L* = 0 is the infimum; x* is not attained (separable data)" in report
         assert "regime: strict" in report and "b (Lyapunov offset): n/a" in report
         assert "unavailable" not in report
+
+    def test_no_dissipativity_regime_names_lambda_and_manifest(self, tmp_path, capsys):
+        # the squared loss has an unbounded gradient, so lambda <= M mu0 leaves no regime
+        cfg = tmp_path / "weak.ini"
+        cfg.write_text(BASE.replace("lambda = 6.0", "lambda = 0.1"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = out / f"{tag_of(cfg)}_manifest.json"
+        capsys.readouterr()
+        assert main(["report", "--manifest", str(manifest), "--out", str(out)]) == 1
+        gap = 0.1 - ExperimentConfig.load(cfg).build_objective().smoothness_constant()
+        reason = f"no dissipativity regime applies: lambda/mu0 - M = {gap:.6g} <= 0 and the gradient is unbounded"
+        assert capsys.readouterr().err == f"config error: {manifest}: [chain] lambda = '0.1': {reason}\n"
 
     def test_missing_outputs_exit_code(self, tmp_path, config_file):
         out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import collections
 import math
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from rkld.diagnostics import (
     theory_constants,
     weak_error_vs_eta,
 )
-from rkld.dynamics import ChainConfig, run_chain
+from rkld.dynamics import ChainConfig, run_chain, run_ensemble
 from rkld.objective import Dataset, ObjectiveSpec, loss_family
 from rkld.spectral import KernelSpec
 
@@ -276,15 +277,77 @@ class TestEstimators:
 
     @pytest.mark.parametrize("checkpoints", [[], [0, 10]])
     def test_theorem_tail_bound_rejects_checkpoints_before_running(self, checkpoints, monkeypatch):
-        # the observer sees steps 1..H only, so step 0 would have no recorded risk
+        # the bound is about steps n >= 1; step 0 is the fixed starting point
         def no_engine(*args, **kwargs):
             raise AssertionError("the engine ran")
 
-        monkeypatch.setattr(diagnostics, "run_ensemble", no_engine)
+        monkeypatch.setattr(diagnostics, "run_blocks", no_engine)
         obj = make_objective()
         cfg = ChainConfig(eta=0.1, beta=4.0, lam=4.0 * obj.smoothness_constant(), n_modes=6, seed=3, horizon=100)
         with pytest.raises(ValueError, match="checkpoints"):
             theorem_tail_bound(cfg, obj, delta=0.2, checkpoints=checkpoints, replicas=4)
+
+    def test_theorem_tail_bound_reads_the_risks_an_observer_sees(self, monkeypatch):
+        # the tail bound records its checkpoints' risks; a burn_in = 0 run's
+        # observer sees the same risks at those steps, bit for bit
+        obj = make_objective()
+        cfg = ChainConfig(eta=0.1, beta=4.0, lam=4.0 * obj.smoothness_constant(), n_modes=6, seed=3, horizon=300)
+        replicas = 20
+        recorded = []
+        run_blocks = diagnostics.run_blocks
+
+        def recording(*args, **kwargs):
+            recorded.append(run_blocks(*args, **kwargs))
+            return recorded[-1]
+
+        monkeypatch.setattr(diagnostics, "run_blocks", recording)
+        out = theorem_tail_bound(cfg, obj, delta=0.2, checkpoints=[250, 10, 50], replicas=replicas)
+        [[summaries]] = recorded
+        assert summaries[0].steps.tolist() == [0, 10, 50, 250]
+        l_star = obj.find_minimizers(cfg.lam).l_star
+        seen = {}
+        observer = (lambda step, x, risk: seen.update({step: risk}),)
+        run_ensemble(replace(cfg, horizon=250, burn_in=0), obj, l_star=l_star, observers=observer, chain_ids=range(replicas))
+        for k, row in enumerate(out["rows"], start=1):
+            risk = seen[row["n"]]
+            assert np.array_equal(np.array([s.risk[k] for s in summaries]), risk)
+            assert row["p_hat"] == float(np.mean(risk - l_star > 0.2))
+
+
+class TestRecording:
+    """The rate experiments record step 0 and the horizon only; the Cesaro
+    sums they read do not depend on the checkpoint log."""
+
+    def test_rate_experiments_record_only_the_horizon(self, monkeypatch):
+        calls = []
+        run_blocks = diagnostics.run_blocks
+
+        def recording(blocks, **kwargs):
+            calls.append((blocks[0][0].horizon, run_blocks(blocks, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(diagnostics, "run_blocks", recording)
+        cfg = ChainConfig(eta=0.05, beta=4.0, lam=6.0, n_modes=6, seed=42, horizon=200)
+        obj = make_objective(n=8)
+        weak_error_vs_eta(obj, cfg, [0.2, 0.1, 0.05, 0.025], 0.003, 0.1, replicas=2)
+        galerkin_error_vs_n(lambda n: make_objective(n_modes=n), cfg, [1, 2, 3], 12, replicas=2)
+        gibbs_gap_empirical(replace(cfg, eta=0.01, n_modes=65), make_objective(n_modes=65), replicas=2)
+        sgld_discrepancy_vs_m(cfg, obj, 0.1, [2, 5], replicas=2)
+        assert len(calls) == 4
+        for horizon, results in calls:
+            assert all(s.steps.tolist() == [0, horizon] for summaries in results for s in summaries)
+
+    def test_sgld_sweep_evaluates_the_gld_risk_twice(self, monkeypatch):
+        # step 0 and the horizon; every other full-batch step takes the gradient alone
+        calls = collections.Counter()
+        for name in ("risk_and_grad_array", "grad_array"):
+            method = getattr(ObjectiveSpec, name)
+            monkeypatch.setattr(
+                ObjectiveSpec, name, lambda self, x, name=name, method=method: calls.update([name]) or method(self, x)
+            )
+        cfg = ChainConfig(eta=0.05, beta=4.0, lam=6.0, n_modes=6, seed=42, horizon=2000)
+        sgld_discrepancy_vs_m(cfg, make_objective(n=8), 0.1, [2, 5], replicas=4)
+        assert calls == {"risk_and_grad_array": 2, "grad_array": 1999}
 
 
 class TestQuadraticOracle:

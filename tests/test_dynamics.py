@@ -572,6 +572,41 @@ class TestRunBlocks:
         assert seen == []
 
 
+class TestCheckpoints:
+    """An explicit checkpoint list keeps the rows of a cadence-1 run at those
+    steps, and nothing else of the run changes."""
+
+    @pytest.mark.parametrize("burn_in", [0, 300])
+    @pytest.mark.parametrize("mode", ["gld", "sgld", "ou+objective"])
+    def test_rows_equal_cadence_one_rows(self, mode, burn_in):
+        obj = make_objective(loss="savage", lambda0=0.1)
+        mode = mode.removesuffix("+objective")
+        cfg = make_cfg(horizon=600, burn_in=burn_in, minibatch=3 if mode == "sgld" else None)
+        assert cfg.checkpoint_every == 1
+        ids = [4, 1, 7]
+        full = run_ensemble(cfg, obj, mode, l_star=0.3, chain_ids=ids)
+        checkpoints = [600, 257, 1, 256, 255, 433, 256]
+        [picked] = run_blocks([(cfg, obj, ids, ())], mode, 0.3, checkpoints)
+        steps = [0, 1, 255, 256, 257, 433, 600]
+        for a, b in zip(picked, full, strict=True):
+            assert a.steps.tolist() == steps
+            for name in ("norm", "risk", "reg_objective", "phi", "cesaro_phi"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)[steps], equal_nan=True)
+            assert a.final_cesaro_phi == b.final_cesaro_phi and a.final_cesaro_risk == b.final_cesaro_risk
+            assert (a.chain_id, a.retained_steps) == (b.chain_id, b.retained_steps)
+
+    @pytest.mark.parametrize("checkpoints", [[0], [101], [-1, 50], [1, 100, 101]])
+    def test_step_outside_the_horizon_raises_before_any_step(self, checkpoints, monkeypatch):
+        obj = make_objective()
+        calls = []
+        for name in ("risk_and_grad_array", "grad_array"):
+            method = getattr(ObjectiveSpec, name)
+            monkeypatch.setattr(ObjectiveSpec, name, lambda self, x, method=method: calls.append(1) or method(self, x))
+        with pytest.raises(ValueError, match="checkpoints"):
+            run_blocks([(make_cfg(), obj, [0], ())], checkpoints=checkpoints)
+        assert calls == []
+
+
 class TestRng:
     def test_streams_distinct(self):
         a = make_rng(7, 0, 0).standard_normal(8)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -284,7 +285,9 @@ class TestMinibatch:
 class TestConstants:
     def test_smoothness_is_g_times_sup_diag(self):
         obj = two_point_objective(LOGISTIC, gamma=2.0, n_modes=16)
-        r = max(obj.kernel.kernel_gamma(z, z, 16) for z in obj.dataset.z)
+        # R_gamma = max_i sum_k mu_k^gamma f_k(z_i)^2, the f_k from the gamma = 0 feature map
+        f = dataclasses.replace(obj.kernel, gamma=0.0).feature_matrix(obj.dataset.z, 16)
+        r = float(np.max(f**2 @ obj.kernel.eigenvalues(16) ** obj.kernel.gamma))
         assert obj.smoothness_constant() == pytest.approx(0.25 * r, rel=1e-14)
 
     def test_gradient_bound_squared_is_none(self):
