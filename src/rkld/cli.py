@@ -1,8 +1,8 @@
 """Command-line entry point: run / verify / sweep / report.
 
-Every output file is prefixed with the config hash and registered in a JSON
-manifest written next to it; re-running with the same config and seed
-reproduces every file byte-for-byte.
+Every output file is prefixed with the config hash and registered, by name,
+in a JSON manifest written next to it, one per command; re-running with the
+same config and seed reproduces every file byte-for-byte.
 """
 
 from __future__ import annotations
@@ -95,16 +95,11 @@ def cmd_run(args) -> int:
     tag = exp.config_hash()
     manifest = _new_manifest(exp, "run")
     obj = exp.build_objective()
-    try:
-        mins = obj.find_minimizers(exp.chain.lam)
-        l_star, l_tilde, attained = mins.l_star, mins.l_tilde, mins.attained
-    except RuntimeError as exc:
-        l_star, l_tilde, attained = 0.0, math.nan, None
-        manifest.notes["minimizer"] = f"unavailable ({exc}); phi uses l_star = 0"
+    mins = obj.find_minimizers(exp.chain.lam)
 
     aborted = None
     try:
-        summary = run_chain(exp.chain, obj, mode=exp.mode, l_star=l_star)
+        summary = run_chain(exp.chain, obj, mode=exp.mode, l_star=mins.l_star)
     except NumericalAbort as exc:
         aborted = exc
         summary = exc.partial[0] if exc.partial else None
@@ -125,9 +120,9 @@ def cmd_run(args) -> int:
                     "chain_id": summary.chain_id,
                     "burn_in": summary.burn_in,
                     "retained_steps": summary.retained_steps,
-                    "l_star": l_star,
-                    "l_star_attained": attained,
-                    "l_tilde": l_tilde,
+                    "l_star": mins.l_star,
+                    "l_star_attained": mins.attained,
+                    "l_tilde": mins.l_tilde,
                     "final_cesaro_phi": summary.final_cesaro_phi,
                     "final_cesaro_risk": summary.final_cesaro_risk,
                 },
@@ -158,7 +153,7 @@ def cmd_verify(args) -> int:
     _atomic_write_text(report_path, "\n".join(lines) + "\n")
     manifest = _new_manifest(exp, "verify")
     manifest.add_output(report_path)
-    manifest.save(out / f"{tag}_manifest.json")
+    manifest.save(out / f"{tag}_verify_manifest.json")
     failed = sum(not r.passed for r in results)
     print(f"{len(results) - failed}/{len(results)} properties passed")
     return EXIT_OK if failed == 0 else EXIT_CONFIG
@@ -310,7 +305,7 @@ def cmd_sweep(args) -> int:
     manifest.notes["replicas"] = exp.replicas
     manifest.add_output(csv_path)
     manifest.add_output(verdict_path)
-    manifest.save(out / f"{tag}_manifest.json")
+    manifest.save(out / f"{tag}_sweep_{args.axis}_manifest.json")
     print(verdict)
     return EXIT_OK if conclusive else EXIT_INCONCLUSIVE
 
@@ -318,10 +313,7 @@ def cmd_sweep(args) -> int:
 def _constants_section(exp: ExperimentConfig) -> list[str]:
     obj = exp.build_objective()
     lines = []
-    try:
-        mins = obj.find_minimizers(exp.chain.lam)
-    except RuntimeError as exc:
-        return [f"theory constants unavailable: minimizer search failed ({exc})"]
+    mins = obj.find_minimizers(exp.chain.lam)
     try:
         tc = theory_constants(obj, exp.chain, mins, delta=exp.delta, kappa=exp.kappa)
     except ValueError as exc:  # no dissipativity regime applies at this lambda
@@ -371,10 +363,9 @@ def _constants_section(exp: ExperimentConfig) -> list[str]:
     return lines
 
 
-def _empirical_section(manifest: Manifest) -> list[str]:
+def _empirical_section(outputs: list[Path]) -> list[str]:
     lines = []
-    for path in manifest.outputs:
-        p = Path(path)
+    for p in outputs:
         if p.name.endswith("_summary.json"):
             with open(p) as fh:
                 s = json.load(fh)
@@ -394,7 +385,10 @@ def cmd_report(args) -> int:
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"cannot read manifest: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    missing = [p for p in manifest.outputs if not Path(p).is_file()]
+    # every output sits next to its manifest, wherever report runs from; the
+    # file name also resolves a manifest that stored the path given to --out
+    outputs = [Path(args.manifest).parent / Path(name).name for name in manifest.outputs]
+    missing = [p for p in outputs if not p.is_file()]
     if missing:
         for p in missing:
             print(f"missing output: {p}", file=sys.stderr)
@@ -415,7 +409,7 @@ def cmd_report(args) -> int:
         *_constants_section(exp),
         "",
         "== empirical estimates ==",
-        *_empirical_section(manifest),
+        *_empirical_section(outputs),
     ]
     for key in sorted(manifest.notes):
         lines.append(f"note [{key}]: {manifest.notes[key]}")
@@ -426,20 +420,14 @@ def cmd_report(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["source", "config_hash", "seed", "row"])
-    for path in manifest.outputs:
-        p = Path(path)
+    for p in outputs:
         if p.suffix == ".csv":
             for row in p.read_text().splitlines():
                 writer.writerow([p.name, tag, manifest.seed_table.get("seed"), row])
     bundle_path = out / f"{tag}_report_bundle.csv"
     _atomic_write_text(bundle_path, buf.getvalue())
 
-    report_manifest = Manifest(
-        config_hash=tag,
-        command="report",
-        seed_table=dict(manifest.seed_table),
-        config_text=manifest.config_text,
-    )
+    report_manifest = _new_manifest(exp, "report")
     report_manifest.add_output(report_path)
     report_manifest.add_output(bundle_path)
     report_manifest.save(out / f"{tag}_report_manifest.json")

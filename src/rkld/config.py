@@ -74,7 +74,7 @@ _KEYS = {
     "kernel": {
         "mu0": (float, 1.0),
         "gamma": (float, 1.5),
-        "basis": (str, "cosine"),
+        "basis": (_one_of("cosine"), "cosine"),
         "decay": (str, "inverse-square"),
     },
     "objective": {
@@ -181,6 +181,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"{origin}: [chain] minibatch = {raw!r}: only [experiment] mode = sgld draws minibatches"
             )
+        del kernel["basis"]  # parsed to be checked: KernelSpec's basis is the cosine family
         chain["lam"] = chain.pop("lambda")
         objective["data_path"] = objective.pop("data")
         if seed_override is not None:
@@ -232,7 +233,8 @@ class ExperimentConfig:
 
 @dataclass
 class Manifest:
-    """Reproducibility record: config hash, seeds and every output path."""
+    """Reproducibility record: config hash, seeds and every output, by its file
+    name in the manifest's directory."""
 
     config_hash: str
     tool_version: str = TOOL_VERSION
@@ -243,7 +245,7 @@ class Manifest:
     config_text: str = ""
 
     def add_output(self, path: str | Path):
-        self.outputs.append(str(path))
+        self.outputs.append(Path(path).name)
 
     def save(self, path: str | Path):
         _atomic_write_text(path, json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")

@@ -499,9 +499,9 @@ def theorem_tail_bound(
         raise ValueError("delta must be in (0, 1)")
     if cfg.x0 is not None and np.linalg.norm(cfg.x0) > 1.0 + 1e-12:
         raise ValueError("theorem evaluation requires ||x0|| <= 1")
-    checkpoints = sorted(int(c) for c in checkpoints)
-    if not checkpoints or checkpoints[0] < 1:
-        raise ValueError(f"checkpoints must be a nonempty list of steps >= 1, got {checkpoints}")
+    checkpoints = sorted(checkpoints)
+    if not (checkpoints and all(isinstance(c, (int, np.integer)) and c >= 1 for c in checkpoints)):
+        raise ValueError(f"checkpoints must be a nonempty list of integer steps >= 1, got {checkpoints}")
     minimizers = obj.find_minimizers(cfg.lam)
     consts = theory_constants(obj, cfg, minimizers)
     # the risk at a checkpoint is recorded whether or not the step is retained:
@@ -519,7 +519,7 @@ def theorem_tail_bound(
         p_se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / replicas) / replicas)
         terms = tail_bound_terms(consts, minimizers, cfg.eta, n)
         rhs = (5.0 / delta) * sum(terms.values()) if terms is not None else math.nan
-        rows.append({"n": n, "p_hat": p_hat, "p_se": p_se, "rhs": rhs})
+        rows.append({"n": int(n), "p_hat": p_hat, "p_se": p_se, "rhs": rhs})
     return {
         "delta": delta,
         "rows": rows,

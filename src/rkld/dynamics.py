@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objective import ObjectiveSpec
-from .spectral import KernelSpec, resolvent_scales
+from .spectral import resolvent_scales
 
 __all__ = [
     "ChainConfig",
@@ -138,16 +138,15 @@ class _Block:
     """
 
     def __init__(self, cfg, obj, chain_ids, observers, mode, l_star, n_checkpoints):
-        if mode in ("gld", "sgld"):
-            if obj is None:
-                raise ValueError(f"mode {mode!r} requires an objective")
-            if obj.n_modes != cfg.n_modes:
-                raise ValueError("objective mode count does not match config")
+        if obj is None:
+            raise ValueError(f"mode {mode!r} requires an objective")
+        if obj.n_modes != cfg.n_modes:
+            raise ValueError("objective mode count does not match config")
         self.cfg, self.obj, self.mode, self.l_star = cfg, obj, mode, l_star
         self.chain_ids = list(chain_ids)
         self.observers = tuple(observers)
         self.n = cfg.n_modes
-        self.scales = resolvent_scales(obj.kernel if obj is not None else KernelSpec(), cfg.lam, cfg.eta, self.n)
+        self.scales = resolvent_scales(obj.kernel, cfg.lam, cfg.eta, self.n)
         self.amp = math.sqrt(2.0 * cfg.eta / cfg.beta)
         self.x = np.tile(cfg.x0_array(), (len(self.chain_ids), 1))
         self.minibatch = None  # m when SGLD draws proper minibatches
@@ -159,8 +158,7 @@ class _Block:
             if m < n_tr:  # a full batch is the GLD gradient, exactly
                 self.minibatch = m
                 self.batch_rngs = [make_rng(cfg.seed, cid, _STREAM_BATCH) for cid in self.chain_ids]
-        if obj is not None:
-            self.mu = obj.kernel.eigenvalues(self.n)
+        self.mu = obj.kernel.eigenvalues(self.n)
         # a full-batch chain takes each state's gradient, and its risk from the same feature
         # product where a retained step or a checkpoint reads it; the others evaluate
         # retained states, and checkpoint states at flush()
@@ -200,13 +198,12 @@ class _Block:
         if not np.isfinite(x).all():
             raise NumericalAbort(f"non-finite state at step {step}", step=step)
         self.x, self.risk = x, None
-        if self.obj is not None and (retain or (checkpoint and self.fused)):
+        if retain or (checkpoint and self.fused):
             self.evaluate()
         elif self.fused:
             self.g = self.obj.grad_array(x)  # no one reads this state's risk
         if retain:
-            if self.obj is not None:
-                self.chunk_risks.append(self.risk)
+            self.chunk_risks.append(self.risk)
             self.retained += 1
             for observer in self.observers:
                 observer(step, x, self.risk)
@@ -233,15 +230,12 @@ class _Block:
         self.pending = []
         xs = np.stack(xs)
         norms = np.linalg.norm(xs, axis=-1)
-        if self.obj is not None:
-            risk = np.stack([np.zeros(len(self.chain_ids)) if r is None else r for r in risks])
-            missing = [k for k, r in enumerate(risks) if r is None]
-            if missing:  # states that no step evaluated: one call on the stacked (M, R, N+1) slices
-                risk[missing] = self.obj.risk_array(xs[missing])
-            reg = risk + 0.5 * self.cfg.lam * np.sum(xs * xs / self.mu, axis=-1)
-            phi = sigmoid_gap(risk - self.l_star)
-        else:
-            risk = reg = phi = np.zeros(norms.shape)
+        risk = np.stack([np.zeros(len(self.chain_ids)) if r is None else r for r in risks])
+        missing = [k for k, r in enumerate(risks) if r is None]
+        if missing:  # states that no step evaluated: one call on the stacked (M, R, N+1) slices
+            risk[missing] = self.obj.risk_array(xs[missing])
+        reg = risk + 0.5 * self.cfg.lam * np.sum(xs * xs / self.mu, axis=-1)
+        phi = sigmoid_gap(risk - self.l_star)
         counts = np.array(counts)
         ces = sums[list(rows)] / np.maximum(counts, 1)[:, None]
         ces[counts == 0] = np.nan
@@ -279,14 +273,21 @@ class _Block:
 def run_blocks(blocks, mode: str = "gld", l_star: float = 0.0, checkpoints=None) -> list[list[RunSummary]]:
     """Advance several ensembles in lockstep, one loop for all of them.
 
-    A block is a (cfg, obj, chain_ids, observers) tuple with the meaning of
-    run_ensemble's arguments.  Blocks must share the seed, horizon and burn-in.
+    A block is a (cfg, obj, chain_ids, observers) tuple: one replica of the
+    configured chain per chain id, on the objective obj, which every mode
+    needs (the OU chain ignores its gradient, not its risk).  Replica r uses
+    the random streams keyed by (cfg.seed, chain_ids[r]), so a replica's
+    trajectory does not depend on the ensemble it runs inside.  Observers
+    are called as observer(step, X, risk) for every post-burn-in step, with
+    the block's (R, N+1) state matrix and the per-chain risk
+    obj.risk_array(X) that also feeds the Cesaro sums and checkpoints; both
+    arrays are read-only.  Blocks must share the seed, horizon and burn-in.
     Each distinct chain id draws its noise once per chunk, at the widest
     block's n_modes, and every block reads the first N+1 components of its
     chain ids' rows, so blocks that share a chain id share their noise
     (common random numbers across step sizes, temperatures or dimensions).
-    A block as wide as the widest one gives the same bits as its solo
-    run_ensemble call; each block keeps its own matmuls, since stacking the
+    A block as wide as the widest one gives the same bits as a run_blocks
+    call of its own; each block keeps its own matmuls, since stacking the
     rows of several blocks into one matrix changes BLAS's summation order.
 
     checkpoints are the steps in 1..horizon whose rows the summaries keep,
@@ -307,9 +308,9 @@ def run_blocks(blocks, mode: str = "gld", l_star: float = 0.0, checkpoints=None)
     if checkpoints is None:
         checkpoints = {*range(first.checkpoint_every, horizon + 1, first.checkpoint_every), horizon}
     else:
-        checkpoints = {int(c) for c in checkpoints}
-        if not all(1 <= c <= horizon for c in checkpoints):
-            raise ValueError(f"checkpoints must lie in 1..{horizon}, got {sorted(checkpoints)}")
+        checkpoints = set(checkpoints)
+        if not all(isinstance(c, (int, np.integer)) and 1 <= c <= horizon for c in checkpoints):
+            raise ValueError(f"checkpoints must be integer steps in 1..{horizon}, got {sorted(checkpoints)}")
     states = [
         _Block(cfg, obj, ids, observers, mode, l_star, len(checkpoints)) for cfg, obj, ids, observers in blocks
     ]
@@ -356,38 +357,16 @@ def run_blocks(blocks, mode: str = "gld", l_star: float = 0.0, checkpoints=None)
     return [s.summaries() for s in states]
 
 
-def run_ensemble(
-    cfg: ChainConfig,
-    obj: ObjectiveSpec | None = None,
-    mode: str = "gld",
-    l_star: float = 0.0,
-    observers: tuple = (),
-    chain_ids=(0,),
-) -> list[RunSummary]:
-    """Advance one replica of the configured chain per chain id and summarize each.
-
-    Replica r uses the random streams keyed by (cfg.seed, chain_ids[r]), so
-    the trajectory of any single replica is independent of the ensemble it
-    runs inside.  Observers are called as observer(step, X, risk) for every
-    post-burn-in step, with the full (R, N+1) state matrix and the per-chain
-    risk obj.risk_array(X) that also feeds the Cesaro sums and checkpoints
-    (None without an objective); both arrays are read-only.
-
-    This is run_blocks with one block.  Returns summaries ordered by chain id.
-    """
+def run_ensemble(cfg: ChainConfig, obj: ObjectiveSpec, mode: str = "gld", l_star: float = 0.0) -> list[RunSummary]:
+    """run_blocks with one block of chain id 0 and no observers: a
+    one-element list of its summary."""
     try:
-        return run_blocks([(cfg, obj, chain_ids, observers)], mode, l_star)[0]
+        return run_blocks([(cfg, obj, [0], ())], mode, l_star)[0]
     except NumericalAbort as exc:
         exc.partial = exc.partial[0]
         raise
 
 
-def run_chain(
-    cfg: ChainConfig,
-    obj: ObjectiveSpec | None = None,
-    mode: str = "gld",
-    l_star: float = 0.0,
-    observers: tuple = (),
-) -> RunSummary:
+def run_chain(cfg: ChainConfig, obj: ObjectiveSpec, mode: str = "gld", l_star: float = 0.0) -> RunSummary:
     """Chain id 0 alone; see run_ensemble for the contract."""
-    return run_ensemble(cfg, obj, mode=mode, l_star=l_star, observers=observers)[0]
+    return run_ensemble(cfg, obj, mode=mode, l_star=l_star)[0]

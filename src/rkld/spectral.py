@@ -33,7 +33,6 @@ class KernelSpec:
     mu0: float = 1.0
     gamma: float = 1.5
     decay: str = "inverse-square"
-    basis: str = "cosine"
 
     def __post_init__(self):
         if not (self.mu0 > 0 and math.isfinite(self.mu0)):
@@ -42,8 +41,6 @@ class KernelSpec:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
         if self.decay not in ("inverse-square", "harmonic"):
             raise ValueError(f"unsupported eigenvalue decay law: {self.decay!r}")
-        if self.basis != "cosine":
-            raise ValueError(f"unsupported basis family: {self.basis!r}")
 
     def eigenvalues(self, n_modes: int) -> np.ndarray:
         """Vector (mu_0, ..., mu_N) with N+1 = n_modes.

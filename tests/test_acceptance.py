@@ -27,7 +27,7 @@ from rkld.diagnostics import (
     theory_constants,
     weak_error_vs_eta,
 )
-from rkld.dynamics import ChainConfig, run_blocks, run_ensemble
+from rkld.dynamics import ChainConfig, run_blocks
 from rkld.objective import Dataset, ObjectiveSpec, loss_family
 from rkld.spectral import KernelSpec, resolvent_scales
 
@@ -144,9 +144,7 @@ def test_04_ou_stationary_variance():
         sumsq[:] += x**2
         count += 1
 
-    run_ensemble(
-        cfg, None, mode="ou", observers=(accumulate,), chain_ids=list(range(replicas)),
-    )
+    run_blocks([(cfg, objective(n_modes=8), list(range(replicas)), (accumulate,))], mode="ou")
     assert count == 100_000
     var = sumsq / count - (sums / count) ** 2
     mean_var = var.mean(axis=0)
@@ -221,7 +219,7 @@ def test_06_lyapunov_drift_bounded_logistic():
     )
     tc = theory_constants(obj, cfg)
     assert tc.regime == "bounded"
-    summaries = run_ensemble(cfg, obj, chain_ids=list(range(200)))
+    [summaries] = run_blocks([(cfg, obj, list(range(200)), ())])
     steps = summaries[0].steps
     norms = np.stack([s.norm for s in summaries])
     idx = np.linspace(1, len(steps) - 1, 10).astype(int)

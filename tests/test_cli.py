@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +219,25 @@ class TestSweep:
         assert rc == 2
         assert capsys.readouterr().err == "solver failure: line search stalled\n"
 
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_solver_failure_exit_code_in_run_and_report(self, command, tmp_path, config_file, monkeypatch, capsys):
+        # no fallback such as l_star = 0: run and report fail as sweep does
+        def fail(self, lam):
+            raise RuntimeError("line search stalled")
+
+        out = tmp_path / "out"
+        if command == "report":
+            assert main(["run", "--config", str(config_file), "--out", str(out)]) == 0
+            argv = ["report", "--manifest", str(out / f"{tag_of(config_file)}_manifest.json")]
+        else:
+            argv = ["run", "--config", str(config_file)]
+        before = sorted(out.glob("*"))
+        capsys.readouterr()
+        monkeypatch.setattr(ObjectiveSpec, "regularized_minimizer", fail)
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "solver failure: line search stalled\n"
+        assert sorted(out.glob("*")) == before  # no output written
+
 
 SWEEP_PRECONDITIONS = {
     "eta_ref": ("eta", "eta_grid = 0.2, 0.1, 0.05, 0.025\neta_ref = 0.01\n", BASE),
@@ -420,6 +440,47 @@ class TestReport:
         gap = 0.1 - ExperimentConfig.load(cfg).build_objective().smoothness_constant()
         reason = f"no dissipativity regime applies: lambda/mu0 - M = {gap:.6g} <= 0 and the gradient is unbounded"
         assert capsys.readouterr().err == f"config error: {manifest}: [chain] lambda = '0.1': {reason}\n"
+
+    def test_commands_write_their_own_manifests(self, tmp_path, capsys):
+        # a verify or sweep after a run leaves the run's manifest, and so its summary, in place
+        cfg = tmp_path / "m.ini"
+        cfg.write_text(BASE + "\n[experiment]\nreplicas = 8\nm_grid = 2, 4, 8\n")
+        out = tmp_path / "out"
+        for argv in (["run"], ["verify"], ["sweep", "--axis", "minibatch"]):
+            assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+        tag = tag_of(cfg)
+        commands = {
+            name: json.loads((out / f"{tag}_{name}.json").read_text())["command"]
+            for name in ("manifest", "verify_manifest", "sweep_minibatch_manifest")
+        }
+        assert commands == {
+            "manifest": "run", "verify_manifest": "verify", "sweep_minibatch_manifest": "sweep --axis minibatch"
+        }
+        assert main(["report", "--manifest", str(out / f"{tag}_manifest.json"), "--out", str(out)]) == 0
+        assert f"run summary {tag}_summary.json:" in (out / f"{tag}_report.txt").read_text()
+
+    def test_manifest_opens_from_any_directory(self, tmp_path, config_file, monkeypatch):
+        # outputs are stored by name and resolved against the manifest's directory
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        monkeypatch.chdir(tmp_path / "a")
+        assert main(["run", "--config", str(config_file), "--out", "out"]) == 0
+        tag = tag_of(config_file)
+        assert json.loads(Path(f"out/{tag}_manifest.json").read_text())["outputs"] == [
+            f"{tag}_trajectory.csv", f"{tag}_summary.json"
+        ]
+        assert main(["report", "--manifest", f"out/{tag}_manifest.json", "--out", "out"]) == 0
+        monkeypatch.chdir(tmp_path / "b")
+        assert main(["report", "--manifest", f"../a/out/{tag}_manifest.json", "--out", "out"]) == 0
+        for name in (f"{tag}_report.txt", f"{tag}_report_bundle.csv"):
+            assert Path("out", name).read_bytes() == Path("../a/out", name).read_bytes()
+        # so does a manifest that stored the output paths as given to --out
+        manifest = Path(f"../a/out/{tag}_manifest.json")
+        record = json.loads(manifest.read_text())
+        record["outputs"] = [f"out/{name}" for name in record["outputs"]]
+        manifest.write_text(json.dumps(record))
+        assert main(["report", "--manifest", str(manifest), "--out", "old"]) == 0
+        assert Path("old", f"{tag}_report.txt").read_bytes() == Path("out", f"{tag}_report.txt").read_bytes()
 
     def test_missing_outputs_exit_code(self, tmp_path, config_file):
         out = tmp_path / "out"

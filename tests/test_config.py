@@ -87,6 +87,7 @@ class TestParsing:
     @pytest.mark.parametrize(
         "section, line, reason",
         [
+            ("kernel", "basis = legendre", "expected one of cosine"),
             ("objective", "loss = hinge", "unknown loss family: 'hinge'"),
             ("objective", "synth_kind = ranking", "expected one of regression, classification"),
             ("objective", "data = /no/such.csv", "file not found"),

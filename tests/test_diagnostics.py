@@ -23,7 +23,7 @@ from rkld.diagnostics import (
     theory_constants,
     weak_error_vs_eta,
 )
-from rkld.dynamics import ChainConfig, run_chain, run_ensemble
+from rkld.dynamics import ChainConfig, run_blocks, run_chain
 from rkld.objective import Dataset, ObjectiveSpec, loss_family
 from rkld.spectral import KernelSpec
 
@@ -275,7 +275,7 @@ class TestEstimators:
         with pytest.raises(ValueError):
             theorem_tail_bound(cfg, obj, delta=0.2, checkpoints=[10], replicas=4)
 
-    @pytest.mark.parametrize("checkpoints", [[], [0, 10]])
+    @pytest.mark.parametrize("checkpoints", [[], [0, 10], [2.7, 5.9]])
     def test_theorem_tail_bound_rejects_checkpoints_before_running(self, checkpoints, monkeypatch):
         # the bound is about steps n >= 1; step 0 is the fixed starting point
         def no_engine(*args, **kwargs):
@@ -307,7 +307,7 @@ class TestEstimators:
         l_star = obj.find_minimizers(cfg.lam).l_star
         seen = {}
         observer = (lambda step, x, risk: seen.update({step: risk}),)
-        run_ensemble(replace(cfg, horizon=250, burn_in=0), obj, l_star=l_star, observers=observer, chain_ids=range(replicas))
+        run_blocks([(replace(cfg, horizon=250, burn_in=0), obj, range(replicas), observer)], l_star=l_star)
         for k, row in enumerate(out["rows"], start=1):
             risk = seen[row["n"]]
             assert np.array_equal(np.array([s.risk[k] for s in summaries]), risk)

@@ -34,6 +34,11 @@ def make_cfg(**kw):
     return ChainConfig(**base)
 
 
+def one_block(cfg, obj, ids, mode="gld", l_star=0.0, observers=()):
+    """The summaries of one block of chain ids, through run_blocks."""
+    return run_blocks([(cfg, obj, ids, observers)], mode, l_star)[0]
+
+
 class TestChainConfig:
     def test_rejects_beta_below_eta(self):
         with pytest.raises(ValueError):
@@ -90,14 +95,14 @@ class TestSigmoidGap:
         assert np.allclose(vals + vals[::-1], 0.0, atol=1e-15)
 
 
-def final_state(cfg, obj=None, mode="gld"):
+def final_state(cfg, obj, mode="gld"):
     """X_horizon of chain 0, captured by an observer (burn_in must be 0)."""
     seen = {}
 
     def capture(step, x, risk):
         seen["x"] = x[0].copy()
 
-    run_chain(cfg, obj, mode=mode, observers=(capture,))
+    one_block(cfg, obj, [0], mode, observers=(capture,))
     return seen["x"]
 
 
@@ -131,10 +136,16 @@ class TestStepFunctions:
         assert not np.array_equal(final_state(cfg, obj, "gld"), final_state(cfg, obj, "sgld"))
 
     def test_ou_step_ignores_objective(self):
+        # the step ignores the gradient; the observer still gets the state's risk
+        obj = make_objective()
         cfg = make_cfg(horizon=1, burn_in=0)
-        risks = []
-        s = run_ensemble(cfg, None, mode="ou", observers=(lambda step, x, risk: risks.append(risk),))[0]
-        assert risks == [None]
+        seen = []
+        [s] = one_block(cfg, obj, [0], "ou", observers=(lambda step, x, risk: seen.append((x.copy(), risk.copy())),))
+        [(x, risk)] = seen
+        noise = make_rng(cfg.seed, 0, 0).standard_normal(cfg.n_modes)
+        scales = resolvent_scales(obj.kernel, cfg.lam, cfg.eta, cfg.n_modes)
+        assert np.array_equal(x[0], scales * (math.sqrt(2.0 * cfg.eta / cfg.beta) * noise))
+        assert np.array_equal(risk, obj.risk_array(x))
         assert s.steps[-1] == 1
         assert np.all(np.isfinite(s.norm))
 
@@ -189,8 +200,8 @@ class TestRunEnsemble:
         obj = make_objective()
         cfg = make_cfg(horizon=50, minibatch=3)
         for mode in ("gld", "sgld"):
-            solo = run_ensemble(cfg, obj, mode=mode, chain_ids=[3])[0]
-            grouped = run_ensemble(cfg, obj, mode=mode, chain_ids=[1, 2, 3, 4])[2]
+            solo = one_block(cfg, obj, [3], mode)[0]
+            grouped = one_block(cfg, obj, [1, 2, 3, 4], mode)[2]
             assert grouped.chain_id == 3
             assert np.array_equal(solo.norm, grouped.norm)
             # risk evaluation batches over replicas, so only ulp-level drift is allowed
@@ -203,7 +214,7 @@ class TestRunEnsemble:
         ids = [5, 2, 9]
         states = []
         capture = (lambda step, x, risk: states.append(x.copy()),)
-        run_ensemble(cfg, obj, mode="sgld", chain_ids=ids, observers=capture)
+        one_block(cfg, obj, ids, "sgld", observers=capture)
         s = resolvent_scales(obj.kernel, cfg.lam, cfg.eta, cfg.n_modes)
         amp = math.sqrt(2.0 * cfg.eta / cfg.beta)
         expect = np.empty((cfg.horizon, len(ids), cfg.n_modes))
@@ -224,7 +235,7 @@ class TestRunEnsemble:
         obj = make_objective(loss=loss, lambda0=0.1)
         cfg = make_cfg(horizon=600, burn_in=0)
         seen = []
-        run_chain(cfg, obj, observers=(lambda step, x, risk: seen.append((x.copy(), risk.copy())),))
+        one_block(cfg, obj, [0], observers=(lambda step, x, risk: seen.append((x.copy(), risk.copy())),))
         noise = make_rng(cfg.seed, 0, 0).standard_normal((cfg.horizon, cfg.n_modes))
         s = resolvent_scales(obj.kernel, cfg.lam, cfg.eta, cfg.n_modes)
         amp = math.sqrt(2.0 * cfg.eta / cfg.beta)
@@ -244,7 +255,7 @@ class TestRunEnsemble:
             "stochastic_grad_array",
             lambda self, x, batch: calls.append(x.shape) or stochastic_grad_array(self, x, batch),
         )
-        run_ensemble(cfg, obj, mode="sgld", chain_ids=range(8))
+        one_block(cfg, obj, range(8), "sgld")
         assert calls == [(8, cfg.n_modes)] * cfg.horizon
 
     def test_noise_modes_couples_dimensions(self):
@@ -286,7 +297,7 @@ class TestRunEnsemble:
             assert not x.flags.writeable and not risk.flags.writeable
             seen.append((x.copy(), risk.copy()))
 
-        s = run_chain(cfg, obj, l_star=0.1, observers=(observe,))
+        [s] = one_block(cfg, obj, [0], l_star=0.1, observers=(observe,))
         # one fused evaluation per state X_0..X_200 feeds risk and gradient alike
         assert [calls[name] for name in ("risk_and_grad_array", "risk_array", "grad_array")] == [cfg.horizon + 1, 0, 0]
         assert len(seen) == 160
@@ -318,7 +329,7 @@ class TestRunEnsemble:
 
     def test_summary_arrays_are_read_only_rows(self):
         obj = make_objective()
-        summaries = run_ensemble(make_cfg(horizon=300), obj, chain_ids=range(3))
+        summaries = one_block(make_cfg(horizon=300), obj, range(3))
         fields = ("steps", "norm", "risk", "reg_objective", "phi", "cesaro_phi")
         for a in summaries:
             for name in fields:
@@ -341,7 +352,7 @@ class TestRunEnsemble:
             sumsq[:] += x[0] ** 2
             count += 1
 
-        run_ensemble(cfg, None, mode="ou", observers=(accumulate,))
+        one_block(cfg, make_objective(n_modes=4), [0], "ou", observers=(accumulate,))
         var = sumsq / count - (sums / count) ** 2
         a = resolvent_scales(kernel, cfg.lam, cfg.eta, 4)
         expect = (2.0 * cfg.eta / cfg.beta) * a**2 / (1.0 - a**2)
@@ -387,7 +398,7 @@ def block_sets(draw):
         n_modes = draw(st.integers(3, 9))
         if n_modes not in objectives:
             objectives[n_modes] = make_objective(n_modes=n_modes)
-        obj = objectives[n_modes] if mode != "ou" or draw(st.booleans()) else None
+        obj = objectives[n_modes]
         cfg = make_cfg(
             n_modes=n_modes,
             eta=draw(st.sampled_from([0.02, 0.05, 0.1])),
@@ -406,7 +417,7 @@ def observed_run(blocks, mode, l_star):
     """run_blocks with an observer per block; returns summaries and observed (step, X, risk)."""
     seen = [[] for _ in blocks]
     observers = [
-        (lambda step, x, risk, log=log: log.append((step, x.copy(), None if risk is None else risk.copy())),)
+        (lambda step, x, risk, log=log: log.append((step, x.copy(), risk.copy())),)
         for log in seen
     ]
     out = run_blocks([(cfg, obj, ids, obs) for (cfg, obj, ids), obs in zip(blocks, observers)], mode, l_star)
@@ -419,7 +430,7 @@ def observed_states(cfg, obj, mode, ids):
     states = [np.tile(cfg.x0_array(), (len(ids), 1))]
     observer = (lambda step, x, risk: states.append(x.copy()),)
     try:
-        run_ensemble(dataclasses.replace(cfg, burn_in=0), obj, mode, observers=observer, chain_ids=ids)
+        one_block(dataclasses.replace(cfg, burn_in=0), obj, ids, mode, observers=observer)
     except NumericalAbort:
         pass
     return states
@@ -433,21 +444,16 @@ def reference_summaries(cfg, obj, mode, ids, l_star, states):
     ces_phi, ces_risk, retained = np.zeros(n_chains), np.zeros(n_chains), 0
     steps, rows = [], []
     for step, x in enumerate(states):
-        risk = obj.risk_array(x) if obj is not None else None
+        risk = obj.risk_array(x)
         if step > cfg.burn_in_steps:
-            if obj is not None:
-                ces_risk += risk
-                ces_phi += sigmoid_gap(risk - l_star)
+            ces_risk += risk
+            ces_phi += sigmoid_gap(risk - l_star)
             retained += 1
         if step % cfg.checkpoint_every == 0 or step == cfg.horizon:
-            if obj is not None:
-                reg = risk + 0.5 * cfg.lam * np.sum(x * x / obj.kernel.eigenvalues(cfg.n_modes), axis=1)
-                row = (risk, reg, sigmoid_gap(risk - l_star))
-            else:
-                row = (np.zeros(n_chains),) * 3
+            reg = risk + 0.5 * cfg.lam * np.sum(x * x / obj.kernel.eigenvalues(cfg.n_modes), axis=1)
             ces = ces_phi / retained if retained else np.full(n_chains, np.nan)
             steps.append(step)
-            rows.append((np.linalg.norm(x, axis=1), *row, ces))
+            rows.append((np.linalg.norm(x, axis=1), risk, reg, sigmoid_gap(risk - l_star), ces))
     cols = [np.stack(col) for col in zip(*rows)]
     return [
         RunSummary(
@@ -474,16 +480,15 @@ class TestChunkedBookkeeping:
 
     @pytest.mark.parametrize("horizon", [1, 255, 256, 257, 600, 2001])  # 2001: cadence 2
     @pytest.mark.parametrize("n_chains", [1, 3])
-    @pytest.mark.parametrize("mode", ["gld", "sgld", "ou", "ou+objective"])
+    @pytest.mark.parametrize("mode", ["gld", "sgld", "ou"])
     def test_summaries_equal_per_step_reference(self, mode, n_chains, horizon):
-        obj = None if mode == "ou" else make_objective(loss="savage", lambda0=0.1)
-        mode = mode.removesuffix("+objective")
+        obj = make_objective(loss="savage", lambda0=0.1)
         ids = [4, 1, 7][:n_chains]
         cfg = make_cfg(horizon=horizon, minibatch=3 if mode == "sgld" else None)
         states = observed_states(cfg, obj, mode, ids)
         for burn_in in sorted({0, 100, 256, 300} & set(range(horizon))):  # chunk-inner and chunk-edge burn-ins
             run_cfg = dataclasses.replace(cfg, burn_in=burn_in)
-            summaries = run_ensemble(run_cfg, obj, mode, l_star=0.3, chain_ids=ids)
+            summaries = one_block(run_cfg, obj, ids, mode, 0.3)
             expect = reference_summaries(run_cfg, obj, mode, ids, 0.3, states)
             assert all(same_summary(a, b) for a, b in zip(summaries, expect, strict=True))
 
@@ -493,13 +498,13 @@ class TestChunkedBookkeeping:
         cfg = ChainConfig(eta=10.0, beta=100.0, lam=1e-6, n_modes=6, seed=1, horizon=1000)
         ids = [0, 2]
         with pytest.raises(NumericalAbort) as exc_info:
-            run_ensemble(cfg, obj, l_star=0.3, chain_ids=ids)
+            one_block(cfg, obj, ids, l_star=0.3)
         step = exc_info.value.step
         assert step > 256
         states = observed_states(cfg, obj, "gld", ids)
         assert len(states) == step  # X_0 .. X_{step-1}
         expect = reference_summaries(cfg, obj, "gld", ids, 0.3, states)
-        partial = exc_info.value.partial
+        [partial] = exc_info.value.partial
         assert partial[0].steps[-1] == step - 1 and partial[0].retained_steps > 0
         assert all(same_summary(a, b) for a, b in zip(partial, expect, strict=True))
 
@@ -513,7 +518,7 @@ class TestChunkedBookkeeping:
         )
         gap = dynamics.sigmoid_gap
         monkeypatch.setattr(dynamics, "sigmoid_gap", lambda u: calls.update(["phi"]) or gap(u))
-        summaries = run_ensemble(cfg, obj, mode="sgld", chain_ids=range(8))
+        summaries = one_block(cfg, obj, range(8), "sgld")
         chunks = math.ceil(cfg.horizon / 256)
         assert len(summaries[0].steps) == 1001 and summaries[0].retained_steps == 1
         # step 0 and 1000 pre-burn-in checkpoints ride on the chunk flushes
@@ -533,8 +538,8 @@ class TestRunBlocks:
             cfg, obj, ids = block
             if cfg.n_modes == width:
                 solo_log = []
-                observer = (lambda step, x, risk: solo_log.append((step, x.copy(), None if risk is None else risk.copy())),)
-                solo = run_ensemble(cfg, obj, mode, l_star, observer, ids)
+                observer = (lambda step, x, risk: solo_log.append((step, x.copy(), risk.copy())),)
+                solo = one_block(cfg, obj, ids, mode, l_star, observer)
             else:
                 # a narrower block reads the call's noise width: pair it with the widest block
                 (solo, _), (solo_log, _) = observed_run([block, widest], mode, l_star)
@@ -542,8 +547,7 @@ class TestRunBlocks:
             assert all(same_summary(a, b) for a, b in zip(summaries, solo, strict=True))
             assert len(log) == len(solo_log) == cfg.horizon - cfg.burn_in_steps
             for (step, x, risk), (solo_step, solo_x, solo_risk) in zip(log, solo_log):
-                assert step == solo_step and np.array_equal(x, solo_x)
-                assert (risk is None and solo_risk is None) or np.array_equal(risk, solo_risk)
+                assert step == solo_step and np.array_equal(x, solo_x) and np.array_equal(risk, solo_risk)
 
     @pytest.mark.parametrize(
         "change",
@@ -560,14 +564,19 @@ class TestRunBlocks:
             run_blocks([(cfg, obj, [0], ()), (dataclasses.replace(cfg, **change), obj, [1], ())])
         assert grads == []
 
-    def test_objective_mode_mismatch_raises_before_step_one(self):
+    @pytest.mark.parametrize("mode", ["gld", "sgld", "ou"])
+    @pytest.mark.parametrize("width, match", [(None, "requires an objective"), (6, "mode count")], ids=["none", "wider"])
+    def test_objective_mismatch_raises_before_step_one(self, mode, width, match):
+        # every mode needs an objective as wide as its config, the OU chain too
+        obj = None if width is None else make_objective(n_modes=width)
         seen = []
-        with pytest.raises(ValueError, match="mode count"):
+        with pytest.raises(ValueError, match=match):
             run_blocks(
                 [
                     (make_cfg(burn_in=0), make_objective(), [0], (lambda step, x, risk: seen.append(step),)),
-                    (make_cfg(n_modes=4, burn_in=0), make_objective(n_modes=6), [0], ()),
-                ]
+                    (make_cfg(n_modes=4, burn_in=0), obj, [0], ()),
+                ],
+                mode,
             )
         assert seen == []
 
@@ -577,14 +586,13 @@ class TestCheckpoints:
     steps, and nothing else of the run changes."""
 
     @pytest.mark.parametrize("burn_in", [0, 300])
-    @pytest.mark.parametrize("mode", ["gld", "sgld", "ou+objective"])
+    @pytest.mark.parametrize("mode", ["gld", "sgld", "ou"])
     def test_rows_equal_cadence_one_rows(self, mode, burn_in):
         obj = make_objective(loss="savage", lambda0=0.1)
-        mode = mode.removesuffix("+objective")
         cfg = make_cfg(horizon=600, burn_in=burn_in, minibatch=3 if mode == "sgld" else None)
         assert cfg.checkpoint_every == 1
         ids = [4, 1, 7]
-        full = run_ensemble(cfg, obj, mode, l_star=0.3, chain_ids=ids)
+        full = one_block(cfg, obj, ids, mode, 0.3)
         checkpoints = [600, 257, 1, 256, 255, 433, 256]
         [picked] = run_blocks([(cfg, obj, ids, ())], mode, 0.3, checkpoints)
         steps = [0, 1, 255, 256, 257, 433, 600]
@@ -595,7 +603,7 @@ class TestCheckpoints:
             assert a.final_cesaro_phi == b.final_cesaro_phi and a.final_cesaro_risk == b.final_cesaro_risk
             assert (a.chain_id, a.retained_steps) == (b.chain_id, b.retained_steps)
 
-    @pytest.mark.parametrize("checkpoints", [[0], [101], [-1, 50], [1, 100, 101]])
+    @pytest.mark.parametrize("checkpoints", [[0], [101], [-1, 50], [1, 100, 101], [2.7, 5.9]])
     def test_step_outside_the_horizon_raises_before_any_step(self, checkpoints, monkeypatch):
         obj = make_objective()
         calls = []
