@@ -75,15 +75,9 @@ def _new_manifest(exp: ExperimentConfig, command: str) -> Manifest:
 
 
 def _trajectory_rows(summary: RunSummary):
-    for i, step in enumerate(summary.steps):
-        yield (
-            int(step),
-            float(summary.norm[i]),
-            float(summary.risk[i]),
-            float(summary.reg_objective[i]),
-            float(summary.phi[i]),
-            float(summary.cesaro_phi[i]),
-        )
+    """Chain 0's checkpoint rows, one per step."""
+    columns = (summary.norm, summary.risk, summary.reg_objective, summary.phi, summary.cesaro_phi)
+    return zip(summary.steps, *(column[0] for column in columns))
 
 
 TRAJECTORY_HEADER = ["step", "norm", "risk", "reg_objective", "phi", "cesaro_phi"]
@@ -102,36 +96,35 @@ def cmd_run(args) -> int:
         summary = run_chain(exp.chain, obj, mode=exp.mode, l_star=mins.l_star)
     except NumericalAbort as exc:
         aborted = exc
-        summary = exc.partial[0] if exc.partial else None
+        [summary] = exc.partial
         manifest.notes["abort"] = f"numerical abort at step {exc.step}"
 
-    if summary is not None:
-        traj_path = out / f"{tag}_trajectory.csv"
-        _write_csv(traj_path, TRAJECTORY_HEADER, _trajectory_rows(summary))
-        manifest.add_output(traj_path)
-        summary_path = out / f"{tag}_summary.json"
-        _atomic_write_text(
-            summary_path,
-            json.dumps(
-                {
-                    "config_hash": tag,
-                    "mode": summary.mode,
-                    "seed": exp.chain.seed,
-                    "chain_id": summary.chain_id,
-                    "burn_in": summary.burn_in,
-                    "retained_steps": summary.retained_steps,
-                    "l_star": mins.l_star,
-                    "l_star_attained": mins.attained,
-                    "l_tilde": mins.l_tilde,
-                    "final_cesaro_phi": summary.final_cesaro_phi,
-                    "final_cesaro_risk": summary.final_cesaro_risk,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
+    traj_path = out / f"{tag}_trajectory.csv"
+    _write_csv(traj_path, TRAJECTORY_HEADER, _trajectory_rows(summary))
+    manifest.add_output(traj_path)
+    summary_path = out / f"{tag}_summary.json"
+    _atomic_write_text(
+        summary_path,
+        json.dumps(
+            {
+                "config_hash": tag,
+                "mode": summary.mode,
+                "seed": exp.chain.seed,
+                "chain_id": int(summary.chain_ids[0]),
+                "burn_in": summary.burn_in,
+                "retained_steps": summary.retained_steps,
+                "l_star": mins.l_star,
+                "l_star_attained": mins.attained,
+                "l_tilde": mins.l_tilde,
+                "final_cesaro_phi": float(summary.final_cesaro_phi[0]),
+                "final_cesaro_risk": float(summary.final_cesaro_risk[0]),
+            },
+            indent=2,
+            sort_keys=True,
         )
-        manifest.add_output(summary_path)
+        + "\n",
+    )
+    manifest.add_output(summary_path)
     manifest_path = out / f"{tag}_manifest.json"
     manifest.save(manifest_path)
     if aborted is not None:
@@ -187,6 +180,7 @@ def _sweep_eta(exp: ExperimentConfig):
     _require(exp, exp.eta_grid is not None and len(exp.eta_grid) >= 4, "eta sweep needs eta_grid with >= 4 points")
     _require(exp, exp.eta_ref is not None, "eta sweep needs eta_ref")
     _require(exp, exp.eta_ref <= min(exp.eta_grid) / 8.0, "eta sweep needs eta_ref <= min(eta_grid)/8")
+    _require(exp, max(exp.eta_grid) <= exp.chain.beta, "eta sweep needs every eta_grid entry <= beta")
     obj = exp.build_objective()
     _, l_center = obj.regularized_minimizer(exp.chain.lam)
     fit = weak_error_vs_eta(
@@ -209,7 +203,7 @@ def _sweep_n_modes(exp: ExperimentConfig):
     )
     rows = [
         (n, float(fit.abscissae[i]), float(fit.ordinates[i]), float(fit.ordinate_errors[i]))
-        for i, n in enumerate(sorted(exp.n_grid))
+        for i, n in enumerate(exp.n_grid)
     ]
     verdict, conclusive = _fit_verdict(fit, "galerkin error vs sqrt(mu_{N+1})", (0.5, 1.5))
     return ["n_modes", "sqrt_mu_next", "error", "se"], rows, fit, verdict, conclusive
@@ -226,11 +220,10 @@ def _sweep_beta(exp: ExperimentConfig):
     )
     obj = exp.build_objective()
     minimizer = obj.regularized_minimizer(cfg.lam)
-    betas = sorted(exp.beta_grid)
-    results = gibbs_gap_vs_beta(cfg, obj, betas, replicas=exp.replicas, minimizer=minimizer)
+    results = gibbs_gap_vs_beta(cfg, obj, exp.beta_grid, replicas=exp.replicas, minimizer=minimizer)
     rows = [
         (beta, r["gap"], r["se"], r["bound"], int(r["passes_bound"]), int(r["inconclusive"]))
-        for beta, r in zip(betas, results)
+        for beta, r in zip(exp.beta_grid, results)
     ]
     conclusive = exp.replicas >= 2 and not any(r["inconclusive"] for r in results)
     monotone = _nonincreasing_within_3se([r["gap"] for r in results], [r["se"] for r in results])
@@ -255,7 +248,7 @@ def _sweep_minibatch(exp: ExperimentConfig):
     _require(exp, n_tr >= 2, "minibatch sweep needs at least 2 data points")
     _require(exp, all(1 <= m <= n_tr for m in exp.m_grid), f"m_grid entries must be in 1..{n_tr}")
     _, l_center = obj.regularized_minimizer(exp.chain.lam)
-    ms = sorted(exp.m_grid)
+    ms = exp.m_grid
     results = sgld_discrepancy_vs_m(exp.chain, obj, l_center, ms, replicas=exp.replicas)
     rows = [
         (m, r["discrepancy"], r["se"], r["r_n"], r["bound_shape"], r["c_fit"])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -67,6 +68,7 @@ def _one_of(*options):
 
 
 _unit_interval = _checked(float, lambda d: 0.0 < d < 1.0, "must be in (0, 1)")
+_positive = _checked(float, lambda v: 0.0 < v < math.inf, "must be positive and finite")
 
 
 # section -> key -> (parser, default); an empty value means the default
@@ -102,11 +104,11 @@ _KEYS = {
         "kappa": (float, 0.1),
         "delta": (_unit_interval, None),
         "tail_delta": (_unit_interval, 0.2),
-        "eta_grid": (_grid(float), None),
-        "eta_ref": (float, None),
-        "n_grid": (_grid(int), None),
+        "eta_grid": (_grid(_positive), None),
+        "eta_ref": (_positive, None),
+        "n_grid": (_grid(_checked(int, lambda n: n >= 0, "must be >= 0")), None),
         "n_ref": (int, None),
-        "beta_grid": (_grid(float), None),
+        "beta_grid": (_grid(_positive), None),
         "m_grid": (_grid(int), None),
     },
 }

@@ -139,7 +139,7 @@ class TheoryConstants:
 def theory_constants(
     obj: ObjectiveSpec,
     cfg: ChainConfig,
-    minimizers: MinimizerPair | None = None,
+    minimizers: MinimizerPair,
     delta: float | None = None,
     kappa: float = 0.1,
 ) -> TheoryConstants:
@@ -153,8 +153,6 @@ def theory_constants(
     M = obj.smoothness_constant()
     B = obj.gradient_bound()
     regime, m_const, c_const = obj.dissipativity_constants(cfg.lam)
-    if minimizers is None:
-        minimizers = obj.find_minimizers(cfg.lam)
     k1, _ = ou_moment_bounds(obj.kernel, cfg.lam, cfg.eta, cfg.beta, cfg.n_modes)
     if regime == "strict":
         rho = (1.0 + cfg.eta * M) / (1.0 + cfg.lam * cfg.eta / mu0)
@@ -216,7 +214,7 @@ class RateFit:
 _MIN_FIT_POINTS = 4  # usable points below which a log-log slope says nothing
 
 
-def fit_loglog(abscissae, ordinates, ordinate_errors=None) -> RateFit:
+def fit_loglog(abscissae, ordinates, ordinate_errors) -> RateFit:
     """Weighted least squares of log(ordinate) on log(abscissa).
 
     Points whose error bar covers half the ordinate are unusable (the sign of
@@ -227,7 +225,7 @@ def fit_loglog(abscissae, ordinates, ordinate_errors=None) -> RateFit:
     """
     x = np.asarray(abscissae, dtype=float)
     y = np.asarray(ordinates, dtype=float)
-    err = np.zeros_like(y) if ordinate_errors is None else np.asarray(ordinate_errors, dtype=float)
+    err = np.asarray(ordinate_errors, dtype=float)
     usable = (y > 0) & (err < 0.5 * y)
     fit = RateFit(x, y, err, math.nan, math.nan, math.nan, inconclusive=True)
     if np.count_nonzero(usable) < _MIN_FIT_POINTS:
@@ -284,11 +282,6 @@ class _CesaroTracker:
             self.sum_risk_first = self.sum_risk_first + risk
 
 
-def _phi_tails(block_summaries) -> np.ndarray:
-    """Per-replica Cesaro tails of phi, one row per block."""
-    return np.array([[s.final_cesaro_phi for s in summaries] for summaries in block_summaries])
-
-
 def weak_error_vs_eta(
     obj: ObjectiveSpec,
     cfg_base: ChainConfig,
@@ -309,11 +302,11 @@ def weak_error_vs_eta(
         raise ValueError("reference step size must be at most min(etas)/8")
     ids = list(range(replicas))
     blocks = [
-        (replace(cfg_base, eta=eta, burn_in=None), obj, chain_ids, ())
+        (replace(cfg_base, eta=eta), obj, chain_ids, ())
         for eta, chain_ids in [(eta_ref, [2_000_000 + r for r in ids])] + [(eta, ids) for eta in etas]
     ]
     results = run_blocks(blocks, l_star=l_star, checkpoints=(cfg_base.horizon,))
-    (ref, ref_se), *points = [_replica_mean_se(t) for t in _phi_tails(results)]
+    (ref, ref_se), *points = [_replica_mean_se(block.final_cesaro_phi) for block in results]
     errs = [abs(value - ref) for value, _ in points]
     ses = [math.hypot(se, ref_se) for _, se in points]
     return fit_loglog(np.array(etas), np.array(errs), np.array(ses))
@@ -347,14 +340,14 @@ def galerkin_error_vs_n(
     # independent runs
     ids = list(range(replicas))
     blocks = [
-        (replace(cfg_base, n_modes=n_modes, burn_in=None), obj, ids, ())
+        (replace(cfg_base, n_modes=n_modes), obj, ids, ())
         for n_modes, obj in [(n_ref + 1, obj_ref)] + [(n + 1, make_objective(n + 1)) for n in n_list]
     ]
-    ref_tails, *tails = _phi_tails(run_blocks(blocks, l_star=l_star, checkpoints=(cfg_base.horizon,)))
+    ref, *points = run_blocks(blocks, l_star=l_star, checkpoints=(cfg_base.horizon,))
     mu = obj_ref.kernel.eigenvalues(max(n_list) + 2)
     errs, ses, absc = [], [], []
-    for n, point_tails in zip(n_list, tails):
-        mean, se = _replica_mean_se(point_tails - ref_tails)
+    for n, point in zip(n_list, points):
+        mean, se = _replica_mean_se(point.final_cesaro_phi - ref.final_cesaro_phi)
         errs.append(abs(mean))
         ses.append(se)
         absc.append(math.sqrt(mu[n + 1]))
@@ -394,8 +387,8 @@ def gibbs_gap_vs_beta(
     M = obj.smoothness_constant()
     x_tilde_hk = rkhs_norm(x_tilde, obj.kernel)
     out = []
-    for c, tracker, summaries in zip(cfgs, trackers, results):
-        mean_l = np.array([s.final_cesaro_risk for s in summaries])
+    for c, tracker, summary in zip(cfgs, trackers, results):
+        mean_l = summary.final_cesaro_risk
         gap, se = _replica_mean_se(mean_l - l_tilde)
         # stationarity: first-half vs second-half Cesaro averages of L
         first = tracker.sum_risk_first / tracker.half_point
@@ -445,10 +438,9 @@ def sgld_discrepancy_vs_m(
     # SGLD with the full batch is the GLD chain, bit for bit
     blocks = [(replace(cfg, minibatch=m), obj, ids, ()) for m in (None, *ms)]
     gld, *sgld = run_blocks(blocks, mode="sgld", l_star=l_star, checkpoints=(cfg.horizon,))
-    phi_x = np.array([s.phi[-1] for s in gld])
     out = []
-    for m, rn, summaries in zip(ms, budgets, sgld):
-        mean, se = _replica_mean_se(phi_x - np.array([s.phi[-1] for s in summaries]))
+    for m, rn, summary in zip(ms, budgets, sgld):
+        mean, se = _replica_mean_se(gld.phi[:, -1] - summary.phi[:, -1])
         disc, shape = abs(mean), math.sqrt(rn) + rn**0.25
         out.append(
             dict(discrepancy=disc, se=se, r_n=rn, bound_shape=shape, c_fit=disc / shape if shape > 0 else math.nan,
@@ -509,12 +501,11 @@ def theorem_tail_bound(
     horizon = checkpoints[-1]
     run_cfg = replace(cfg, horizon=horizon, burn_in=horizon - 1)
     block = (run_cfg, obj, list(range(replicas)), ())
-    [summaries] = run_blocks([block], l_star=minimizers.l_star, checkpoints=checkpoints)
-    risk = np.array([s.risk for s in summaries])  # (R, K): one column per recorded step
-    column = {int(step): k for k, step in enumerate(summaries[0].steps)}
+    [summary] = run_blocks([block], l_star=minimizers.l_star, checkpoints=checkpoints)
+    column = {int(step): k for k, step in enumerate(summary.steps)}
     rows = []
     for n in checkpoints:
-        exceed = risk[:, column[n]] - minimizers.l_star > delta
+        exceed = summary.risk[:, column[n]] - minimizers.l_star > delta
         p_hat = float(np.mean(exceed))
         p_se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / replicas) / replicas)
         terms = tail_bound_terms(consts, minimizers, cfg.eta, n)

@@ -41,7 +41,7 @@ class NumericalAbort(RuntimeError):
     def __init__(self, message, step):
         super().__init__(message)
         self.step = step
-        self.partial = None  # the run's summaries up to the aborted step, set by run_blocks
+        self.partial = None  # the run's per-block summaries up to the aborted step, set by run_blocks
 
 
 @dataclass(frozen=True)
@@ -100,24 +100,25 @@ class ChainConfig:
 
 @dataclass
 class RunSummary:
-    """Checkpointed trajectory statistics of one chain.
+    """Checkpointed trajectory statistics of one block of R chains, K checkpoints.
 
-    The arrays are read-only: a block's chains share one ``steps`` array, and
-    each other array is one chain's row of an (R, K) array of its block.
+    Row r of each (R, K) column and entry r of each (R,) array belong to
+    chain_ids[r].  Every array is read-only, and the five columns are views
+    of the block's one (5, R, K) checkpoint array.
     """
 
-    chain_id: int
     mode: str
     burn_in: int
-    steps: np.ndarray
-    norm: np.ndarray
+    retained_steps: int
+    chain_ids: np.ndarray  # (R,)
+    steps: np.ndarray  # (K,)
+    norm: np.ndarray  # (R, K)
     risk: np.ndarray
     reg_objective: np.ndarray
     phi: np.ndarray
     cesaro_phi: np.ndarray
-    final_cesaro_phi: float
-    final_cesaro_risk: float
-    retained_steps: int
+    final_cesaro_phi: np.ndarray  # (R,), NaN when no step was retained
+    final_cesaro_risk: np.ndarray
 
 
 def make_rng(seed: int, chain_id: int = 0, stream: int = 0) -> np.random.Generator:
@@ -244,33 +245,18 @@ class _Block:
         for row, col in zip(self.cols, (norms, risk, reg, phi, ces)):
             row[:, k0 : len(self.ck_steps)] = col.T
 
-    def summaries(self) -> list[RunSummary]:
-        # each chain gets read-only, contiguous row views of the filled columns
-        cols = self.cols[:, :, : len(self.ck_steps)]
-        steps = np.array(self.ck_steps, dtype=int)
-        for a in (steps, cols):
-            a.setflags(write=False)
+    def summary(self) -> RunSummary:
+        # read-only arrays; the five columns are views of the filled part of cols
         retained = self.retained
-        return [
-            RunSummary(
-                chain_id=cid,
-                mode=self.mode,
-                burn_in=self.cfg.burn_in_steps,
-                steps=steps,
-                norm=cols[0][r],
-                risk=cols[1][r],
-                reg_objective=cols[2][r],
-                phi=cols[3][r],
-                cesaro_phi=cols[4][r],
-                final_cesaro_phi=float(self.cesaro_phi[r] / retained) if retained else math.nan,
-                final_cesaro_risk=float(self.cesaro_risk[r] / retained) if retained else math.nan,
-                retained_steps=retained,
-            )
-            for r, cid in enumerate(self.chain_ids)
-        ]
+        finals = [c / retained if retained else np.full(len(c), np.nan) for c in (self.cesaro_phi, self.cesaro_risk)]
+        chain_ids, steps = np.array(self.chain_ids, dtype=int), np.array(self.ck_steps, dtype=int)
+        cols = self.cols[:, :, : len(self.ck_steps)]
+        for a in (chain_ids, steps, cols, *finals):
+            a.setflags(write=False)
+        return RunSummary(self.mode, self.cfg.burn_in_steps, retained, chain_ids, steps, *cols, *finals)
 
 
-def run_blocks(blocks, mode: str = "gld", l_star: float = 0.0, checkpoints=None) -> list[list[RunSummary]]:
+def run_blocks(blocks, mode: str = "gld", l_star: float = 0.0, checkpoints=None) -> list[RunSummary]:
     """Advance several ensembles in lockstep, one loop for all of them.
 
     A block is a (cfg, obj, chain_ids, observers) tuple: one replica of the
@@ -295,9 +281,9 @@ def run_blocks(blocks, mode: str = "gld", l_star: float = 0.0, checkpoints=None)
     horizon.  A checkpoint only adds a row: the trajectories and the Cesaro
     sums do not depend on it.
 
-    Returns one list of summaries per block, ordered as the block's chain ids.
+    Returns one summary per block, its rows ordered as the block's chain ids.
     On a NumericalAbort in any block the run stops and exc.partial holds
-    these lists up to the aborted step.
+    these summaries up to the aborted step.
     """
     if mode not in ("gld", "sgld", "ou"):
         raise ValueError(f"unknown mode: {mode!r}")
@@ -352,21 +338,17 @@ def run_blocks(blocks, mode: str = "gld", l_star: float = 0.0, checkpoints=None)
     except NumericalAbort as exc:
         for s in states:
             s.flush()
-        exc.partial = [s.summaries() for s in states]
+        exc.partial = [s.summary() for s in states]
         raise
-    return [s.summaries() for s in states]
+    return [s.summary() for s in states]
 
 
 def run_ensemble(cfg: ChainConfig, obj: ObjectiveSpec, mode: str = "gld", l_star: float = 0.0) -> list[RunSummary]:
     """run_blocks with one block of chain id 0 and no observers: a
-    one-element list of its summary."""
-    try:
-        return run_blocks([(cfg, obj, [0], ())], mode, l_star)[0]
-    except NumericalAbort as exc:
-        exc.partial = exc.partial[0]
-        raise
+    one-element list of its one-row summary."""
+    return run_blocks([(cfg, obj, [0], ())], mode, l_star)
 
 
 def run_chain(cfg: ChainConfig, obj: ObjectiveSpec, mode: str = "gld", l_star: float = 0.0) -> RunSummary:
-    """Chain id 0 alone; see run_ensemble for the contract."""
+    """Chain id 0 alone: the one-row summary of run_ensemble."""
     return run_ensemble(cfg, obj, mode=mode, l_star=l_star)[0]

@@ -217,11 +217,10 @@ def test_06_lyapunov_drift_bounded_logistic():
     cfg = ChainConfig(
         eta=0.05, beta=4.0, lam=lam, n_modes=8, seed=42, horizon=1000, burn_in=0, x0=x0
     )
-    tc = theory_constants(obj, cfg)
+    tc = theory_constants(obj, cfg, obj.find_minimizers(cfg.lam))
     assert tc.regime == "bounded"
-    [summaries] = run_blocks([(cfg, obj, list(range(200)), ())])
-    steps = summaries[0].steps
-    norms = np.stack([s.norm for s in summaries])
+    [summary] = run_blocks([(cfg, obj, list(range(200)), ())])
+    steps, norms = summary.steps, summary.norm
     idx = np.linspace(1, len(steps) - 1, 10).astype(int)
     margins = []
     for i in idx:

@@ -156,7 +156,29 @@ class TestVerify:
         assert "FAIL" in capsys.readouterr().out
 
 
+# one tiny config per sweep axis
+SWEEP_RERUNS = {
+    "eta": (BASE, "eta_grid = 0.2, 0.1, 0.05, 0.025\neta_ref = 0.003\n"),
+    "n_modes": (BASE, "n_grid = 1, 2, 3, 4\nn_ref = 16\n"),
+    "beta": (BASE.replace("eta = 0.05", "eta = 0.01").replace("n_modes = 8", "n_modes = 65"), "beta_grid = 2, 4\n"),
+    "minibatch": (BASE, "m_grid = 2, 4, 8\n"),
+}
+
+
 class TestSweep:
+    @pytest.mark.parametrize("axis", sorted(SWEEP_RERUNS))
+    def test_byte_identical_rerun(self, axis, tmp_path, capsys):
+        base, grid = SWEEP_RERUNS[axis]
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(base.replace("horizon = 2000", "horizon = 200") + "\n[experiment]\nreplicas = 2\n" + grid)
+        runs = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            code = main(["sweep", "--axis", axis, "--config", str(cfg), "--out", str(out)])
+            runs.append((code, capsys.readouterr(), {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert runs[0] == runs[1]
+        stem = f"{tag_of(cfg)}_sweep_{axis}"
+        assert sorted(runs[0][2]) == [f"{stem}.csv", f"{stem}_manifest.json", f"{stem}_verdict.txt"]
+
     def test_minibatch_axis(self, tmp_path, config_file):
         cfg = tmp_path / "m.ini"
         cfg.write_text(BASE + "\n[experiment]\nreplicas = 8\nm_grid = 2, 4, 8\n")
@@ -248,6 +270,13 @@ SWEEP_PRECONDITIONS = {
         BASE.replace("eta = 0.05", "eta = 0.01").replace("n_modes = 8", "n_modes = 65"),
     ),
     "gibbs_discretization": ("beta", "beta_grid = 2, 4\n", BASE),
+    "eta_ref_negative": ("eta", "eta_grid = 0.2, 0.1, 0.05, 0.025\neta_ref = -0.003\n", BASE),
+    "eta_grid_above_beta": (
+        "eta",
+        "eta_grid = 0.2, 0.1, 0.05, 0.025\neta_ref = 0.003\n",
+        BASE.replace("beta = 4.0", "beta = 0.1"),
+    ),
+    "n_grid_negative": ("n_modes", "n_grid = -1, 4, 8, 16\nn_ref = 64\n", BASE),
 }
 
 

@@ -95,6 +95,12 @@ class TestParsing:
             ("experiment", "replicas = 0", "must be >= 1"),
             ("experiment", "tail_delta = 1.0", "must be in (0, 1)"),
             ("experiment", "tail_delta = nan", "must be in (0, 1)"),
+            ("experiment", "eta_ref = -0.003", "must be positive and finite"),
+            ("experiment", "eta_ref = nan", "must be positive and finite"),
+            ("experiment", "eta_grid = 0.2, 0.1, 0, 0.025", "must be positive and finite"),
+            ("experiment", "eta_grid = 0.2, inf", "must be positive and finite"),
+            ("experiment", "n_grid = -1, 4, 8, 16", "must be >= 0"),
+            ("experiment", "beta_grid = 2, inf", "must be positive and finite"),
         ],
     )
     def test_per_key_rule_names_key_and_raw_value(self, section, line, reason):

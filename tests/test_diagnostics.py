@@ -100,8 +100,8 @@ class TestClosedForms:
         x = np.zeros(6)
         l0 = float(obj.risk_array(x))
         cfg = ChainConfig(eta=0.05, beta=4.0, lam=1.0, n_modes=6, seed=1, horizon=1, x0=x)
-        assert run_chain(cfg, obj, l_star=l0).phi[0] == 0.0
-        assert run_chain(cfg, obj, l_star=l0 - 1.0).phi[0] == pytest.approx(0.2310585786, abs=1e-9)
+        assert run_chain(cfg, obj, l_star=l0).phi[0, 0] == 0.0
+        assert run_chain(cfg, obj, l_star=l0 - 1.0).phi[0, 0] == pytest.approx(0.2310585786, abs=1e-9)
 
 
 class TestTheoryConstants:
@@ -109,7 +109,8 @@ class TestTheoryConstants:
         obj = make_objective()
         M = obj.smoothness_constant()
         cfg = ChainConfig(eta=0.05, beta=4.0, lam=4.0 * M, n_modes=6, seed=1, horizon=100)
-        c = theory_constants(obj, cfg)
+        pair = obj.find_minimizers(cfg.lam)
+        c = theory_constants(obj, cfg, pair)
         assert c.regime == "strict"
         assert c.m == pytest.approx((4.0 * M - M) / 2.0, rel=1e-12)
         assert c.rho == pytest.approx((1.0 + 0.05 * M) / (1.0 + 0.05 * 4.0 * M), rel=1e-12)
@@ -118,7 +119,6 @@ class TestTheoryConstants:
         assert c.c_beta == 1.0
         assert c.lambda_0 == pytest.approx(3.0 * M, rel=1e-12)
         assert c.gibbs_bound > 0
-        pair = obj.find_minimizers(cfg.lam)
         assert c.b == pytest.approx(np.linalg.norm(pair.x_star) + 2.0 * c.k1, rel=1e-12)
 
     def test_strict_regime_without_x_star(self):
@@ -136,14 +136,15 @@ class TestTheoryConstants:
         M = obj.smoothness_constant()
         lam = 0.25 * M
         cfg = ChainConfig(eta=0.05, beta=4.0, lam=lam, n_modes=6, seed=1, horizon=100)
-        c = theory_constants(obj, cfg, delta=0.5)
+        pair = obj.find_minimizers(cfg.lam)
+        c = theory_constants(obj, cfg, pair, delta=0.5)
         assert c.regime == "bounded"
         assert c.rho == pytest.approx(1.0 / (1.0 + lam * 0.05), rel=1e-12)
         assert c.b == pytest.approx((1.0 / lam) * obj.gradient_bound() + c.k1, rel=1e-12)
         assert c.c_beta == pytest.approx(2.0)
         assert c.lambda_eta is not None and c.lambda_eta > 0
         assert c.lambda_0 == spectral_gap("bounded", lam, obj.kernel.mu0, M, 0.0, b=c.b, delta=0.5)
-        no_delta = theory_constants(obj, cfg)
+        no_delta = theory_constants(obj, cfg, pair)
         assert no_delta.lambda_eta is None
 
 
@@ -302,15 +303,15 @@ class TestEstimators:
 
         monkeypatch.setattr(diagnostics, "run_blocks", recording)
         out = theorem_tail_bound(cfg, obj, delta=0.2, checkpoints=[250, 10, 50], replicas=replicas)
-        [[summaries]] = recorded
-        assert summaries[0].steps.tolist() == [0, 10, 50, 250]
+        [[summary]] = recorded
+        assert summary.steps.tolist() == [0, 10, 50, 250]
         l_star = obj.find_minimizers(cfg.lam).l_star
         seen = {}
         observer = (lambda step, x, risk: seen.update({step: risk}),)
         run_blocks([(replace(cfg, horizon=250, burn_in=0), obj, range(replicas), observer)], l_star=l_star)
         for k, row in enumerate(out["rows"], start=1):
             risk = seen[row["n"]]
-            assert np.array_equal(np.array([s.risk[k] for s in summaries]), risk)
+            assert np.array_equal(summary.risk[:, k], risk)
             assert row["p_hat"] == float(np.mean(risk - l_star > 0.2))
 
 
@@ -335,7 +336,23 @@ class TestRecording:
         sgld_discrepancy_vs_m(cfg, obj, 0.1, [2, 5], replicas=2)
         assert len(calls) == 4
         for horizon, results in calls:
-            assert all(s.steps.tolist() == [0, horizon] for summaries in results for s in summaries)
+            assert all(summary.steps.tolist() == [0, horizon] for summary in results)
+
+    def test_sweeps_keep_the_configured_burn_in(self, monkeypatch):
+        # the eta, n_modes and beta sweeps retain the steps after [chain] burn_in
+        burn_ins = []
+        run_blocks = diagnostics.run_blocks
+
+        def recording(blocks, **kwargs):
+            burn_ins.append({block[0].burn_in_steps for block in blocks})
+            return run_blocks(blocks, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "run_blocks", recording)
+        cfg = ChainConfig(eta=0.05, beta=4.0, lam=6.0, n_modes=6, seed=42, horizon=200, burn_in=150)
+        weak_error_vs_eta(make_objective(n=8), cfg, [0.2, 0.1, 0.05, 0.025], 0.003, 0.1, replicas=2)
+        galerkin_error_vs_n(lambda n: make_objective(n_modes=n), cfg, [1, 2, 3], 12, replicas=2)
+        gibbs_gap_empirical(replace(cfg, eta=0.01, n_modes=65), make_objective(n_modes=65), replicas=2)
+        assert burn_ins == [{150}] * 3
 
     def test_sgld_sweep_evaluates_the_gld_risk_twice(self, monkeypatch):
         # step 0 and the horizon; every other full-batch step takes the gradient alone

@@ -35,7 +35,7 @@ def make_cfg(**kw):
 
 
 def one_block(cfg, obj, ids, mode="gld", l_star=0.0, observers=()):
-    """The summaries of one block of chain ids, through run_blocks."""
+    """The summary of one block of chain ids, through run_blocks."""
     return run_blocks([(cfg, obj, ids, observers)], mode, l_star)[0]
 
 
@@ -140,7 +140,7 @@ class TestStepFunctions:
         obj = make_objective()
         cfg = make_cfg(horizon=1, burn_in=0)
         seen = []
-        [s] = one_block(cfg, obj, [0], "ou", observers=(lambda step, x, risk: seen.append((x.copy(), risk.copy())),))
+        s = one_block(cfg, obj, [0], "ou", observers=(lambda step, x, risk: seen.append((x.copy(), risk.copy())),))
         [(x, risk)] = seen
         noise = make_rng(cfg.seed, 0, 0).standard_normal(cfg.n_modes)
         scales = resolvent_scales(obj.kernel, cfg.lam, cfg.eta, cfg.n_modes)
@@ -194,18 +194,18 @@ class TestRunEnsemble:
         for _ in range(64):
             x = s * (x - cfg.eta * obj.grad_array(x) + amp * rng.standard_normal(cfg.n_modes))
         assert summary.steps[-1] == 64
-        assert summary.norm[-1] == pytest.approx(np.linalg.norm(x), abs=1e-13)
+        assert summary.norm[0, -1] == pytest.approx(np.linalg.norm(x), abs=1e-13)
 
     def test_replica_independence_of_ensemble_size(self):
         obj = make_objective()
         cfg = make_cfg(horizon=50, minibatch=3)
         for mode in ("gld", "sgld"):
-            solo = one_block(cfg, obj, [3], mode)[0]
-            grouped = one_block(cfg, obj, [1, 2, 3, 4], mode)[2]
-            assert grouped.chain_id == 3
-            assert np.array_equal(solo.norm, grouped.norm)
+            solo = one_block(cfg, obj, [3], mode)
+            grouped = one_block(cfg, obj, [1, 2, 3, 4], mode)
+            assert grouped.chain_ids[2] == 3
+            assert np.array_equal(solo.norm[0], grouped.norm[2])
             # risk evaluation batches over replicas, so only ulp-level drift is allowed
-            assert np.allclose(solo.risk, grouped.risk, rtol=1e-12, atol=0)
+            assert np.allclose(solo.risk[0], grouped.risk[2], rtol=1e-12, atol=0)
 
     def test_sgld_matches_per_chain_permutation_loop(self):
         # horizon 600 crosses two noise/minibatch chunk boundaries
@@ -266,7 +266,7 @@ class TestRunEnsemble:
         cfg6 = make_cfg(n_modes=6, horizon=40, burn_in=0)
         cfg4 = make_cfg(n_modes=4, horizon=40, burn_in=0)
         states = []
-        (wide,), (narrow,) = run_blocks(
+        wide, narrow = run_blocks(
             [(cfg6, obj6, [0], ()), (cfg4, obj4, [0], (lambda step, x, risk: states.append(x.copy()),))]
         )
         assert wide.retained_steps == narrow.retained_steps == 40
@@ -297,15 +297,15 @@ class TestRunEnsemble:
             assert not x.flags.writeable and not risk.flags.writeable
             seen.append((x.copy(), risk.copy()))
 
-        [s] = one_block(cfg, obj, [0], l_star=0.1, observers=(observe,))
+        s = one_block(cfg, obj, [0], l_star=0.1, observers=(observe,))
         # one fused evaluation per state X_0..X_200 feeds risk and gradient alike
         assert [calls[name] for name in ("risk_and_grad_array", "risk_array", "grad_array")] == [cfg.horizon + 1, 0, 0]
         assert len(seen) == 160
         assert all(np.array_equal(risk, risk_array(obj, x)) for x, risk in seen)
         post = s.steps > 40
         assert s.retained_steps == 160
-        assert s.final_cesaro_phi == pytest.approx(float(np.mean(s.phi[post])), rel=1e-12)
-        assert s.cesaro_phi[-1] == pytest.approx(s.final_cesaro_phi, rel=1e-12)
+        assert s.final_cesaro_phi[0] == pytest.approx(float(np.mean(s.phi[0, post])), rel=1e-12)
+        assert s.cesaro_phi[0, -1] == pytest.approx(s.final_cesaro_phi[0], rel=1e-12)
 
     @pytest.mark.parametrize("mode", ["gld", "sgld"])  # sgld at m = n_tr is the GLD chain
     def test_full_batch_risk_only_where_read(self, mode, monkeypatch):
@@ -327,16 +327,28 @@ class TestRunEnsemble:
         reference = run_chain(dataclasses.replace(cfg, burn_in=0), obj, mode=mode)
         assert np.array_equal(summary.risk, reference.risk) and np.array_equal(summary.norm, reference.norm)
 
-    def test_summary_arrays_are_read_only_rows(self):
+    def test_summary_is_one_read_only_table_per_block(self):
         obj = make_objective()
-        summaries = one_block(make_cfg(horizon=300), obj, range(3))
-        fields = ("steps", "norm", "risk", "reg_objective", "phi", "cesaro_phi")
-        for a in summaries:
-            for name in fields:
-                with pytest.raises(ValueError, match="read-only"):
-                    getattr(a, name)[0] = 1.0
-        for a, b in itertools.combinations(summaries, 2):
-            assert not any(np.shares_memory(getattr(a, name), getattr(b, name)) for name in fields[1:])
+        cfg = make_cfg(horizon=300)
+        s = one_block(cfg, obj, [4, 1, 7])
+        columns = ("norm", "risk", "reg_objective", "phi", "cesaro_phi")
+        k = 301  # cadence 1: step 0 and every step after it
+        shapes = dict(chain_ids=(3,), steps=(k,), final_cesaro_phi=(3,), final_cesaro_risk=(3,))
+        shapes.update((name, (3, k)) for name in columns)
+        for name, shape in shapes.items():
+            a = getattr(s, name)
+            assert a.shape == shape and not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1.0
+        assert s.chain_ids.tolist() == [4, 1, 7] and (s.mode, s.burn_in, s.retained_steps) == ("gld", 60, 240)
+        # the five columns are the rows of the block's one (5, R, K) checkpoint array
+        table = s.norm.base
+        assert table.shape == (5, 3, k)
+        for name, row in zip(columns, table):
+            column = getattr(s, name)
+            assert np.shares_memory(column, table) and np.array_equal(column, row, equal_nan=True)
+        for a, b in itertools.combinations(columns, 2):
+            assert not np.shares_memory(getattr(s, a), getattr(s, b))
 
     def test_ou_mode_variance_matches_closed_form(self):
         # stationary per-mode variance (2 eta / beta) a_k^2 / (1 - a_k^2)
@@ -368,7 +380,7 @@ class TestRunEnsemble:
         partial = exc_info.value.partial
         assert partial is not None and len(partial) == 1
         assert partial[0].steps[0] == 0 and np.all(np.diff(partial[0].steps) > 0)
-        assert np.isfinite(partial[0].risk[0])
+        assert np.isfinite(partial[0].risk[0, 0])
 
 
 def same_summary(a, b) -> bool:
@@ -378,7 +390,7 @@ def same_summary(a, b) -> bool:
         if isinstance(u, np.ndarray):
             if not (u.dtype == v.dtype and np.array_equal(u, v, equal_nan=u.dtype.kind == "f")):
                 return False
-        elif not (u == v or (isinstance(u, float) and math.isnan(u) and math.isnan(v))):
+        elif u != v:
             return False
     return True
 
@@ -436,10 +448,10 @@ def observed_states(cfg, obj, mode, ids):
     return states
 
 
-def reference_summaries(cfg, obj, mode, ids, l_star, states):
+def reference_summary(cfg, obj, mode, ids, l_star, states):
     """Step-by-step bookkeeping over states[s] = X_s: norm, risk, ridge term
     and phi at each checkpoint, running Cesaro sums with +=, NaN before the
-    first retained step."""
+    first retained step; one (R, K) column per statistic."""
     n_chains = len(ids)
     ces_phi, ces_risk, retained = np.zeros(n_chains), np.zeros(n_chains), 0
     steps, rows = [], []
@@ -454,24 +466,22 @@ def reference_summaries(cfg, obj, mode, ids, l_star, states):
             ces = ces_phi / retained if retained else np.full(n_chains, np.nan)
             steps.append(step)
             rows.append((np.linalg.norm(x, axis=1), risk, reg, sigmoid_gap(risk - l_star), ces))
-    cols = [np.stack(col) for col in zip(*rows)]
-    return [
-        RunSummary(
-            chain_id=cid,
-            mode=mode,
-            burn_in=cfg.burn_in_steps,
-            steps=np.array(steps, dtype=int),
-            norm=cols[0][:, r].copy(),
-            risk=cols[1][:, r].copy(),
-            reg_objective=cols[2][:, r].copy(),
-            phi=cols[3][:, r].copy(),
-            cesaro_phi=cols[4][:, r].copy(),
-            final_cesaro_phi=float(ces_phi[r] / retained) if retained else math.nan,
-            final_cesaro_risk=float(ces_risk[r] / retained) if retained else math.nan,
-            retained_steps=retained,
-        )
-        for r, cid in enumerate(ids)
-    ]
+    cols = [np.stack(col, axis=1) for col in zip(*rows)]
+    finals = [ces / retained if retained else np.full(n_chains, np.nan) for ces in (ces_phi, ces_risk)]
+    return RunSummary(
+        mode=mode,
+        burn_in=cfg.burn_in_steps,
+        retained_steps=retained,
+        chain_ids=np.array(ids, dtype=int),
+        steps=np.array(steps, dtype=int),
+        norm=cols[0],
+        risk=cols[1],
+        reg_objective=cols[2],
+        phi=cols[3],
+        cesaro_phi=cols[4],
+        final_cesaro_phi=finals[0],
+        final_cesaro_risk=finals[1],
+    )
 
 
 class TestChunkedBookkeeping:
@@ -488,9 +498,8 @@ class TestChunkedBookkeeping:
         states = observed_states(cfg, obj, mode, ids)
         for burn_in in sorted({0, 100, 256, 300} & set(range(horizon))):  # chunk-inner and chunk-edge burn-ins
             run_cfg = dataclasses.replace(cfg, burn_in=burn_in)
-            summaries = one_block(run_cfg, obj, ids, mode, 0.3)
-            expect = reference_summaries(run_cfg, obj, mode, ids, 0.3, states)
-            assert all(same_summary(a, b) for a, b in zip(summaries, expect, strict=True))
+            summary = one_block(run_cfg, obj, ids, mode, 0.3)
+            assert same_summary(summary, reference_summary(run_cfg, obj, mode, ids, 0.3, states))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_partial_summary_equals_reference_after_a_flushed_chunk(self):
@@ -503,10 +512,9 @@ class TestChunkedBookkeeping:
         assert step > 256
         states = observed_states(cfg, obj, "gld", ids)
         assert len(states) == step  # X_0 .. X_{step-1}
-        expect = reference_summaries(cfg, obj, "gld", ids, 0.3, states)
         [partial] = exc_info.value.partial
-        assert partial[0].steps[-1] == step - 1 and partial[0].retained_steps > 0
-        assert all(same_summary(a, b) for a, b in zip(partial, expect, strict=True))
+        assert partial.steps[-1] == step - 1 and partial.retained_steps > 0
+        assert same_summary(partial, reference_summary(cfg, obj, "gld", ids, 0.3, states))
 
     def test_minibatch_run_evaluates_once_per_chunk(self, monkeypatch):
         obj = make_objective(n=8)
@@ -518,9 +526,9 @@ class TestChunkedBookkeeping:
         )
         gap = dynamics.sigmoid_gap
         monkeypatch.setattr(dynamics, "sigmoid_gap", lambda u: calls.update(["phi"]) or gap(u))
-        summaries = one_block(cfg, obj, range(8), "sgld")
+        summary = one_block(cfg, obj, range(8), "sgld")
         chunks = math.ceil(cfg.horizon / 256)
-        assert len(summaries[0].steps) == 1001 and summaries[0].retained_steps == 1
+        assert len(summary.steps) == 1001 and summary.retained_steps == 1
         # step 0 and 1000 pre-burn-in checkpoints ride on the chunk flushes
         assert calls["risk"] <= chunks + 1 + 1
         assert calls["phi"] <= 2 * chunks
@@ -534,7 +542,7 @@ class TestRunBlocks:
         results, seen = observed_run(blocks, mode, l_star)
         width = max(cfg.n_modes for cfg, _, _ in blocks)
         widest = next(b for b in blocks if b[0].n_modes == width)
-        for block, summaries, log in zip(blocks, results, seen):
+        for block, summary, log in zip(blocks, results, seen):
             cfg, obj, ids = block
             if cfg.n_modes == width:
                 solo_log = []
@@ -543,8 +551,8 @@ class TestRunBlocks:
             else:
                 # a narrower block reads the call's noise width: pair it with the widest block
                 (solo, _), (solo_log, _) = observed_run([block, widest], mode, l_star)
-            assert [s.chain_id for s in summaries] == ids and {s.mode for s in summaries} == {mode}
-            assert all(same_summary(a, b) for a, b in zip(summaries, solo, strict=True))
+            assert summary.chain_ids.tolist() == ids and summary.mode == mode
+            assert same_summary(summary, solo)
             assert len(log) == len(solo_log) == cfg.horizon - cfg.burn_in_steps
             for (step, x, risk), (solo_step, solo_x, solo_risk) in zip(log, solo_log):
                 assert step == solo_step and np.array_equal(x, solo_x) and np.array_equal(risk, solo_risk)
@@ -596,12 +604,12 @@ class TestCheckpoints:
         checkpoints = [600, 257, 1, 256, 255, 433, 256]
         [picked] = run_blocks([(cfg, obj, ids, ())], mode, 0.3, checkpoints)
         steps = [0, 1, 255, 256, 257, 433, 600]
-        for a, b in zip(picked, full, strict=True):
-            assert a.steps.tolist() == steps
-            for name in ("norm", "risk", "reg_objective", "phi", "cesaro_phi"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)[steps], equal_nan=True)
-            assert a.final_cesaro_phi == b.final_cesaro_phi and a.final_cesaro_risk == b.final_cesaro_risk
-            assert (a.chain_id, a.retained_steps) == (b.chain_id, b.retained_steps)
+        assert picked.steps.tolist() == steps
+        for name in ("norm", "risk", "reg_objective", "phi", "cesaro_phi"):
+            assert np.array_equal(getattr(picked, name), getattr(full, name)[:, steps], equal_nan=True)
+        for name in ("chain_ids", "final_cesaro_phi", "final_cesaro_risk"):
+            assert np.array_equal(getattr(picked, name), getattr(full, name))
+        assert picked.retained_steps == full.retained_steps
 
     @pytest.mark.parametrize("checkpoints", [[0], [101], [-1, 50], [1, 100, 101], [2.7, 5.9]])
     def test_step_outside_the_horizon_raises_before_any_step(self, checkpoints, monkeypatch):

@@ -238,7 +238,7 @@ class TestRiskAndGradient:
         x = np.zeros(8)
         x[2] = 1.0
         cfg = ChainConfig(eta=0.05, beta=4.0, lam=2.0, n_modes=8, seed=1, horizon=1, x0=x)
-        reg = run_chain(cfg, obj).reg_objective[0]
+        reg = run_chain(cfg, obj).reg_objective[0, 0]
         assert reg == pytest.approx(obj.risk_array(x) + 0.5 * 2.0 * 9.0, rel=1e-14)
         assert reg == pytest.approx(obj.risk_array(x) + 0.5 * 2.0 * rkhs_norm(x, obj.kernel) ** 2)
 
