@@ -375,7 +375,7 @@ def _empirical_section(outputs: list[Path]) -> list[str]:
 def cmd_report(args) -> int:
     try:
         manifest = Manifest.load(args.manifest)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:  # a JSONDecodeError is a ValueError
         print(f"cannot read manifest: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     # every output sits next to its manifest, wherever report runs from; the

@@ -101,7 +101,7 @@ _KEYS = {
     "experiment": {
         "mode": (_one_of("gld", "sgld", "ou"), "gld"),
         "replicas": (_checked(int, lambda n: n >= 1, "must be >= 1"), 8),
-        "kappa": (float, 0.1),
+        "kappa": (_checked(float, lambda k: 0.0 < k < 0.5, "must be in (0, 0.5)"), 0.1),
         "delta": (_unit_interval, None),
         "tail_delta": (_unit_interval, 0.2),
         "eta_grid": (_grid(_positive), None),
@@ -233,6 +233,14 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+# the JSON shape of a Manifest field, by its annotation
+_FIELD_SHAPES = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "dict": (lambda v: isinstance(v, dict), "an object"),
+    "list": (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), "a list of strings"),
+}
+
+
 @dataclass
 class Manifest:
     """Reproducibility record: config hash, seeds and every output, by its file
@@ -254,8 +262,15 @@ class Manifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "Manifest":
+        """Raises ValueError, naming the field, on JSON that is not a manifest."""
         with open(path) as fh:
             d = json.load(fh)
+        if not isinstance(d, dict):
+            raise ValueError(f"{path}: a manifest must be a JSON object")
+        for f in fields(cls):
+            ok, shape = _FIELD_SHAPES[f.type]
+            if f.name in d and not ok(d[f.name]):
+                raise ValueError(f"{path}: manifest field '{f.name}' must be {shape}")
         # an absent key takes its field's default; one without a default (config_hash) raises KeyError
         kept = [f.name for f in fields(cls) if f.name in d or f.default is f.default_factory]
         return cls(**{name: d[name] for name in kept})

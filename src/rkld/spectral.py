@@ -54,41 +54,19 @@ class KernelSpec:
         power = 2.0 if self.decay == "inverse-square" else 1.0
         return self.mu0 / (k + 1.0) ** power
 
-    def basis_eval(self, k: int, z) -> float | np.ndarray:
-        """f_k(z) on [0, 1]."""
-        z = np.asarray(z, dtype=float)
-        if np.any(z < 0.0) or np.any(z > 1.0):
-            raise ValueError("basis point must lie in [0, 1]")
-        if k < 0:
-            raise ValueError("mode index must be >= 0")
-        if k == 0:
-            out = np.ones_like(z)
-        else:
-            out = _SQRT2 * np.cos(math.pi * k * z)
-        return float(out) if out.ndim == 0 else out
-
-    def basis_row(self, z: float, n_modes: int) -> np.ndarray:
-        """(f_0(z), ..., f_N(z)) as one vector."""
-        if not (0.0 <= z <= 1.0):
-            raise ValueError("basis point must lie in [0, 1]")
-        k = np.arange(n_modes, dtype=float)
-        row = _SQRT2 * np.cos(math.pi * k * z)
-        row[0] = 1.0
-        return row
-
-    def feature_matrix(self, z: np.ndarray, n_modes: int) -> np.ndarray:
-        """Rows psi_gamma(z_i): coefficient k is mu_k^(gamma/2) f_k(z_i)."""
+    def basis_matrix(self, z: np.ndarray, n_modes: int) -> np.ndarray:
+        """Rows (f_0(z_i), ..., f_N(z_i)) of the cosine basis, N+1 = n_modes."""
         z = np.asarray(z, dtype=float)
         if np.any(z < 0.0) or np.any(z > 1.0):
             raise ValueError("feature points must lie in [0, 1]")
         k = np.arange(n_modes, dtype=float)
         rows = _SQRT2 * np.cos(math.pi * np.outer(z, k))
         rows[:, 0] = 1.0
-        return rows * self.eigenvalues(n_modes) ** (self.gamma / 2.0)
+        return rows
 
-    def feature_map(self, z: float, n_modes: int) -> np.ndarray:
-        """psi_gamma(z) truncated to n_modes coefficients."""
-        return self.feature_matrix(np.array([z]), n_modes)[0]
+    def feature_matrix(self, z: np.ndarray, n_modes: int) -> np.ndarray:
+        """Rows psi_gamma(z_i): coefficient k is mu_k^(gamma/2) f_k(z_i)."""
+        return self.basis_matrix(z, n_modes) * self.eigenvalues(n_modes) ** (self.gamma / 2.0)
 
 
 def rkhs_norm(x: np.ndarray, spec: KernelSpec) -> float:

