@@ -12,11 +12,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .config import ConfigError, ExperimentConfig, Manifest, _atomic_write_text
 from .diagnostics import (
@@ -37,77 +34,65 @@ EXIT_ABORT = 2  # numerical abort, solver failure or other numerical error
 EXIT_INCONCLUSIVE = 3
 
 
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("RKLD_OUT") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _csv_text(header: list[str], rows) -> str:
+    """CSV of Python values: a float's str() is its shortest round-trip repr."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    _atomic_write_text(path, buf.getvalue())
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
-def _fmt(v):
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    return v
+def _publish(exp: ExperimentConfig, out: Path, command: str, stem: str, files: dict, notes=None) -> Path:
+    """Write each <hash><suffix> file of `files` (suffix -> text) into out, then
+    the manifest <hash><stem>_manifest.json that registers them; returns its path.
 
-
-def _load_experiment(args) -> ExperimentConfig:
-    return ExperimentConfig.load(args.config, seed_override=args.seed)
-
-
-def _new_manifest(exp: ExperimentConfig, command: str) -> Manifest:
-    return Manifest(
-        config_hash=exp.config_hash(),
+    Commands call this last, so a command that fails before it leaves no output
+    directory behind."""
+    tag = exp.config_hash()
+    out.mkdir(parents=True, exist_ok=True)
+    for suffix, text in files.items():
+        _atomic_write_text(out / f"{tag}{suffix}", text)
+    manifest = Manifest(
+        config_hash=tag,
         command=command,
         seed_table={"seed": exp.chain.seed},
+        outputs=[f"{tag}{suffix}" for suffix in files],
+        notes=notes or {},
         config_text=exp.source_text,
     )
+    path = out / f"{tag}{stem}_manifest.json"
+    manifest.save(path)
+    return path
 
 
 def _trajectory_rows(summary: RunSummary):
     """Chain 0's checkpoint rows, one per step."""
     columns = (summary.norm, summary.risk, summary.reg_objective, summary.phi, summary.cesaro_phi)
-    return zip(summary.steps, *(column[0] for column in columns))
+    return zip(map(int, summary.steps), *(map(float, column[0]) for column in columns))
 
 
 TRAJECTORY_HEADER = ["step", "norm", "risk", "reg_objective", "phi", "cesaro_phi"]
 
 
 def cmd_run(args) -> int:
-    exp = _load_experiment(args)
-    out = _out_dir(args)
-    tag = exp.config_hash()
-    manifest = _new_manifest(exp, "run")
+    exp = ExperimentConfig.load(args.config, seed_override=args.seed)
     obj = exp.build_objective()
     mins = obj.find_minimizers(exp.chain.lam)
 
-    aborted = None
+    aborted, notes = None, {}
     try:
         summary = run_chain(exp.chain, obj, mode=exp.mode, l_star=mins.l_star)
     except NumericalAbort as exc:
         aborted = exc
         [summary] = exc.partial
-        manifest.notes["abort"] = f"numerical abort at step {exc.step}"
+        notes["abort"] = f"numerical abort at step {exc.step}"
 
-    traj_path = out / f"{tag}_trajectory.csv"
-    _write_csv(traj_path, TRAJECTORY_HEADER, _trajectory_rows(summary))
-    manifest.add_output(traj_path)
-    summary_path = out / f"{tag}_summary.json"
-    _atomic_write_text(
-        summary_path,
-        json.dumps(
+    files = {
+        "_trajectory.csv": _csv_text(TRAJECTORY_HEADER, _trajectory_rows(summary)),
+        "_summary.json": json.dumps(
             {
-                "config_hash": tag,
+                "config_hash": exp.config_hash(),
                 "mode": summary.mode,
                 "seed": exp.chain.seed,
                 "chain_id": int(summary.chain_ids[0]),
@@ -123,10 +108,9 @@ def cmd_run(args) -> int:
             sort_keys=True,
         )
         + "\n",
-    )
-    manifest.add_output(summary_path)
-    manifest_path = out / f"{tag}_manifest.json"
-    manifest.save(manifest_path)
+    }
+    out = Path(args.out)
+    manifest_path = _publish(exp, out, "run", "", files, notes)
     if aborted is not None:
         print(f"numerical abort at step {aborted.step}; partial outputs in {out}", file=sys.stderr)
         return EXIT_ABORT
@@ -135,18 +119,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    exp = _load_experiment(args)
-    out = _out_dir(args)
-    tag = exp.config_hash()
+    exp = ExperimentConfig.load(args.config, seed_override=args.seed)
     results = run_property_suite(exp)
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
     for line in lines:
         print(line)
-    report_path = out / f"{tag}_verify.txt"
-    _atomic_write_text(report_path, "\n".join(lines) + "\n")
-    manifest = _new_manifest(exp, "verify")
-    manifest.add_output(report_path)
-    manifest.save(out / f"{tag}_verify_manifest.json")
+    _publish(exp, Path(args.out), "verify", "_verify", {"_verify.txt": "\n".join(lines) + "\n"})
     failed = sum(not r.passed for r in results)
     print(f"{len(results) - failed}/{len(results)} properties passed")
     return EXIT_OK if failed == 0 else EXIT_CONFIG
@@ -157,16 +135,17 @@ def _require(exp: ExperimentConfig, condition: bool, message: str) -> None:
         raise ConfigError(f"{exp.origin}: [experiment] {message}")
 
 
-def _fit_verdict(fit: RateFit, label: str, expected: tuple[float, float]) -> tuple[str, bool]:
+def _fit_verdict(fit: RateFit, label: str, expected: tuple[float, float]) -> tuple[list[str], bool]:
+    """The verdict lines of a rate fit: PASS/FAIL and the fit's numbers, or INCONCLUSIVE."""
     if fit.inconclusive:
-        return f"INCONCLUSIVE {label}: {fit.reason}", False
+        return [f"INCONCLUSIVE {label}: {fit.reason}"], False
     lo, hi = fit.slope_ci
-    ok = lo <= expected[1] and hi >= expected[0]
-    word = "PASS" if ok else "FAIL"
-    return (
+    word = "PASS" if lo <= expected[1] and hi >= expected[0] else "FAIL"
+    return [
         f"{word} {label}: slope {fit.slope:.4f} (CI [{lo:.4f}, {hi:.4f}]), "
-        f"expected within [{expected[0]}, {expected[1]}]"
-    ), True
+        f"expected within [{expected[0]}, {expected[1]}]",
+        f"fit: slope {float(fit.slope)!r}, slope_se {float(fit.slope_se)!r}, intercept {float(fit.intercept)!r}",
+    ], True
 
 
 def _nonincreasing_within_3se(values, ses) -> bool:
@@ -186,12 +165,8 @@ def _sweep_eta(exp: ExperimentConfig):
     fit = weak_error_vs_eta(
         obj, exp.chain, exp.eta_grid, exp.eta_ref, l_center, replicas=exp.replicas
     )
-    rows = [
-        (eta, float(fit.ordinates[i]), float(fit.ordinate_errors[i]))
-        for i, eta in enumerate(fit.abscissae)
-    ]
-    verdict, conclusive = _fit_verdict(fit, "weak error vs eta", (0.4, 1.3))
-    return ["eta", "error", "se"], rows, fit, verdict, conclusive
+    rows = zip(fit.abscissae.tolist(), fit.ordinates.tolist(), fit.ordinate_errors.tolist())
+    return ["eta", "error", "se"], rows, *_fit_verdict(fit, "weak error vs eta", (0.4, 1.3))
 
 
 def _sweep_n_modes(exp: ExperimentConfig):
@@ -201,12 +176,9 @@ def _sweep_n_modes(exp: ExperimentConfig):
     fit = galerkin_error_vs_n(
         exp.build_objective, exp.chain, exp.n_grid, exp.n_ref, replicas=exp.replicas
     )
-    rows = [
-        (n, float(fit.abscissae[i]), float(fit.ordinates[i]), float(fit.ordinate_errors[i]))
-        for i, n in enumerate(exp.n_grid)
-    ]
-    verdict, conclusive = _fit_verdict(fit, "galerkin error vs sqrt(mu_{N+1})", (0.5, 1.5))
-    return ["n_modes", "sqrt_mu_next", "error", "se"], rows, fit, verdict, conclusive
+    rows = zip(exp.n_grid, fit.abscissae.tolist(), fit.ordinates.tolist(), fit.ordinate_errors.tolist())
+    verdict = _fit_verdict(fit, "galerkin error vs sqrt(mu_{N+1})", (0.5, 1.5))
+    return ["n_modes", "sqrt_mu_next", "error", "se"], rows, *verdict
 
 
 def _sweep_beta(exp: ExperimentConfig):
@@ -238,7 +210,7 @@ def _sweep_beta(exp: ExperimentConfig):
             f"{word} gibbs gap vs beta: monotone nonincreasing within 3 sigma = {monotone}, "
             f"all gaps within {results[0]['slack']}x closed-form bound = {bounded}"
         )
-    return ["beta", "gap", "se", "bound", "passes_bound", "inconclusive"], rows, None, verdict, conclusive
+    return ["beta", "gap", "se", "bound", "passes_bound", "inconclusive"], rows, [verdict], conclusive
 
 
 def _sweep_minibatch(exp: ExperimentConfig):
@@ -258,8 +230,6 @@ def _sweep_minibatch(exp: ExperimentConfig):
     checks = []
     if ms[-1] == n_tr:
         checks.append(("full-batch discrepancy exactly 0", results[-1]["discrepancy"] == 0.0))
-    budgets = [r["bound_shape"] for r in results]
-    checks.append(("closed-form budget nonincreasing in m", all(np.diff(budgets) <= 1e-15)))
     discs, ses = [r["discrepancy"] for r in results], [r["se"] for r in results]
     checks.append(("discrepancy nonincreasing within 3 sigma", _nonincreasing_within_3se(discs, ses)))
     if not conclusive:
@@ -268,7 +238,7 @@ def _sweep_minibatch(exp: ExperimentConfig):
         ok = all(passed for _, passed in checks)
         detail = "; ".join(f"{name} = {passed}" for name, passed in checks)
         verdict = f"{'PASS' if ok else 'FAIL'} sgld discrepancy vs m: {detail}"
-    return ["m", "discrepancy", "se", "r_n", "bound_shape", "c_fit"], rows, None, verdict, conclusive
+    return ["m", "discrepancy", "se", "r_n", "bound_shape", "c_fit"], rows, [verdict], conclusive
 
 
 _SWEEPS = {
@@ -280,26 +250,12 @@ _SWEEPS = {
 
 
 def cmd_sweep(args) -> int:
-    exp = _load_experiment(args)
-    out = _out_dir(args)
-    tag = exp.config_hash()
-    header, rows, fit, verdict, conclusive = _SWEEPS[args.axis](exp)
-    csv_path = out / f"{tag}_sweep_{args.axis}.csv"
-    _write_csv(csv_path, header, rows)
-    verdict_lines = [verdict]
-    if fit is not None and not fit.inconclusive:
-        verdict_lines.append(
-            f"fit: slope {float(fit.slope)!r}, slope_se {float(fit.slope_se)!r}, "
-            f"intercept {float(fit.intercept)!r}"
-        )
-    verdict_path = out / f"{tag}_sweep_{args.axis}_verdict.txt"
-    _atomic_write_text(verdict_path, "\n".join(verdict_lines) + "\n")
-    manifest = _new_manifest(exp, f"sweep --axis {args.axis}")
-    manifest.notes["replicas"] = exp.replicas
-    manifest.add_output(csv_path)
-    manifest.add_output(verdict_path)
-    manifest.save(out / f"{tag}_sweep_{args.axis}_manifest.json")
-    print(verdict)
+    exp = ExperimentConfig.load(args.config, seed_override=args.seed)
+    header, rows, verdict, conclusive = _SWEEPS[args.axis](exp)
+    stem = f"_sweep_{args.axis}"
+    files = {f"{stem}.csv": _csv_text(header, rows), f"{stem}_verdict.txt": "\n".join(verdict) + "\n"}
+    _publish(exp, Path(args.out), f"sweep --axis {args.axis}", stem, files, {"replicas": exp.replicas})
+    print(verdict[0])
     return EXIT_OK if conclusive else EXIT_INCONCLUSIVE
 
 
@@ -386,17 +342,19 @@ def cmd_report(args) -> int:
         for p in missing:
             print(f"missing output: {p}", file=sys.stderr)
         return EXIT_CONFIG
-    exp = ExperimentConfig.loads(
-        manifest.config_text, seed_override=manifest.seed_table.get("seed"), origin=args.manifest
-    )
-    out = _out_dir(args)
+    seed = manifest.seed_table.get("seed")
+    exp = ExperimentConfig.loads(manifest.config_text, seed_override=seed, origin=args.manifest)
     tag = manifest.config_hash
+    if exp.config_hash() != tag:
+        reason = f"config_hash {tag!r} does not match its config"
+        print(f"cannot read manifest: {args.manifest}: {reason}", file=sys.stderr)
+        return EXIT_CONFIG
 
     lines = [
         f"rkld report for config {tag}",
         f"tool: {manifest.tool_version}",
         f"command: {manifest.command}",
-        f"seed: {manifest.seed_table.get('seed')!r}",
+        f"seed: {seed!r}",
         "",
         "== theory constants ==",
         *_constants_section(exp),
@@ -406,25 +364,15 @@ def cmd_report(args) -> int:
     ]
     for key in sorted(manifest.notes):
         lines.append(f"note [{key}]: {manifest.notes[key]}")
-    report_path = out / f"{tag}_report.txt"
-    _atomic_write_text(report_path, "\n".join(lines) + "\n")
-
     # bundle: every CSV in the manifest, re-emitted with provenance columns
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["source", "config_hash", "seed", "row"])
-    for p in outputs:
-        if p.suffix == ".csv":
-            for row in p.read_text().splitlines():
-                writer.writerow([p.name, tag, manifest.seed_table.get("seed"), row])
-    bundle_path = out / f"{tag}_report_bundle.csv"
-    _atomic_write_text(bundle_path, buf.getvalue())
-
-    report_manifest = _new_manifest(exp, "report")
-    report_manifest.add_output(report_path)
-    report_manifest.add_output(bundle_path)
-    report_manifest.save(out / f"{tag}_report_manifest.json")
-    print(f"report written to {report_path}")
+    bundle = ((p.name, tag, seed, row) for p in outputs if p.suffix == ".csv" for row in p.read_text().splitlines())
+    files = {
+        "_report.txt": "\n".join(lines) + "\n",
+        "_report_bundle.csv": _csv_text(["source", "config_hash", "seed", "row"], bundle),
+    }
+    out = Path(args.out)
+    _publish(exp, out, "report", "_report", files)
+    print(f"report written to {out / f'{tag}_report.txt'}")
     return EXIT_OK
 
 
@@ -442,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="experiment config file", required=True)
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     for p in (run, verify, sweep, report):
-        p.add_argument("--out", default=None, help="output directory (default: $RKLD_OUT or .)")
+        p.add_argument("--out", default=".", help="output directory (default: .)")
     return parser
 
 

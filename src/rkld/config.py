@@ -86,7 +86,7 @@ _KEYS = {
         "synth_n": (int, 20),
         "synth_seed": (int, 7),
         "synth_noise": (float, 0.1),
-        "lambda0": (float, 0.0),
+        "lambda0": (_checked(float, lambda v: 0.0 <= v < math.inf, "must be nonnegative and finite"), 0.0),
     },
     "chain": {
         "eta": (float, _REQUIRED),
@@ -133,11 +133,7 @@ class ExperimentConfig:
 
     kernel: KernelSpec
     loss: LossFamily
-    data_path: str | None
-    synth_kind: str
-    synth_n: int
-    synth_seed: int
-    synth_noise: float
+    dataset: Dataset  # read from [objective] data, or synthesized from its synth_* keys
     lambda0: float
     chain: ChainConfig
     mode: str  # read by `rkld run` only, as is chain.minibatch
@@ -185,7 +181,6 @@ class ExperimentConfig:
             )
         del kernel["basis"]  # parsed to be checked: KernelSpec's basis is the cosine family
         chain["lam"] = chain.pop("lambda")
-        objective["data_path"] = objective.pop("data")
         if seed_override is not None:
             chain["seed"] = seed_override
         built = {}
@@ -194,36 +189,23 @@ class ExperimentConfig:
                 built[section] = build(**args)
             except ValueError as exc:
                 raise ConfigError(f"{origin}: [{section}] {exc}") from None
-        return cls(**built, **objective, **experiment, source_text=text, origin=origin)
-
-    def build_dataset(self) -> Dataset:
-        if self.data_path is not None:
-            return Dataset.from_csv(self.data_path)
-        return Dataset.synthesize(
-            self.synth_n, self.synth_seed, kind=self.synth_kind, noise=self.synth_noise
-        )
+        data = objective.pop("data")
+        synth = {key: objective.pop(f"synth_{key}") for key in ("kind", "n", "seed", "noise")}
+        try:
+            dataset = Dataset.from_csv(data) if data is not None else Dataset.synthesize(**synth)
+        except ValueError as exc:  # an unreadable or invalid data file, or bad synthesis settings
+            where = f"data = {data!r}: " if data is not None else ""
+            raise ConfigError(f"{origin}: [objective] {where}{exc}") from None
+        minibatch = built["chain"].minibatch
+        if minibatch is not None and minibatch > dataset.size:
+            raise ConfigError(
+                f"{origin}: [chain] minibatch = '{minibatch}': larger than the {dataset.size} data points"
+            )
+        return cls(**built, dataset=dataset, **objective, **experiment, source_text=text, origin=origin)
 
     def build_objective(self, n_modes: int | None = None) -> ObjectiveSpec:
-        try:
-            dataset = self.build_dataset()
-        except ValueError as exc:  # an unreadable or invalid data file, or bad synthesis settings
-            where = f"data = {self.data_path!r}: " if self.data_path is not None else ""
-            raise ConfigError(f"{self.origin}: [objective] {where}{exc}") from None
-        if self.chain.minibatch is not None and self.chain.minibatch > dataset.size:
-            raise ConfigError(
-                f"{self.origin}: [chain] minibatch = '{self.chain.minibatch}': "
-                f"larger than the {dataset.size} data points"
-            )
-        try:
-            return ObjectiveSpec(
-                dataset=dataset,
-                loss=self.loss,
-                kernel=self.kernel,
-                n_modes=n_modes if n_modes is not None else self.chain.n_modes,
-                lambda0=self.lambda0,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{self.origin}: [objective] {exc}") from None
+        n_modes = n_modes if n_modes is not None else self.chain.n_modes
+        return ObjectiveSpec(self.dataset, self.loss, self.kernel, n_modes, self.lambda0)
 
     def config_hash(self) -> str:
         canonical = "\n".join(
@@ -253,9 +235,6 @@ class Manifest:
     outputs: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
     config_text: str = ""
-
-    def add_output(self, path: str | Path):
-        self.outputs.append(Path(path).name)
 
     def save(self, path: str | Path):
         _atomic_write_text(path, json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")

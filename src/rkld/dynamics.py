@@ -44,6 +44,10 @@ class NumericalAbort(RuntimeError):
         self.partial = None  # the run's per-block summaries up to the aborted step, set by run_blocks
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer))
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     """Parameters of one GLD/SGLD/OU run."""
@@ -65,16 +69,16 @@ class ChainConfig:
             raise ValueError(f"finite beta >= eta required, got beta={self.beta}, eta={self.eta}")
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValueError("lambda must be positive and finite")
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        if not (_is_int(self.n_modes) and self.n_modes >= 1):
+            raise ValueError(f"n_modes must be an integer >= 1, got {self.n_modes!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.burn_in is not None and not (0 <= self.burn_in < self.horizon):
-            raise ValueError("burn_in must satisfy 0 <= burn_in < horizon")
-        if self.minibatch is not None and self.minibatch < 1:
-            raise ValueError("minibatch size must be >= 1")
+        if not (_is_int(self.horizon) and self.horizon >= 1):
+            raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
+        if self.burn_in is not None and not (_is_int(self.burn_in) and 0 <= self.burn_in < self.horizon):
+            raise ValueError(f"burn_in must be an integer with 0 <= burn_in < horizon, got {self.burn_in!r}")
+        if self.minibatch is not None and not (_is_int(self.minibatch) and self.minibatch >= 1):
+            raise ValueError(f"minibatch size must be an integer >= 1, got {self.minibatch!r}")
         if self.x0 is not None:
             x0 = np.array(self.x0, dtype=float, copy=True)
             if x0.shape != (self.n_modes,):

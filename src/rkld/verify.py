@@ -7,6 +7,7 @@ evidence, not just a verdict.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -129,9 +130,12 @@ def check_dissipativity_probe(obj: ObjectiveSpec, lam: float, seed: int) -> Prop
         return _result("dissipativity_probe", False, f"no regime applies: {exc}")
     rng = make_rng(seed, 0, 94)
     a = -lam / obj.kernel.eigenvalues(obj.n_modes)
+    drawn = (rng.standard_normal(obj.n_modes) * rng.uniform(0.1, 20.0) for _ in range(1000))
+    # then +-e0, the top mode, where a too-large m shows first; these take no draws
+    e0 = np.eye(obj.n_modes)[0]
+    along_e0 = (sign * radius * e0 for radius in (0.1, 1.0, 10.0, 100.0) for sign in (1.0, -1.0))
     worst = -math.inf
-    for _ in range(1000):
-        x = rng.standard_normal(obj.n_modes) * rng.uniform(0.1, 20.0)
+    for x in itertools.chain(drawn, along_e0):
         lhs = float((a * x - obj.grad_array(x)) @ x)
         worst = max(worst, lhs - (-m_const * float(x @ x) + c_const))
     return _result(

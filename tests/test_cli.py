@@ -102,6 +102,14 @@ def _jittered_risk(fn):
     return risk_and_grad
 
 
+def _m_times_4(fn):
+    def dissipativity_constants(self, lam):
+        regime, m, c = fn(self, lam)
+        return regime, 4.0 * m, c
+
+    return dissipativity_constants
+
+
 def _sgld_drops_a_point(fn):
     # the engine's m = n_tr SGLD block is its GLD block by construction, so an SGLD
     # chain that differs from GLD must be injected at run_chain
@@ -133,6 +141,10 @@ VERIFY_FAULTS = {
     "dissipativity_probe": (
         _patched(ObjectiveSpec, "smoothness_constant", lambda fn: lambda self: 10.0 * fn(self)),
         ["dissipativity_probe"],
+    ),
+    # m x 2 still holds along e0, where the random probes do not reach the bound's edge
+    "dissipativity_probe_m_x4": (
+        _patched(ObjectiveSpec, "dissipativity_constants", _m_times_4), ["dissipativity_probe"]
     ),
     "determinism_bitwise": (_patched(ObjectiveSpec, "risk_and_grad_array", _jittered_risk), ["determinism_bitwise"]),
     "sgld_fullbatch_reduction": (_patched(verify, "run_chain", _sgld_drops_a_point), ["sgld_fullbatch_reduction"]),
@@ -187,12 +199,6 @@ class TestRun:
         assert main(["run", "--config", str(config_file), "--seed", "7", "--out", str(out)]) == 0
         files = list(out.glob("*_trajectory.csv"))
         assert len(files) == 2  # different hash prefixes
-
-    def test_env_out_dir(self, tmp_path, config_file, monkeypatch):
-        envdir = tmp_path / "envout"
-        monkeypatch.setenv("RKLD_OUT", str(envdir))
-        assert main(["run", "--config", str(config_file)]) == 0
-        assert list(envdir.glob("*_trajectory.csv"))
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -434,9 +440,11 @@ class TestExitCodes:
         monkeypatch.setattr(diagnostics, "run_blocks", no_engine)
         cfg = tmp_path / "sweep.ini"
         cfg.write_text(base + "\n[experiment]\nreplicas = 2\n" + grid)
-        assert main(["sweep", "--axis", axis, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        out = tmp_path / "out"
+        assert main(["sweep", "--axis", axis, "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {cfg}: [experiment] ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["eta", "beta", "lambda", "n_modes", "seed", "horizon"])
     def test_empty_required_key_is_missing(self, key, tmp_path, capsys):
@@ -462,7 +470,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"config error: {cfg}: [chain] minibatch = '30': larger than the 8 data points\n"
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_numerical_value_error_exit_code(self, tmp_path, monkeypatch, capsys):
         # LinAlgError subclasses ValueError but is no config error
@@ -639,15 +647,22 @@ class TestReport:
             ({"config_hash": "x", "seed_table": []}, "seed_table"),
             ({"config_hash": "x", "outputs": "abc"}, "outputs"),
             ({"config_hash": 1}, "config_hash"),
+            # report would write its files under a tag that is not its config's
+            ({"config_hash": "deadbeefdeadbeef", "seed_table": {"seed": 42}, "config_text": BASE}, "edited_hash"),
         ],
     )
     def test_malformed_manifest_exit_code(self, record, field, tmp_path, capsys):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps(record))
-        assert main(["report", "--manifest", str(manifest), "--out", str(tmp_path)]) == 1
+        out = tmp_path / "out"
+        assert main(["report", "--manifest", str(manifest), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        what = "a manifest must be a JSON object" if field is None else f"manifest field '{field}' must be"
+        what = {
+            None: "a manifest must be a JSON object",
+            "edited_hash": "config_hash 'deadbeefdeadbeef' does not match its config",
+        }.get(field, f"manifest field '{field}' must be")
         assert err.startswith(f"cannot read manifest: {manifest}: {what}") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_outputs_exit_code(self, tmp_path, config_file):
         out = tmp_path / "out"
@@ -656,6 +671,54 @@ class TestReport:
         next(out.glob("*_trajectory.csv")).unlink()
         rc = main(["report", "--manifest", str(out / f"{tag}_manifest.json"), "--out", str(out)])
         assert rc == 1
+
+
+# config errors that parsing raises: (config text, data file rows or None)
+PARSE_ERRORS = {
+    "data_header": (BASE.replace("synth_n = 8", "data = {data}"), "x,y\n0.5,1.0\n"),
+    "data_row": (BASE.replace("synth_n = 8", "data = {data}"), "z,y\n0.25,1.0\n0.5\n"),
+    "data_field": (BASE.replace("synth_n = 8", "data = {data}"), "z,y\nabc,1.0\n"),
+    "minibatch_above_n": (
+        BASE.replace("seed = 42", "seed = 42\nminibatch = 30") + "\n[experiment]\nmode = sgld\n", None
+    ),
+    "lambda0_negative": (BASE.replace("synth_seed = 5", "synth_seed = 5\nlambda0 = -1"), None),
+}
+
+
+class TestPublish:
+    """A command writes its files and manifest last, and nothing else."""
+
+    @pytest.mark.parametrize("argv", [["run"], ["verify"], ["sweep", "--axis", "minibatch"]], ids=lambda a: a[0])
+    @pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+    def test_config_error_leaves_no_output_directory(self, case, argv, tmp_path, capsys):
+        text, rows = PARSE_ERRORS[case]
+        data = tmp_path / "data.csv"
+        if rows is not None:
+            data.write_text(rows)
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text.format(data=data))
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {cfg}: ")
+        assert not out.exists()
+
+    def test_new_files_are_the_manifest_and_its_outputs(self, tmp_path, capsys):
+        cfg = tmp_path / "m.ini"
+        grid = "\n[experiment]\nreplicas = 2\nm_grid = 2, 4, 8\n"
+        cfg.write_text(BASE.replace("horizon = 2000", "horizon = 200") + grid)
+        out = tmp_path / "out"
+        tag = tag_of(cfg)
+        runs = [
+            (["run", "--config", str(cfg)], f"{tag}_manifest.json"),
+            (["verify", "--config", str(cfg)], f"{tag}_verify_manifest.json"),
+            (["sweep", "--axis", "minibatch", "--config", str(cfg)], f"{tag}_sweep_minibatch_manifest.json"),
+            (["report", "--manifest", str(out / f"{tag}_manifest.json")], f"{tag}_report_manifest.json"),
+        ]
+        for argv, manifest in runs:
+            before = set(out.glob("*"))
+            assert main([*argv, "--out", str(out)]) == 0
+            outputs = json.loads((out / manifest).read_text())["outputs"]
+            assert sorted(p.name for p in set(out.glob("*")) - before) == sorted([*outputs, manifest])
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -91,6 +91,7 @@ class TestParsing:
             ("objective", "loss = hinge", "unknown loss family: 'hinge'"),
             ("objective", "synth_kind = ranking", "expected one of regression, classification"),
             ("objective", "data = /no/such.csv", "file not found"),
+            ("objective", "lambda0 = -1", "must be nonnegative and finite"),
             ("experiment", "mode = mala", "expected one of gld, sgld, ou"),
             ("experiment", "replicas = 0", "must be >= 1"),
             ("experiment", "tail_delta = 1.0", "must be in (0, 1)"),
@@ -177,7 +178,7 @@ class TestBuilders:
         p = tmp_path / "d.csv"
         p.write_text("z,y\n0.1,1.0\n0.9,-1.0\n")
         exp = ExperimentConfig.loads(BASE.replace("synth_n = 8", f"data = {p}\nsynth_n = 8"))
-        assert exp.build_dataset().size == 2
+        assert exp.dataset.size == 2
 
     def test_missing_data_file(self):
         with pytest.raises(ConfigError):
@@ -191,9 +192,9 @@ class TestManifest:
             config_hash=exp.config_hash(),
             command="run",
             seed_table={"seed": 42},
+            outputs=["x.csv"],
             config_text=exp.source_text,
         )
-        m.add_output(tmp_path / "x.csv")
         p = tmp_path / "m.json"
         m.save(p)
         loaded = Manifest.load(p)

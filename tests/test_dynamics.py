@@ -56,6 +56,12 @@ class TestChainConfig:
         assert make_cfg(horizon=1000).burn_in_steps == 200
         assert make_cfg(horizon=1000, burn_in=7).burn_in_steps == 7
 
+    @pytest.mark.parametrize("value", [2.5, 4.0])
+    @pytest.mark.parametrize("field", ["n_modes", "horizon", "burn_in", "minibatch"])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make_cfg(**{field: value})
+
     def test_x0_dimension_checked(self):
         with pytest.raises(ValueError):
             make_cfg(x0=np.zeros(3))
@@ -110,15 +116,16 @@ class TestStepFunctions:
     """The engine's update X <- S_eta (X - eta g + sqrt(2 eta/beta) eps)."""
 
     def test_gld_semi_implicit_identity(self):
+        # (1 + eta lam / mu_k) X_1 = X_0 - eta grad L(X_0) + sqrt(2 eta / beta) xi_0, with
+        # xi_0 chain 0's first draw on the noise stream
         obj = make_objective()
-        cfg = make_cfg(horizon=1, burn_in=0)
-        new = final_state(cfg, obj)
-        # reconstruct the pre-resolvent point and check both forms agree
-        scales = resolvent_scales(obj.kernel, cfg.lam, cfg.eta, cfg.n_modes)
-        pre = new / scales
-        mu = obj.kernel.eigenvalues(cfg.n_modes)
-        back = new + cfg.eta * cfg.lam * new / mu
-        assert np.max(np.abs(pre - back)) < 1e-12
+        x0 = np.linspace(-1.0, 1.0, 6)
+        cfg = make_cfg(horizon=1, burn_in=0, x0=x0)
+        x1 = final_state(cfg, obj)
+        xi0 = make_rng(cfg.seed, 0, 0).standard_normal(cfg.n_modes)
+        lhs = (1.0 + cfg.eta * cfg.lam / obj.kernel.eigenvalues(cfg.n_modes)) * x1
+        rhs = x0 - cfg.eta * obj.grad_array(x0) + math.sqrt(2.0 * cfg.eta / cfg.beta) * xi0
+        assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
 
     def test_gld_deterministic_replay(self):
         obj = make_objective()
