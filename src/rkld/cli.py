@@ -313,18 +313,23 @@ def _constants_section(exp: ExperimentConfig) -> list[str]:
 
 
 def _empirical_section(outputs: list[Path]) -> list[str]:
+    """Raises ValueError, naming the file, on a summary or verdict file it cannot read."""
     lines = []
     for p in outputs:
-        if p.name.endswith("_summary.json"):
-            with open(p) as fh:
-                s = json.load(fh)
-            lines.append(f"run summary {p.name}:")
-            for key in sorted(s):
-                lines.append(f"  {key}: {s[key]!r}")
-        elif p.suffix == ".txt":
-            lines.append(f"verdicts {p.name}:")
-            for line in p.read_text().splitlines():
-                lines.append(f"  {line}")
+        try:
+            if p.name.endswith("_summary.json"):
+                s = json.loads(p.read_text())
+                if not isinstance(s, dict):
+                    raise ValueError("a run summary must be a JSON object")
+                lines.append(f"run summary {p.name}:")
+                for key in sorted(s):
+                    lines.append(f"  {key}: {s[key]!r}")
+            elif p.suffix == ".txt":
+                lines.append(f"verdicts {p.name}:")
+                for line in p.read_text().splitlines():
+                    lines.append(f"  {line}")
+        except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"{p}: {exc}") from None
     return lines or ["no run summaries or verdict files in manifest"]
 
 
@@ -349,6 +354,11 @@ def cmd_report(args) -> int:
         reason = f"config_hash {tag!r} does not match its config"
         print(f"cannot read manifest: {args.manifest}: {reason}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        empirical = _empirical_section(outputs)
+    except ValueError as exc:
+        print(f"cannot read output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     lines = [
         f"rkld report for config {tag}",
@@ -360,19 +370,21 @@ def cmd_report(args) -> int:
         *_constants_section(exp),
         "",
         "== empirical estimates ==",
-        *_empirical_section(outputs),
+        *empirical,
     ]
     for key in sorted(manifest.notes):
         lines.append(f"note [{key}]: {manifest.notes[key]}")
     # bundle: every CSV in the manifest, re-emitted with provenance columns
     bundle = ((p.name, tag, seed, row) for p in outputs if p.suffix == ".csv" for row in p.read_text().splitlines())
+    # <tag><stem>_manifest.json reports to <tag><stem>_report.txt, so no report overwrites another
+    stem = Path(args.manifest).stem.removesuffix("_manifest").removeprefix(tag) + "_report"
     files = {
-        "_report.txt": "\n".join(lines) + "\n",
-        "_report_bundle.csv": _csv_text(["source", "config_hash", "seed", "row"], bundle),
+        f"{stem}.txt": "\n".join(lines) + "\n",
+        f"{stem}_bundle.csv": _csv_text(["source", "config_hash", "seed", "row"], bundle),
     }
     out = Path(args.out)
-    _publish(exp, out, "report", "_report", files)
-    print(f"report written to {out / f'{tag}_report.txt'}")
+    _publish(exp, out, "report", stem, files)
+    print(f"report written to {out / f'{tag}{stem}.txt'}")
     return EXIT_OK
 
 

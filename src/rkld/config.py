@@ -69,6 +69,8 @@ def _one_of(*options):
 
 _unit_interval = _checked(float, lambda d: 0.0 < d < 1.0, "must be in (0, 1)")
 _positive = _checked(float, lambda v: 0.0 < v < math.inf, "must be positive and finite")
+_count = _checked(int, lambda n: n >= 0, "must be >= 0")
+_positive_count = _checked(int, lambda n: n >= 1, "must be >= 1")
 
 
 # section -> key -> (parser, default); an empty value means the default
@@ -76,8 +78,6 @@ _KEYS = {
     "kernel": {
         "mu0": (float, 1.0),
         "gamma": (float, 1.5),
-        "basis": (_one_of("cosine"), "cosine"),
-        "decay": (str, "inverse-square"),
     },
     "objective": {
         "loss": (loss_family, loss_family("squared")),
@@ -100,16 +100,16 @@ _KEYS = {
     },
     "experiment": {
         "mode": (_one_of("gld", "sgld", "ou"), "gld"),
-        "replicas": (_checked(int, lambda n: n >= 1, "must be >= 1"), 8),
+        "replicas": (_positive_count, 8),
         "kappa": (_checked(float, lambda k: 0.0 < k < 0.5, "must be in (0, 0.5)"), 0.1),
         "delta": (_unit_interval, None),
         "tail_delta": (_unit_interval, 0.2),
         "eta_grid": (_grid(_positive), None),
         "eta_ref": (_positive, None),
-        "n_grid": (_grid(_checked(int, lambda n: n >= 0, "must be >= 0")), None),
-        "n_ref": (int, None),
+        "n_grid": (_grid(_count), None),
+        "n_ref": (_count, None),
         "beta_grid": (_grid(_positive), None),
-        "m_grid": (_grid(int), None),
+        "m_grid": (_grid(_positive_count), None),
     },
 }
 
@@ -179,7 +179,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"{origin}: [chain] minibatch = {raw!r}: only [experiment] mode = sgld draws minibatches"
             )
-        del kernel["basis"]  # parsed to be checked: KernelSpec's basis is the cosine family
         chain["lam"] = chain.pop("lambda")
         if seed_override is not None:
             chain["seed"] = seed_override

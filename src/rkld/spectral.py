@@ -32,27 +32,19 @@ class KernelSpec:
 
     mu0: float = 1.0
     gamma: float = 1.5
-    decay: str = "inverse-square"
 
     def __post_init__(self):
         if not (self.mu0 > 0 and math.isfinite(self.mu0)):
             raise ValueError(f"mu0 must be a positive finite real, got {self.mu0}")
         if self.gamma < 0 or not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
-        if self.decay not in ("inverse-square", "harmonic"):
-            raise ValueError(f"unsupported eigenvalue decay law: {self.decay!r}")
 
     def eigenvalues(self, n_modes: int) -> np.ndarray:
-        """Vector (mu_0, ..., mu_N) with N+1 = n_modes.
-
-        The harmonic law mu_k = mu0/(k+1) is accepted by the constructor but
-        violates the inverse-square envelope; the verification suite flags it.
-        """
+        """Vector (mu_0, ..., mu_N) with N+1 = n_modes."""
         if n_modes < 1:
             raise ValueError("n_modes must be >= 1")
         k = np.arange(n_modes, dtype=float)
-        power = 2.0 if self.decay == "inverse-square" else 1.0
-        return self.mu0 / (k + 1.0) ** power
+        return self.mu0 / (k + 1.0) ** 2.0
 
     def basis_matrix(self, z: np.ndarray, n_modes: int) -> np.ndarray:
         """Rows (f_0(z_i), ..., f_N(z_i)) of the cosine basis, N+1 = n_modes."""

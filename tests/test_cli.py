@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rkld import diagnostics, verify
+from rkld import cli, diagnostics, verify
 from rkld.cli import main
 from rkld.config import _KEYS, ExperimentConfig
 from rkld.objective import ObjectiveSpec
@@ -87,6 +87,13 @@ class _CosineWithoutSqrt2(KernelSpec):
         return np.cos(math.pi * np.outer(z, np.arange(n_modes, dtype=float)))
 
 
+class _HarmonicEigenvalues(KernelSpec):
+    """mu_k = mu0 / (k+1), a law whose trace diverges."""
+
+    def eigenvalues(self, n_modes):
+        return self.mu0 / (np.arange(n_modes, dtype=float) + 1.0)
+
+
 def _scaled(fn):
     return lambda *args: 1.001 * fn(*args)
 
@@ -123,7 +130,7 @@ def _sgld_drops_a_point(fn):
 
 # check -> (fault injector, the checks that fail under it, in report order)
 VERIFY_FAULTS = {
-    "assumption1_eigenvalue_shape": (_with_kernel(KernelSpec, decay="harmonic"), ["assumption1_eigenvalue_shape"]),
+    "assumption1_eigenvalue_shape": (_with_kernel(_HarmonicEigenvalues), ["assumption1_eigenvalue_shape"]),
     # a basis error above the 1e-6 Gram tolerance on modes <= 16 also moves the
     # 40-mode Parseval quadrature beyond its 1e-12 tolerance
     "basis_orthonormality_quadrature": (
@@ -209,13 +216,19 @@ class TestRun:
         assert main(["run", "--config", str(tmp_path / "none.ini"), "--out", str(tmp_path)]) == 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_numerical_abort_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("argv", [["run"], ["sweep", "--axis", "minibatch"]], ids=lambda a: a[0])
+    def test_numerical_abort_exit_code(self, argv, tmp_path, capsys):
         # lambda below the smoothness threshold with a huge step size diverges
         text = BASE.replace("eta = 0.05", "eta = 50.0").replace("beta = 4.0", "beta = 100.0")
         text = text.replace("lambda = 6.0", "lambda = 0.000001")
         cfg = tmp_path / "explode.ini"
-        cfg.write_text(text)
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        cfg.write_text(text + "\n[experiment]\nreplicas = 2\nm_grid = 2, 4, 8\n")
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+        # run writes its partial trajectory; a sweep writes nothing
+        partial = f"; partial outputs in {out}" if argv == ["run"] else ""
+        assert re.fullmatch(rf"numerical abort at step [0-9]+{re.escape(partial)}\n", capsys.readouterr().err)
+        assert out.exists() == (argv == ["run"])
 
 
 class TestVerify:
@@ -235,13 +248,16 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert "PASS dissipativity_probe: regime strict" in capsys.readouterr().out
 
-    def test_fails_on_wrong_decay_law(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line", ["decay = harmonic", "basis = cosine"])
+    def test_fails_on_wrong_decay_law(self, line, tmp_path, capsys):
+        # the kernel has one eigenvalue law and one basis: the retired switches are unknown keys
         cfg = tmp_path / "harmonic.ini"
-        cfg.write_text(BASE.replace("[objective]", "decay = harmonic\n\n[objective]"))
-        rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path)])
-        assert rc == 1
-        fails = [line.split(":")[0] for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
-        assert fails == ["FAIL assumption1_eigenvalue_shape"]
+        cfg.write_text(BASE.replace("[objective]", f"{line}\n\n[objective]"))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+        key = line.split(" = ")[0]
+        assert capsys.readouterr() == ("", f"config error: {cfg}: unknown key '{key}' in [kernel]\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("fault", sorted(VERIFY_FAULTS))
     def test_each_check_fails_on_its_fault(self, fault, monkeypatch):
@@ -331,6 +347,54 @@ class TestSweep:
         assert [r["se"] for r in rows] == ["inf", "inf"]
         # nor a stationarity test: the half-split SE is inf too
         assert [r["inconclusive"] for r in rows] == ["1", "1"]
+
+    @pytest.mark.parametrize("slope, word", [(1.0, "PASS"), (2.0, "FAIL")])
+    @pytest.mark.parametrize(
+        "axis, experiment, label, window",
+        [
+            ("eta", "weak_error_vs_eta", "weak error vs eta", "[0.4, 1.3]"),
+            ("n_modes", "galerkin_error_vs_n", "galerkin error vs sqrt(mu_{N+1})", "[0.5, 1.5]"),
+        ],
+    )
+    def test_conclusive_fit_verdict(self, axis, experiment, label, window, slope, word, tmp_path, monkeypatch, capsys):
+        # a fit with enough usable points: PASS when its CI meets the window, else FAIL; both exit 0
+        x = np.array([0.025, 0.05, 0.1, 0.2])
+        fit = diagnostics.RateFit(x, slope * x, 0.01 * x, slope, 0.05, -1.0, inconclusive=False)
+        monkeypatch.setattr(cli, experiment, lambda *args, **kwargs: fit)
+        base, grid = SWEEP_RERUNS[axis]
+        cfg = tmp_path / "fit.ini"
+        cfg.write_text(base + "\n[experiment]\nreplicas = 2\n" + grid)
+        out = tmp_path / "out"
+        assert main(["sweep", "--axis", axis, "--config", str(cfg), "--out", str(out)]) == 0
+        lo, hi = slope - 0.1, slope + 0.1
+        verdict = [
+            f"{word} {label}: slope {slope:.4f} (CI [{lo:.4f}, {hi:.4f}]), expected within {window}",
+            f"fit: slope {slope!r}, slope_se 0.05, intercept -1.0",
+        ]
+        assert capsys.readouterr().out == verdict[0] + "\n"
+        stem = f"{tag_of(cfg)}_sweep_{axis}"
+        assert (out / f"{stem}_verdict.txt").read_text().splitlines() == verdict
+        with open(out / f"{stem}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [float(r[-2]) for r in rows] == (slope * x).tolist()
+
+    def test_beta_sweep_without_stationarity_is_inconclusive(self, tmp_path, monkeypatch, capsys):
+        gap = {"gap": 0.02, "se": 0.001, "bound": 0.5, "passes_bound": True, "slack": 10.0}
+        results = [{**gap, "inconclusive": False}, {**gap, "inconclusive": True}]
+        monkeypatch.setattr(cli, "gibbs_gap_vs_beta", lambda *args, **kwargs: results)
+        base, grid = SWEEP_RERUNS["beta"]
+        cfg = tmp_path / "beta.ini"
+        cfg.write_text(base + "\n[experiment]\nreplicas = 2\n" + grid)
+        assert main(["sweep", "--axis", "beta", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().out == "INCONCLUSIVE gibbs gap vs beta: stationarity check failed at some beta\n"
+        with open(next(tmp_path.glob("*_sweep_beta.csv")), newline="") as fh:
+            assert [r["inconclusive"] for r in csv.DictReader(fh)] == ["0", "1"]
+
+    def test_one_replica_minibatch_sweep_is_inconclusive(self, tmp_path, capsys):
+        cfg = tmp_path / "m.ini"
+        cfg.write_text(BASE.replace("horizon = 2000", "horizon = 200") + "\n[experiment]\nreplicas = 1\nm_grid = 2, 4, 8\n")
+        assert main(["sweep", "--axis", "minibatch", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().out == "INCONCLUSIVE sgld discrepancy vs m: need >= 2 replicas for error bars\n"
 
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def fail(self, lam):
@@ -613,8 +677,72 @@ class TestReport:
         assert commands == {
             "manifest": "run", "verify_manifest": "verify", "sweep_minibatch_manifest": "sweep --axis minibatch"
         }
+        # a report is named after its manifest's stem, so no report overwrites another
+        reports = {}
+        for stem in ("", "_verify", "_sweep_minibatch"):
+            capsys.readouterr()
+            assert main(["report", "--manifest", str(out / f"{tag}{stem}_manifest.json"), "--out", str(out)]) == 0
+            report = out / f"{tag}{stem}_report.txt"
+            assert capsys.readouterr().out == f"report written to {report}\n"
+            manifest = json.loads((out / f"{tag}{stem}_report_manifest.json").read_text())
+            assert manifest["outputs"] == [report.name, f"{tag}{stem}_report_bundle.csv"]
+            reports[stem] = report.read_text()
+        assert {stem: (out / f"{tag}{stem}_report.txt").read_text() for stem in reports} == reports
+        assert f"run summary {tag}_summary.json:" in reports[""]
+        for stem, verdicts in (("_verify", "_verify.txt"), ("_sweep_minibatch", "_sweep_minibatch_verdict.txt")):
+            lines = (out / f"{tag}{verdicts}").read_text().splitlines()
+            assert f"verdicts {tag}{verdicts}:\n" + "".join(f"  {line}\n" for line in lines) in reports[stem]
+
+    def test_bounded_regime_without_delta_reports_terms_na(self, tmp_path):
+        cfg = tmp_path / "savage.ini"
+        cfg.write_text(BASE.replace("squared", "savage").replace("lambda = 6.0", "lambda = 0.1"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        tag = tag_of(cfg)
         assert main(["report", "--manifest", str(out / f"{tag}_manifest.json"), "--out", str(out)]) == 0
-        assert f"run summary {tag}_summary.json:" in (out / f"{tag}_report.txt").read_text()
+        report = (out / f"{tag}_report.txt").read_text().splitlines()
+        assert "regime: bounded" in report
+        assert "c_beta rationale: bounded-gradient regime (lambda <= M mu0), c_beta = sqrt(beta)" in report
+        assert "  Lambda*_eta (spectral gap): n/a" in report and "  delta: n/a" in report
+        assert report[report.index("  markov factor 5/delta: 25.0") + 1] == (
+            "  spectral gap needs [experiment] delta in the bounded regime; terms n/a"
+        )
+
+    def test_report_notes_an_aborted_run(self, tmp_path, config_file, monkeypatch):
+        def nan_gradient(self, x):
+            risk, grad = risk_and_grad(self, x)
+            return risk, np.full_like(grad, np.nan)
+
+        risk_and_grad = ObjectiveSpec.risk_and_grad_array
+        out = tmp_path / "out"
+        with monkeypatch.context() as patch:
+            patch.setattr(ObjectiveSpec, "risk_and_grad_array", nan_gradient)
+            assert main(["run", "--config", str(config_file), "--out", str(out)]) == 2
+        tag = tag_of(config_file)
+        notes = json.loads((out / f"{tag}_manifest.json").read_text())["notes"]
+        assert notes == {"abort": "numerical abort at step 1"}
+        assert main(["report", "--manifest", str(out / f"{tag}_manifest.json"), "--out", str(out)]) == 0
+        assert (out / f"{tag}_report.txt").read_text().endswith("\nnote [abort]: numerical abort at step 1\n")
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            (b"{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            (b"[1, 2]", "a run summary must be a JSON object"),
+            (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ],
+    )
+    def test_malformed_summary_exit_code(self, text, reason, tmp_path, config_file, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_file), "--out", str(out)]) == 0
+        tag = tag_of(config_file)
+        summary = out / f"{tag}_summary.json"
+        summary.write_bytes(text)
+        capsys.readouterr()
+        report_dir = tmp_path / "report"
+        assert main(["report", "--manifest", str(out / f"{tag}_manifest.json"), "--out", str(report_dir)]) == 1
+        assert capsys.readouterr().err == f"cannot read output: {summary}: {reason}\n"
+        assert not report_dir.exists()
 
     def test_manifest_opens_from_any_directory(self, tmp_path, config_file, monkeypatch):
         # outputs are stored by name and resolved against the manifest's directory

@@ -1,4 +1,6 @@
 import configparser
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,50 @@ horizon = 2000
 
 SGLD = "\n[experiment]\nmode = sgld\n"
 
+# one valid value per config key, other than its default and BASE's
+NON_DEFAULT = {
+    "kernel": {"mu0": "2.0", "gamma": "1.0"},
+    "objective": {
+        "loss": "savage",
+        "data": "{data}",
+        "synth_kind": "classification",
+        "synth_n": "9",
+        "synth_seed": "6",
+        "synth_noise": "0.2",
+        "lambda0": "0.1",
+    },
+    "chain": {
+        "eta": "0.04",
+        "beta": "3.0",
+        "lambda": "5.0",
+        "n_modes": "9",
+        "seed": "43",
+        "horizon": "1000",
+        "minibatch": "4",
+        "burn_in": "100",
+    },
+    "experiment": {
+        "mode": "ou",
+        "replicas": "2",
+        "kappa": "0.2",
+        "delta": "0.5",
+        "tail_delta": "0.1",
+        "eta_grid": "0.2, 0.1",
+        "eta_ref": "0.003",
+        "n_grid": "4, 8",
+        "n_ref": "32",
+        "beta_grid": "2, 4",
+        "m_grid": "2, 4",
+    },
+}
+
+
+def parsed_fields(exp):
+    """Every field of a parsed config but its text and origin; a dataset as its arrays."""
+    values = {f.name: getattr(exp, f.name) for f in fields(exp) if f.name not in ("source_text", "origin")}
+    values["dataset"] = (values["dataset"].z.tolist(), values["dataset"].y.tolist())
+    return values
+
 
 class TestParsing:
     def test_minimal_config(self):
@@ -42,9 +88,20 @@ class TestParsing:
         with pytest.raises(ConfigError):
             ExperimentConfig.loads(BASE + "\n[server]\nport = 80\n")
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.loads(BASE + "\n[experiment]\ncolor = red\n")
+    @pytest.mark.parametrize(
+        "section, line",
+        [
+            ("experiment", "color = red"),
+            # the retired basis and decay switches: one cosine basis, one inverse-square law
+            ("kernel", "basis = legendre"),
+            ("kernel", "decay = harmonic"),
+        ],
+    )
+    def test_unknown_key_rejected(self, section, line):
+        text = BASE + "\n[experiment]\n"
+        with pytest.raises(ConfigError) as exc_info:
+            ExperimentConfig.loads(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"), origin="exp.ini")
+        assert str(exc_info.value) == f"exp.ini: unknown key '{line.split(' = ')[0]}' in [{section}]"
 
     def test_missing_chain_section(self):
         with pytest.raises(ConfigError):
@@ -87,7 +144,6 @@ class TestParsing:
     @pytest.mark.parametrize(
         "section, line, reason",
         [
-            ("kernel", "basis = legendre", "expected one of cosine"),
             ("objective", "loss = hinge", "unknown loss family: 'hinge'"),
             ("objective", "synth_kind = ranking", "expected one of regression, classification"),
             ("objective", "data = /no/such.csv", "file not found"),
@@ -101,6 +157,8 @@ class TestParsing:
             ("experiment", "eta_grid = 0.2, 0.1, 0, 0.025", "must be positive and finite"),
             ("experiment", "eta_grid = 0.2, inf", "must be positive and finite"),
             ("experiment", "n_grid = -1, 4, 8, 16", "must be >= 0"),
+            ("experiment", "n_ref = -3", "must be >= 0"),
+            ("experiment", "m_grid = 0, 2", "must be >= 1"),
             ("experiment", "beta_grid = 2, inf", "must be positive and finite"),
         ],
     )
@@ -118,6 +176,20 @@ class TestParsing:
         parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
         parser.read_string(block)
         assert {s: set(parser.options(s)) for s in parser.sections()} == {s: set(keys) for s, keys in _KEYS.items()}
+
+    def test_every_key_has_a_non_default_value(self):
+        assert {s: list(keys) for s, keys in NON_DEFAULT.items()} == {s: list(keys) for s, keys in _KEYS.items()}
+
+    @pytest.mark.parametrize("section, key", [(s, k) for s, keys in NON_DEFAULT.items() for k in keys])
+    def test_every_key_changes_the_parsed_config(self, section, key, tmp_path):
+        # a key that is parsed and then dropped selects nothing
+        data = tmp_path / "d.csv"
+        data.write_text("z,y\n0.1,1.0\n0.9,-1.0\n")
+        # minibatch is read only under mode = sgld, so both sides set that mode
+        base = BASE + "\n[experiment]\n" + ("mode = sgld\n" if key == "minibatch" else "")
+        line = f"{key} = {NON_DEFAULT[section][key].format(data=data)}"
+        changed = re.sub(rf"^{key} = .*\n", "", base, flags=re.M).replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        assert parsed_fields(ExperimentConfig.loads(changed)) != parsed_fields(ExperimentConfig.loads(base))
 
     def test_seed_override(self):
         exp = ExperimentConfig.loads(BASE, seed_override=7)
