@@ -48,11 +48,9 @@ def _publish(exp: ExperimentConfig, out: Path, command: str, stem: str, files: d
     the manifest <hash><stem>_manifest.json that registers them; returns its path.
 
     Commands call this last, so a command that fails before it leaves no output
-    directory behind."""
+    directory behind.  An out that cannot be a directory, or a file that cannot
+    be written, is a ConfigError naming the path."""
     tag = exp.config_hash()
-    out.mkdir(parents=True, exist_ok=True)
-    for suffix, text in files.items():
-        _atomic_write_text(out / f"{tag}{suffix}", text)
     manifest = Manifest(
         config_hash=tag,
         command=command,
@@ -62,7 +60,13 @@ def _publish(exp: ExperimentConfig, out: Path, command: str, stem: str, files: d
         config_text=exp.source_text,
     )
     path = out / f"{tag}{stem}_manifest.json"
-    manifest.save(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for suffix, text in files.items():
+            _atomic_write_text(out / f"{tag}{suffix}", text)
+        manifest.save(path)
+    except OSError as exc:  # e.g. FileExistsError or NotADirectoryError from mkdir
+        raise ConfigError(f"cannot write --out {out}: {exc}") from None
     return path
 
 
@@ -82,7 +86,7 @@ def cmd_run(args) -> int:
 
     aborted, notes = None, {}
     try:
-        summary = run_chain(exp.chain, obj, mode=exp.mode, l_star=mins.l_star)
+        summary = run_chain(exp.chain, obj, l_star=mins.l_star)
     except NumericalAbort as exc:
         aborted = exc
         [summary] = exc.partial
@@ -182,6 +186,7 @@ def _sweep_n_modes(exp: ExperimentConfig):
 
 
 def _sweep_beta(exp: ExperimentConfig):
+    _require(exp, exp.chain.mode != "ou", "beta sweep measures the Gibbs gap, which the OU chain does not sample")
     _require(exp, exp.beta_grid is not None and len(exp.beta_grid) >= 2, "beta sweep needs beta_grid with >= 2 points")
     cfg = exp.chain
     _require(exp, min(exp.beta_grid) >= cfg.eta, "beta sweep needs every beta_grid entry >= eta")
@@ -214,6 +219,7 @@ def _sweep_beta(exp: ExperimentConfig):
 
 
 def _sweep_minibatch(exp: ExperimentConfig):
+    _require(exp, exp.chain.mode != "ou", "minibatch sweep compares GLD with SGLD, so mode must be gld or sgld")
     _require(exp, exp.m_grid is not None and len(exp.m_grid) >= 2, "minibatch sweep needs m_grid with >= 2 points")
     obj = exp.build_objective()
     n_tr = obj.dataset.size
@@ -312,13 +318,17 @@ def _constants_section(exp: ExperimentConfig) -> list[str]:
     return lines
 
 
-def _empirical_section(outputs: list[Path]) -> list[str]:
-    """Raises ValueError, naming the file, on a summary or verdict file it cannot read."""
-    lines = []
+def _read_outputs(outputs: list[Path]) -> tuple[list[str], list[tuple[str, str]]]:
+    """The report's empirical lines and each CSV output's (name, line) rows.
+
+    Every output is read here, so one it cannot read raises ValueError,
+    naming the file, before the report writes anything."""
+    lines, csv_rows = [], []
     for p in outputs:
         try:
+            text = p.read_text()
             if p.name.endswith("_summary.json"):
-                s = json.loads(p.read_text())
+                s = json.loads(text)
                 if not isinstance(s, dict):
                     raise ValueError("a run summary must be a JSON object")
                 lines.append(f"run summary {p.name}:")
@@ -326,11 +336,13 @@ def _empirical_section(outputs: list[Path]) -> list[str]:
                     lines.append(f"  {key}: {s[key]!r}")
             elif p.suffix == ".txt":
                 lines.append(f"verdicts {p.name}:")
-                for line in p.read_text().splitlines():
+                for line in text.splitlines():
                     lines.append(f"  {line}")
-        except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError
+            elif p.suffix == ".csv":
+                csv_rows.extend((p.name, row) for row in text.splitlines())
+        except (OSError, ValueError) as exc:  # a JSONDecodeError or UnicodeDecodeError is a ValueError
             raise ValueError(f"{p}: {exc}") from None
-    return lines or ["no run summaries or verdict files in manifest"]
+    return lines or ["no run summaries or verdict files in manifest"], csv_rows
 
 
 def cmd_report(args) -> int:
@@ -355,7 +367,7 @@ def cmd_report(args) -> int:
         print(f"cannot read manifest: {args.manifest}: {reason}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        empirical = _empirical_section(outputs)
+        empirical, csv_rows = _read_outputs(outputs)
     except ValueError as exc:
         print(f"cannot read output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -375,7 +387,7 @@ def cmd_report(args) -> int:
     for key in sorted(manifest.notes):
         lines.append(f"note [{key}]: {manifest.notes[key]}")
     # bundle: every CSV in the manifest, re-emitted with provenance columns
-    bundle = ((p.name, tag, seed, row) for p in outputs if p.suffix == ".csv" for row in p.read_text().splitlines())
+    bundle = ((name, tag, seed, row) for name, row in csv_rows)
     # <tag><stem>_manifest.json reports to <tag><stem>_report.txt, so no report overwrites another
     stem = Path(args.manifest).stem.removesuffix("_manifest").removeprefix(tag) + "_report"
     files = {

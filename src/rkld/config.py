@@ -135,8 +135,7 @@ class ExperimentConfig:
     loss: LossFamily
     dataset: Dataset  # read from [objective] data, or synthesized from its synth_* keys
     lambda0: float
-    chain: ChainConfig
-    mode: str  # read by `rkld run` only, as is chain.minibatch
+    chain: ChainConfig  # its mode is [experiment] mode
     replicas: int
     kappa: float
     delta: float | None
@@ -155,7 +154,10 @@ class ExperimentConfig:
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        text = path.read_text()
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
         return cls.loads(text, seed_override=seed_override, origin=str(path))
 
     @classmethod
@@ -174,12 +176,8 @@ class ExperimentConfig:
         if not parser.has_section("chain"):
             raise ConfigError(f"{origin}: missing [chain] section")
         kernel, objective, chain, experiment = (_parse_section(parser, origin, s) for s in _KEYS)
-        if chain["minibatch"] is not None and experiment["mode"] != "sgld":
-            raw = parser.get("chain", "minibatch").strip()
-            raise ConfigError(
-                f"{origin}: [chain] minibatch = {raw!r}: only [experiment] mode = sgld draws minibatches"
-            )
         chain["lam"] = chain.pop("lambda")
+        chain["mode"] = experiment.pop("mode")
         if seed_override is not None:
             chain["seed"] = seed_override
         built = {}

@@ -423,21 +423,20 @@ def sgld_discrepancy_vs_m(
     """Empirical |E phi(X_n) - E phi(Y_n)| between GLD and SGLD sharing noise
     seeds, at each minibatch size m in ms, in one engine call.
 
-    One full-batch block (the GLD chain) and one SGLD block per m run on
-    chain ids 0..R-1, so every block reads the same noise and each m is
-    paired with the one GLD reference.  The minibatch stream is independent
-    of the noise stream, so at m = n_tr the two trajectories coincide
-    exactly.  Reports, per m, the exact r_n, the paired-replica discrepancy
-    with its SE, and the fitted constant discrepancy / (sqrt(r_n) + r_n^(1/4)).
+    One GLD block and one SGLD block per m run on chain ids 0..R-1, so
+    every block reads the same noise and each m is paired with the one GLD
+    reference.  The minibatch stream is independent of the noise stream, so
+    at m = n_tr the two trajectories coincide exactly.  Reports, per m, the
+    exact r_n, the paired-replica discrepancy with its SE, and the fitted
+    constant discrepancy / (sqrt(r_n) + r_n^(1/4)).
     """
     n_tr = obj.dataset.size
     budgets = [discrepancy_budget(cfg.horizon, cfg.beta, cfg.eta, n_tr, m) for m in ms]
     ids = list(range(replicas))
     # only the horizon's phi is read: retain one step, skip the Cesaro sums
     cfg = replace(cfg, burn_in=cfg.horizon - 1)
-    # SGLD with the full batch is the GLD chain, bit for bit
-    blocks = [(replace(cfg, minibatch=m), obj, ids, ()) for m in (None, *ms)]
-    gld, *sgld = run_blocks(blocks, mode="sgld", l_star=l_star, checkpoints=(cfg.horizon,))
+    cfgs = [replace(cfg, mode="gld", minibatch=None)] + [replace(cfg, mode="sgld", minibatch=m) for m in ms]
+    gld, *sgld = run_blocks([(c, obj, ids, ()) for c in cfgs], l_star=l_star, checkpoints=(cfg.horizon,))
     out = []
     for m, rn, summary in zip(ms, budgets, sgld):
         mean, se = _replica_mean_se(gld.phi[:, -1] - summary.phi[:, -1])

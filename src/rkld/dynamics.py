@@ -50,7 +50,9 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Parameters of one GLD/SGLD/OU run."""
+    """Parameters of one GLD/SGLD/OU run, the chain's mode included: only
+    sgld takes a minibatch, and a config built without a mode is sgld when
+    it has one and gld otherwise."""
 
     eta: float
     beta: float
@@ -58,6 +60,7 @@ class ChainConfig:
     n_modes: int
     seed: int
     horizon: int
+    mode: str | None = None  # gld, sgld or ou
     minibatch: int | None = None  # None means full batch
     burn_in: int | None = None  # None means 20% of horizon
     x0: np.ndarray | None = None  # N+1 coefficients; None means the zero vector
@@ -79,6 +82,12 @@ class ChainConfig:
             raise ValueError(f"burn_in must be an integer with 0 <= burn_in < horizon, got {self.burn_in!r}")
         if self.minibatch is not None and not (_is_int(self.minibatch) and self.minibatch >= 1):
             raise ValueError(f"minibatch size must be an integer >= 1, got {self.minibatch!r}")
+        if self.mode is None:
+            object.__setattr__(self, "mode", "gld" if self.minibatch is None else "sgld")
+        if self.mode not in ("gld", "sgld", "ou"):
+            raise ValueError(f"unknown mode: {self.mode!r}")
+        if self.minibatch is not None and self.mode != "sgld":
+            raise ValueError(f"minibatch = {self.minibatch!r}: only mode = sgld draws minibatches, not {self.mode}")
         if self.x0 is not None:
             x0 = np.array(self.x0, dtype=float, copy=True)
             if x0.shape != (self.n_modes,):
@@ -142,12 +151,12 @@ class _Block:
     into Cesaro sums and checkpoint rows once per noise chunk.
     """
 
-    def __init__(self, cfg, obj, chain_ids, observers, mode, l_star, n_checkpoints):
+    def __init__(self, cfg, obj, chain_ids, observers, l_star, n_checkpoints):
         if obj is None:
-            raise ValueError(f"mode {mode!r} requires an objective")
+            raise ValueError(f"mode {cfg.mode!r} requires an objective")
         if obj.n_modes != cfg.n_modes:
             raise ValueError("objective mode count does not match config")
-        self.cfg, self.obj, self.mode, self.l_star = cfg, obj, mode, l_star
+        self.cfg, self.obj, self.l_star = cfg, obj, l_star
         self.chain_ids = list(chain_ids)
         self.observers = tuple(observers)
         self.n = cfg.n_modes
@@ -155,19 +164,17 @@ class _Block:
         self.amp = math.sqrt(2.0 * cfg.eta / cfg.beta)
         self.x = np.tile(cfg.x0_array(), (len(self.chain_ids), 1))
         self.minibatch = None  # m when SGLD draws proper minibatches
-        if mode == "sgld":
-            n_tr = obj.dataset.size
-            m = cfg.minibatch if cfg.minibatch is not None else n_tr
-            if not (1 <= m <= n_tr):
-                raise ValueError(f"minibatch size {m} out of range 1..{n_tr}")
-            if m < n_tr:  # a full batch is the GLD gradient, exactly
-                self.minibatch = m
-                self.batch_rngs = [make_rng(cfg.seed, cid, _STREAM_BATCH) for cid in self.chain_ids]
+        m, n_tr = cfg.minibatch, obj.dataset.size
+        if m is not None and m > n_tr:
+            raise ValueError(f"minibatch size {m} out of range 1..{n_tr}")
+        if m is not None and m < n_tr:  # a full batch is the GLD gradient, exactly
+            self.minibatch = m
+            self.batch_rngs = [make_rng(cfg.seed, cid, _STREAM_BATCH) for cid in self.chain_ids]
         self.mu = obj.kernel.eigenvalues(self.n)
         # a full-batch chain takes each state's gradient, and its risk from the same feature
         # product where a retained step or a checkpoint reads it; the others evaluate
         # retained states, and checkpoint states at flush()
-        self.fused = mode != "ou" and self.minibatch is None
+        self.fused = cfg.mode != "ou" and self.minibatch is None
         self.risk, self.g = None, 0.0  # risk None: the current states are not evaluated
         self.cesaro_phi = np.zeros(len(self.chain_ids))
         self.cesaro_risk = np.zeros(len(self.chain_ids))
@@ -257,21 +264,22 @@ class _Block:
         cols = self.cols[:, :, : len(self.ck_steps)]
         for a in (chain_ids, steps, cols, *finals):
             a.setflags(write=False)
-        return RunSummary(self.mode, self.cfg.burn_in_steps, retained, chain_ids, steps, *cols, *finals)
+        return RunSummary(self.cfg.mode, self.cfg.burn_in_steps, retained, chain_ids, steps, *cols, *finals)
 
 
-def run_blocks(blocks, mode: str = "gld", l_star: float = 0.0, checkpoints=None) -> list[RunSummary]:
+def run_blocks(blocks, l_star: float = 0.0, checkpoints=None) -> list[RunSummary]:
     """Advance several ensembles in lockstep, one loop for all of them.
 
     A block is a (cfg, obj, chain_ids, observers) tuple: one replica of the
-    configured chain per chain id, on the objective obj, which every mode
+    chain cfg.mode names per chain id, on the objective obj, which every mode
     needs (the OU chain ignores its gradient, not its risk).  Replica r uses
     the random streams keyed by (cfg.seed, chain_ids[r]), so a replica's
     trajectory does not depend on the ensemble it runs inside.  Observers
     are called as observer(step, X, risk) for every post-burn-in step, with
     the block's (R, N+1) state matrix and the per-chain risk
     obj.risk_array(X) that also feeds the Cesaro sums and checkpoints; both
-    arrays are read-only.  Blocks must share the seed, horizon and burn-in.
+    arrays are read-only.  Blocks must share the seed, horizon and burn-in;
+    their modes may differ.
     Each distinct chain id draws its noise once per chunk, at the widest
     block's n_modes, and every block reads the first N+1 components of its
     chain ids' rows, so blocks that share a chain id share their noise
@@ -289,8 +297,6 @@ def run_blocks(blocks, mode: str = "gld", l_star: float = 0.0, checkpoints=None)
     On a NumericalAbort in any block the run stops and exc.partial holds
     these summaries up to the aborted step.
     """
-    if mode not in ("gld", "sgld", "ou"):
-        raise ValueError(f"unknown mode: {mode!r}")
     if not blocks:
         raise ValueError("run_blocks needs at least one block")
     first = blocks[0][0]
@@ -301,9 +307,7 @@ def run_blocks(blocks, mode: str = "gld", l_star: float = 0.0, checkpoints=None)
         checkpoints = set(checkpoints)
         if not all(isinstance(c, (int, np.integer)) and 1 <= c <= horizon for c in checkpoints):
             raise ValueError(f"checkpoints must be integer steps in 1..{horizon}, got {sorted(checkpoints)}")
-    states = [
-        _Block(cfg, obj, ids, observers, mode, l_star, len(checkpoints)) for cfg, obj, ids, observers in blocks
-    ]
+    states = [_Block(cfg, obj, ids, observers, l_star, len(checkpoints)) for cfg, obj, ids, observers in blocks]
     if any((s.cfg.seed, s.cfg.horizon, s.cfg.burn_in_steps) != (first.seed, horizon, burn_in) for s in states):
         raise ValueError("blocks must share seed, horizon and burn-in to run in lockstep")
 
@@ -347,12 +351,12 @@ def run_blocks(blocks, mode: str = "gld", l_star: float = 0.0, checkpoints=None)
     return [s.summary() for s in states]
 
 
-def run_ensemble(cfg: ChainConfig, obj: ObjectiveSpec, mode: str = "gld", l_star: float = 0.0) -> list[RunSummary]:
+def run_ensemble(cfg: ChainConfig, obj: ObjectiveSpec, l_star: float = 0.0) -> list[RunSummary]:
     """run_blocks with one block of chain id 0 and no observers: a
     one-element list of its one-row summary."""
-    return run_blocks([(cfg, obj, [0], ())], mode, l_star)
+    return run_blocks([(cfg, obj, [0], ())], l_star)
 
 
-def run_chain(cfg: ChainConfig, obj: ObjectiveSpec, mode: str = "gld", l_star: float = 0.0) -> RunSummary:
+def run_chain(cfg: ChainConfig, obj: ObjectiveSpec, l_star: float = 0.0) -> RunSummary:
     """Chain id 0 alone: the one-row summary of run_ensemble."""
-    return run_ensemble(cfg, obj, mode=mode, l_star=l_star)[0]
+    return run_ensemble(cfg, obj, l_star=l_star)[0]

@@ -146,17 +146,17 @@ def check_dissipativity_probe(obj: ObjectiveSpec, lam: float, seed: int) -> Prop
 
 
 def check_determinism(cfg: ChainConfig, obj: ObjectiveSpec) -> PropertyResult:
-    short = replace(cfg, horizon=200, burn_in=None)
-    a = run_chain(short, obj, mode="gld")
-    b = run_chain(short, obj, mode="gld")
+    short = replace(cfg, mode="gld", minibatch=None, horizon=200, burn_in=None)
+    a = run_chain(short, obj)
+    b = run_chain(short, obj)
     ok = np.array_equal(a.norm, b.norm) and np.array_equal(a.risk, b.risk)
     return _result("determinism_bitwise", ok, "two same-seed runs produced identical trajectories")
 
 
 def check_fullbatch_reduction(cfg: ChainConfig, obj: ObjectiveSpec) -> PropertyResult:
-    short = replace(cfg, horizon=200, burn_in=None, minibatch=obj.dataset.size)
-    a = run_chain(short, obj, mode="gld")
-    b = run_chain(short, obj, mode="sgld")
+    short = replace(cfg, horizon=200, burn_in=None)
+    a = run_chain(replace(short, mode="gld", minibatch=None), obj)
+    b = run_chain(replace(short, mode="sgld", minibatch=obj.dataset.size), obj)
     ok = np.array_equal(a.norm, b.norm)
     return _result("sgld_fullbatch_reduction", ok, "m = n_tr trajectory equals GLD pathwise")
 

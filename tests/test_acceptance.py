@@ -132,7 +132,7 @@ def test_04_ou_stationary_variance():
     t0 = time.time()
     replicas = 16
     cfg = ChainConfig(
-        eta=0.5, beta=2.0, lam=1.0, n_modes=8, seed=11, horizon=125_000, burn_in=25_000
+        eta=0.5, beta=2.0, lam=1.0, n_modes=8, seed=11, horizon=125_000, burn_in=25_000, mode="ou"
     )
     sums = np.zeros((replicas, 8))
     sumsq = np.zeros((replicas, 8))
@@ -144,7 +144,7 @@ def test_04_ou_stationary_variance():
         sumsq[:] += x**2
         count += 1
 
-    run_blocks([(cfg, objective(n_modes=8), list(range(replicas)), (accumulate,))], mode="ou")
+    run_blocks([(cfg, objective(n_modes=8), list(range(replicas)), (accumulate,))])
     assert count == 100_000
     var = sumsq / count - (sums / count) ** 2
     mean_var = var.mean(axis=0)

@@ -4,9 +4,9 @@ settable that only tests use.
 Catches dangling entries in a module's __all__ or in the package's
 re-exports after code is deleted or renamed, a heavy import reaching the
 CLI's start-up, a third-party import missing from pyproject.toml, a public
-function, method or class that no code in src/ or perfbench/ reaches, and a
-defaulted parameter that no call there passes.  Tests do not count as
-callers.
+function, method or class that no code in src/ or perfbench/ reaches, a
+defaulted parameter that no call there passes, and a defaulted dataclass
+field that no code there sets.  Tests do not count as callers.
 """
 
 import ast
@@ -191,3 +191,69 @@ def test_every_public_callable_is_reached():
     unreached = {label for label, called_as, _ in _public_callables() if called_as not in referenced}
     assert unreached <= set(UNREACHED), f"nothing in src/ or perfbench/ reaches {sorted(unreached - set(UNREACHED))}"
     assert set(UNREACHED) <= unreached, "stale UNREACHED entry"
+
+
+# Defaulted fields of public dataclasses that no src/ or perfbench/ code sets,
+# each with the reason it stays.
+TEST_ONLY_FIELDS = {
+    "ChainConfig.x0": "acceptance tests 5 and 6 start chains away from the origin; no config key reaches it",
+}
+
+
+def _dataclasses():
+    """(name, field names in order, defaulted field names) of every public dataclass in src/."""
+    for tree in _parsed(ROOT / "src" / "rkld"):
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_") and _is_dataclass(node):
+                annotated = [s for s in node.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+                yield node.name, [s.target.id for s in annotated], [s.target.id for s in annotated if s.value]
+
+
+def _field_setters():
+    """The calls to each name in program code, `cls(...)` inside a class
+    counting as a call to that class, and (field name, class that sets it)
+    for every replace(...) keyword, setattr name and assignment to an
+    attribute of an object other than `self`.  String mapping keys (dict
+    literal keys and `d["key"] = ...` targets) count only in a module that
+    makes a call with a `**` expansion, the one way such a key becomes a
+    field's keyword."""
+    calls, named = {}, []
+    for tree in _parsed(*PROGRAM):
+        expands = any(
+            isinstance(node, ast.Call) and any(k.arg is None for k in node.keywords) for node in ast.walk(tree)
+        )
+        for top in tree.body:
+            owner = top.name if isinstance(top, ast.ClassDef) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    calls.setdefault(owner if name == "cls" else name, []).append(node)
+                    if name == "replace":
+                        named += [(k.arg, owner) for k in node.keywords if k.arg]
+                    elif name in ("setattr", "__setattr__") and isinstance(node.args[1], ast.Constant):
+                        named.append((node.args[1].value, owner))
+                elif isinstance(node, ast.Dict) and expands:
+                    named += [(k.value, owner) for k in node.keys if isinstance(k, ast.Constant)]
+                elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                        if isinstance(target, ast.Attribute) and not (
+                            isinstance(target.value, ast.Name) and target.value.id == "self"
+                        ):
+                            named.append((target.attr, owner))
+                        elif isinstance(target, ast.Subscript) and isinstance(target.slice, ast.Constant) and expands:
+                            named.append((target.slice.value, owner))
+    return calls, named
+
+
+def test_every_defaulted_field_is_set():
+    # a field that the program never sets is a knob nobody turns: hard-code its value
+    calls, named = _field_setters()
+    unset = set()
+    for cls, names, defaulted_names in _dataclasses():
+        passed = set().union(*(_passed(names, [], call) for call in calls.get(cls, [])))
+        # a class normalizing its own field in __post_init__ does not set it
+        passed |= {name for name, owner in named if owner != cls}
+        unset |= {f"{cls}.{name}" for name in defaulted_names if name not in passed}
+    assert unset <= set(TEST_ONLY_FIELDS), f"nothing in src/ or perfbench/ sets {sorted(unset - set(TEST_ONLY_FIELDS))}"
+    assert set(TEST_ONLY_FIELDS) <= unset, "stale TEST_ONLY_FIELDS entry"

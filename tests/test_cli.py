@@ -120,10 +120,10 @@ def _m_times_4(fn):
 def _sgld_drops_a_point(fn):
     # the engine's m = n_tr SGLD block is its GLD block by construction, so an SGLD
     # chain that differs from GLD must be injected at run_chain
-    def run_chain(cfg, obj, mode="gld", l_star=0.0):
-        if mode == "sgld":
+    def run_chain(cfg, obj, l_star=0.0):
+        if cfg.mode == "sgld":
             cfg = dataclasses.replace(cfg, minibatch=cfg.minibatch - 1)
-        return fn(cfg, obj, mode=mode, l_star=l_star)
+        return fn(cfg, obj, l_star=l_star)
 
     return run_chain
 
@@ -315,6 +315,21 @@ class TestSweep:
         d_col = header.index("discrepancy")
         assert float(rows[-1][d_col]) == 0.0
 
+    @pytest.mark.parametrize("axis", ["eta", "n_modes"])
+    @pytest.mark.parametrize("mode, minibatch", [("sgld", "2"), ("ou", "full")])
+    def test_sweep_runs_the_configured_chain(self, axis, mode, minibatch, tmp_path):
+        # the same grid on a GLD config and on an SGLD or OU one: each sweep runs its config's chain
+        base, grid = SWEEP_RERUNS[axis]
+        csvs = []
+        for chain, chain_minibatch in (("gld", "full"), (mode, minibatch)):
+            cfg = tmp_path / f"{chain}.ini"
+            text = base.replace("horizon = 2000", f"horizon = 200\nminibatch = {chain_minibatch}")
+            cfg.write_text(text + f"\n[experiment]\nmode = {chain}\nreplicas = 2\n" + grid)
+            out = tmp_path / chain
+            assert main(["sweep", "--axis", axis, "--config", str(cfg), "--out", str(out)]) in (0, 3)
+            csvs.append((out / f"{tag_of(cfg)}_sweep_{axis}.csv").read_bytes())
+        assert csvs[0] != csvs[1]
+
     def test_unknown_axis_is_usage_error(self, config_file):
         with pytest.raises(SystemExit):
             main(["sweep", "--axis", "nonsense", "--config", str(config_file)])
@@ -443,6 +458,10 @@ SWEEP_PRECONDITIONS = {
         BASE.replace("beta = 4.0", "beta = 0.1"),
     ),
     "n_grid_negative": ("n_modes", "n_grid = -1, 4, 8, 16\nn_ref = 64\n", BASE),
+    # the minibatch sweep compares GLD with SGLD whatever the config's chain, but not the OU chain
+    "minibatch_ou": ("minibatch", "mode = ou\nm_grid = 2, 4, 8\n", BASE),
+    # the OU chain ignores the loss, so it has no Gibbs gap to measure
+    "beta_ou": ("beta", "mode = ou\nbeta_grid = 2, 4\n", SWEEP_RERUNS["beta"][0]),
 }
 
 
@@ -526,6 +545,15 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"config error: {cfg}: [experiment] delta = '1.5': must be in (0, 1)\n"
+        assert not out.exists()
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "latin.ini"
+        cfg.write_bytes(b"\xff" + BASE.encode())
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        assert capsys.readouterr().err == f"config error: cannot read config file {cfg}: {reason}\n"
         assert not out.exists()
 
     def test_minibatch_larger_than_data_is_config_error(self, tmp_path, capsys):
@@ -725,23 +753,25 @@ class TestReport:
         assert (out / f"{tag}_report.txt").read_text().endswith("\nnote [abort]: numerical abort at step 1\n")
 
     @pytest.mark.parametrize(
-        "text, reason",
+        "suffix, text, reason",
         [
-            (b"{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-            (b"[1, 2]", "a run summary must be a JSON object"),
-            (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            ("_summary.json", b"{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            ("_summary.json", b"[1, 2]", "a run summary must be a JSON object"),
+            ("_summary.json", b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            # the bundle's CSV outputs are read with the others, before the report writes anything
+            ("_trajectory.csv", b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
         ],
     )
-    def test_malformed_summary_exit_code(self, text, reason, tmp_path, config_file, capsys):
+    def test_malformed_output_exit_code(self, suffix, text, reason, tmp_path, config_file, capsys):
         out = tmp_path / "out"
         assert main(["run", "--config", str(config_file), "--out", str(out)]) == 0
         tag = tag_of(config_file)
-        summary = out / f"{tag}_summary.json"
-        summary.write_bytes(text)
+        output = out / f"{tag}{suffix}"
+        output.write_bytes(text)
         capsys.readouterr()
         report_dir = tmp_path / "report"
         assert main(["report", "--manifest", str(out / f"{tag}_manifest.json"), "--out", str(report_dir)]) == 1
-        assert capsys.readouterr().err == f"cannot read output: {summary}: {reason}\n"
+        assert capsys.readouterr().err == f"cannot read output: {output}: {reason}\n"
         assert not report_dir.exists()
 
     def test_manifest_opens_from_any_directory(self, tmp_path, config_file, monkeypatch):
@@ -829,6 +859,16 @@ class TestPublish:
         assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {cfg}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_out_that_cannot_be_a_directory_is_one_line(self, below, tmp_path, config_file, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if below else blocker
+        assert main(["run", "--config", str(config_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write --out {out}: ") and err.count("\n") == 1
+        assert blocker.read_text() == "kept\n"
 
     def test_new_files_are_the_manifest_and_its_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "m.ini"

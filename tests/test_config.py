@@ -81,7 +81,7 @@ class TestParsing:
         assert exp.chain.lam == 6.0
         assert exp.chain.minibatch is None
         assert exp.loss.tag == "squared"
-        assert exp.mode == "gld"
+        assert exp.chain.mode == "gld"
         assert exp.replicas == 8
 
     def test_unknown_section_rejected(self):
@@ -137,7 +137,8 @@ class TestParsing:
             text += f"\n[experiment]\nmode = {mode}\n"
         with pytest.raises(ConfigError) as exc_info:
             ExperimentConfig.loads(text, origin="exp.ini")
-        assert str(exc_info.value) == "exp.ini: [chain] minibatch = '3': only [experiment] mode = sgld draws minibatches"
+        expect = f"exp.ini: [chain] minibatch = 3: only mode = sgld draws minibatches, not {mode or 'gld'}"
+        assert str(exc_info.value) == expect
         full = ExperimentConfig.loads(text.replace("minibatch = 3", "minibatch = full"))
         assert full.chain.minibatch is None
 

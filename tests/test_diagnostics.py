@@ -226,20 +226,21 @@ class TestEstimators:
 
     def test_sgld_sweep_is_one_engine_call(self, monkeypatch):
         # one GLD reference and one SGLD block per m, all on chain ids 0..R-1
-        # (the full-batch SGLD block is the GLD chain)
         calls = []
         run_blocks = diagnostics.run_blocks
         monkeypatch.setattr(diagnostics, "run_blocks", lambda blocks, **k: calls.append((blocks, k)) or run_blocks(blocks, **k))
         sgld_discrepancy_vs_m(self._cfg(horizon=300), make_objective(n=8), 0.1, [2, 5, 8], replicas=4)
         ((blocks, kwargs),) = calls
-        assert kwargs["mode"] == "sgld" and [block[0].minibatch for block in blocks] == [None, 2, 5, 8]
+        assert [(block[0].mode, block[0].minibatch) for block in blocks] == [
+            ("gld", None), ("sgld", 2), ("sgld", 5), ("sgld", 8)
+        ]
         assert all(block[2] == [0, 1, 2, 3] for block in blocks)
 
     def test_sgld_sweep_equals_per_m_calls(self):
         obj = make_objective(n=8)
         cfg = self._cfg(horizon=600)
         swept = sgld_discrepancy_vs_m(cfg, obj, 0.1, [1, 3, 8], replicas=6)
-        solo = [sgld_discrepancy(replace(cfg, minibatch=m), obj, 0.1, replicas=6) for m in (1, 3, 8)]
+        solo = [sgld_discrepancy(replace(cfg, mode="sgld", minibatch=m), obj, 0.1, replicas=6) for m in (1, 3, 8)]
         assert [{k: repr(v) for k, v in r.items()} for r in swept] == [{k: repr(v) for k, v in r.items()} for r in solo]
         assert swept[-1]["discrepancy"] == 0.0 and all(r["discrepancy"] > 0.0 for r in swept[:-1])
 

@@ -34,9 +34,9 @@ def make_cfg(**kw):
     return ChainConfig(**base)
 
 
-def one_block(cfg, obj, ids, mode="gld", l_star=0.0, observers=()):
+def one_block(cfg, obj, ids, l_star=0.0, observers=()):
     """The summary of one block of chain ids, through run_blocks."""
-    return run_blocks([(cfg, obj, ids, observers)], mode, l_star)[0]
+    return run_blocks([(cfg, obj, ids, observers)], l_star)[0]
 
 
 class TestChainConfig:
@@ -61,6 +61,19 @@ class TestChainConfig:
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match="must be an integer"):
             make_cfg(**{field: value})
+
+    def test_minibatch_without_mode_is_sgld(self):
+        assert ChainConfig(eta=0.05, beta=4.0, lam=6.0, n_modes=6, seed=42, horizon=100, minibatch=3).mode == "sgld"
+        assert make_cfg().mode == "gld" and make_cfg(mode="sgld").minibatch is None
+
+    @pytest.mark.parametrize("mode", ["gld", "ou"])
+    def test_minibatch_outside_sgld_raises(self, mode):
+        with pytest.raises(ValueError, match=f"minibatch = 3: only mode = sgld draws minibatches, not {mode}"):
+            make_cfg(mode=mode, minibatch=3)
+
+    def test_unknown_mode_raises(self):
+        with pytest.raises(ValueError, match="unknown mode: 'mala'"):
+            make_cfg(mode="mala")
 
     def test_x0_dimension_checked(self):
         with pytest.raises(ValueError):
@@ -101,14 +114,14 @@ class TestSigmoidGap:
         assert np.allclose(vals + vals[::-1], 0.0, atol=1e-15)
 
 
-def final_state(cfg, obj, mode="gld"):
+def final_state(cfg, obj):
     """X_horizon of chain 0, captured by an observer (burn_in must be 0)."""
     seen = {}
 
     def capture(step, x, risk):
         seen["x"] = x[0].copy()
 
-    one_block(cfg, obj, [0], mode, observers=(capture,))
+    one_block(cfg, obj, [0], observers=(capture,))
     return seen["x"]
 
 
@@ -134,20 +147,22 @@ class TestStepFunctions:
 
     def test_sgld_full_batch_matches_gld(self):
         obj = make_objective(n=8)
-        cfg = make_cfg(minibatch=8, horizon=50, burn_in=0)
-        assert np.array_equal(final_state(cfg, obj, "gld"), final_state(cfg, obj, "sgld"))
+        cfg = make_cfg(horizon=50, burn_in=0)
+        sgld = dataclasses.replace(cfg, mode="sgld", minibatch=8)
+        assert np.array_equal(final_state(cfg, obj), final_state(sgld, obj))
 
     def test_sgld_minibatch_diverges_from_gld(self):
         obj = make_objective(n=8)
-        cfg = make_cfg(minibatch=2, horizon=50, burn_in=0)
-        assert not np.array_equal(final_state(cfg, obj, "gld"), final_state(cfg, obj, "sgld"))
+        cfg = make_cfg(horizon=50, burn_in=0)
+        sgld = dataclasses.replace(cfg, mode="sgld", minibatch=2)
+        assert not np.array_equal(final_state(cfg, obj), final_state(sgld, obj))
 
     def test_ou_step_ignores_objective(self):
         # the step ignores the gradient; the observer still gets the state's risk
         obj = make_objective()
-        cfg = make_cfg(horizon=1, burn_in=0)
+        cfg = make_cfg(horizon=1, burn_in=0, mode="ou")
         seen = []
-        s = one_block(cfg, obj, [0], "ou", observers=(lambda step, x, risk: seen.append((x.copy(), risk.copy())),))
+        s = one_block(cfg, obj, [0], observers=(lambda step, x, risk: seen.append((x.copy(), risk.copy())),))
         [(x, risk)] = seen
         noise = make_rng(cfg.seed, 0, 0).standard_normal(cfg.n_modes)
         scales = resolvent_scales(obj.kernel, cfg.lam, cfg.eta, cfg.n_modes)
@@ -205,10 +220,9 @@ class TestRunEnsemble:
 
     def test_replica_independence_of_ensemble_size(self):
         obj = make_objective()
-        cfg = make_cfg(horizon=50, minibatch=3)
-        for mode in ("gld", "sgld"):
-            solo = one_block(cfg, obj, [3], mode)
-            grouped = one_block(cfg, obj, [1, 2, 3, 4], mode)
+        for cfg in (make_cfg(horizon=50), make_cfg(horizon=50, minibatch=3)):
+            solo = one_block(cfg, obj, [3])
+            grouped = one_block(cfg, obj, [1, 2, 3, 4])
             assert grouped.chain_ids[2] == 3
             assert np.array_equal(solo.norm[0], grouped.norm[2])
             # risk evaluation batches over replicas, so only ulp-level drift is allowed
@@ -221,7 +235,7 @@ class TestRunEnsemble:
         ids = [5, 2, 9]
         states = []
         capture = (lambda step, x, risk: states.append(x.copy()),)
-        one_block(cfg, obj, ids, "sgld", observers=capture)
+        one_block(cfg, obj, ids, observers=capture)
         s = resolvent_scales(obj.kernel, cfg.lam, cfg.eta, cfg.n_modes)
         amp = math.sqrt(2.0 * cfg.eta / cfg.beta)
         expect = np.empty((cfg.horizon, len(ids), cfg.n_modes))
@@ -262,7 +276,7 @@ class TestRunEnsemble:
             "stochastic_grad_array",
             lambda self, x, batch: calls.append(x.shape) or stochastic_grad_array(self, x, batch),
         )
-        one_block(cfg, obj, range(8), "sgld")
+        one_block(cfg, obj, range(8))
         assert calls == [(8, cfg.n_modes)] * cfg.horizon
 
     def test_noise_modes_couples_dimensions(self):
@@ -318,7 +332,7 @@ class TestRunEnsemble:
     def test_full_batch_risk_only_where_read(self, mode, monkeypatch):
         # burn_in = horizon - 1 retains only the last step; cadence 2 checkpoints every even step
         obj = make_objective(n=8)
-        cfg = make_cfg(horizon=2000, burn_in=1999, minibatch=8)
+        cfg = make_cfg(horizon=2000, burn_in=1999, mode=mode, minibatch=8 if mode == "sgld" else None)
         assert cfg.checkpoint_every == 2
         calls = collections.Counter()
         for name in ("risk_and_grad_array", "risk_array", "grad_array"):
@@ -326,12 +340,12 @@ class TestRunEnsemble:
             monkeypatch.setattr(
                 ObjectiveSpec, name, lambda self, x, name=name, method=method: calls.update([name]) or method(self, x)
             )
-        summary = run_chain(cfg, obj, mode=mode)
+        summary = run_chain(cfg, obj)
         # one fused evaluation per checkpoint, step 0 included; the odd steps take the gradient alone
         assert [calls[name] for name in ("risk_and_grad_array", "risk_array", "grad_array")] == [1001, 0, 1000]
         assert summary.steps.size == 1001 and summary.retained_steps == 1
         monkeypatch.undo()
-        reference = run_chain(dataclasses.replace(cfg, burn_in=0), obj, mode=mode)
+        reference = run_chain(dataclasses.replace(cfg, burn_in=0), obj)
         assert np.array_equal(summary.risk, reference.risk) and np.array_equal(summary.norm, reference.norm)
 
     def test_summary_is_one_read_only_table_per_block(self):
@@ -359,7 +373,7 @@ class TestRunEnsemble:
 
     def test_ou_mode_variance_matches_closed_form(self):
         # stationary per-mode variance (2 eta / beta) a_k^2 / (1 - a_k^2)
-        cfg = ChainConfig(eta=0.5, beta=2.0, lam=1.0, n_modes=4, seed=11, horizon=200_000)
+        cfg = ChainConfig(eta=0.5, beta=2.0, lam=1.0, n_modes=4, seed=11, horizon=200_000, mode="ou")
         kernel = KernelSpec()
         sums = np.zeros(4)
         sumsq = np.zeros(4)
@@ -371,7 +385,7 @@ class TestRunEnsemble:
             sumsq[:] += x[0] ** 2
             count += 1
 
-        one_block(cfg, make_objective(n_modes=4), [0], "ou", observers=(accumulate,))
+        one_block(cfg, make_objective(n_modes=4), [0], observers=(accumulate,))
         var = sumsq / count - (sums / count) ** 2
         a = resolvent_scales(kernel, cfg.lam, cfg.eta, 4)
         expect = (2.0 * cfg.eta / cfg.beta) * a**2 / (1.0 - a**2)
@@ -404,16 +418,16 @@ def same_summary(a, b) -> bool:
 
 @st.composite
 def block_sets(draw):
-    """A mode (gld, sgld with m in 1..n_tr = 8 per block, or ou) and 1-4
-    blocks of N+1 in 3..9 (objectives shared per dimension) on overlapping
-    or disjoint chain ids, horizons across chunk boundaries."""
-    mode = draw(st.sampled_from(["gld", "sgld", "ou"]))
+    """1-4 blocks, each of its own mode (gld, sgld with m in 1..n_tr = 8, or
+    ou) and N+1 in 3..9 (objectives shared per dimension), on overlapping or
+    disjoint chain ids, horizons across chunk boundaries."""
     horizon = draw(st.integers(1, 600))
     burn_in = draw(st.integers(0, horizon - 1))
     seed = draw(st.integers(0, 2**16))
     objectives = {}
     blocks = []
     for _ in range(draw(st.integers(1, 4))):
+        mode = draw(st.sampled_from(["gld", "sgld", "ou"]))
         n_modes = draw(st.integers(3, 9))
         if n_modes not in objectives:
             objectives[n_modes] = make_objective(n_modes=n_modes)
@@ -425,37 +439,38 @@ def block_sets(draw):
             seed=seed,
             horizon=horizon,
             burn_in=burn_in,
+            mode=mode,
             minibatch=draw(st.integers(1, 8)) if mode == "sgld" else None,
         )
         ids = draw(st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True))
         blocks.append((cfg, obj, ids))
-    return mode, blocks, draw(st.sampled_from([0.0, 0.3]))
+    return blocks, draw(st.sampled_from([0.0, 0.3]))
 
 
-def observed_run(blocks, mode, l_star):
+def observed_run(blocks, l_star):
     """run_blocks with an observer per block; returns summaries and observed (step, X, risk)."""
     seen = [[] for _ in blocks]
     observers = [
         (lambda step, x, risk, log=log: log.append((step, x.copy(), risk.copy())),)
         for log in seen
     ]
-    out = run_blocks([(cfg, obj, ids, obs) for (cfg, obj, ids), obs in zip(blocks, observers)], mode, l_star)
+    out = run_blocks([(cfg, obj, ids, obs) for (cfg, obj, ids), obs in zip(blocks, observers)], l_star)
     return out, seen
 
 
-def observed_states(cfg, obj, mode, ids):
+def observed_states(cfg, obj, ids):
     """X_0 and every state after it, up to the horizon or the aborted step, from
     a burn_in=0 run's observer (the trajectory does not depend on burn-in)."""
     states = [np.tile(cfg.x0_array(), (len(ids), 1))]
     observer = (lambda step, x, risk: states.append(x.copy()),)
     try:
-        one_block(dataclasses.replace(cfg, burn_in=0), obj, ids, mode, observers=observer)
+        one_block(dataclasses.replace(cfg, burn_in=0), obj, ids, observers=observer)
     except NumericalAbort:
         pass
     return states
 
 
-def reference_summary(cfg, obj, mode, ids, l_star, states):
+def reference_summary(cfg, obj, ids, l_star, states):
     """Step-by-step bookkeeping over states[s] = X_s: norm, risk, ridge term
     and phi at each checkpoint, running Cesaro sums with +=, NaN before the
     first retained step; one (R, K) column per statistic."""
@@ -476,7 +491,7 @@ def reference_summary(cfg, obj, mode, ids, l_star, states):
     cols = [np.stack(col, axis=1) for col in zip(*rows)]
     finals = [ces / retained if retained else np.full(n_chains, np.nan) for ces in (ces_phi, ces_risk)]
     return RunSummary(
-        mode=mode,
+        mode=cfg.mode,
         burn_in=cfg.burn_in_steps,
         retained_steps=retained,
         chain_ids=np.array(ids, dtype=int),
@@ -501,12 +516,12 @@ class TestChunkedBookkeeping:
     def test_summaries_equal_per_step_reference(self, mode, n_chains, horizon):
         obj = make_objective(loss="savage", lambda0=0.1)
         ids = [4, 1, 7][:n_chains]
-        cfg = make_cfg(horizon=horizon, minibatch=3 if mode == "sgld" else None)
-        states = observed_states(cfg, obj, mode, ids)
+        cfg = make_cfg(horizon=horizon, mode=mode, minibatch=3 if mode == "sgld" else None)
+        states = observed_states(cfg, obj, ids)
         for burn_in in sorted({0, 100, 256, 300} & set(range(horizon))):  # chunk-inner and chunk-edge burn-ins
             run_cfg = dataclasses.replace(cfg, burn_in=burn_in)
-            summary = one_block(run_cfg, obj, ids, mode, 0.3)
-            assert same_summary(summary, reference_summary(run_cfg, obj, mode, ids, 0.3, states))
+            summary = one_block(run_cfg, obj, ids, 0.3)
+            assert same_summary(summary, reference_summary(run_cfg, obj, ids, 0.3, states))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_partial_summary_equals_reference_after_a_flushed_chunk(self):
@@ -517,11 +532,11 @@ class TestChunkedBookkeeping:
             one_block(cfg, obj, ids, l_star=0.3)
         step = exc_info.value.step
         assert step > 256
-        states = observed_states(cfg, obj, "gld", ids)
+        states = observed_states(cfg, obj, ids)
         assert len(states) == step  # X_0 .. X_{step-1}
         [partial] = exc_info.value.partial
         assert partial.steps[-1] == step - 1 and partial.retained_steps > 0
-        assert same_summary(partial, reference_summary(cfg, obj, "gld", ids, 0.3, states))
+        assert same_summary(partial, reference_summary(cfg, obj, ids, 0.3, states))
 
     def test_minibatch_run_evaluates_once_per_chunk(self, monkeypatch):
         obj = make_objective(n=8)
@@ -533,7 +548,7 @@ class TestChunkedBookkeeping:
         )
         gap = dynamics.sigmoid_gap
         monkeypatch.setattr(dynamics, "sigmoid_gap", lambda u: calls.update(["phi"]) or gap(u))
-        summary = one_block(cfg, obj, range(8), "sgld")
+        summary = one_block(cfg, obj, range(8))
         chunks = math.ceil(cfg.horizon / 256)
         assert len(summary.steps) == 1001 and summary.retained_steps == 1
         # step 0 and 1000 pre-burn-in checkpoints ride on the chunk flushes
@@ -545,8 +560,8 @@ class TestRunBlocks:
     @given(block_sets())
     @settings(max_examples=30, deadline=None)
     def test_blocks_equal_solo_runs(self, drawn):
-        mode, blocks, l_star = drawn
-        results, seen = observed_run(blocks, mode, l_star)
+        blocks, l_star = drawn
+        results, seen = observed_run(blocks, l_star)
         width = max(cfg.n_modes for cfg, _, _ in blocks)
         widest = next(b for b in blocks if b[0].n_modes == width)
         for block, summary, log in zip(blocks, results, seen):
@@ -554,11 +569,11 @@ class TestRunBlocks:
             if cfg.n_modes == width:
                 solo_log = []
                 observer = (lambda step, x, risk: solo_log.append((step, x.copy(), risk.copy())),)
-                solo = one_block(cfg, obj, ids, mode, l_star, observer)
+                solo = one_block(cfg, obj, ids, l_star, observer)
             else:
                 # a narrower block reads the call's noise width: pair it with the widest block
-                (solo, _), (solo_log, _) = observed_run([block, widest], mode, l_star)
-            assert summary.chain_ids.tolist() == ids and summary.mode == mode
+                (solo, _), (solo_log, _) = observed_run([block, widest], l_star)
+            assert summary.chain_ids.tolist() == ids and summary.mode == cfg.mode
             assert same_summary(summary, solo)
             assert len(log) == len(solo_log) == cfg.horizon - cfg.burn_in_steps
             for (step, x, risk), (solo_step, solo_x, solo_risk) in zip(log, solo_log):
@@ -588,10 +603,9 @@ class TestRunBlocks:
         with pytest.raises(ValueError, match=match):
             run_blocks(
                 [
-                    (make_cfg(burn_in=0), make_objective(), [0], (lambda step, x, risk: seen.append(step),)),
-                    (make_cfg(n_modes=4, burn_in=0), obj, [0], ()),
-                ],
-                mode,
+                    (make_cfg(burn_in=0, mode=mode), make_objective(), [0], (lambda step, x, risk: seen.append(step),)),
+                    (make_cfg(n_modes=4, burn_in=0, mode=mode), obj, [0], ()),
+                ]
             )
         assert seen == []
 
@@ -604,12 +618,12 @@ class TestCheckpoints:
     @pytest.mark.parametrize("mode", ["gld", "sgld", "ou"])
     def test_rows_equal_cadence_one_rows(self, mode, burn_in):
         obj = make_objective(loss="savage", lambda0=0.1)
-        cfg = make_cfg(horizon=600, burn_in=burn_in, minibatch=3 if mode == "sgld" else None)
+        cfg = make_cfg(horizon=600, burn_in=burn_in, mode=mode, minibatch=3 if mode == "sgld" else None)
         assert cfg.checkpoint_every == 1
         ids = [4, 1, 7]
-        full = one_block(cfg, obj, ids, mode, 0.3)
+        full = one_block(cfg, obj, ids, 0.3)
         checkpoints = [600, 257, 1, 256, 255, 433, 256]
-        [picked] = run_blocks([(cfg, obj, ids, ())], mode, 0.3, checkpoints)
+        [picked] = run_blocks([(cfg, obj, ids, ())], 0.3, checkpoints)
         steps = [0, 1, 255, 256, 257, 433, 600]
         assert picked.steps.tolist() == steps
         for name in ("norm", "risk", "reg_objective", "phi", "cesaro_phi"):
