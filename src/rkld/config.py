@@ -16,6 +16,7 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .diagnostics import _MIN_FIT_POINTS
 from .dynamics import ChainConfig
 from .objective import Dataset, LossFamily, ObjectiveSpec, loss_family
 from .spectral import KernelSpec
@@ -41,13 +42,13 @@ def _minibatch(raw):
         raise ValueError("must be an integer or 'full'") from None
 
 
-def _grid(kind):
+def _grid(kind, min_entries):
     def parse(raw):
         vals = [kind(v.strip()) for v in raw.split(",") if v.strip()]
-        if not vals:
-            raise ValueError("empty grid")
         if len(set(vals)) != len(vals):
             raise ValueError("grid has duplicate entries")
+        if len(vals) < min_entries:
+            raise ValueError(f"needs >= {min_entries} entries")
         return sorted(vals)
 
     return parse
@@ -100,16 +101,17 @@ _KEYS = {
     },
     "experiment": {
         "mode": (_one_of("gld", "sgld", "ou"), "gld"),
-        "replicas": (_positive_count, 8),
+        "replicas": (_checked(int, lambda n: n >= 2, "must be >= 2"), 8),  # a standard error needs 2
         "kappa": (_checked(float, lambda k: 0.0 < k < 0.5, "must be in (0, 0.5)"), 0.1),
         "delta": (_unit_interval, None),
         "tail_delta": (_unit_interval, 0.2),
-        "eta_grid": (_grid(_positive), None),
+        # a slope fit needs _MIN_FIT_POINTS grid points, a trend 2
+        "eta_grid": (_grid(_positive, _MIN_FIT_POINTS), None),
         "eta_ref": (_positive, None),
-        "n_grid": (_grid(_count), None),
+        "n_grid": (_grid(_count, _MIN_FIT_POINTS), None),
         "n_ref": (_count, None),
-        "beta_grid": (_grid(_positive), None),
-        "m_grid": (_grid(_positive_count), None),
+        "beta_grid": (_grid(_positive, 2), None),
+        "m_grid": (_grid(_positive_count, 2), None),
     },
 }
 
@@ -255,6 +257,10 @@ class Manifest:
 def _atomic_write_text(path: str | Path, text: str):
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:  # a failed write or rename leaves no temporary file behind
+        tmp.unlink(missing_ok=True)
+        raise

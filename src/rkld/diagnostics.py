@@ -99,9 +99,9 @@ def spectral_gap(
 def discrepancy_budget(n: int, beta: float, eta: float, n_tr: int, m: int) -> float:
     """Aggregate stochastic-gradient error quantity r_n = n beta eta (n_tr - m) / (m (n_tr - 1))."""
     if not (1 <= m <= n_tr):
-        raise ValueError("minibatch size out of range")
+        raise ValueError(f"minibatch size {m} out of range 1..{n_tr}")
     if n_tr < 2:
-        raise ValueError("n_tr must be >= 2")
+        raise ValueError(f"the discrepancy needs >= 2 data points, got {n_tr}")
     return n * beta * eta * (n_tr - m) / (m * (n_tr - 1))
 
 
@@ -299,7 +299,7 @@ def weak_error_vs_eta(
     """
     etas = sorted(etas)
     if eta_ref > min(etas) / 8.0:
-        raise ValueError("reference step size must be at most min(etas)/8")
+        raise ValueError(f"eta_ref = {eta_ref} exceeds min(eta_grid)/8 = {min(etas) / 8.0}")
     ids = list(range(replicas))
     blocks = [
         (replace(cfg_base, eta=eta), obj, chain_ids, ())
@@ -329,7 +329,7 @@ def galerkin_error_vs_n(
     """
     n_list = sorted(n_list)
     if n_ref < 4 * max(n_list):
-        raise ValueError("reference dimension must be at least 4x the largest N")
+        raise ValueError(f"n_ref = {n_ref} is below 4 * max(n_grid) = {4 * max(n_list)}")
     obj_ref = make_objective(n_ref + 1)
     # center the sigmoid statistic at the regularized minimum, which exists
     # for every loss (the plain risk may only attain its infimum in the limit)
@@ -373,13 +373,16 @@ def gibbs_gap_vs_beta(
     disagreement beyond 3 sigma, or one replica (no sigma), marks an
     estimate inconclusive.  Every beta runs on chain ids 0..R-1.
     """
+    if cfg.mode == "ou":
+        raise ValueError("mode = ou: the OU chain ignores the loss, so it has no Gibbs gap")
     retained = cfg.horizon - cfg.burn_in_steps
     if cfg.eta > 0.01 or cfg.n_modes < 65 or retained < 2:
-        raise ValueError("gibbs gap estimation requires eta <= 0.01, N >= 64 and 2 retained steps")
+        got = f"eta = {cfg.eta}, n_modes = {cfg.n_modes} and {retained} retained steps"
+        raise ValueError(f"the Gibbs gap needs eta <= 0.01, n_modes >= 65 and 2 retained steps, got {got}")
+    cfgs = [replace(cfg, beta=beta) for beta in betas]
     if minimizer is None:
         minimizer = obj.regularized_minimizer(cfg.lam)
     x_tilde, l_tilde = minimizer
-    cfgs = [replace(cfg, beta=beta) for beta in betas]
     trackers = [_CesaroTracker(c) for c in cfgs]
     ids = list(range(replicas))
     blocks = [(c, obj, ids, (tracker,)) for c, tracker in zip(cfgs, trackers)]
@@ -430,6 +433,8 @@ def sgld_discrepancy_vs_m(
     exact r_n, the paired-replica discrepancy with its SE, and the fitted
     constant discrepancy / (sqrt(r_n) + r_n^(1/4)).
     """
+    if cfg.mode == "ou":
+        raise ValueError("mode = ou: the discrepancy compares GLD with SGLD, so mode must be gld or sgld")
     n_tr = obj.dataset.size
     budgets = [discrepancy_budget(cfg.horizon, cfg.beta, cfg.eta, n_tr, m) for m in ms]
     ids = list(range(replicas))

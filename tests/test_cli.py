@@ -11,7 +11,7 @@ import pytest
 
 from rkld import cli, diagnostics, verify
 from rkld.cli import main
-from rkld.config import _KEYS, ExperimentConfig
+from rkld.config import _KEYS, ConfigError, ExperimentConfig
 from rkld.objective import ObjectiveSpec
 from rkld.spectral import KernelSpec
 from rkld.verify import check_parseval, run_property_suite
@@ -344,47 +344,35 @@ class TestSweep:
         rc = main(["sweep", "--axis", "eta", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 3
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_one_replica_beta_sweep_is_inconclusive(self, tmp_path, capsys):
-        # one replica has no spread, so the gaps carry no error bars
-        text = (
-            BASE.replace("eta = 0.05", "eta = 0.01")
-            .replace("n_modes = 8", "n_modes = 65")
-            .replace("horizon = 2000", "horizon = 500")
-        )
-        cfg = tmp_path / "beta.ini"
-        cfg.write_text(text + "\n[experiment]\nreplicas = 1\nbeta_grid = 2, 4\n")
-        rc = main(["sweep", "--axis", "beta", "--config", str(cfg), "--out", str(tmp_path)])
-        assert rc == 3
-        assert capsys.readouterr().out.startswith("INCONCLUSIVE gibbs gap vs beta: need >= 2 replicas")
-        with open(next(tmp_path.glob("*_sweep_beta.csv")), newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [r["se"] for r in rows] == ["inf", "inf"]
-        # nor a stationarity test: the half-split SE is inf too
-        assert [r["inconclusive"] for r in rows] == ["1", "1"]
-
-    @pytest.mark.parametrize("slope, word", [(1.0, "PASS"), (2.0, "FAIL")])
     @pytest.mark.parametrize(
-        "axis, experiment, label, window",
+        "axis, slope, se, word",
         [
-            ("eta", "weak_error_vs_eta", "weak error vs eta", "[0.4, 1.3]"),
-            ("n_modes", "galerkin_error_vs_n", "galerkin error vs sqrt(mu_{N+1})", "[0.5, 1.5]"),
+            ("eta", 1.0, 0.05, "PASS"),
+            ("eta", 2.0, 0.05, "FAIL"),
+            ("eta", 1.4, 0.1, "FAIL"),  # its CI [1.2, 1.6] meets the window, the slope does not
+            ("n_modes", 1.0, 0.05, "PASS"),
+            ("n_modes", 2.0, 0.05, "FAIL"),
+            ("n_modes", 1.6, 0.1, "FAIL"),
         ],
     )
-    def test_conclusive_fit_verdict(self, axis, experiment, label, window, slope, word, tmp_path, monkeypatch, capsys):
-        # a fit with enough usable points: PASS when its CI meets the window, else FAIL; both exit 0
+    def test_conclusive_fit_verdict(self, axis, slope, se, word, tmp_path, monkeypatch, capsys):
+        # a fit with enough usable points: PASS when the slope is in the window, else FAIL; both exit 0
+        experiment, label, window = {
+            "eta": ("weak_error_vs_eta", "weak error vs eta", "[0.4, 1.3]"),
+            "n_modes": ("galerkin_error_vs_n", "galerkin error vs sqrt(mu_{N+1})", "[0.5, 1.5]"),
+        }[axis]
         x = np.array([0.025, 0.05, 0.1, 0.2])
-        fit = diagnostics.RateFit(x, slope * x, 0.01 * x, slope, 0.05, -1.0, inconclusive=False)
+        fit = diagnostics.RateFit(x, slope * x, 0.01 * x, slope, se, -1.0, inconclusive=False)
         monkeypatch.setattr(cli, experiment, lambda *args, **kwargs: fit)
         base, grid = SWEEP_RERUNS[axis]
         cfg = tmp_path / "fit.ini"
         cfg.write_text(base + "\n[experiment]\nreplicas = 2\n" + grid)
         out = tmp_path / "out"
         assert main(["sweep", "--axis", axis, "--config", str(cfg), "--out", str(out)]) == 0
-        lo, hi = slope - 0.1, slope + 0.1
+        lo, hi = slope - 2 * se, slope + 2 * se
         verdict = [
             f"{word} {label}: slope {slope:.4f} (CI [{lo:.4f}, {hi:.4f}]), expected within {window}",
-            f"fit: slope {slope!r}, slope_se 0.05, intercept -1.0",
+            f"fit: slope {slope!r}, slope_se {se!r}, intercept -1.0",
         ]
         assert capsys.readouterr().out == verdict[0] + "\n"
         stem = f"{tag_of(cfg)}_sweep_{axis}"
@@ -404,12 +392,6 @@ class TestSweep:
         assert capsys.readouterr().out == "INCONCLUSIVE gibbs gap vs beta: stationarity check failed at some beta\n"
         with open(next(tmp_path.glob("*_sweep_beta.csv")), newline="") as fh:
             assert [r["inconclusive"] for r in csv.DictReader(fh)] == ["0", "1"]
-
-    def test_one_replica_minibatch_sweep_is_inconclusive(self, tmp_path, capsys):
-        cfg = tmp_path / "m.ini"
-        cfg.write_text(BASE.replace("horizon = 2000", "horizon = 200") + "\n[experiment]\nreplicas = 1\nm_grid = 2, 4, 8\n")
-        assert main(["sweep", "--axis", "minibatch", "--config", str(cfg), "--out", str(tmp_path)]) == 3
-        assert capsys.readouterr().out == "INCONCLUSIVE sgld discrepancy vs m: need >= 2 replicas for error bars\n"
 
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def fail(self, lam):
@@ -462,6 +444,26 @@ SWEEP_PRECONDITIONS = {
     "minibatch_ou": ("minibatch", "mode = ou\nm_grid = 2, 4, 8\n", BASE),
     # the OU chain ignores the loss, so it has no Gibbs gap to measure
     "beta_ou": ("beta", "mode = ou\nbeta_grid = 2, 4\n", SWEEP_RERUNS["beta"][0]),
+    "m_grid_above_n": ("minibatch", "m_grid = 2, 9\n", BASE),
+    "eta_grid_short": ("eta", "eta_grid = 0.2, 0.1\neta_ref = 0.003\n", BASE),
+}
+# the cases that break a single key's rule, which the parser owns
+SINGLE_KEY_PRECONDITIONS = ("eta_grid_short", "eta_ref_negative", "n_grid_negative")
+
+# each sweep's experiment as the CLI calls it, with a zero centre for the statistic
+EXPERIMENTS = {
+    "eta": lambda exp: diagnostics.weak_error_vs_eta(
+        exp.build_objective(), exp.chain, exp.eta_grid, exp.eta_ref, 0.0, replicas=exp.replicas
+    ),
+    "n_modes": lambda exp: diagnostics.galerkin_error_vs_n(
+        exp.build_objective, exp.chain, exp.n_grid, exp.n_ref, replicas=exp.replicas
+    ),
+    "beta": lambda exp: diagnostics.gibbs_gap_vs_beta(
+        exp.chain, exp.build_objective(), exp.beta_grid, replicas=exp.replicas
+    ),
+    "minibatch": lambda exp: diagnostics.sgld_discrepancy_vs_m(
+        exp.chain, exp.build_objective(), 0.0, exp.m_grid, replicas=exp.replicas
+    ),
 }
 
 
@@ -527,6 +529,41 @@ class TestExitCodes:
         assert main(["sweep", "--axis", axis, "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {cfg}: [experiment] ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(set(SWEEP_PRECONDITIONS) - set(SINGLE_KEY_PRECONDITIONS)))
+    def test_experiment_raises_the_message_the_cli_prints(self, case, tmp_path, monkeypatch, capsys):
+        # one rule, one message: the CLI reports the experiment's own ValueError
+        axis, grid, base = SWEEP_PRECONDITIONS[case]
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(diagnostics, "run_blocks", no_engine)
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(base + "\n[experiment]\nreplicas = 2\n" + grid)
+        assert main(["sweep", "--axis", axis, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        printed = capsys.readouterr().err.removeprefix(f"config error: {cfg}: [experiment] ")
+        with pytest.raises(ValueError) as info:
+            EXPERIMENTS[axis](ExperimentConfig.load(cfg))
+        assert type(info.value) is ValueError and printed == f"{info.value}\n"
+
+    @pytest.mark.parametrize("case", SINGLE_KEY_PRECONDITIONS)
+    def test_single_key_precondition_fails_at_parse_time(self, case, tmp_path):
+        _, grid, base = SWEEP_PRECONDITIONS[case]
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(base + "\n[experiment]\nreplicas = 2\n" + grid)
+        with pytest.raises(ConfigError, match=re.escape(f"{cfg}: [experiment] ")):
+            ExperimentConfig.load(cfg)
+
+    @pytest.mark.parametrize("axis", sorted(cli._SWEEPS))
+    def test_sweep_without_its_keys_is_config_error(self, axis, tmp_path, capsys):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(BASE + "\n[experiment]\nreplicas = 2\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--axis", axis, "--config", str(cfg), "--out", str(out)]) == 1
+        key = cli._SWEEPS[axis][1][0]
+        assert capsys.readouterr().err == f"config error: {cfg}: [experiment] {axis} sweep needs {key}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["eta", "beta", "lambda", "n_modes", "seed", "horizon"])
@@ -840,6 +877,8 @@ PARSE_ERRORS = {
         BASE.replace("seed = 42", "seed = 42\nminibatch = 30") + "\n[experiment]\nmode = sgld\n", None
     ),
     "lambda0_negative": (BASE.replace("synth_seed = 5", "synth_seed = 5\nlambda0 = -1"), None),
+    "one_replica": (BASE + "\n[experiment]\nreplicas = 1\n", None),
+    "short_grid": (BASE + "\n[experiment]\nm_grid = 2\n", None),
 }
 
 
@@ -870,6 +909,14 @@ class TestPublish:
         assert err.startswith(f"config error: cannot write --out {out}: ") and err.count("\n") == 1
         assert blocker.read_text() == "kept\n"
 
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, config_file, capsys):
+        out = tmp_path / "out"
+        trajectory = out / f"{tag_of(config_file)}_trajectory.csv"
+        trajectory.mkdir(parents=True)  # the rename onto it fails
+        assert main(["run", "--config", str(config_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot write --out {out}: ")
+        assert list(out.iterdir()) == [trajectory]
+
     def test_new_files_are_the_manifest_and_its_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "m.ini"
         grid = "\n[experiment]\nreplicas = 2\nm_grid = 2, 4, 8\n"
@@ -897,6 +944,11 @@ class TestReadme:
         bullet = re.search(r"^- \*\*verify\*\*.*?(?=^- \*\*)", README.read_text(), re.M | re.S).group(0)
         names = [r.name for r in run_property_suite(ExperimentConfig.loads(BASE))]
         assert re.findall(r"`([a-z0-9_]+)`", bullet) == names
+
+    @pytest.mark.parametrize("axis", sorted(cli._SWEEPS))
+    def test_sweep_bullet_names_the_keys_its_sweep_reads(self, axis):
+        bullet = re.search(rf"^  - `{axis}`:.*?(?=^  - |^$)", README.read_text(), re.M | re.S).group(0)
+        assert [key for key in cli._SWEEPS[axis][1] if f"`{key}`" not in bullet] == []
 
     def test_config_block_names_every_key(self):
         block = re.search(r"^```ini\n(.*?)^```", README.read_text(), re.M | re.S).group(1)

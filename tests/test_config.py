@@ -57,9 +57,9 @@ NON_DEFAULT = {
         "kappa": "0.2",
         "delta": "0.5",
         "tail_delta": "0.1",
-        "eta_grid": "0.2, 0.1",
+        "eta_grid": "0.2, 0.1, 0.05, 0.025",
         "eta_ref": "0.003",
-        "n_grid": "4, 8",
+        "n_grid": "4, 8, 16, 32",
         "n_ref": "32",
         "beta_grid": "2, 4",
         "m_grid": "2, 4",
@@ -150,7 +150,7 @@ class TestParsing:
             ("objective", "data = /no/such.csv", "file not found"),
             ("objective", "lambda0 = -1", "must be nonnegative and finite"),
             ("experiment", "mode = mala", "expected one of gld, sgld, ou"),
-            ("experiment", "replicas = 0", "must be >= 1"),
+            ("experiment", "replicas = 1", "must be >= 2"),
             ("experiment", "tail_delta = 1.0", "must be in (0, 1)"),
             ("experiment", "tail_delta = nan", "must be in (0, 1)"),
             ("experiment", "eta_ref = -0.003", "must be positive and finite"),
@@ -161,6 +161,10 @@ class TestParsing:
             ("experiment", "n_ref = -3", "must be >= 0"),
             ("experiment", "m_grid = 0, 2", "must be >= 1"),
             ("experiment", "beta_grid = 2, inf", "must be positive and finite"),
+            ("experiment", "eta_grid = 0.2, 0.1", "needs >= 4 entries"),
+            ("experiment", "n_grid = 4, 8, 16", "needs >= 4 entries"),
+            ("experiment", "beta_grid = 2", "needs >= 2 entries"),
+            ("experiment", "m_grid = 2, 2", "grid has duplicate entries"),
         ],
     )
     def test_per_key_rule_names_key_and_raw_value(self, section, line, reason):
