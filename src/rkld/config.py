@@ -72,6 +72,7 @@ _unit_interval = _checked(float, lambda d: 0.0 < d < 1.0, "must be in (0, 1)")
 _positive = _checked(float, lambda v: 0.0 < v < math.inf, "must be positive and finite")
 _count = _checked(int, lambda n: n >= 0, "must be >= 0")
 _positive_count = _checked(int, lambda n: n >= 1, "must be >= 1")
+_nonnegative = _checked(float, lambda v: 0.0 <= v < math.inf, "must be nonnegative and finite")
 
 
 # section -> key -> (parser, default); an empty value means the default
@@ -84,10 +85,10 @@ _KEYS = {
         "loss": (loss_family, loss_family("squared")),
         "data": (_checked(str, lambda p: Path(p).is_file(), "file not found"), None),
         "synth_kind": (_one_of("regression", "classification"), "regression"),
-        "synth_n": (int, 20),
-        "synth_seed": (int, 7),
-        "synth_noise": (float, 0.1),
-        "lambda0": (_checked(float, lambda v: 0.0 <= v < math.inf, "must be nonnegative and finite"), 0.0),
+        "synth_n": (_positive_count, 20),
+        "synth_seed": (_count, 7),
+        "synth_noise": (_nonnegative, 0.1),
+        "lambda0": (_nonnegative, 0.0),
     },
     "chain": {
         "eta": (float, _REQUIRED),
@@ -192,14 +193,12 @@ class ExperimentConfig:
         synth = {key: objective.pop(f"synth_{key}") for key in ("kind", "n", "seed", "noise")}
         try:
             dataset = Dataset.from_csv(data) if data is not None else Dataset.synthesize(**synth)
-        except ValueError as exc:  # an unreadable or invalid data file, or bad synthesis settings
-            where = f"data = {data!r}: " if data is not None else ""
-            raise ConfigError(f"{origin}: [objective] {where}{exc}") from None
+        except ValueError as exc:  # an unreadable or invalid data file, or more points than numpy can draw
+            where = f"data = {data!r}" if data is not None else f"synth_n = '{synth['n']}'"
+            raise ConfigError(f"{origin}: [objective] {where}: {exc}") from None
         minibatch = built["chain"].minibatch
         if minibatch is not None and minibatch > dataset.size:
-            raise ConfigError(
-                f"{origin}: [chain] minibatch = '{minibatch}': larger than the {dataset.size} data points"
-            )
+            raise ConfigError(f"{origin}: [chain] minibatch = '{minibatch}': out of range 1..{dataset.size}")
         return cls(**built, dataset=dataset, **objective, **experiment, source_text=text, origin=origin)
 
     def build_objective(self, n_modes: int | None = None) -> ObjectiveSpec:

@@ -171,16 +171,16 @@ class _Block:
             self.minibatch = m
             self.batch_rngs = [make_rng(cfg.seed, cid, _STREAM_BATCH) for cid in self.chain_ids]
         self.mu = obj.kernel.eigenvalues(self.n)
-        # a full-batch chain takes each state's gradient, and its risk from the same feature
-        # product where a retained step or a checkpoint reads it; the others evaluate
-        # retained states, and checkpoint states at flush()
+        # every chain evaluates a state's risk where a retained step or a checkpoint reads
+        # it; a full-batch chain also takes each state's gradient, from the same feature
+        # product where it evaluates the risk
         self.fused = cfg.mode != "ou" and self.minibatch is None
-        self.risk, self.g = None, 0.0  # risk None: the current states are not evaluated
+        self.g = 0.0
         self.cesaro_phi = np.zeros(len(self.chain_ids))
         self.cesaro_risk = np.zeros(len(self.chain_ids))
         self.retained = 0
         self.chunk_risks: list[np.ndarray] = []  # the risk of each retained step since the last flush
-        self.pending: list[tuple] = []  # (step, X, risk or None, len(chunk_risks), retained) per checkpoint
+        self.pending: list[tuple] = []  # (step, X, risk, len(chunk_risks), retained) per checkpoint
         self.ck_steps: list[int] = []
         # one (R, K) array per column (norm, risk, reg, phi, cesaro_phi) over the K
         # checkpoints, step 0 included, filled by flush()
@@ -209,8 +209,8 @@ class _Block:
         x.setflags(write=False)
         if not np.isfinite(x).all():
             raise NumericalAbort(f"non-finite state at step {step}", step=step)
-        self.x, self.risk = x, None
-        if retain or (checkpoint and self.fused):
+        self.x = x
+        if retain or checkpoint:
             self.evaluate()
         elif self.fused:
             self.g = self.obj.grad_array(x)  # no one reads this state's risk
@@ -242,10 +242,7 @@ class _Block:
         self.pending = []
         xs = np.stack(xs)
         norms = np.linalg.norm(xs, axis=-1)
-        risk = np.stack([np.zeros(len(self.chain_ids)) if r is None else r for r in risks])
-        missing = [k for k, r in enumerate(risks) if r is None]
-        if missing:  # states that no step evaluated: one call on the stacked (M, R, N+1) slices
-            risk[missing] = self.obj.risk_array(xs[missing])
+        risk = np.stack(risks)
         reg = risk + 0.5 * self.cfg.lam * np.sum(xs * xs / self.mu, axis=-1)
         phi = sigmoid_gap(risk - self.l_star)
         counts = np.array(counts)
@@ -323,8 +320,7 @@ def run_blocks(blocks, l_star: float = 0.0, checkpoints=None) -> list[RunSummary
     noise = np.empty((len(ids), min(_CHUNK, horizon), max(s.n for s in states)))
 
     for s in states:
-        if s.fused:
-            s.evaluate()
+        s.evaluate()
         s.record(0)
     step = 0
     try:

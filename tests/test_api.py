@@ -1,8 +1,8 @@
 """The public surface: every exported name exists, and nothing is public or
 settable that only tests use.
 
-Catches dangling entries in a module's __all__ or in the package's
-re-exports after code is deleted or renamed, a heavy import reaching the
+Catches dangling entries in a module's __all__ after code is deleted or
+renamed, a re-export in the package's __init__, a heavy import reaching the
 CLI's start-up, a third-party import missing from pyproject.toml, a public
 function, method or class that no code in src/ or perfbench/ reaches, a
 defaulted parameter that no call there passes, and a defaulted dataclass
@@ -45,18 +45,15 @@ def test_star_import(name):
         assert entry in namespace
 
 
-def test_package_reexports_exist():
-    tree = ast.parse(inspect.getsource(rkld))
-    reexports = [
-        (node.module, alias.asname or alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
-    assert reexports
-    for module, name in reexports:
-        source = importlib.import_module(f"rkld.{module}")
-        assert getattr(rkld, name) is getattr(source, name), f"rkld.{name}"
+def test_package_imports_no_submodule():
+    # each name has one import path, its module's: `import rkld` re-exports nothing
+    def own(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.level > 0 or node.module.split(".")[0] == "rkld"
+        return isinstance(node, ast.Import) and any(a.name.split(".")[0] == "rkld" for a in node.names)
+
+    imports = [ast.unparse(node) for node in ast.walk(ast.parse(inspect.getsource(rkld))) if own(node)]
+    assert not imports, f"rkld/__init__.py imports {imports}"
 
 
 def test_cli_import_loads_no_scipy():

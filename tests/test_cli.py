@@ -3,12 +3,14 @@ import csv
 import dataclasses
 import json
 import math
+import pkgutil
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rkld
 from rkld import cli, diagnostics, verify
 from rkld.cli import main
 from rkld.config import _KEYS, ConfigError, ExperimentConfig
@@ -598,7 +600,7 @@ class TestExitCodes:
         cfg.write_text(BASE.replace("seed = 42", "seed = 42\nminibatch = 30") + "\n[experiment]\nmode = sgld\n")
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"config error: {cfg}: [chain] minibatch = '30': larger than the 8 data points\n"
+        assert capsys.readouterr().err == f"config error: {cfg}: [chain] minibatch = '30': out of range 1..8\n"
         assert not out.exists()
 
     def test_numerical_value_error_exit_code(self, tmp_path, monkeypatch, capsys):
@@ -949,6 +951,11 @@ class TestReadme:
     def test_sweep_bullet_names_the_keys_its_sweep_reads(self, axis):
         bullet = re.search(rf"^  - `{axis}`:.*?(?=^  - |^$)", README.read_text(), re.M | re.S).group(0)
         assert [key for key in cli._SWEEPS[axis][1] if f"`{key}`" not in bullet] == []
+
+    def test_library_table_lists_every_module(self):
+        table = re.search(r"^\| module .*?(?=^$)", README.read_text(), re.M | re.S).group(0)
+        modules = sorted(f"rkld.{m.name}" for m in pkgutil.iter_modules(rkld.__path__))  # test_api.MODULES
+        assert sorted(re.findall(r"^\| `(rkld\.[a-z_]+)`", table, re.M)) == modules
 
     def test_config_block_names_every_key(self):
         block = re.search(r"^```ini\n(.*?)^```", README.read_text(), re.M | re.S).group(1)

@@ -149,6 +149,13 @@ class TestParsing:
             ("objective", "synth_kind = ranking", "expected one of regression, classification"),
             ("objective", "data = /no/such.csv", "file not found"),
             ("objective", "lambda0 = -1", "must be nonnegative and finite"),
+            ("objective", "synth_n = -3", "must be >= 1"),
+            ("objective", "synth_n = 0", "must be >= 1"),
+            ("objective", "synth_n = 100000000000000000000", "Maximum allowed dimension exceeded"),  # numpy's
+            ("objective", "synth_seed = -1", "must be >= 0"),
+            ("objective", "synth_noise = inf", "must be nonnegative and finite"),
+            ("objective", "synth_noise = nan", "must be nonnegative and finite"),
+            ("objective", "synth_noise = -0.5", "must be nonnegative and finite"),
             ("experiment", "mode = mala", "expected one of gld, sgld, ou"),
             ("experiment", "replicas = 1", "must be >= 2"),
             ("experiment", "tail_delta = 1.0", "must be in (0, 1)"),
@@ -169,7 +176,7 @@ class TestParsing:
     )
     def test_per_key_rule_names_key_and_raw_value(self, section, line, reason):
         key, raw = line.split(" = ")
-        text = BASE.replace("loss = squared\n", "") + "\n[experiment]\n"
+        text = re.sub(rf"^{key} = .*\n", "", BASE, flags=re.M) + "\n[experiment]\n"  # BASE's own line goes
         with pytest.raises(ConfigError) as exc_info:
             ExperimentConfig.loads(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"), origin="exp.ini")
         assert str(exc_info.value) == f"exp.ini: [{section}] {key} = {raw!r}: {reason}"

@@ -538,22 +538,25 @@ class TestChunkedBookkeeping:
         assert partial.steps[-1] == step - 1 and partial.retained_steps > 0
         assert same_summary(partial, reference_summary(cfg, obj, ids, 0.3, states))
 
-    def test_minibatch_run_evaluates_once_per_chunk(self, monkeypatch):
+    @pytest.mark.parametrize("burn_in, evaluated", [(1999, 1001), (None, 1801)])
+    @pytest.mark.parametrize("mode", ["sgld", "ou"])
+    def test_one_evaluation_per_evaluated_state(self, mode, burn_in, evaluated, monkeypatch):
+        # cadence 2: step 0 and the 1000 even steps are checkpoints; the default burn-in
+        # of 400 retains steps 401..2000, of which 800 are odd
         obj = make_objective(n=8)
-        cfg = make_cfg(horizon=2000, burn_in=1999, minibatch=3)
-        risk_array = ObjectiveSpec.risk_array
+        cfg = make_cfg(horizon=2000, burn_in=burn_in, mode=mode, minibatch=3 if mode == "sgld" else None)
         calls = collections.Counter()
-        monkeypatch.setattr(
-            ObjectiveSpec, "risk_array", lambda self, x: calls.update(["risk"]) or risk_array(self, x)
-        )
+        for name in ("risk_and_grad_array", "risk_array"):
+            method = getattr(ObjectiveSpec, name)
+            monkeypatch.setattr(
+                ObjectiveSpec, name, lambda self, x, name=name, method=method: calls.update([name]) or method(self, x)
+            )
         gap = dynamics.sigmoid_gap
         monkeypatch.setattr(dynamics, "sigmoid_gap", lambda u: calls.update(["phi"]) or gap(u))
         summary = one_block(cfg, obj, range(8))
-        chunks = math.ceil(cfg.horizon / 256)
-        assert len(summary.steps) == 1001 and summary.retained_steps == 1
-        # step 0 and 1000 pre-burn-in checkpoints ride on the chunk flushes
-        assert calls["risk"] <= chunks + 1 + 1
-        assert calls["phi"] <= 2 * chunks
+        assert len(summary.steps) == 1001 and summary.retained_steps == 2000 - cfg.burn_in_steps
+        assert calls["risk_array"] == evaluated and calls["risk_and_grad_array"] == 0
+        assert calls["phi"] <= 2 * math.ceil(cfg.horizon / 256)  # the phi rows are batched per flush
 
 
 class TestRunBlocks:
