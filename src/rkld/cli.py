@@ -11,13 +11,11 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, Manifest, _atomic_write_text
 from .diagnostics import (
-    RateFit,
     galerkin_error_vs_n,
     gibbs_gap_vs_beta,
     sgld_discrepancy_vs_m,
@@ -134,26 +132,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_CONFIG
 
 
-def _fit_verdict(fit: RateFit, label: str, expected: tuple[float, float]) -> tuple[list[str], bool]:
-    """The verdict lines of a rate fit: PASS/FAIL and the fit's numbers, or INCONCLUSIVE."""
-    if fit.inconclusive:
-        return [f"INCONCLUSIVE {label}: {fit.reason}"], False
-    lo, hi = fit.slope_ci
-    word = "PASS" if expected[0] <= fit.slope <= expected[1] else "FAIL"
-    return [
-        f"{word} {label}: slope {fit.slope:.4f} (CI [{lo:.4f}, {hi:.4f}]), "
-        f"expected within [{expected[0]}, {expected[1]}]",
-        f"fit: slope {float(fit.slope)!r}, slope_se {float(fit.slope_se)!r}, intercept {float(fit.intercept)!r}",
-    ], True
-
-
-def _nonincreasing_within_3se(values, ses) -> bool:
-    """Each value is at most its predecessor plus 3 combined standard errors."""
-    return all(
-        values[i + 1] <= values[i] + 3.0 * math.hypot(ses[i], ses[i + 1]) for i in range(len(values) - 1)
-    )
-
-
 def _sweep_eta(exp: ExperimentConfig):
     obj = exp.build_objective()
     _, l_center = obj.regularized_minimizer(exp.chain.lam)
@@ -161,7 +139,7 @@ def _sweep_eta(exp: ExperimentConfig):
         obj, exp.chain, exp.eta_grid, exp.eta_ref, l_center, replicas=exp.replicas
     )
     rows = zip(fit.abscissae.tolist(), fit.ordinates.tolist(), fit.ordinate_errors.tolist())
-    return ["eta", "error", "se"], rows, *_fit_verdict(fit, "weak error vs eta", (0.4, 1.3))
+    return ["eta", "error", "se"], rows, fit.verdict
 
 
 def _sweep_n_modes(exp: ExperimentConfig):
@@ -169,51 +147,31 @@ def _sweep_n_modes(exp: ExperimentConfig):
         exp.build_objective, exp.chain, exp.n_grid, exp.n_ref, replicas=exp.replicas
     )
     rows = zip(exp.n_grid, fit.abscissae.tolist(), fit.ordinates.tolist(), fit.ordinate_errors.tolist())
-    verdict = _fit_verdict(fit, "galerkin error vs sqrt(mu_{N+1})", (0.5, 1.5))
-    return ["n_modes", "sqrt_mu_next", "error", "se"], rows, *verdict
+    return ["n_modes", "sqrt_mu_next", "error", "se"], rows, fit.verdict
 
 
 def _sweep_beta(exp: ExperimentConfig):
-    results = gibbs_gap_vs_beta(exp.chain, exp.build_objective(), exp.beta_grid, replicas=exp.replicas)
+    results, verdict = gibbs_gap_vs_beta(exp.chain, exp.build_objective(), exp.beta_grid, replicas=exp.replicas)
     rows = [
         (beta, r["gap"], r["se"], r["bound"], int(r["passes_bound"]), int(r["inconclusive"]))
         for beta, r in zip(exp.beta_grid, results)
     ]
-    conclusive = not any(r["inconclusive"] for r in results)
-    monotone = _nonincreasing_within_3se([r["gap"] for r in results], [r["se"] for r in results])
-    bounded = all(r["passes_bound"] for r in results)
-    if not conclusive:
-        verdict = "INCONCLUSIVE gibbs gap vs beta: stationarity check failed at some beta"
-    else:
-        word = "PASS" if monotone and bounded else "FAIL"
-        verdict = (
-            f"{word} gibbs gap vs beta: monotone nonincreasing within 3 sigma = {monotone}, "
-            f"all gaps within {results[0]['slack']}x closed-form bound = {bounded}"
-        )
-    return ["beta", "gap", "se", "bound", "passes_bound", "inconclusive"], rows, [verdict], conclusive
+    return ["beta", "gap", "se", "bound", "passes_bound", "inconclusive"], rows, verdict
 
 
 def _sweep_minibatch(exp: ExperimentConfig):
     obj = exp.build_objective()
     _, l_center = obj.regularized_minimizer(exp.chain.lam)
-    ms = exp.m_grid
-    results = sgld_discrepancy_vs_m(exp.chain, obj, l_center, ms, replicas=exp.replicas)
+    results, verdict = sgld_discrepancy_vs_m(exp.chain, obj, l_center, exp.m_grid, replicas=exp.replicas)
     rows = [
         (m, r["discrepancy"], r["se"], r["r_n"], r["bound_shape"], r["c_fit"])
-        for m, r in zip(ms, results)
+        for m, r in zip(exp.m_grid, results)
     ]
-    checks = []
-    if ms[-1] == obj.dataset.size:
-        checks.append(("full-batch discrepancy exactly 0", results[-1]["discrepancy"] == 0.0))
-    discs, ses = [r["discrepancy"] for r in results], [r["se"] for r in results]
-    checks.append(("discrepancy nonincreasing within 3 sigma", _nonincreasing_within_3se(discs, ses)))
-    ok = all(passed for _, passed in checks)
-    detail = "; ".join(f"{name} = {passed}" for name, passed in checks)
-    verdict = f"{'PASS' if ok else 'FAIL'} sgld discrepancy vs m: {detail}"
-    return ["m", "discrepancy", "se", "r_n", "bound_shape", "c_fit"], rows, [verdict], True
+    return ["m", "discrepancy", "se", "r_n", "bound_shape", "c_fit"], rows, verdict
 
 
-# axis -> (sweep, the [experiment] keys it reads); each experiment checks its own inputs
+# axis -> (sweep, the [experiment] keys it reads); each experiment checks its own
+# inputs and returns its claim's verdict next to its rows
 _SWEEPS = {
     "eta": (_sweep_eta, ("eta_grid", "eta_ref")),
     "n_modes": (_sweep_n_modes, ("n_grid", "n_ref")),
@@ -229,16 +187,16 @@ def cmd_sweep(args) -> int:
         if getattr(exp, key) is None:
             raise ConfigError(f"{exp.origin}: [experiment] {args.axis} sweep needs {key}")
     try:
-        header, rows, verdict, conclusive = sweep(exp)
+        header, rows, verdict = sweep(exp)
     except ValueError as exc:  # a plain one is an experiment refusing its inputs before its first step
         if type(exc) is not ValueError:  # e.g. numpy's LinAlgError: numerical, not a config error
             raise
         raise ConfigError(f"{exp.origin}: [experiment] {exc}") from None
     stem = f"_sweep_{args.axis}"
-    files = {f"{stem}.csv": _csv_text(header, rows), f"{stem}_verdict.txt": "\n".join(verdict) + "\n"}
+    files = {f"{stem}.csv": _csv_text(header, rows), f"{stem}_verdict.txt": "\n".join(verdict.lines) + "\n"}
     _publish(exp, Path(args.out), f"sweep --axis {args.axis}", stem, files, {"replicas": exp.replicas})
-    print(verdict[0])
-    return EXIT_OK if conclusive else EXIT_INCONCLUSIVE
+    print(verdict.lines[0])
+    return EXIT_INCONCLUSIVE if verdict.word == "INCONCLUSIVE" else EXIT_OK
 
 
 def _constants_section(exp: ExperimentConfig) -> list[str]:

@@ -37,9 +37,12 @@ def _minibatch(raw):
     if raw == "full":
         return None
     try:
-        return int(raw)
+        m = int(raw)
     except ValueError:
         raise ValueError("must be an integer or 'full'") from None
+    if m < 1:
+        raise ValueError("must be >= 1")
+    return m
 
 
 def _grid(kind, min_entries):
@@ -78,8 +81,8 @@ _nonnegative = _checked(float, lambda v: 0.0 <= v < math.inf, "must be nonnegati
 # section -> key -> (parser, default); an empty value means the default
 _KEYS = {
     "kernel": {
-        "mu0": (float, 1.0),
-        "gamma": (float, 1.5),
+        "mu0": (_positive, 1.0),
+        "gamma": (_nonnegative, 1.5),
     },
     "objective": {
         "loss": (loss_family, loss_family("squared")),
@@ -91,14 +94,14 @@ _KEYS = {
         "lambda0": (_nonnegative, 0.0),
     },
     "chain": {
-        "eta": (float, _REQUIRED),
-        "beta": (float, _REQUIRED),
-        "lambda": (float, _REQUIRED),
-        "n_modes": (int, _REQUIRED),
-        "seed": (int, _REQUIRED),
-        "horizon": (int, _REQUIRED),
+        "eta": (_positive, _REQUIRED),
+        "beta": (_positive, _REQUIRED),
+        "lambda": (_positive, _REQUIRED),
+        "n_modes": (_positive_count, _REQUIRED),
+        "seed": (_count, _REQUIRED),
+        "horizon": (_positive_count, _REQUIRED),
         "minibatch": (_minibatch, None),
-        "burn_in": (int, None),
+        "burn_in": (_count, None),
     },
     "experiment": {
         "mode": (_one_of("gld", "sgld", "ou"), "gld"),

@@ -21,6 +21,7 @@ from .spectral import KernelSpec, resolvent_scales, rkhs_norm
 __all__ = [
     "TheoryConstants",
     "RateFit",
+    "Verdict",
     "theory_constants",
     "spectral_gap",
     "discrepancy_budget",
@@ -205,6 +206,7 @@ class RateFit:
     intercept: float
     inconclusive: bool
     reason: str = ""
+    verdict: Verdict | None = None  # the claim's verdict, set by the rate experiment
 
     @property
     def slope_ci(self) -> tuple[float, float]:
@@ -255,6 +257,83 @@ def fit_loglog(abscissae, ordinates, ordinate_errors) -> RateFit:
         return fit
     fit.inconclusive = False
     return fit
+
+
+# -- verdicts: one rule per claim --
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """PASS, FAIL or INCONCLUSIVE; lines[0] is the line `rkld sweep` prints, all of lines its verdict file."""
+
+    word: str
+    lines: tuple[str, ...]
+
+
+def _verdict(label: str, checks, sep: str = "; ") -> Verdict:
+    """PASS when every (name, passed) check passes, else FAIL; the line gives every outcome."""
+    word = "PASS" if all(passed for _, passed in checks) else "FAIL"
+    return Verdict(word, (f"{word} {label}: " + sep.join(f"{name} = {passed}" for name, passed in checks),))
+
+
+def _nonincreasing_within_3se(rows, key: str, se_key: str = "se") -> bool:
+    """Each row's value is at most its predecessor's plus 3 combined standard errors."""
+    return all(b[key] <= a[key] + 3.0 * math.hypot(a[se_key], b[se_key]) for a, b in zip(rows, rows[1:]))
+
+
+def _fit_verdict(fit: RateFit, label: str, window: tuple[float, float], check: str, passed: bool) -> Verdict:
+    """A rate claim: a conclusive fit, its slope in window and one more check, named on the first line if it fails."""
+    if fit.inconclusive:
+        return Verdict("INCONCLUSIVE", (f"INCONCLUSIVE {label}: {fit.reason}",))
+    word = "PASS" if window[0] <= fit.slope <= window[1] and passed else "FAIL"
+    lo, hi = fit.slope_ci
+    return Verdict(word, (
+        f"{word} {label}: slope {fit.slope:.4f} (CI [{lo:.4f}, {hi:.4f}]), expected within [{window[0]}, {window[1]}]"
+        + ("" if passed else f"; {check} = False"),
+        f"fit: slope {float(fit.slope)!r}, slope_se {float(fit.slope_se)!r}, intercept {float(fit.intercept)!r}",
+    ))
+
+
+def _weak_error_verdict(fit: RateFit) -> Verdict:
+    """Weak error in eta: slope in [0.4, 1.3] with its two-sigma CI above 0."""
+    return _fit_verdict(fit, "weak error vs eta", (0.4, 1.3), "slope CI above 0", fit.slope_ci[0] > 0.0)
+
+
+def _galerkin_verdict(fit: RateFit) -> Verdict:
+    """Galerkin error in N: slope in [0.5, 1.5], errors strictly increasing in the abscissa sqrt(mu_{N+1})."""
+    increasing = bool(np.all(np.diff(fit.ordinates[np.argsort(fit.abscissae)]) > 0.0))
+    label, check = "galerkin error vs sqrt(mu_{N+1})", "errors strictly increasing in sqrt(mu_{N+1})"
+    return _fit_verdict(fit, label, (0.5, 1.5), check, increasing)
+
+
+_GIBBS_SLACK = 10.0  # factor on the concentration bound, whose constants the theory hides
+
+
+def _gibbs_verdict(rows) -> Verdict:
+    """Gibbs concentration, rows in ascending beta: every beta stationary (else INCONCLUSIVE),
+    gaps nonincreasing within 3 combined SE, and each gap within _GIBBS_SLACK times its bound."""
+    if any(r["inconclusive"] for r in rows):
+        return Verdict("INCONCLUSIVE", ("INCONCLUSIVE gibbs gap vs beta: stationarity check failed at some beta",))
+    trend = ("monotone nonincreasing within 3 sigma", _nonincreasing_within_3se(rows, "gap"))
+    bounded = (f"all gaps within {_GIBBS_SLACK}x closed-form bound", all(r["passes_bound"] for r in rows))
+    return _verdict("gibbs gap vs beta", [trend, bounded], sep=", ")
+
+
+def _sgld_verdict(rows, n_tr: int) -> Verdict:
+    """SGLD discrepancy, rows in ascending m: discrepancy and r_n exactly 0 at
+    m = n_tr when the grid reaches it, and nonincreasing within 3 combined SE."""
+    full, checks = rows[-1], []
+    if full["minibatch"] == n_tr:
+        checks.append(("full-batch discrepancy exactly 0", full["discrepancy"] == 0.0 and full["r_n"] == 0.0))
+    trend = ("discrepancy nonincreasing within 3 sigma", _nonincreasing_within_3se(rows, "discrepancy"))
+    return _verdict("sgld discrepancy vs m", checks + [trend])
+
+
+def _tail_verdict(rows) -> Verdict:
+    """Tail shape, rows in ascending n: P(L(X_n) - L(x*) > delta) nonincreasing
+    within binomial 3 sigma, and lower at the last n than at the first."""
+    trend = ("nonincreasing within binomial 3 sigma", _nonincreasing_within_3se(rows, "p_hat", "p_se"))
+    return _verdict("tail probability vs n", [trend, ("decays", rows[-1]["p_hat"] < rows[0]["p_hat"])])
 
 
 # -- empirical estimators --
@@ -309,7 +388,9 @@ def weak_error_vs_eta(
     (ref, ref_se), *points = [_replica_mean_se(block.final_cesaro_phi) for block in results]
     errs = [abs(value - ref) for value, _ in points]
     ses = [math.hypot(se, ref_se) for _, se in points]
-    return fit_loglog(np.array(etas), np.array(errs), np.array(ses))
+    fit = fit_loglog(np.array(etas), np.array(errs), np.array(ses))
+    fit.verdict = _weak_error_verdict(fit)
+    return fit
 
 
 def galerkin_error_vs_n(
@@ -351,10 +432,9 @@ def galerkin_error_vs_n(
         errs.append(abs(mean))
         ses.append(se)
         absc.append(math.sqrt(mu[n + 1]))
-    return fit_loglog(np.array(absc), np.array(errs), np.array(ses))
-
-
-_GIBBS_SLACK = 10.0  # factor on the concentration bound, whose constants the theory hides
+    fit = fit_loglog(np.array(absc), np.array(errs), np.array(ses))
+    fit.verdict = _galerkin_verdict(fit)
+    return fit
 
 
 def gibbs_gap_vs_beta(
@@ -363,12 +443,13 @@ def gibbs_gap_vs_beta(
     betas,
     replicas: int = 8,
     minimizer: tuple | None = None,
-) -> list[dict]:
+) -> tuple[list[dict], Verdict]:
     """Empirical concentration gap at each inverse temperature, in one engine
-    call: Cesaro average of L minus L(x~), with cfg.beta replaced by each beta.
+    call: Cesaro average of L minus L(x~), with cfg.beta replaced by each
+    beta; one row per beta, ascending, and the claim's verdict.
 
-    Requires a fine discretization (eta <= 0.01, N >= 64).  The verdict
-    compares against the closed-form concentration bound scaled by the slack
+    Requires a fine discretization (eta <= 0.01, N >= 64).  Each row
+    compares its gap against the closed-form concentration bound scaled by the slack
     factor _GIBBS_SLACK (the theory hides constants).  A first-half/second-half Cesaro
     disagreement beyond 3 sigma, or one replica (no sigma), marks an
     estimate inconclusive.  Every beta runs on chain ids 0..R-1.
@@ -379,6 +460,7 @@ def gibbs_gap_vs_beta(
     if cfg.eta > 0.01 or cfg.n_modes < 65 or retained < 2:
         got = f"eta = {cfg.eta}, n_modes = {cfg.n_modes} and {retained} retained steps"
         raise ValueError(f"the Gibbs gap needs eta <= 0.01, n_modes >= 65 and 2 retained steps, got {got}")
+    betas = sorted(betas)
     cfgs = [replace(cfg, beta=beta) for beta in betas]
     if minimizer is None:
         minimizer = obj.regularized_minimizer(cfg.lam)
@@ -403,7 +485,7 @@ def gibbs_gap_vs_beta(
             dict(gap=gap, se=se, bound=bound, slack=_GIBBS_SLACK, passes_bound=gap <= _GIBBS_SLACK * bound,
                  inconclusive=nonstationary, replicas=replicas, seed=c.seed)
         )
-    return out
+    return out, _gibbs_verdict(out)
 
 
 def gibbs_gap_empirical(
@@ -413,7 +495,7 @@ def gibbs_gap_empirical(
     minimizer: tuple | None = None,
 ) -> dict:
     """gibbs_gap_vs_beta at the config's own beta."""
-    return gibbs_gap_vs_beta(cfg, obj, [cfg.beta], replicas, minimizer)[0]
+    return gibbs_gap_vs_beta(cfg, obj, [cfg.beta], replicas, minimizer)[0][0]
 
 
 def sgld_discrepancy_vs_m(
@@ -422,9 +504,9 @@ def sgld_discrepancy_vs_m(
     l_star: float,
     ms,
     replicas: int = 64,
-) -> list[dict]:
+) -> tuple[list[dict], Verdict]:
     """Empirical |E phi(X_n) - E phi(Y_n)| between GLD and SGLD sharing noise
-    seeds, at each minibatch size m in ms, in one engine call.
+    seeds, at each minibatch size m in ms, ascending, in one engine call; and the claim's verdict.
 
     One GLD block and one SGLD block per m run on chain ids 0..R-1, so
     every block reads the same noise and each m is paired with the one GLD
@@ -435,7 +517,7 @@ def sgld_discrepancy_vs_m(
     """
     if cfg.mode == "ou":
         raise ValueError("mode = ou: the discrepancy compares GLD with SGLD, so mode must be gld or sgld")
-    n_tr = obj.dataset.size
+    n_tr, ms = obj.dataset.size, sorted(ms)
     budgets = [discrepancy_budget(cfg.horizon, cfg.beta, cfg.eta, n_tr, m) for m in ms]
     ids = list(range(replicas))
     # only the horizon's phi is read: retain one step, skip the Cesaro sums
@@ -450,7 +532,7 @@ def sgld_discrepancy_vs_m(
             dict(discrepancy=disc, se=se, r_n=rn, bound_shape=shape, c_fit=disc / shape if shape > 0 else math.nan,
                  replicas=replicas, seed=cfg.seed, minibatch=m)
         )
-    return out
+    return out, _sgld_verdict(out, n_tr)
 
 
 def sgld_discrepancy(
@@ -461,7 +543,7 @@ def sgld_discrepancy(
 ) -> dict:
     """sgld_discrepancy_vs_m at the config's own minibatch size (None: full batch)."""
     m = cfg.minibatch if cfg.minibatch is not None else obj.dataset.size
-    return sgld_discrepancy_vs_m(cfg, obj, l_star, [m], replicas)[0]
+    return sgld_discrepancy_vs_m(cfg, obj, l_star, [m], replicas)[0][0]
 
 
 def tail_bound_terms(
@@ -489,7 +571,7 @@ def theorem_tail_bound(
 ) -> dict:
     """Empirical tail P(L(X_n) - L(x*) > delta) at the given steps, next to the
     assembled right-hand side of the high-probability bound (unit leading
-    constants; the 1/sigma(delta) <= 5/delta relaxation applied).
+    constants; the 1/sigma(delta) <= 5/delta relaxation applied); and the claim's verdict.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
@@ -518,6 +600,7 @@ def theorem_tail_bound(
     return {
         "delta": delta,
         "rows": rows,
+        "verdict": _tail_verdict(rows),
         "constants": consts,
         "replicas": replicas,
         "seed": cfg.seed,

@@ -69,7 +69,7 @@ class ChainConfig:
         if not (self.eta > 0 and math.isfinite(self.eta)):
             raise ValueError("eta must be positive")
         if not (self.beta >= self.eta and math.isfinite(self.beta)):
-            raise ValueError(f"finite beta >= eta required, got beta={self.beta}, eta={self.eta}")
+            raise ValueError(f"beta = {self.beta!r}: must be finite and >= eta = {self.eta!r}")
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValueError("lambda must be positive and finite")
         if not (_is_int(self.n_modes) and self.n_modes >= 1):
@@ -79,7 +79,7 @@ class ChainConfig:
         if not (_is_int(self.horizon) and self.horizon >= 1):
             raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
         if self.burn_in is not None and not (_is_int(self.burn_in) and 0 <= self.burn_in < self.horizon):
-            raise ValueError(f"burn_in must be an integer with 0 <= burn_in < horizon, got {self.burn_in!r}")
+            raise ValueError(f"burn_in = {self.burn_in!r}: must be an integer >= 0 and < horizon = {self.horizon}")
         if self.minibatch is not None and not (_is_int(self.minibatch) and self.minibatch >= 1):
             raise ValueError(f"minibatch size must be an integer >= 1, got {self.minibatch!r}")
         if self.mode is None:

@@ -247,15 +247,12 @@ def test_07_weak_error_rate_in_eta():
     fit = weak_error_vs_eta(
         obj, cfg, [0.2, 0.1, 0.05, 0.025], 0.003, l_center, replicas=8
     )
-    lo, hi = fit.slope_ci
-    in_window = not fit.inconclusive and lo < 1.3 and hi > 0.4 and 0.4 <= fit.slope <= 1.3
     elapsed = time.time() - t0
     report(
         7,
-        in_window and lo > 0.0 and elapsed < 1800.0,
-        f"weak error vs eta on grid (0.2,0.1,0.05,0.025), N=32, ref eta 0.003, "
-        f"horizon 2e5: slope {fit.slope:.3f}, CI [{lo:.3f}, {hi:.3f}] inside (0, ...] "
-        f"and slope in [0.4, 1.3], {elapsed:.0f}s (< 30min)",
+        fit.verdict.word == "PASS" and elapsed < 1800.0,
+        f"grid (0.2,0.1,0.05,0.025), N=32, ref eta 0.003, horizon 2e5: "
+        f"{fit.verdict.lines[0]}, {elapsed:.0f}s (< 30min)",
     )
 
 
@@ -269,17 +266,11 @@ def test_08_galerkin_rate_in_n():
 
     cfg = ChainConfig(eta=0.01, beta=8.0, lam=4.0, n_modes=32, seed=42, horizon=100_000)
     fit = galerkin_error_vs_n(make_objective, cfg, [4, 8, 16, 32], 128, replicas=32)
-    # ordinates are listed with N ascending, so errors must strictly decrease
-    monotone = bool(np.all(np.diff(fit.ordinates) < 0))
-    lo, hi = fit.slope_ci
-    ok = not fit.inconclusive and monotone and 0.5 <= fit.slope <= 1.5
     elapsed = time.time() - t0
     report(
         8,
-        ok and elapsed < 1800.0,
-        f"galerkin error vs sqrt(mu_N+1), N in (4,8,16,32) vs 128 at eta 0.01: "
-        f"monotone decreasing = {monotone}, slope {fit.slope:.3f} in [0.5, 1.5] "
-        f"(CI [{lo:.3f}, {hi:.3f}]), {elapsed:.0f}s (< 30min)",
+        fit.verdict.word == "PASS" and elapsed < 1800.0,
+        f"N in (4,8,16,32) vs 128 at eta 0.01: {fit.verdict.lines[0]}, {elapsed:.0f}s (< 30min)",
     )
 
 
@@ -288,20 +279,13 @@ def test_09_sgld_discrepancy_in_m():
     obj = objective(n=10, n_modes=8)
     _, l_center = obj.regularized_minimizer(6.0)
     cfg = ChainConfig(eta=0.05, beta=4.0, lam=6.0, n_modes=8, seed=42, horizon=2000)
-    results = sgld_discrepancy_vs_m(cfg, obj, l_center, (2, 5, 10), replicas=64)
+    results, verdict = sgld_discrepancy_vs_m(cfg, obj, l_center, (2, 5, 10), replicas=64)
     discs = [r["discrepancy"] for r in results]
-    ses = [r["se"] for r in results]
-    nonincreasing = all(
-        discs[i + 1] <= discs[i] + 3.0 * math.hypot(ses[i], ses[i + 1])
-        for i in range(len(discs) - 1)
-    )
-    exact_zero = discs[-1] == 0.0 and results[-1]["r_n"] == 0.0
     elapsed = time.time() - t0
     report(
         9,
-        nonincreasing and exact_zero and elapsed < 600.0,
-        f"SGLD-GLD discrepancy vs m in (2,5,10): nonincreasing within 3 sigma = "
-        f"{nonincreasing}, exactly 0 at m = n_tr = {exact_zero} "
+        verdict.word == "PASS" and elapsed < 600.0,
+        f"m in (2,5,10), n_tr = 10: {verdict.lines[0]} "
         f"(values {['%.2e' % d for d in discs]}), {elapsed:.0f}s (< 10min)",
     )
 
@@ -312,14 +296,8 @@ def test_10_gibbs_concentration_trend():
     obj = objective(loss="savage", n=24, n_modes=65, kind="classification")
     minimizer = obj.regularized_minimizer(1.0)
     cfg = ChainConfig(eta=0.01, beta=2.0, lam=1.0, n_modes=65, seed=42, horizon=100_000)
-    results = gibbs_gap_vs_beta(cfg, obj, (2.0, 4.0, 8.0, 16.0), replicas=8, minimizer=minimizer)
+    results, verdict = gibbs_gap_vs_beta(cfg, obj, (2.0, 4.0, 8.0, 16.0), replicas=8, minimizer=minimizer)
     gaps = [out["gap"] for out in results]
-    ses = [out["se"] for out in results]
-    inconclusive = any(out["inconclusive"] for out in results)
-    monotone = all(
-        gaps[i + 1] <= gaps[i] + 3.0 * math.hypot(ses[i], ses[i + 1])
-        for i in range(len(gaps) - 1)
-    )
 
     # quadratic control: empirical gap matches the exact discrete Gaussian value
     ctrl = objective(n=24, n_modes=65)
@@ -330,9 +308,9 @@ def test_10_gibbs_concentration_trend():
     elapsed = time.time() - t0
     report(
         10,
-        monotone and not inconclusive and ctrl_sigma <= 3.0 and elapsed < 1800.0,
-        f"Gibbs gap vs beta (2,4,8,16) on savage loss monotone within 3 sigma = "
-        f"{monotone} (gaps {['%.4f' % g for g in gaps]}); quadratic control "
+        verdict.word == "PASS" and ctrl_sigma <= 3.0 and elapsed < 1800.0,
+        f"beta (2,4,8,16) on savage loss: {verdict.lines[0]} "
+        f"(gaps {['%.4f' % g for g in gaps]}); quadratic control "
         f"{ctrl_out['gap']:.5f} vs exact {exact:.5f} ({ctrl_sigma:.2f} sigma), "
         f"{elapsed:.0f}s (< 30min)",
     )
@@ -350,18 +328,11 @@ def test_11_tail_probability_shape():
         eta=eta, beta=256.0, lam=lam, n_modes=16, seed=42, horizon=max(checkpoints)
     )
     out = theorem_tail_bound(cfg, obj, delta=0.2, checkpoints=checkpoints, replicas=200)
-    rows = out["rows"]
-    nonincreasing = all(
-        rows[i + 1]["p_hat"]
-        <= rows[i]["p_hat"] + 3.0 * math.hypot(rows[i]["p_se"], rows[i + 1]["p_se"])
-        for i in range(len(rows) - 1)
-    )
-    decays = rows[-1]["p_hat"] < rows[0]["p_hat"]
     elapsed = time.time() - t0
     report(
         11,
-        nonincreasing and decays and elapsed < 600.0,
+        out["verdict"].word == "PASS" and elapsed < 600.0,
         f"tail P(L(X_n) - L(x*) > 0.2) at n in {checkpoints}: "
-        f"{[r['p_hat'] for r in rows]} nonincreasing within binomial 3 sigma, "
+        f"{[r['p_hat'] for r in out['rows']]}, {out['verdict'].lines[0]}, "
         f"200 replicas, {elapsed:.0f}s (< 10min)",
     )

@@ -1,3 +1,4 @@
+import ast
 import configparser
 import csv
 import dataclasses
@@ -299,6 +300,19 @@ class TestSweep:
         stem = f"{tag_of(cfg)}_sweep_{axis}"
         assert sorted(runs[0][2]) == [f"{stem}.csv", f"{stem}_manifest.json", f"{stem}_verdict.txt"]
 
+    @pytest.mark.parametrize("axis", sorted(SWEEP_RERUNS))
+    def test_verdict_is_the_experiments(self, axis, tmp_path, capsys):
+        # the CLI writes the experiment's verdict and prints its first line; it judges nothing itself
+        base, grid = SWEEP_RERUNS[axis]
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(base.replace("horizon = 2000", "horizon = 200") + "\n[experiment]\nreplicas = 2\n" + grid)
+        out = tmp_path / "out"
+        code = main(["sweep", "--axis", axis, "--config", str(cfg), "--out", str(out)])
+        verdict = EXPERIMENTS[axis](ExperimentConfig.load(cfg))
+        assert code == (3 if verdict.word == "INCONCLUSIVE" else 0)
+        assert capsys.readouterr().out == verdict.lines[0] + "\n"
+        assert (out / f"{tag_of(cfg)}_sweep_{axis}_verdict.txt").read_text().splitlines() == list(verdict.lines)
+
     def test_minibatch_axis(self, tmp_path, config_file):
         cfg = tmp_path / "m.ini"
         cfg.write_text(BASE + "\n[experiment]\nreplicas = 8\nm_grid = 2, 4, 8\n")
@@ -358,14 +372,15 @@ class TestSweep:
         ],
     )
     def test_conclusive_fit_verdict(self, axis, slope, se, word, tmp_path, monkeypatch, capsys):
-        # a fit with enough usable points: PASS when the slope is in the window, else FAIL; both exit 0
-        experiment, label, window = {
-            "eta": ("weak_error_vs_eta", "weak error vs eta", "[0.4, 1.3]"),
-            "n_modes": ("galerkin_error_vs_n", "galerkin error vs sqrt(mu_{N+1})", "[0.5, 1.5]"),
+        # a fit with enough usable points: PASS when the slope is in the window, else FAIL; both exit 0.
+        # The fit is faked below the claim's rule, so the verdict comes from the experiment's own rule.
+        label, window = {
+            "eta": ("weak error vs eta", "[0.4, 1.3]"),
+            "n_modes": ("galerkin error vs sqrt(mu_{N+1})", "[0.5, 1.5]"),
         }[axis]
         x = np.array([0.025, 0.05, 0.1, 0.2])
         fit = diagnostics.RateFit(x, slope * x, 0.01 * x, slope, se, -1.0, inconclusive=False)
-        monkeypatch.setattr(cli, experiment, lambda *args, **kwargs: fit)
+        monkeypatch.setattr(diagnostics, "fit_loglog", lambda *args: fit)
         base, grid = SWEEP_RERUNS[axis]
         cfg = tmp_path / "fit.ini"
         cfg.write_text(base + "\n[experiment]\nreplicas = 2\n" + grid)
@@ -384,9 +399,16 @@ class TestSweep:
         assert [float(r[-2]) for r in rows] == (slope * x).tolist()
 
     def test_beta_sweep_without_stationarity_is_inconclusive(self, tmp_path, monkeypatch, capsys):
-        gap = {"gap": 0.02, "se": 0.001, "bound": 0.5, "passes_bound": True, "slack": 10.0}
-        results = [{**gap, "inconclusive": False}, {**gap, "inconclusive": True}]
-        monkeypatch.setattr(cli, "gibbs_gap_vs_beta", lambda *args, **kwargs: results)
+        # the engine's run, with the second beta's first-half risks shifted by 1: its Cesaro halves disagree
+        run_blocks = diagnostics.run_blocks
+
+        def drifting(blocks, **kwargs):
+            results = run_blocks(blocks, **kwargs)
+            [tracker] = blocks[1][3]
+            tracker.sum_risk_first = tracker.sum_risk_first + tracker.half_point
+            return results
+
+        monkeypatch.setattr(diagnostics, "run_blocks", drifting)
         base, grid = SWEEP_RERUNS["beta"]
         cfg = tmp_path / "beta.ini"
         cfg.write_text(base + "\n[experiment]\nreplicas = 2\n" + grid)
@@ -452,20 +474,26 @@ SWEEP_PRECONDITIONS = {
 # the cases that break a single key's rule, which the parser owns
 SINGLE_KEY_PRECONDITIONS = ("eta_grid_short", "eta_ref_negative", "n_grid_negative")
 
-# each sweep's experiment as the CLI calls it, with a zero centre for the statistic
+
+def _centre(exp):
+    """The sweeps' centre of the sigmoid statistic: the regularized minimum."""
+    return exp.build_objective().regularized_minimizer(exp.chain.lam)[1]
+
+
+# each sweep's experiment as the CLI calls it, and the verdict it returns
 EXPERIMENTS = {
     "eta": lambda exp: diagnostics.weak_error_vs_eta(
-        exp.build_objective(), exp.chain, exp.eta_grid, exp.eta_ref, 0.0, replicas=exp.replicas
-    ),
+        exp.build_objective(), exp.chain, exp.eta_grid, exp.eta_ref, _centre(exp), replicas=exp.replicas
+    ).verdict,
     "n_modes": lambda exp: diagnostics.galerkin_error_vs_n(
         exp.build_objective, exp.chain, exp.n_grid, exp.n_ref, replicas=exp.replicas
-    ),
+    ).verdict,
     "beta": lambda exp: diagnostics.gibbs_gap_vs_beta(
         exp.chain, exp.build_objective(), exp.beta_grid, replicas=exp.replicas
-    ),
+    )[1],
     "minibatch": lambda exp: diagnostics.sgld_discrepancy_vs_m(
-        exp.chain, exp.build_objective(), 0.0, exp.m_grid, replicas=exp.replicas
-    ),
+        exp.chain, exp.build_objective(), _centre(exp), exp.m_grid, replicas=exp.replicas
+    )[1],
 }
 
 
@@ -622,7 +650,8 @@ class TestExitCodes:
         out = tmp_path / "out"
         flag = ["--seed=-1"] if where == "flag" else []
         assert main([command, "--config", str(cfg), "--out", str(out), *flag]) == 1
-        assert capsys.readouterr().err == f"config error: {cfg}: [chain] seed must be a non-negative integer, got -1\n"
+        reason = "seed = '-1': must be >= 0" if where == "config" else "seed must be a non-negative integer, got -1"
+        assert capsys.readouterr().err == f"config error: {cfg}: [chain] {reason}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -938,7 +967,27 @@ class TestPublish:
             assert sorted(p.name for p in set(out.glob("*")) - before) == sorted([*outputs, manifest])
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+
+
+class TestOneRulePerClaim:
+    """Each claim's PASS rule lives in rkld.diagnostics; the CLI and the acceptance suite only read it."""
+
+    def test_cli_holds_no_rule_constant(self):
+        # a window bound or the 3-SE factor in the CLI is a second copy of a claim's rule
+        tree = ast.parse((ROOT / "src" / "rkld" / "cli.py").read_text())
+        floats = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and type(node.value) is float]
+        assert floats == [5.0]  # the report's Markov factor 5/delta
+        modules = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+        modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert "math" not in modules
+
+    def test_acceptance_suite_has_no_3se_rule(self):
+        # math.hypot is the combined standard error of the "nonincreasing within 3 SE" rule
+        tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+        calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        assert not [call for call in calls if call.endswith("hypot")]
 
 
 class TestReadme:

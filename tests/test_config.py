@@ -117,8 +117,15 @@ class TestParsing:
             ExperimentConfig.loads(BASE.replace("eta = 0.05", "eta = fast"))
 
     def test_chain_validation_propagates(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.loads(BASE.replace("beta = 4.0", "beta = 0.01"))
+        # the cross-key rules, worded as key = value: reason
+        for old, new, reason in [
+            ("beta = 4.0", "beta = 0.01", "beta = 0.01: must be finite and >= eta = 0.05"),
+            ("horizon = 2000", "horizon = 2000\nburn_in = 2000",
+             "burn_in = 2000: must be an integer >= 0 and < horizon = 2000"),
+        ]:
+            with pytest.raises(ConfigError) as exc_info:
+                ExperimentConfig.loads(BASE.replace(old, new), origin="exp.ini")
+            assert str(exc_info.value) == f"exp.ini: [chain] {reason}"
 
     def test_minibatch_full_keyword(self):
         exp = ExperimentConfig.loads(BASE.replace("seed = 42", "seed = 42\nminibatch = full"))
@@ -145,6 +152,18 @@ class TestParsing:
     @pytest.mark.parametrize(
         "section, line, reason",
         [
+            ("kernel", "mu0 = 0", "must be positive and finite"),
+            ("kernel", "mu0 = inf", "must be positive and finite"),
+            ("kernel", "gamma = -1", "must be nonnegative and finite"),
+            ("chain", "eta = -1", "must be positive and finite"),
+            ("chain", "eta = nan", "must be positive and finite"),
+            ("chain", "beta = 0", "must be positive and finite"),
+            ("chain", "lambda = -6", "must be positive and finite"),
+            ("chain", "n_modes = 0", "must be >= 1"),
+            ("chain", "seed = -1", "must be >= 0"),
+            ("chain", "horizon = 0", "must be >= 1"),
+            ("chain", "minibatch = 0", "must be >= 1"),
+            ("chain", "burn_in = -1", "must be >= 0"),
             ("objective", "loss = hinge", "unknown loss family: 'hinge'"),
             ("objective", "synth_kind = ranking", "expected one of regression, classification"),
             ("objective", "data = /no/such.csv", "file not found"),

@@ -178,6 +178,97 @@ class TestFitLoglog:
         assert fit.inconclusive
 
 
+def hand_fit(slope, se, ordinates=(1.0, 2.0, 3.0, 4.0), abscissae=(0.1, 0.2, 0.3, 0.4), inconclusive=False):
+    x, y = np.array(abscissae), np.array(ordinates)
+    return diagnostics.RateFit(x, y, 0.01 * y, slope, se, -1.0, inconclusive, "too noisy" if inconclusive else "")
+
+
+def gap_row(gap, passes_bound=True, inconclusive=False):
+    return dict(gap=gap, se=0.01, bound=0.1, passes_bound=passes_bound, inconclusive=inconclusive)
+
+
+class TestVerdicts:
+    """Each claim's rule on hand-built inputs at its boundaries."""
+
+    @pytest.mark.parametrize(
+        "slope, se, word",
+        [(1.0, 0.1, "PASS"), (0.5, 0.2, "PASS"), (0.5, 0.25, "FAIL"), (0.5, 0.3, "FAIL"), (1.4, 0.1, "FAIL")],
+    )
+    def test_weak_error_needs_the_slope_ci_above_zero(self, slope, se, word):
+        verdict = diagnostics._weak_error_verdict(hand_fit(slope, se))
+        assert verdict.word == word
+        # the window alone decides (1.4, 0.1); a CI reaching 0 is named on the first line
+        assert verdict.lines[0].endswith("; slope CI above 0 = False") == (slope - 2 * se <= 0.0)
+
+    def test_inconclusive_fit_is_inconclusive(self):
+        for rule, label in ((diagnostics._weak_error_verdict, "weak error vs eta"),
+                            (diagnostics._galerkin_verdict, "galerkin error vs sqrt(mu_{N+1})")):
+            assert rule(hand_fit(1.0, 0.1, inconclusive=True)).lines == (f"INCONCLUSIVE {label}: too noisy",)
+
+    @pytest.mark.parametrize(
+        "ordinates, abscissae, word",
+        [
+            ((1.0, 2.0, 3.0, 4.0), (0.1, 0.2, 0.3, 0.4), "PASS"),
+            ((4.0, 3.0, 2.0, 1.0), (0.4, 0.3, 0.2, 0.1), "PASS"),  # listed as N ascends: abscissa order decides
+            ((1.0, 3.0, 2.0, 4.0), (0.1, 0.2, 0.3, 0.4), "FAIL"),  # errors cross
+            ((1.0, 2.0, 2.0, 4.0), (0.1, 0.2, 0.3, 0.4), "FAIL"),  # not strictly
+        ],
+    )
+    def test_galerkin_errors_must_increase_in_the_abscissa(self, ordinates, abscissae, word):
+        verdict = diagnostics._galerkin_verdict(hand_fit(1.0, 0.1, ordinates, abscissae))
+        assert verdict.word == word
+        failed = "; errors strictly increasing in sqrt(mu_{N+1}) = False"
+        assert verdict.lines[0].endswith(failed) == (word == "FAIL")
+
+    def test_gibbs_rule(self):
+        rule = diagnostics._gibbs_verdict
+        assert rule([gap_row(0.5), gap_row(0.53)]).word == "PASS"  # within 3 combined SE
+        assert rule([gap_row(0.5), gap_row(0.55)]).word == "FAIL"
+        assert rule([gap_row(0.5), gap_row(0.5, inconclusive=True)]).lines == (
+            "INCONCLUSIVE gibbs gap vs beta: stationarity check failed at some beta",
+        )
+        assert rule([gap_row(0.5), gap_row(0.4)]).lines == (
+            "PASS gibbs gap vs beta: monotone nonincreasing within 3 sigma = True, "
+            "all gaps within 10.0x closed-form bound = True",
+        )
+        # one gap above 10x its bound (the experiment's passes_bound column)
+        assert rule([gap_row(0.5), gap_row(0.4, passes_bound=False)]).lines == (
+            "FAIL gibbs gap vs beta: monotone nonincreasing within 3 sigma = True, "
+            "all gaps within 10.0x closed-form bound = False",
+        )
+
+    def test_sgld_rule(self):
+        def row(m, disc, r_n=1.0):
+            return dict(minibatch=m, discrepancy=disc, se=0.01, r_n=r_n)
+
+        rule = diagnostics._sgld_verdict
+        exact = "full-batch discrepancy exactly 0 = "
+        assert rule([row(2, 0.1), row(8, 0.0, 0.0)], 8).lines == (
+            f"PASS sgld discrepancy vs m: {exact}True; discrepancy nonincreasing within 3 sigma = True",
+        )
+        nonzero = rule([row(2, 0.1), row(8, 1e-300, 0.0)], 8)  # a nonzero full-batch discrepancy
+        assert nonzero.lines[0].startswith(f"FAIL sgld discrepancy vs m: {exact}False")
+        assert rule([row(2, 0.1), row(8, 0.0, 1e-300)], 8).word == "FAIL"
+        # below n_tr there is no full-batch point to check
+        assert rule([row(2, 0.1), row(4, 1e-300)], 8).lines == (
+            "PASS sgld discrepancy vs m: discrepancy nonincreasing within 3 sigma = True",
+        )
+        assert rule([row(2, 0.1), row(4, 0.15)], 8).word == "FAIL"
+
+    def test_tail_rule(self):
+        def rows(*p_hats):
+            return [dict(n=10 * k, p_hat=p, p_se=0.01) for k, p in enumerate(p_hats, start=1)]
+
+        rule = diagnostics._tail_verdict
+        assert rule(rows(0.5, 0.4, 0.2)).lines == (
+            "PASS tail probability vs n: nonincreasing within binomial 3 sigma = True; decays = True",
+        )
+        assert rule(rows(0.5, 0.52, 0.5)).lines == (  # nonincreasing within 3 sigma, but no decay
+            "FAIL tail probability vs n: nonincreasing within binomial 3 sigma = True; decays = False",
+        )
+        assert rule(rows(0.5, 0.6, 0.2)).word == "FAIL"
+
+
 class TestEstimators:
     def _cfg(self, **kw):
         base = dict(eta=0.05, beta=4.0, lam=6.0, n_modes=6, seed=42, horizon=2000)
@@ -239,7 +330,7 @@ class TestEstimators:
     def test_sgld_sweep_equals_per_m_calls(self):
         obj = make_objective(n=8)
         cfg = self._cfg(horizon=600)
-        swept = sgld_discrepancy_vs_m(cfg, obj, 0.1, [1, 3, 8], replicas=6)
+        swept, _ = sgld_discrepancy_vs_m(cfg, obj, 0.1, [1, 3, 8], replicas=6)
         solo = [sgld_discrepancy(replace(cfg, mode="sgld", minibatch=m), obj, 0.1, replicas=6) for m in (1, 3, 8)]
         assert [{k: repr(v) for k, v in r.items()} for r in swept] == [{k: repr(v) for k, v in r.items()} for r in solo]
         assert swept[-1]["discrepancy"] == 0.0 and all(r["discrepancy"] > 0.0 for r in swept[:-1])
