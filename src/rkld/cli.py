@@ -20,6 +20,7 @@ from .diagnostics import (
     gibbs_gap_vs_beta,
     sgld_discrepancy_vs_m,
     tail_bound_terms,
+    theorem_tail_bound,
     theory_constants,
     weak_error_vs_eta,
 )
@@ -170,13 +171,21 @@ def _sweep_minibatch(exp: ExperimentConfig):
     return ["m", "discrepancy", "se", "r_n", "bound_shape", "c_fit"], rows, verdict
 
 
-# axis -> (sweep, the [experiment] keys it reads); each experiment checks its own
-# inputs and returns its claim's verdict next to its rows
+def _sweep_tail(exp: ExperimentConfig):
+    rows, verdict = theorem_tail_bound(
+        exp.chain, exp.build_objective(), exp.tail_delta, exp.replicas, delta=exp.delta, kappa=exp.kappa
+    )
+    return ["n", "p_hat", "p_se", "rhs"], [(r["n"], r["p_hat"], r["p_se"], r["rhs"]) for r in rows], verdict
+
+
+# axis -> (sweep, the [experiment] keys without a default that it reads); each
+# experiment checks its own inputs and returns its claim's verdict next to its rows
 _SWEEPS = {
     "eta": (_sweep_eta, ("eta_grid", "eta_ref")),
     "n_modes": (_sweep_n_modes, ("n_grid", "n_ref")),
     "beta": (_sweep_beta, ("beta_grid",)),
     "minibatch": (_sweep_minibatch, ("m_grid",)),
+    "tail": (_sweep_tail, ()),
 }
 
 
@@ -238,15 +247,13 @@ def _constants_section(exp: ExperimentConfig) -> list[str]:
         lines.append(f"  {name}: {value!r}" if value is not None else f"  {name}: n/a")
 
     # per-term tail bound decomposition at n = horizon
-    cfg = exp.chain
-    n = cfg.horizon
+    n = exp.chain.horizon
     lines.append(f"tail bound decomposition at n = {n} (delta = {exp.tail_delta}):")
-    markov = 5.0 / exp.tail_delta
+    markov, terms, total = tail_bound_terms(tc, mins, exp.chain.eta, n, exp.tail_delta)
     lines.append(f"  markov factor 5/delta: {markov!r}")
-    terms = tail_bound_terms(tc, mins, cfg.eta, n)
-    if terms is not None:
+    if terms:
         lines.extend(f"  {label}: {value!r}" for label, value in terms.items())
-        lines.append(f"  total (x markov factor): {markov * sum(terms.values())!r}")
+        lines.append(f"  total (x markov factor): {total!r}")
     else:
         lines.append("  spectral gap needs [experiment] delta in the bounded regime; terms n/a")
     return lines

@@ -157,6 +157,12 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path: str | Path, seed_override: int | None = None) -> "ExperimentConfig":
+        """The config file at path; seed_override is the --seed flag, held to the config's seed rule."""
+        if seed_override is not None:
+            try:
+                _KEYS["chain"]["seed"][0](seed_override)
+            except ValueError as exc:
+                raise ConfigError(f"--seed = '{seed_override}': {exc}") from None
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")

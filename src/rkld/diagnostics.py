@@ -168,8 +168,7 @@ def theory_constants(
             lam_eta = spectral_gap("bounded", cfg.lam, mu0, M, cfg.eta, b=b, delta=delta)
             lam_0 = spectral_gap("bounded", cfg.lam, mu0, M, 0.0, b=b, delta=delta)
         else:
-            lam_eta = None
-            lam_0 = None
+            lam_eta = lam_0 = None
         c_beta = math.sqrt(cfg.beta)
     x_tilde_hk = rkhs_norm(minimizers.x_tilde, obj.kernel)
     return TheoryConstants(
@@ -547,64 +546,52 @@ def sgld_discrepancy(
 
 
 def tail_bound_terms(
-    consts: TheoryConstants, minimizers: MinimizerPair, eta: float, n: int
-) -> dict[str, float] | None:
-    """The terms of the tail bound's right-hand side at step n, before the
-    5/delta factor, keyed by formula; None without a spectral gap."""
+    consts: TheoryConstants, minimizers: MinimizerPair, eta: float, n: int, tail_delta: float
+) -> tuple[float, dict[str, float], float]:
+    """The tail bound at step n: the Markov factor 5/tail_delta (the 1/sigma(delta) <= 5/delta relaxation),
+    the terms it multiplies, keyed by formula, and the right-hand side, their product with unit leading
+    constants; without a spectral gap the terms are empty and the right-hand side is nan."""
+    markov = 5.0 / tail_delta
     if consts.lambda_eta is None or consts.lambda_0 is None:
-        return None
-    return {
+        return markov, {}, math.nan
+    terms = {
         "exp(-Lambda*_eta (eta n - 1))": math.exp(-consts.lambda_eta * (eta * n - 1.0)),
         "(c_beta / Lambda*_0) eta^(1/2 - kappa)": (consts.c_beta / consts.lambda_0)
         * eta ** (0.5 - consts.kappa),
         "gibbs concentration term": consts.gibbs_bound,
         "L(x~) - L(x*)": minimizers.l_tilde - minimizers.l_star,
     }
+    return markov, terms, markov * sum(terms.values())
 
 
 def theorem_tail_bound(
-    cfg: ChainConfig,
-    obj: ObjectiveSpec,
-    delta: float,
-    checkpoints,
-    replicas: int = 200,
-) -> dict:
-    """Empirical tail P(L(X_n) - L(x*) > delta) at the given steps, next to the
-    assembled right-hand side of the high-probability bound (unit leading
-    constants; the 1/sigma(delta) <= 5/delta relaxation applied); and the claim's verdict.
-    """
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must be in (0, 1)")
+    cfg: ChainConfig, obj: ObjectiveSpec, tail_delta: float, replicas: int = 200,
+    delta: float | None = None, kappa: float = 0.1,
+) -> tuple[list[dict], Verdict]:
+    """Empirical P(L(X_n) - L(x*) > tail_delta) at n = horizon // 25, horizon // 5 and horizon, one row per n
+    next to the bound's right-hand side on the theory constants at delta and kappa; and the claim's verdict."""
+    if cfg.mode == "ou":
+        raise ValueError("mode = ou: the OU chain ignores the loss, so it has no tail of L to bound")
+    steps = [cfg.horizon // 25, cfg.horizon // 5, cfg.horizon]
+    if steps[0] < 1:  # at horizon >= 25 the steps are distinct and >= 1
+        raise ValueError(f"the tail steps horizon // 25, horizon // 5 and horizon are {steps}: horizon must be >= 25")
+    if not (0.0 < tail_delta < 1.0):
+        raise ValueError("tail_delta must be in (0, 1)")
     if cfg.x0 is not None and np.linalg.norm(cfg.x0) > 1.0 + 1e-12:
         raise ValueError("theorem evaluation requires ||x0|| <= 1")
-    checkpoints = sorted(checkpoints)
-    if not (checkpoints and all(isinstance(c, (int, np.integer)) and c >= 1 for c in checkpoints)):
-        raise ValueError(f"checkpoints must be a nonempty list of integer steps >= 1, got {checkpoints}")
     minimizers = obj.find_minimizers(cfg.lam)
-    consts = theory_constants(obj, cfg, minimizers)
+    consts = theory_constants(obj, cfg, minimizers, delta=delta, kappa=kappa)
     # the risk at a checkpoint is recorded whether or not the step is retained:
     # retain only the last step, which skips the Cesaro sums' evaluations
-    horizon = checkpoints[-1]
-    run_cfg = replace(cfg, horizon=horizon, burn_in=horizon - 1)
-    block = (run_cfg, obj, list(range(replicas)), ())
-    [summary] = run_blocks([block], l_star=minimizers.l_star, checkpoints=checkpoints)
-    column = {int(step): k for k, step in enumerate(summary.steps)}
+    block = (replace(cfg, burn_in=cfg.horizon - 1), obj, list(range(replicas)), ())
+    [summary] = run_blocks([block], l_star=minimizers.l_star, checkpoints=steps)
     rows = []
-    for n in checkpoints:
-        exceed = summary.risk[:, column[n]] - minimizers.l_star > delta
-        p_hat = float(np.mean(exceed))
+    for k, n in enumerate(steps, start=1):  # column 0 is step 0
+        p_hat = float(np.mean(summary.risk[:, k] - minimizers.l_star > tail_delta))
         p_se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / replicas) / replicas)
-        terms = tail_bound_terms(consts, minimizers, cfg.eta, n)
-        rhs = (5.0 / delta) * sum(terms.values()) if terms is not None else math.nan
-        rows.append({"n": int(n), "p_hat": p_hat, "p_se": p_se, "rhs": rhs})
-    return {
-        "delta": delta,
-        "rows": rows,
-        "verdict": _tail_verdict(rows),
-        "constants": consts,
-        "replicas": replicas,
-        "seed": cfg.seed,
-    }
+        _, _, rhs = tail_bound_terms(consts, minimizers, cfg.eta, n, tail_delta)
+        rows.append({"n": n, "p_hat": p_hat, "p_se": p_se, "rhs": rhs})
+    return rows, _tail_verdict(rows)
 
 
 # -- exact Gaussian oracles for quadratic (squared-loss) objectives --

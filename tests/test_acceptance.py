@@ -323,16 +323,14 @@ def test_11_tail_probability_shape():
     obj = ObjectiveSpec(ds, loss_family("squared"), KernelSpec(gamma=1.5), 16)
     lam = 1.5 * obj.smoothness_constant() * obj.kernel.mu0  # strict regime
     eta = 0.1
-    checkpoints = [int(1 / eta), int(5 / eta), int(25 / eta)]
-    cfg = ChainConfig(
-        eta=eta, beta=256.0, lam=lam, n_modes=16, seed=42, horizon=max(checkpoints)
-    )
-    out = theorem_tail_bound(cfg, obj, delta=0.2, checkpoints=checkpoints, replicas=200)
+    # horizon 25/eta: the tail steps horizon // 25, horizon // 5 and horizon are 1/eta, 5/eta and 25/eta
+    cfg = ChainConfig(eta=eta, beta=256.0, lam=lam, n_modes=16, seed=42, horizon=int(25 / eta))
+    rows, verdict = theorem_tail_bound(cfg, obj, tail_delta=0.2, replicas=200)
     elapsed = time.time() - t0
     report(
         11,
-        out["verdict"].word == "PASS" and elapsed < 600.0,
-        f"tail P(L(X_n) - L(x*) > 0.2) at n in {checkpoints}: "
-        f"{[r['p_hat'] for r in out['rows']]}, {out['verdict'].lines[0]}, "
+        verdict.word == "PASS" and [r["n"] for r in rows] == [10, 50, 250] and elapsed < 600.0,
+        f"tail P(L(X_n) - L(x*) > 0.2) at n in {[r['n'] for r in rows]}: "
+        f"{[r['p_hat'] for r in rows]}, {verdict.lines[0]}, "
         f"200 replicas, {elapsed:.0f}s (< 10min)",
     )

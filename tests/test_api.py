@@ -84,9 +84,7 @@ def test_third_party_imports_are_declared_dependencies():
 
 # Public callables that no src/ or perfbench/ code reaches yet, each with the
 # reason it stays; its parameters are judged once it has a caller.
-UNREACHED = {
-    "theorem_tail_bound": "ROADMAP item 7 gives it a `rkld sweep` tail axis",
-}
+UNREACHED: dict[str, str] = {}
 
 # Defaulted parameters that no scanned call can pass by name or position,
 # because the callee is only reached through a callback.

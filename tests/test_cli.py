@@ -283,6 +283,7 @@ SWEEP_RERUNS = {
     "n_modes": (BASE, "n_grid = 1, 2, 3, 4\nn_ref = 16\n"),
     "beta": (BASE.replace("eta = 0.05", "eta = 0.01").replace("n_modes = 8", "n_modes = 65"), "beta_grid = 2, 4\n"),
     "minibatch": (BASE, "m_grid = 2, 4, 8\n"),
+    "tail": (BASE, "tail_delta = 0.3\n"),
 }
 
 
@@ -398,6 +399,27 @@ class TestSweep:
             rows = list(csv.reader(fh))[1:]
         assert [float(r[-2]) for r in rows] == (slope * x).tolist()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            BASE + "\n[experiment]\nkappa = 0.2\n",
+            BASE.replace("squared", "savage").replace("lambda = 6.0", "lambda = 0.1") + "\n[experiment]\ndelta = 0.5\n",
+        ],
+        ids=["strict_kappa", "bounded_delta"],
+    )
+    def test_tail_rhs_is_the_reports_total(self, text, tmp_path):
+        # the sweep's right-hand side at n = horizon is the report's, on the config's kappa and delta
+        cfg = tmp_path / "tail.ini"
+        cfg.write_text(text + "replicas = 2\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--axis", "tail", "--config", str(cfg), "--out", str(out)]) == 0
+        stem = f"{tag_of(cfg)}_sweep_tail"
+        assert main(["report", "--manifest", str(out / f"{stem}_manifest.json"), "--out", str(out)]) == 0
+        with open(out / f"{stem}.csv", newline="") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        assert list(last) == ["n", "p_hat", "p_se", "rhs"] and last["n"] == "2000"
+        assert f"  total (x markov factor): {last['rhs']}" in (out / f"{stem}_report.txt").read_text().splitlines()
+
     def test_beta_sweep_without_stationarity_is_inconclusive(self, tmp_path, monkeypatch, capsys):
         # the engine's run, with the second beta's first-half risks shifted by 1: its Cesaro halves disagree
         run_blocks = diagnostics.run_blocks
@@ -470,6 +492,10 @@ SWEEP_PRECONDITIONS = {
     "beta_ou": ("beta", "mode = ou\nbeta_grid = 2, 4\n", SWEEP_RERUNS["beta"][0]),
     "m_grid_above_n": ("minibatch", "m_grid = 2, 9\n", BASE),
     "eta_grid_short": ("eta", "eta_grid = 0.2, 0.1\neta_ref = 0.003\n", BASE),
+    # the OU chain ignores the loss, so it has no tail of L to bound
+    "tail_ou": ("tail", "mode = ou\n", BASE),
+    # horizon // 25 is step 0 below horizon 25
+    "tail_short_horizon": ("tail", "", BASE.replace("horizon = 2000", "horizon = 24")),
 }
 # the cases that break a single key's rule, which the parser owns
 SINGLE_KEY_PRECONDITIONS = ("eta_grid_short", "eta_ref_negative", "n_grid_negative")
@@ -493,6 +519,9 @@ EXPERIMENTS = {
     )[1],
     "minibatch": lambda exp: diagnostics.sgld_discrepancy_vs_m(
         exp.chain, exp.build_objective(), _centre(exp), exp.m_grid, replicas=exp.replicas
+    )[1],
+    "tail": lambda exp: diagnostics.theorem_tail_bound(
+        exp.chain, exp.build_objective(), exp.tail_delta, exp.replicas, delta=exp.delta, kappa=exp.kappa
     )[1],
 }
 
@@ -586,7 +615,7 @@ class TestExitCodes:
         with pytest.raises(ConfigError, match=re.escape(f"{cfg}: [experiment] ")):
             ExperimentConfig.load(cfg)
 
-    @pytest.mark.parametrize("axis", sorted(cli._SWEEPS))
+    @pytest.mark.parametrize("axis", sorted(axis for axis, (_, keys) in cli._SWEEPS.items() if keys))
     def test_sweep_without_its_keys_is_config_error(self, axis, tmp_path, capsys):
         cfg = tmp_path / "sweep.ini"
         cfg.write_text(BASE + "\n[experiment]\nreplicas = 2\n")
@@ -650,8 +679,9 @@ class TestExitCodes:
         out = tmp_path / "out"
         flag = ["--seed=-1"] if where == "flag" else []
         assert main([command, "--config", str(cfg), "--out", str(out), *flag]) == 1
-        reason = "seed = '-1': must be >= 0" if where == "config" else "seed must be a non-negative integer, got -1"
-        assert capsys.readouterr().err == f"config error: {cfg}: [chain] {reason}\n"
+        # one rule, one reason; the message names where the value came from
+        source = f"{cfg}: [chain] seed" if where == "config" else "--seed"
+        assert capsys.readouterr().err == f"config error: {source} = '-1': must be >= 0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -978,7 +1008,7 @@ class TestOneRulePerClaim:
         # a window bound or the 3-SE factor in the CLI is a second copy of a claim's rule
         tree = ast.parse((ROOT / "src" / "rkld" / "cli.py").read_text())
         floats = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and type(node.value) is float]
-        assert floats == [5.0]  # the report's Markov factor 5/delta
+        assert floats == []
         modules = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
         modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
         assert "math" not in modules

@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from rkld.diagnostics import (
     sgld_discrepancy,
     sgld_discrepancy_vs_m,
     spectral_gap,
+    tail_bound_terms,
     theorem_tail_bound,
     theory_constants,
     weak_error_vs_eta,
@@ -344,14 +346,15 @@ class TestEstimators:
     def test_theorem_tail_bound_structure(self):
         obj = make_objective()
         M = obj.smoothness_constant()
-        cfg = ChainConfig(eta=0.1, beta=4.0, lam=4.0 * M, n_modes=6, seed=3, horizon=300)
-        out = theorem_tail_bound(cfg, obj, delta=0.2, checkpoints=[10, 50, 250], replicas=20)
-        ns = [r["n"] for r in out["rows"]]
-        assert ns == [10, 50, 250]
-        for r in out["rows"]:
+        cfg = ChainConfig(eta=0.1, beta=4.0, lam=4.0 * M, n_modes=6, seed=3, horizon=250)
+        rows, verdict = theorem_tail_bound(cfg, obj, tail_delta=0.2, replicas=20)
+        assert [r["n"] for r in rows] == [10, 50, 250]  # horizon // 25, horizon // 5 and horizon
+        for r in rows:
+            assert sorted(r) == ["n", "p_hat", "p_se", "rhs"]
             assert 0.0 <= r["p_hat"] <= 1.0
             assert r["p_se"] > 0
             assert math.isfinite(r["rhs"]) and r["rhs"] > 0
+        assert verdict == diagnostics._tail_verdict(rows)
 
     def test_theorem_tail_bound_rejects_large_x0(self):
         obj = make_objective()
@@ -366,10 +369,18 @@ class TestEstimators:
             x0=np.full(6, 2.0),
         )
         with pytest.raises(ValueError):
-            theorem_tail_bound(cfg, obj, delta=0.2, checkpoints=[10], replicas=4)
+            theorem_tail_bound(cfg, obj, tail_delta=0.2, replicas=4)
 
-    @pytest.mark.parametrize("checkpoints", [[], [0, 10], [2.7, 5.9]])
-    def test_theorem_tail_bound_rejects_checkpoints_before_running(self, checkpoints, monkeypatch):
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            (dict(horizon=24), "are [0, 4, 24]: horizon must be >= 25"),  # horizon // 25 would be step 0
+            (dict(horizon=1), "are [0, 0, 1]: horizon must be >= 25"),
+            (dict(mode="ou"), "mode = ou"),
+        ],
+        ids=["horizon_24", "horizon_1", "ou"],
+    )
+    def test_theorem_tail_bound_refuses_before_running(self, changes, match, monkeypatch):
         # the bound is about steps n >= 1; step 0 is the fixed starting point
         def no_engine(*args, **kwargs):
             raise AssertionError("the engine ran")
@@ -377,14 +388,14 @@ class TestEstimators:
         monkeypatch.setattr(diagnostics, "run_blocks", no_engine)
         obj = make_objective()
         cfg = ChainConfig(eta=0.1, beta=4.0, lam=4.0 * obj.smoothness_constant(), n_modes=6, seed=3, horizon=100)
-        with pytest.raises(ValueError, match="checkpoints"):
-            theorem_tail_bound(cfg, obj, delta=0.2, checkpoints=checkpoints, replicas=4)
+        with pytest.raises(ValueError, match=re.escape(match)):
+            theorem_tail_bound(replace(cfg, **changes), obj, tail_delta=0.2, replicas=4)
 
     def test_theorem_tail_bound_reads_the_risks_an_observer_sees(self, monkeypatch):
-        # the tail bound records its checkpoints' risks; a burn_in = 0 run's
+        # the tail bound records its steps' risks; a burn_in = 0 run's
         # observer sees the same risks at those steps, bit for bit
         obj = make_objective()
-        cfg = ChainConfig(eta=0.1, beta=4.0, lam=4.0 * obj.smoothness_constant(), n_modes=6, seed=3, horizon=300)
+        cfg = ChainConfig(eta=0.1, beta=4.0, lam=4.0 * obj.smoothness_constant(), n_modes=6, seed=3, horizon=250)
         replicas = 20
         recorded = []
         run_blocks = diagnostics.run_blocks
@@ -394,17 +405,30 @@ class TestEstimators:
             return recorded[-1]
 
         monkeypatch.setattr(diagnostics, "run_blocks", recording)
-        out = theorem_tail_bound(cfg, obj, delta=0.2, checkpoints=[250, 10, 50], replicas=replicas)
+        rows, _ = theorem_tail_bound(cfg, obj, tail_delta=0.2, replicas=replicas)
         [[summary]] = recorded
         assert summary.steps.tolist() == [0, 10, 50, 250]
         l_star = obj.find_minimizers(cfg.lam).l_star
         seen = {}
         observer = (lambda step, x, risk: seen.update({step: risk}),)
-        run_blocks([(replace(cfg, horizon=250, burn_in=0), obj, range(replicas), observer)], l_star=l_star)
-        for k, row in enumerate(out["rows"], start=1):
+        run_blocks([(replace(cfg, burn_in=0), obj, range(replicas), observer)], l_star=l_star)
+        for k, row in enumerate(rows, start=1):
             risk = seen[row["n"]]
             assert np.array_equal(summary.risk[:, k], risk)
             assert row["p_hat"] == float(np.mean(risk - l_star > 0.2))
+
+    def test_theorem_tail_bound_rhs_uses_the_given_constants(self):
+        # the right-hand side follows kappa and, in the bounded regime, delta
+        obj = make_objective(loss="savage")
+        cfg = ChainConfig(eta=0.1, beta=4.0, lam=0.1, n_modes=6, seed=3, horizon=100)
+        assert obj.dissipativity_constants(cfg.lam)[0] == "bounded"
+        mins = obj.find_minimizers(cfg.lam)
+        for delta, kappa in [(None, 0.1), (0.5, 0.1), (0.5, 0.3)]:
+            rows, _ = theorem_tail_bound(cfg, obj, tail_delta=0.2, replicas=2, delta=delta, kappa=kappa)
+            consts = theory_constants(obj, cfg, mins, delta=delta, kappa=kappa)
+            expected = [tail_bound_terms(consts, mins, cfg.eta, r["n"], 0.2)[2] for r in rows]
+            assert [repr(r["rhs"]) for r in rows] == [repr(v) for v in expected]
+            assert all(math.isnan(v) for v in expected) == (delta is None)
 
 
 class TestRecording:
