@@ -133,6 +133,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_CONFIG
 
 
+def _theory(exp: ExperimentConfig, obj):
+    """(minimizers, theory constants at the config's delta and kappa) for `report` and the
+    tail sweep; a lambda at which no dissipativity regime applies is a [chain] error."""
+    mins = obj.find_minimizers(exp.chain.lam)
+    try:
+        return mins, theory_constants(obj, exp.chain, mins, exp.delta, exp.kappa)
+    except ValueError as exc:  # no dissipativity regime applies at this lambda
+        raise ConfigError(f"{exp.origin}: [chain] lambda = '{exp.chain.lam}': {exc}") from None
+
+
 def _sweep_eta(exp: ExperimentConfig):
     obj = exp.build_objective()
     _, l_center = obj.regularized_minimizer(exp.chain.lam)
@@ -172,9 +182,9 @@ def _sweep_minibatch(exp: ExperimentConfig):
 
 
 def _sweep_tail(exp: ExperimentConfig):
-    rows, verdict = theorem_tail_bound(
-        exp.chain, exp.build_objective(), exp.tail_delta, exp.replicas, delta=exp.delta, kappa=exp.kappa
-    )
+    obj = exp.build_objective()
+    mins, consts = _theory(exp, obj)
+    rows, verdict = theorem_tail_bound(exp.chain, obj, mins, consts, exp.tail_delta, exp.replicas)
     return ["n", "p_hat", "p_se", "rhs"], [(r["n"], r["p_hat"], r["p_se"], r["rhs"]) for r in rows], verdict
 
 
@@ -209,24 +219,13 @@ def cmd_sweep(args) -> int:
 
 
 def _constants_section(exp: ExperimentConfig) -> list[str]:
-    obj = exp.build_objective()
-    lines = []
-    mins = obj.find_minimizers(exp.chain.lam)
-    try:
-        tc = theory_constants(obj, exp.chain, mins, delta=exp.delta, kappa=exp.kappa)
-    except ValueError as exc:  # no dissipativity regime applies at this lambda
-        raise ConfigError(f"{exp.origin}: [chain] lambda = '{exp.chain.lam}': {exc}") from None
-    lines.append(f"regime: {tc.regime}")
+    mins, tc = _theory(exp, exp.build_objective())
+    lines = [f"regime: {tc.regime}"]
     if mins.attained:
         lines.append(f"L* = L(x*): {mins.l_star!r}")
     else:
         lines.append("L* = 0 is the infimum; x* is not attained (separable data)")
-    if tc.regime == "strict":
-        lines.append("c_beta rationale: strict dissipativity (lambda > M mu0), geometric regime, c_beta = 1")
-    else:
-        lines.append(
-            "c_beta rationale: bounded-gradient regime (lambda <= M mu0), c_beta = sqrt(beta)"
-        )
+    lines.append(f"c_beta rationale: {tc.c_beta_rationale}")
     pairs = [
         ("M (smoothness)", tc.M),
         ("B (gradient bound)", tc.B),

@@ -16,6 +16,7 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from . import __version__
 from .diagnostics import _MIN_FIT_POINTS
 from .dynamics import ChainConfig
 from .objective import Dataset, LossFamily, ObjectiveSpec, loss_family
@@ -23,7 +24,7 @@ from .spectral import KernelSpec
 
 __all__ = ["ExperimentConfig", "Manifest", "ConfigError", "TOOL_VERSION"]
 
-TOOL_VERSION = "rkld 0.1.0"
+TOOL_VERSION = f"rkld {__version__}"
 
 
 class ConfigError(ValueError):

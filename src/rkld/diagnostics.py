@@ -23,7 +23,8 @@ __all__ = [
     "RateFit",
     "Verdict",
     "theory_constants",
-    "spectral_gap",
+    "spectral_gap_strict",
+    "spectral_gap_bounded",
     "discrepancy_budget",
     "gibbs_concentration_bound",
     "ou_stationary_variances",
@@ -62,39 +63,28 @@ def ou_moment_bounds(
     return math.sqrt(k2), k2
 
 
-def spectral_gap(
-    regime: str,
-    lam: float,
-    mu0: float,
-    M: float,
-    eta: float,
-    b: float | None = None,
-    delta: float | None = None,
-) -> float:
-    """Geometric-ergodicity rate constant.
+def spectral_gap_strict(lam: float, mu0: float, M: float, eta: float) -> float:
+    """Strictly dissipative regime's geometric-ergodicity rate constant, the exact closed
+    form (lam/mu0 - M) / (1 + eta lam/mu0); eta = 0 gives the continuous-time gap."""
+    gap = lam / mu0 - M
+    if gap <= 0:
+        raise ValueError("strict regime requires lambda > M * mu0")
+    return gap / (1.0 + eta * lam / mu0)
 
-    Strict regime: exact closed form (lam/mu0 - M) / (1 + eta lam/mu0).
-    Bounded regime: formula evaluation for a user-supplied recurrence
-    probability delta; not a certified gap (delta's admissible range is only
-    implicit in the theory).  eta = 0 gives the continuous-time gap.
-    """
-    if regime == "strict":
-        gap = lam / mu0 - M
-        if gap <= 0:
-            raise ValueError("strict regime requires lambda > M * mu0")
-        return gap / (1.0 + eta * lam / mu0)
-    if regime == "bounded":
-        if b is None or delta is None:
-            raise ValueError("bounded regime requires the Lyapunov offset b and delta")
-        if not (0.0 < delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
-        # contraction over one unit of time; eta = 0 takes the exact limit
-        rho_unit = math.exp(-lam / mu0) if eta == 0 else (1.0 + lam * eta / mu0) ** (-1.0 / eta)
-        b_bar = max(b, 1.0)
-        kappa_c = b_bar + 1.0
-        v_bar = 4.0 * b_bar / (math.sqrt((1.0 + rho_unit) / 2.0) - rho_unit)
-        return min(lam / (2.0 * mu0), 0.5) / (4.0 * math.log(kappa_c * (v_bar + 1.0) / (1.0 - delta))) * delta
-    raise ValueError(f"unknown regime: {regime!r}")
+
+def spectral_gap_bounded(lam: float, mu0: float, eta: float, b: float, delta: float) -> float:
+    """Bounded-gradient regime's rate constant for the Lyapunov offset b and a
+    user-supplied recurrence probability delta: a formula evaluation, not a
+    certified gap (delta's admissible range is only implicit in the theory).
+    eta = 0 gives the continuous-time gap."""
+    if not (0.0 < delta < 1.0):
+        raise ValueError("delta must lie in (0, 1)")
+    # contraction over one unit of time; eta = 0 takes the exact limit
+    rho_unit = math.exp(-lam / mu0) if eta == 0 else (1.0 + lam * eta / mu0) ** (-1.0 / eta)
+    b_bar = max(b, 1.0)
+    kappa_c = b_bar + 1.0
+    v_bar = 4.0 * b_bar / (math.sqrt((1.0 + rho_unit) / 2.0) - rho_unit)
+    return min(lam / (2.0 * mu0), 0.5) / (4.0 * math.log(kappa_c * (v_bar + 1.0) / (1.0 - delta))) * delta
 
 
 def discrepancy_budget(n: int, beta: float, eta: float, n_tr: int, m: int) -> float:
@@ -131,6 +121,7 @@ class TheoryConstants:
     lambda_eta: float | None
     lambda_0: float | None
     c_beta: float
+    c_beta_rationale: str
     gibbs_bound: float
     x_tilde_hk_norm: float
     kappa: float
@@ -141,8 +132,8 @@ def theory_constants(
     obj: ObjectiveSpec,
     cfg: ChainConfig,
     minimizers: MinimizerPair,
-    delta: float | None = None,
-    kappa: float = 0.1,
+    delta: float | None,
+    kappa: float,
 ) -> TheoryConstants:
     """Assemble the constant table for a configured run.
 
@@ -158,18 +149,18 @@ def theory_constants(
     if regime == "strict":
         rho = (1.0 + cfg.eta * M) / (1.0 + cfg.lam * cfg.eta / mu0)
         b = float(np.linalg.norm(minimizers.x_star)) + 2.0 * k1 if minimizers.attained else None
-        lam_eta = spectral_gap("strict", cfg.lam, mu0, M, cfg.eta)
-        lam_0 = spectral_gap("strict", cfg.lam, mu0, M, 0.0)
-        c_beta = 1.0
+        lam_eta = spectral_gap_strict(cfg.lam, mu0, M, cfg.eta)
+        lam_0 = spectral_gap_strict(cfg.lam, mu0, M, 0.0)
+        c_beta, rationale = 1.0, "strict dissipativity (lambda > M mu0), geometric regime, c_beta = 1"
     else:
         rho = 1.0 / (1.0 + cfg.lam * cfg.eta / mu0)
         b = (mu0 / cfg.lam) * B + k1
         if delta is not None:
-            lam_eta = spectral_gap("bounded", cfg.lam, mu0, M, cfg.eta, b=b, delta=delta)
-            lam_0 = spectral_gap("bounded", cfg.lam, mu0, M, 0.0, b=b, delta=delta)
+            lam_eta = spectral_gap_bounded(cfg.lam, mu0, cfg.eta, b, delta)
+            lam_0 = spectral_gap_bounded(cfg.lam, mu0, 0.0, b, delta)
         else:
             lam_eta = lam_0 = None
-        c_beta = math.sqrt(cfg.beta)
+        c_beta, rationale = math.sqrt(cfg.beta), "bounded-gradient regime (lambda <= M mu0), c_beta = sqrt(beta)"
     x_tilde_hk = rkhs_norm(minimizers.x_tilde, obj.kernel)
     return TheoryConstants(
         regime=regime,
@@ -183,6 +174,7 @@ def theory_constants(
         lambda_eta=lam_eta,
         lambda_0=lam_0,
         c_beta=c_beta,
+        c_beta_rationale=rationale,
         gibbs_bound=gibbs_concentration_bound(M, cfg.lam, cfg.beta, x_tilde_hk),
         x_tilde_hk_norm=x_tilde_hk,
         kappa=kappa,
@@ -366,7 +358,7 @@ def weak_error_vs_eta(
     etas,
     eta_ref: float,
     l_star: float,
-    replicas: int = 8,
+    replicas: int,
 ) -> RateFit:
     """Invariant-law weak error against step size, by matched-seed Cesaro tails.
 
@@ -397,7 +389,7 @@ def galerkin_error_vs_n(
     cfg_base: ChainConfig,
     n_list,
     n_ref: int,
-    replicas: int = 8,
+    replicas: int,
 ) -> RateFit:
     """Invariant-law error against Galerkin dimension, abscissa mu_{N+1}^(1/2).
 
@@ -440,7 +432,7 @@ def gibbs_gap_vs_beta(
     cfg: ChainConfig,
     obj: ObjectiveSpec,
     betas,
-    replicas: int = 8,
+    replicas: int,
     minimizer: tuple | None = None,
 ) -> tuple[list[dict], Verdict]:
     """Empirical concentration gap at each inverse temperature, in one engine
@@ -490,7 +482,7 @@ def gibbs_gap_vs_beta(
 def gibbs_gap_empirical(
     cfg: ChainConfig,
     obj: ObjectiveSpec,
-    replicas: int = 8,
+    replicas: int,
     minimizer: tuple | None = None,
 ) -> dict:
     """gibbs_gap_vs_beta at the config's own beta."""
@@ -502,7 +494,7 @@ def sgld_discrepancy_vs_m(
     obj: ObjectiveSpec,
     l_star: float,
     ms,
-    replicas: int = 64,
+    replicas: int,
 ) -> tuple[list[dict], Verdict]:
     """Empirical |E phi(X_n) - E phi(Y_n)| between GLD and SGLD sharing noise
     seeds, at each minibatch size m in ms, ascending, in one engine call; and the claim's verdict.
@@ -538,7 +530,7 @@ def sgld_discrepancy(
     cfg: ChainConfig,
     obj: ObjectiveSpec,
     l_star: float,
-    replicas: int = 64,
+    replicas: int,
 ) -> dict:
     """sgld_discrepancy_vs_m at the config's own minibatch size (None: full batch)."""
     m = cfg.minibatch if cfg.minibatch is not None else obj.dataset.size
@@ -565,11 +557,13 @@ def tail_bound_terms(
 
 
 def theorem_tail_bound(
-    cfg: ChainConfig, obj: ObjectiveSpec, tail_delta: float, replicas: int = 200,
-    delta: float | None = None, kappa: float = 0.1,
+    cfg: ChainConfig, obj: ObjectiveSpec, minimizers: MinimizerPair, consts: TheoryConstants,
+    tail_delta: float, replicas: int,
 ) -> tuple[list[dict], Verdict]:
     """Empirical P(L(X_n) - L(x*) > tail_delta) at n = horizon // 25, horizon // 5 and horizon, one row per n
-    next to the bound's right-hand side on the theory constants at delta and kappa; and the claim's verdict."""
+    next to the bound's right-hand side on consts, theory_constants(obj, cfg, minimizers, ...); and the
+    claim's verdict.  Under mode = sgld the right-hand side is nan: tail_bound_terms holds GLD's terms
+    only, without the minibatch discrepancy term of the SGLD bound."""
     if cfg.mode == "ou":
         raise ValueError("mode = ou: the OU chain ignores the loss, so it has no tail of L to bound")
     steps = [cfg.horizon // 25, cfg.horizon // 5, cfg.horizon]
@@ -579,8 +573,6 @@ def theorem_tail_bound(
         raise ValueError("tail_delta must be in (0, 1)")
     if cfg.x0 is not None and np.linalg.norm(cfg.x0) > 1.0 + 1e-12:
         raise ValueError("theorem evaluation requires ||x0|| <= 1")
-    minimizers = obj.find_minimizers(cfg.lam)
-    consts = theory_constants(obj, cfg, minimizers, delta=delta, kappa=kappa)
     # the risk at a checkpoint is recorded whether or not the step is retained:
     # retain only the last step, which skips the Cesaro sums' evaluations
     block = (replace(cfg, burn_in=cfg.horizon - 1), obj, list(range(replicas)), ())
@@ -589,7 +581,7 @@ def theorem_tail_bound(
     for k, n in enumerate(steps, start=1):  # column 0 is step 0
         p_hat = float(np.mean(summary.risk[:, k] - minimizers.l_star > tail_delta))
         p_se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / replicas) / replicas)
-        _, _, rhs = tail_bound_terms(consts, minimizers, cfg.eta, n, tail_delta)
+        rhs = tail_bound_terms(consts, minimizers, cfg.eta, n, tail_delta)[2] if cfg.mode == "gld" else math.nan
         rows.append({"n": n, "p_hat": p_hat, "p_se": p_se, "rhs": rhs})
     return rows, _tail_verdict(rows)
 

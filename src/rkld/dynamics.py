@@ -134,7 +134,7 @@ class RunSummary:
     final_cesaro_risk: np.ndarray
 
 
-def make_rng(seed: int, chain_id: int = 0, stream: int = 0) -> np.random.Generator:
+def make_rng(seed: int, chain_id: int, stream: int) -> np.random.Generator:
     """Counter-based generator on an independent stream keyed by (seed, chain, stream)."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, chain_id, stream))))
 
@@ -264,7 +264,7 @@ class _Block:
         return RunSummary(self.cfg.mode, self.cfg.burn_in_steps, retained, chain_ids, steps, *cols, *finals)
 
 
-def run_blocks(blocks, l_star: float = 0.0, checkpoints=None) -> list[RunSummary]:
+def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
     """Advance several ensembles in lockstep, one loop for all of them.
 
     A block is a (cfg, obj, chain_ids, observers) tuple: one replica of the
@@ -347,7 +347,7 @@ def run_blocks(blocks, l_star: float = 0.0, checkpoints=None) -> list[RunSummary
     return [s.summary() for s in states]
 
 
-def run_ensemble(cfg: ChainConfig, obj: ObjectiveSpec, l_star: float = 0.0) -> list[RunSummary]:
+def run_ensemble(cfg: ChainConfig, obj: ObjectiveSpec, l_star: float) -> list[RunSummary]:
     """run_blocks with one block of chain id 0 and no observers: a
     one-element list of its one-row summary."""
     return run_blocks([(cfg, obj, [0], ())], l_star)

@@ -22,7 +22,7 @@ from rkld.diagnostics import (
     ou_stationary_variances,
     quadratic_gibbs_gap_exact,
     sgld_discrepancy_vs_m,
-    spectral_gap,
+    spectral_gap_strict,
     theorem_tail_bound,
     theory_constants,
     weak_error_vs_eta,
@@ -62,7 +62,7 @@ def test_01_closed_form_suite():
 
     # strict-regime identity 1 - eta G(eta) = (1 + eta M) / (1 + eta lam / mu0)
     for lam, mu0, M, eta in [(2.0, 1.0, 1.0, 0.3), (6.0, 0.5, 2.0, 0.05), (4.0, 1.0, 0.5, 1.0)]:
-        gap = spectral_gap("strict", lam, mu0, M, eta)
+        gap = spectral_gap_strict(lam, mu0, M, eta)
         errors.append(abs(1.0 - eta * gap - (1.0 + eta * M) / (1.0 + eta * lam / mu0)))
 
     # minibatch budget r_n at (10, 1, 0.1, 10, 5) and the Gibbs bound example
@@ -144,7 +144,8 @@ def test_04_ou_stationary_variance():
         sumsq[:] += x**2
         count += 1
 
-    run_blocks([(cfg, objective(n_modes=8), list(range(replicas)), (accumulate,))])
+    # l_star centres phi, which this test does not read
+    run_blocks([(cfg, objective(n_modes=8), list(range(replicas)), (accumulate,))], l_star=0.0)
     assert count == 100_000
     var = sumsq / count - (sums / count) ** 2
     mean_var = var.mean(axis=0)
@@ -177,7 +178,8 @@ def coupled_distances(cfg, obj, x0a, x0b):
                 (lambda step, x, risk, path=path: path.append(x[0].copy()),),
             )
             for x0, path in zip(x0s, paths)
-        ]
+        ],
+        l_star=0.0,  # centres phi, which is not read
     )
     return np.linalg.norm(np.array(paths[0]) - np.array(paths[1]), axis=1)
 
@@ -217,9 +219,9 @@ def test_06_lyapunov_drift_bounded_logistic():
     cfg = ChainConfig(
         eta=0.05, beta=4.0, lam=lam, n_modes=8, seed=42, horizon=1000, burn_in=0, x0=x0
     )
-    tc = theory_constants(obj, cfg, obj.find_minimizers(cfg.lam))
+    tc = theory_constants(obj, cfg, obj.find_minimizers(cfg.lam), delta=None, kappa=0.1)
     assert tc.regime == "bounded"
-    [summary] = run_blocks([(cfg, obj, list(range(200)), ())])
+    [summary] = run_blocks([(cfg, obj, list(range(200)), ())], l_star=0.0)  # phi is not read
     steps, norms = summary.steps, summary.norm
     idx = np.linspace(1, len(steps) - 1, 10).astype(int)
     margins = []
@@ -325,7 +327,9 @@ def test_11_tail_probability_shape():
     eta = 0.1
     # horizon 25/eta: the tail steps horizon // 25, horizon // 5 and horizon are 1/eta, 5/eta and 25/eta
     cfg = ChainConfig(eta=eta, beta=256.0, lam=lam, n_modes=16, seed=42, horizon=int(25 / eta))
-    rows, verdict = theorem_tail_bound(cfg, obj, tail_delta=0.2, replicas=200)
+    mins = obj.find_minimizers(cfg.lam)
+    consts = theory_constants(obj, cfg, mins, delta=None, kappa=0.1)
+    rows, verdict = theorem_tail_bound(cfg, obj, mins, consts, tail_delta=0.2, replicas=200)
     elapsed = time.time() - t0
     report(
         11,

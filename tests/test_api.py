@@ -5,8 +5,10 @@ Catches dangling entries in a module's __all__ after code is deleted or
 renamed, a re-export in the package's __init__, a heavy import reaching the
 CLI's start-up, a third-party import missing from pyproject.toml, a public
 function, method or class that no code in src/ or perfbench/ reaches, a
-defaulted parameter that no call there passes, and a defaulted dataclass
-field that no code there sets.  Tests do not count as callers.
+defaulted parameter that no call there passes, a default that every call
+there overrides (a second statement of a value the config decides), and a
+defaulted dataclass field that no code there sets.  Tests do not count as
+callers.  The package's version matches pyproject.toml's.
 """
 
 import ast
@@ -22,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import rkld
+from rkld.config import Manifest
 
 MODULES = sorted(f"rkld.{m.name}" for m in pkgutil.iter_modules(rkld.__path__))
 
@@ -64,6 +67,14 @@ def test_cli_import_loads_no_scipy():
     probe = "import sys, rkld, rkld.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_one_version_string():
+    # pyproject.toml states the version; the package and every manifest read it from there
+    tomllib = pytest.importorskip("tomllib")
+    version = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["version"]
+    assert rkld.__version__ == version
+    assert Manifest(config_hash="0" * 16).tool_version == f"rkld {version}"
 
 
 def test_third_party_imports_are_declared_dependencies():
@@ -151,8 +162,8 @@ def _public_callables():
         yield from _callables(tree)
 
 
-def test_every_defaulted_parameter_has_a_caller():
-    # a parameter that the program never passes is a knob nobody turns: hard-code its value
+def _program_calls() -> dict[str, list[ast.Call]]:
+    """Every call in program code, by the name it calls."""
     calls: dict[str, list[ast.Call]] = {}
     for tree in _parsed(*PROGRAM):
         for node in ast.walk(tree):
@@ -160,6 +171,12 @@ def test_every_defaulted_parameter_has_a_caller():
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
+    return calls
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    # a parameter that the program never passes is a knob nobody turns: hard-code its value
+    calls = _program_calls()
     unpassed, defaulted = [], set()
     for label, called_as, (positional, keyword_only, defaulted_names) in _public_callables():
         if label in UNREACHED:
@@ -174,6 +191,20 @@ def test_every_defaulted_parameter_has_a_caller():
     assert set(CALLBACK_PARAMETERS) <= defaulted, "stale CALLBACK_PARAMETERS entry"
 
 
+def test_every_default_is_relied_on():
+    # a default that every program call overrides states a value nobody uses: a
+    # second, possibly different, copy of one decided elsewhere (a config key)
+    calls = _program_calls()
+    overridden = []
+    for label, called_as, (positional, keyword_only, defaulted_names) in _public_callables():
+        reaching = calls.get(called_as, [])
+        if not reaching:
+            continue
+        passed = set.intersection(*(_passed(positional, keyword_only, c) for c in reaching))
+        overridden += [f"{label}({name})" for name in defaulted_names if name in passed]
+    assert not overridden, f"every call in src/ or perfbench/ passes {overridden}: drop the default"
+
+
 def test_every_public_callable_is_reached():
     # a public function, method or class that only tests reach is API that nobody runs
     referenced = set()
@@ -186,6 +217,20 @@ def test_every_public_callable_is_reached():
     unreached = {label for label, called_as, _ in _public_callables() if called_as not in referenced}
     assert unreached <= set(UNREACHED), f"nothing in src/ or perfbench/ reaches {sorted(unreached - set(UNREACHED))}"
     assert set(UNREACHED) <= unreached, "stale UNREACHED entry"
+
+
+def test_only_theory_constants_branches_on_the_regime():
+    # the regime is decided once; every other rule reads the constants it picked
+    branching = []
+    for tree in _parsed(ROOT / "src" / "rkld"):
+        for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            operands = [
+                operand for node in ast.walk(fn) if isinstance(node, ast.Compare)
+                for operand in (node.left, *node.comparators)
+            ]
+            if any(isinstance(o, ast.Constant) and o.value in ("strict", "bounded") for o in operands):
+                branching.append(fn.name)
+    assert branching == ["theory_constants"]
 
 
 # Defaulted fields of public dataclasses that no src/ or perfbench/ code sets,

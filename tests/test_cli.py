@@ -506,6 +506,13 @@ def _centre(exp):
     return exp.build_objective().regularized_minimizer(exp.chain.lam)[1]
 
 
+def _theory(exp):
+    """The tail sweep's minimizers and theory constants, at the config's delta and kappa."""
+    obj = exp.build_objective()
+    mins = obj.find_minimizers(exp.chain.lam)
+    return mins, diagnostics.theory_constants(obj, exp.chain, mins, exp.delta, exp.kappa)
+
+
 # each sweep's experiment as the CLI calls it, and the verdict it returns
 EXPERIMENTS = {
     "eta": lambda exp: diagnostics.weak_error_vs_eta(
@@ -521,7 +528,7 @@ EXPERIMENTS = {
         exp.chain, exp.build_objective(), _centre(exp), exp.m_grid, replicas=exp.replicas
     )[1],
     "tail": lambda exp: diagnostics.theorem_tail_bound(
-        exp.chain, exp.build_objective(), exp.tail_delta, exp.replicas, delta=exp.delta, kappa=exp.kappa
+        exp.chain, exp.build_objective(), *_theory(exp), exp.tail_delta, exp.replicas
     )[1],
 }
 
@@ -787,6 +794,25 @@ class TestReport:
         gap = 0.1 - ExperimentConfig.load(cfg).build_objective().smoothness_constant()
         reason = f"no dissipativity regime applies: lambda/mu0 - M = {gap:.6g} <= 0 and the gradient is unbounded"
         assert capsys.readouterr().err == f"config error: {manifest}: [chain] lambda = '0.1': {reason}\n"
+
+    def test_no_dissipativity_regime_reads_the_same_in_sweep_and_report(self, tmp_path, monkeypatch, capsys):
+        # one rule, one label: the tail sweep refuses the config before any chain step, as report does
+        cfg = tmp_path / "weak.ini"
+        cfg.write_text(BASE.replace("lambda = 6.0", "lambda = 0.1") + "\n[experiment]\nreplicas = 2\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = out / f"{tag_of(cfg)}_manifest.json"
+        capsys.readouterr()
+        assert main(["report", "--manifest", str(manifest), "--out", str(out)]) == 1
+        reported = capsys.readouterr().err.removeprefix(f"config error: {manifest}: ")
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(diagnostics, "run_blocks", no_engine)
+        assert main(["sweep", "--axis", "tail", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 1
+        swept = capsys.readouterr().err.removeprefix(f"config error: {cfg}: ")
+        assert swept == reported and swept.startswith("[chain] lambda = '0.1': no dissipativity regime applies")
 
     def test_commands_write_their_own_manifests(self, tmp_path, capsys):
         # a verify or sweep after a run leaves the run's manifest, and so its summary, in place

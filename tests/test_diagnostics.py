@@ -19,7 +19,8 @@ from rkld.diagnostics import (
     quadratic_gibbs_gap_exact,
     sgld_discrepancy,
     sgld_discrepancy_vs_m,
-    spectral_gap,
+    spectral_gap_bounded,
+    spectral_gap_strict,
     tail_bound_terms,
     theorem_tail_bound,
     theory_constants,
@@ -33,6 +34,14 @@ from rkld.spectral import KernelSpec
 def make_objective(n_modes=6, loss="squared", gamma=1.5, n=8, seed=5, kind="regression"):
     ds = Dataset.synthesize(n, seed=seed, kind=kind)
     return ObjectiveSpec(ds, loss_family(loss), KernelSpec(gamma=gamma), n_modes)
+
+
+def tail_bound(cfg, obj, replicas):
+    """theorem_tail_bound at tail_delta = 0.2 as `rkld sweep --axis tail` calls
+    it on a config with no delta and kappa = 0.1."""
+    mins = obj.find_minimizers(cfg.lam)
+    consts = theory_constants(obj, cfg, mins, delta=None, kappa=0.1)
+    return theorem_tail_bound(cfg, obj, mins, consts, 0.2, replicas)
 
 
 class TestClosedForms:
@@ -53,24 +62,23 @@ class TestClosedForms:
         assert k2 > 0
 
     def test_spectral_gap_strict(self):
-        assert spectral_gap("strict", 2.0, 1.0, 1.0, 0.0) == pytest.approx(1.0)
-        assert spectral_gap("strict", 2.0, 1.0, 1.0, 1.0) == pytest.approx(1.0 / 3.0)
+        assert spectral_gap_strict(2.0, 1.0, 1.0, 0.0) == pytest.approx(1.0)
+        assert spectral_gap_strict(2.0, 1.0, 1.0, 1.0) == pytest.approx(1.0 / 3.0)
         with pytest.raises(ValueError):
-            spectral_gap("strict", 1.0, 1.0, 2.0, 0.1)
+            spectral_gap_strict(1.0, 1.0, 2.0, 0.1)
 
     def test_strict_gap_contraction_identity(self):
         # 1 - eta * gap(eta) == (1 + eta M) / (1 + eta lam / mu0)
         for lam, mu0, M, eta in [(2.0, 1.0, 1.0, 0.3), (6.0, 0.5, 2.0, 0.05)]:
-            gap = spectral_gap("strict", lam, mu0, M, eta)
+            gap = spectral_gap_strict(lam, mu0, M, eta)
             rho = (1.0 + eta * M) / (1.0 + eta * lam / mu0)
             assert 1.0 - eta * gap == pytest.approx(rho, abs=1e-12)
 
     def test_spectral_gap_bounded_requires_inputs(self):
-        with pytest.raises(ValueError):
-            spectral_gap("bounded", 1.0, 1.0, 2.0, 0.1)
-        with pytest.raises(ValueError):
-            spectral_gap("bounded", 1.0, 1.0, 2.0, 0.1, b=1.0, delta=1.5)
-        g = spectral_gap("bounded", 1.0, 1.0, 2.0, 0.1, b=1.0, delta=0.5)
+        # delta is a probability: the formula is defined for delta in (0, 1) only
+        with pytest.raises(ValueError, match="delta must lie in"):
+            spectral_gap_bounded(1.0, 1.0, 0.1, b=1.0, delta=1.5)
+        g = spectral_gap_bounded(1.0, 1.0, 0.1, b=1.0, delta=0.5)
         assert 0 < g < 1
 
     def test_spectral_gap_bounded_exact_limit(self):
@@ -79,10 +87,10 @@ class TestClosedForms:
         r = math.exp(-lam / mu0)
         v_bar = 4.0 * b / (math.sqrt((1.0 + r) / 2.0) - r)
         expect = lam / (2.0 * mu0) / (4.0 * math.log((b + 1.0) * (v_bar + 1.0) / (1.0 - delta))) * delta
-        assert spectral_gap("bounded", lam, mu0, 1.0, 0.0, b=b, delta=delta) == pytest.approx(
+        assert spectral_gap_bounded(lam, mu0, 0.0, b=b, delta=delta) == pytest.approx(
             expect, rel=1e-12
         )
-        near = spectral_gap("bounded", lam, mu0, 1.0, 1e-6, b=b, delta=delta)
+        near = spectral_gap_bounded(lam, mu0, 1e-6, b=b, delta=delta)
         assert near == pytest.approx(expect, rel=1e-5)
 
     def test_discrepancy_budget(self):
@@ -112,7 +120,7 @@ class TestTheoryConstants:
         M = obj.smoothness_constant()
         cfg = ChainConfig(eta=0.05, beta=4.0, lam=4.0 * M, n_modes=6, seed=1, horizon=100)
         pair = obj.find_minimizers(cfg.lam)
-        c = theory_constants(obj, cfg, pair)
+        c = theory_constants(obj, cfg, pair, delta=None, kappa=0.1)
         assert c.regime == "strict"
         assert c.m == pytest.approx((4.0 * M - M) / 2.0, rel=1e-12)
         assert c.rho == pytest.approx((1.0 + 0.05 * M) / (1.0 + 0.05 * 4.0 * M), rel=1e-12)
@@ -129,7 +137,7 @@ class TestTheoryConstants:
         cfg = ChainConfig(eta=0.05, beta=4.0, lam=4.0 * M, n_modes=8, seed=1, horizon=100)
         pair = obj.find_minimizers(cfg.lam)
         assert not pair.attained  # 8 points, 8 modes: separable
-        c = theory_constants(obj, cfg, pair)
+        c = theory_constants(obj, cfg, pair, delta=None, kappa=0.1)
         assert c.regime == "strict" and c.b is None
         assert c.lambda_0 == pytest.approx(3.0 * M, rel=1e-12)
 
@@ -139,14 +147,14 @@ class TestTheoryConstants:
         lam = 0.25 * M
         cfg = ChainConfig(eta=0.05, beta=4.0, lam=lam, n_modes=6, seed=1, horizon=100)
         pair = obj.find_minimizers(cfg.lam)
-        c = theory_constants(obj, cfg, pair, delta=0.5)
+        c = theory_constants(obj, cfg, pair, delta=0.5, kappa=0.1)
         assert c.regime == "bounded"
         assert c.rho == pytest.approx(1.0 / (1.0 + lam * 0.05), rel=1e-12)
         assert c.b == pytest.approx((1.0 / lam) * obj.gradient_bound() + c.k1, rel=1e-12)
         assert c.c_beta == pytest.approx(2.0)
         assert c.lambda_eta is not None and c.lambda_eta > 0
-        assert c.lambda_0 == spectral_gap("bounded", lam, obj.kernel.mu0, M, 0.0, b=c.b, delta=0.5)
-        no_delta = theory_constants(obj, cfg, pair)
+        assert c.lambda_0 == spectral_gap_bounded(lam, obj.kernel.mu0, 0.0, b=c.b, delta=0.5)
+        no_delta = theory_constants(obj, cfg, pair, delta=None, kappa=0.1)
         assert no_delta.lambda_eta is None
 
 
@@ -347,7 +355,7 @@ class TestEstimators:
         obj = make_objective()
         M = obj.smoothness_constant()
         cfg = ChainConfig(eta=0.1, beta=4.0, lam=4.0 * M, n_modes=6, seed=3, horizon=250)
-        rows, verdict = theorem_tail_bound(cfg, obj, tail_delta=0.2, replicas=20)
+        rows, verdict = tail_bound(cfg, obj, replicas=20)
         assert [r["n"] for r in rows] == [10, 50, 250]  # horizon // 25, horizon // 5 and horizon
         for r in rows:
             assert sorted(r) == ["n", "p_hat", "p_se", "rhs"]
@@ -355,6 +363,17 @@ class TestEstimators:
             assert r["p_se"] > 0
             assert math.isfinite(r["rhs"]) and r["rhs"] > 0
         assert verdict == diagnostics._tail_verdict(rows)
+
+    def test_theorem_tail_bound_has_no_sgld_right_hand_side(self):
+        # tail_bound_terms holds GLD's terms only, so an SGLD chain's rhs is nan; at
+        # m = n_tr the SGLD chain is GLD bit for bit, so the tail estimates agree
+        obj = make_objective()
+        cfg = ChainConfig(eta=0.1, beta=4.0, lam=4.0 * obj.smoothness_constant(), n_modes=6, seed=3, horizon=250)
+        gld, gld_verdict = tail_bound(cfg, obj, replicas=20)
+        sgld, sgld_verdict = tail_bound(replace(cfg, mode="sgld", minibatch=obj.dataset.size), obj, replicas=20)
+        assert all(math.isnan(r["rhs"]) for r in sgld) and all(math.isfinite(r["rhs"]) for r in gld)
+        assert [{**r, "rhs": None} for r in sgld] == [{**r, "rhs": None} for r in gld]
+        assert sgld_verdict == gld_verdict
 
     def test_theorem_tail_bound_rejects_large_x0(self):
         obj = make_objective()
@@ -369,7 +388,7 @@ class TestEstimators:
             x0=np.full(6, 2.0),
         )
         with pytest.raises(ValueError):
-            theorem_tail_bound(cfg, obj, tail_delta=0.2, replicas=4)
+            tail_bound(cfg, obj, replicas=4)
 
     @pytest.mark.parametrize(
         "changes, match",
@@ -389,7 +408,7 @@ class TestEstimators:
         obj = make_objective()
         cfg = ChainConfig(eta=0.1, beta=4.0, lam=4.0 * obj.smoothness_constant(), n_modes=6, seed=3, horizon=100)
         with pytest.raises(ValueError, match=re.escape(match)):
-            theorem_tail_bound(replace(cfg, **changes), obj, tail_delta=0.2, replicas=4)
+            tail_bound(replace(cfg, **changes), obj, replicas=4)
 
     def test_theorem_tail_bound_reads_the_risks_an_observer_sees(self, monkeypatch):
         # the tail bound records its steps' risks; a burn_in = 0 run's
@@ -405,7 +424,7 @@ class TestEstimators:
             return recorded[-1]
 
         monkeypatch.setattr(diagnostics, "run_blocks", recording)
-        rows, _ = theorem_tail_bound(cfg, obj, tail_delta=0.2, replicas=replicas)
+        rows, _ = tail_bound(cfg, obj, replicas=replicas)
         [[summary]] = recorded
         assert summary.steps.tolist() == [0, 10, 50, 250]
         l_star = obj.find_minimizers(cfg.lam).l_star
@@ -424,8 +443,8 @@ class TestEstimators:
         assert obj.dissipativity_constants(cfg.lam)[0] == "bounded"
         mins = obj.find_minimizers(cfg.lam)
         for delta, kappa in [(None, 0.1), (0.5, 0.1), (0.5, 0.3)]:
-            rows, _ = theorem_tail_bound(cfg, obj, tail_delta=0.2, replicas=2, delta=delta, kappa=kappa)
             consts = theory_constants(obj, cfg, mins, delta=delta, kappa=kappa)
+            rows, _ = theorem_tail_bound(cfg, obj, mins, consts, 0.2, replicas=2)
             expected = [tail_bound_terms(consts, mins, cfg.eta, r["n"], 0.2)[2] for r in rows]
             assert [repr(r["rhs"]) for r in rows] == [repr(v) for v in expected]
             assert all(math.isnan(v) for v in expected) == (delta is None)

@@ -194,7 +194,8 @@ class TestCoupledRun:
             [
                 (dataclasses.replace(cfg, x0=x0), obj, [0], (lambda step, x, risk, path=path: path.append(x[0].copy()),))
                 for x0, path in zip(x0s, paths)
-            ]
+            ],
+            l_star=0.0,
         )
         d = np.linalg.norm(np.array(paths[0]) - np.array(paths[1]), axis=1)
         assert len(d) == 501
@@ -288,7 +289,7 @@ class TestRunEnsemble:
         cfg4 = make_cfg(n_modes=4, horizon=40, burn_in=0)
         states = []
         wide, narrow = run_blocks(
-            [(cfg6, obj6, [0], ()), (cfg4, obj4, [0], (lambda step, x, risk: states.append(x.copy()),))]
+            [(cfg6, obj6, [0], ()), (cfg4, obj4, [0], (lambda step, x, risk: states.append(x.copy()),))], l_star=0.0
         )
         assert wide.retained_steps == narrow.retained_steps == 40
         assert not np.array_equal(wide.risk, narrow.risk)
@@ -397,7 +398,7 @@ class TestRunEnsemble:
         obj = make_objective()
         cfg = ChainConfig(eta=50.0, beta=100.0, lam=1e-6, n_modes=6, seed=1, horizon=100_000)
         with pytest.raises(NumericalAbort) as exc_info:
-            run_ensemble(cfg, obj)
+            run_ensemble(cfg, obj, l_star=0.0)
         partial = exc_info.value.partial
         assert partial is not None and len(partial) == 1
         assert partial[0].steps[0] == 0 and np.all(np.diff(partial[0].steps) > 0)
@@ -594,7 +595,7 @@ class TestRunBlocks:
         grad_array = ObjectiveSpec.grad_array
         monkeypatch.setattr(ObjectiveSpec, "grad_array", lambda self, x: grads.append(1) or grad_array(self, x))
         with pytest.raises(ValueError, match="lockstep"):
-            run_blocks([(cfg, obj, [0], ()), (dataclasses.replace(cfg, **change), obj, [1], ())])
+            run_blocks([(cfg, obj, [0], ()), (dataclasses.replace(cfg, **change), obj, [1], ())], l_star=0.0)
         assert grads == []
 
     @pytest.mark.parametrize("mode", ["gld", "sgld", "ou"])
@@ -608,7 +609,8 @@ class TestRunBlocks:
                 [
                     (make_cfg(burn_in=0, mode=mode), make_objective(), [0], (lambda step, x, risk: seen.append(step),)),
                     (make_cfg(n_modes=4, burn_in=0, mode=mode), obj, [0], ()),
-                ]
+                ],
+                l_star=0.0,
             )
         assert seen == []
 
@@ -643,7 +645,7 @@ class TestCheckpoints:
             method = getattr(ObjectiveSpec, name)
             monkeypatch.setattr(ObjectiveSpec, name, lambda self, x, method=method: calls.append(1) or method(self, x))
         with pytest.raises(ValueError, match="checkpoints"):
-            run_blocks([(make_cfg(), obj, [0], ())], checkpoints=checkpoints)
+            run_blocks([(make_cfg(), obj, [0], ())], l_star=0.0, checkpoints=checkpoints)
         assert calls == []
 
 
