@@ -248,13 +248,13 @@ def _constants_section(exp: ExperimentConfig) -> list[str]:
     # per-term tail bound decomposition at n = horizon
     n = exp.chain.horizon
     lines.append(f"tail bound decomposition at n = {n} (delta = {exp.tail_delta}):")
-    markov, terms, total = tail_bound_terms(tc, mins, exp.chain.eta, n, exp.tail_delta)
+    markov, terms, total, why_nan = tail_bound_terms(tc, mins, exp.chain, n, exp.tail_delta)
     lines.append(f"  markov factor 5/delta: {markov!r}")
+    lines.extend(f"  {label}: {value!r}" for label, value in terms.items())
     if terms:
-        lines.extend(f"  {label}: {value!r}" for label, value in terms.items())
         lines.append(f"  total (x markov factor): {total!r}")
-    else:
-        lines.append("  spectral gap needs [experiment] delta in the bounded regime; terms n/a")
+    if why_nan:
+        lines.append(f"  {why_nan}")
     return lines
 
 

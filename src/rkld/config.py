@@ -157,7 +157,7 @@ class ExperimentConfig:
     origin: str = "<config>"  # the config's or manifest's path, for errors raised after parsing
 
     @classmethod
-    def load(cls, path: str | Path, seed_override: int | None = None) -> "ExperimentConfig":
+    def load(cls, path: str | Path, seed_override: int | None) -> "ExperimentConfig":
         """The config file at path; seed_override is the --seed flag, held to the config's seed rule."""
         if seed_override is not None:
             try:

@@ -538,22 +538,28 @@ def sgld_discrepancy(
 
 
 def tail_bound_terms(
-    consts: TheoryConstants, minimizers: MinimizerPair, eta: float, n: int, tail_delta: float
-) -> tuple[float, dict[str, float], float]:
-    """The tail bound at step n: the Markov factor 5/tail_delta (the 1/sigma(delta) <= 5/delta relaxation),
-    the terms it multiplies, keyed by formula, and the right-hand side, their product with unit leading
-    constants; without a spectral gap the terms are empty and the right-hand side is nan."""
+    consts: TheoryConstants, minimizers: MinimizerPair, cfg: ChainConfig, n: int, tail_delta: float
+) -> tuple[float, dict[str, float], float, str | None]:
+    """The tail bound at step n of cfg's chain: the Markov factor 5/tail_delta (the 1/sigma(delta) <= 5/delta
+    relaxation), the terms it multiplies, keyed by formula, the right-hand side, their product with unit
+    leading constants, and why that is nan (None when it is not).  Without a spectral gap the terms are
+    empty; under mode = sgld the terms are GLD's, and the right-hand side is nan, since the SGLD bound adds
+    a minibatch discrepancy term they do not hold."""
     markov = 5.0 / tail_delta
     if consts.lambda_eta is None or consts.lambda_0 is None:
-        return markov, {}, math.nan
+        return markov, {}, math.nan, "spectral gap needs [experiment] delta in the bounded regime; terms n/a"
     terms = {
-        "exp(-Lambda*_eta (eta n - 1))": math.exp(-consts.lambda_eta * (eta * n - 1.0)),
+        "exp(-Lambda*_eta (eta n - 1))": math.exp(-consts.lambda_eta * (cfg.eta * n - 1.0)),
         "(c_beta / Lambda*_0) eta^(1/2 - kappa)": (consts.c_beta / consts.lambda_0)
-        * eta ** (0.5 - consts.kappa),
+        * cfg.eta ** (0.5 - consts.kappa),
         "gibbs concentration term": consts.gibbs_bound,
         "L(x~) - L(x*)": minimizers.l_tilde - minimizers.l_star,
     }
-    return markov, terms, markov * sum(terms.values())
+    if cfg.mode == "sgld":
+        return markov, terms, math.nan, (
+            "mode = sgld: these are GLD's terms; the SGLD bound adds a minibatch discrepancy term, so the total is nan"
+        )
+    return markov, terms, markov * sum(terms.values()), None
 
 
 def theorem_tail_bound(
@@ -562,8 +568,7 @@ def theorem_tail_bound(
 ) -> tuple[list[dict], Verdict]:
     """Empirical P(L(X_n) - L(x*) > tail_delta) at n = horizon // 25, horizon // 5 and horizon, one row per n
     next to the bound's right-hand side on consts, theory_constants(obj, cfg, minimizers, ...); and the
-    claim's verdict.  Under mode = sgld the right-hand side is nan: tail_bound_terms holds GLD's terms
-    only, without the minibatch discrepancy term of the SGLD bound."""
+    claim's verdict.  The right-hand side is tail_bound_terms', nan under mode = sgld."""
     if cfg.mode == "ou":
         raise ValueError("mode = ou: the OU chain ignores the loss, so it has no tail of L to bound")
     steps = [cfg.horizon // 25, cfg.horizon // 5, cfg.horizon]
@@ -581,7 +586,7 @@ def theorem_tail_bound(
     for k, n in enumerate(steps, start=1):  # column 0 is step 0
         p_hat = float(np.mean(summary.risk[:, k] - minimizers.l_star > tail_delta))
         p_se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / replicas) / replicas)
-        rhs = tail_bound_terms(consts, minimizers, cfg.eta, n, tail_delta)[2] if cfg.mode == "gld" else math.nan
+        rhs = tail_bound_terms(consts, minimizers, cfg, n, tail_delta)[2]
         rows.append({"n": n, "p_hat": p_hat, "p_se": p_se, "rhs": rhs})
     return rows, _tail_verdict(rows)
 

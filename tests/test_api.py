@@ -162,16 +162,43 @@ def _public_callables():
         yield from _callables(tree)
 
 
-def _program_calls() -> dict[str, list[ast.Call]]:
-    """Every call in program code, by the name it calls."""
-    calls: dict[str, list[ast.Call]] = {}
+def _root(node):
+    """The name an attribute chain starts from (`np` in `np.random.Generator`), or None."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _program_calls() -> dict[str, list[tuple[str | None, ast.Call]]]:
+    """Every call in program code that can reach rkld, by the name it calls, with
+    the public rkld class it is made on when it names one (`Manifest.load(p)`).
+    A call on an imported module other than rkld's (`json.load(fh)`,
+    `np.zeros(n)`) is left out."""
+    classes = {node.name for tree in _parsed(ROOT / "src" / "rkld") for node in tree.body
+               if isinstance(node, ast.ClassDef) and not node.name.startswith("_")}
+    calls: dict[str, list[tuple[str | None, ast.Call]]] = {}
     for tree in _parsed(*PROGRAM):
+        foreign = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name.split(".")[0] != "rkld"
+        }
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                calls.setdefault(name, []).append(node)
+                if isinstance(func, ast.Name):
+                    calls.setdefault(func.id, []).append((None, node))
+                elif isinstance(func, ast.Attribute) and _root(func.value) not in foreign:
+                    on = func.value.id if isinstance(func.value, ast.Name) and func.value.id in classes else None
+                    calls.setdefault(func.attr, []).append((on, node))
     return calls
+
+
+def _reaching(calls, label, called_as) -> list[ast.Call]:
+    """The program calls that may reach the callable `label`: a method's calls made
+    on another rkld class (`Manifest.load` for `ExperimentConfig.load`) are not."""
+    cls = label.split(".")[0] if "." in label else None
+    return [call for on, call in calls.get(called_as, []) if on in (None, cls)]
 
 
 def test_every_defaulted_parameter_has_a_caller():
@@ -181,7 +208,7 @@ def test_every_defaulted_parameter_has_a_caller():
     for label, called_as, (positional, keyword_only, defaulted_names) in _public_callables():
         if label in UNREACHED:
             continue
-        passed = set().union(*(_passed(positional, keyword_only, c) for c in calls.get(called_as, [])))
+        passed = set().union(*(_passed(positional, keyword_only, c) for c in _reaching(calls, label, called_as)))
         for name in defaulted_names:
             key = f"{label}({name})"
             defaulted.add(key)
@@ -197,7 +224,7 @@ def test_every_default_is_relied_on():
     calls = _program_calls()
     overridden = []
     for label, called_as, (positional, keyword_only, defaulted_names) in _public_callables():
-        reaching = calls.get(called_as, [])
+        reaching = _reaching(calls, label, called_as)
         if not reaching:
             continue
         passed = set.intersection(*(_passed(positional, keyword_only, c) for c in reaching))

@@ -169,7 +169,7 @@ def config_file(tmp_path):
 
 
 def tag_of(path):
-    return ExperimentConfig.load(path).config_hash()
+    return ExperimentConfig.load(path, seed_override=None).config_hash()
 
 
 class TestRun:
@@ -309,7 +309,7 @@ class TestSweep:
         cfg.write_text(base.replace("horizon = 2000", "horizon = 200") + "\n[experiment]\nreplicas = 2\n" + grid)
         out = tmp_path / "out"
         code = main(["sweep", "--axis", axis, "--config", str(cfg), "--out", str(out)])
-        verdict = EXPERIMENTS[axis](ExperimentConfig.load(cfg))
+        verdict = EXPERIMENTS[axis](ExperimentConfig.load(cfg, seed_override=None))
         assert code == (3 if verdict.word == "INCONCLUSIVE" else 0)
         assert capsys.readouterr().out == verdict.lines[0] + "\n"
         assert (out / f"{tag_of(cfg)}_sweep_{axis}_verdict.txt").read_text().splitlines() == list(verdict.lines)
@@ -419,6 +419,23 @@ class TestSweep:
             last = list(csv.DictReader(fh))[-1]
         assert list(last) == ["n", "p_hat", "p_se", "rhs"] and last["n"] == "2000"
         assert f"  total (x markov factor): {last['rhs']}" in (out / f"{stem}_report.txt").read_text().splitlines()
+
+    def test_sgld_tail_total_is_nan_in_the_sweep_and_the_report(self, tmp_path):
+        # the tail bound's terms are GLD's: under sgld the report prints them with a nan total and its reason
+        cfg = tmp_path / "sgld.ini"
+        cfg.write_text(BASE.replace("seed = 42", "seed = 42\nminibatch = 3") + "\n[experiment]\nmode = sgld\nreplicas = 2\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--axis", "tail", "--config", str(cfg), "--out", str(out)]) == 0
+        stem = f"{tag_of(cfg)}_sweep_tail"
+        assert main(["report", "--manifest", str(out / f"{stem}_manifest.json"), "--out", str(out)]) == 0
+        with open(out / f"{stem}.csv", newline="") as fh:
+            assert [r["rhs"] for r in csv.DictReader(fh)] == ["nan"] * 3
+        report = (out / f"{stem}_report.txt").read_text().splitlines()
+        total = report.index("  total (x markov factor): nan")
+        assert report[total - 1].startswith("  L(x~) - L(x*): ")
+        assert report[total + 1] == (
+            "  mode = sgld: these are GLD's terms; the SGLD bound adds a minibatch discrepancy term, so the total is nan"
+        )
 
     def test_beta_sweep_without_stationarity_is_inconclusive(self, tmp_path, monkeypatch, capsys):
         # the engine's run, with the second beta's first-half risks shifted by 1: its Cesaro halves disagree
@@ -611,7 +628,7 @@ class TestExitCodes:
         assert main(["sweep", "--axis", axis, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         printed = capsys.readouterr().err.removeprefix(f"config error: {cfg}: [experiment] ")
         with pytest.raises(ValueError) as info:
-            EXPERIMENTS[axis](ExperimentConfig.load(cfg))
+            EXPERIMENTS[axis](ExperimentConfig.load(cfg, seed_override=None))
         assert type(info.value) is ValueError and printed == f"{info.value}\n"
 
     @pytest.mark.parametrize("case", SINGLE_KEY_PRECONDITIONS)
@@ -620,7 +637,7 @@ class TestExitCodes:
         cfg = tmp_path / "sweep.ini"
         cfg.write_text(base + "\n[experiment]\nreplicas = 2\n" + grid)
         with pytest.raises(ConfigError, match=re.escape(f"{cfg}: [experiment] ")):
-            ExperimentConfig.load(cfg)
+            ExperimentConfig.load(cfg, seed_override=None)
 
     @pytest.mark.parametrize("axis", sorted(axis for axis, (_, keys) in cli._SWEEPS.items() if keys))
     def test_sweep_without_its_keys_is_config_error(self, axis, tmp_path, capsys):
@@ -791,7 +808,7 @@ class TestReport:
         manifest = out / f"{tag_of(cfg)}_manifest.json"
         capsys.readouterr()
         assert main(["report", "--manifest", str(manifest), "--out", str(out)]) == 1
-        gap = 0.1 - ExperimentConfig.load(cfg).build_objective().smoothness_constant()
+        gap = 0.1 - ExperimentConfig.load(cfg, seed_override=None).build_objective().smoothness_constant()
         reason = f"no dissipativity regime applies: lambda/mu0 - M = {gap:.6g} <= 0 and the gradient is unbounded"
         assert capsys.readouterr().err == f"config error: {manifest}: [chain] lambda = '0.1': {reason}\n"
 

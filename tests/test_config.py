@@ -228,7 +228,7 @@ class TestParsing:
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig.load("/nonexistent/path.ini")
+            ExperimentConfig.load("/nonexistent/path.ini", seed_override=None)
 
 
 class TestGrids:

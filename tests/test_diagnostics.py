@@ -445,7 +445,7 @@ class TestEstimators:
         for delta, kappa in [(None, 0.1), (0.5, 0.1), (0.5, 0.3)]:
             consts = theory_constants(obj, cfg, mins, delta=delta, kappa=kappa)
             rows, _ = theorem_tail_bound(cfg, obj, mins, consts, 0.2, replicas=2)
-            expected = [tail_bound_terms(consts, mins, cfg.eta, r["n"], 0.2)[2] for r in rows]
+            expected = [tail_bound_terms(consts, mins, cfg, r["n"], 0.2)[2] for r in rows]
             assert [repr(r["rhs"]) for r in rows] == [repr(v) for v in expected]
             assert all(math.isnan(v) for v in expected) == (delta is None)
 

@@ -2,6 +2,8 @@ import collections
 import dataclasses
 import itertools
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -558,6 +560,139 @@ class TestChunkedBookkeeping:
         assert len(summary.steps) == 1001 and summary.retained_steps == 2000 - cfg.burn_in_steps
         assert calls["risk_array"] == evaluated and calls["risk_and_grad_array"] == 0
         assert calls["phi"] <= 2 * math.ceil(cfg.horizon / 256)  # the phi rows are batched per flush
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Two CPUs whatever the host, and the list of noise-fill threads run_blocks starts."""
+    started = []
+
+    class Counted(dynamics._Fill):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(dynamics, "_cpus", lambda: 2)
+    monkeypatch.setattr(dynamics, "_Fill", Counted)
+    return started
+
+
+@pytest.fixture
+def slow_fills(monkeypatch):
+    """Noise generators whose fills take 10 ms longer, so that a step reading a
+    buffer before its fill ended, or a fill still running at exit, would show."""
+    make = dynamics.make_rng
+
+    class Slow:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, out):
+            time.sleep(0.01)
+            return self.rng.standard_normal(out=out)
+
+    def make_rng(seed, chain_id, stream):
+        rng = make(seed, chain_id, stream)
+        return Slow(rng) if stream == dynamics._STREAM_NOISE else rng
+
+    monkeypatch.setattr(dynamics, "make_rng", make_rng)
+
+
+def all_joined(workers):
+    return all(w.ident is not None and not w.is_alive() for w in workers)
+
+
+class TestNoiseAhead:
+    """A call whose rows are wide draws the next half chunk of noise on a second
+    thread; its summaries keep the bits of the one-thread path."""
+
+    @pytest.mark.parametrize("horizon", [127, 128, 129, 2001])  # 2001: cadence 2
+    @pytest.mark.parametrize("mode", ["gld", "sgld", "ou"])
+    def test_summaries_equal_per_step_reference(self, mode, horizon, workers):
+        obj = make_objective(n_modes=129, loss="savage", lambda0=0.1)
+        ids = [4, 1, 7]
+        cfg = make_cfg(n_modes=129, horizon=horizon, mode=mode, minibatch=3 if mode == "sgld" else None)
+        states = observed_states(cfg, obj, ids)
+        assert len(workers) == math.ceil(horizon / 128) - 1
+        for burn_in in sorted({0, 127, 128, 129, 300} & set(range(horizon))):  # 128: the half-chunk edge
+            run_cfg = dataclasses.replace(cfg, burn_in=burn_in)
+            summary = one_block(run_cfg, obj, ids, 0.3)
+            assert same_summary(summary, reference_summary(run_cfg, obj, ids, 0.3, states))
+
+    @pytest.mark.parametrize("width, cpus, threaded", [(65, 2, False), (127, 2, False), (128, 2, True), (129, 1, False)])
+    def test_threads_only_wide_rows_on_several_cpus(self, width, cpus, threaded, workers, monkeypatch):
+        monkeypatch.setattr(dynamics, "_cpus", lambda: cpus)
+        one_block(make_cfg(n_modes=width, horizon=300), make_objective(n_modes=width), [0, 1])
+        assert len(workers) == (2 if threaded else 0)  # steps 129..256 and 257..300
+
+    def test_mixed_call_keeps_its_bits_with_and_without_the_thread(self, workers, slow_fills, monkeypatch):
+        # gld, sgld and ou blocks at widths 9 and 65 on shared chain ids, the threshold at or just past N+1 = 65
+        objectives = {n: make_objective(n_modes=n, loss="savage", lambda0=0.1) for n in (9, 65)}
+        blocks = [
+            (make_cfg(n_modes=n, horizon=700, burn_in=250, mode=mode, minibatch=3 if mode == "sgld" else None),
+             objectives[n], ids, ())
+            for n, mode, ids in [(65, "gld", [0, 1, 2]), (9, "sgld", [2, 3]), (65, "ou", [1, 3]), (9, "gld", [0])]
+        ]
+        monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 128 * 65)
+        threaded = run_blocks(blocks, 0.3)
+        assert len(workers) == 5
+        monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 128 * 65 + 1)
+        inline = run_blocks(blocks, 0.3)
+        assert len(workers) == 5
+        assert all(same_summary(a, b) for a, b in zip(threaded, inline))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_partial_summary_on_abort_after_several_chunks(self, workers, slow_fills, monkeypatch):
+        obj = make_objective(n_modes=129)
+        cfg = ChainConfig(eta=10.0, beta=100.0, lam=1e-6, n_modes=129, seed=1, horizon=2000)
+        ids = [0, 2]
+        with pytest.raises(NumericalAbort) as exc_info:
+            one_block(cfg, obj, ids, l_star=0.3)
+        step = exc_info.value.step
+        assert step > 256 and len(workers) == (step - 1) // 128 + 1
+        assert all_joined(workers)
+        states = observed_states(cfg, obj, ids)
+        [partial] = exc_info.value.partial
+        assert same_summary(partial, reference_summary(cfg, obj, ids, 0.3, states))
+        monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 10**9)
+        with pytest.raises(NumericalAbort) as inline:
+            one_block(cfg, obj, ids, l_star=0.3)
+        assert inline.value.step == step and same_summary(inline.value.partial[0], partial)
+
+    def test_no_thread_outlives_a_return_or_an_observer_exception(self, workers, slow_fills):
+        obj = make_objective(n_modes=129)
+        cfg = make_cfg(n_modes=129, horizon=1000, burn_in=0)
+        one_block(cfg, obj, [0, 1])
+        assert len(workers) == 7 and all_joined(workers)
+
+        def observer(step, x, risk):
+            if step == 200:
+                raise KeyError("observer")
+
+        with pytest.raises(KeyError, match="observer"):
+            one_block(cfg, obj, [0, 1], observers=(observer,))
+        assert len(workers) == 9 and all_joined(workers)
+
+    def test_worker_exception_reaches_the_caller(self, workers, monkeypatch):
+        failed_on = []
+
+        class FailsAfterFirstFill:
+            def __init__(self, rng):
+                self.rng, self.fills = rng, 0
+
+            def standard_normal(self, out):
+                self.fills += 1
+                if self.fills > 1:  # the first fill is inline, the next ones on the worker
+                    failed_on.append(threading.get_ident())
+                    raise OSError("fill failed")
+                return self.rng.standard_normal(out=out)
+
+        make = dynamics.make_rng
+        monkeypatch.setattr(dynamics, "make_rng", lambda *key: FailsAfterFirstFill(make(*key)))
+        with pytest.raises(OSError, match="fill failed"):
+            one_block(make_cfg(n_modes=129, horizon=1000), make_objective(n_modes=129), [0, 1])
+        assert len(workers) == 1 and failed_on == [workers[0].ident]
+        assert all_joined(workers)
 
 
 class TestRunBlocks:
