@@ -537,6 +537,9 @@ def sgld_discrepancy(
     return sgld_discrepancy_vs_m(cfg, obj, l_star, [m], replicas)[0][0]
 
 
+_OU_HAS_NO_TAIL = "mode = ou: the OU chain ignores the loss, so it has no tail of L to bound"
+
+
 def tail_bound_terms(
     consts: TheoryConstants, minimizers: MinimizerPair, cfg: ChainConfig, n: int, tail_delta: float
 ) -> tuple[float, dict[str, float], float, str | None]:
@@ -544,7 +547,8 @@ def tail_bound_terms(
     relaxation), the terms it multiplies, keyed by formula, the right-hand side, their product with unit
     leading constants, and why that is nan (None when it is not).  Without a spectral gap the terms are
     empty; under mode = sgld the terms are GLD's, and the right-hand side is nan, since the SGLD bound adds
-    a minibatch discrepancy term they do not hold."""
+    a minibatch discrepancy term they do not hold; under mode = ou it is nan too, since that chain ignores
+    the loss."""
     markov = 5.0 / tail_delta
     if consts.lambda_eta is None or consts.lambda_0 is None:
         return markov, {}, math.nan, "spectral gap needs [experiment] delta in the bounded regime; terms n/a"
@@ -559,6 +563,8 @@ def tail_bound_terms(
         return markov, terms, math.nan, (
             "mode = sgld: these are GLD's terms; the SGLD bound adds a minibatch discrepancy term, so the total is nan"
         )
+    if cfg.mode == "ou":
+        return markov, terms, math.nan, _OU_HAS_NO_TAIL
     return markov, terms, markov * sum(terms.values()), None
 
 
@@ -570,7 +576,7 @@ def theorem_tail_bound(
     next to the bound's right-hand side on consts, theory_constants(obj, cfg, minimizers, ...); and the
     claim's verdict.  The right-hand side is tail_bound_terms', nan under mode = sgld."""
     if cfg.mode == "ou":
-        raise ValueError("mode = ou: the OU chain ignores the loss, so it has no tail of L to bound")
+        raise ValueError(_OU_HAS_NO_TAIL)
     steps = [cfg.horizon // 25, cfg.horizon // 5, cfg.horizon]
     if steps[0] < 1:  # at horizon >= 25 the steps are distinct and >= 1
         raise ValueError(f"the tail steps horizon // 25, horizon // 5 and horizon are {steps}: horizon must be >= 25")

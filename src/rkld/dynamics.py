@@ -5,10 +5,13 @@ counter-based random streams, so trajectories are bit-identical whether a
 chain runs alone or inside an ensemble.  Several ensembles (blocks) advance
 in lockstep through one loop; blocks that share a chain id share its noise,
 drawn once, which couples runs of different step size, temperature,
-starting point or dimension.  Noise and SGLD minibatch indices are
-pregenerated in per-chain chunks to amortize generator overhead; when a
-chunk's rows are wide, the next half chunk of noise is drawn on a second
-thread while the loop steps through the current one.
+starting point or dimension.  The blocks of a call that share R, the
+dataset, the loss, lambda0 and the gradient kind form a group, whose states
+sit side by side in one (R, sum of N+1) array that one step advances; each
+block reads its columns through read-only views.  Noise and SGLD minibatch
+indices are pregenerated in per-chain chunks to amortize generator overhead;
+when a chunk's rows are wide, the next half chunk of noise is drawn on a
+second thread while the loop steps through the current one.
 """
 
 from __future__ import annotations
@@ -153,10 +156,11 @@ def sigmoid_gap(gap) -> np.ndarray | float:
 
 
 class _Block:
-    """One block's chains inside run_blocks: state, Cesaro sums, checkpoint log.
+    """One block's chains inside run_blocks: Cesaro sums and checkpoint log.
 
-    A step only steps and keeps what the bookkeeping needs; flush() turns that
-    into Cesaro sums and checkpoint rows once per noise chunk.
+    The block's state is the columns `columns` of its group's state.  A step
+    only keeps what the bookkeeping needs; flush() turns that into Cesaro sums
+    and checkpoint rows once per noise chunk.
     """
 
     def __init__(self, cfg, obj, chain_ids, observers, l_star, n_checkpoints):
@@ -168,9 +172,6 @@ class _Block:
         self.chain_ids = list(chain_ids)
         self.observers = tuple(observers)
         self.n = cfg.n_modes
-        self.scales = resolvent_scales(obj.kernel, cfg.lam, cfg.eta, self.n)
-        self.amp = math.sqrt(2.0 * cfg.eta / cfg.beta)
-        self.x = np.tile(cfg.x0_array(), (len(self.chain_ids), 1))
         self.minibatch = None  # m when SGLD draws proper minibatches
         m, n_tr = cfg.minibatch, obj.dataset.size
         if m is not None and m > n_tr:
@@ -178,12 +179,8 @@ class _Block:
         if m is not None and m < n_tr:  # a full batch is the GLD gradient, exactly
             self.minibatch = m
             self.batch_rngs = [make_rng(cfg.seed, cid, _STREAM_BATCH) for cid in self.chain_ids]
+        self.gradient = "none" if cfg.mode == "ou" else "full" if self.minibatch is None else "minibatch"
         self.mu = obj.kernel.eigenvalues(self.n)
-        # every chain evaluates a state's risk where a retained step or a checkpoint reads
-        # it; a full-batch chain also takes each state's gradient, from the same feature
-        # product where it evaluates the risk
-        self.fused = cfg.mode != "ou" and self.minibatch is None
-        self.g = 0.0
         self.cesaro_phi = np.zeros(len(self.chain_ids))
         self.cesaro_risk = np.zeros(len(self.chain_ids))
         self.retained = 0
@@ -200,38 +197,15 @@ class _Block:
         tile = np.tile(np.arange(self.obj.dataset.size), (chunk_len, 1))
         self.batches = np.stack([rng.permuted(tile, axis=1)[:, : self.minibatch] for rng in self.batch_rngs], axis=1)
 
-    def evaluate(self):
-        if self.fused:
-            self.risk, self.g = self.obj.risk_and_grad_array(self.x)
-        else:
-            self.risk = self.obj.risk_array(self.x)
-        self.risk.setflags(write=False)
-
-    def advance(self, step, t, noise, retain, checkpoint):
-        """X <- S_eta (X - eta g + amp eps) with eps the block's rows of noise[:, t]."""
-        if self.minibatch is not None:
-            g = self.obj.stochastic_grad_array(self.x, self.batches[t])
-        else:
-            g = self.g  # from X's last evaluation; 0 for the OU chain
-        x = self.scales * (self.x - self.cfg.eta * g + self.amp * noise[self.rows, t, : self.n])
-        x.setflags(write=False)
-        if not np.isfinite(x).all():
-            raise NumericalAbort(f"non-finite state at step {step}", step=step)
-        self.x = x
-        if retain or checkpoint:
-            self.evaluate()
-        elif self.fused:
-            self.g = self.obj.grad_array(x)  # no one reads this state's risk
+    def keep(self, step, retain, checkpoint, x, risk):
+        """Bookkeeping of a new state X and its risk, read-only views of the group's."""
         if retain:
-            self.chunk_risks.append(self.risk)
+            self.chunk_risks.append(risk)
             self.retained += 1
             for observer in self.observers:
-                observer(step, x, self.risk)
+                observer(step, x, risk)
         if checkpoint:
-            self.record(step)
-
-    def record(self, step):
-        self.pending.append((step, self.x, self.risk, len(self.chunk_risks), self.retained))
+            self.pending.append((step, x, risk, len(self.chunk_risks), self.retained))
 
     def flush(self):
         """Cesaro sums and checkpoint rows since the last flush, with per-step bits:
@@ -272,6 +246,143 @@ class _Block:
         return RunSummary(self.cfg.mode, self.cfg.burn_in_steps, retained, chain_ids, steps, *cols, *finals)
 
 
+class _Group:
+    """The blocks of one run_blocks call that share R, the Dataset, the loss,
+    lambda0 and the gradient kind, stepped as one (R, sum of N+1) state.
+
+    Block b's state is its own run of columns, with per-column scales, eta and
+    amp, so a step makes one noise read, one update and, where it evaluates,
+    one loss call and one risk reduction for the whole group.  The feature
+    products stay one matmul per block, written into the group's buffers, so
+    BLAS sees each block's own operands; blocks of one objective make each
+    product one matmul over a (B, R, N+1) view, which calls BLAS per block.
+    A one-block group's state, products and risk are the block's own arrays.
+    """
+
+    def __init__(self, blocks, position, noise_shape):
+        first = blocks[0]
+        self.blocks = blocks
+        self.single = len(blocks) == 1
+        self.gradient = first.gradient
+        self.loss, self.y, self.lambda0 = first.obj.loss, first.obj.dataset.y, first.obj.lambda0
+        self.n_tr = first.obj.dataset.size
+        n_chains, lo = len(first.chain_ids), 0
+        for b in blocks:
+            b.columns = slice(lo, lo + b.n)
+            lo += b.n
+        self.scales = np.concatenate([resolvent_scales(b.obj.kernel, b.cfg.lam, b.cfg.eta, b.n) for b in blocks])
+        self.eta = self._per_column([b.cfg.eta for b in blocks])
+        self.amp = self._per_column([math.sqrt(2.0 * b.cfg.eta / b.cfg.beta) for b in blocks])
+        self.x = self.new = np.concatenate([np.tile(b.cfg.x0_array(), (n_chains, 1)) for b in blocks], axis=1)
+        self.features = [b.obj.features for b in blocks]
+        self.features_t = [f.T for f in self.features]
+        # one stacked product per step when every block has the one objective
+        self.shared = all(b.obj is first.obj for b in blocks)
+        # the feature products X_b Phi_b^T, (B, R, n_tr); a one-block group's are (R, n_tr)
+        self.u = np.empty((n_chains, self.n_tr) if self.single else (len(blocks), n_chains, self.n_tr))
+        self.g = 0.0  # the OU chain's
+        if self.gradient == "full":
+            self.g = np.empty((n_chains, lo))
+            self.g_out = self.stack(self.g) if self.shared else self.split(self.g)
+        # one block on consecutive noise rows reads a view of them; any other group
+        # gathers its columns with one take from the flat buffer
+        rows = [[position[cid] for cid in b.chain_ids] for b in blocks]
+        start = rows[0][0] if rows[0] else 0
+        self.gather = None
+        if self.single and rows[0] == list(range(start, start + n_chains)):
+            self.rows = slice(start, start + n_chains)
+        else:
+            row_len = noise_shape[1] * noise_shape[2]
+            self.gather = np.concatenate(
+                [np.array(r, dtype=np.intp)[:, None] * row_len + np.arange(b.n) for r, b in zip(rows, blocks)], axis=1
+            )
+            self.eps = np.empty(self.x.shape)
+
+    def _per_column(self, values):
+        """One value per block as one per column; a float when they are all equal."""
+        if all(v == values[0] for v in values):
+            return values[0]
+        return np.concatenate([np.full(b.n, v) for b, v in zip(self.blocks, values)])
+
+    def split(self, a):
+        """Each block's columns of an (R, sum of N+1) array."""
+        if self.single:
+            return (a,)
+        return [a[:, b.columns] for b in self.blocks]
+
+    def stack(self, a):
+        """A one-objective group's (R, B (N+1)) array as a (B, R, N+1) view; a itself
+        for one block."""
+        if self.single:
+            return a
+        return a.reshape(a.shape[0], len(self.blocks), self.blocks[0].n).transpose(1, 0, 2)
+
+    def propose(self, noise, t):
+        """S_eta (X - eta g + amp eps), eps the group's columns of noise[:, t],
+        kept as the group's new state; returns whether it is finite."""
+        if self.gradient == "minibatch":
+            gs = [b.obj.stochastic_grad_array(x, b.batches[t]) for b, x in zip(self.blocks, self.split(self.x))]
+            g = gs[0] if len(gs) == 1 else np.concatenate(gs, axis=1)
+        else:
+            g = self.g  # from X's last evaluation; the next one overwrites it
+        g *= self.eta  # in place for an array: the group's buffer or a fresh minibatch gradient
+        if self.gather is None:
+            eps = self.amp * noise[self.rows, t, : self.x.shape[1]]
+        else:
+            eps = np.take(noise.reshape(-1)[t * noise.shape[2] :], self.gather, out=self.eps, mode="clip")
+            eps *= self.amp
+        # the bits of the expression, with no temporary past the first operation
+        new = self.new = self.x - g
+        new += eps
+        new *= self.scales
+        return np.isfinite(new).all()
+
+    def commit(self, step, retain, checkpoint):
+        """Make the new state the group's, evaluate it, and keep it in each block."""
+        x = self.x = self.new
+        x.setflags(write=False)
+        if retain or checkpoint:
+            self.evaluate(True)
+            if self.single:
+                self.blocks[0].keep(step, retain, checkpoint, x, self.risk)
+            else:
+                for block, xb, risk in zip(self.blocks, self.split(x), self.risk):
+                    block.keep(step, retain, checkpoint, xb, risk)
+        elif self.gradient == "full":
+            self.evaluate(False)  # no one reads this state's risk
+
+    def evaluate(self, risk):
+        """A full-batch group's gradient at X, and its risk if asked, with the
+        bits of ObjectiveSpec.grad_array and risk_array per block."""
+        x, u, loss = self.x, self.u, self.loss
+        if self.shared:
+            np.matmul(self.stack(x), self.features_t[0], out=u)
+        else:
+            for xb, ft, out in zip(self.split(x), self.features_t, u):
+                np.matmul(xb, ft, out=out)
+        if self.gradient != "full":
+            value = loss.value(u, self.y)
+        elif risk:
+            value, d1 = loss.value_and_d1(u, self.y)
+        else:
+            d1 = loss.d1(u, self.y)
+        if self.gradient == "full":
+            if self.shared:
+                np.matmul(d1, self.features[0], out=self.g_out)
+            else:
+                for d, f, out in zip(d1, self.features, self.g_out):
+                    np.matmul(d, f, out=out)
+            self.g /= self.n_tr
+            if self.lambda0:
+                self.g += self.lambda0 * x
+        if risk:
+            self.risk = np.add.reduce(value, axis=-1) / self.n_tr  # np.mean's bits
+            if self.lambda0:
+                ridge = np.reshape([np.sum(xb * xb, axis=-1) for xb in self.split(x)], self.risk.shape)
+                self.risk += 0.5 * self.lambda0 * ridge
+            self.risk.setflags(write=False)
+
+
 def _cpus() -> int:
     """The CPUs this process may run on."""
     try:
@@ -309,9 +420,9 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
     trajectory does not depend on the ensemble it runs inside.  Observers
     are called as observer(step, X, risk) for every post-burn-in step, with
     the block's (R, N+1) state matrix and the per-chain risk
-    obj.risk_array(X) that also feeds the Cesaro sums and checkpoints; both
-    arrays are read-only.  Blocks must share the seed, horizon and burn-in;
-    their modes may differ.
+    obj.risk_array(X) that also feeds the Cesaro sums and checkpoints, both
+    read-only parts of its group's arrays.  Blocks must share the seed,
+    horizon and burn-in; their modes may differ.
     Each distinct chain id draws its noise once per chunk, at the widest
     block's n_modes, and every block reads the first N+1 components of its
     chain ids' rows, so blocks that share a chain id share their noise
@@ -321,9 +432,16 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
     than one CPU, the chunk is halved and a second thread draws the next
     half chunk while the loop steps through the current one; the draws and
     every output keep their bits.
-    A block as wide as the widest one gives the same bits as a run_blocks
-    call of its own; each block keeps its own matmuls, since stacking the
-    rows of several blocks into one matrix changes BLAS's summation order.
+    Blocks that share R, the Dataset object, the loss, lambda0 and the gradient
+    kind (full batch, minibatch, or none for the OU chain) step as one group: one
+    noise read, one update, one finiteness check, one loss call and one risk
+    reduction per step for all of them, on their states packed side by side
+    by column.  Every block keeps its own matmuls, written into the group's
+    buffers, since stacking the rows of several blocks into one matrix
+    changes BLAS's summation order; blocks of one objective make each one
+    matmul over a (B, R, N+1) view, which calls BLAS once per block.  So a
+    block as wide as the widest one gives the same bits as a run_blocks call
+    of its own.
 
     checkpoints are the steps in 1..horizon whose rows the summaries keep,
     after step 0's; None means every checkpoint_every-th step and the
@@ -331,8 +449,9 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
     sums do not depend on it.
 
     Returns one summary per block, its rows ordered as the block's chain ids.
-    On a NumericalAbort in any block the run stops and exc.partial holds
-    these summaries up to the aborted step.
+    Every group's new state is checked before any block keeps one, so on a
+    NumericalAbort at step s in any block the run stops and exc.partial
+    holds every block's summary up to step s - 1.
     """
     if not blocks:
         raise ValueError("run_blocks needs at least one block")
@@ -348,14 +467,9 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
     if any((s.cfg.seed, s.cfg.horizon, s.cfg.burn_in_steps) != (first.seed, horizon, burn_in) for s in states):
         raise ValueError("blocks must share seed, horizon and burn-in to run in lockstep")
 
-    # one noise row per distinct chain id; a block's rows are a view when its
-    # ids are consecutive in first-appearance order
+    # one noise row per distinct chain id
     ids = list(dict.fromkeys(cid for s in states for cid in s.chain_ids))
     position = {cid: i for i, cid in enumerate(ids)}
-    for s in states:
-        rows = [position[cid] for cid in s.chain_ids]
-        lo = rows[0] if rows else 0
-        s.rows = slice(lo, lo + len(rows)) if rows == list(range(lo, lo + len(rows))) else np.array(rows)
     noise_rngs = [make_rng(first.seed, cid, _STREAM_NOISE) for cid in ids]
     width = max(s.n for s in states)
     # wide rows past one half chunk: two half-chunk buffers, the loop reading one while
@@ -369,9 +483,13 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
         for rng, row in zip(noise_rngs, noise):
             rng.standard_normal(out=row[: min(chunk, horizon - start)])
 
+    members = {}
     for s in states:
-        s.evaluate()
-        s.record(0)
+        key = (len(s.chain_ids), id(s.obj.dataset), s.obj.loss, s.obj.lambda0, s.gradient)
+        members.setdefault(key, []).append(s)
+    groups = [_Group(group, position, buffers[0].shape) for group in members.values()]
+    for g in groups:
+        g.commit(0, False, True)  # X_0
     step, worker = 0, None
     try:
         if ahead:
@@ -391,8 +509,11 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
                 step += 1
                 retain = step > burn_in
                 checkpoint = step in checkpoints
-                for s in states:
-                    s.advance(step, t, noise, retain, checkpoint)
+                # every group's new state is checked before any block keeps one
+                if not all([g.propose(noise, t) for g in groups]):
+                    raise NumericalAbort(f"non-finite state at step {step}", step=step)
+                for g in groups:
+                    g.commit(step, retain, checkpoint)
             for s in states:
                 s.flush()
             if worker is not None:

@@ -242,25 +242,16 @@ class ObjectiveSpec:
         self._kernel_diag = np.sum(self.features**2, axis=1)
         self._kernel_diag.setflags(write=False)
 
-    # -- raw-array core used by the dynamics (x may be a matrix of chains) --
-
-    def risk_and_grad_array(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(risk_array(x), grad_array(x)), bit for bit, from one feature product."""
-        value, d1 = self.loss.value_and_d1(x @ self.features.T, self.dataset.y)
-        return self._risk(x, value), self._grad(x, d1)
+    # -- raw-array evaluations (x may be a matrix of chains); the engine's step
+    # reproduces their bits for a group of blocks at once --
 
     def risk_array(self, x: np.ndarray) -> np.ndarray:
-        return self._risk(x, self.loss.value(x @ self.features.T, self.dataset.y))
-
-    def grad_array(self, x: np.ndarray) -> np.ndarray:
-        return self._grad(x, self.loss.d1(x @ self.features.T, self.dataset.y))
-
-    def _risk(self, x, value):
+        value = self.loss.value(x @ self.features.T, self.dataset.y)
         risk = np.add.reduce(value, axis=-1) / self.dataset.size  # np.mean's bits, without its overhead
         return risk + 0.5 * self.lambda0 * np.sum(x * x, axis=-1) if self.lambda0 else risk
 
-    def _grad(self, x, d1):
-        g = d1 @ self.features / self.dataset.size
+    def grad_array(self, x: np.ndarray) -> np.ndarray:
+        g = self.loss.d1(x @ self.features.T, self.dataset.y) @ self.features / self.dataset.size
         return g + self.lambda0 * x if self.lambda0 else g
 
     def grad_components_array(self, x: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import rkld
 from rkld import cli, diagnostics, verify
 from rkld.cli import main
 from rkld.config import _KEYS, ConfigError, ExperimentConfig
-from rkld.objective import ObjectiveSpec
+from rkld.objective import LossFamily, ObjectiveSpec
 from rkld.spectral import KernelSpec
 from rkld.verify import check_parseval, run_property_suite
 
@@ -101,15 +101,16 @@ def _scaled(fn):
     return lambda *args: 1.001 * fn(*args)
 
 
-def _jittered_risk(fn):
-    # a risk whose last bit varies from call to call, as a reduction in varying order would
+def _jittered_value(fn):
+    # per-sample losses, and so risks, whose last bit varies from call to call, as a
+    # reduction in varying order would
     flips = np.random.default_rng(0)
 
-    def risk_and_grad(self, x):
-        risk, grad = fn(self, x)
-        return np.where(flips.integers(0, 2, risk.shape), np.nextafter(risk, np.inf), risk), grad
+    def value_and_d1(self, u, y):
+        value, d1 = fn(self, u, y)
+        return np.where(flips.integers(0, 2, value.shape), np.nextafter(value, np.inf), value), d1
 
-    return risk_and_grad
+    return value_and_d1
 
 
 def _m_times_4(fn):
@@ -156,7 +157,7 @@ VERIFY_FAULTS = {
     "dissipativity_probe_m_x4": (
         _patched(ObjectiveSpec, "dissipativity_constants", _m_times_4), ["dissipativity_probe"]
     ),
-    "determinism_bitwise": (_patched(ObjectiveSpec, "risk_and_grad_array", _jittered_risk), ["determinism_bitwise"]),
+    "determinism_bitwise": (_patched(LossFamily, "value_and_d1", _jittered_value), ["determinism_bitwise"]),
     "sgld_fullbatch_reduction": (_patched(verify, "run_chain", _sgld_drops_a_point), ["sgld_fullbatch_reduction"]),
 }
 
@@ -436,6 +437,23 @@ class TestSweep:
         assert report[total + 1] == (
             "  mode = sgld: these are GLD's terms; the SGLD bound adds a minibatch discrepancy term, so the total is nan"
         )
+
+    def test_ou_tail_total_is_nan_in_the_report(self, tmp_path, capsys):
+        # the OU chain ignores the loss: the report prints the tail terms with a nan total and
+        # the reason the tail sweep refuses the chain with
+        cfg = tmp_path / "ou.ini"
+        cfg.write_text(BASE.replace("horizon = 2000", "horizon = 200") + "\n[experiment]\nmode = ou\nreplicas = 2\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["report", "--manifest", str(out / f"{tag_of(cfg)}_manifest.json"), "--out", str(out)]) == 0
+        report = (out / f"{tag_of(cfg)}_report.txt").read_text().splitlines()
+        total = report.index("  total (x markov factor): nan")
+        assert report[total - 1].startswith("  L(x~) - L(x*): ")
+        reason = "mode = ou: the OU chain ignores the loss, so it has no tail of L to bound"
+        assert report[total + 1] == f"  {reason}"
+        capsys.readouterr()
+        assert main(["sweep", "--axis", "tail", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.endswith(f"{reason}\n")
 
     def test_beta_sweep_without_stationarity_is_inconclusive(self, tmp_path, monkeypatch, capsys):
         # the engine's run, with the second beta's first-half risks shifted by 1: its Cesaro halves disagree
@@ -878,14 +896,14 @@ class TestReport:
         )
 
     def test_report_notes_an_aborted_run(self, tmp_path, config_file, monkeypatch):
-        def nan_gradient(self, x):
-            risk, grad = risk_and_grad(self, x)
-            return risk, np.full_like(grad, np.nan)
+        def nan_gradient(self, u, y):
+            value, d1 = value_and_d1(self, u, y)
+            return value, np.full_like(d1, np.nan)
 
-        risk_and_grad = ObjectiveSpec.risk_and_grad_array
+        value_and_d1 = LossFamily.value_and_d1
         out = tmp_path / "out"
         with monkeypatch.context() as patch:
-            patch.setattr(ObjectiveSpec, "risk_and_grad_array", nan_gradient)
+            patch.setattr(LossFamily, "value_and_d1", nan_gradient)
             assert main(["run", "--config", str(config_file), "--out", str(out)]) == 2
         tag = tag_of(config_file)
         notes = json.loads((out / f"{tag}_manifest.json").read_text())["notes"]

@@ -27,7 +27,7 @@ from rkld.diagnostics import (
     weak_error_vs_eta,
 )
 from rkld.dynamics import ChainConfig, run_blocks, run_chain
-from rkld.objective import Dataset, ObjectiveSpec, loss_family
+from rkld.objective import Dataset, LossFamily, ObjectiveSpec, loss_family
 from rkld.spectral import KernelSpec
 
 
@@ -490,16 +490,22 @@ class TestRecording:
         assert burn_ins == [{150}] * 3
 
     def test_sgld_sweep_evaluates_the_gld_risk_twice(self, monkeypatch):
-        # step 0 and the horizon; every other full-batch step takes the gradient alone
+        # step 0 and the horizon; every other full-batch step takes the gradient alone.
+        # Only the full-batch loss calls count: their products have one column per
+        # data point, the SGLD blocks' minibatch products m
         calls = collections.Counter()
-        for name in ("risk_and_grad_array", "grad_array"):
-            method = getattr(ObjectiveSpec, name)
-            monkeypatch.setattr(
-                ObjectiveSpec, name, lambda self, x, name=name, method=method: calls.update([name]) or method(self, x)
-            )
+        for name in ("value_and_d1", "d1"):
+            method = getattr(LossFamily, name)
+
+            def counted(self, u, y, name=name, method=method):
+                if u.shape[-1] == 8:
+                    calls.update([name])
+                return method(self, u, y)
+
+            monkeypatch.setattr(LossFamily, name, counted)
         cfg = ChainConfig(eta=0.05, beta=4.0, lam=6.0, n_modes=6, seed=42, horizon=2000)
         sgld_discrepancy_vs_m(cfg, make_objective(n=8), 0.1, [2, 5], replicas=4)
-        assert calls == {"risk_and_grad_array": 2, "grad_array": 1999}
+        assert calls == {"value_and_d1": 2, "d1": 1999}
 
 
 class TestQuadraticOracle:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rkld import dynamics
 from rkld.dynamics import (
@@ -21,7 +22,7 @@ from rkld.dynamics import (
     run_ensemble,
     sigmoid_gap,
 )
-from rkld.objective import Dataset, ObjectiveSpec, loss_family
+from rkld.objective import Dataset, LossFamily, ObjectiveSpec, loss_family
 from rkld.spectral import KernelSpec, resolvent_scales
 
 
@@ -39,6 +40,22 @@ def make_cfg(**kw):
 def one_block(cfg, obj, ids, l_star=0.0, observers=()):
     """The summary of one block of chain ids, through run_blocks."""
     return run_blocks([(cfg, obj, ids, observers)], l_star)[0]
+
+
+LOSS_METHODS = ("value_and_d1", "value", "d1")
+
+
+def counted_loss_calls(monkeypatch):
+    """A Counter of the LossFamily calls that evaluate states: the fused value
+    and derivative (risk and gradient), the value alone (risk) and the
+    derivative alone (gradient)."""
+    calls = collections.Counter()
+    for name in LOSS_METHODS:
+        method = getattr(LossFamily, name)
+        monkeypatch.setattr(
+            LossFamily, name, lambda self, u, y, name=name, method=method: calls.update([name]) or method(self, u, y)
+        )
+    return calls
 
 
 class TestChainConfig:
@@ -309,12 +326,7 @@ class TestRunEnsemble:
         obj = make_objective()
         cfg = make_cfg(horizon=200, burn_in=40)  # cadence = max(1, 200//1000) = 1
         risk_array = ObjectiveSpec.risk_array
-        calls = collections.Counter()
-        for name in ("risk_and_grad_array", "risk_array", "grad_array"):
-            method = getattr(ObjectiveSpec, name)
-            monkeypatch.setattr(
-                ObjectiveSpec, name, lambda self, x, name=name, method=method: calls.update([name]) or method(self, x)
-            )
+        calls = counted_loss_calls(monkeypatch)
         seen = []
 
         def observe(step, x, risk):
@@ -323,7 +335,7 @@ class TestRunEnsemble:
 
         s = one_block(cfg, obj, [0], l_star=0.1, observers=(observe,))
         # one fused evaluation per state X_0..X_200 feeds risk and gradient alike
-        assert [calls[name] for name in ("risk_and_grad_array", "risk_array", "grad_array")] == [cfg.horizon + 1, 0, 0]
+        assert [calls[name] for name in LOSS_METHODS] == [cfg.horizon + 1, 0, 0]
         assert len(seen) == 160
         assert all(np.array_equal(risk, risk_array(obj, x)) for x, risk in seen)
         post = s.steps > 40
@@ -337,15 +349,10 @@ class TestRunEnsemble:
         obj = make_objective(n=8)
         cfg = make_cfg(horizon=2000, burn_in=1999, mode=mode, minibatch=8 if mode == "sgld" else None)
         assert cfg.checkpoint_every == 2
-        calls = collections.Counter()
-        for name in ("risk_and_grad_array", "risk_array", "grad_array"):
-            method = getattr(ObjectiveSpec, name)
-            monkeypatch.setattr(
-                ObjectiveSpec, name, lambda self, x, name=name, method=method: calls.update([name]) or method(self, x)
-            )
+        calls = counted_loss_calls(monkeypatch)
         summary = run_chain(cfg, obj)
         # one fused evaluation per checkpoint, step 0 included; the odd steps take the gradient alone
-        assert [calls[name] for name in ("risk_and_grad_array", "risk_array", "grad_array")] == [1001, 0, 1000]
+        assert [calls[name] for name in LOSS_METHODS] == [1001, 0, 1000]
         assert summary.steps.size == 1001 and summary.retained_steps == 1
         monkeypatch.undo()
         reference = run_chain(dataclasses.replace(cfg, burn_in=0), obj)
@@ -548,17 +555,12 @@ class TestChunkedBookkeeping:
         # of 400 retains steps 401..2000, of which 800 are odd
         obj = make_objective(n=8)
         cfg = make_cfg(horizon=2000, burn_in=burn_in, mode=mode, minibatch=3 if mode == "sgld" else None)
-        calls = collections.Counter()
-        for name in ("risk_and_grad_array", "risk_array"):
-            method = getattr(ObjectiveSpec, name)
-            monkeypatch.setattr(
-                ObjectiveSpec, name, lambda self, x, name=name, method=method: calls.update([name]) or method(self, x)
-            )
+        calls = counted_loss_calls(monkeypatch)
         gap = dynamics.sigmoid_gap
         monkeypatch.setattr(dynamics, "sigmoid_gap", lambda u: calls.update(["phi"]) or gap(u))
         summary = one_block(cfg, obj, range(8))
         assert len(summary.steps) == 1001 and summary.retained_steps == 2000 - cfg.burn_in_steps
-        assert calls["risk_array"] == evaluated and calls["risk_and_grad_array"] == 0
+        assert calls["value"] == evaluated and calls["value_and_d1"] == 0
         assert calls["phi"] <= 2 * math.ceil(cfg.horizon / 256)  # the phi rows are batched per flush
 
 
@@ -726,12 +728,10 @@ class TestRunBlocks:
     def test_lockstep_mismatch_raises_before_step_one(self, change, monkeypatch):
         obj = make_objective()
         cfg = make_cfg(burn_in=0)
-        grads = []
-        grad_array = ObjectiveSpec.grad_array
-        monkeypatch.setattr(ObjectiveSpec, "grad_array", lambda self, x: grads.append(1) or grad_array(self, x))
+        calls = counted_loss_calls(monkeypatch)
         with pytest.raises(ValueError, match="lockstep"):
             run_blocks([(cfg, obj, [0], ()), (dataclasses.replace(cfg, **change), obj, [1], ())], l_star=0.0)
-        assert grads == []
+        assert not calls
 
     @pytest.mark.parametrize("mode", ["gld", "sgld", "ou"])
     @pytest.mark.parametrize("width, match", [(None, "requires an objective"), (6, "mode count")], ids=["none", "wider"])
@@ -748,6 +748,161 @@ class TestRunBlocks:
                 l_star=0.0,
             )
         assert seen == []
+
+
+@st.composite
+def packed_block_sets(draw):
+    """2-5 blocks of R chains each on one dataset, loss and lambda0, so that the
+    blocks of one gradient kind step as one group: gld, sgld (m in 1..8 = n_tr,
+    m = 8 being full batch) and ou blocks mixed, N+1 in 3..9 (blocks of equal
+    width share their objective), each on the call's R chain ids, on them
+    reversed or on R ids of its own, horizons across chunk boundaries."""
+    horizon = draw(st.integers(1, 600))
+    burn_in = draw(st.integers(0, horizon - 1))
+    seed = draw(st.integers(0, 2**16))
+    data = Dataset.synthesize(8, seed=5)
+    loss, lambda0 = draw(st.sampled_from(["squared", "savage"])), draw(st.sampled_from([0.0, 0.1]))
+    n_chains = draw(st.integers(1, 4))
+    objectives, blocks = {}, []
+    for i in range(draw(st.integers(2, 5))):
+        mode = draw(st.sampled_from(["gld", "sgld", "ou"]))
+        n_modes = draw(st.integers(3, 9))
+        if n_modes not in objectives:
+            objectives[n_modes] = ObjectiveSpec(data, loss_family(loss), KernelSpec(gamma=1.5), n_modes, lambda0=lambda0)
+        cfg = make_cfg(
+            n_modes=n_modes,
+            eta=draw(st.sampled_from([0.02, 0.05, 0.1])),
+            beta=draw(st.sampled_from([1.0, 4.0])),
+            seed=seed,
+            horizon=horizon,
+            burn_in=burn_in,
+            mode=mode,
+            minibatch=draw(st.integers(1, 8)) if mode == "sgld" else None,
+            x0=draw(st.sampled_from([None, np.linspace(-1.0, 1.0, n_modes)])),
+        )
+        ids = draw(st.sampled_from(["shared", "reversed", "own"]))
+        ids = {"shared": list(range(n_chains)), "reversed": list(range(n_chains))[::-1]}.get(
+            ids, [100 * (i + 1) + r for r in range(n_chains)]
+        )
+        blocks.append((cfg, objectives[n_modes], ids))
+    return blocks, draw(st.sampled_from([0.0, 0.3]))
+
+
+def logged_run(blocks, l_star):
+    """run_blocks with an observer per block that logs (step, X, risk) and
+    whether either array was writable."""
+    logs = [[] for _ in blocks]
+
+    def observer(log):
+        return lambda step, x, risk: log.append((step, x.copy(), risk.copy(), x.flags.writeable or risk.flags.writeable))
+
+    return run_blocks([(*block, (observer(log),)) for block, log in zip(blocks, logs)], l_star), logs
+
+
+class TestPackedGroups:
+    """Blocks of one call that share R, the dataset, the loss, lambda0 and the
+    gradient kind step as one column-packed group, with the bits of solo runs."""
+
+    @given(packed_block_sets())
+    @settings(max_examples=40, deadline=None)
+    def test_packed_groups_equal_solo_runs(self, drawn):
+        blocks, l_star = drawn
+        results, logs = logged_run(blocks, l_star)
+        width = max(cfg.n_modes for cfg, _, _ in blocks)
+        for block, summary, log in zip(blocks, results, logs):
+            cfg = block[0]
+            # the block in a group of its own; a one-chain block on another dataset
+            # sets the call's noise width
+            setter = (dataclasses.replace(cfg, n_modes=width, mode="ou", minibatch=None, x0=None),
+                      make_objective(n_modes=width), [10**6])
+            (solo, _), (solo_log, _) = logged_run([block, setter], l_star)
+            assert same_summary(summary, solo)
+            assert len(log) == len(solo_log) == cfg.horizon - cfg.burn_in_steps
+            for (step, x, risk, writable), (solo_step, solo_x, solo_risk, _) in zip(log, solo_log):
+                assert step == solo_step and np.array_equal(x, solo_x) and np.array_equal(risk, solo_risk)
+                assert not writable
+
+    @pytest.mark.parametrize(
+        "loss, lambda0, n_blocks, n_chains, width",
+        [
+            ("squared", 0.0, 5, 8, 32),  # the eta grid of acceptance test 7
+            ("savage", 0.0, 4, 8, 65),  # the beta grid of acceptance test 10
+            ("logistic", 0.1, 3, 1, 9),
+            ("savage", 0.1, 2, 5, 129),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["gld", "ou"])
+    def test_one_objective_groups_equal_solo_runs(self, loss, lambda0, n_blocks, n_chains, width, mode):
+        # each product is one matmul over the group's (B, R, N+1) view
+        obj = make_objective(n_modes=width, loss=loss, lambda0=lambda0)
+        ids = list(range(n_chains))
+        blocks = [
+            (make_cfg(n_modes=width, horizon=300, mode=mode, eta=eta, beta=4.0 * eta / 0.02), obj, ids[b:] + ids[:b])
+            for b, eta in enumerate([0.02, 0.05, 0.1, 0.01, 0.03][:n_blocks])
+        ]
+        results, logs = logged_run(blocks, 0.3)
+        for block, summary, log in zip(blocks, results, logs):
+            (solo,), (solo_log,) = logged_run([block], 0.3)
+            assert same_summary(summary, solo)
+            for (step, x, risk, writable), (_, solo_x, solo_risk, _) in zip(log, solo_log):
+                assert np.array_equal(x, solo_x) and np.array_equal(risk, solo_risk) and not writable
+
+    @pytest.mark.parametrize("burn_in, fused, grad_only", [(0, 301, 0), (60, 241, 60)])
+    def test_one_loss_call_per_step_for_a_galerkin_call(self, burn_in, fused, grad_only, monkeypatch):
+        # five widths on one dataset, as galerkin_error_vs_n runs them: one group
+        data = Dataset.synthesize(8, seed=5)
+        cfg = make_cfg(horizon=300, burn_in=burn_in)
+        blocks = [
+            (dataclasses.replace(cfg, n_modes=n), ObjectiveSpec(data, loss_family("squared"), KernelSpec(), n), [0, 1, 2, 3], ())
+            for n in (33, 3, 5, 9, 17)
+        ]
+        calls = counted_loss_calls(monkeypatch)
+        run_blocks(blocks, 0.0, checkpoints=(cfg.horizon,))
+        assert [calls[name] for name in LOSS_METHODS] == [fused, 0, grad_only]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("diverging_first", [False, True])
+    def test_abort_leaves_every_block_at_the_step_before(self, diverging_first):
+        # the diverging block runs on another dataset, so it is a group of its own
+        stable = (make_cfg(seed=1, horizon=1000, burn_in=0), make_objective(), [0, 2])
+        wild = (ChainConfig(eta=10.0, beta=100.0, lam=1e-6, n_modes=6, seed=1, horizon=1000, burn_in=0),
+                make_objective(n=9), [0, 2])
+        blocks = [wild, stable] if diverging_first else [stable, wild]
+        with pytest.raises(NumericalAbort) as exc_info:
+            run_blocks([(*block, ()) for block in blocks], 0.3)
+        step = exc_info.value.step
+        assert step > 256  # past a flushed chunk
+        for (cfg, obj, ids), partial in zip(blocks, exc_info.value.partial):
+            assert partial.steps[-1] == partial.retained_steps == step - 1
+            assert same_summary(partial, one_block(dataclasses.replace(cfg, horizon=step - 1), obj, ids, 0.3))
+
+
+class TestGroupEvaluation:
+    @given(
+        st.data(),
+        st.sampled_from(["squared", "logistic", "savage"]),
+        st.sampled_from([0.0, 0.1]),
+        st.sampled_from([[8], [3, 8, 5], [8, 8, 8]]),
+        st.sampled_from([1, 5]),
+        st.sampled_from(["gld", "ou"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_evaluation_matches_separate_calls(self, data, loss, lambda0, widths, n_chains, mode):
+        # blocks of equal width share their objective, so [8, 8, 8] takes the stacked products
+        dataset = Dataset.synthesize(12, seed=3)
+        objectives = {n: ObjectiveSpec(dataset, loss_family(loss), KernelSpec(), n, lambda0=lambda0) for n in set(widths)}
+        members = [dynamics._Block(make_cfg(n_modes=n, mode=mode), objectives[n], range(n_chains), (), 0.0, 0) for n in widths]
+        group = dynamics._Group(members, {r: r for r in range(n_chains)}, (n_chains, 1, max(widths)))
+        x = data.draw(hnp.arrays(float, (n_chains, sum(widths)), elements=st.floats(-10.0, 10.0)))
+        x.setflags(write=False)
+        group.x = x
+        for with_risk in (False, True):
+            group.evaluate(with_risk)
+            if mode == "gld":
+                for b, xb, grad in zip(members, group.split(x), group.split(group.g)):
+                    assert np.array_equal(grad, b.obj.grad_array(xb))
+        for b, xb, risk in zip(members, group.split(x), [group.risk] if group.single else group.risk):
+            assert np.array_equal(risk, b.obj.risk_array(xb))
 
 
 class TestCheckpoints:
@@ -775,13 +930,10 @@ class TestCheckpoints:
     @pytest.mark.parametrize("checkpoints", [[0], [101], [-1, 50], [1, 100, 101], [2.7, 5.9]])
     def test_step_outside_the_horizon_raises_before_any_step(self, checkpoints, monkeypatch):
         obj = make_objective()
-        calls = []
-        for name in ("risk_and_grad_array", "grad_array"):
-            method = getattr(ObjectiveSpec, name)
-            monkeypatch.setattr(ObjectiveSpec, name, lambda self, x, method=method: calls.append(1) or method(self, x))
+        calls = counted_loss_calls(monkeypatch)
         with pytest.raises(ValueError, match="checkpoints"):
             run_blocks([(make_cfg(), obj, [0], ())], l_star=0.0, checkpoints=checkpoints)
-        assert calls == []
+        assert not calls
 
 
 class TestRng:

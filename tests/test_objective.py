@@ -181,19 +181,6 @@ class TestFusedEvaluationBits:
             assert same_bits(_sigmoid(t), masked_sigmoid(t))
         assert same_bits(_sigmoid(t)[:6], np.array([0.0, 0.0, 0.5, 0.5, 1.0, 1.0]))
 
-    @given(
-        st.data(),
-        st.sampled_from([SQUARED, LOGISTIC, SAVAGE]),
-        st.sampled_from([0.0, 0.1]),
-        st.sampled_from([(8,), (1, 8), (5, 8)]),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_risk_and_grad_array_matches_separate_calls(self, data, loss, lambda0, shape):
-        x = data.draw(hnp.arrays(float, shape, elements=st.floats(-10.0, 10.0)))
-        obj = ObjectiveSpec(Dataset.synthesize(12, seed=3), loss, KernelSpec(), 8, lambda0=lambda0)
-        risk, grad = obj.risk_and_grad_array(x)
-        assert same_bits(risk, obj.risk_array(x)) and same_bits(grad, obj.grad_array(x))
-
 
 class TestRiskAndGradient:
     def test_risk_at_origin_squared(self):
