@@ -10,15 +10,16 @@ dataset, the loss, lambda0 and the gradient kind form a group, whose states
 sit side by side in one (R, sum of N+1) array that one step advances; each
 block reads its columns through read-only views.  Noise and SGLD minibatch
 indices are pregenerated in per-chain chunks to amortize generator overhead;
-when a chunk's rows are wide, the next half chunk of noise is drawn on a
-second thread while the loop steps through the current one.
+a call that draws a million normals or more forks a worker process that
+draws the noise a half chunk ahead while the loop steps through the current
+one, so no fill holds the interpreter the steps run on.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,12 @@ __all__ = [
 _STREAM_NOISE = 0
 _STREAM_BATCH = 1
 _CHUNK = 256
-# normals per chain per half chunk from which a second thread draws the noise:
-# a Philox fill releases the GIL, but a smaller one costs less than the hand-off
-# (threaded, N+1 = 32 ran slower, N+1 = 65 no faster and N+1 = 129 faster)
-_AHEAD_NORMALS = 16384
+# a call's normals (distinct ids x horizon x widest N+1) from which a forked
+# worker draws its noise.  On 2 cores fork plus reap cost about 3.3 ms and a fill
+# about 24 ns a normal, but the half chunks add hand-offs and per-chunk work:
+# forked, R = 8 at N+1 = 65 broke even near 300k normals (savage loss) and R = 8
+# at N+1 = 16 near 1M (squared loss), while 104k and 256k ran 19-23% slower
+_AHEAD_NORMALS = 10**6
 
 
 class NumericalAbort(RuntimeError):
@@ -391,23 +394,88 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _Fill(threading.Thread):
-    """fill(*args) on a second thread; wait() joins it and re-raises what it raised."""
+class _Worker:
+    """A forked child that draws a call's noise a half chunk ahead of its steps.
 
-    def __init__(self, fill, *args):
-        super().__init__(target=fill, args=args, daemon=True)
-        self.error = None
+    The child fills the two half-chunk buffers of an anonymous shared mmap,
+    made before the fork, in turn, each generator its rows in step order.  A
+    byte on the done pipe hands a filled buffer to the parent; a byte on the
+    go pipe hands a stepped-through buffer back to the child.  The child calls
+    only standard_normal(out=...) on generators no other thread has used, so
+    a lock another thread held at the fork cannot stop it, and it reports an
+    exception it raises on the done pipe before it exits.
+    """
 
-    def run(self):
+    def __init__(self, rngs, shape, horizon):
+        size = math.prod(shape)
+        shared = mmap.mmap(-1, 2 * 8 * size)  # the arrays keep it mapped
+        self.buffers = [np.frombuffer(shared, count=size, offset=8 * size * k).reshape(shape) for k in (0, 1)]
+        self.taken, self.status = 0, None
+        go, self.go = os.pipe()
+        self.done, done = os.pipe()
         try:
-            super().run()
-        except BaseException as exc:
-            self.error = exc
+            self.pid = os.fork()
+        except OSError:  # no process to run it: no silent inline draw either
+            for fd in (go, self.go, self.done, done):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            os.close(self.go)
+            os.close(self.done)
+            self._fill(rngs, horizon, go, done)
+        os.close(go)
+        os.close(done)
 
-    def wait(self):
-        self.join()
-        if self.error is not None:
-            raise self.error
+    def _fill(self, rngs, horizon, go, done):
+        """The child's whole life: fill every half chunk, then exit."""
+        status = 1
+        try:
+            half = self.buffers[0].shape[1]
+            for i, start in enumerate(range(0, horizon, half)):
+                if i >= 2 and not os.read(go, 1):
+                    break  # the parent closed the go pipe: it has left the step loop
+                for rng, row in zip(rngs, self.buffers[i % 2]):
+                    rng.standard_normal(out=row[: min(half, horizon - start)])
+                os.write(done, b".")
+            status = 0
+        except BaseException as exc:  # the parent raises it; the child only reports it
+            try:
+                os.write(done, f"!{type(exc).__name__}: {exc}".encode()[:512])
+            except OSError:
+                pass  # the parent has closed the done pipe and reads nothing more
+        finally:
+            os._exit(status)
+
+    def take(self) -> np.ndarray:
+        """The next filled buffer, once the child has handed it over."""
+        token = os.read(self.done, 1)
+        if token != b".":
+            raised = os.read(self.done, 512).decode(errors="replace") if token == b"!" else ""
+            self.close()
+            raise self.error(raised)
+        buffer = self.buffers[self.taken % 2]
+        self.taken += 1
+        return buffer
+
+    def release(self):
+        """Hand the buffer last taken back to the child, for the half chunk after
+        next; a dead child's pipe refuses it, and the next take() says why."""
+        try:
+            os.write(self.go, b".")
+        except BrokenPipeError:
+            pass
+
+    def close(self):
+        """Close both pipes and reap the child, once.  A child still filling ends
+        after that fill, when it finds the pipes closed."""
+        if self.status is None:
+            os.close(self.go)
+            os.close(self.done)
+            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+    def error(self, raised) -> RuntimeError:
+        how = f"was killed by signal {-self.status}" if self.status < 0 else f"exited with status {self.status}"
+        return RuntimeError(f"noise worker {self.pid} {how}" + (f" after it raised {raised}" if raised else ""))
 
 
 def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
@@ -427,11 +495,14 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
     block's n_modes, and every block reads the first N+1 components of its
     chain ids' rows, so blocks that share a chain id share their noise
     (common random numbers across step sizes, temperatures or dimensions).
-    When a chain's draw per half chunk is at least _AHEAD_NORMALS normals,
-    the horizon is longer than a half chunk and the process may run on more
-    than one CPU, the chunk is halved and a second thread draws the next
-    half chunk while the loop steps through the current one; the draws and
-    every output keep their bits.
+    When the call draws at least _AHEAD_NORMALS normals (distinct chain ids
+    x horizon x widest N+1), the horizon is longer than a half chunk, the
+    process may run on more than one CPU and os.fork exists, the chunk is
+    halved and a forked worker process draws the noise a half chunk ahead
+    while the loop steps through the current one; the minibatches are still
+    drawn in the loop, and the draws and every output keep their bits.
+    Every exit reaps the worker, and a worker that raises or dies makes the
+    call raise a RuntimeError naming it.
     Blocks that share R, the Dataset object, the loss, lambda0 and the gradient
     kind (full batch, minibatch, or none for the OU chain) step as one group: one
     noise read, one update, one finiteness check, one loss call and one risk
@@ -472,36 +543,38 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
     position = {cid: i for i, cid in enumerate(ids)}
     noise_rngs = [make_rng(first.seed, cid, _STREAM_NOISE) for cid in ids]
     width = max(s.n for s in states)
-    # wide rows past one half chunk: two half-chunk buffers, the loop reading one while
-    # a second thread fills the other with the next half chunk; they hold what one
-    # chunk buffer holds
-    ahead = horizon > _CHUNK // 2 and (_CHUNK // 2) * width >= _AHEAD_NORMALS and _cpus() > 1
+    # a large call past one half chunk on several CPUs: a forked worker fills two
+    # half-chunk buffers, which hold what the one chunk buffer holds, the loop
+    # stepping through one while the worker fills the other
+    ahead = (
+        horizon > _CHUNK // 2
+        and len(ids) * horizon * width >= _AHEAD_NORMALS
+        and _cpus() > 1
+        and hasattr(os, "fork")
+    )
     chunk = _CHUNK // 2 if ahead else _CHUNK
-    buffers = [np.empty((len(ids), min(chunk, horizon), width)) for _ in range(1 + ahead)]
-
-    def fill(noise, start):  # each generator fills its rows in step order
-        for rng, row in zip(noise_rngs, noise):
-            rng.standard_normal(out=row[: min(chunk, horizon - start)])
+    shape = (len(ids), min(chunk, horizon), width)
 
     members = {}
     for s in states:
         key = (len(s.chain_ids), id(s.obj.dataset), s.obj.loss, s.obj.lambda0, s.gradient)
         members.setdefault(key, []).append(s)
-    groups = [_Group(group, position, buffers[0].shape) for group in members.values()]
-    for g in groups:
-        g.commit(0, False, True)  # X_0
+    groups = [_Group(group, position, shape) for group in members.values()]
     step, worker = 0, None
     try:
         if ahead:
-            fill(buffers[0], 0)
+            worker = _Worker(noise_rngs, shape, horizon)
+        else:
+            noise = np.empty(shape)
+        for g in groups:
+            g.commit(0, False, True)  # X_0
         while step < horizon:
             chunk_len = min(chunk, horizon - step)
-            noise = buffers[0]
-            if not ahead:
-                fill(noise, step)
-            elif step + chunk_len < horizon:
-                worker = _Fill(fill, buffers[1], step + chunk_len)
-                worker.start()
+            if worker is None:  # each generator fills its rows in step order
+                for rng, row in zip(noise_rngs, noise):
+                    rng.standard_normal(out=row[:chunk_len])
+            else:
+                noise = worker.take()
             for s in states:
                 if s.minibatch is not None:
                     s.draw_batches(chunk_len)
@@ -516,10 +589,8 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
                     g.commit(step, retain, checkpoint)
             for s in states:
                 s.flush()
-            if worker is not None:
-                worker.wait()
-                worker = None
-                buffers.reverse()
+            if worker is not None and step + chunk < horizon:
+                worker.release()
     except NumericalAbort as exc:
         for s in states:
             s.flush()
@@ -527,7 +598,7 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
         raise
     finally:
         if worker is not None:
-            worker.join()
+            worker.close()
     return [s.summary() for s in states]
 
 

@@ -110,11 +110,15 @@ _SAVAGE_G = 2.0 * _SAVAGE_S2 * (1.0 - _SAVAGE_S2) ** 2 * (3.0 * _SAVAGE_S2 - 1.0
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    # e = exp(-|t|) <= 1 cannot overflow, and each side of the where has the bits
-    # of the stable branch for its sign; min(t, -t) keeps a NaN's sign, unlike -|t|
-    e = np.exp(np.minimum(t, -t))
-    d = 1.0 + e
-    return np.where(t >= 0, 1.0 / d, e / d)
+    # e = exp(-|t|) <= 1 cannot overflow, and e / d where t < 0 and 1 / d where
+    # t >= 0 each have the bits of the stable branch for that sign; min(t, -t)
+    # keeps a NaN's sign, unlike -|t|, and is a new array, since every caller's
+    # t has at least one dimension
+    e = np.minimum(t, -t)
+    np.exp(e, out=e)
+    d = e + 1.0
+    np.divide(e, d, out=e)
+    return np.divide(1.0, d, out=e, where=t >= 0)
 
 
 @dataclass(frozen=True)
@@ -141,8 +145,11 @@ class LossFamily:
             return 0.5 * d**2, d
         if self.tag == "savage":
             s = _sigmoid(y * u)
-            v = (1.0 - s) ** 2
-            return v, -2.0 * y * s * v
+            v = 1.0 - s
+            v *= v  # (1 - s) ** 2, whose square is v * v
+            s *= -2.0 * y  # -2 y s, then times v: the bits of d1's product
+            s *= v
+            return v, s
         return self.value(u, y), self.d1(u, y)
 
     def value(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rkld
-from rkld import cli, diagnostics, verify
+from rkld import cli, diagnostics, dynamics, verify
 from rkld.cli import main
 from rkld.config import _KEYS, ConfigError, ExperimentConfig
 from rkld.objective import LossFamily, ObjectiveSpec
@@ -712,6 +712,28 @@ class TestExitCodes:
         cfg.write_text(BASE + "\n[experiment]\nreplicas = 2\neta_grid = 0.2, 0.1, 0.05, 0.025\neta_ref = 0.003\n")
         assert main(["sweep", "--axis", "eta", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == "numerical error: Singular matrix\n"
+
+    def test_noise_worker_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a forked noise worker that raises fails the sweep on one stderr line
+        class FailsAfterFirstFill:
+            def __init__(self, rng):
+                self.rng, self.fills = rng, 0
+
+            def standard_normal(self, out):
+                self.fills += 1
+                if self.fills > 1:
+                    raise OSError("fill failed")
+                return self.rng.standard_normal(out=out)
+
+        make = dynamics.make_rng
+        monkeypatch.setattr(dynamics, "make_rng", lambda *key: FailsAfterFirstFill(make(*key)))
+        monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 1)
+        monkeypatch.setattr(dynamics, "_cpus", lambda: 2)
+        cfg = tmp_path / "eta.ini"
+        cfg.write_text(BASE + "\n[experiment]\nreplicas = 2\neta_grid = 0.2, 0.1, 0.05, 0.025\neta_ref = 0.003\n")
+        assert main(["sweep", "--axis", "eta", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"solver failure: noise worker \d+ exited with status 1 after it raised OSError: fill failed\n", err)
 
     @pytest.mark.parametrize("command", ["run", "verify"])
     @pytest.mark.parametrize("where", ["config", "flag"])

@@ -1,8 +1,10 @@
 import collections
+import contextlib
 import dataclasses
 import itertools
 import math
-import threading
+import os
+import signal
 import time
 
 import numpy as np
@@ -566,17 +568,27 @@ class TestChunkedBookkeeping:
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Two CPUs whatever the host, and the list of noise-fill threads run_blocks starts."""
-    started = []
+    """Two CPUs whatever the host, and the pids of the noise workers run_blocks
+    forks; a test still waiting after 60 s fails instead of hanging."""
+    forked = []
+    fork = os.fork
 
-    class Counted(dynamics._Fill):
-        def start(self):
-            started.append(self)
-            super().start()
+    def counted():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def timed_out(signum, frame):
+        raise TimeoutError("still waiting after 60 s")
 
     monkeypatch.setattr(dynamics, "_cpus", lambda: 2)
-    monkeypatch.setattr(dynamics, "_Fill", Counted)
-    return started
+    monkeypatch.setattr(os, "fork", counted)
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)
+    yield forked
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
@@ -600,59 +612,88 @@ def slow_fills(monkeypatch):
     monkeypatch.setattr(dynamics, "make_rng", make_rng)
 
 
-def all_joined(workers):
-    return all(w.ident is not None and not w.is_alive() for w in workers)
+def no_child_left() -> bool:
+    """Whether this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 class TestNoiseAhead:
-    """A call whose rows are wide draws the next half chunk of noise on a second
-    thread; its summaries keep the bits of the one-thread path."""
+    """A call that draws many normals forks a worker process that draws the
+    noise a half chunk ahead; its summaries keep the bits of the inline path."""
 
     @pytest.mark.parametrize("horizon", [127, 128, 129, 2001])  # 2001: cadence 2
     @pytest.mark.parametrize("mode", ["gld", "sgld", "ou"])
-    def test_summaries_equal_per_step_reference(self, mode, horizon, workers):
+    def test_summaries_equal_per_step_reference(self, mode, horizon, workers, monkeypatch):
         obj = make_objective(n_modes=129, loss="savage", lambda0=0.1)
         ids = [4, 1, 7]
         cfg = make_cfg(n_modes=129, horizon=horizon, mode=mode, minibatch=3 if mode == "sgld" else None)
-        states = observed_states(cfg, obj, ids)
-        assert len(workers) == math.ceil(horizon / 128) - 1
-        for burn_in in sorted({0, 127, 128, 129, 300} & set(range(horizon))):  # 128: the half-chunk edge
+        monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 10**9)
+        states = observed_states(cfg, obj, ids)  # drawn inline
+        monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 1)
+        burn_ins = sorted({0, 127, 128, 129, 300} & set(range(horizon)))  # 128: the half-chunk edge
+        for burn_in in burn_ins:
             run_cfg = dataclasses.replace(cfg, burn_in=burn_in)
             summary = one_block(run_cfg, obj, ids, 0.3)
             assert same_summary(summary, reference_summary(run_cfg, obj, ids, 0.3, states))
+        # one half chunk has nothing to draw ahead of
+        assert len(workers) == (len(burn_ins) if horizon > 128 else 0)
 
-    @pytest.mark.parametrize("width, cpus, threaded", [(65, 2, False), (127, 2, False), (128, 2, True), (129, 1, False)])
-    def test_threads_only_wide_rows_on_several_cpus(self, width, cpus, threaded, workers, monkeypatch):
+    @pytest.mark.parametrize(
+        "n_chains, horizon, width, cpus, forked",
+        [
+            (2, 3907, 127, 2, False),  # 992,378 normals
+            (2, 3907, 128, 2, True),  # 1,000,192
+            (1, 3907, 128, 2, False),  # the call's chain ids count
+            (2, 3907, 129, 1, False),
+            (64, 128, 129, 2, False),  # 1,056,768 normals in one half chunk
+        ],
+    )
+    def test_forks_only_large_calls_on_several_cpus(self, n_chains, horizon, width, cpus, forked, workers, monkeypatch):
         monkeypatch.setattr(dynamics, "_cpus", lambda: cpus)
-        one_block(make_cfg(n_modes=width, horizon=300), make_objective(n_modes=width), [0, 1])
-        assert len(workers) == (2 if threaded else 0)  # steps 129..256 and 257..300
+        cfg = make_cfg(n_modes=width, horizon=horizon, burn_in=horizon - 1)
+        one_block(cfg, make_objective(n_modes=width), list(range(n_chains)))
+        assert len(workers) == forked
 
-    def test_mixed_call_keeps_its_bits_with_and_without_the_thread(self, workers, slow_fills, monkeypatch):
-        # gld, sgld and ou blocks at widths 9 and 65 on shared chain ids, the threshold at or just past N+1 = 65
+    def test_mixed_call_keeps_its_bits_with_and_without_the_worker(self, workers, slow_fills, monkeypatch):
+        # gld, sgld and ou blocks at widths 9 and 65 on 4 chain ids: 4 x 700 x 65 normals,
+        # the threshold at or just past them
         objectives = {n: make_objective(n_modes=n, loss="savage", lambda0=0.1) for n in (9, 65)}
         blocks = [
             (make_cfg(n_modes=n, horizon=700, burn_in=250, mode=mode, minibatch=3 if mode == "sgld" else None),
              objectives[n], ids, ())
             for n, mode, ids in [(65, "gld", [0, 1, 2]), (9, "sgld", [2, 3]), (65, "ou", [1, 3]), (9, "gld", [0])]
         ]
-        monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 128 * 65)
-        threaded = run_blocks(blocks, 0.3)
-        assert len(workers) == 5
-        monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 128 * 65 + 1)
+        monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 4 * 700 * 65)
+        forked = run_blocks(blocks, 0.3)
+        assert len(workers) == 1
+        monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 4 * 700 * 65 + 1)
         inline = run_blocks(blocks, 0.3)
-        assert len(workers) == 5
-        assert all(same_summary(a, b) for a, b in zip(threaded, inline))
+        assert len(workers) == 1
+        assert all(same_summary(a, b) for a, b in zip(forked, inline))
+
+    def test_without_fork_the_call_runs_inline_with_the_same_bits(self, workers, monkeypatch):
+        obj = make_objective(n_modes=65, loss="savage")
+        cfg = make_cfg(n_modes=65, horizon=700, burn_in=250)
+        monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 1)
+        forked = one_block(cfg, obj, [3, 0, 5], 0.3)
+        monkeypatch.delattr(os, "fork")
+        inline = one_block(cfg, obj, [3, 0, 5], 0.3)
+        assert len(workers) == 1 and same_summary(forked, inline)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_partial_summary_on_abort_after_several_chunks(self, workers, slow_fills, monkeypatch):
         obj = make_objective(n_modes=129)
         cfg = ChainConfig(eta=10.0, beta=100.0, lam=1e-6, n_modes=129, seed=1, horizon=2000)
         ids = [0, 2]
+        monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 1)
         with pytest.raises(NumericalAbort) as exc_info:
             one_block(cfg, obj, ids, l_star=0.3)
         step = exc_info.value.step
-        assert step > 256 and len(workers) == (step - 1) // 128 + 1
-        assert all_joined(workers)
+        assert step > 256 and len(workers) == 1 and no_child_left()
         states = observed_states(cfg, obj, ids)
         [partial] = exc_info.value.partial
         assert same_summary(partial, reference_summary(cfg, obj, ids, 0.3, states))
@@ -660,41 +701,56 @@ class TestNoiseAhead:
         with pytest.raises(NumericalAbort) as inline:
             one_block(cfg, obj, ids, l_star=0.3)
         assert inline.value.step == step and same_summary(inline.value.partial[0], partial)
+        assert len(workers) == 2
 
-    def test_no_thread_outlives_a_return_or_an_observer_exception(self, workers, slow_fills):
-        obj = make_objective(n_modes=129)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "raised", [None, NumericalAbort, KeyError, KeyboardInterrupt], ids=["return", "abort", "observer", "interrupt"]
+    )
+    def test_no_worker_outlives_any_exit(self, raised, workers, slow_fills, monkeypatch):
+        monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 1)
         cfg = make_cfg(n_modes=129, horizon=1000, burn_in=0)
-        one_block(cfg, obj, [0, 1])
-        assert len(workers) == 7 and all_joined(workers)
+        if raised is NumericalAbort:
+            cfg = ChainConfig(eta=10.0, beta=100.0, lam=1e-6, n_modes=129, seed=1, horizon=1000, burn_in=0)
 
         def observer(step, x, risk):
-            if step == 200:
-                raise KeyError("observer")
+            if step == 200 and raised in (KeyError, KeyboardInterrupt):
+                raise raised("observer")
 
-        with pytest.raises(KeyError, match="observer"):
-            one_block(cfg, obj, [0, 1], observers=(observer,))
-        assert len(workers) == 9 and all_joined(workers)
+        with pytest.raises(raised) if raised else contextlib.nullcontext():
+            one_block(cfg, make_objective(n_modes=129), [0, 1], observers=(observer,))
+        assert len(workers) == 1 and no_child_left()
 
     def test_worker_exception_reaches_the_caller(self, workers, monkeypatch):
-        failed_on = []
-
         class FailsAfterFirstFill:
             def __init__(self, rng):
                 self.rng, self.fills = rng, 0
 
             def standard_normal(self, out):
                 self.fills += 1
-                if self.fills > 1:  # the first fill is inline, the next ones on the worker
-                    failed_on.append(threading.get_ident())
+                if self.fills > 1:
                     raise OSError("fill failed")
                 return self.rng.standard_normal(out=out)
 
         make = dynamics.make_rng
         monkeypatch.setattr(dynamics, "make_rng", lambda *key: FailsAfterFirstFill(make(*key)))
-        with pytest.raises(OSError, match="fill failed"):
+        monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 1)
+        with pytest.raises(RuntimeError, match="exited with status 1 after it raised OSError: fill failed") as exc_info:
             one_block(make_cfg(n_modes=129, horizon=1000), make_objective(n_modes=129), [0, 1])
-        assert len(workers) == 1 and failed_on == [workers[0].ident]
-        assert all_joined(workers)
+        [pid] = workers
+        assert f"noise worker {pid} " in str(exc_info.value) and no_child_left()
+
+    def test_killed_worker_raises_its_exit_status(self, workers, monkeypatch):
+        monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 1)
+
+        def kill_the_worker(step, x, risk):
+            if step == 200:
+                os.kill(workers[0], signal.SIGKILL)
+
+        with pytest.raises(RuntimeError, match=f"was killed by signal {signal.SIGKILL.value}"):
+            one_block(make_cfg(n_modes=129, horizon=1000, burn_in=0), make_objective(n_modes=129), [0, 1],
+                      observers=(kill_the_worker,))
+        assert len(workers) == 1 and no_child_left()
 
 
 class TestRunBlocks:
