@@ -144,11 +144,7 @@ def _theory(exp: ExperimentConfig, obj):
 
 
 def _sweep_eta(exp: ExperimentConfig):
-    obj = exp.build_objective()
-    _, l_center = obj.regularized_minimizer(exp.chain.lam)
-    fit = weak_error_vs_eta(
-        obj, exp.chain, exp.eta_grid, exp.eta_ref, l_center, replicas=exp.replicas
-    )
+    fit = weak_error_vs_eta(exp.build_objective(), exp.chain, exp.eta_grid, exp.eta_ref, replicas=exp.replicas)
     rows = zip(fit.abscissae.tolist(), fit.ordinates.tolist(), fit.ordinate_errors.tolist())
     return ["eta", "error", "se"], rows, fit.verdict
 

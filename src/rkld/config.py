@@ -91,8 +91,6 @@ _KEYS = {
         "synth_kind": (_one_of("regression", "classification"), "regression"),
         "synth_n": (_positive_count, 20),
         "synth_seed": (_count, 7),
-        "synth_noise": (_nonnegative, 0.1),
-        "lambda0": (_nonnegative, 0.0),
     },
     "chain": {
         "eta": (_positive, _REQUIRED),
@@ -141,7 +139,6 @@ class ExperimentConfig:
     kernel: KernelSpec
     loss: LossFamily
     dataset: Dataset  # read from [objective] data, or synthesized from its synth_* keys
-    lambda0: float
     chain: ChainConfig  # its mode is [experiment] mode
     replicas: int
     kappa: float
@@ -200,7 +197,7 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(f"{origin}: [{section}] {exc}") from None
         data = objective.pop("data")
-        synth = {key: objective.pop(f"synth_{key}") for key in ("kind", "n", "seed", "noise")}
+        synth = {key: objective.pop(f"synth_{key}") for key in ("kind", "n", "seed")}
         try:
             dataset = Dataset.from_csv(data) if data is not None else Dataset.synthesize(**synth)
         except ValueError as exc:  # an unreadable or invalid data file, or more points than numpy can draw
@@ -213,7 +210,7 @@ class ExperimentConfig:
 
     def build_objective(self, n_modes: int | None = None) -> ObjectiveSpec:
         n_modes = n_modes if n_modes is not None else self.chain.n_modes
-        return ObjectiveSpec(self.dataset, self.loss, self.kernel, n_modes, self.lambda0)
+        return ObjectiveSpec(self.dataset, self.loss, self.kernel, n_modes)
 
     def config_hash(self) -> str:
         canonical = "\n".join(

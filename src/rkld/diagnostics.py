@@ -357,7 +357,6 @@ def weak_error_vs_eta(
     cfg_base: ChainConfig,
     etas,
     eta_ref: float,
-    l_star: float,
     replicas: int,
 ) -> RateFit:
     """Invariant-law weak error against step size, by matched-seed Cesaro tails.
@@ -370,6 +369,9 @@ def weak_error_vs_eta(
     etas = sorted(etas)
     if eta_ref > min(etas) / 8.0:
         raise ValueError(f"eta_ref = {eta_ref} exceeds min(eta_grid)/8 = {min(etas) / 8.0}")
+    # center the sigmoid statistic at the regularized minimum, as the N and
+    # beta sweeps do
+    _, l_star = obj.regularized_minimizer(cfg_base.lam)
     ids = list(range(replicas))
     blocks = [
         (replace(cfg_base, eta=eta), obj, chain_ids, ())
@@ -614,7 +616,7 @@ def quadratic_discrete_invariant(obj: ObjectiveSpec, cfg: ChainConfig):
         raise ValueError("exact invariant law available for the squared loss only")
     n = obj.n_modes
     phi = obj.features
-    h_data = phi.T @ phi / obj.dataset.size + obj.lambda0 * np.eye(n)
+    h_data = phi.T @ phi / obj.dataset.size
     rhs = phi.T @ obj.dataset.y / obj.dataset.size
     mu = obj.kernel.eigenvalues(n)
     mean = np.linalg.solve(h_data + cfg.lam * np.diag(1.0 / mu), rhs)

@@ -6,9 +6,9 @@ chain runs alone or inside an ensemble.  Several ensembles (blocks) advance
 in lockstep through one loop; blocks that share a chain id share its noise,
 drawn once, which couples runs of different step size, temperature,
 starting point or dimension.  The blocks of a call that share R, the
-dataset, the loss, lambda0 and the gradient kind form a group, whose states
-sit side by side in one (R, sum of N+1) array that one step advances; each
-block reads its columns through read-only views.  Noise and SGLD minibatch
+dataset, the loss and the gradient kind form a group, whose states sit side
+by side in one (R, sum of N+1) array that one step advances; each block
+reads its columns through read-only views.  Noise and SGLD minibatch
 indices are pregenerated in per-chain chunks to amortize generator overhead;
 a call that draws a million normals or more forks a worker process that
 draws the noise a half chunk ahead while the loop steps through the current
@@ -250,8 +250,8 @@ class _Block:
 
 
 class _Group:
-    """The blocks of one run_blocks call that share R, the Dataset, the loss,
-    lambda0 and the gradient kind, stepped as one (R, sum of N+1) state.
+    """The blocks of one run_blocks call that share R, the Dataset, the loss
+    and the gradient kind, stepped as one (R, sum of N+1) state.
 
     Block b's state is its own run of columns, with per-column scales, eta and
     amp, so a step makes one noise read, one update and, where it evaluates,
@@ -267,7 +267,7 @@ class _Group:
         self.blocks = blocks
         self.single = len(blocks) == 1
         self.gradient = first.gradient
-        self.loss, self.y, self.lambda0 = first.obj.loss, first.obj.dataset.y, first.obj.lambda0
+        self.loss, self.y = first.obj.loss, first.obj.dataset.y
         self.n_tr = first.obj.dataset.size
         n_chains, lo = len(first.chain_ids), 0
         for b in blocks:
@@ -376,13 +376,8 @@ class _Group:
                 for d, f, out in zip(d1, self.features, self.g_out):
                     np.matmul(d, f, out=out)
             self.g /= self.n_tr
-            if self.lambda0:
-                self.g += self.lambda0 * x
         if risk:
             self.risk = np.add.reduce(value, axis=-1) / self.n_tr  # np.mean's bits
-            if self.lambda0:
-                ridge = np.reshape([np.sum(xb * xb, axis=-1) for xb in self.split(x)], self.risk.shape)
-                self.risk += 0.5 * self.lambda0 * ridge
             self.risk.setflags(write=False)
 
 
@@ -503,8 +498,8 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
     drawn in the loop, and the draws and every output keep their bits.
     Every exit reaps the worker, and a worker that raises or dies makes the
     call raise a RuntimeError naming it.
-    Blocks that share R, the Dataset object, the loss, lambda0 and the gradient
-    kind (full batch, minibatch, or none for the OU chain) step as one group: one
+    Blocks that share R, the Dataset object, the loss and the gradient kind
+    (full batch, minibatch, or none for the OU chain) step as one group: one
     noise read, one update, one finiteness check, one loss call and one risk
     reduction per step for all of them, on their states packed side by side
     by column.  Every block keeps its own matmuls, written into the group's
@@ -557,7 +552,7 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
 
     members = {}
     for s in states:
-        key = (len(s.chain_ids), id(s.obj.dataset), s.obj.loss, s.obj.lambda0, s.gradient)
+        key = (len(s.chain_ids), id(s.obj.dataset), s.obj.loss, s.gradient)
         members.setdefault(key, []).append(s)
     groups = [_Group(group, position, shape) for group in members.values()]
     step, worker = 0, None

@@ -82,18 +82,17 @@ class Dataset:
         return cls(np.array(z), np.array(y))
 
     @classmethod
-    def synthesize(
-        cls, n: int, seed: int, kind: str = "regression", noise: float = 0.1
-    ) -> "Dataset":
+    def synthesize(cls, n: int, seed: int, kind: str = "regression") -> "Dataset":
         """Teacher data: z uniform on [0, 1], g(z) = sin(2 pi z).
 
-        Regression adds Gaussian noise to g; classification takes sign(g).
+        Regression adds Gaussian noise of standard deviation 0.1 to g;
+        classification takes sign(g).
         """
         rng = np.random.default_rng(seed)
         z = rng.uniform(0.0, 1.0, size=n)
         g = np.sin(2.0 * math.pi * z)
         if kind == "regression":
-            y = g + noise * rng.standard_normal(n)
+            y = g + 0.1 * rng.standard_normal(n)
         elif kind == "classification":
             y = np.where(g >= 0.0, 1.0, -1.0)
         else:
@@ -222,28 +221,18 @@ class MinimizerPair:
 
 
 class ObjectiveSpec:
-    """Empirical risk L(x) = (1/n) sum_i l(<x, psi_gamma(z_i)>, y_i) + (lambda0/2)||x||^2.
+    """Empirical risk L(x) = (1/n) sum_i l(<x, psi_gamma(z_i)>, y_i).
 
     Feature rows are precomputed once; all evaluations are pure afterwards.
     """
 
-    def __init__(
-        self,
-        dataset: Dataset,
-        loss: LossFamily,
-        kernel: KernelSpec,
-        n_modes: int,
-        lambda0: float = 0.0,
-    ):
+    def __init__(self, dataset: Dataset, loss: LossFamily, kernel: KernelSpec, n_modes: int):
         if n_modes < 1:
             raise ValueError("n_modes must be >= 1")
-        if not (lambda0 >= 0 and math.isfinite(lambda0)):
-            raise ValueError("lambda0 must be nonnegative and finite")
         self.dataset = dataset
         self.loss = loss
         self.kernel = kernel
         self.n_modes = int(n_modes)
-        self.lambda0 = float(lambda0)
         self.features = kernel.feature_matrix(dataset.z, n_modes)
         self.features.setflags(write=False)
         self._kernel_diag = np.sum(self.features**2, axis=1)
@@ -254,15 +243,13 @@ class ObjectiveSpec:
 
     def risk_array(self, x: np.ndarray) -> np.ndarray:
         value = self.loss.value(x @ self.features.T, self.dataset.y)
-        risk = np.add.reduce(value, axis=-1) / self.dataset.size  # np.mean's bits, without its overhead
-        return risk + 0.5 * self.lambda0 * np.sum(x * x, axis=-1) if self.lambda0 else risk
+        return np.add.reduce(value, axis=-1) / self.dataset.size  # np.mean's bits, without its overhead
 
     def grad_array(self, x: np.ndarray) -> np.ndarray:
-        g = self.loss.d1(x @ self.features.T, self.dataset.y) @ self.features / self.dataset.size
-        return g + self.lambda0 * x if self.lambda0 else g
+        return self.loss.d1(x @ self.features.T, self.dataset.y) @ self.features / self.dataset.size
 
     def grad_components_array(self, x: np.ndarray) -> np.ndarray:
-        """Per-sample gradients of the data term (ridge part excluded)."""
+        """Per-sample gradients of the risk."""
         u = x @ self.features.T
         return self.loss.d1(u, self.dataset.y)[..., None] * self.features
 
@@ -271,10 +258,7 @@ class ObjectiveSpec:
         chains at once, x (R, N) with one batch per chain in batch (R, m)."""
         rows = self.features[batch]
         u = np.matmul(rows, x[..., None])[..., 0]
-        g = np.matmul(self.loss.d1(u, self.dataset.y[batch])[..., None, :], rows)[..., 0, :] / batch.shape[-1]
-        if self.lambda0:
-            g = g + self.lambda0 * x
-        return g
+        return np.matmul(self.loss.d1(u, self.dataset.y[batch])[..., None, :], rows)[..., 0, :] / batch.shape[-1]
 
     # -- theory constants --
 
@@ -283,13 +267,13 @@ class ObjectiveSpec:
         return float(np.max(self._kernel_diag))
 
     def smoothness_constant(self) -> float:
-        """M = G * R_gamma (+ lambda0)."""
-        return self.loss.second_derivative_bound * self.kernel_diag_sup() + self.lambda0
+        """M = G * R_gamma."""
+        return self.loss.second_derivative_bound * self.kernel_diag_sup()
 
     def gradient_bound(self) -> float | None:
         """B = sup|l'| * max_i ||psi_gamma(z_i)||; None when unbounded."""
         bl = self.loss.first_derivative_bound
-        if bl is None or self.lambda0 > 0:
+        if bl is None:
             return None
         return bl * math.sqrt(self.kernel_diag_sup())
 
@@ -322,12 +306,12 @@ class ObjectiveSpec:
     def find_minimizers(self, lam: float) -> MinimizerPair:
         """Oracle minimizers x* (lam off) and x~ (lam on) of the truncated problem.
 
-        For a margin loss without a ridge term the search for x* stops at the
-        first iterate that separates the data, which proves that inf L = 0 is
-        not attained.  Results are global only for convex losses.
+        For a margin loss the search for x* stops at the first iterate that
+        separates the data, which proves that inf L = 0 is not attained.
+        Results are global only for convex losses.
         """
         x_tilde, l_tilde = self.regularized_minimizer(lam)
-        margin_loss = self.loss.tag in ("logistic", "savage") and self.lambda0 == 0
+        margin_loss = self.loss.tag in ("logistic", "savage")
         x_star = self._newton(np.zeros(self.n_modes), stop_if_separated=margin_loss)
         attained = x_star is not None
         if attained:
@@ -353,9 +337,9 @@ class ObjectiveSpec:
         """Damped Newton from x = 0 on F(x) = L(x) + x^T diag(w) x / 2.
 
         Steps solve with the eigendecomposition of the Hessian
-        Phi^T diag(l'') Phi / n + lambda0 I + diag(w), negative curvature
-        shifted out and null directions pseudo-inverted (so a rank-deficient
-        problem ends at its minimum-norm minimizer), then backtrack on F.
+        Phi^T diag(l'') Phi / n + diag(w), negative curvature shifted out and
+        null directions pseudo-inverted (so a rank-deficient problem ends at
+        its minimum-norm minimizer), then backtrack on F.
         Returns None once min_i y_i u_i > 0 if ``stop_if_separated``.
         """
         phi, y = self.features, self.dataset.y
@@ -372,7 +356,7 @@ class ObjectiveSpec:
                 return None
             g = self.grad_array(x) + w * x
             h = (phi.T * self.loss.d2(u, y)) @ phi / self.dataset.size
-            h[np.diag_indices_from(h)] += self.lambda0 + w
+            h[np.diag_indices_from(h)] += w
             evals, evecs = np.linalg.eigh(h)
             cutoff = self.n_modes * eps * float(np.max(np.abs(evals)))
             if np.linalg.norm(g) < _NEWTON_TOL:

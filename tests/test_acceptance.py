@@ -245,10 +245,7 @@ def test_07_weak_error_rate_in_eta():
     t0 = time.time()
     obj = objective(n=12, n_modes=32)
     cfg = ChainConfig(eta=0.1, beta=4.0, lam=6.0, n_modes=32, seed=42, horizon=200_000)
-    _, l_center = obj.regularized_minimizer(cfg.lam)
-    fit = weak_error_vs_eta(
-        obj, cfg, [0.2, 0.1, 0.05, 0.025], 0.003, l_center, replicas=8
-    )
+    fit = weak_error_vs_eta(obj, cfg, [0.2, 0.1, 0.05, 0.025], 0.003, replicas=8)
     elapsed = time.time() - t0
     report(
         7,

@@ -5,6 +5,7 @@ Catches dangling entries in a module's __all__ after code is deleted or
 renamed, a re-export in the package's __init__, a heavy import reaching the
 CLI's start-up, a third-party import missing from pyproject.toml, a public
 function, method or class that no code in src/ or perfbench/ reaches, a
+private function, class, constant or method that nothing there names, a
 defaulted parameter that no call there passes, a default that every call
 there overrides (a second statement of a value the config decides), and a
 defaulted dataclass field that no code there sets.  Tests do not count as
@@ -244,6 +245,49 @@ def test_every_public_callable_is_reached():
     unreached = {label for label, called_as, _ in _public_callables() if called_as not in referenced}
     assert unreached <= set(UNREACHED), f"nothing in src/ or perfbench/ reaches {sorted(unreached - set(UNREACHED))}"
     assert set(UNREACHED) <= unreached, "stale UNREACHED entry"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and name != "_" and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_definitions():
+    """(label, name) of every private module-level function, class and
+    constant, and every private method, in src/."""
+    for path in sorted((ROOT / "src" / "rkld").glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _is_private(node.name):
+                yield f"{path.stem}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and _is_private(fn.name):
+                        yield f"{path.stem}.{node.name}.{fn.name}", fn.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and _is_private(name.id):
+                            yield f"{path.stem}.{name.id}", name.id
+
+
+def test_every_private_name_is_used():
+    # the public-name guard cannot see a private leftover, such as a rule that no key
+    # parses with; a read, an attribute or a string naming it (perfbench's instrumented
+    # "_CesaroTracker.__call__") counts, a docstring does not
+    used = set()
+    for tree in _parsed(*PROGRAM):
+        docstrings = {
+            id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node) is not None
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+                used.update(re.findall(r"\w+", node.value))
+    unused = [label for label, name in _private_definitions() if name not in used]
+    assert not unused, f"nothing in src/ or perfbench/ uses {unused}"
 
 
 def test_only_theory_constants_branches_on_the_regime():

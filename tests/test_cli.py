@@ -537,7 +537,7 @@ SINGLE_KEY_PRECONDITIONS = ("eta_grid_short", "eta_ref_negative", "n_grid_negati
 
 
 def _centre(exp):
-    """The sweeps' centre of the sigmoid statistic: the regularized minimum."""
+    """The minibatch sweep's centre of the sigmoid statistic: the regularized minimum."""
     return exp.build_objective().regularized_minimizer(exp.chain.lam)[1]
 
 
@@ -551,7 +551,7 @@ def _theory(exp):
 # each sweep's experiment as the CLI calls it, and the verdict it returns
 EXPERIMENTS = {
     "eta": lambda exp: diagnostics.weak_error_vs_eta(
-        exp.build_objective(), exp.chain, exp.eta_grid, exp.eta_ref, _centre(exp), replicas=exp.replicas
+        exp.build_objective(), exp.chain, exp.eta_grid, exp.eta_ref, replicas=exp.replicas
     ).verdict,
     "n_modes": lambda exp: diagnostics.galerkin_error_vs_n(
         exp.build_objective, exp.chain, exp.n_grid, exp.n_ref, replicas=exp.replicas
@@ -571,7 +571,6 @@ EXPERIMENTS = {
 NON_FINITE = {
     "beta": ("beta = 4.0", "beta = nan", None),
     "lambda": ("lambda = 6.0", "lambda = nan", None),
-    "lambda0": ("synth_seed = 5", "synth_seed = 5\nlambda0 = nan", None),
     "data_z": ("synth_n = 8", "data = {data}", "z,y\n0.25,1.0\nnan,-1.0\n"),
     "data_y": ("synth_n = 8", "data = {data}", "z,y\n0.25,1.0\n0.75,nan\n"),
 }
@@ -614,6 +613,17 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("line", ["lambda0 = 0.1", "synth_noise = 0.2"])
+    def test_retired_objective_key_is_unknown(self, line, tmp_path, capsys):
+        # the chain runs on the one data risk: its ridge and the synthetic noise level are constants
+        cfg = tmp_path / "retired.ini"
+        cfg.write_text(BASE.replace("synth_seed = 5", f"synth_seed = 5\n{line}"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        key = line.split(" = ")[0]
+        assert capsys.readouterr() == ("", f"config error: {cfg}: unknown key '{key}' in [objective]\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(SWEEP_PRECONDITIONS))
     def test_sweep_precondition_is_config_error(self, case, tmp_path, monkeypatch, capsys):
@@ -1020,7 +1030,7 @@ PARSE_ERRORS = {
     "minibatch_above_n": (
         BASE.replace("seed = 42", "seed = 42\nminibatch = 30") + "\n[experiment]\nmode = sgld\n", None
     ),
-    "lambda0_negative": (BASE.replace("synth_seed = 5", "synth_seed = 5\nlambda0 = -1"), None),
+    "retired_key": (BASE.replace("synth_seed = 5", "synth_seed = 5\nlambda0 = 0.1"), None),
     "one_replica": (BASE + "\n[experiment]\nreplicas = 1\n", None),
     "short_grid": (BASE + "\n[experiment]\nm_grid = 2\n", None),
 }

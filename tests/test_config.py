@@ -38,8 +38,6 @@ NON_DEFAULT = {
         "synth_kind": "classification",
         "synth_n": "9",
         "synth_seed": "6",
-        "synth_noise": "0.2",
-        "lambda0": "0.1",
     },
     "chain": {
         "eta": "0.04",
@@ -95,6 +93,9 @@ class TestParsing:
             # the retired basis and decay switches: one cosine basis, one inverse-square law
             ("kernel", "basis = legendre"),
             ("kernel", "decay = harmonic"),
+            # the retired ridge and synthetic noise level: one risk, one teacher
+            ("objective", "lambda0 = 0.1"),
+            ("objective", "synth_noise = 0.2"),
         ],
     )
     def test_unknown_key_rejected(self, section, line):
@@ -155,6 +156,8 @@ class TestParsing:
             ("kernel", "mu0 = 0", "must be positive and finite"),
             ("kernel", "mu0 = inf", "must be positive and finite"),
             ("kernel", "gamma = -1", "must be nonnegative and finite"),
+            ("kernel", "gamma = inf", "must be nonnegative and finite"),
+            ("kernel", "gamma = nan", "must be nonnegative and finite"),
             ("chain", "eta = -1", "must be positive and finite"),
             ("chain", "eta = nan", "must be positive and finite"),
             ("chain", "beta = 0", "must be positive and finite"),
@@ -167,14 +170,10 @@ class TestParsing:
             ("objective", "loss = hinge", "unknown loss family: 'hinge'"),
             ("objective", "synth_kind = ranking", "expected one of regression, classification"),
             ("objective", "data = /no/such.csv", "file not found"),
-            ("objective", "lambda0 = -1", "must be nonnegative and finite"),
             ("objective", "synth_n = -3", "must be >= 1"),
             ("objective", "synth_n = 0", "must be >= 1"),
             ("objective", "synth_n = 100000000000000000000", "Maximum allowed dimension exceeded"),  # numpy's
             ("objective", "synth_seed = -1", "must be >= 0"),
-            ("objective", "synth_noise = inf", "must be nonnegative and finite"),
-            ("objective", "synth_noise = nan", "must be nonnegative and finite"),
-            ("objective", "synth_noise = -0.5", "must be nonnegative and finite"),
             ("experiment", "mode = mala", "expected one of gld, sgld, ou"),
             ("experiment", "replicas = 1", "must be >= 2"),
             ("experiment", "tail_delta = 1.0", "must be in (0, 1)"),

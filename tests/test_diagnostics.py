@@ -288,7 +288,7 @@ class TestEstimators:
     def test_weak_error_vs_eta_reproducible(self):
         obj = make_objective()
         cfg = self._cfg(horizon=1000)
-        a, b = (weak_error_vs_eta(obj, cfg, [0.2, 0.1, 0.05, 0.025], 0.003, 0.1, replicas=4) for _ in range(2))
+        a, b = (weak_error_vs_eta(obj, cfg, [0.2, 0.1, 0.05, 0.025], 0.003, replicas=4) for _ in range(2))
         for field in ("abscissae", "ordinates", "ordinate_errors"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
         assert np.all(a.ordinate_errors > 0)
@@ -465,7 +465,7 @@ class TestRecording:
         monkeypatch.setattr(diagnostics, "run_blocks", recording)
         cfg = ChainConfig(eta=0.05, beta=4.0, lam=6.0, n_modes=6, seed=42, horizon=200)
         obj = make_objective(n=8)
-        weak_error_vs_eta(obj, cfg, [0.2, 0.1, 0.05, 0.025], 0.003, 0.1, replicas=2)
+        weak_error_vs_eta(obj, cfg, [0.2, 0.1, 0.05, 0.025], 0.003, replicas=2)
         galerkin_error_vs_n(lambda n: make_objective(n_modes=n), cfg, [1, 2, 3], 12, replicas=2)
         gibbs_gap_empirical(replace(cfg, eta=0.01, n_modes=65), make_objective(n_modes=65), replicas=2)
         sgld_discrepancy_vs_m(cfg, obj, 0.1, [2, 5], replicas=2)
@@ -484,7 +484,7 @@ class TestRecording:
 
         monkeypatch.setattr(diagnostics, "run_blocks", recording)
         cfg = ChainConfig(eta=0.05, beta=4.0, lam=6.0, n_modes=6, seed=42, horizon=200, burn_in=150)
-        weak_error_vs_eta(make_objective(n=8), cfg, [0.2, 0.1, 0.05, 0.025], 0.003, 0.1, replicas=2)
+        weak_error_vs_eta(make_objective(n=8), cfg, [0.2, 0.1, 0.05, 0.025], 0.003, replicas=2)
         galerkin_error_vs_n(lambda n: make_objective(n_modes=n), cfg, [1, 2, 3], 12, replicas=2)
         gibbs_gap_empirical(replace(cfg, eta=0.01, n_modes=65), make_objective(n_modes=65), replicas=2)
         assert burn_ins == [{150}] * 3
@@ -539,21 +539,11 @@ class TestQuadraticOracle:
         assert g4 > 0
         assert g8 == pytest.approx(g4 / 2.0, rel=1e-12)
 
-    def test_gibbs_gap_empirical_with_ridge_matches_exact(self):
-        # L(X_n) and L(x~) both carry the lambda0 ridge term; dropping it from
-        # the Cesaro average of L(X_n) misses the exact gap by about 24 SE
-        ds = Dataset.synthesize(24, seed=7)
-        obj = ObjectiveSpec(ds, loss_family("squared"), KernelSpec(), 65, lambda0=0.5)
-        cfg = ChainConfig(eta=0.01, beta=4.0, lam=6.0, n_modes=65, seed=7, horizon=5000)
-        out = gibbs_gap_empirical(cfg, obj, replicas=8)
-        assert abs(out["gap"] - quadratic_gibbs_gap_exact(obj, cfg)) <= 3.0 * out["se"]
-
     @pytest.mark.parametrize("n_modes", [6, 12])
-    @pytest.mark.parametrize("lambda0", [0.0, 0.5])
-    def test_covariance_matches_kronecker_solve(self, n_modes, lambda0):
+    def test_covariance_matches_kronecker_solve(self, n_modes):
         # independent reference: (I - T (x) T) vec C = vec Q as one dense solve
         ds = Dataset.synthesize(8, seed=5)
-        obj = ObjectiveSpec(ds, loss_family("squared"), KernelSpec(), n_modes, lambda0=lambda0)
+        obj = ObjectiveSpec(ds, loss_family("squared"), KernelSpec(), n_modes)
         cfg = ChainConfig(eta=0.05, beta=4.0, lam=2.0, n_modes=n_modes, seed=9, horizon=100)
         _, cov, h = quadratic_discrete_invariant(obj, cfg)
         s = 1.0 / (1.0 + cfg.lam * cfg.eta / obj.kernel.eigenvalues(n_modes))

@@ -28,9 +28,9 @@ from rkld.objective import Dataset, LossFamily, ObjectiveSpec, loss_family
 from rkld.spectral import KernelSpec, resolvent_scales
 
 
-def make_objective(n_modes=6, loss="squared", gamma=1.5, n=8, seed=5, lambda0=0.0):
+def make_objective(n_modes=6, loss="squared", gamma=1.5, n=8, seed=5):
     ds = Dataset.synthesize(n, seed=seed)
-    return ObjectiveSpec(ds, loss_family(loss), KernelSpec(gamma=gamma), n_modes, lambda0=lambda0)
+    return ObjectiveSpec(ds, loss_family(loss), KernelSpec(gamma=gamma), n_modes)
 
 
 def make_cfg(**kw):
@@ -275,7 +275,7 @@ class TestRunEnsemble:
     def test_fused_evaluation_matches_separate_grad_and_risk_loop(self, loss):
         # horizon 600 crosses two noise chunk boundaries; the engine evaluates
         # each state once, the hand loop calls grad_array and risk_array apart
-        obj = make_objective(loss=loss, lambda0=0.1)
+        obj = make_objective(loss=loss)
         cfg = make_cfg(horizon=600, burn_in=0)
         seen = []
         one_block(cfg, obj, [0], observers=(lambda step, x, risk: seen.append((x.copy(), risk.copy())),))
@@ -526,7 +526,7 @@ class TestChunkedBookkeeping:
     @pytest.mark.parametrize("n_chains", [1, 3])
     @pytest.mark.parametrize("mode", ["gld", "sgld", "ou"])
     def test_summaries_equal_per_step_reference(self, mode, n_chains, horizon):
-        obj = make_objective(loss="savage", lambda0=0.1)
+        obj = make_objective(loss="savage")
         ids = [4, 1, 7][:n_chains]
         cfg = make_cfg(horizon=horizon, mode=mode, minibatch=3 if mode == "sgld" else None)
         states = observed_states(cfg, obj, ids)
@@ -628,7 +628,7 @@ class TestNoiseAhead:
     @pytest.mark.parametrize("horizon", [127, 128, 129, 2001])  # 2001: cadence 2
     @pytest.mark.parametrize("mode", ["gld", "sgld", "ou"])
     def test_summaries_equal_per_step_reference(self, mode, horizon, workers, monkeypatch):
-        obj = make_objective(n_modes=129, loss="savage", lambda0=0.1)
+        obj = make_objective(n_modes=129, loss="savage")
         ids = [4, 1, 7]
         cfg = make_cfg(n_modes=129, horizon=horizon, mode=mode, minibatch=3 if mode == "sgld" else None)
         monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 10**9)
@@ -661,7 +661,7 @@ class TestNoiseAhead:
     def test_mixed_call_keeps_its_bits_with_and_without_the_worker(self, workers, slow_fills, monkeypatch):
         # gld, sgld and ou blocks at widths 9 and 65 on 4 chain ids: 4 x 700 x 65 normals,
         # the threshold at or just past them
-        objectives = {n: make_objective(n_modes=n, loss="savage", lambda0=0.1) for n in (9, 65)}
+        objectives = {n: make_objective(n_modes=n, loss="savage") for n in (9, 65)}
         blocks = [
             (make_cfg(n_modes=n, horizon=700, burn_in=250, mode=mode, minibatch=3 if mode == "sgld" else None),
              objectives[n], ids, ())
@@ -808,7 +808,7 @@ class TestRunBlocks:
 
 @st.composite
 def packed_block_sets(draw):
-    """2-5 blocks of R chains each on one dataset, loss and lambda0, so that the
+    """2-5 blocks of R chains each on one dataset and loss, so that the
     blocks of one gradient kind step as one group: gld, sgld (m in 1..8 = n_tr,
     m = 8 being full batch) and ou blocks mixed, N+1 in 3..9 (blocks of equal
     width share their objective), each on the call's R chain ids, on them
@@ -817,14 +817,14 @@ def packed_block_sets(draw):
     burn_in = draw(st.integers(0, horizon - 1))
     seed = draw(st.integers(0, 2**16))
     data = Dataset.synthesize(8, seed=5)
-    loss, lambda0 = draw(st.sampled_from(["squared", "savage"])), draw(st.sampled_from([0.0, 0.1]))
+    loss = draw(st.sampled_from(["squared", "savage"]))
     n_chains = draw(st.integers(1, 4))
     objectives, blocks = {}, []
     for i in range(draw(st.integers(2, 5))):
         mode = draw(st.sampled_from(["gld", "sgld", "ou"]))
         n_modes = draw(st.integers(3, 9))
         if n_modes not in objectives:
-            objectives[n_modes] = ObjectiveSpec(data, loss_family(loss), KernelSpec(gamma=1.5), n_modes, lambda0=lambda0)
+            objectives[n_modes] = ObjectiveSpec(data, loss_family(loss), KernelSpec(gamma=1.5), n_modes)
         cfg = make_cfg(
             n_modes=n_modes,
             eta=draw(st.sampled_from([0.02, 0.05, 0.1])),
@@ -856,8 +856,8 @@ def logged_run(blocks, l_star):
 
 
 class TestPackedGroups:
-    """Blocks of one call that share R, the dataset, the loss, lambda0 and the
-    gradient kind step as one column-packed group, with the bits of solo runs."""
+    """Blocks of one call that share R, the dataset, the loss and the gradient
+    kind step as one column-packed group, with the bits of solo runs."""
 
     @given(packed_block_sets())
     @settings(max_examples=40, deadline=None)
@@ -879,18 +879,18 @@ class TestPackedGroups:
                 assert not writable
 
     @pytest.mark.parametrize(
-        "loss, lambda0, n_blocks, n_chains, width",
+        "loss, n_blocks, n_chains, width",
         [
-            ("squared", 0.0, 5, 8, 32),  # the eta grid of acceptance test 7
-            ("savage", 0.0, 4, 8, 65),  # the beta grid of acceptance test 10
-            ("logistic", 0.1, 3, 1, 9),
-            ("savage", 0.1, 2, 5, 129),
+            ("squared", 5, 8, 32),  # the eta grid of acceptance test 7
+            ("savage", 4, 8, 65),  # the beta grid of acceptance test 10
+            ("logistic", 3, 1, 9),
+            ("savage", 2, 5, 129),
         ],
     )
     @pytest.mark.parametrize("mode", ["gld", "ou"])
-    def test_one_objective_groups_equal_solo_runs(self, loss, lambda0, n_blocks, n_chains, width, mode):
+    def test_one_objective_groups_equal_solo_runs(self, loss, n_blocks, n_chains, width, mode):
         # each product is one matmul over the group's (B, R, N+1) view
-        obj = make_objective(n_modes=width, loss=loss, lambda0=lambda0)
+        obj = make_objective(n_modes=width, loss=loss)
         ids = list(range(n_chains))
         blocks = [
             (make_cfg(n_modes=width, horizon=300, mode=mode, eta=eta, beta=4.0 * eta / 0.02), obj, ids[b:] + ids[:b])
@@ -937,16 +937,15 @@ class TestGroupEvaluation:
     @given(
         st.data(),
         st.sampled_from(["squared", "logistic", "savage"]),
-        st.sampled_from([0.0, 0.1]),
         st.sampled_from([[8], [3, 8, 5], [8, 8, 8]]),
         st.sampled_from([1, 5]),
         st.sampled_from(["gld", "ou"]),
     )
     @settings(max_examples=100, deadline=None)
-    def test_evaluation_matches_separate_calls(self, data, loss, lambda0, widths, n_chains, mode):
+    def test_evaluation_matches_separate_calls(self, data, loss, widths, n_chains, mode):
         # blocks of equal width share their objective, so [8, 8, 8] takes the stacked products
         dataset = Dataset.synthesize(12, seed=3)
-        objectives = {n: ObjectiveSpec(dataset, loss_family(loss), KernelSpec(), n, lambda0=lambda0) for n in set(widths)}
+        objectives = {n: ObjectiveSpec(dataset, loss_family(loss), KernelSpec(), n) for n in set(widths)}
         members = [dynamics._Block(make_cfg(n_modes=n, mode=mode), objectives[n], range(n_chains), (), 0.0, 0) for n in widths]
         group = dynamics._Group(members, {r: r for r in range(n_chains)}, (n_chains, 1, max(widths)))
         x = data.draw(hnp.arrays(float, (n_chains, sum(widths)), elements=st.floats(-10.0, 10.0)))
@@ -968,7 +967,7 @@ class TestCheckpoints:
     @pytest.mark.parametrize("burn_in", [0, 300])
     @pytest.mark.parametrize("mode", ["gld", "sgld", "ou"])
     def test_rows_equal_cadence_one_rows(self, mode, burn_in):
-        obj = make_objective(loss="savage", lambda0=0.1)
+        obj = make_objective(loss="savage")
         cfg = make_cfg(horizon=600, burn_in=burn_in, mode=mode, minibatch=3 if mode == "sgld" else None)
         assert cfg.checkpoint_every == 1
         ids = [4, 1, 7]

@@ -23,9 +23,9 @@ from rkld.dynamics import ChainConfig, run_chain
 from rkld.spectral import KernelSpec, rkhs_norm
 
 
-def two_point_objective(loss, gamma=1.5, n_modes=8, lambda0=0.0):
+def two_point_objective(loss, gamma=1.5, n_modes=8):
     ds = Dataset(np.array([0.2, 0.8]), np.array([1.0, -1.0]))
-    return ObjectiveSpec(ds, loss, KernelSpec(gamma=gamma), n_modes, lambda0=lambda0)
+    return ObjectiveSpec(ds, loss, KernelSpec(gamma=gamma), n_modes)
 
 
 class TestDataset:
@@ -191,20 +191,10 @@ class TestRiskAndGradient:
         obj = two_point_objective(LOGISTIC)
         assert obj.risk_array(np.zeros(8)) == pytest.approx(math.log(2.0), abs=1e-15)
 
-    def test_ridge_term(self):
-        obj = two_point_objective(SQUARED, lambda0=0.4)
-        assert obj.risk_array(np.zeros(8)) == pytest.approx(0.5)
-        x2 = np.r_[2.0, np.zeros(7)]
-        plain = two_point_objective(SQUARED).risk_array(x2)
-        assert obj.risk_array(x2) == pytest.approx(plain + 0.5 * 0.4 * 4.0, rel=1e-12)
-        # one row per chain: the ridge term is per row
-        both = obj.risk_array(np.stack([np.zeros(8), x2]))
-        assert both[0] == pytest.approx(0.5) and both[1] == pytest.approx(plain + 0.8, rel=1e-12)
-
     def test_gradient_finite_difference_all_losses(self):
         rng = np.random.default_rng(17)
         for loss in (SQUARED, LOGISTIC, SAVAGE):
-            obj = two_point_objective(loss, lambda0=0.1)
+            obj = two_point_objective(loss)
             for _ in range(10):
                 x = rng.standard_normal(8)
                 v = rng.standard_normal(8)
@@ -255,7 +245,7 @@ class TestMinibatch:
     @pytest.mark.parametrize("loss", [SQUARED, LOGISTIC, SAVAGE], ids=lambda f: f.tag)
     def test_stacked_batches_match_per_chain_calls(self, loss):
         kind = "regression" if loss is SQUARED else "classification"
-        obj = ObjectiveSpec(Dataset.synthesize(10, seed=9, kind=kind), loss, KernelSpec(), 8, lambda0=0.1)
+        obj = ObjectiveSpec(Dataset.synthesize(10, seed=9, kind=kind), loss, KernelSpec(), 8)
         rng = np.random.default_rng(4)
         xs = rng.standard_normal((5, 8))
         batches = np.stack([rng.permutation(10)[:3] for _ in range(5)])
@@ -265,7 +255,7 @@ class TestMinibatch:
             assert np.array_equal(obj.stochastic_grad_array(x, batch), g)
             # the one-chain form keeps its row-vector formula, bit for bit
             rows = obj.features[batch]
-            ref = loss.d1(x @ rows.T, obj.dataset.y[batch]) @ rows / 3 + 0.1 * x
+            ref = loss.d1(x @ rows.T, obj.dataset.y[batch]) @ rows / 3
             assert np.array_equal(g, ref)
 
 
