@@ -134,11 +134,11 @@ def cmd_verify(args) -> int:
 
 
 def _theory(exp: ExperimentConfig, obj):
-    """(minimizers, theory constants at the config's delta and kappa) for `report` and the
+    """(minimizers, theory constants at the config's delta) for `report` and the
     tail sweep; a lambda at which no dissipativity regime applies is a [chain] error."""
     mins = obj.find_minimizers(exp.chain.lam)
     try:
-        return mins, theory_constants(obj, exp.chain, mins, exp.delta, exp.kappa)
+        return mins, theory_constants(obj, exp.chain, mins, exp.delta)
     except ValueError as exc:  # no dissipativity regime applies at this lambda
         raise ConfigError(f"{exp.origin}: [chain] lambda = '{exp.chain.lam}': {exc}") from None
 

@@ -105,7 +105,6 @@ _KEYS = {
     "experiment": {
         "mode": (_one_of("gld", "sgld", "ou"), "gld"),
         "replicas": (_checked(int, lambda n: n >= 2, "must be >= 2"), 8),  # a standard error needs 2
-        "kappa": (_checked(float, lambda k: 0.0 < k < 0.5, "must be in (0, 0.5)"), 0.1),
         "delta": (_unit_interval, None),
         "tail_delta": (_unit_interval, 0.2),
         # a slope fit needs _MIN_FIT_POINTS grid points, a trend 2
@@ -141,7 +140,6 @@ class ExperimentConfig:
     dataset: Dataset  # read from [objective] data, or synthesized from its synth_* keys
     chain: ChainConfig  # its mode is [experiment] mode
     replicas: int
-    kappa: float
     delta: float | None
     tail_delta: float
     eta_grid: list[float] | None

@@ -11,8 +11,8 @@ by side in one (R, sum of N+1) array that one step advances; each block
 reads its columns through read-only views.  Noise and SGLD minibatch
 indices are pregenerated in per-chain chunks to amortize generator overhead;
 a call that draws a million normals or more forks a worker process that
-draws the noise a half chunk ahead while the loop steps through the current
-one, so no fill holds the interpreter the steps run on.
+draws the noise a chunk ahead while the loop steps through the current one,
+so no fill holds the interpreter the steps run on.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ __all__ = [
 
 _STREAM_NOISE = 0
 _STREAM_BATCH = 1
-_CHUNK = 256
+_CHUNK = 128
 # a call's normals (distinct ids x horizon x widest N+1) from which a forked
 # worker draws its noise.  On 2 cores fork plus reap cost about 3.3 ms and a fill
-# about 24 ns a normal, but the half chunks add hand-offs and per-chunk work:
+# about 24 ns a normal, but the worker adds two hand-offs per chunk:
 # forked, R = 8 at N+1 = 65 broke even near 300k normals (savage loss) and R = 8
 # at N+1 = 16 near 1M (squared loss), while 104k and 256k ran 19-23% slower
 _AHEAD_NORMALS = 10**6
@@ -390,9 +390,9 @@ def _cpus() -> int:
 
 
 class _Worker:
-    """A forked child that draws a call's noise a half chunk ahead of its steps.
+    """A forked child that draws a call's noise a chunk ahead of its steps.
 
-    The child fills the two half-chunk buffers of an anonymous shared mmap,
+    The child fills the two chunk buffers of an anonymous shared mmap,
     made before the fork, in turn, each generator its rows in step order.  A
     byte on the done pipe hands a filled buffer to the parent; a byte on the
     go pipe hands a stepped-through buffer back to the child.  The child calls
@@ -422,15 +422,14 @@ class _Worker:
         os.close(done)
 
     def _fill(self, rngs, horizon, go, done):
-        """The child's whole life: fill every half chunk, then exit."""
+        """The child's whole life: fill every chunk, then exit."""
         status = 1
         try:
-            half = self.buffers[0].shape[1]
-            for i, start in enumerate(range(0, horizon, half)):
+            for i, start in enumerate(range(0, horizon, _CHUNK)):
                 if i >= 2 and not os.read(go, 1):
                     break  # the parent closed the go pipe: it has left the step loop
                 for rng, row in zip(rngs, self.buffers[i % 2]):
-                    rng.standard_normal(out=row[: min(half, horizon - start)])
+                    rng.standard_normal(out=row[: min(_CHUNK, horizon - start)])
                 os.write(done, b".")
             status = 0
         except BaseException as exc:  # the parent raises it; the child only reports it
@@ -453,7 +452,7 @@ class _Worker:
         return buffer
 
     def release(self):
-        """Hand the buffer last taken back to the child, for the half chunk after
+        """Hand the buffer last taken back to the child, for the chunk after
         next; a dead child's pipe refuses it, and the next take() says why."""
         try:
             os.write(self.go, b".")
@@ -491,11 +490,11 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
     chain ids' rows, so blocks that share a chain id share their noise
     (common random numbers across step sizes, temperatures or dimensions).
     When the call draws at least _AHEAD_NORMALS normals (distinct chain ids
-    x horizon x widest N+1), the horizon is longer than a half chunk, the
-    process may run on more than one CPU and os.fork exists, the chunk is
-    halved and a forked worker process draws the noise a half chunk ahead
-    while the loop steps through the current one; the minibatches are still
-    drawn in the loop, and the draws and every output keep their bits.
+    x horizon x widest N+1), the horizon is longer than a chunk, the process
+    may run on more than one CPU and os.fork exists, a forked worker process
+    draws the noise a chunk ahead while the loop steps through the current
+    one; the minibatches are still drawn in the loop, and the draws and every
+    output keep their bits.
     Every exit reaps the worker, and a worker that raises or dies makes the
     call raise a RuntimeError naming it.
     Blocks that share R, the Dataset object, the loss and the gradient kind
@@ -538,17 +537,15 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
     position = {cid: i for i, cid in enumerate(ids)}
     noise_rngs = [make_rng(first.seed, cid, _STREAM_NOISE) for cid in ids]
     width = max(s.n for s in states)
-    # a large call past one half chunk on several CPUs: a forked worker fills two
-    # half-chunk buffers, which hold what the one chunk buffer holds, the loop
-    # stepping through one while the worker fills the other
+    # a large call past one chunk on several CPUs: a forked worker fills two chunk
+    # buffers, the loop stepping through one while the worker fills the other
     ahead = (
-        horizon > _CHUNK // 2
+        horizon > _CHUNK
         and len(ids) * horizon * width >= _AHEAD_NORMALS
         and _cpus() > 1
         and hasattr(os, "fork")
     )
-    chunk = _CHUNK // 2 if ahead else _CHUNK
-    shape = (len(ids), min(chunk, horizon), width)
+    shape = (len(ids), min(_CHUNK, horizon), width)
 
     members = {}
     for s in states:
@@ -564,7 +561,7 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
         for g in groups:
             g.commit(0, False, True)  # X_0
         while step < horizon:
-            chunk_len = min(chunk, horizon - step)
+            chunk_len = min(_CHUNK, horizon - step)
             if worker is None:  # each generator fills its rows in step order
                 for rng, row in zip(noise_rngs, noise):
                     rng.standard_normal(out=row[:chunk_len])
@@ -584,7 +581,7 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
                     g.commit(step, retain, checkpoint)
             for s in states:
                 s.flush()
-            if worker is not None and step + chunk < horizon:
+            if worker is not None and step + _CHUNK < horizon:
                 worker.release()
     except NumericalAbort as exc:
         for s in states:

@@ -23,9 +23,6 @@ __all__ = [
     "LossFamily",
     "ObjectiveSpec",
     "MinimizerPair",
-    "SQUARED",
-    "LOGISTIC",
-    "SAVAGE",
     "loss_family",
 ]
 
@@ -186,14 +183,15 @@ class LossFamily:
         raise ValueError(f"unknown loss: {self.tag!r}")
 
 
-SQUARED = LossFamily("squared", second_derivative_bound=1.0, first_derivative_bound=None)
-LOGISTIC = LossFamily("logistic", second_derivative_bound=0.25, first_derivative_bound=1.0)
-SAVAGE = LossFamily("savage", second_derivative_bound=_SAVAGE_G, first_derivative_bound=_SAVAGE_B)
-
-_LOSSES = {"squared": SQUARED, "logistic": LOGISTIC, "savage": SAVAGE}
+_LOSSES = {
+    "squared": LossFamily("squared", second_derivative_bound=1.0, first_derivative_bound=None),
+    "logistic": LossFamily("logistic", second_derivative_bound=0.25, first_derivative_bound=1.0),
+    "savage": LossFamily("savage", second_derivative_bound=_SAVAGE_G, first_derivative_bound=_SAVAGE_B),
+}
 
 
 def loss_family(tag: str) -> LossFamily:
+    """The loss named tag: squared, logistic or savage."""
     try:
         return _LOSSES[tag]
     except KeyError:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .dynamics import ChainConfig, make_rng, run_chain
-from .objective import Dataset, ObjectiveSpec, SQUARED
+from .objective import Dataset, ObjectiveSpec, loss_family
 from .spectral import KernelSpec, resolvent_scales
 
 __all__ = ["PropertyResult", "run_property_suite"]
@@ -106,7 +106,7 @@ def check_minibatch_exhaustive(kernel: KernelSpec) -> PropertyResult:
     from itertools import combinations
 
     data = Dataset.synthesize(6, 11)
-    obj = ObjectiveSpec(data, SQUARED, kernel, 9)
+    obj = ObjectiveSpec(data, loss_family("squared"), kernel, 9)
     x = make_rng(3, 0, 95).standard_normal(9)
     full = obj.grad_array(x)
     subs = [obj.stochastic_grad_array(x, np.array(s)) for s in combinations(range(6), 2)]

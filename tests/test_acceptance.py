@@ -219,7 +219,7 @@ def test_06_lyapunov_drift_bounded_logistic():
     cfg = ChainConfig(
         eta=0.05, beta=4.0, lam=lam, n_modes=8, seed=42, horizon=1000, burn_in=0, x0=x0
     )
-    tc = theory_constants(obj, cfg, obj.find_minimizers(cfg.lam), delta=None, kappa=0.1)
+    tc = theory_constants(obj, cfg, obj.find_minimizers(cfg.lam), delta=None)
     assert tc.regime == "bounded"
     [summary] = run_blocks([(cfg, obj, list(range(200)), ())], l_star=0.0)  # phi is not read
     steps, norms = summary.steps, summary.norm
@@ -325,7 +325,7 @@ def test_11_tail_probability_shape():
     # horizon 25/eta: the tail steps horizon // 25, horizon // 5 and horizon are 1/eta, 5/eta and 25/eta
     cfg = ChainConfig(eta=eta, beta=256.0, lam=lam, n_modes=16, seed=42, horizon=int(25 / eta))
     mins = obj.find_minimizers(cfg.lam)
-    consts = theory_constants(obj, cfg, mins, delta=None, kappa=0.1)
+    consts = theory_constants(obj, cfg, mins, delta=None)
     rows, verdict = theorem_tail_bound(cfg, obj, mins, consts, tail_delta=0.2, replicas=200)
     elapsed = time.time() - t0
     report(

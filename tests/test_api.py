@@ -151,11 +151,36 @@ def _callables(tree):
                 yield f"{node.name}.{fn.name}", called_as, _parameters(fn, method=not static)
 
 
-def _passed(positional, keyword_only, call: ast.Call) -> set[str]:
-    """The parameters that `call` sets, by position or by keyword."""
-    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
-        return {*positional, *keyword_only}
-    return set(positional[: len(call.args)]) | {k.arg for k in call.keywords}
+def _passed(positional, keyword_only, call: ast.Call, keys: set[str]) -> set[str]:
+    """The parameters that `call` sets, by position or by keyword.  A `*` expansion
+    may reach every positional parameter and a `**` expansion of a dict
+    comprehension every parameter; any other `**` expansion sets only the names
+    in keys, the string keys that the call's module writes into mappings."""
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    passed = set(positional if starred else positional[: len(call.args)])
+    for k in call.keywords:
+        if k.arg:
+            passed.add(k.arg)
+        elif isinstance(k.value, ast.DictComp):  # computed keys (`Manifest.load`): any of them
+            passed |= {*positional, *keyword_only}
+        else:
+            passed |= keys
+    return passed
+
+
+def _mapping_keys(tree) -> set[str]:
+    """The string keys that a module writes into mappings: dict literal keys and
+    `d["key"] = ...` targets, the one way such a key becomes the keyword of a
+    call with a `**` expansion."""
+    keys = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys.update(k.value for k in node.keys if isinstance(k, ast.Constant) and isinstance(k.value, str))
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Subscript) and isinstance(target.slice, ast.Constant):
+                    keys.add(target.slice.value)
+    return keys
 
 
 def _public_callables():
@@ -170,15 +195,16 @@ def _root(node):
     return node.id if isinstance(node, ast.Name) else None
 
 
-def _program_calls() -> dict[str, list[tuple[str | None, ast.Call]]]:
+def _program_calls() -> dict[str, list[tuple[str | None, ast.Call, set[str]]]]:
     """Every call in program code that can reach rkld, by the name it calls, with
-    the public rkld class it is made on when it names one (`Manifest.load(p)`).
-    A call on an imported module other than rkld's (`json.load(fh)`,
-    `np.zeros(n)`) is left out."""
+    the public rkld class it is made on when it names one (`Manifest.load(p)`)
+    and its module's mapping keys.  A call on an imported module other than
+    rkld's (`json.load(fh)`, `np.zeros(n)`) is left out."""
     classes = {node.name for tree in _parsed(ROOT / "src" / "rkld") for node in tree.body
                if isinstance(node, ast.ClassDef) and not node.name.startswith("_")}
-    calls: dict[str, list[tuple[str | None, ast.Call]]] = {}
+    calls: dict[str, list[tuple[str | None, ast.Call, set[str]]]] = {}
     for tree in _parsed(*PROGRAM):
+        keys = _mapping_keys(tree)
         foreign = {
             alias.asname or alias.name.split(".")[0]
             for node in ast.walk(tree) if isinstance(node, ast.Import)
@@ -188,18 +214,19 @@ def _program_calls() -> dict[str, list[tuple[str | None, ast.Call]]]:
             if isinstance(node, ast.Call):
                 func = node.func
                 if isinstance(func, ast.Name):
-                    calls.setdefault(func.id, []).append((None, node))
+                    calls.setdefault(func.id, []).append((None, node, keys))
                 elif isinstance(func, ast.Attribute) and _root(func.value) not in foreign:
                     on = func.value.id if isinstance(func.value, ast.Name) and func.value.id in classes else None
-                    calls.setdefault(func.attr, []).append((on, node))
+                    calls.setdefault(func.attr, []).append((on, node, keys))
     return calls
 
 
-def _reaching(calls, label, called_as) -> list[ast.Call]:
-    """The program calls that may reach the callable `label`: a method's calls made
-    on another rkld class (`Manifest.load` for `ExperimentConfig.load`) are not."""
+def _reaching(calls, label, called_as) -> list[tuple[ast.Call, set[str]]]:
+    """The program calls that may reach the callable `label`, each with its module's
+    mapping keys: a method's calls made on another rkld class (`Manifest.load` for
+    `ExperimentConfig.load`) are not."""
     cls = label.split(".")[0] if "." in label else None
-    return [call for on, call in calls.get(called_as, []) if on in (None, cls)]
+    return [(call, keys) for on, call, keys in calls.get(called_as, []) if on in (None, cls)]
 
 
 def test_every_defaulted_parameter_has_a_caller():
@@ -209,7 +236,8 @@ def test_every_defaulted_parameter_has_a_caller():
     for label, called_as, (positional, keyword_only, defaulted_names) in _public_callables():
         if label in UNREACHED:
             continue
-        passed = set().union(*(_passed(positional, keyword_only, c) for c in _reaching(calls, label, called_as)))
+        reaching = _reaching(calls, label, called_as)
+        passed = set().union(*(_passed(positional, keyword_only, c, keys) for c, keys in reaching))
         for name in defaulted_names:
             key = f"{label}({name})"
             defaulted.add(key)
@@ -228,7 +256,7 @@ def test_every_default_is_relied_on():
         reaching = _reaching(calls, label, called_as)
         if not reaching:
             continue
-        passed = set.intersection(*(_passed(positional, keyword_only, c) for c in reaching))
+        passed = set.intersection(*(_passed(positional, keyword_only, c, keys) for c, keys in reaching))
         overridden += [f"{label}({name})" for name in defaulted_names if name in passed]
     assert not overridden, f"every call in src/ or perfbench/ passes {overridden}: drop the default"
 
@@ -324,10 +352,10 @@ def _field_setters():
     """The calls to each name in program code, `cls(...)` inside a class
     counting as a call to that class, and (field name, class that sets it)
     for every replace(...) keyword, setattr name and assignment to an
-    attribute of an object other than `self`.  String mapping keys (dict
-    literal keys and `d["key"] = ...` targets) count only in a module that
-    makes a call with a `**` expansion, the one way such a key becomes a
-    field's keyword."""
+    attribute of an object other than `self`.  A module's mapping keys count
+    only in a module that makes a call with a `**` expansion, the one way such
+    a key becomes a field's keyword, even through a call by another name
+    (`build(**args)` in `ExperimentConfig.loads`)."""
     calls, named = {}, []
     for tree in _parsed(*PROGRAM):
         expands = any(
@@ -335,6 +363,8 @@ def _field_setters():
         )
         for top in tree.body:
             owner = top.name if isinstance(top, ast.ClassDef) else None
+            if expands:
+                named += [(key, owner) for key in _mapping_keys(top)]
             for node in ast.walk(top):
                 if isinstance(node, ast.Call):
                     func = node.func
@@ -344,16 +374,12 @@ def _field_setters():
                         named += [(k.arg, owner) for k in node.keywords if k.arg]
                     elif name in ("setattr", "__setattr__") and isinstance(node.args[1], ast.Constant):
                         named.append((node.args[1].value, owner))
-                elif isinstance(node, ast.Dict) and expands:
-                    named += [(k.value, owner) for k in node.keys if isinstance(k, ast.Constant)]
                 elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                     for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                         if isinstance(target, ast.Attribute) and not (
                             isinstance(target.value, ast.Name) and target.value.id == "self"
                         ):
                             named.append((target.attr, owner))
-                        elif isinstance(target, ast.Subscript) and isinstance(target.slice, ast.Constant) and expands:
-                            named.append((target.slice.value, owner))
     return calls, named
 
 
@@ -362,7 +388,8 @@ def test_every_defaulted_field_is_set():
     calls, named = _field_setters()
     unset = set()
     for cls, names, defaulted_names in _dataclasses():
-        passed = set().union(*(_passed(names, [], call) for call in calls.get(cls, [])))
+        # the mapping keys that a `**` expansion passes are in named already
+        passed = set().union(*(_passed(names, [], call, set()) for call in calls.get(cls, [])))
         # a class normalizing its own field in __post_init__ does not set it
         passed |= {name for name, owner in named if owner != cls}
         unset |= {f"{cls}.{name}" for name in defaulted_names if name not in passed}

@@ -403,13 +403,13 @@ class TestSweep:
     @pytest.mark.parametrize(
         "text",
         [
-            BASE + "\n[experiment]\nkappa = 0.2\n",
+            BASE + "\n[experiment]\n",
             BASE.replace("squared", "savage").replace("lambda = 6.0", "lambda = 0.1") + "\n[experiment]\ndelta = 0.5\n",
         ],
-        ids=["strict_kappa", "bounded_delta"],
+        ids=["strict", "bounded_delta"],
     )
     def test_tail_rhs_is_the_reports_total(self, text, tmp_path):
-        # the sweep's right-hand side at n = horizon is the report's, on the config's kappa and delta
+        # the sweep's right-hand side at n = horizon is the report's, on the config's delta
         cfg = tmp_path / "tail.ini"
         cfg.write_text(text + "replicas = 2\n")
         out = tmp_path / "out"
@@ -542,10 +542,10 @@ def _centre(exp):
 
 
 def _theory(exp):
-    """The tail sweep's minimizers and theory constants, at the config's delta and kappa."""
+    """The tail sweep's minimizers and theory constants, at the config's delta."""
     obj = exp.build_objective()
     mins = obj.find_minimizers(exp.chain.lam)
-    return mins, diagnostics.theory_constants(obj, exp.chain, mins, exp.delta, exp.kappa)
+    return mins, diagnostics.theory_constants(obj, exp.chain, mins, exp.delta)
 
 
 # each sweep's experiment as the CLI calls it, and the verdict it returns
@@ -623,6 +623,15 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         key = line.split(" = ")[0]
         assert capsys.readouterr() == ("", f"config error: {cfg}: unknown key '{key}' in [objective]\n")
+        assert not out.exists()
+
+    def test_retired_kappa_key_is_unknown(self, tmp_path, capsys):
+        # the tail bound's kappa is a constant of diagnostics: setting it is an error, not a silent no-op
+        cfg = tmp_path / "kappa.ini"
+        cfg.write_text(BASE + "\n[experiment]\nkappa = 0.2\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"config error: {cfg}: unknown key 'kappa' in [experiment]\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(SWEEP_PRECONDITIONS))

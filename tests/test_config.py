@@ -52,7 +52,6 @@ NON_DEFAULT = {
     "experiment": {
         "mode": "ou",
         "replicas": "2",
-        "kappa": "0.2",
         "delta": "0.5",
         "tail_delta": "0.1",
         "eta_grid": "0.2, 0.1, 0.05, 0.025",
@@ -96,6 +95,8 @@ class TestParsing:
             # the retired ridge and synthetic noise level: one risk, one teacher
             ("objective", "lambda0 = 0.1"),
             ("objective", "synth_noise = 0.2"),
+            # the retired tail-bound exponent offset: one kappa, a constant of diagnostics
+            ("experiment", "kappa = 0.2"),
         ],
     )
     def test_unknown_key_rejected(self, section, line):

@@ -38,9 +38,9 @@ def make_objective(n_modes=6, loss="squared", gamma=1.5, n=8, seed=5, kind="regr
 
 def tail_bound(cfg, obj, replicas):
     """theorem_tail_bound at tail_delta = 0.2 as `rkld sweep --axis tail` calls
-    it on a config with no delta and kappa = 0.1."""
+    it on a config with no delta."""
     mins = obj.find_minimizers(cfg.lam)
-    consts = theory_constants(obj, cfg, mins, delta=None, kappa=0.1)
+    consts = theory_constants(obj, cfg, mins, delta=None)
     return theorem_tail_bound(cfg, obj, mins, consts, 0.2, replicas)
 
 
@@ -120,7 +120,7 @@ class TestTheoryConstants:
         M = obj.smoothness_constant()
         cfg = ChainConfig(eta=0.05, beta=4.0, lam=4.0 * M, n_modes=6, seed=1, horizon=100)
         pair = obj.find_minimizers(cfg.lam)
-        c = theory_constants(obj, cfg, pair, delta=None, kappa=0.1)
+        c = theory_constants(obj, cfg, pair, delta=None)
         assert c.regime == "strict"
         assert c.m == pytest.approx((4.0 * M - M) / 2.0, rel=1e-12)
         assert c.rho == pytest.approx((1.0 + 0.05 * M) / (1.0 + 0.05 * 4.0 * M), rel=1e-12)
@@ -137,7 +137,7 @@ class TestTheoryConstants:
         cfg = ChainConfig(eta=0.05, beta=4.0, lam=4.0 * M, n_modes=8, seed=1, horizon=100)
         pair = obj.find_minimizers(cfg.lam)
         assert not pair.attained  # 8 points, 8 modes: separable
-        c = theory_constants(obj, cfg, pair, delta=None, kappa=0.1)
+        c = theory_constants(obj, cfg, pair, delta=None)
         assert c.regime == "strict" and c.b is None
         assert c.lambda_0 == pytest.approx(3.0 * M, rel=1e-12)
 
@@ -147,14 +147,14 @@ class TestTheoryConstants:
         lam = 0.25 * M
         cfg = ChainConfig(eta=0.05, beta=4.0, lam=lam, n_modes=6, seed=1, horizon=100)
         pair = obj.find_minimizers(cfg.lam)
-        c = theory_constants(obj, cfg, pair, delta=0.5, kappa=0.1)
+        c = theory_constants(obj, cfg, pair, delta=0.5)
         assert c.regime == "bounded"
         assert c.rho == pytest.approx(1.0 / (1.0 + lam * 0.05), rel=1e-12)
         assert c.b == pytest.approx((1.0 / lam) * obj.gradient_bound() + c.k1, rel=1e-12)
         assert c.c_beta == pytest.approx(2.0)
         assert c.lambda_eta is not None and c.lambda_eta > 0
         assert c.lambda_0 == spectral_gap_bounded(lam, obj.kernel.mu0, 0.0, b=c.b, delta=0.5)
-        no_delta = theory_constants(obj, cfg, pair, delta=None, kappa=0.1)
+        no_delta = theory_constants(obj, cfg, pair, delta=None)
         assert no_delta.lambda_eta is None
 
 
@@ -437,13 +437,13 @@ class TestEstimators:
             assert row["p_hat"] == float(np.mean(risk - l_star > 0.2))
 
     def test_theorem_tail_bound_rhs_uses_the_given_constants(self):
-        # the right-hand side follows kappa and, in the bounded regime, delta
+        # in the bounded regime the right-hand side follows delta
         obj = make_objective(loss="savage")
         cfg = ChainConfig(eta=0.1, beta=4.0, lam=0.1, n_modes=6, seed=3, horizon=100)
         assert obj.dissipativity_constants(cfg.lam)[0] == "bounded"
         mins = obj.find_minimizers(cfg.lam)
-        for delta, kappa in [(None, 0.1), (0.5, 0.1), (0.5, 0.3)]:
-            consts = theory_constants(obj, cfg, mins, delta=delta, kappa=kappa)
+        for delta in [None, 0.5]:
+            consts = theory_constants(obj, cfg, mins, delta=delta)
             rows, _ = theorem_tail_bound(cfg, obj, mins, consts, 0.2, replicas=2)
             expected = [tail_bound_terms(consts, mins, cfg, r["n"], 0.2)[2] for r in rows]
             assert [repr(r["rhs"]) for r in rows] == [repr(v) for v in expected]

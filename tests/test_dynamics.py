@@ -563,7 +563,7 @@ class TestChunkedBookkeeping:
         summary = one_block(cfg, obj, range(8))
         assert len(summary.steps) == 1001 and summary.retained_steps == 2000 - cfg.burn_in_steps
         assert calls["value"] == evaluated and calls["value_and_d1"] == 0
-        assert calls["phi"] <= 2 * math.ceil(cfg.horizon / 256)  # the phi rows are batched per flush
+        assert calls["phi"] <= 2 * math.ceil(cfg.horizon / dynamics._CHUNK)  # the phi rows are batched per flush
 
 
 @pytest.fixture
@@ -623,7 +623,7 @@ def no_child_left() -> bool:
 
 class TestNoiseAhead:
     """A call that draws many normals forks a worker process that draws the
-    noise a half chunk ahead; its summaries keep the bits of the inline path."""
+    noise a chunk ahead; its summaries keep the bits of the inline path."""
 
     @pytest.mark.parametrize("horizon", [127, 128, 129, 2001])  # 2001: cadence 2
     @pytest.mark.parametrize("mode", ["gld", "sgld", "ou"])
@@ -634,12 +634,12 @@ class TestNoiseAhead:
         monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 10**9)
         states = observed_states(cfg, obj, ids)  # drawn inline
         monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 1)
-        burn_ins = sorted({0, 127, 128, 129, 300} & set(range(horizon)))  # 128: the half-chunk edge
+        burn_ins = sorted({0, 127, 128, 129, 300} & set(range(horizon)))  # 128: the chunk edge
         for burn_in in burn_ins:
             run_cfg = dataclasses.replace(cfg, burn_in=burn_in)
             summary = one_block(run_cfg, obj, ids, 0.3)
             assert same_summary(summary, reference_summary(run_cfg, obj, ids, 0.3, states))
-        # one half chunk has nothing to draw ahead of
+        # one chunk has nothing to draw ahead of
         assert len(workers) == (len(burn_ins) if horizon > 128 else 0)
 
     @pytest.mark.parametrize(
@@ -649,7 +649,7 @@ class TestNoiseAhead:
             (2, 3907, 128, 2, True),  # 1,000,192
             (1, 3907, 128, 2, False),  # the call's chain ids count
             (2, 3907, 129, 1, False),
-            (64, 128, 129, 2, False),  # 1,056,768 normals in one half chunk
+            (64, 128, 129, 2, False),  # 1,056,768 normals in one chunk
         ],
     )
     def test_forks_only_large_calls_on_several_cpus(self, n_chains, horizon, width, cpus, forked, workers, monkeypatch):
@@ -674,6 +674,29 @@ class TestNoiseAhead:
         inline = run_blocks(blocks, 0.3)
         assert len(workers) == 1
         assert all(same_summary(a, b) for a, b in zip(forked, inline))
+
+    def test_inline_and_forked_calls_flush_at_the_same_steps(self, workers, monkeypatch):
+        # burn-in 0: the steps a block has retained when it flushes are the steps it flushes at
+        objectives = {n: make_objective(n_modes=n) for n in (9, 129)}
+        blocks = [
+            (make_cfg(n_modes=129, horizon=2001, burn_in=0), objectives[129], [0, 1], ()),
+            (make_cfg(n_modes=9, horizon=2001, burn_in=0, mode="sgld", minibatch=3), objectives[9], [1, 2], ()),
+        ]
+        flushed = collections.defaultdict(list)
+        flush = dynamics._Block.flush
+
+        def counted(block):
+            flushed[block.cfg.mode].append(block.retained)
+            flush(block)
+
+        monkeypatch.setattr(dynamics._Block, "flush", counted)
+        monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 10**9)
+        run_blocks(blocks, 0.3)
+        inline, flushed = dict(flushed), collections.defaultdict(list)
+        monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 1)
+        run_blocks(blocks, 0.3)
+        assert len(workers) == 1 and dict(flushed) == inline
+        assert inline["gld"] == inline["sgld"] == [*range(dynamics._CHUNK, 2001, dynamics._CHUNK), 2001]
 
     def test_without_fork_the_call_runs_inline_with_the_same_bits(self, workers, monkeypatch):
         obj = make_objective(n_modes=65, loss="savage")

@@ -10,9 +10,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rkld.objective import (
-    LOGISTIC,
-    SAVAGE,
-    SQUARED,
     Dataset,
     LossFamily,
     ObjectiveSpec,
@@ -62,36 +59,41 @@ class TestDataset:
 
 class TestLossFamilies:
     def test_registry(self):
-        assert loss_family("squared") is SQUARED
+        for tag in ("squared", "logistic", "savage"):
+            assert loss_family(tag).tag == tag and loss_family(tag) is loss_family(tag)
         with pytest.raises(ValueError):
             loss_family("hinge")
 
     def test_squared_values(self):
-        assert SQUARED.value(np.array([2.0]), np.array([1.0]))[0] == 0.5
-        assert SQUARED.d1(np.array([2.0]), np.array([1.0]))[0] == 1.0
-        assert SQUARED.d2(np.array([2.0]), np.array([1.0]))[0] == 1.0
+        squared = loss_family("squared")
+        assert squared.value(np.array([2.0]), np.array([1.0]))[0] == 0.5
+        assert squared.d1(np.array([2.0]), np.array([1.0]))[0] == 1.0
+        assert squared.d2(np.array([2.0]), np.array([1.0]))[0] == 1.0
 
     def test_logistic_at_zero(self):
-        assert LOGISTIC.value(np.array([0.0]), np.array([1.0]))[0] == pytest.approx(math.log(2.0))
-        assert LOGISTIC.d1(np.array([0.0]), np.array([1.0]))[0] == pytest.approx(-0.5)
-        assert LOGISTIC.d2(np.array([0.0]), np.array([1.0]))[0] == pytest.approx(0.25)
+        logistic = loss_family("logistic")
+        assert logistic.value(np.array([0.0]), np.array([1.0]))[0] == pytest.approx(math.log(2.0))
+        assert logistic.d1(np.array([0.0]), np.array([1.0]))[0] == pytest.approx(-0.5)
+        assert logistic.d2(np.array([0.0]), np.array([1.0]))[0] == pytest.approx(0.25)
 
     def test_savage_at_zero(self):
-        assert SAVAGE.value(np.array([0.0]), np.array([1.0]))[0] == pytest.approx(0.25)
+        assert loss_family("savage").value(np.array([0.0]), np.array([1.0]))[0] == pytest.approx(0.25)
 
     def test_savage_bounds_are_suprema(self):
         u = np.linspace(-30.0, 30.0, 200001)
         y = np.ones_like(u)
-        assert np.max(np.abs(SAVAGE.d1(u, y))) <= SAVAGE.first_derivative_bound + 1e-12
-        assert np.max(np.abs(SAVAGE.d2(u, y))) <= SAVAGE.second_derivative_bound + 1e-12
-        assert np.max(np.abs(SAVAGE.d1(u, y))) > SAVAGE.first_derivative_bound - 1e-6
-        assert np.max(np.abs(SAVAGE.d2(u, y))) > SAVAGE.second_derivative_bound - 1e-6
+        savage = loss_family("savage")
+        assert np.max(np.abs(savage.d1(u, y))) <= savage.first_derivative_bound + 1e-12
+        assert np.max(np.abs(savage.d2(u, y))) <= savage.second_derivative_bound + 1e-12
+        assert np.max(np.abs(savage.d1(u, y))) > savage.first_derivative_bound - 1e-6
+        assert np.max(np.abs(savage.d2(u, y))) > savage.second_derivative_bound - 1e-6
 
     def test_logistic_bounds_are_suprema(self):
         u = np.linspace(-30.0, 30.0, 200001)
         y = np.ones_like(u)
-        assert np.max(np.abs(LOGISTIC.d1(u, y))) <= 1.0
-        assert np.max(np.abs(LOGISTIC.d2(u, y))) <= 0.25 + 1e-12
+        logistic = loss_family("logistic")
+        assert np.max(np.abs(logistic.d1(u, y))) <= 1.0
+        assert np.max(np.abs(logistic.d2(u, y))) <= 0.25 + 1e-12
 
     @given(
         st.floats(min_value=-20, max_value=20),
@@ -184,17 +186,17 @@ class TestFusedEvaluationBits:
 
 class TestRiskAndGradient:
     def test_risk_at_origin_squared(self):
-        obj = two_point_objective(SQUARED)
+        obj = two_point_objective(loss_family("squared"))
         assert obj.risk_array(np.zeros(8)) == pytest.approx(0.5, abs=1e-15)
 
     def test_risk_at_origin_logistic(self):
-        obj = two_point_objective(LOGISTIC)
+        obj = two_point_objective(loss_family("logistic"))
         assert obj.risk_array(np.zeros(8)) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_gradient_finite_difference_all_losses(self):
         rng = np.random.default_rng(17)
-        for loss in (SQUARED, LOGISTIC, SAVAGE):
-            obj = two_point_objective(loss)
+        for tag in ("squared", "logistic", "savage"):
+            obj = two_point_objective(loss_family(tag))
             for _ in range(10):
                 x = rng.standard_normal(8)
                 v = rng.standard_normal(8)
@@ -204,14 +206,14 @@ class TestRiskAndGradient:
                 assert abs(obj.grad_array(x) @ v - fd) < 1e-5
 
     def test_mode_count_mismatch(self):
-        obj = two_point_objective(SQUARED)
+        obj = two_point_objective(loss_family("squared"))
         for method in (obj.risk_array, obj.grad_array):
             with pytest.raises(ValueError):
                 method(np.zeros(5))
 
     def test_regularized_risk_uses_rkhs_norm(self):
         # the engine's reg_objective column is L(x) + (lam/2) ||x||_HK^2
-        obj = two_point_objective(SQUARED)
+        obj = two_point_objective(loss_family("squared"))
         x = np.zeros(8)
         x[2] = 1.0
         cfg = ChainConfig(eta=0.05, beta=4.0, lam=2.0, n_modes=8, seed=1, horizon=1, x0=x)
@@ -223,7 +225,7 @@ class TestRiskAndGradient:
 class TestMinibatch:
     def _objective(self):
         ds = Dataset.synthesize(6, seed=9)
-        return ObjectiveSpec(ds, SQUARED, KernelSpec(), 6)
+        return ObjectiveSpec(ds, loss_family("squared"), KernelSpec(), 6)
 
     def test_exhaustive_mean_identity(self):
         obj = self._objective()
@@ -242,9 +244,10 @@ class TestMinibatch:
         g = obj.stochastic_grad_array(x, np.arange(6))
         assert np.max(np.abs(g - obj.grad_array(x))) < 1e-14
 
-    @pytest.mark.parametrize("loss", [SQUARED, LOGISTIC, SAVAGE], ids=lambda f: f.tag)
-    def test_stacked_batches_match_per_chain_calls(self, loss):
-        kind = "regression" if loss is SQUARED else "classification"
+    @pytest.mark.parametrize("tag", ["squared", "logistic", "savage"])
+    def test_stacked_batches_match_per_chain_calls(self, tag):
+        kind = "regression" if tag == "squared" else "classification"
+        loss = loss_family(tag)
         obj = ObjectiveSpec(Dataset.synthesize(10, seed=9, kind=kind), loss, KernelSpec(), 8)
         rng = np.random.default_rng(4)
         xs = rng.standard_normal((5, 8))
@@ -261,22 +264,22 @@ class TestMinibatch:
 
 class TestConstants:
     def test_smoothness_is_g_times_sup_diag(self):
-        obj = two_point_objective(LOGISTIC, gamma=2.0, n_modes=16)
+        obj = two_point_objective(loss_family("logistic"), gamma=2.0, n_modes=16)
         # R_gamma = max_i sum_k mu_k^gamma f_k(z_i)^2, the f_k from the gamma = 0 feature map
         f = dataclasses.replace(obj.kernel, gamma=0.0).feature_matrix(obj.dataset.z, 16)
         r = float(np.max(f**2 @ obj.kernel.eigenvalues(16) ** obj.kernel.gamma))
         assert obj.smoothness_constant() == pytest.approx(0.25 * r, rel=1e-14)
 
     def test_gradient_bound_squared_is_none(self):
-        assert two_point_objective(SQUARED).gradient_bound() is None
+        assert two_point_objective(loss_family("squared")).gradient_bound() is None
 
     def test_gradient_bound_logistic(self):
-        obj = two_point_objective(LOGISTIC, gamma=2.0, n_modes=16)
+        obj = two_point_objective(loss_family("logistic"), gamma=2.0, n_modes=16)
         r = obj.kernel_diag_sup()
         assert obj.gradient_bound() == pytest.approx(math.sqrt(r), rel=1e-14)
 
     def test_dissipativity_strict_at_twice_threshold(self):
-        obj = two_point_objective(SQUARED, gamma=1.5, n_modes=8)
+        obj = two_point_objective(loss_family("squared"), gamma=1.5, n_modes=8)
         M = obj.smoothness_constant()
         regime, m, c = obj.dissipativity_constants(2.0 * M * obj.kernel.mu0)
         assert regime == "strict"
@@ -288,7 +291,7 @@ class TestConstants:
         assert c <= M**2 * x_star**2 / (2.0 * M)
 
     def test_dissipativity_bounded(self):
-        obj = two_point_objective(SAVAGE, n_modes=8)
+        obj = two_point_objective(loss_family("savage"), n_modes=8)
         M = obj.smoothness_constant()
         lam = 0.25 * M * obj.kernel.mu0
         regime, m, c = obj.dissipativity_constants(lam)
@@ -298,7 +301,7 @@ class TestConstants:
         assert c == pytest.approx(B**2 * obj.kernel.mu0 / (2.0 * lam), rel=1e-14)
 
     def test_no_regime_raises(self):
-        obj = two_point_objective(SQUARED)
+        obj = two_point_objective(loss_family("squared"))
         lam = 0.1 * obj.smoothness_constant() * obj.kernel.mu0
         with pytest.raises(ValueError):
             obj.dissipativity_constants(lam)
@@ -307,7 +310,7 @@ class TestConstants:
 class TestMinimizers:
     def test_squared_stationarity(self):
         ds = Dataset.synthesize(12, seed=4)
-        obj = ObjectiveSpec(ds, SQUARED, KernelSpec(), 10)
+        obj = ObjectiveSpec(ds, loss_family("squared"), KernelSpec(), 10)
         pair = obj.find_minimizers(1.5)
         assert np.max(np.abs(obj.grad_array(pair.x_star))) < 1e-9
         mu = obj.kernel.eigenvalues(10)
@@ -326,14 +329,14 @@ class TestMinimizers:
         assert l_tilde == pytest.approx(obj.risk_array(x_tilde), abs=1e-15)
 
     def test_logistic_regularized_stationarity(self):
-        self._check_regularized_stationarity(LOGISTIC)
+        self._check_regularized_stationarity(loss_family("logistic"))
 
     def test_savage_regularized_stationarity(self):
-        self._check_regularized_stationarity(SAVAGE)
+        self._check_regularized_stationarity(loss_family("savage"))
 
     def test_huge_lambda_shrinks_x_tilde(self):
         ds = Dataset.synthesize(12, seed=4)
-        obj = ObjectiveSpec(ds, SQUARED, KernelSpec(), 10)
+        obj = ObjectiveSpec(ds, loss_family("squared"), KernelSpec(), 10)
         x_tilde, _ = obj.regularized_minimizer(1e6)
         assert np.linalg.norm(x_tilde) < 1e-3
 
@@ -341,7 +344,7 @@ class TestMinimizers:
         base = Dataset.synthesize(10, seed=6, kind="classification")
         y = base.y.copy()
         y[::3] = -y[::3]  # flipped labels keep the unregularized risk coercive
-        obj = ObjectiveSpec(Dataset(base.z, y), LOGISTIC, KernelSpec(), 4)
+        obj = ObjectiveSpec(Dataset(base.z, y), loss_family("logistic"), KernelSpec(), 4)
         pair = obj.find_minimizers(1.0)
         x_tilde, _ = obj.regularized_minimizer(1.0)
         assert np.max(np.abs(pair.x_tilde - x_tilde)) < 1e-6
@@ -352,7 +355,7 @@ class TestMinimizers:
     @pytest.mark.parametrize("which", ["x_star", "x_tilde", "regularized_minimizer"])
     def test_minimizers_are_read_only(self, which):
         ds = Dataset.synthesize(12, seed=4)
-        obj = ObjectiveSpec(ds, SQUARED, KernelSpec(), 10)
+        obj = ObjectiveSpec(ds, loss_family("squared"), KernelSpec(), 10)
         if which == "regularized_minimizer":
             x = obj.regularized_minimizer(1.5)[0]
         else:
@@ -362,7 +365,7 @@ class TestMinimizers:
         with pytest.raises(ValueError):
             x += 1.0
 
-    @pytest.mark.parametrize("loss", [LOGISTIC, SAVAGE])
+    @pytest.mark.parametrize("loss", [loss_family("logistic"), loss_family("savage")])
     def test_separable_data_infimum_not_attained(self, loss):
         ds = Dataset.synthesize(10, seed=6, kind="classification")
         obj = ObjectiveSpec(ds, loss, KernelSpec(), 8)
@@ -373,7 +376,7 @@ class TestMinimizers:
 
     def test_rank_deficient_x_star_is_minimum_norm(self):
         ds = Dataset.synthesize(5, seed=3)
-        obj = ObjectiveSpec(ds, SQUARED, KernelSpec(gamma=0.5), 10)
+        obj = ObjectiveSpec(ds, loss_family("squared"), KernelSpec(gamma=0.5), 10)
         pair = obj.find_minimizers(1.0)
         assert pair.attained
         expected = np.linalg.pinv(obj.features) @ ds.y
