@@ -148,8 +148,8 @@ class ExperimentConfig:
     n_ref: int | None
     beta_grid: list[float] | None
     m_grid: list[int] | None
-    source_text: str = ""
-    origin: str = "<config>"  # the config's or manifest's path, for errors raised after parsing
+    source_text: str
+    origin: str  # the config's or manifest's path, for errors raised after parsing
 
     @classmethod
     def load(cls, path: str | Path, seed_override: int | None) -> "ExperimentConfig":

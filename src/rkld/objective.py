@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -117,77 +118,69 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return np.divide(1.0, d, out=e, where=t >= 0)
 
 
+def _savage_pair(u: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    s = _sigmoid(y * u)  # shared by l and l', which then work in place
+    v = 1.0 - s
+    v *= v  # (1 - s) ** 2, whose square is v * v
+    s *= -2.0 * y  # -2 y s, then times v: the bits of d1's product
+    s *= v
+    return v, s
+
+
 @dataclass(frozen=True)
 class LossFamily:
-    """Per-sample loss l(u, y) with its first two u-derivatives and bounds.
+    """Per-sample loss l(u, y): one row of bounds, margin kind and formulas.
 
-    ``second_derivative_bound`` is G = sup |l''|; ``first_derivative_bound``
-    is sup |l'| and is None for the squared loss (unbounded gradient).
+    G = ``second_derivative_bound`` and B_l = ``first_derivative_bound`` bound
+    |l''| and |l'| at |y| = 1; B_l is None for the squared loss (unbounded
+    gradient).  A ``margin`` loss is f(y u), so its l' and l'' carry y and y^2,
+    and ``ObjectiveSpec`` scales the bounds by the largest |y|.  ``pair_of``
+    gives (l, l') with the bits of ``value_of`` and ``d1_of``.
     """
 
     tag: str
     second_derivative_bound: float
     first_derivative_bound: float | None
+    margin: bool
+    pair_of: Callable = field(repr=False)
+    value_of: Callable = field(repr=False)
+    d1_of: Callable = field(repr=False)
+    d2_of: Callable = field(repr=False)
 
     def value_and_d1(self, u: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """l(u, y) and l'(u, y), with the bits of value and d1.
-
-        Squared shares u - y, whose broadcast is about 1.4 of the 4 us the pair
-        takes at (32, 24), and savage shares its sigmoid.
-        """
-        u = np.asarray(u, dtype=float)
-        if self.tag == "squared":
-            d = u - y
-            return 0.5 * d**2, d
-        if self.tag == "savage":
-            s = _sigmoid(y * u)
-            v = 1.0 - s
-            v *= v  # (1 - s) ** 2, whose square is v * v
-            s *= -2.0 * y  # -2 y s, then times v: the bits of d1's product
-            s *= v
-            return v, s
-        return self.value(u, y), self.d1(u, y)
+        """l(u, y) and l'(u, y), with the bits of value and d1."""
+        return self.pair_of(np.asarray(u, dtype=float), y)
 
     def value(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if self.tag == "squared":
-            return 0.5 * (u - y) ** 2
-        if self.tag == "logistic":
-            # log(1 + exp(-y u)) via the stable softplus form
-            return np.logaddexp(0.0, -y * u)
-        if self.tag == "savage":
-            return (1.0 - _sigmoid(y * u)) ** 2
-        raise ValueError(f"unknown loss: {self.tag!r}")
+        return self.value_of(np.asarray(u, dtype=float), y)
 
     def d1(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if self.tag == "squared":
-            return u - y
-        if self.tag == "logistic":
-            return -y * _sigmoid(-y * u)
-        if self.tag == "savage":
-            s = _sigmoid(y * u)
-            return -2.0 * y * s * (1.0 - s) ** 2
-        raise ValueError(f"unknown loss: {self.tag!r}")
+        return self.d1_of(np.asarray(u, dtype=float), y)
 
     def d2(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if self.tag == "squared":
-            return np.ones_like(u)
-        if self.tag == "logistic":
-            s = _sigmoid(y * u)
-            return s * (1.0 - s)
-        if self.tag == "savage":
-            s = _sigmoid(y * u)
-            return -2.0 * s * (1.0 - s) ** 2 * (1.0 - 3.0 * s)
-        raise ValueError(f"unknown loss: {self.tag!r}")
+        return self.d2_of(np.asarray(u, dtype=float), y)
 
 
-_LOSSES = {
-    "squared": LossFamily("squared", second_derivative_bound=1.0, first_derivative_bound=None),
-    "logistic": LossFamily("logistic", second_derivative_bound=0.25, first_derivative_bound=1.0),
-    "savage": LossFamily("savage", second_derivative_bound=_SAVAGE_G, first_derivative_bound=_SAVAGE_B),
-}
+# one row per loss: tag, G, B_l, margin, then (l, l'), l, l' and l''; squared
+# shares u - y, whose broadcast is about 1.4 of the 4 us the pair takes at (32, 24)
+_ROWS = (
+    LossFamily("squared", 1.0, None, False,
+               lambda u, y: (0.5 * (d := u - y) ** 2, d),
+               lambda u, y: 0.5 * (u - y) ** 2,
+               lambda u, y: u - y,
+               lambda u, y: np.ones_like(u)),
+    LossFamily("logistic", 0.25, 1.0, True,
+               lambda u, y: (np.logaddexp(0.0, -y * u), -y * _sigmoid(-y * u)),
+               lambda u, y: np.logaddexp(0.0, -y * u),  # log(1 + exp(-y u)), the stable softplus form
+               lambda u, y: -y * _sigmoid(-y * u),
+               lambda u, y: y * y * (s := _sigmoid(y * u)) * (1.0 - s)),
+    LossFamily("savage", _SAVAGE_G, _SAVAGE_B, True,
+               _savage_pair,
+               lambda u, y: (1.0 - _sigmoid(y * u)) ** 2,
+               lambda u, y: -2.0 * y * (s := _sigmoid(y * u)) * (1.0 - s) ** 2,
+               lambda u, y: y * y * -2.0 * (s := _sigmoid(y * u)) * (1.0 - s) ** 2 * (1.0 - 3.0 * s)),
+)
+_LOSSES = {loss.tag: loss for loss in _ROWS}
 
 
 def loss_family(tag: str) -> LossFamily:
@@ -235,6 +228,8 @@ class ObjectiveSpec:
         self.features.setflags(write=False)
         self._kernel_diag = np.sum(self.features**2, axis=1)
         self._kernel_diag.setflags(write=False)
+        # a margin loss's l' and l'' carry y and y^2, so its |y| = 1 bounds scale with the largest |y|
+        self._label_scale = float(np.max(np.abs(dataset.y))) if loss.margin else 1.0
 
     # -- raw-array evaluations (x may be a matrix of chains); the engine's step
     # reproduces their bits for a group of blocks at once --
@@ -265,15 +260,16 @@ class ObjectiveSpec:
         return float(np.max(self._kernel_diag))
 
     def smoothness_constant(self) -> float:
-        """M = G * R_gamma."""
-        return self.loss.second_derivative_bound * self.kernel_diag_sup()
+        """M = G * R_gamma, with G scaled by the largest y^2 for a margin loss."""
+        return self.loss.second_derivative_bound * self._label_scale**2 * self.kernel_diag_sup()
 
     def gradient_bound(self) -> float | None:
-        """B = sup|l'| * max_i ||psi_gamma(z_i)||; None when unbounded."""
+        """B = sup|l'| * max_i ||psi_gamma(z_i)||, with B_l scaled by the largest |y|
+        for a margin loss; None when unbounded."""
         bl = self.loss.first_derivative_bound
         if bl is None:
             return None
-        return bl * math.sqrt(self.kernel_diag_sup())
+        return bl * self._label_scale * math.sqrt(self.kernel_diag_sup())
 
     def dissipativity_constants(self, lam: float) -> tuple[str, float, float]:
         """(regime, m, c) such that <Ax - grad L(x), x> <= -m ||x||^2 + c.
@@ -304,13 +300,12 @@ class ObjectiveSpec:
     def find_minimizers(self, lam: float) -> MinimizerPair:
         """Oracle minimizers x* (lam off) and x~ (lam on) of the truncated problem.
 
-        For a margin loss the search for x* stops at the first iterate that
-        separates the data, which proves that inf L = 0 is not attained.
-        Results are global only for convex losses.
+        For a margin loss (``LossFamily.margin``) the search for x* stops at
+        the first iterate that separates the data, which proves that
+        inf L = 0 is not attained.  Results are global only for convex losses.
         """
         x_tilde, l_tilde = self.regularized_minimizer(lam)
-        margin_loss = self.loss.tag in ("logistic", "savage")
-        x_star = self._newton(np.zeros(self.n_modes), stop_if_separated=margin_loss)
+        x_star = self._newton(np.zeros(self.n_modes), stop_if_separated=self.loss.margin)
         attained = x_star is not None
         if attained:
             x_star.setflags(write=False)

@@ -26,6 +26,7 @@ import pytest
 
 import rkld
 from rkld.config import Manifest
+from rkld.objective import _LOSSES
 
 MODULES = sorted(f"rkld.{m.name}" for m in pkgutil.iter_modules(rkld.__path__))
 
@@ -151,18 +152,20 @@ def _callables(tree):
                 yield f"{node.name}.{fn.name}", called_as, _parameters(fn, method=not static)
 
 
-def _passed(positional, keyword_only, call: ast.Call, keys: set[str]) -> set[str]:
+def _passed(positional, keyword_only, call: ast.Call, keys: set[str], surely: bool = False) -> set[str]:
     """The parameters that `call` sets, by position or by keyword.  A `*` expansion
     may reach every positional parameter and a `**` expansion of a dict
-    comprehension every parameter; any other `**` expansion sets only the names
-    in keys, the string keys that the call's module writes into mappings."""
+    comprehension every parameter, or, if surely, none, since it may leave any
+    key out; any other `**` expansion sets only the names in keys, the string
+    keys that the call's module writes into mappings."""
     starred = any(isinstance(a, ast.Starred) for a in call.args)
     passed = set(positional if starred else positional[: len(call.args)])
     for k in call.keywords:
         if k.arg:
             passed.add(k.arg)
         elif isinstance(k.value, ast.DictComp):  # computed keys (`Manifest.load`): any of them
-            passed |= {*positional, *keyword_only}
+            if not surely:
+                passed |= {*positional, *keyword_only}
         else:
             passed |= keys
     return passed
@@ -248,16 +251,24 @@ def test_every_defaulted_parameter_has_a_caller():
 
 
 def test_every_default_is_relied_on():
-    # a default that every program call overrides states a value nobody uses: a
-    # second, possibly different, copy of one decided elsewhere (a config key)
+    # a default that every program call or construction overrides states a value
+    # nobody uses: a second, possibly different, copy of one decided elsewhere
+    # (a config key)
     calls = _program_calls()
     overridden = []
     for label, called_as, (positional, keyword_only, defaulted_names) in _public_callables():
         reaching = _reaching(calls, label, called_as)
         if not reaching:
             continue
-        passed = set.intersection(*(_passed(positional, keyword_only, c, keys) for c, keys in reaching))
+        passed = set.intersection(*(_passed(positional, keyword_only, c, keys, surely=True) for c, keys in reaching))
         overridden += [f"{label}({name})" for name in defaulted_names if name in passed]
+    constructions, _ = _field_setters()
+    for cls, names, defaulted_names in _dataclasses():
+        made = constructions.get(cls, [])
+        if not made:
+            continue
+        passed = set.intersection(*(_passed(names, [], c, keys, surely=True) for c, keys in made))
+        overridden += [f"{cls}.{name}" for name in defaulted_names if name in passed]
     assert not overridden, f"every call in src/ or perfbench/ passes {overridden}: drop the default"
 
 
@@ -332,11 +343,41 @@ def test_only_theory_constants_branches_on_the_regime():
     assert branching == ["theory_constants"]
 
 
+def test_only_the_quadratic_oracle_names_a_loss():
+    # a loss's bounds, margin kind and formulas live in its one _LOSSES row; only
+    # the exact Gaussian law, which exists for the squared loss alone, asks which
+    # loss it has
+    def names_a_loss(operand):
+        if isinstance(operand, (ast.Tuple, ast.List, ast.Set)):
+            return any(map(names_a_loss, operand.elts))
+        if isinstance(operand, ast.Attribute):
+            return operand.attr == "tag"
+        return isinstance(operand, ast.Constant) and operand.value in _LOSSES
+
+    naming = []
+    for tree in _parsed(ROOT / "src" / "rkld"):
+        for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            operands = [
+                operand for node in ast.walk(fn) if isinstance(node, ast.Compare)
+                for operand in (node.left, *node.comparators)
+            ]
+            if any(map(names_a_loss, operands)):
+                naming.append(fn.name)
+    assert naming == ["quadratic_discrete_invariant"]
+
+
 # Defaulted fields of public dataclasses that no src/ or perfbench/ code sets,
 # each with the reason it stays.
 TEST_ONLY_FIELDS = {
     "ChainConfig.x0": "acceptance tests 5 and 6 start chains away from the origin; no config key reaches it",
 }
+
+
+def _has_default(value) -> bool:
+    """Whether a field's right-hand side gives it a default: `field(repr=False)` does not."""
+    if isinstance(value, ast.Call) and ast.unparse(value.func) == "field":
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return value is not None
 
 
 def _dataclasses():
@@ -345,19 +386,21 @@ def _dataclasses():
         for node in tree.body:
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_") and _is_dataclass(node):
                 annotated = [s for s in node.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
-                yield node.name, [s.target.id for s in annotated], [s.target.id for s in annotated if s.value]
+                yield node.name, [s.target.id for s in annotated], [s.target.id for s in annotated if _has_default(s.value)]
 
 
 def _field_setters():
-    """The calls to each name in program code, `cls(...)` inside a class
-    counting as a call to that class, and (field name, class that sets it)
-    for every replace(...) keyword, setattr name and assignment to an
-    attribute of an object other than `self`.  A module's mapping keys count
-    only in a module that makes a call with a `**` expansion, the one way such
-    a key becomes a field's keyword, even through a call by another name
-    (`build(**args)` in `ExperimentConfig.loads`)."""
+    """The calls to each name in program code, each with its module's mapping
+    keys, `cls(...)` inside a class counting as a call to that class, and
+    (field name, class that sets it) for every replace(...) keyword, setattr
+    name and assignment to an attribute of an object other than `self`.  A
+    module's mapping keys count as set fields only in a module that makes a
+    call with a `**` expansion, the one way such a key becomes a field's
+    keyword, even through a call by another name (`build(**args)` in
+    `ExperimentConfig.loads`)."""
     calls, named = {}, []
     for tree in _parsed(*PROGRAM):
+        keys = _mapping_keys(tree)
         expands = any(
             isinstance(node, ast.Call) and any(k.arg is None for k in node.keywords) for node in ast.walk(tree)
         )
@@ -369,7 +412,7 @@ def _field_setters():
                 if isinstance(node, ast.Call):
                     func = node.func
                     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                    calls.setdefault(owner if name == "cls" else name, []).append(node)
+                    calls.setdefault(owner if name == "cls" else name, []).append((node, keys))
                     if name == "replace":
                         named += [(k.arg, owner) for k in node.keywords if k.arg]
                     elif name in ("setattr", "__setattr__") and isinstance(node.args[1], ast.Constant):
@@ -389,7 +432,7 @@ def test_every_defaulted_field_is_set():
     unset = set()
     for cls, names, defaulted_names in _dataclasses():
         # the mapping keys that a `**` expansion passes are in named already
-        passed = set().union(*(_passed(names, [], call, set()) for call in calls.get(cls, [])))
+        passed = set().union(*(_passed(names, [], call, set()) for call, _ in calls.get(cls, [])))
         # a class normalizing its own field in __post_init__ does not set it
         passed |= {name for name, owner in named if owner != cls}
         unset |= {f"{cls}.{name}" for name in defaulted_names if name not in passed}

@@ -108,6 +108,20 @@ class TestLossFamilies:
         fd = (fam.value(ua + h, ya) - fam.value(ua - h, ya))[0] / (2.0 * h)
         assert fam.d1(ua, ya)[0] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
+    @given(
+        st.floats(min_value=-20, max_value=20),
+        st.floats(min_value=-3, max_value=3),
+        st.sampled_from(["squared", "logistic", "savage"]),
+    )
+    @settings(max_examples=60)
+    def test_d2_matches_finite_difference_at_any_label(self, u, y, tag):
+        # a margin loss f(y u) has l'' = y^2 f''(y u), so labels other than +-1 tell
+        fam = loss_family(tag)
+        h = 1e-6 * max(1.0, abs(u))
+        ua, ya = np.array([u]), np.array([y])
+        fd = (fam.d1(ua + h, ya) - fam.d1(ua - h, ya))[0] / (2.0 * h)
+        assert fam.d2(ua, ya)[0] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
 
 def masked_sigmoid(t):
     # the two-branch stable logistic that _sigmoid must reproduce bit for bit
@@ -278,6 +292,21 @@ class TestConstants:
         r = obj.kernel_diag_sup()
         assert obj.gradient_bound() == pytest.approx(math.sqrt(r), rel=1e-14)
 
+    @pytest.mark.parametrize("tag", ["logistic", "savage"])
+    def test_margin_bounds_hold_at_a_label_of_two(self, tag):
+        # one point z = 0.3 with y = 2: L(x) = l(<x, psi>, 2), so scanning x = t psi / |psi|^2
+        # sweeps u = t, and the gradient and Hessian norms are |l'| |psi| and |l''| |psi|^2
+        obj = ObjectiveSpec(Dataset(np.array([0.3]), np.array([2.0])), loss_family(tag), KernelSpec(), 8)
+        psi = obj.features[0]
+        t = np.linspace(-10.0, 10.0, 20001)
+        x = t[:, None] * psi / (psi @ psi)
+        grad_norm = np.max(np.linalg.norm(obj.grad_array(x), axis=1))
+        h = 1e-5 * psi / np.linalg.norm(psi)  # the Hessian is rank one along psi
+        hess_norm = np.max(np.linalg.norm(obj.grad_array(x + h) - obj.grad_array(x - h), axis=1)) / 2e-5
+        M, B = obj.smoothness_constant(), obj.gradient_bound()
+        assert grad_norm <= B * (1.0 + 1e-9) and hess_norm <= M * (1.0 + 1e-6)
+        assert grad_norm > B * (1.0 - 1e-4) and hess_norm > M * (1.0 - 1e-4)
+
     def test_dissipativity_strict_at_twice_threshold(self):
         obj = two_point_objective(loss_family("squared"), gamma=1.5, n_modes=8)
         M = obj.smoothness_constant()
@@ -383,18 +412,14 @@ class TestMinimizers:
         assert np.max(np.abs(pair.x_star - expected)) < 1e-10
 
     def test_negative_curvature_stationary_point_rejected(self):
-        class Cosine(LossFamily):
-            """l(u, y) = cos(u): u = 0 is stationary with l'' = -1."""
-
-            def value(self, u, y):
-                return np.cos(u)
-
-            def d1(self, u, y):
-                return -np.sin(u)
-
-            def d2(self, u, y):
-                return -np.cos(u)
-
-        obj = two_point_objective(Cosine("cosine", 1.0, 1.0))
+        # l(u, y) = cos(u), a new loss in one row: u = 0 is stationary with l'' = -1
+        cosine = LossFamily(
+            "cosine", 1.0, 1.0, False,
+            lambda u, y: (np.cos(u), -np.sin(u)),
+            lambda u, y: np.cos(u),
+            lambda u, y: -np.sin(u),
+            lambda u, y: -np.cos(u),
+        )
+        obj = two_point_objective(cosine)
         with pytest.raises(RuntimeError, match="Hessian has eigenvalue"):
             obj.regularized_minimizer(1e-3)
