@@ -103,7 +103,6 @@ _KEYS = {
         "burn_in": (_count, None),
     },
     "experiment": {
-        "mode": (_one_of("gld", "sgld", "ou"), "gld"),
         "replicas": (_checked(int, lambda n: n >= 2, "must be >= 2"), 8),  # a standard error needs 2
         "delta": (_unit_interval, None),
         "tail_delta": (_unit_interval, 0.2),
@@ -138,7 +137,7 @@ class ExperimentConfig:
     kernel: KernelSpec
     loss: LossFamily
     dataset: Dataset  # read from [objective] data, or synthesized from its synth_* keys
-    chain: ChainConfig  # its mode is [experiment] mode
+    chain: ChainConfig  # SGLD when [chain] minibatch is an integer, else GLD
     replicas: int
     delta: float | None
     tail_delta: float
@@ -185,7 +184,6 @@ class ExperimentConfig:
             raise ConfigError(f"{origin}: missing [chain] section")
         kernel, objective, chain, experiment = (_parse_section(parser, origin, s) for s in _KEYS)
         chain["lam"] = chain.pop("lambda")
-        chain["mode"] = experiment.pop("mode")
         if seed_override is not None:
             chain["seed"] = seed_override
         built = {}

@@ -446,8 +446,6 @@ def gibbs_gap_vs_beta(
     disagreement beyond 3 sigma, or one replica (no sigma), marks an
     estimate inconclusive.  Every beta runs on chain ids 0..R-1.
     """
-    if cfg.mode == "ou":
-        raise ValueError("mode = ou: the OU chain ignores the loss, so it has no Gibbs gap")
     retained = cfg.horizon - cfg.burn_in_steps
     if cfg.eta > 0.01 or cfg.n_modes < 65 or retained < 2:
         got = f"eta = {cfg.eta}, n_modes = {cfg.n_modes} and {retained} retained steps"
@@ -507,14 +505,12 @@ def sgld_discrepancy_vs_m(
     exact r_n, the paired-replica discrepancy with its SE, and the fitted
     constant discrepancy / (sqrt(r_n) + r_n^(1/4)).
     """
-    if cfg.mode == "ou":
-        raise ValueError("mode = ou: the discrepancy compares GLD with SGLD, so mode must be gld or sgld")
     n_tr, ms = obj.dataset.size, sorted(ms)
     budgets = [discrepancy_budget(cfg.horizon, cfg.beta, cfg.eta, n_tr, m) for m in ms]
     ids = list(range(replicas))
     # only the horizon's phi is read: retain one step, skip the Cesaro sums
     cfg = replace(cfg, burn_in=cfg.horizon - 1)
-    cfgs = [replace(cfg, mode="gld", minibatch=None)] + [replace(cfg, mode="sgld", minibatch=m) for m in ms]
+    cfgs = [replace(cfg, minibatch=None)] + [replace(cfg, minibatch=m) for m in ms]
     gld, *sgld = run_blocks([(c, obj, ids, ()) for c in cfgs], l_star=l_star, checkpoints=(cfg.horizon,))
     out = []
     for m, rn, summary in zip(ms, budgets, sgld):
@@ -538,7 +534,6 @@ def sgld_discrepancy(
     return sgld_discrepancy_vs_m(cfg, obj, l_star, [m], replicas)[0][0]
 
 
-_OU_HAS_NO_TAIL = "mode = ou: the OU chain ignores the loss, so it has no tail of L to bound"
 # the step-size exponent offset of the tail bound's eta^(1/2 - kappa) term.  The paper's bound holds
 # for every kappa in (0, 1/2) with a kappa-dependent leading constant, which tail_bound_terms sets
 # to 1, so kappa only reshapes the formula and one value serves every run
@@ -551,9 +546,8 @@ def tail_bound_terms(
     """The tail bound at step n of cfg's chain: the Markov factor 5/tail_delta (the 1/sigma(delta) <= 5/delta
     relaxation), the terms it multiplies, keyed by formula, the right-hand side, their product with unit
     leading constants, and why that is nan (None when it is not).  Without a spectral gap the terms are
-    empty; under mode = sgld the terms are GLD's, and the right-hand side is nan, since the SGLD bound adds
-    a minibatch discrepancy term they do not hold; under mode = ou it is nan too, since that chain ignores
-    the loss."""
+    empty; with a minibatch the terms are GLD's, and the right-hand side is nan, since the SGLD bound adds
+    a minibatch discrepancy term they do not hold."""
     markov = 5.0 / tail_delta
     if consts.lambda_eta is None or consts.lambda_0 is None:
         return markov, {}, math.nan, "spectral gap needs [experiment] delta in the bounded regime; terms n/a"
@@ -564,12 +558,11 @@ def tail_bound_terms(
         "gibbs concentration term": consts.gibbs_bound,
         "L(x~) - L(x*)": minimizers.l_tilde - minimizers.l_star,
     }
-    if cfg.mode == "sgld":
+    if cfg.minibatch is not None:
         return markov, terms, math.nan, (
-            "mode = sgld: these are GLD's terms; the SGLD bound adds a minibatch discrepancy term, so the total is nan"
+            f"minibatch = {cfg.minibatch}: these are GLD's terms; the SGLD bound adds a minibatch discrepancy term, "
+            "so the total is nan"
         )
-    if cfg.mode == "ou":
-        return markov, terms, math.nan, _OU_HAS_NO_TAIL
     return markov, terms, markov * sum(terms.values()), None
 
 
@@ -579,9 +572,7 @@ def theorem_tail_bound(
 ) -> tuple[list[dict], Verdict]:
     """Empirical P(L(X_n) - L(x*) > tail_delta) at n = horizon // 25, horizon // 5 and horizon, one row per n
     next to the bound's right-hand side on consts, theory_constants(obj, cfg, minimizers, ...); and the
-    claim's verdict.  The right-hand side is tail_bound_terms', nan under mode = sgld."""
-    if cfg.mode == "ou":
-        raise ValueError(_OU_HAS_NO_TAIL)
+    claim's verdict.  The right-hand side is tail_bound_terms', nan with a minibatch."""
     steps = [cfg.horizon // 25, cfg.horizon // 5, cfg.horizon]
     if steps[0] < 1:  # at horizon >= 25 the steps are distinct and >= 1
         raise ValueError(f"the tail steps horizon // 25, horizon // 5 and horizon are {steps}: horizon must be >= 25")

@@ -1,4 +1,4 @@
-"""The chain engine: Galerkin GLD, SGLD and the noise-only OU chain.
+"""The chain engine: Galerkin GLD and its minibatch form, SGLD.
 
 Replica ensembles advance together as an (R, N+1) matrix with per-chain
 counter-based random streams, so trajectories are bit-identical whether a
@@ -64,9 +64,7 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Parameters of one GLD/SGLD/OU run, the chain's mode included: only
-    sgld takes a minibatch, and a config built without a mode is sgld when
-    it has one and gld otherwise."""
+    """Parameters of one GLD or SGLD run: a minibatch makes the chain SGLD."""
 
     eta: float
     beta: float
@@ -74,7 +72,6 @@ class ChainConfig:
     n_modes: int
     seed: int
     horizon: int
-    mode: str | None = None  # gld, sgld or ou
     minibatch: int | None = None  # None means full batch
     burn_in: int | None = None  # None means 20% of horizon
     x0: np.ndarray | None = None  # N+1 coefficients; None means the zero vector
@@ -96,12 +93,6 @@ class ChainConfig:
             raise ValueError(f"burn_in = {self.burn_in!r}: must be an integer >= 0 and < horizon = {self.horizon}")
         if self.minibatch is not None and not (_is_int(self.minibatch) and self.minibatch >= 1):
             raise ValueError(f"minibatch size must be an integer >= 1, got {self.minibatch!r}")
-        if self.mode is None:
-            object.__setattr__(self, "mode", "gld" if self.minibatch is None else "sgld")
-        if self.mode not in ("gld", "sgld", "ou"):
-            raise ValueError(f"unknown mode: {self.mode!r}")
-        if self.minibatch is not None and self.mode != "sgld":
-            raise ValueError(f"minibatch = {self.minibatch!r}: only mode = sgld draws minibatches, not {self.mode}")
         if self.x0 is not None:
             x0 = np.array(self.x0, dtype=float, copy=True)
             if x0.shape != (self.n_modes,):
@@ -110,6 +101,11 @@ class ChainConfig:
                 raise ValueError("x0 must be finite")
             x0.setflags(write=False)
             object.__setattr__(self, "x0", x0)
+
+    @property
+    def mode(self) -> str:
+        """The chain's name in summaries: sgld with a minibatch, gld without."""
+        return "sgld" if self.minibatch is not None else "gld"
 
     @property
     def burn_in_steps(self) -> int:
@@ -168,7 +164,7 @@ class _Block:
 
     def __init__(self, cfg, obj, chain_ids, observers, l_star, n_checkpoints):
         if obj is None:
-            raise ValueError(f"mode {cfg.mode!r} requires an objective")
+            raise ValueError("every chain requires an objective")
         if obj.n_modes != cfg.n_modes:
             raise ValueError("objective mode count does not match config")
         self.cfg, self.obj, self.l_star = cfg, obj, l_star
@@ -182,7 +178,7 @@ class _Block:
         if m is not None and m < n_tr:  # a full batch is the GLD gradient, exactly
             self.minibatch = m
             self.batch_rngs = [make_rng(cfg.seed, cid, _STREAM_BATCH) for cid in self.chain_ids]
-        self.gradient = "none" if cfg.mode == "ou" else "full" if self.minibatch is None else "minibatch"
+        self.gradient = "full" if self.minibatch is None else "minibatch"
         self.mu = obj.kernel.eigenvalues(self.n)
         self.cesaro_phi = np.zeros(len(self.chain_ids))
         self.cesaro_risk = np.zeros(len(self.chain_ids))
@@ -283,7 +279,6 @@ class _Group:
         self.shared = all(b.obj is first.obj for b in blocks)
         # the feature products X_b Phi_b^T, (B, R, n_tr); a one-block group's are (R, n_tr)
         self.u = np.empty((n_chains, self.n_tr) if self.single else (len(blocks), n_chains, self.n_tr))
-        self.g = 0.0  # the OU chain's
         if self.gradient == "full":
             self.g = np.empty((n_chains, lo))
             self.g_out = self.stack(self.g) if self.shared else self.split(self.g)
@@ -475,16 +470,17 @@ class _Worker:
 def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
     """Advance several ensembles in lockstep, one loop for all of them.
 
-    A block is a (cfg, obj, chain_ids, observers) tuple: one replica of the
-    chain cfg.mode names per chain id, on the objective obj, which every mode
-    needs (the OU chain ignores its gradient, not its risk).  Replica r uses
-    the random streams keyed by (cfg.seed, chain_ids[r]), so a replica's
-    trajectory does not depend on the ensemble it runs inside.  Observers
+    A block is a (cfg, obj, chain_ids, observers) tuple: one replica per
+    chain id of the chain on the objective obj, SGLD when cfg has a
+    minibatch and GLD otherwise (the noise-only OU chain is GLD on a loss
+    that is identically zero).  Replica r uses the random streams keyed by
+    (cfg.seed, chain_ids[r]), so a replica's trajectory does not depend on
+    the ensemble it runs inside.  Observers
     are called as observer(step, X, risk) for every post-burn-in step, with
     the block's (R, N+1) state matrix and the per-chain risk
     obj.risk_array(X) that also feeds the Cesaro sums and checkpoints, both
     read-only parts of its group's arrays.  Blocks must share the seed,
-    horizon and burn-in; their modes may differ.
+    horizon and burn-in; their minibatches may differ.
     Each distinct chain id draws its noise once per chunk, at the widest
     block's n_modes, and every block reads the first N+1 components of its
     chain ids' rows, so blocks that share a chain id share their noise
@@ -498,10 +494,9 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
     Every exit reaps the worker, and a worker that raises or dies makes the
     call raise a RuntimeError naming it.
     Blocks that share R, the Dataset object, the loss and the gradient kind
-    (full batch, minibatch, or none for the OU chain) step as one group: one
-    noise read, one update, one finiteness check, one loss call and one risk
-    reduction per step for all of them, on their states packed side by side
-    by column.  Every block keeps its own matmuls, written into the group's
+    (full batch or minibatch) step as one group: one noise read, one update,
+    one finiteness check, one loss call and one risk reduction per step for
+    all of them, on their states packed side by side by column.  Every block keeps its own matmuls, written into the group's
     buffers, since stacking the rows of several blocks into one matrix
     changes BLAS's summation order; blocks of one objective make each one
     matmul over a (B, R, N+1) view, which calls BLAS once per block.  So a

@@ -146,7 +146,7 @@ def check_dissipativity_probe(obj: ObjectiveSpec, lam: float, seed: int) -> Prop
 
 
 def check_determinism(cfg: ChainConfig, obj: ObjectiveSpec) -> PropertyResult:
-    short = replace(cfg, mode="gld", minibatch=None, horizon=200, burn_in=None)
+    short = replace(cfg, minibatch=None, horizon=200, burn_in=None)
     a = run_chain(short, obj)
     b = run_chain(short, obj)
     ok = np.array_equal(a.norm, b.norm) and np.array_equal(a.risk, b.risk)
@@ -155,8 +155,8 @@ def check_determinism(cfg: ChainConfig, obj: ObjectiveSpec) -> PropertyResult:
 
 def check_fullbatch_reduction(cfg: ChainConfig, obj: ObjectiveSpec) -> PropertyResult:
     short = replace(cfg, horizon=200, burn_in=None)
-    a = run_chain(replace(short, mode="gld", minibatch=None), obj)
-    b = run_chain(replace(short, mode="sgld", minibatch=obj.dataset.size), obj)
+    a = run_chain(replace(short, minibatch=None), obj)
+    b = run_chain(replace(short, minibatch=obj.dataset.size), obj)
     ok = np.array_equal(a.norm, b.norm)
     return _result("sgld_fullbatch_reduction", ok, "m = n_tr trajectory equals GLD pathwise")
 

@@ -28,7 +28,7 @@ from rkld.diagnostics import (
     weak_error_vs_eta,
 )
 from rkld.dynamics import ChainConfig, run_blocks
-from rkld.objective import Dataset, ObjectiveSpec, loss_family
+from rkld.objective import Dataset, LossFamily, ObjectiveSpec, loss_family
 from rkld.spectral import KernelSpec, resolvent_scales
 
 
@@ -39,8 +39,9 @@ def report(number, passed, detail):
 
 
 def objective(loss="squared", gamma=1.5, n=24, seed=7, n_modes=16, kind="regression"):
+    """The objective on synthetic data; loss is a tag or a LossFamily row."""
     ds = Dataset.synthesize(n, seed=seed, kind=kind)
-    return ObjectiveSpec(ds, loss_family(loss), KernelSpec(gamma=gamma), n_modes)
+    return ObjectiveSpec(ds, loss_family(loss) if isinstance(loss, str) else loss, KernelSpec(gamma=gamma), n_modes)
 
 
 def test_01_closed_form_suite():
@@ -128,12 +129,20 @@ def test_03_minibatch_unbiased_and_variance_identity():
     )
 
 
+# l(u, y) = 0: GLD on the zero loss is the noise-only Ornstein-Uhlenbeck chain
+ZERO = LossFamily(
+    "zero", 0.0, 0.0, False,
+    lambda u, y: (np.zeros_like(u), np.zeros_like(u)),
+    lambda u, y: np.zeros_like(u),
+    lambda u, y: np.zeros_like(u),
+    lambda u, y: np.zeros_like(u),
+)
+
+
 def test_04_ou_stationary_variance():
     t0 = time.time()
     replicas = 16
-    cfg = ChainConfig(
-        eta=0.5, beta=2.0, lam=1.0, n_modes=8, seed=11, horizon=125_000, burn_in=25_000, mode="ou"
-    )
+    cfg = ChainConfig(eta=0.5, beta=2.0, lam=1.0, n_modes=8, seed=11, horizon=125_000, burn_in=25_000)
     sums = np.zeros((replicas, 8))
     sumsq = np.zeros((replicas, 8))
     count = 0
@@ -145,7 +154,7 @@ def test_04_ou_stationary_variance():
         count += 1
 
     # l_star centres phi, which this test does not read
-    run_blocks([(cfg, objective(n_modes=8), list(range(replicas)), (accumulate,))], l_star=0.0)
+    run_blocks([(cfg, objective(ZERO, n_modes=8), list(range(replicas)), (accumulate,))], l_star=0.0)
     assert count == 100_000
     var = sumsq / count - (sums / count) ** 2
     mean_var = var.mean(axis=0)

@@ -366,6 +366,21 @@ def test_only_the_quadratic_oracle_names_a_loss():
     assert naming == ["quadratic_discrete_invariant"]
 
 
+def test_no_function_names_a_chain_kind():
+    # a chain is GLD or SGLD by its minibatch and the OU chain by its zero loss: no
+    # rule asks for a chain's name, which only RunSummary.mode reports
+    naming = []
+    for tree in _parsed(ROOT / "src" / "rkld"):
+        for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            operands = [
+                operand for node in ast.walk(fn) if isinstance(node, ast.Compare)
+                for operand in (node.left, *node.comparators)
+            ]
+            if any(isinstance(o, ast.Constant) and o.value in ("gld", "sgld", "ou") for o in operands):
+                naming.append(fn.name)
+    assert naming == []
+
+
 # Defaulted fields of public dataclasses that no src/ or perfbench/ code sets,
 # each with the reason it stays.
 TEST_ONLY_FIELDS = {

@@ -125,7 +125,7 @@ def _sgld_drops_a_point(fn):
     # the engine's m = n_tr SGLD block is its GLD block by construction, so an SGLD
     # chain that differs from GLD must be injected at run_chain
     def run_chain(cfg, obj, l_star=0.0):
-        if cfg.mode == "sgld":
+        if cfg.minibatch is not None:
             cfg = dataclasses.replace(cfg, minibatch=cfg.minibatch - 1)
         return fn(cfg, obj, l_star=l_star)
 
@@ -194,6 +194,14 @@ class TestRun:
         manifest = json.loads((out / f"{tag}_manifest.json").read_text())
         assert manifest["config_hash"] == tag
         assert any("trajectory" in o for o in manifest["outputs"])
+
+    def test_minibatch_alone_runs_sgld(self, tmp_path):
+        # [chain] minibatch = 3 makes the chain SGLD, and the summary names it
+        cfg = tmp_path / "sgld.ini"
+        cfg.write_text(BASE.replace("horizon = 2000", "horizon = 200\nminibatch = 3"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / f"{tag_of(cfg)}_summary.json").read_text())["mode"] == "sgld"
 
     def test_byte_identical_rerun(self, tmp_path, config_file):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -334,15 +342,15 @@ class TestSweep:
         assert float(rows[-1][d_col]) == 0.0
 
     @pytest.mark.parametrize("axis", ["eta", "n_modes"])
-    @pytest.mark.parametrize("mode, minibatch", [("sgld", "2"), ("ou", "full")])
+    @pytest.mark.parametrize("mode, minibatch", [("sgld", "2")])
     def test_sweep_runs_the_configured_chain(self, axis, mode, minibatch, tmp_path):
-        # the same grid on a GLD config and on an SGLD or OU one: each sweep runs its config's chain
+        # the same grid on a GLD config and on an SGLD one: each sweep runs its config's chain
         base, grid = SWEEP_RERUNS[axis]
         csvs = []
         for chain, chain_minibatch in (("gld", "full"), (mode, minibatch)):
             cfg = tmp_path / f"{chain}.ini"
             text = base.replace("horizon = 2000", f"horizon = 200\nminibatch = {chain_minibatch}")
-            cfg.write_text(text + f"\n[experiment]\nmode = {chain}\nreplicas = 2\n" + grid)
+            cfg.write_text(text + "\n[experiment]\nreplicas = 2\n" + grid)
             out = tmp_path / chain
             assert main(["sweep", "--axis", axis, "--config", str(cfg), "--out", str(out)]) in (0, 3)
             csvs.append((out / f"{tag_of(cfg)}_sweep_{axis}.csv").read_bytes())
@@ -422,9 +430,9 @@ class TestSweep:
         assert f"  total (x markov factor): {last['rhs']}" in (out / f"{stem}_report.txt").read_text().splitlines()
 
     def test_sgld_tail_total_is_nan_in_the_sweep_and_the_report(self, tmp_path):
-        # the tail bound's terms are GLD's: under sgld the report prints them with a nan total and its reason
+        # the tail bound's terms are GLD's: with a minibatch the report prints them with a nan total and its reason
         cfg = tmp_path / "sgld.ini"
-        cfg.write_text(BASE.replace("seed = 42", "seed = 42\nminibatch = 3") + "\n[experiment]\nmode = sgld\nreplicas = 2\n")
+        cfg.write_text(BASE.replace("seed = 42", "seed = 42\nminibatch = 3") + "\n[experiment]\nreplicas = 2\n")
         out = tmp_path / "out"
         assert main(["sweep", "--axis", "tail", "--config", str(cfg), "--out", str(out)]) == 0
         stem = f"{tag_of(cfg)}_sweep_tail"
@@ -435,25 +443,8 @@ class TestSweep:
         total = report.index("  total (x markov factor): nan")
         assert report[total - 1].startswith("  L(x~) - L(x*): ")
         assert report[total + 1] == (
-            "  mode = sgld: these are GLD's terms; the SGLD bound adds a minibatch discrepancy term, so the total is nan"
+            "  minibatch = 3: these are GLD's terms; the SGLD bound adds a minibatch discrepancy term, so the total is nan"
         )
-
-    def test_ou_tail_total_is_nan_in_the_report(self, tmp_path, capsys):
-        # the OU chain ignores the loss: the report prints the tail terms with a nan total and
-        # the reason the tail sweep refuses the chain with
-        cfg = tmp_path / "ou.ini"
-        cfg.write_text(BASE.replace("horizon = 2000", "horizon = 200") + "\n[experiment]\nmode = ou\nreplicas = 2\n")
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        assert main(["report", "--manifest", str(out / f"{tag_of(cfg)}_manifest.json"), "--out", str(out)]) == 0
-        report = (out / f"{tag_of(cfg)}_report.txt").read_text().splitlines()
-        total = report.index("  total (x markov factor): nan")
-        assert report[total - 1].startswith("  L(x~) - L(x*): ")
-        reason = "mode = ou: the OU chain ignores the loss, so it has no tail of L to bound"
-        assert report[total + 1] == f"  {reason}"
-        capsys.readouterr()
-        assert main(["sweep", "--axis", "tail", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.endswith(f"{reason}\n")
 
     def test_beta_sweep_without_stationarity_is_inconclusive(self, tmp_path, monkeypatch, capsys):
         # the engine's run, with the second beta's first-half risks shifted by 1: its Cesaro halves disagree
@@ -521,14 +512,8 @@ SWEEP_PRECONDITIONS = {
         BASE.replace("beta = 4.0", "beta = 0.1"),
     ),
     "n_grid_negative": ("n_modes", "n_grid = -1, 4, 8, 16\nn_ref = 64\n", BASE),
-    # the minibatch sweep compares GLD with SGLD whatever the config's chain, but not the OU chain
-    "minibatch_ou": ("minibatch", "mode = ou\nm_grid = 2, 4, 8\n", BASE),
-    # the OU chain ignores the loss, so it has no Gibbs gap to measure
-    "beta_ou": ("beta", "mode = ou\nbeta_grid = 2, 4\n", SWEEP_RERUNS["beta"][0]),
     "m_grid_above_n": ("minibatch", "m_grid = 2, 9\n", BASE),
     "eta_grid_short": ("eta", "eta_grid = 0.2, 0.1\neta_ref = 0.003\n", BASE),
-    # the OU chain ignores the loss, so it has no tail of L to bound
-    "tail_ou": ("tail", "mode = ou\n", BASE),
     # horizon // 25 is step 0 below horizon 25
     "tail_short_horizon": ("tail", "", BASE.replace("horizon = 2000", "horizon = 24")),
 }
@@ -715,7 +700,7 @@ class TestExitCodes:
 
     def test_minibatch_larger_than_data_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "m.ini"
-        cfg.write_text(BASE.replace("seed = 42", "seed = 42\nminibatch = 30") + "\n[experiment]\nmode = sgld\n")
+        cfg.write_text(BASE.replace("seed = 42", "seed = 42\nminibatch = 30"))
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"config error: {cfg}: [chain] minibatch = '30': out of range 1..8\n"
@@ -1036,10 +1021,9 @@ PARSE_ERRORS = {
     "data_header": (BASE.replace("synth_n = 8", "data = {data}"), "x,y\n0.5,1.0\n"),
     "data_row": (BASE.replace("synth_n = 8", "data = {data}"), "z,y\n0.25,1.0\n0.5\n"),
     "data_field": (BASE.replace("synth_n = 8", "data = {data}"), "z,y\nabc,1.0\n"),
-    "minibatch_above_n": (
-        BASE.replace("seed = 42", "seed = 42\nminibatch = 30") + "\n[experiment]\nmode = sgld\n", None
-    ),
+    "minibatch_above_n": (BASE.replace("seed = 42", "seed = 42\nminibatch = 30"), None),
     "retired_key": (BASE.replace("synth_seed = 5", "synth_seed = 5\nlambda0 = 0.1"), None),
+    "retired_mode": (BASE + "\n[experiment]\nmode = sgld\n", None),
     "one_replica": (BASE + "\n[experiment]\nreplicas = 1\n", None),
     "short_grid": (BASE + "\n[experiment]\nm_grid = 2\n", None),
 }

@@ -26,9 +26,6 @@ seed = 42
 horizon = 2000
 """
 
-
-SGLD = "\n[experiment]\nmode = sgld\n"
-
 # one valid value per config key, other than its default and BASE's
 NON_DEFAULT = {
     "kernel": {"mu0": "2.0", "gamma": "1.0"},
@@ -50,7 +47,6 @@ NON_DEFAULT = {
         "burn_in": "100",
     },
     "experiment": {
-        "mode": "ou",
         "replicas": "2",
         "delta": "0.5",
         "tail_delta": "0.1",
@@ -97,6 +93,8 @@ class TestParsing:
             ("objective", "synth_noise = 0.2"),
             # the retired tail-bound exponent offset: one kappa, a constant of diagnostics
             ("experiment", "kappa = 0.2"),
+            # the retired chain switch: [chain] minibatch alone makes the chain SGLD
+            ("experiment", "mode = sgld"),
         ],
     )
     def test_unknown_key_rejected(self, section, line):
@@ -132,24 +130,19 @@ class TestParsing:
     def test_minibatch_full_keyword(self):
         exp = ExperimentConfig.loads(BASE.replace("seed = 42", "seed = 42\nminibatch = full"))
         assert exp.chain.minibatch is None
-        exp2 = ExperimentConfig.loads(BASE.replace("seed = 42", "seed = 42\nminibatch = 4") + SGLD)
+        exp2 = ExperimentConfig.loads(BASE.replace("seed = 42", "seed = 42\nminibatch = 4"))
         assert exp2.chain.minibatch == 4
         with pytest.raises(ConfigError) as exc_info:
             ExperimentConfig.loads(BASE + "minibatch = abc\n", origin="exp.ini")
         assert str(exc_info.value) == "exp.ini: [chain] minibatch = 'abc': must be an integer or 'full'"
 
-    @pytest.mark.parametrize("mode", [None, "gld", "ou"])
-    def test_minibatch_outside_sgld_rejected(self, mode):
-        # only an SGLD run draws minibatches; elsewhere the key would be silently ignored
+    def test_minibatch_alone_makes_the_chain_sgld(self):
+        # the minibatch is the chain: an integer is SGLD, full is GLD
         text = BASE.replace("seed = 42", "seed = 42\nminibatch = 3")
-        if mode is not None:
-            text += f"\n[experiment]\nmode = {mode}\n"
-        with pytest.raises(ConfigError) as exc_info:
-            ExperimentConfig.loads(text, origin="exp.ini")
-        expect = f"exp.ini: [chain] minibatch = 3: only mode = sgld draws minibatches, not {mode or 'gld'}"
-        assert str(exc_info.value) == expect
-        full = ExperimentConfig.loads(text.replace("minibatch = 3", "minibatch = full"))
-        assert full.chain.minibatch is None
+        sgld = ExperimentConfig.loads(text).chain
+        assert (sgld.minibatch, sgld.mode) == (3, "sgld")
+        full = ExperimentConfig.loads(text.replace("minibatch = 3", "minibatch = full")).chain
+        assert (full.minibatch, full.mode) == (None, "gld")
 
     @pytest.mark.parametrize(
         "section, line, reason",
@@ -175,7 +168,6 @@ class TestParsing:
             ("objective", "synth_n = 0", "must be >= 1"),
             ("objective", "synth_n = 100000000000000000000", "Maximum allowed dimension exceeded"),  # numpy's
             ("objective", "synth_seed = -1", "must be >= 0"),
-            ("experiment", "mode = mala", "expected one of gld, sgld, ou"),
             ("experiment", "replicas = 1", "must be >= 2"),
             ("experiment", "tail_delta = 1.0", "must be in (0, 1)"),
             ("experiment", "tail_delta = nan", "must be in (0, 1)"),
@@ -216,8 +208,7 @@ class TestParsing:
         # a key that is parsed and then dropped selects nothing
         data = tmp_path / "d.csv"
         data.write_text("z,y\n0.1,1.0\n0.9,-1.0\n")
-        # minibatch is read only under mode = sgld, so both sides set that mode
-        base = BASE + "\n[experiment]\n" + ("mode = sgld\n" if key == "minibatch" else "")
+        base = BASE + "\n[experiment]\n"
         line = f"{key} = {NON_DEFAULT[section][key].format(data=data)}"
         changed = re.sub(rf"^{key} = .*\n", "", base, flags=re.M).replace(f"[{section}]\n", f"[{section}]\n{line}\n")
         assert parsed_fields(ExperimentConfig.loads(changed)) != parsed_fields(ExperimentConfig.loads(base))

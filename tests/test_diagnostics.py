@@ -341,7 +341,7 @@ class TestEstimators:
         obj = make_objective(n=8)
         cfg = self._cfg(horizon=600)
         swept, _ = sgld_discrepancy_vs_m(cfg, obj, 0.1, [1, 3, 8], replicas=6)
-        solo = [sgld_discrepancy(replace(cfg, mode="sgld", minibatch=m), obj, 0.1, replicas=6) for m in (1, 3, 8)]
+        solo = [sgld_discrepancy(replace(cfg, minibatch=m), obj, 0.1, replicas=6) for m in (1, 3, 8)]
         assert [{k: repr(v) for k, v in r.items()} for r in swept] == [{k: repr(v) for k, v in r.items()} for r in solo]
         assert swept[-1]["discrepancy"] == 0.0 and all(r["discrepancy"] > 0.0 for r in swept[:-1])
 
@@ -370,7 +370,7 @@ class TestEstimators:
         obj = make_objective()
         cfg = ChainConfig(eta=0.1, beta=4.0, lam=4.0 * obj.smoothness_constant(), n_modes=6, seed=3, horizon=250)
         gld, gld_verdict = tail_bound(cfg, obj, replicas=20)
-        sgld, sgld_verdict = tail_bound(replace(cfg, mode="sgld", minibatch=obj.dataset.size), obj, replicas=20)
+        sgld, sgld_verdict = tail_bound(replace(cfg, minibatch=obj.dataset.size), obj, replicas=20)
         assert all(math.isnan(r["rhs"]) for r in sgld) and all(math.isfinite(r["rhs"]) for r in gld)
         assert [{**r, "rhs": None} for r in sgld] == [{**r, "rhs": None} for r in gld]
         assert sgld_verdict == gld_verdict
@@ -395,9 +395,8 @@ class TestEstimators:
         [
             (dict(horizon=24), "are [0, 4, 24]: horizon must be >= 25"),  # horizon // 25 would be step 0
             (dict(horizon=1), "are [0, 0, 1]: horizon must be >= 25"),
-            (dict(mode="ou"), "mode = ou"),
         ],
-        ids=["horizon_24", "horizon_1", "ou"],
+        ids=["horizon_24", "horizon_1"],
     )
     def test_theorem_tail_bound_refuses_before_running(self, changes, match, monkeypatch):
         # the bound is about steps n >= 1; step 0 is the fixed starting point

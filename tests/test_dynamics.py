@@ -28,9 +28,21 @@ from rkld.objective import Dataset, LossFamily, ObjectiveSpec, loss_family
 from rkld.spectral import KernelSpec, resolvent_scales
 
 
+# l(u, y) = 0, a loss in one row: GLD on it is the noise-only Ornstein-Uhlenbeck
+# chain X <- S_eta (X + sqrt(2 eta / beta) xi), the "ou" case of the chain kinds
+ZERO = LossFamily(
+    "zero", 0.0, 0.0, False,
+    lambda u, y: (np.zeros_like(u), np.zeros_like(u)),
+    lambda u, y: np.zeros_like(u),
+    lambda u, y: np.zeros_like(u),
+    lambda u, y: np.zeros_like(u),
+)
+
+
 def make_objective(n_modes=6, loss="squared", gamma=1.5, n=8, seed=5):
+    """The objective on synthetic data; loss is a tag or a LossFamily row."""
     ds = Dataset.synthesize(n, seed=seed)
-    return ObjectiveSpec(ds, loss_family(loss), KernelSpec(gamma=gamma), n_modes)
+    return ObjectiveSpec(ds, loss_family(loss) if isinstance(loss, str) else loss, KernelSpec(gamma=gamma), n_modes)
 
 
 def make_cfg(**kw):
@@ -83,18 +95,12 @@ class TestChainConfig:
         with pytest.raises(ValueError, match="must be an integer"):
             make_cfg(**{field: value})
 
-    def test_minibatch_without_mode_is_sgld(self):
-        assert ChainConfig(eta=0.05, beta=4.0, lam=6.0, n_modes=6, seed=42, horizon=100, minibatch=3).mode == "sgld"
-        assert make_cfg().mode == "gld" and make_cfg(mode="sgld").minibatch is None
-
-    @pytest.mark.parametrize("mode", ["gld", "ou"])
-    def test_minibatch_outside_sgld_raises(self, mode):
-        with pytest.raises(ValueError, match=f"minibatch = 3: only mode = sgld draws minibatches, not {mode}"):
-            make_cfg(mode=mode, minibatch=3)
-
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError, match="unknown mode: 'mala'"):
-            make_cfg(mode="mala")
+    def test_minibatch_makes_the_chain_sgld(self):
+        # the chain's name is read off its minibatch; no field sets it
+        assert make_cfg(minibatch=3).mode == "sgld" and make_cfg().mode == "gld"
+        assert "mode" not in {f.name for f in dataclasses.fields(ChainConfig)}
+        with pytest.raises(TypeError, match="mode"):
+            make_cfg(mode="sgld")
 
     def test_x0_dimension_checked(self):
         with pytest.raises(ValueError):
@@ -169,28 +175,28 @@ class TestStepFunctions:
     def test_sgld_full_batch_matches_gld(self):
         obj = make_objective(n=8)
         cfg = make_cfg(horizon=50, burn_in=0)
-        sgld = dataclasses.replace(cfg, mode="sgld", minibatch=8)
+        sgld = dataclasses.replace(cfg, minibatch=8)
         assert np.array_equal(final_state(cfg, obj), final_state(sgld, obj))
 
     def test_sgld_minibatch_diverges_from_gld(self):
         obj = make_objective(n=8)
         cfg = make_cfg(horizon=50, burn_in=0)
-        sgld = dataclasses.replace(cfg, mode="sgld", minibatch=2)
+        sgld = dataclasses.replace(cfg, minibatch=2)
         assert not np.array_equal(final_state(cfg, obj), final_state(sgld, obj))
 
-    def test_ou_step_ignores_objective(self):
-        # the step ignores the gradient; the observer still gets the state's risk
-        obj = make_objective()
-        cfg = make_cfg(horizon=1, burn_in=0, mode="ou")
+    def test_zero_loss_step_is_the_noise_step(self):
+        # on the zero loss, X_1 = S_eta (X_0 + sqrt(2 eta / beta) xi_0) bit for bit, the OU step
+        obj = make_objective(loss=ZERO)
+        x0 = np.linspace(-1.0, 1.0, 6)
+        cfg = make_cfg(horizon=1, burn_in=0, x0=x0)
         seen = []
         s = one_block(cfg, obj, [0], observers=(lambda step, x, risk: seen.append((x.copy(), risk.copy())),))
         [(x, risk)] = seen
         noise = make_rng(cfg.seed, 0, 0).standard_normal(cfg.n_modes)
         scales = resolvent_scales(obj.kernel, cfg.lam, cfg.eta, cfg.n_modes)
-        assert np.array_equal(x[0], scales * (math.sqrt(2.0 * cfg.eta / cfg.beta) * noise))
-        assert np.array_equal(risk, obj.risk_array(x))
-        assert s.steps[-1] == 1
-        assert np.all(np.isfinite(s.norm))
+        assert np.array_equal(x[0], scales * (x0 + math.sqrt(2.0 * cfg.eta / cfg.beta) * noise))
+        assert np.array_equal(risk, np.zeros(1))
+        assert s.steps[-1] == 1 and s.mode == "gld"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_abort_on_blowup(self):
@@ -345,11 +351,11 @@ class TestRunEnsemble:
         assert s.final_cesaro_phi[0] == pytest.approx(float(np.mean(s.phi[0, post])), rel=1e-12)
         assert s.cesaro_phi[0, -1] == pytest.approx(s.final_cesaro_phi[0], rel=1e-12)
 
-    @pytest.mark.parametrize("mode", ["gld", "sgld"])  # sgld at m = n_tr is the GLD chain
-    def test_full_batch_risk_only_where_read(self, mode, monkeypatch):
+    @pytest.mark.parametrize("chain", ["gld", "sgld"])  # sgld at m = n_tr is the GLD chain
+    def test_full_batch_risk_only_where_read(self, chain, monkeypatch):
         # burn_in = horizon - 1 retains only the last step; cadence 2 checkpoints every even step
         obj = make_objective(n=8)
-        cfg = make_cfg(horizon=2000, burn_in=1999, mode=mode, minibatch=8 if mode == "sgld" else None)
+        cfg = make_cfg(horizon=2000, burn_in=1999, minibatch=8 if chain == "sgld" else None)
         assert cfg.checkpoint_every == 2
         calls = counted_loss_calls(monkeypatch)
         summary = run_chain(cfg, obj)
@@ -384,8 +390,8 @@ class TestRunEnsemble:
             assert not np.shares_memory(getattr(s, a), getattr(s, b))
 
     def test_ou_mode_variance_matches_closed_form(self):
-        # stationary per-mode variance (2 eta / beta) a_k^2 / (1 - a_k^2)
-        cfg = ChainConfig(eta=0.5, beta=2.0, lam=1.0, n_modes=4, seed=11, horizon=200_000, mode="ou")
+        # stationary per-mode variance (2 eta / beta) a_k^2 / (1 - a_k^2) of GLD on the zero loss
+        cfg = ChainConfig(eta=0.5, beta=2.0, lam=1.0, n_modes=4, seed=11, horizon=200_000)
         kernel = KernelSpec()
         sums = np.zeros(4)
         sumsq = np.zeros(4)
@@ -397,7 +403,7 @@ class TestRunEnsemble:
             sumsq[:] += x[0] ** 2
             count += 1
 
-        one_block(cfg, make_objective(n_modes=4), [0], observers=(accumulate,))
+        one_block(cfg, make_objective(n_modes=4, loss=ZERO), [0], observers=(accumulate,))
         var = sumsq / count - (sums / count) ** 2
         a = resolvent_scales(kernel, cfg.lam, cfg.eta, 4)
         expect = (2.0 * cfg.eta / cfg.beta) * a**2 / (1.0 - a**2)
@@ -430,20 +436,22 @@ def same_summary(a, b) -> bool:
 
 @st.composite
 def block_sets(draw):
-    """1-4 blocks, each of its own mode (gld, sgld with m in 1..n_tr = 8, or
-    ou) and N+1 in 3..9 (objectives shared per dimension), on overlapping or
-    disjoint chain ids, horizons across chunk boundaries."""
+    """1-4 blocks, each of its own chain (gld, sgld with m in 1..n_tr = 8, or
+    ou, GLD on the zero loss) and N+1 in 3..9 (objectives shared per
+    dimension and loss), on overlapping or disjoint chain ids, horizons
+    across chunk boundaries."""
     horizon = draw(st.integers(1, 600))
     burn_in = draw(st.integers(0, horizon - 1))
     seed = draw(st.integers(0, 2**16))
     objectives = {}
     blocks = []
     for _ in range(draw(st.integers(1, 4))):
-        mode = draw(st.sampled_from(["gld", "sgld", "ou"]))
+        chain = draw(st.sampled_from(["gld", "sgld", "ou"]))
         n_modes = draw(st.integers(3, 9))
-        if n_modes not in objectives:
-            objectives[n_modes] = make_objective(n_modes=n_modes)
-        obj = objectives[n_modes]
+        loss = ZERO if chain == "ou" else "squared"
+        if (n_modes, loss) not in objectives:
+            objectives[n_modes, loss] = make_objective(n_modes=n_modes, loss=loss)
+        obj = objectives[n_modes, loss]
         cfg = make_cfg(
             n_modes=n_modes,
             eta=draw(st.sampled_from([0.02, 0.05, 0.1])),
@@ -451,8 +459,7 @@ def block_sets(draw):
             seed=seed,
             horizon=horizon,
             burn_in=burn_in,
-            mode=mode,
-            minibatch=draw(st.integers(1, 8)) if mode == "sgld" else None,
+            minibatch=draw(st.integers(1, 8)) if chain == "sgld" else None,
         )
         ids = draw(st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True))
         blocks.append((cfg, obj, ids))
@@ -524,11 +531,11 @@ class TestChunkedBookkeeping:
 
     @pytest.mark.parametrize("horizon", [1, 255, 256, 257, 600, 2001])  # 2001: cadence 2
     @pytest.mark.parametrize("n_chains", [1, 3])
-    @pytest.mark.parametrize("mode", ["gld", "sgld", "ou"])
-    def test_summaries_equal_per_step_reference(self, mode, n_chains, horizon):
-        obj = make_objective(loss="savage")
+    @pytest.mark.parametrize("chain", ["gld", "sgld", "ou"])
+    def test_summaries_equal_per_step_reference(self, chain, n_chains, horizon):
+        obj = make_objective(loss=ZERO if chain == "ou" else "savage")
         ids = [4, 1, 7][:n_chains]
-        cfg = make_cfg(horizon=horizon, mode=mode, minibatch=3 if mode == "sgld" else None)
+        cfg = make_cfg(horizon=horizon, minibatch=3 if chain == "sgld" else None)
         states = observed_states(cfg, obj, ids)
         for burn_in in sorted({0, 100, 256, 300} & set(range(horizon))):  # chunk-inner and chunk-edge burn-ins
             run_cfg = dataclasses.replace(cfg, burn_in=burn_in)
@@ -551,18 +558,23 @@ class TestChunkedBookkeeping:
         assert same_summary(partial, reference_summary(cfg, obj, ids, 0.3, states))
 
     @pytest.mark.parametrize("burn_in, evaluated", [(1999, 1001), (None, 1801)])
-    @pytest.mark.parametrize("mode", ["sgld", "ou"])
-    def test_one_evaluation_per_evaluated_state(self, mode, burn_in, evaluated, monkeypatch):
+    @pytest.mark.parametrize("chain", ["sgld", "ou"])
+    def test_one_evaluation_per_evaluated_state(self, chain, burn_in, evaluated, monkeypatch):
         # cadence 2: step 0 and the 1000 even steps are checkpoints; the default burn-in
-        # of 400 retains steps 401..2000, of which 800 are odd
-        obj = make_objective(n=8)
-        cfg = make_cfg(horizon=2000, burn_in=burn_in, mode=mode, minibatch=3 if mode == "sgld" else None)
+        # of 400 retains steps 401..2000, of which 800 are odd.  An SGLD chain takes the
+        # loss value there alone; a full-batch one (ou, GLD on the zero loss) fuses it
+        # with the gradient it takes at every state
+        obj = make_objective(n=8, loss=ZERO if chain == "ou" else "squared")
+        cfg = make_cfg(horizon=2000, burn_in=burn_in, minibatch=3 if chain == "sgld" else None)
         calls = counted_loss_calls(monkeypatch)
         gap = dynamics.sigmoid_gap
         monkeypatch.setattr(dynamics, "sigmoid_gap", lambda u: calls.update(["phi"]) or gap(u))
         summary = one_block(cfg, obj, range(8))
         assert len(summary.steps) == 1001 and summary.retained_steps == 2000 - cfg.burn_in_steps
-        assert calls["value"] == evaluated and calls["value_and_d1"] == 0
+        if chain == "sgld":
+            assert calls["value"] == evaluated and calls["value_and_d1"] == 0
+        else:
+            assert [calls[name] for name in LOSS_METHODS] == [evaluated, 0, cfg.horizon + 1 - evaluated]
         assert calls["phi"] <= 2 * math.ceil(cfg.horizon / dynamics._CHUNK)  # the phi rows are batched per flush
 
 
@@ -626,11 +638,11 @@ class TestNoiseAhead:
     noise a chunk ahead; its summaries keep the bits of the inline path."""
 
     @pytest.mark.parametrize("horizon", [127, 128, 129, 2001])  # 2001: cadence 2
-    @pytest.mark.parametrize("mode", ["gld", "sgld", "ou"])
-    def test_summaries_equal_per_step_reference(self, mode, horizon, workers, monkeypatch):
-        obj = make_objective(n_modes=129, loss="savage")
+    @pytest.mark.parametrize("chain", ["gld", "sgld", "ou"])
+    def test_summaries_equal_per_step_reference(self, chain, horizon, workers, monkeypatch):
+        obj = make_objective(n_modes=129, loss=ZERO if chain == "ou" else "savage")
         ids = [4, 1, 7]
-        cfg = make_cfg(n_modes=129, horizon=horizon, mode=mode, minibatch=3 if mode == "sgld" else None)
+        cfg = make_cfg(n_modes=129, horizon=horizon, minibatch=3 if chain == "sgld" else None)
         monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 10**9)
         states = observed_states(cfg, obj, ids)  # drawn inline
         monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 1)
@@ -659,13 +671,13 @@ class TestNoiseAhead:
         assert len(workers) == forked
 
     def test_mixed_call_keeps_its_bits_with_and_without_the_worker(self, workers, slow_fills, monkeypatch):
-        # gld, sgld and ou blocks at widths 9 and 65 on 4 chain ids: 4 x 700 x 65 normals,
-        # the threshold at or just past them
+        # gld, sgld and ou (zero-loss) blocks at widths 9 and 65 on 4 chain ids: 4 x 700 x 65
+        # normals, the threshold at or just past them
         objectives = {n: make_objective(n_modes=n, loss="savage") for n in (9, 65)}
         blocks = [
-            (make_cfg(n_modes=n, horizon=700, burn_in=250, mode=mode, minibatch=3 if mode == "sgld" else None),
-             objectives[n], ids, ())
-            for n, mode, ids in [(65, "gld", [0, 1, 2]), (9, "sgld", [2, 3]), (65, "ou", [1, 3]), (9, "gld", [0])]
+            (make_cfg(n_modes=n, horizon=700, burn_in=250, minibatch=3 if chain == "sgld" else None),
+             make_objective(n_modes=n, loss=ZERO) if chain == "ou" else objectives[n], ids, ())
+            for n, chain, ids in [(65, "gld", [0, 1, 2]), (9, "sgld", [2, 3]), (65, "ou", [1, 3]), (9, "gld", [0])]
         ]
         monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 4 * 700 * 65)
         forked = run_blocks(blocks, 0.3)
@@ -680,7 +692,7 @@ class TestNoiseAhead:
         objectives = {n: make_objective(n_modes=n) for n in (9, 129)}
         blocks = [
             (make_cfg(n_modes=129, horizon=2001, burn_in=0), objectives[129], [0, 1], ()),
-            (make_cfg(n_modes=9, horizon=2001, burn_in=0, mode="sgld", minibatch=3), objectives[9], [1, 2], ()),
+            (make_cfg(n_modes=9, horizon=2001, burn_in=0, minibatch=3), objectives[9], [1, 2], ()),
         ]
         flushed = collections.defaultdict(list)
         flush = dynamics._Block.flush
@@ -812,17 +824,20 @@ class TestRunBlocks:
             run_blocks([(cfg, obj, [0], ()), (dataclasses.replace(cfg, **change), obj, [1], ())], l_star=0.0)
         assert not calls
 
-    @pytest.mark.parametrize("mode", ["gld", "sgld", "ou"])
+    @pytest.mark.parametrize("chain", ["gld", "sgld", "ou"])
     @pytest.mark.parametrize("width, match", [(None, "requires an objective"), (6, "mode count")], ids=["none", "wider"])
-    def test_objective_mismatch_raises_before_step_one(self, mode, width, match):
-        # every mode needs an objective as wide as its config, the OU chain too
-        obj = None if width is None else make_objective(n_modes=width)
+    def test_objective_mismatch_raises_before_step_one(self, chain, width, match):
+        # every chain needs an objective as wide as its config, the OU chain's zero loss too
+        loss = ZERO if chain == "ou" else "squared"
+        obj = None if width is None else make_objective(n_modes=width, loss=loss)
+        minibatch = 3 if chain == "sgld" else None
         seen = []
         with pytest.raises(ValueError, match=match):
             run_blocks(
                 [
-                    (make_cfg(burn_in=0, mode=mode), make_objective(), [0], (lambda step, x, risk: seen.append(step),)),
-                    (make_cfg(n_modes=4, burn_in=0, mode=mode), obj, [0], ()),
+                    (make_cfg(burn_in=0, minibatch=minibatch), make_objective(loss=loss), [0],
+                     (lambda step, x, risk: seen.append(step),)),
+                    (make_cfg(n_modes=4, burn_in=0, minibatch=minibatch), obj, [0], ()),
                 ],
                 l_star=0.0,
             )
@@ -832,8 +847,8 @@ class TestRunBlocks:
 @st.composite
 def packed_block_sets(draw):
     """2-5 blocks of R chains each on one dataset and loss, so that the
-    blocks of one gradient kind step as one group: gld, sgld (m in 1..8 = n_tr,
-    m = 8 being full batch) and ou blocks mixed, N+1 in 3..9 (blocks of equal
+    blocks of one gradient kind step as one group: gld and sgld (m in 1..8 =
+    n_tr, m = 8 being full batch) blocks mixed, N+1 in 3..9 (blocks of equal
     width share their objective), each on the call's R chain ids, on them
     reversed or on R ids of its own, horizons across chunk boundaries."""
     horizon = draw(st.integers(1, 600))
@@ -844,7 +859,7 @@ def packed_block_sets(draw):
     n_chains = draw(st.integers(1, 4))
     objectives, blocks = {}, []
     for i in range(draw(st.integers(2, 5))):
-        mode = draw(st.sampled_from(["gld", "sgld", "ou"]))
+        sgld = draw(st.booleans())
         n_modes = draw(st.integers(3, 9))
         if n_modes not in objectives:
             objectives[n_modes] = ObjectiveSpec(data, loss_family(loss), KernelSpec(gamma=1.5), n_modes)
@@ -855,8 +870,7 @@ def packed_block_sets(draw):
             seed=seed,
             horizon=horizon,
             burn_in=burn_in,
-            mode=mode,
-            minibatch=draw(st.integers(1, 8)) if mode == "sgld" else None,
+            minibatch=draw(st.integers(1, 8)) if sgld else None,
             x0=draw(st.sampled_from([None, np.linspace(-1.0, 1.0, n_modes)])),
         )
         ids = draw(st.sampled_from(["shared", "reversed", "own"]))
@@ -892,7 +906,7 @@ class TestPackedGroups:
             cfg = block[0]
             # the block in a group of its own; a one-chain block on another dataset
             # sets the call's noise width
-            setter = (dataclasses.replace(cfg, n_modes=width, mode="ou", minibatch=None, x0=None),
+            setter = (dataclasses.replace(cfg, n_modes=width, minibatch=None, x0=None),
                       make_objective(n_modes=width), [10**6])
             (solo, _), (solo_log, _) = logged_run([block, setter], l_star)
             assert same_summary(summary, solo)
@@ -910,13 +924,14 @@ class TestPackedGroups:
             ("savage", 2, 5, 129),
         ],
     )
-    @pytest.mark.parametrize("mode", ["gld", "ou"])
-    def test_one_objective_groups_equal_solo_runs(self, loss, n_blocks, n_chains, width, mode):
-        # each product is one matmul over the group's (B, R, N+1) view
-        obj = make_objective(n_modes=width, loss=loss)
+    @pytest.mark.parametrize("chain", ["gld", "ou"])
+    def test_one_objective_groups_equal_solo_runs(self, loss, n_blocks, n_chains, width, chain):
+        # each product is one matmul over the group's (B, R, N+1) view; the ou case
+        # runs the loss's data under the zero loss
+        obj = make_objective(n_modes=width, loss=ZERO if chain == "ou" else loss)
         ids = list(range(n_chains))
         blocks = [
-            (make_cfg(n_modes=width, horizon=300, mode=mode, eta=eta, beta=4.0 * eta / 0.02), obj, ids[b:] + ids[:b])
+            (make_cfg(n_modes=width, horizon=300, eta=eta, beta=4.0 * eta / 0.02), obj, ids[b:] + ids[:b])
             for b, eta in enumerate([0.02, 0.05, 0.1, 0.01, 0.03][:n_blocks])
         ]
         results, logs = logged_run(blocks, 0.3)
@@ -962,21 +977,25 @@ class TestGroupEvaluation:
         st.sampled_from(["squared", "logistic", "savage"]),
         st.sampled_from([[8], [3, 8, 5], [8, 8, 8]]),
         st.sampled_from([1, 5]),
-        st.sampled_from(["gld", "ou"]),
+        st.sampled_from([None, 3]),
     )
     @settings(max_examples=100, deadline=None)
-    def test_evaluation_matches_separate_calls(self, data, loss, widths, n_chains, mode):
-        # blocks of equal width share their objective, so [8, 8, 8] takes the stacked products
+    def test_evaluation_matches_separate_calls(self, data, loss, widths, n_chains, minibatch):
+        # blocks of equal width share their objective, so [8, 8, 8] takes the stacked products;
+        # a minibatch group evaluates only the risk
         dataset = Dataset.synthesize(12, seed=3)
         objectives = {n: ObjectiveSpec(dataset, loss_family(loss), KernelSpec(), n) for n in set(widths)}
-        members = [dynamics._Block(make_cfg(n_modes=n, mode=mode), objectives[n], range(n_chains), (), 0.0, 0) for n in widths]
+        members = [
+            dynamics._Block(make_cfg(n_modes=n, minibatch=minibatch), objectives[n], range(n_chains), (), 0.0, 0)
+            for n in widths
+        ]
         group = dynamics._Group(members, {r: r for r in range(n_chains)}, (n_chains, 1, max(widths)))
         x = data.draw(hnp.arrays(float, (n_chains, sum(widths)), elements=st.floats(-10.0, 10.0)))
         x.setflags(write=False)
         group.x = x
         for with_risk in (False, True):
             group.evaluate(with_risk)
-            if mode == "gld":
+            if minibatch is None:
                 for b, xb, grad in zip(members, group.split(x), group.split(group.g)):
                     assert np.array_equal(grad, b.obj.grad_array(xb))
         for b, xb, risk in zip(members, group.split(x), [group.risk] if group.single else group.risk):
@@ -988,10 +1007,10 @@ class TestCheckpoints:
     steps, and nothing else of the run changes."""
 
     @pytest.mark.parametrize("burn_in", [0, 300])
-    @pytest.mark.parametrize("mode", ["gld", "sgld", "ou"])
-    def test_rows_equal_cadence_one_rows(self, mode, burn_in):
-        obj = make_objective(loss="savage")
-        cfg = make_cfg(horizon=600, burn_in=burn_in, mode=mode, minibatch=3 if mode == "sgld" else None)
+    @pytest.mark.parametrize("chain", ["gld", "sgld", "ou"])
+    def test_rows_equal_cadence_one_rows(self, chain, burn_in):
+        obj = make_objective(loss=ZERO if chain == "ou" else "savage")
+        cfg = make_cfg(horizon=600, burn_in=burn_in, minibatch=3 if chain == "sgld" else None)
         assert cfg.checkpoint_every == 1
         ids = [4, 1, 7]
         full = one_block(cfg, obj, ids, 0.3)
