@@ -34,18 +34,6 @@ class ConfigError(ValueError):
 _REQUIRED = object()  # the default of a key that must be given
 
 
-def _minibatch(raw):
-    if raw == "full":
-        return None
-    try:
-        m = int(raw)
-    except ValueError:
-        raise ValueError("must be an integer or 'full'") from None
-    if m < 1:
-        raise ValueError("must be >= 1")
-    return m
-
-
 def _grid(kind, min_entries):
     def parse(raw):
         vals = [kind(v.strip()) for v in raw.split(",") if v.strip()]
@@ -99,7 +87,7 @@ _KEYS = {
         "n_modes": (_positive_count, _REQUIRED),
         "seed": (_count, _REQUIRED),
         "horizon": (_positive_count, _REQUIRED),
-        "minibatch": (_minibatch, None),
+        "minibatch": (_positive_count, None),
         "burn_in": (_count, None),
     },
     "experiment": {
@@ -137,7 +125,7 @@ class ExperimentConfig:
     kernel: KernelSpec
     loss: LossFamily
     dataset: Dataset  # read from [objective] data, or synthesized from its synth_* keys
-    chain: ChainConfig  # SGLD when [chain] minibatch is an integer, else GLD
+    chain: ChainConfig  # SGLD when [chain] minibatch is set, else GLD
     replicas: int
     delta: float | None
     tail_delta: float
@@ -199,9 +187,10 @@ class ExperimentConfig:
         except ValueError as exc:  # an unreadable or invalid data file, or more points than numpy can draw
             where = f"data = {data!r}" if data is not None else f"synth_n = '{synth['n']}'"
             raise ConfigError(f"{origin}: [objective] {where}: {exc}") from None
-        minibatch = built["chain"].minibatch
-        if minibatch is not None and minibatch > dataset.size:
-            raise ConfigError(f"{origin}: [chain] minibatch = '{minibatch}': out of range 1..{dataset.size}")
+        try:
+            built["chain"].check_minibatch(dataset.size)
+        except ValueError as exc:
+            raise ConfigError(f"{origin}: [chain] {exc}") from None
         return cls(**built, dataset=dataset, **objective, **experiment, source_text=text, origin=origin)
 
     def build_objective(self, n_modes: int | None = None) -> ObjectiveSpec:

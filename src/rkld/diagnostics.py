@@ -99,8 +99,8 @@ def discrepancy_budget(n: int, beta: float, eta: float, n_tr: int, m: int) -> fl
 def gibbs_concentration_bound(M: float, lam: float, beta: float, x_tilde_hk_norm: float) -> float:
     """Concentration of the stationary Gibbs law around the regularized minimizer:
     (1/beta)(sqrt(2M/lam) + 1) + lam (||x~||_HK / sqrt(beta) + ||x~||_HK^2)."""
-    if min(M, lam, beta) <= 0 or x_tilde_hk_norm < 0:
-        raise ValueError("arguments must be positive (norm nonnegative)")
+    if min(lam, beta) <= 0 or min(M, x_tilde_hk_norm) < 0:
+        raise ValueError("lambda and beta must be positive, M and the norm nonnegative")
     return (1.0 / beta) * (math.sqrt(2.0 * M / lam) + 1.0) + lam * (
         x_tilde_hk_norm / math.sqrt(beta) + x_tilde_hk_norm**2
     )
@@ -498,22 +498,24 @@ def sgld_discrepancy_vs_m(
     """Empirical |E phi(X_n) - E phi(Y_n)| between GLD and SGLD sharing noise
     seeds, at each minibatch size m in ms, ascending, in one engine call; and the claim's verdict.
 
-    One GLD block and one SGLD block per m run on chain ids 0..R-1, so
-    every block reads the same noise and each m is paired with the one GLD
-    reference.  The minibatch stream is independent of the noise stream, so
-    at m = n_tr the two trajectories coincide exactly.  Reports, per m, the
-    exact r_n, the paired-replica discrepancy with its SE, and the fitted
-    constant discrepancy / (sqrt(r_n) + r_n^(1/4)).
+    One GLD block and one SGLD block per m < n_tr run on chain ids 0..R-1,
+    so every block reads the same noise and each m is paired with the one
+    GLD reference.  SGLD at m = n_tr is the full batch, the GLD chain
+    itself, so that grid point reads the GLD block against itself: its
+    discrepancy is exactly 0, as is its r_n, and it runs no block.  Reports,
+    per m, the exact r_n, the paired-replica discrepancy with its SE, and
+    the fitted constant discrepancy / (sqrt(r_n) + r_n^(1/4)).
     """
     n_tr, ms = obj.dataset.size, sorted(ms)
     budgets = [discrepancy_budget(cfg.horizon, cfg.beta, cfg.eta, n_tr, m) for m in ms]
     ids = list(range(replicas))
     # only the horizon's phi is read: retain one step, skip the Cesaro sums
     cfg = replace(cfg, burn_in=cfg.horizon - 1)
-    cfgs = [replace(cfg, minibatch=None)] + [replace(cfg, minibatch=m) for m in ms]
+    cfgs = [replace(cfg, minibatch=m) for m in [None] + [m for m in ms if m < n_tr]]
     gld, *sgld = run_blocks([(c, obj, ids, ()) for c in cfgs], l_star=l_star, checkpoints=(cfg.horizon,))
     out = []
-    for m, rn, summary in zip(ms, budgets, sgld):
+    # ms ascend to at most n_tr, so the full-batch points come last and read the GLD block
+    for m, rn, summary in zip(ms, budgets, sgld + [gld] * (len(ms) - len(sgld))):
         mean, se = _replica_mean_se(gld.phi[:, -1] - summary.phi[:, -1])
         disc, shape = abs(mean), math.sqrt(rn) + rn**0.25
         out.append(

@@ -107,6 +107,15 @@ class ChainConfig:
         """The chain's name in summaries: sgld with a minibatch, gld without."""
         return "sgld" if self.minibatch is not None else "gld"
 
+    def check_minibatch(self, n_tr: int):
+        """SGLD draws 1 <= m < n_tr of the n_tr data points a step; the full
+        batch is the chain without a minibatch, GLD."""
+        if self.minibatch is not None and self.minibatch >= n_tr:
+            raise ValueError(
+                f"minibatch = {self.minibatch}: out of range 1..{n_tr - 1}; "
+                f"omit the minibatch for the full batch of n_tr = {n_tr} points"
+            )
+
     @property
     def burn_in_steps(self) -> int:
         return self.burn_in if self.burn_in is not None else self.horizon // 5
@@ -159,7 +168,8 @@ class _Block:
 
     The block's state is the columns `columns` of its group's state.  A step
     only keeps what the bookkeeping needs; flush() turns that into Cesaro sums
-    and checkpoint rows once per noise chunk.
+    and checkpoint rows once per noise chunk.  A minibatch m < n_tr makes
+    its chains SGLD; m >= n_tr raises before any generator is made.
     """
 
     def __init__(self, cfg, obj, chain_ids, observers, l_star, n_checkpoints):
@@ -171,14 +181,10 @@ class _Block:
         self.chain_ids = list(chain_ids)
         self.observers = tuple(observers)
         self.n = cfg.n_modes
-        self.minibatch = None  # m when SGLD draws proper minibatches
-        m, n_tr = cfg.minibatch, obj.dataset.size
-        if m is not None and m > n_tr:
-            raise ValueError(f"minibatch size {m} out of range 1..{n_tr}")
-        if m is not None and m < n_tr:  # a full batch is the GLD gradient, exactly
-            self.minibatch = m
+        cfg.check_minibatch(obj.dataset.size)
+        self.gradient = "full" if cfg.minibatch is None else "minibatch"
+        if cfg.minibatch is not None:
             self.batch_rngs = [make_rng(cfg.seed, cid, _STREAM_BATCH) for cid in self.chain_ids]
-        self.gradient = "full" if self.minibatch is None else "minibatch"
         self.mu = obj.kernel.eigenvalues(self.n)
         self.cesaro_phi = np.zeros(len(self.chain_ids))
         self.cesaro_risk = np.zeros(len(self.chain_ids))
@@ -194,7 +200,7 @@ class _Block:
         # row t of one chain's permuted tile is the t-th rng.permutation(n_tr), and
         # the generator ends in the same state, so chunking leaves the stream intact
         tile = np.tile(np.arange(self.obj.dataset.size), (chunk_len, 1))
-        self.batches = np.stack([rng.permuted(tile, axis=1)[:, : self.minibatch] for rng in self.batch_rngs], axis=1)
+        self.batches = np.stack([rng.permuted(tile, axis=1)[:, : self.cfg.minibatch] for rng in self.batch_rngs], axis=1)
 
     def keep(self, step, retain, checkpoint, x, risk):
         """Bookkeeping of a new state X and its risk, read-only views of the group's."""
@@ -472,10 +478,11 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
 
     A block is a (cfg, obj, chain_ids, observers) tuple: one replica per
     chain id of the chain on the objective obj, SGLD when cfg has a
-    minibatch and GLD otherwise (the noise-only OU chain is GLD on a loss
-    that is identically zero).  Replica r uses the random streams keyed by
-    (cfg.seed, chain_ids[r]), so a replica's trajectory does not depend on
-    the ensemble it runs inside.  Observers
+    minibatch m, which must be below the n_tr data points (else a ValueError
+    before any noise stream is made), and GLD otherwise (the noise-only OU
+    chain is GLD on a loss that is identically zero).  Replica r uses the
+    random streams keyed by (cfg.seed, chain_ids[r]), so a replica's
+    trajectory does not depend on the ensemble it runs inside.  Observers
     are called as observer(step, X, risk) for every post-burn-in step, with
     the block's (R, N+1) state matrix and the per-chain risk
     obj.risk_array(X) that also feeds the Cesaro sums and checkpoints, both
@@ -548,44 +555,47 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
         members.setdefault(key, []).append(s)
     groups = [_Group(group, position, shape) for group in members.values()]
     step, worker = 0, None
-    try:
-        if ahead:
-            worker = _Worker(noise_rngs, shape, horizon)
-        else:
-            noise = np.empty(shape)
-        for g in groups:
-            g.commit(0, False, True)  # X_0
-        while step < horizon:
-            chunk_len = min(_CHUNK, horizon - step)
-            if worker is None:  # each generator fills its rows in step order
-                for rng, row in zip(noise_rngs, noise):
-                    rng.standard_normal(out=row[:chunk_len])
+    # a diverging chain overflows on its way to the finiteness check, which
+    # reports it as a NumericalAbort: numpy need not warn about it too
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            if ahead:
+                worker = _Worker(noise_rngs, shape, horizon)
             else:
-                noise = worker.take()
-            for s in states:
-                if s.minibatch is not None:
-                    s.draw_batches(chunk_len)
-            for t in range(chunk_len):
-                step += 1
-                retain = step > burn_in
-                checkpoint = step in checkpoints
-                # every group's new state is checked before any block keeps one
-                if not all([g.propose(noise, t) for g in groups]):
-                    raise NumericalAbort(f"non-finite state at step {step}", step=step)
-                for g in groups:
-                    g.commit(step, retain, checkpoint)
+                noise = np.empty(shape)
+            for g in groups:
+                g.commit(0, False, True)  # X_0
+            while step < horizon:
+                chunk_len = min(_CHUNK, horizon - step)
+                if worker is None:  # each generator fills its rows in step order
+                    for rng, row in zip(noise_rngs, noise):
+                        rng.standard_normal(out=row[:chunk_len])
+                else:
+                    noise = worker.take()
+                for s in states:
+                    if s.gradient == "minibatch":
+                        s.draw_batches(chunk_len)
+                for t in range(chunk_len):
+                    step += 1
+                    retain = step > burn_in
+                    checkpoint = step in checkpoints
+                    # every group's new state is checked before any block keeps one
+                    if not all([g.propose(noise, t) for g in groups]):
+                        raise NumericalAbort(f"non-finite state at step {step}", step=step)
+                    for g in groups:
+                        g.commit(step, retain, checkpoint)
+                for s in states:
+                    s.flush()
+                if worker is not None and step + _CHUNK < horizon:
+                    worker.release()
+        except NumericalAbort as exc:
             for s in states:
                 s.flush()
-            if worker is not None and step + _CHUNK < horizon:
-                worker.release()
-    except NumericalAbort as exc:
-        for s in states:
-            s.flush()
-        exc.partial = [s.summary() for s in states]
-        raise
-    finally:
-        if worker is not None:
-            worker.close()
+            exc.partial = [s.summary() for s in states]
+            raise
+        finally:
+            if worker is not None:
+                worker.close()
     return [s.summary() for s in states]
 
 

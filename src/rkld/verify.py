@@ -153,14 +153,6 @@ def check_determinism(cfg: ChainConfig, obj: ObjectiveSpec) -> PropertyResult:
     return _result("determinism_bitwise", ok, "two same-seed runs produced identical trajectories")
 
 
-def check_fullbatch_reduction(cfg: ChainConfig, obj: ObjectiveSpec) -> PropertyResult:
-    short = replace(cfg, horizon=200, burn_in=None)
-    a = run_chain(replace(short, minibatch=None), obj)
-    b = run_chain(replace(short, minibatch=obj.dataset.size), obj)
-    ok = np.array_equal(a.norm, b.norm)
-    return _result("sgld_fullbatch_reduction", ok, "m = n_tr trajectory equals GLD pathwise")
-
-
 def run_property_suite(exp: ExperimentConfig) -> list[PropertyResult]:
     kernel = exp.kernel
     obj = exp.build_objective()
@@ -175,5 +167,4 @@ def run_property_suite(exp: ExperimentConfig) -> list[PropertyResult]:
         check_minibatch_exhaustive(kernel),
         check_dissipativity_probe(obj, cfg.lam, seed),
         check_determinism(cfg, obj),
-        check_fullbatch_reduction(cfg, obj),
     ]

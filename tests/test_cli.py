@@ -57,7 +57,6 @@ VERIFY_PROPERTIES = (
     "minibatch_unbiasedness_and_variance",
     "dissipativity_probe",
     "determinism_bitwise",
-    "sgld_fullbatch_reduction",
 )
 
 
@@ -121,17 +120,6 @@ def _m_times_4(fn):
     return dissipativity_constants
 
 
-def _sgld_drops_a_point(fn):
-    # the engine's m = n_tr SGLD block is its GLD block by construction, so an SGLD
-    # chain that differs from GLD must be injected at run_chain
-    def run_chain(cfg, obj, l_star=0.0):
-        if cfg.minibatch is not None:
-            cfg = dataclasses.replace(cfg, minibatch=cfg.minibatch - 1)
-        return fn(cfg, obj, l_star=l_star)
-
-    return run_chain
-
-
 # check -> (fault injector, the checks that fail under it, in report order)
 VERIFY_FAULTS = {
     "assumption1_eigenvalue_shape": (_with_kernel(_HarmonicEigenvalues), ["assumption1_eigenvalue_shape"]),
@@ -158,7 +146,6 @@ VERIFY_FAULTS = {
         _patched(ObjectiveSpec, "dissipativity_constants", _m_times_4), ["dissipativity_probe"]
     ),
     "determinism_bitwise": (_patched(LossFamily, "value_and_d1", _jittered_value), ["determinism_bitwise"]),
-    "sgld_fullbatch_reduction": (_patched(verify, "run_chain", _sgld_drops_a_point), ["sgld_fullbatch_reduction"]),
 }
 
 
@@ -227,7 +214,6 @@ class TestRun:
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.ini"), "--out", str(tmp_path)]) == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("argv", [["run"], ["sweep", "--axis", "minibatch"]], ids=lambda a: a[0])
     def test_numerical_abort_exit_code(self, argv, tmp_path, capsys):
         # lambda below the smoothness threshold with a huge step size diverges
@@ -252,7 +238,7 @@ class TestVerify:
         report = next(tmp_path.glob("*_verify.txt")).read_text()
         lines = report.splitlines()
         assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name in VERIFY_PROPERTIES]
-        assert console.splitlines() == lines + ["9/9 properties passed"]
+        assert console.splitlines() == lines + ["8/8 properties passed"]
 
     def test_passes_on_separable_strict_logistic_config(self, tmp_path, capsys):
         cfg = tmp_path / "logistic.ini"
@@ -337,7 +323,7 @@ class TestSweep:
         m_col = header.index("m")
         ms = [int(r[m_col]) for r in rows[1:]]
         assert ms == [2, 4, 8]
-        # full batch reproduces the exact run: discrepancy column is zero
+        # m = n_tr is the full batch, the GLD chain itself: discrepancy column is zero
         d_col = header.index("discrepancy")
         assert float(rows[-1][d_col]) == 0.0
 
@@ -347,9 +333,9 @@ class TestSweep:
         # the same grid on a GLD config and on an SGLD one: each sweep runs its config's chain
         base, grid = SWEEP_RERUNS[axis]
         csvs = []
-        for chain, chain_minibatch in (("gld", "full"), (mode, minibatch)):
+        for chain, chain_lines in (("gld", ""), (mode, f"\nminibatch = {minibatch}")):
             cfg = tmp_path / f"{chain}.ini"
-            text = base.replace("horizon = 2000", f"horizon = 200\nminibatch = {chain_minibatch}")
+            text = base.replace("horizon = 2000", f"horizon = 200{chain_lines}")
             cfg.write_text(text + "\n[experiment]\nreplicas = 2\n" + grid)
             out = tmp_path / chain
             assert main(["sweep", "--axis", axis, "--config", str(cfg), "--out", str(out)]) in (0, 3)
@@ -703,7 +689,21 @@ class TestExitCodes:
         cfg.write_text(BASE.replace("seed = 42", "seed = 42\nminibatch = 30"))
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"config error: {cfg}: [chain] minibatch = '30': out of range 1..8\n"
+        reason = "out of range 1..7; omit the minibatch for the full batch of n_tr = 8 points"
+        assert capsys.readouterr().err == f"config error: {cfg}: [chain] minibatch = 30: {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, message", [
+        ("full", "'full': invalid literal for int() with base 10: 'full'"),
+        ("8", "8: out of range 1..7; omit the minibatch for the full batch of n_tr = 8 points"),
+    ], ids=["full", "n_tr"])
+    def test_full_batch_minibatch_is_config_error(self, value, message, tmp_path, capsys):
+        # the full batch is the chain without a minibatch: neither spelling of it as one parses
+        cfg = tmp_path / "m.ini"
+        cfg.write_text(BASE.replace("seed = 42", f"seed = 42\nminibatch = {value}"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"config error: {cfg}: [chain] minibatch = {message}\n")
         assert not out.exists()
 
     def test_numerical_value_error_exit_code(self, tmp_path, monkeypatch, capsys):
@@ -842,6 +842,21 @@ class TestReport:
         assert "L* = 0 is the infimum; x* is not attained (separable data)" in report
         assert "regime: strict" in report and "b (Lyapunov offset): n/a" in report
         assert "unavailable" not in report
+
+    def test_zero_smoothness_reports_its_gibbs_bound(self, tmp_path, capsys):
+        # a margin loss on all-zero labels is flat in u: M = 0, x~ = 0 and the Gibbs bound is 1/beta
+        data = tmp_path / "zero.csv"
+        data.write_text("z,y\n0.1,0\n0.5,0\n0.9,0\n")
+        cfg = tmp_path / "zero.ini"
+        cfg.write_text(BASE.replace("loss = squared", "loss = logistic").replace("synth_n = 8", f"data = {data}"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        tag = tag_of(cfg)
+        capsys.readouterr()
+        assert main(["report", "--manifest", str(out / f"{tag}_manifest.json"), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        report = (out / f"{tag}_report.txt").read_text().splitlines()
+        assert "  M (smoothness): 0.0" in report and "  gibbs concentration bound: 0.25" in report
 
     def test_no_dissipativity_regime_names_lambda_and_manifest(self, tmp_path, capsys):
         # the squared loss has an unbounded gradient, so lambda <= M mu0 leaves no regime
@@ -1022,6 +1037,8 @@ PARSE_ERRORS = {
     "data_row": (BASE.replace("synth_n = 8", "data = {data}"), "z,y\n0.25,1.0\n0.5\n"),
     "data_field": (BASE.replace("synth_n = 8", "data = {data}"), "z,y\nabc,1.0\n"),
     "minibatch_above_n": (BASE.replace("seed = 42", "seed = 42\nminibatch = 30"), None),
+    "minibatch_full": (BASE.replace("seed = 42", "seed = 42\nminibatch = full"), None),
+    "minibatch_n_tr": (BASE.replace("seed = 42", "seed = 42\nminibatch = 8"), None),
     "retired_key": (BASE.replace("synth_seed = 5", "synth_seed = 5\nlambda0 = 0.1"), None),
     "retired_mode": (BASE + "\n[experiment]\nmode = sgld\n", None),
     "one_replica": (BASE + "\n[experiment]\nreplicas = 1\n", None),

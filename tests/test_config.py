@@ -1,11 +1,12 @@
 import configparser
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from rkld.config import _KEYS, ConfigError, ExperimentConfig, Manifest
+from rkld.dynamics import run_chain
 
 BASE = """
 [kernel]
@@ -128,20 +129,30 @@ class TestParsing:
             assert str(exc_info.value) == f"exp.ini: [chain] {reason}"
 
     def test_minibatch_full_keyword(self):
-        exp = ExperimentConfig.loads(BASE.replace("seed = 42", "seed = 42\nminibatch = full"))
-        assert exp.chain.minibatch is None
-        exp2 = ExperimentConfig.loads(BASE.replace("seed = 42", "seed = 42\nminibatch = 4"))
-        assert exp2.chain.minibatch == 4
-        with pytest.raises(ConfigError) as exc_info:
-            ExperimentConfig.loads(BASE + "minibatch = abc\n", origin="exp.ini")
-        assert str(exc_info.value) == "exp.ini: [chain] minibatch = 'abc': must be an integer or 'full'"
+        # the full batch is the chain without a minibatch: `full` is no minibatch size
+        exp = ExperimentConfig.loads(BASE.replace("seed = 42", "seed = 42\nminibatch = 4"))
+        assert exp.chain.minibatch == 4
+        for raw in ("full", "abc"):
+            with pytest.raises(ConfigError) as exc_info:
+                ExperimentConfig.loads(BASE + f"minibatch = {raw}\n", origin="exp.ini")
+            assert str(exc_info.value) == f"exp.ini: [chain] minibatch = '{raw}': invalid literal for int() with base 10: '{raw}'"
+
+    @pytest.mark.parametrize("m", [8, 9])
+    def test_minibatch_of_n_tr_or_more_refused_as_the_engine_refuses_it(self, m):
+        # SGLD draws m < n_tr = 8 points: the parser refuses the rest with the engine's words
+        with pytest.raises(ConfigError) as parsed:
+            ExperimentConfig.loads(BASE.replace("seed = 42", f"seed = 42\nminibatch = {m}"), origin="exp.ini")
+        exp = ExperimentConfig.loads(BASE)
+        with pytest.raises(ValueError) as engine:
+            run_chain(replace(exp.chain, minibatch=m), exp.build_objective())
+        reason = f"minibatch = {m}: out of range 1..7; omit the minibatch for the full batch of n_tr = 8 points"
+        assert (str(parsed.value), str(engine.value)) == (f"exp.ini: [chain] {reason}", reason)
 
     def test_minibatch_alone_makes_the_chain_sgld(self):
-        # the minibatch is the chain: an integer is SGLD, full is GLD
-        text = BASE.replace("seed = 42", "seed = 42\nminibatch = 3")
-        sgld = ExperimentConfig.loads(text).chain
+        # the minibatch is the chain: an integer is SGLD, no minibatch is GLD
+        sgld = ExperimentConfig.loads(BASE.replace("seed = 42", "seed = 42\nminibatch = 3")).chain
         assert (sgld.minibatch, sgld.mode) == (3, "sgld")
-        full = ExperimentConfig.loads(text.replace("minibatch = 3", "minibatch = full")).chain
+        full = ExperimentConfig.loads(BASE).chain
         assert (full.minibatch, full.mode) == (None, "gld")
 
     @pytest.mark.parametrize(

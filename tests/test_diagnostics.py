@@ -101,8 +101,11 @@ class TestClosedForms:
 
     def test_gibbs_concentration_bound(self):
         assert gibbs_concentration_bound(2.0, 1.0, 4.0, 1.0) == pytest.approx(2.25, abs=1e-15)
-        with pytest.raises(ValueError):
-            gibbs_concentration_bound(-1.0, 1.0, 4.0, 1.0)
+        # a loss flat in u (a margin loss on all-zero labels) has M = 0, where the bound is finite
+        assert gibbs_concentration_bound(0.0, 6.0, 4.0, 0.0) == 0.25
+        for args in [(-1.0, 1.0, 4.0, 1.0), (2.0, 0.0, 4.0, 1.0), (2.0, 1.0, 0.0, 1.0), (2.0, 1.0, 4.0, -1.0)]:
+            with pytest.raises(ValueError, match="lambda and beta must be positive, M and the norm nonnegative"):
+                gibbs_concentration_bound(*args)
 
     def test_sigmoid_statistic(self):
         # the engine's phi column at step 0 is sigma(L(x0) - l_star)
@@ -326,16 +329,25 @@ class TestEstimators:
         )
 
     def test_sgld_sweep_is_one_engine_call(self, monkeypatch):
-        # one GLD reference and one SGLD block per m, all on chain ids 0..R-1
+        # one GLD reference and one SGLD block per m < n_tr, all on chain ids 0..R-1;
+        # m = n_tr = 8 is the full batch, which reads the GLD block and runs none
         calls = []
         run_blocks = diagnostics.run_blocks
         monkeypatch.setattr(diagnostics, "run_blocks", lambda blocks, **k: calls.append((blocks, k)) or run_blocks(blocks, **k))
         sgld_discrepancy_vs_m(self._cfg(horizon=300), make_objective(n=8), 0.1, [2, 5, 8], replicas=4)
         ((blocks, kwargs),) = calls
-        assert [(block[0].mode, block[0].minibatch) for block in blocks] == [
-            ("gld", None), ("sgld", 2), ("sgld", 5), ("sgld", 8)
-        ]
+        assert [(block[0].mode, block[0].minibatch) for block in blocks] == [("gld", None), ("sgld", 2), ("sgld", 5)]
         assert all(block[2] == [0, 1, 2, 3] for block in blocks)
+
+    def test_sgld_sweep_full_batch_row_is_gld_against_itself(self):
+        # the m = n_tr row is exactly 0 with r_n = 0, and the rows below n_tr are those of a grid without it
+        obj, cfg = make_objective(n=8), self._cfg(horizon=300)
+        rows, _ = sgld_discrepancy_vs_m(cfg, obj, 0.1, [2, 5, 8], replicas=4)
+        below, _ = sgld_discrepancy_vs_m(cfg, obj, 0.1, [2, 5], replicas=4)
+        full = dict(discrepancy=0.0, se=0.0, r_n=0.0, bound_shape=0.0, c_fit=math.nan, replicas=4, seed=42, minibatch=8)
+        assert [{k: repr(v) for k, v in r.items()} for r in rows] == [
+            {k: repr(v) for k, v in r.items()} for r in below + [full]
+        ]
 
     def test_sgld_sweep_equals_per_m_calls(self):
         obj = make_objective(n=8)
@@ -365,15 +377,15 @@ class TestEstimators:
         assert verdict == diagnostics._tail_verdict(rows)
 
     def test_theorem_tail_bound_has_no_sgld_right_hand_side(self):
-        # tail_bound_terms holds GLD's terms only, so an SGLD chain's rhs is nan; at
-        # m = n_tr the SGLD chain is GLD bit for bit, so the tail estimates agree
+        # tail_bound_terms holds GLD's terms only, so an SGLD chain's rhs is nan; the
+        # full batch is GLD, with no SGLD spelling to run
         obj = make_objective()
         cfg = ChainConfig(eta=0.1, beta=4.0, lam=4.0 * obj.smoothness_constant(), n_modes=6, seed=3, horizon=250)
-        gld, gld_verdict = tail_bound(cfg, obj, replicas=20)
-        sgld, sgld_verdict = tail_bound(replace(cfg, minibatch=obj.dataset.size), obj, replicas=20)
+        gld, _ = tail_bound(cfg, obj, replicas=20)
+        sgld, _ = tail_bound(replace(cfg, minibatch=3), obj, replicas=20)
         assert all(math.isnan(r["rhs"]) for r in sgld) and all(math.isfinite(r["rhs"]) for r in gld)
-        assert [{**r, "rhs": None} for r in sgld] == [{**r, "rhs": None} for r in gld]
-        assert sgld_verdict == gld_verdict
+        with pytest.raises(ValueError, match="omit the minibatch for the full batch"):
+            tail_bound(replace(cfg, minibatch=obj.dataset.size), obj, replicas=20)
 
     def test_theorem_tail_bound_rejects_large_x0(self):
         obj = make_objective()

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 import signal
 import time
 
@@ -172,11 +173,15 @@ class TestStepFunctions:
         cfg = make_cfg(horizon=200, burn_in=0)
         assert np.array_equal(final_state(cfg, obj), final_state(cfg, obj))
 
-    def test_sgld_full_batch_matches_gld(self):
-        obj = make_objective(n=8)
-        cfg = make_cfg(horizon=50, burn_in=0)
-        sgld = dataclasses.replace(cfg, minibatch=8)
-        assert np.array_equal(final_state(cfg, obj), final_state(sgld, obj))
+    def test_sgld_full_batch_raises_before_any_stream(self, monkeypatch):
+        # SGLD draws m < n_tr = 8 points; the full batch is the chain without a minibatch
+        streams = []
+        make = dynamics.make_rng
+        monkeypatch.setattr(dynamics, "make_rng", lambda *key: streams.append(key) or make(*key))
+        reason = "minibatch = 8: out of range 1..7; omit the minibatch for the full batch of n_tr = 8 points"
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            run_blocks([(make_cfg(horizon=50, minibatch=8), make_objective(n=8), [0, 1], ())], l_star=0.0)
+        assert streams == []
 
     def test_sgld_minibatch_diverges_from_gld(self):
         obj = make_objective(n=8)
@@ -198,7 +203,6 @@ class TestStepFunctions:
         assert np.array_equal(risk, np.zeros(1))
         assert s.steps[-1] == 1 and s.mode == "gld"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_abort_on_blowup(self):
         # giant step size on the squared loss makes the explicit part diverge
         obj = make_objective()
@@ -351,11 +355,10 @@ class TestRunEnsemble:
         assert s.final_cesaro_phi[0] == pytest.approx(float(np.mean(s.phi[0, post])), rel=1e-12)
         assert s.cesaro_phi[0, -1] == pytest.approx(s.final_cesaro_phi[0], rel=1e-12)
 
-    @pytest.mark.parametrize("chain", ["gld", "sgld"])  # sgld at m = n_tr is the GLD chain
-    def test_full_batch_risk_only_where_read(self, chain, monkeypatch):
+    def test_full_batch_risk_only_where_read(self, monkeypatch):
         # burn_in = horizon - 1 retains only the last step; cadence 2 checkpoints every even step
         obj = make_objective(n=8)
-        cfg = make_cfg(horizon=2000, burn_in=1999, minibatch=8 if chain == "sgld" else None)
+        cfg = make_cfg(horizon=2000, burn_in=1999)
         assert cfg.checkpoint_every == 2
         calls = counted_loss_calls(monkeypatch)
         summary = run_chain(cfg, obj)
@@ -410,7 +413,6 @@ class TestRunEnsemble:
         assert expect[0] == pytest.approx(0.4, abs=1e-15)
         assert np.allclose(var, expect, rtol=0.05)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_partial_summary_on_abort(self):
         obj = make_objective()
         cfg = ChainConfig(eta=50.0, beta=100.0, lam=1e-6, n_modes=6, seed=1, horizon=100_000)
@@ -436,7 +438,7 @@ def same_summary(a, b) -> bool:
 
 @st.composite
 def block_sets(draw):
-    """1-4 blocks, each of its own chain (gld, sgld with m in 1..n_tr = 8, or
+    """1-4 blocks, each of its own chain (gld, sgld with m in 1..7 < n_tr = 8, or
     ou, GLD on the zero loss) and N+1 in 3..9 (objectives shared per
     dimension and loss), on overlapping or disjoint chain ids, horizons
     across chunk boundaries."""
@@ -459,7 +461,7 @@ def block_sets(draw):
             seed=seed,
             horizon=horizon,
             burn_in=burn_in,
-            minibatch=draw(st.integers(1, 8)) if chain == "sgld" else None,
+            minibatch=draw(st.integers(1, 7)) if chain == "sgld" else None,
         )
         ids = draw(st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True))
         blocks.append((cfg, obj, ids))
@@ -542,6 +544,7 @@ class TestChunkedBookkeeping:
             summary = one_block(run_cfg, obj, ids, 0.3)
             assert same_summary(summary, reference_summary(run_cfg, obj, ids, 0.3, states))
 
+    # the test's own reference_summary overflows on the last finite states before the abort
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_partial_summary_equals_reference_after_a_flushed_chunk(self):
         obj = make_objective()
@@ -719,6 +722,7 @@ class TestNoiseAhead:
         inline = one_block(cfg, obj, [3, 0, 5], 0.3)
         assert len(workers) == 1 and same_summary(forked, inline)
 
+    # the test's own reference_summary overflows on the last finite states before the abort
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_partial_summary_on_abort_after_several_chunks(self, workers, slow_fills, monkeypatch):
         obj = make_objective(n_modes=129)
@@ -738,7 +742,6 @@ class TestNoiseAhead:
         assert inline.value.step == step and same_summary(inline.value.partial[0], partial)
         assert len(workers) == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "raised", [None, NumericalAbort, KeyError, KeyboardInterrupt], ids=["return", "abort", "observer", "interrupt"]
     )
@@ -847,8 +850,8 @@ class TestRunBlocks:
 @st.composite
 def packed_block_sets(draw):
     """2-5 blocks of R chains each on one dataset and loss, so that the
-    blocks of one gradient kind step as one group: gld and sgld (m in 1..8 =
-    n_tr, m = 8 being full batch) blocks mixed, N+1 in 3..9 (blocks of equal
+    blocks of one gradient kind step as one group: gld and sgld (m in 1..7 <
+    n_tr = 8) blocks mixed, N+1 in 3..9 (blocks of equal
     width share their objective), each on the call's R chain ids, on them
     reversed or on R ids of its own, horizons across chunk boundaries."""
     horizon = draw(st.integers(1, 600))
@@ -870,7 +873,7 @@ def packed_block_sets(draw):
             seed=seed,
             horizon=horizon,
             burn_in=burn_in,
-            minibatch=draw(st.integers(1, 8)) if sgld else None,
+            minibatch=draw(st.integers(1, 7)) if sgld else None,
             x0=draw(st.sampled_from([None, np.linspace(-1.0, 1.0, n_modes)])),
         )
         ids = draw(st.sampled_from(["shared", "reversed", "own"]))
@@ -954,7 +957,6 @@ class TestPackedGroups:
         run_blocks(blocks, 0.0, checkpoints=(cfg.horizon,))
         assert [calls[name] for name in LOSS_METHODS] == [fused, 0, grad_only]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("diverging_first", [False, True])
     def test_abort_leaves_every_block_at_the_step_before(self, diverging_first):
         # the diverging block runs on another dataset, so it is a group of its own
