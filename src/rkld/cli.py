@@ -96,10 +96,10 @@ def cmd_run(args) -> int:
         "_summary.json": json.dumps(
             {
                 "config_hash": exp.config_hash(),
-                "mode": summary.mode,
+                "mode": exp.chain.mode,
                 "seed": exp.chain.seed,
                 "chain_id": int(summary.chain_ids[0]),
-                "burn_in": summary.burn_in,
+                "burn_in": exp.chain.burn_in_steps,
                 "retained_steps": summary.retained_steps,
                 "l_star": mins.l_star,
                 "l_star_attained": mins.attained,

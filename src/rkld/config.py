@@ -67,6 +67,13 @@ _positive_count = _checked(int, lambda n: n >= 1, "must be >= 1")
 _nonnegative = _checked(float, lambda v: 0.0 <= v < math.inf, "must be nonnegative and finite")
 
 
+def _minibatch(raw):  # an SGLD minibatch size; the full batch, GLD, has no minibatch key
+    try:
+        return _positive_count(raw)
+    except ValueError:  # `full`, a fraction or m < 1
+        raise ValueError("must be an integer >= 1; omit the minibatch for the full batch") from None
+
+
 # section -> key -> (parser, default); an empty value means the default
 _KEYS = {
     "kernel": {
@@ -87,7 +94,7 @@ _KEYS = {
         "n_modes": (_positive_count, _REQUIRED),
         "seed": (_count, _REQUIRED),
         "horizon": (_positive_count, _REQUIRED),
-        "minibatch": (_positive_count, None),
+        "minibatch": (_minibatch, None),
         "burn_in": (_count, None),
     },
     "experiment": {

@@ -134,13 +134,11 @@ class ChainConfig:
 class RunSummary:
     """Checkpointed trajectory statistics of one block of R chains, K checkpoints.
 
-    Row r of each (R, K) column and entry r of each (R,) array belong to
-    chain_ids[r].  Every array is read-only, and the five columns are views
-    of the block's one (5, R, K) checkpoint array.
+    Row r of each (R, K) column and entry r of each (R,) array belong to chain_ids[r].
+    Every array is read-only, and the five columns are views of the block's one
+    (5, R, K) checkpoint array.  The chain's name and burn-in are its ChainConfig's.
     """
 
-    mode: str
-    burn_in: int
     retained_steps: int
     chain_ids: np.ndarray  # (R,)
     steps: np.ndarray  # (K,)
@@ -248,7 +246,7 @@ class _Block:
         cols = self.cols[:, :, : len(self.ck_steps)]
         for a in (chain_ids, steps, cols, *finals):
             a.setflags(write=False)
-        return RunSummary(self.cfg.mode, self.cfg.burn_in_steps, retained, chain_ids, steps, *cols, *finals)
+        return RunSummary(retained, chain_ids, steps, *cols, *finals)
 
 
 class _Group:
@@ -411,10 +409,10 @@ class _Worker:
         self.done, done = os.pipe()
         try:
             self.pid = os.fork()
-        except OSError:  # no process to run it: no silent inline draw either
+        except OSError as exc:  # no process to run it: no silent inline draw either
             for fd in (go, self.go, self.done, done):
                 os.close(fd)
-            raise
+            raise RuntimeError(f"noise worker could not be started: {exc}") from None
         if self.pid == 0:
             os.close(self.go)
             os.close(self.done)

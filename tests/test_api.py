@@ -368,7 +368,7 @@ def test_only_the_quadratic_oracle_names_a_loss():
 
 def test_no_function_names_a_chain_kind():
     # a chain is GLD or SGLD by its minibatch and the OU chain by its zero loss: no
-    # rule asks for a chain's name, which only RunSummary.mode reports
+    # rule asks for a chain's name, which only `rkld run`'s summary reports
     naming = []
     for tree in _parsed(ROOT / "src" / "rkld"):
         for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):

@@ -2,8 +2,10 @@ import ast
 import configparser
 import csv
 import dataclasses
+import errno
 import json
 import math
+import os
 import pkgutil
 import re
 from pathlib import Path
@@ -262,6 +264,22 @@ class TestVerify:
         inject, expected = VERIFY_FAULTS[fault]
         exp = inject(ExperimentConfig.loads(BASE), monkeypatch)
         assert [r.name for r in run_property_suite(exp) if not r.passed] == list(expected)
+
+    def test_determinism_checks_the_configured_minibatch_stream(self, tmp_path, monkeypatch, capsys):
+        # verify runs the SGLD chain a minibatch config sets: unseeded minibatch
+        # draws fail it, and the detail says where the two runs part
+        make = dynamics.make_rng
+
+        def make_rng(seed, chain_id, stream):
+            return np.random.default_rng() if stream == dynamics._STREAM_BATCH else make(seed, chain_id, stream)
+
+        monkeypatch.setattr(dynamics, "make_rng", make_rng)
+        cfg = tmp_path / "sgld.ini"
+        cfg.write_text(BASE.replace("seed = 42", "seed = 42\nminibatch = 3"))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        *_, line, tally = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"FAIL determinism_bitwise: two same-seed runs first differ at step \d+ in (norm|risk)", line)
+        assert tally == "7/8 properties passed"
 
 
 class TestParsevalCheck:
@@ -694,7 +712,7 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("value, message", [
-        ("full", "'full': invalid literal for int() with base 10: 'full'"),
+        ("full", "'full': must be an integer >= 1; omit the minibatch for the full batch"),
         ("8", "8: out of range 1..7; omit the minibatch for the full batch of n_tr = 8 points"),
     ], ids=["full", "n_tr"])
     def test_full_batch_minibatch_is_config_error(self, value, message, tmp_path, capsys):
@@ -738,6 +756,20 @@ class TestExitCodes:
         assert main(["sweep", "--axis", "eta", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert re.fullmatch(r"solver failure: noise worker \d+ exited with status 1 after it raised OSError: fill failed\n", err)
+
+    def test_unforkable_noise_worker_exit_code(self, tmp_path, config_file, monkeypatch, capsys):
+        # a worker that cannot be forked fails the run on one stderr line and writes nothing
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 1)
+        monkeypatch.setattr(dynamics, "_cpus", lambda: 2)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_file), "--out", str(out)]) == 2
+        reason = f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"
+        assert capsys.readouterr() == ("", f"solver failure: noise worker could not be started: {reason}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "verify"])
     @pytest.mark.parametrize("where", ["config", "flag"])

@@ -135,7 +135,8 @@ class TestParsing:
         for raw in ("full", "abc"):
             with pytest.raises(ConfigError) as exc_info:
                 ExperimentConfig.loads(BASE + f"minibatch = {raw}\n", origin="exp.ini")
-            assert str(exc_info.value) == f"exp.ini: [chain] minibatch = '{raw}': invalid literal for int() with base 10: '{raw}'"
+            reason = "must be an integer >= 1; omit the minibatch for the full batch"
+            assert str(exc_info.value) == f"exp.ini: [chain] minibatch = '{raw}': {reason}"
 
     @pytest.mark.parametrize("m", [8, 9])
     def test_minibatch_of_n_tr_or_more_refused_as_the_engine_refuses_it(self, m):
@@ -170,7 +171,7 @@ class TestParsing:
             ("chain", "n_modes = 0", "must be >= 1"),
             ("chain", "seed = -1", "must be >= 0"),
             ("chain", "horizon = 0", "must be >= 1"),
-            ("chain", "minibatch = 0", "must be >= 1"),
+            ("chain", "minibatch = 0", "must be an integer >= 1; omit the minibatch for the full batch"),
             ("chain", "burn_in = -1", "must be >= 0"),
             ("objective", "loss = hinge", "unknown loss family: 'hinge'"),
             ("objective", "synth_kind = ranking", "expected one of regression, classification"),

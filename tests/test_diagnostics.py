@@ -255,18 +255,12 @@ class TestVerdicts:
             return dict(minibatch=m, discrepancy=disc, se=0.01, r_n=r_n)
 
         rule = diagnostics._sgld_verdict
-        exact = "full-batch discrepancy exactly 0 = "
-        assert rule([row(2, 0.1), row(8, 0.0, 0.0)], 8).lines == (
-            f"PASS sgld discrepancy vs m: {exact}True; discrepancy nonincreasing within 3 sigma = True",
-        )
-        nonzero = rule([row(2, 0.1), row(8, 1e-300, 0.0)], 8)  # a nonzero full-batch discrepancy
-        assert nonzero.lines[0].startswith(f"FAIL sgld discrepancy vs m: {exact}False")
-        assert rule([row(2, 0.1), row(8, 0.0, 1e-300)], 8).word == "FAIL"
-        # below n_tr there is no full-batch point to check
-        assert rule([row(2, 0.1), row(4, 1e-300)], 8).lines == (
+        assert rule([row(2, 0.1), row(4, 1e-300)]).lines == (
             "PASS sgld discrepancy vs m: discrepancy nonincreasing within 3 sigma = True",
         )
-        assert rule([row(2, 0.1), row(4, 0.15)], 8).word == "FAIL"
+        assert rule([row(2, 0.1), row(4, 0.15)]).lines == (
+            "FAIL sgld discrepancy vs m: discrepancy nonincreasing within 3 sigma = False",
+        )
 
     def test_tail_rule(self):
         def rows(*p_hats):
