@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, Manifest, _atomic_write_text
+from .config import TOOL_VERSION, ConfigError, ExperimentConfig, Manifest, _atomic_write_text
 from .diagnostics import (
     galerkin_error_vs_n,
     gibbs_gap_vs_beta,
@@ -52,6 +52,7 @@ def _publish(exp: ExperimentConfig, out: Path, command: str, stem: str, files: d
     tag = exp.config_hash()
     manifest = Manifest(
         config_hash=tag,
+        tool_version=TOOL_VERSION,
         command=command,
         seed_table={"seed": exp.chain.seed},
         outputs=[f"{tag}{suffix}" for suffix in files],

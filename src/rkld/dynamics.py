@@ -11,12 +11,14 @@ by side in one (R, sum of N+1) array that one step advances; each block
 reads its columns through read-only views.  Noise and SGLD minibatch
 indices are pregenerated in per-chain chunks to amortize generator overhead;
 a call that draws a million normals or more forks a worker process that
-draws the noise a chunk ahead while the loop steps through the current one,
-so no fill holds the interpreter the steps run on.
+draws the noise and the SGLD minibatches a chunk ahead while the loop steps
+through the current one, so no draw holds the interpreter the steps run on;
+each generator makes the calls of the inline path, so the bits are the same.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import os
@@ -183,6 +185,8 @@ class _Block:
         self.gradient = "full" if cfg.minibatch is None else "minibatch"
         if cfg.minibatch is not None:
             self.batch_rngs = [make_rng(cfg.seed, cid, _STREAM_BATCH) for cid in self.chain_ids]
+            # a chunk's (chunk, R, m) indices; a forked call reads the worker's halves of this shape
+            self.batches = np.empty((min(_CHUNK, cfg.horizon), len(self.chain_ids), cfg.minibatch), dtype=np.intp)
         self.mu = obj.kernel.eigenvalues(self.n)
         self.cesaro_phi = np.zeros(len(self.chain_ids))
         self.cesaro_risk = np.zeros(len(self.chain_ids))
@@ -194,11 +198,13 @@ class _Block:
         # checkpoints, step 0 included, filled by flush()
         self.cols = np.empty((5, len(self.chain_ids), n_checkpoints + 1))
 
-    def draw_batches(self, chunk_len):
-        # row t of one chain's permuted tile is the t-th rng.permutation(n_tr), and
-        # the generator ends in the same state, so chunking leaves the stream intact
+    def draw_batches(self, chunk_len, out):
+        """The next chunk_len steps' minibatches into out[:chunk_len], (chunk, R, m).
+        Row t of one chain's permuted tile is the t-th rng.permutation(n_tr), and
+        the generator ends in the same state, so chunking leaves the stream intact."""
         tile = np.tile(np.arange(self.obj.dataset.size), (chunk_len, 1))
-        self.batches = np.stack([rng.permuted(tile, axis=1)[:, : self.cfg.minibatch] for rng in self.batch_rngs], axis=1)
+        for r, rng in enumerate(self.batch_rngs):
+            out[:chunk_len, r] = rng.permuted(tile, axis=1)[:, : self.cfg.minibatch]
 
     def keep(self, step, retain, checkpoint, x, risk):
         """Bookkeeping of a new state X and its risk, read-only views of the group's."""
@@ -389,22 +395,28 @@ def _cpus() -> int:
 
 
 class _Worker:
-    """A forked child that draws a call's noise a chunk ahead of its steps.
+    """A forked child that draws a call's noise and SGLD minibatches a chunk ahead.
 
-    The child fills the two chunk buffers of an anonymous shared mmap,
-    made before the fork, in turn, each generator its rows in step order.  A
-    byte on the done pipe hands a filled buffer to the parent; a byte on the
-    go pipe hands a stepped-through buffer back to the child.  The child calls
-    only standard_normal(out=...) on generators no other thread has used, so
-    a lock another thread held at the fork cannot stop it, and it reports an
-    exception it raises on the done pipe before it exits.
+    The child fills the two halves of an anonymous shared mmap, made before
+    the fork, in turn: a chunk's noise, each generator its rows in step order,
+    then each SGLD block's indices through its draw_batches.  A byte on the
+    done pipe hands a filled half to the parent; a byte on the go pipe hands a
+    stepped-through half back to the child.  The child calls only
+    standard_normal(out=...) and permuted, the inline path's calls in its
+    order, on generators no other thread has used, so a lock another thread
+    held at the fork cannot stop it, and it reports an exception it raises on
+    the done pipe before it exits.
     """
 
-    def __init__(self, rngs, shape, horizon):
-        size = math.prod(shape)
-        shared = mmap.mmap(-1, 2 * 8 * size)  # the arrays keep it mapped
-        self.buffers = [np.frombuffer(shared, count=size, offset=8 * size * k).reshape(shape) for k in (0, 1)]
-        self.taken, self.status = 0, None
+    def __init__(self, rngs, shape, horizon, sgld):
+        # a half: a chunk's noise, then each SGLD block's indices, shaped as its inline array
+        layout = [(shape, np.dtype(float)), *((s.batches.shape, s.batches.dtype) for s in sgld)] * 2
+        sizes = [math.prod(dims) * dtype.itemsize for dims, dtype in layout]
+        shared = mmap.mmap(-1, sum(sizes))  # the arrays keep it mapped
+        offsets = itertools.accumulate([0, *sizes])
+        arrays = [np.frombuffer(shared, t, math.prod(dims), at).reshape(dims) for (dims, t), at in zip(layout, offsets)]
+        self.halves = [arrays[: len(layout) // 2], arrays[len(layout) // 2 :]]
+        self.sgld, self.taken, self.status = sgld, 0, None
         go, self.go = os.pipe()
         self.done, done = os.pipe()
         try:
@@ -427,8 +439,12 @@ class _Worker:
             for i, start in enumerate(range(0, horizon, _CHUNK)):
                 if i >= 2 and not os.read(go, 1):
                     break  # the parent closed the go pipe: it has left the step loop
-                for rng, row in zip(rngs, self.buffers[i % 2]):
-                    rng.standard_normal(out=row[: min(_CHUNK, horizon - start)])
+                chunk_len = min(_CHUNK, horizon - start)
+                noise, *batches = self.halves[i % 2]
+                for rng, row in zip(rngs, noise):
+                    rng.standard_normal(out=row[:chunk_len])
+                for s, out in zip(self.sgld, batches):
+                    s.draw_batches(chunk_len, out)
                 os.write(done, b".")
             status = 0
         except BaseException as exc:  # the parent raises it; the child only reports it
@@ -440,18 +456,21 @@ class _Worker:
             os._exit(status)
 
     def take(self) -> np.ndarray:
-        """The next filled buffer, once the child has handed it over."""
+        """The next filled half's noise, once the child has handed it over; each
+        SGLD block's batches become the half's indices."""
         token = os.read(self.done, 1)
         if token != b".":
             raised = os.read(self.done, 512).decode(errors="replace") if token == b"!" else ""
             self.close()
             raise self.error(raised)
-        buffer = self.buffers[self.taken % 2]
+        noise, *batches = self.halves[self.taken % 2]
+        for s, out in zip(self.sgld, batches):
+            s.batches = out
         self.taken += 1
-        return buffer
+        return noise
 
     def release(self):
-        """Hand the buffer last taken back to the child, for the chunk after
+        """Hand the half last taken back to the child, for the chunk after
         next; a dead child's pipe refuses it, and the next take() says why."""
         try:
             os.write(self.go, b".")
@@ -493,9 +512,10 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
     When the call draws at least _AHEAD_NORMALS normals (distinct chain ids
     x horizon x widest N+1), the horizon is longer than a chunk, the process
     may run on more than one CPU and os.fork exists, a forked worker process
-    draws the noise a chunk ahead while the loop steps through the current
-    one; the minibatches are still drawn in the loop, and the draws and every
-    output keep their bits.
+    fills the noise and every SGLD block's minibatch indices a chunk ahead
+    while the loop steps through the current one, and the loop draws nothing;
+    each generator makes the calls of the inline path in the same order, so
+    the draws and every output keep their bits.
     Every exit reaps the worker, and a worker that raises or dies makes the
     call raise a RuntimeError naming it.
     Blocks that share R, the Dataset object, the loss and the gradient kind
@@ -532,13 +552,15 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
     if any((s.cfg.seed, s.cfg.horizon, s.cfg.burn_in_steps) != (first.seed, horizon, burn_in) for s in states):
         raise ValueError("blocks must share seed, horizon and burn-in to run in lockstep")
 
+    sgld = [s for s in states if s.gradient == "minibatch"]
     # one noise row per distinct chain id
     ids = list(dict.fromkeys(cid for s in states for cid in s.chain_ids))
     position = {cid: i for i, cid in enumerate(ids)}
     noise_rngs = [make_rng(first.seed, cid, _STREAM_NOISE) for cid in ids]
     width = max(s.n for s in states)
     # a large call past one chunk on several CPUs: a forked worker fills two chunk
-    # buffers, the loop stepping through one while the worker fills the other
+    # halves of noise and minibatches, the loop stepping through one while the
+    # worker fills the other
     ahead = (
         horizon > _CHUNK
         and len(ids) * horizon * width >= _AHEAD_NORMALS
@@ -558,7 +580,7 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             if ahead:
-                worker = _Worker(noise_rngs, shape, horizon)
+                worker = _Worker(noise_rngs, shape, horizon, sgld)
             else:
                 noise = np.empty(shape)
             for g in groups:
@@ -568,11 +590,10 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
                 if worker is None:  # each generator fills its rows in step order
                     for rng, row in zip(noise_rngs, noise):
                         rng.standard_normal(out=row[:chunk_len])
+                    for s in sgld:
+                        s.draw_batches(chunk_len, s.batches)
                 else:
                     noise = worker.take()
-                for s in states:
-                    if s.gradient == "minibatch":
-                        s.draw_batches(chunk_len)
                 for t in range(chunk_len):
                     step += 1
                     retain = step > burn_in

@@ -123,13 +123,12 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
 
 
 def _parameters(fn: ast.FunctionDef, method: bool):
-    """(positional names, keyword-only names, defaulted names), self or cls dropped."""
+    """(positional names, defaulted names), self or cls dropped."""
     a = fn.args
     positional = [p.arg for p in a.posonlyargs + a.args]
-    keyword_only = [p.arg for p in a.kwonlyargs]
     defaulted = positional[len(positional) - len(a.defaults):]
     defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-    return positional[1:] if method else positional, keyword_only, defaulted
+    return positional[1:] if method else positional, defaulted
 
 
 def _callables(tree):
@@ -152,21 +151,19 @@ def _callables(tree):
                 yield f"{node.name}.{fn.name}", called_as, _parameters(fn, method=not static)
 
 
-def _passed(positional, keyword_only, call: ast.Call, keys: set[str], surely: bool = False) -> set[str]:
+def _passed(positional, call: ast.Call, keys: set[str]) -> set[str]:
     """The parameters that `call` sets, by position or by keyword.  A `*` expansion
-    may reach every positional parameter and a `**` expansion of a dict
-    comprehension every parameter, or, if surely, none, since it may leave any
-    key out; any other `**` expansion sets only the names in keys, the string
-    keys that the call's module writes into mappings."""
+    may reach every positional parameter.  A `**` expansion of a dict
+    comprehension sets none, since its computed keys may leave any name out
+    (`Manifest.load` copies only the keys a file has); any other `**` expansion
+    sets only the names in keys, the string keys that the call's module writes
+    into mappings."""
     starred = any(isinstance(a, ast.Starred) for a in call.args)
     passed = set(positional if starred else positional[: len(call.args)])
     for k in call.keywords:
         if k.arg:
             passed.add(k.arg)
-        elif isinstance(k.value, ast.DictComp):  # computed keys (`Manifest.load`): any of them
-            if not surely:
-                passed |= {*positional, *keyword_only}
-        else:
+        elif not isinstance(k.value, ast.DictComp):
             passed |= keys
     return passed
 
@@ -236,11 +233,11 @@ def test_every_defaulted_parameter_has_a_caller():
     # a parameter that the program never passes is a knob nobody turns: hard-code its value
     calls = _program_calls()
     unpassed, defaulted = [], set()
-    for label, called_as, (positional, keyword_only, defaulted_names) in _public_callables():
+    for label, called_as, (positional, defaulted_names) in _public_callables():
         if label in UNREACHED:
             continue
         reaching = _reaching(calls, label, called_as)
-        passed = set().union(*(_passed(positional, keyword_only, c, keys) for c, keys in reaching))
+        passed = set().union(*(_passed(positional, c, keys) for c, keys in reaching))
         for name in defaulted_names:
             key = f"{label}({name})"
             defaulted.add(key)
@@ -256,18 +253,18 @@ def test_every_default_is_relied_on():
     # (a config key)
     calls = _program_calls()
     overridden = []
-    for label, called_as, (positional, keyword_only, defaulted_names) in _public_callables():
+    for label, called_as, (positional, defaulted_names) in _public_callables():
         reaching = _reaching(calls, label, called_as)
         if not reaching:
             continue
-        passed = set.intersection(*(_passed(positional, keyword_only, c, keys, surely=True) for c, keys in reaching))
+        passed = set.intersection(*(_passed(positional, c, keys) for c, keys in reaching))
         overridden += [f"{label}({name})" for name in defaulted_names if name in passed]
     constructions, _ = _field_setters()
     for cls, names, defaulted_names in _dataclasses():
         made = constructions.get(cls, [])
         if not made:
             continue
-        passed = set.intersection(*(_passed(names, [], c, keys, surely=True) for c, keys in made))
+        passed = set.intersection(*(_passed(names, c, keys) for c, keys in made))
         overridden += [f"{cls}.{name}" for name in defaulted_names if name in passed]
     assert not overridden, f"every call in src/ or perfbench/ passes {overridden}: drop the default"
 
@@ -447,7 +444,7 @@ def test_every_defaulted_field_is_set():
     unset = set()
     for cls, names, defaulted_names in _dataclasses():
         # the mapping keys that a `**` expansion passes are in named already
-        passed = set().union(*(_passed(names, [], call, set()) for call, _ in calls.get(cls, [])))
+        passed = set().union(*(_passed(names, call, set()) for call, _ in calls.get(cls, [])))
         # a class normalizing its own field in __post_init__ does not set it
         passed |= {name for name, owner in named if owner != cls}
         unset |= {f"{cls}.{name}" for name in defaulted_names if name not in passed}

@@ -777,6 +777,48 @@ class TestNoiseAhead:
         [pid] = workers
         assert f"noise worker {pid} " in str(exc_info.value) and no_child_left()
 
+    def test_forked_parent_draws_no_minibatch(self, workers, monkeypatch):
+        # two SGLD blocks of different m on shared chain ids and a GLD block; 2001 steps
+        # end on a short chunk.  The worker's calls count in its own copy of `calls`
+        obj = make_objective(n_modes=9, loss="savage")
+        blocks = [
+            (make_cfg(n_modes=9, horizon=2001, burn_in=0, minibatch=m), obj, ids, ())
+            for m, ids in [(None, [0, 1, 2]), (3, [1, 2, 3]), (5, [2, 1, 3])]
+        ]
+        calls = collections.Counter()
+        draw = dynamics._Block.draw_batches
+
+        def counted(block, chunk_len, out):
+            calls[block.cfg.minibatch] += 1
+            return draw(block, chunk_len, out)
+
+        monkeypatch.setattr(dynamics._Block, "draw_batches", counted)
+        monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 1)
+        forked = run_blocks(blocks, 0.3)
+        assert len(workers) == 1 and calls == {} and no_child_left()
+        monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 10**9)
+        inline = run_blocks(blocks, 0.3)
+        chunks = math.ceil(2001 / dynamics._CHUNK)
+        assert len(workers) == 1 and calls == {3: chunks, 5: chunks}
+        assert all(same_summary(a, b) for a, b in zip(forked, inline))
+
+    def test_worker_minibatch_exception_reaches_the_caller(self, workers, monkeypatch):
+        draw = dynamics._Block.draw_batches
+        calls = []
+
+        def fails_on_second_call(block, chunk_len, out):
+            calls.append(chunk_len)
+            if len(calls) == 2:
+                raise OSError("draw failed")
+            return draw(block, chunk_len, out)
+
+        monkeypatch.setattr(dynamics._Block, "draw_batches", fails_on_second_call)
+        monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 1)
+        with pytest.raises(RuntimeError, match="exited with status 1 after it raised OSError: draw failed") as exc_info:
+            one_block(make_cfg(horizon=1000, minibatch=3), make_objective(), [0, 1])
+        [pid] = workers
+        assert str(exc_info.value).startswith(f"noise worker {pid} ") and calls == [] and no_child_left()
+
     def test_killed_worker_raises_its_exit_status(self, workers, monkeypatch):
         monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 1)
 
