@@ -8,12 +8,11 @@ drawn once, which couples runs of different step size, temperature,
 starting point or dimension.  The blocks of a call that share R, the
 dataset, the loss and the gradient kind form a group, whose states sit side
 by side in one (R, sum of N+1) array that one step advances; each block
-reads its columns through read-only views.  Noise and SGLD minibatch
-indices are pregenerated in per-chain chunks to amortize generator overhead;
-a call that draws a million normals or more forks a worker process that
-draws the noise and the SGLD minibatches a chunk ahead while the loop steps
-through the current one, so no draw holds the interpreter the steps run on;
-each generator makes the calls of the inline path, so the bits are the same.
+reads its columns through read-only views.  One routine, _draw, fills a
+chunk of 128 steps' random inputs, the noise and then each SGLD block's
+minibatch indices, to amortize generator overhead; a call that draws a
+million normals or more runs it in a forked worker process a chunk ahead of
+the loop, so no draw holds the interpreter the steps run on.
 """
 
 from __future__ import annotations
@@ -43,9 +42,10 @@ __all__ = [
 _STREAM_NOISE = 0
 _STREAM_BATCH = 1
 _CHUNK = 128
-# a call's normals (distinct ids x horizon x widest N+1) from which a forked
-# worker draws its noise.  On 2 cores fork plus reap cost about 3.3 ms and a fill
-# about 24 ns a normal, but the worker adds two hand-offs per chunk:
+# a call's normals (distinct ids x horizon x widest N+1) from which a forked worker
+# draws its noise and minibatches; only the normals count.  On 2 cores fork plus
+# reap cost about 3.3 ms and a fill about 24 ns a normal, but the worker adds two
+# hand-offs per chunk:
 # forked, R = 8 at N+1 = 65 broke even near 300k normals (savage loss) and R = 8
 # at N+1 = 16 near 1M (squared loss), while 104k and 256k ran 19-23% slower
 _AHEAD_NORMALS = 10**6
@@ -166,10 +166,11 @@ def sigmoid_gap(gap) -> np.ndarray | float:
 class _Block:
     """One block's chains inside run_blocks: Cesaro sums and checkpoint log.
 
-    The block's state is the columns `columns` of its group's state.  A step
-    only keeps what the bookkeeping needs; flush() turns that into Cesaro sums
-    and checkpoint rows once per noise chunk.  A minibatch m < n_tr makes
-    its chains SGLD; m >= n_tr raises before any generator is made.
+    The block's state is the columns `columns` of its group's state, and an SGLD
+    block's indices are chunk[slot].  A step only keeps what the bookkeeping
+    needs; flush() turns that into Cesaro sums and checkpoint rows once per
+    chunk.  A minibatch m < n_tr makes its chains SGLD; m >= n_tr raises
+    before any generator is made.
     """
 
     def __init__(self, cfg, obj, chain_ids, observers, l_star, n_checkpoints):
@@ -183,10 +184,6 @@ class _Block:
         self.n = cfg.n_modes
         cfg.check_minibatch(obj.dataset.size)
         self.gradient = "full" if cfg.minibatch is None else "minibatch"
-        if cfg.minibatch is not None:
-            self.batch_rngs = [make_rng(cfg.seed, cid, _STREAM_BATCH) for cid in self.chain_ids]
-            # a chunk's (chunk, R, m) indices; a forked call reads the worker's halves of this shape
-            self.batches = np.empty((min(_CHUNK, cfg.horizon), len(self.chain_ids), cfg.minibatch), dtype=np.intp)
         self.mu = obj.kernel.eigenvalues(self.n)
         self.cesaro_phi = np.zeros(len(self.chain_ids))
         self.cesaro_risk = np.zeros(len(self.chain_ids))
@@ -197,14 +194,6 @@ class _Block:
         # one (R, K) array per column (norm, risk, reg, phi, cesaro_phi) over the K
         # checkpoints, step 0 included, filled by flush()
         self.cols = np.empty((5, len(self.chain_ids), n_checkpoints + 1))
-
-    def draw_batches(self, chunk_len, out):
-        """The next chunk_len steps' minibatches into out[:chunk_len], (chunk, R, m).
-        Row t of one chain's permuted tile is the t-th rng.permutation(n_tr), and
-        the generator ends in the same state, so chunking leaves the stream intact."""
-        tile = np.tile(np.arange(self.obj.dataset.size), (chunk_len, 1))
-        for r, rng in enumerate(self.batch_rngs):
-            out[:chunk_len, r] = rng.permuted(tile, axis=1)[:, : self.cfg.minibatch]
 
     def keep(self, step, retain, checkpoint, x, risk):
         """Bookkeeping of a new state X and its risk, read-only views of the group's."""
@@ -325,11 +314,13 @@ class _Group:
             return a
         return a.reshape(a.shape[0], len(self.blocks), self.blocks[0].n).transpose(1, 0, 2)
 
-    def propose(self, noise, t):
-        """S_eta (X - eta g + amp eps), eps the group's columns of noise[:, t],
-        kept as the group's new state; returns whether it is finite."""
+    def propose(self, chunk, t):
+        """S_eta (X - eta g + amp eps), eps the group's columns of the chunk's
+        noise[:, t] and an SGLD g on its blocks' indices at t, kept as the
+        group's new state; returns whether it is finite."""
+        noise = chunk[0]
         if self.gradient == "minibatch":
-            gs = [b.obj.stochastic_grad_array(x, b.batches[t]) for b, x in zip(self.blocks, self.split(self.x))]
+            gs = [b.obj.stochastic_grad_array(x, chunk[b.slot][t]) for b, x in zip(self.blocks, self.split(self.x))]
             g = gs[0] if len(gs) == 1 else np.concatenate(gs, axis=1)
         else:
             g = self.g  # from X's last evaluation; the next one overwrites it
@@ -394,29 +385,40 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _Worker:
-    """A forked child that draws a call's noise and SGLD minibatches a chunk ahead.
+def _draw(chunk, chunk_len, noise_rngs, batch_rngs):
+    """The next chunk_len steps' random inputs into chunk = [noise, *indices]:
+    each noise generator its row, then each (n_tr, generators) of batch_rngs its
+    SGLD block's rows.  Row t of a chain's permuted tile is the t-th
+    rng.permutation(n_tr), and the generator ends in the same state, so
+    chunking leaves every stream intact."""
+    noise, *indices = chunk
+    for rng, row in zip(noise_rngs, noise):
+        rng.standard_normal(out=row[:chunk_len])
+    for (n_tr, rngs), out in zip(batch_rngs, indices):
+        tile = np.tile(np.arange(n_tr), (chunk_len, 1))
+        for r, rng in enumerate(rngs):
+            out[:chunk_len, r] = rng.permuted(tile, axis=1)[:, : out.shape[2]]
 
-    The child fills the two halves of an anonymous shared mmap, made before
-    the fork, in turn: a chunk's noise, each generator its rows in step order,
-    then each SGLD block's indices through its draw_batches.  A byte on the
-    done pipe hands a filled half to the parent; a byte on the go pipe hands a
-    stepped-through half back to the child.  The child calls only
-    standard_normal(out=...) and permuted, the inline path's calls in its
-    order, on generators no other thread has used, so a lock another thread
-    held at the fork cannot stop it, and it reports an exception it raises on
-    the done pipe before it exits.
+
+class _Worker:
+    """A forked child that fills a call's chunks one ahead of the step loop.
+
+    The two chunks, each an array per (shape, dtype) of the layout, lie in an
+    anonymous shared mmap made before the fork; the child fills them in turn
+    with fill(chunk, chunk_len).  A byte on the done pipe hands a filled chunk
+    to the parent; a byte on the go pipe hands a stepped-through one back.
+    fill's generators were made before the fork and no other thread has used
+    them, so a lock another thread held at the fork cannot stop the child, and
+    it reports an exception it raises on the done pipe before it exits.
     """
 
-    def __init__(self, rngs, shape, horizon, sgld):
-        # a half: a chunk's noise, then each SGLD block's indices, shaped as its inline array
-        layout = [(shape, np.dtype(float)), *((s.batches.shape, s.batches.dtype) for s in sgld)] * 2
-        sizes = [math.prod(dims) * dtype.itemsize for dims, dtype in layout]
+    def __init__(self, layout, horizon, fill):
+        sizes = [math.prod(dims) * dtype.itemsize for dims, dtype in layout] * 2
         shared = mmap.mmap(-1, sum(sizes))  # the arrays keep it mapped
         offsets = itertools.accumulate([0, *sizes])
-        arrays = [np.frombuffer(shared, t, math.prod(dims), at).reshape(dims) for (dims, t), at in zip(layout, offsets)]
-        self.halves = [arrays[: len(layout) // 2], arrays[len(layout) // 2 :]]
-        self.sgld, self.taken, self.status = sgld, 0, None
+        arrays = [np.frombuffer(shared, t, math.prod(dims), at).reshape(dims) for (dims, t), at in zip(layout * 2, offsets)]
+        self.chunks = [arrays[: len(layout)], arrays[len(layout) :]]
+        self.taken, self.status = 0, None
         go, self.go = os.pipe()
         self.done, done = os.pipe()
         try:
@@ -428,23 +430,18 @@ class _Worker:
         if self.pid == 0:
             os.close(self.go)
             os.close(self.done)
-            self._fill(rngs, horizon, go, done)
+            self._fill(fill, horizon, go, done)
         os.close(go)
         os.close(done)
 
-    def _fill(self, rngs, horizon, go, done):
+    def _fill(self, fill, horizon, go, done):
         """The child's whole life: fill every chunk, then exit."""
         status = 1
         try:
             for i, start in enumerate(range(0, horizon, _CHUNK)):
                 if i >= 2 and not os.read(go, 1):
                     break  # the parent closed the go pipe: it has left the step loop
-                chunk_len = min(_CHUNK, horizon - start)
-                noise, *batches = self.halves[i % 2]
-                for rng, row in zip(rngs, noise):
-                    rng.standard_normal(out=row[:chunk_len])
-                for s, out in zip(self.sgld, batches):
-                    s.draw_batches(chunk_len, out)
+                fill(self.chunks[i % 2], min(_CHUNK, horizon - start))
                 os.write(done, b".")
             status = 0
         except BaseException as exc:  # the parent raises it; the child only reports it
@@ -455,23 +452,20 @@ class _Worker:
         finally:
             os._exit(status)
 
-    def take(self) -> np.ndarray:
-        """The next filled half's noise, once the child has handed it over; each
-        SGLD block's batches become the half's indices."""
+    def take(self) -> list[np.ndarray]:
+        """The next filled chunk, once the child has handed it over."""
         token = os.read(self.done, 1)
         if token != b".":
             raised = os.read(self.done, 512).decode(errors="replace") if token == b"!" else ""
             self.close()
             raise self.error(raised)
-        noise, *batches = self.halves[self.taken % 2]
-        for s, out in zip(self.sgld, batches):
-            s.batches = out
+        chunk = self.chunks[self.taken % 2]
         self.taken += 1
-        return noise
+        return chunk
 
     def release(self):
-        """Hand the half last taken back to the child, for the chunk after
-        next; a dead child's pipe refuses it, and the next take() says why."""
+        """Hand the chunk last taken back to the child, to fill with the chunk
+        after next; a dead child's pipe refuses it, and the next take() says why."""
         try:
             os.write(self.go, b".")
         except BrokenPipeError:
@@ -509,13 +503,12 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
     block's n_modes, and every block reads the first N+1 components of its
     chain ids' rows, so blocks that share a chain id share their noise
     (common random numbers across step sizes, temperatures or dimensions).
-    When the call draws at least _AHEAD_NORMALS normals (distinct chain ids
-    x horizon x widest N+1), the horizon is longer than a chunk, the process
-    may run on more than one CPU and os.fork exists, a forked worker process
-    fills the noise and every SGLD block's minibatch indices a chunk ahead
-    while the loop steps through the current one, and the loop draws nothing;
-    each generator makes the calls of the inline path in the same order, so
-    the draws and every output keep their bits.
+    The call opens every stream and fixes the layout of a chunk, its noise
+    then each SGLD block's (chunk, R, m) indices, before it draws anything;
+    _draw fills each chunk.  When the call draws at least _AHEAD_NORMALS
+    normals (distinct chain ids x horizon x widest N+1), the horizon is longer
+    than a chunk, the process may run on more than one CPU and os.fork exists,
+    a forked worker runs _draw a chunk ahead, and the loop draws nothing.
     Every exit reaps the worker, and a worker that raises or dies makes the
     call raise a RuntimeError naming it.
     Blocks that share R, the Dataset object, the loss and the gradient kind
@@ -553,21 +546,29 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
         raise ValueError("blocks must share seed, horizon and burn-in to run in lockstep")
 
     sgld = [s for s in states if s.gradient == "minibatch"]
-    # one noise row per distinct chain id
+    for slot, s in enumerate(sgld, 1):
+        s.slot = slot  # its indices in a chunk: chunk[slot]
+    # one noise row per distinct chain id, then one generator per SGLD chain
     ids = list(dict.fromkeys(cid for s in states for cid in s.chain_ids))
     position = {cid: i for i, cid in enumerate(ids)}
     noise_rngs = [make_rng(first.seed, cid, _STREAM_NOISE) for cid in ids]
+    batch_rngs = [(s.obj.dataset.size, [make_rng(first.seed, cid, _STREAM_BATCH) for cid in s.chain_ids]) for s in sgld]
     width = max(s.n for s in states)
-    # a large call past one chunk on several CPUs: a forked worker fills two chunk
-    # halves of noise and minibatches, the loop stepping through one while the
-    # worker fills the other
+    # a chunk: the (ids, chunk, widest N+1) noise, then each SGLD block's (chunk, R, m) indices
+    shape = (len(ids), min(_CHUNK, horizon), width)
+    layout = [(shape, np.dtype(float)), *(((shape[1], len(s.chain_ids), s.cfg.minibatch), np.dtype(np.intp)) for s in sgld)]
+
+    def fill(chunk, chunk_len):
+        _draw(chunk, chunk_len, noise_rngs, batch_rngs)
+
+    # a large call past one chunk on several CPUs: a forked worker fills one of two
+    # chunks while the loop steps through the other
     ahead = (
         horizon > _CHUNK
         and len(ids) * horizon * width >= _AHEAD_NORMALS
         and _cpus() > 1
         and hasattr(os, "fork")
     )
-    shape = (len(ids), min(_CHUNK, horizon), width)
 
     members = {}
     for s in states:
@@ -580,26 +581,23 @@ def run_blocks(blocks, l_star: float, checkpoints=None) -> list[RunSummary]:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             if ahead:
-                worker = _Worker(noise_rngs, shape, horizon, sgld)
+                worker = _Worker(layout, horizon, fill)
             else:
-                noise = np.empty(shape)
+                chunk = [np.empty(dims, dtype) for dims, dtype in layout]
             for g in groups:
                 g.commit(0, False, True)  # X_0
             while step < horizon:
                 chunk_len = min(_CHUNK, horizon - step)
-                if worker is None:  # each generator fills its rows in step order
-                    for rng, row in zip(noise_rngs, noise):
-                        rng.standard_normal(out=row[:chunk_len])
-                    for s in sgld:
-                        s.draw_batches(chunk_len, s.batches)
+                if worker is None:
+                    fill(chunk, chunk_len)
                 else:
-                    noise = worker.take()
+                    chunk = worker.take()
                 for t in range(chunk_len):
                     step += 1
                     retain = step > burn_in
                     checkpoint = step in checkpoints
                     # every group's new state is checked before any block keeps one
-                    if not all([g.propose(noise, t) for g in groups]):
+                    if not all([g.propose(chunk, t) for g in groups]):
                         raise NumericalAbort(f"non-finite state at step {step}", step=step)
                     for g in groups:
                         g.commit(step, retain, checkpoint)

@@ -378,6 +378,20 @@ def test_no_function_names_a_chain_kind():
     assert naming == []
 
 
+def test_one_routine_draws_the_random_inputs():
+    # run_blocks opens every stream of a call before any fork, and one routine draws
+    # each chunk, in the step loop or in the noise worker
+    callers = {name: set() for name in ("make_rng", "standard_normal", "permuted")}
+    tree = ast.parse((ROOT / "src" / "rkld" / "dynamics.py").read_text())
+    for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                if name in callers:
+                    callers[name].add(fn.name)
+    assert callers == {"make_rng": {"run_blocks"}, "standard_normal": {"_draw"}, "permuted": {"_draw"}}
+
+
 # Defaulted fields of public dataclasses that no src/ or perfbench/ code sets,
 # each with the reason it stays.
 TEST_ONLY_FIELDS = {

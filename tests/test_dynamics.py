@@ -785,34 +785,35 @@ class TestNoiseAhead:
             (make_cfg(n_modes=9, horizon=2001, burn_in=0, minibatch=m), obj, ids, ())
             for m, ids in [(None, [0, 1, 2]), (3, [1, 2, 3]), (5, [2, 1, 3])]
         ]
-        calls = collections.Counter()
-        draw = dynamics._Block.draw_batches
+        calls, minibatches = [], collections.Counter()
+        draw = dynamics._draw
 
-        def counted(block, chunk_len, out):
-            calls[block.cfg.minibatch] += 1
-            return draw(block, chunk_len, out)
+        def counted(chunk, chunk_len, *rngs):
+            calls.append(chunk_len)
+            minibatches.update(indices.shape[2] for indices in chunk[1:])  # each SGLD block's m
+            return draw(chunk, chunk_len, *rngs)
 
-        monkeypatch.setattr(dynamics._Block, "draw_batches", counted)
+        monkeypatch.setattr(dynamics, "_draw", counted)
         monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 1)
         forked = run_blocks(blocks, 0.3)
-        assert len(workers) == 1 and calls == {} and no_child_left()
+        assert len(workers) == 1 and calls == [] and minibatches == {} and no_child_left()
         monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 10**9)
         inline = run_blocks(blocks, 0.3)
         chunks = math.ceil(2001 / dynamics._CHUNK)
-        assert len(workers) == 1 and calls == {3: chunks, 5: chunks}
+        assert len(workers) == 1 and len(calls) == chunks and minibatches == {3: chunks, 5: chunks}
         assert all(same_summary(a, b) for a, b in zip(forked, inline))
 
     def test_worker_minibatch_exception_reaches_the_caller(self, workers, monkeypatch):
-        draw = dynamics._Block.draw_batches
+        draw = dynamics._draw
         calls = []
 
-        def fails_on_second_call(block, chunk_len, out):
+        def fails_on_second_call(chunk, chunk_len, *rngs):
             calls.append(chunk_len)
             if len(calls) == 2:
                 raise OSError("draw failed")
-            return draw(block, chunk_len, out)
+            return draw(chunk, chunk_len, *rngs)
 
-        monkeypatch.setattr(dynamics._Block, "draw_batches", fails_on_second_call)
+        monkeypatch.setattr(dynamics, "_draw", fails_on_second_call)
         monkeypatch.setattr(dynamics, "_AHEAD_NORMALS", 1)
         with pytest.raises(RuntimeError, match="exited with status 1 after it raised OSError: draw failed") as exc_info:
             one_block(make_cfg(horizon=1000, minibatch=3), make_objective(), [0, 1])

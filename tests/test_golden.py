@@ -7,7 +7,8 @@ build, which the file records.  Rewrite the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and list each entry that changes, with its reason, in CHANGES.md.
+which prints each entry it adds, removes or changes, and the parts of it that
+changed, and list each such entry, with its reason, in CHANGES.md.
 """
 
 import contextlib
@@ -39,10 +40,10 @@ beta = 4.0
 lambda = {lam}
 n_modes = 65
 seed = 7
-horizon = 400
+horizon = {horizon}
 {minibatch}
 [experiment]
-replicas = 2
+replicas = {replicas}
 {delta}eta_grid = 0.2, 0.1, 0.05, 0.025
 eta_ref = 0.003
 n_grid = 2, 4, 8, 16
@@ -52,9 +53,9 @@ m_grid = {m_grid}
 """
 
 
-def _config(loss, kind, lam, minibatch=None, delta=None, m_grid="3, 6, 12"):
+def _config(loss, kind, lam, minibatch=None, delta=None, m_grid="3, 6, 12", horizon=400, replicas=2):
     return _TEMPLATE.format(
-        loss=loss, kind=kind, lam=lam, m_grid=m_grid,
+        loss=loss, kind=kind, lam=lam, m_grid=m_grid, horizon=horizon, replicas=replicas,
         minibatch=f"minibatch = {minibatch}\n" if minibatch else "",
         delta=f"delta = {delta}\n" if delta else "",
     )
@@ -64,6 +65,9 @@ SWEEPS = tuple(f"sweep_{axis}" for axis in ("eta", "n_modes", "beta", "minibatch
 
 # config name -> (config text, its commands in order); `report_<command>` reports
 # on that command's manifest.  n_tr = 12, so an m_grid of 3, 6, 12 reaches the full batch.
+# A call of "savage-strict-worker" draws 8 ids x 2000 steps x 65 modes = 1.04M normals,
+# past dynamics._AHEAD_NORMALS: on several CPUs it forks the noise worker, on one it
+# runs inline, with the same bytes.
 MATRIX = {
     "squared-strict-gld": (
         _config("squared", "regression", 6.0),
@@ -100,6 +104,10 @@ MATRIX = {
     "savage-bounded-sgld": (
         _config("savage", "classification", 0.05, minibatch=3, delta=0.5, m_grid="3, 6"),
         ("verify", "run", "sweep_minibatch", "sweep_beta", "report_run", "report_sweep_minibatch"),
+    ),
+    "savage-strict-worker": (
+        _config("savage", "classification", 6.0, m_grid="3, 6", horizon=2000, replicas=8),
+        ("sweep_minibatch", "sweep_beta"),
     ),
 }
 
@@ -146,6 +154,20 @@ def generate(tmp: Path) -> dict:
     return entries
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """One line per entry added, removed or changed from old to new, a changed
+    one naming the parts that differ: exit, stdout, stderr or a file name."""
+    lines = [f"added {key}" for key in new if key not in old]
+    lines += [f"removed {key}" for key in old if key not in new]
+    for key in (k for k in new if k in old):
+        differ = [part for part in ("exit", "stdout", "stderr") if new[key][part] != old[key][part]]
+        files = sorted(new[key]["files"].keys() | old[key]["files"].keys())
+        differ += [name for name in files if new[key]["files"].get(name) != old[key]["files"].get(name)]
+        if differ:
+            lines.append(f"changed {key}: {', '.join(differ)}")
+    return lines
+
+
 def test_outputs_match_golden(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     here = provenance()
@@ -153,17 +175,15 @@ def test_outputs_match_golden(tmp_path):
     assert here == recorded, f"outputs.json was made with {recorded}, this is {here}"
     entries = generate(tmp_path)
     assert list(entries) == list(golden["entries"]), "the matrix and outputs.json name different entries"
-    for key, entry in entries.items():
-        expected = golden["entries"][key]
-        differ = [part for part in ("exit", "stdout", "stderr") if entry[part] != expected[part]]
-        files = sorted(entry["files"].keys() | expected["files"].keys())
-        differ += [name for name in files if entry["files"].get(name) != expected["files"].get(name)]
-        assert not differ, f"first entry that differs: {key!r}, in {', '.join(differ)}"
+    differ = changes(golden["entries"], entries)
+    assert not differ, f"first entry that differs: {differ[0]}"
 
 
 if __name__ == "__main__":
+    old = json.loads(GOLDEN.read_text())["entries"] if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         entries = generate(Path(tmp).resolve())
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps({**provenance(), "entries": entries}, indent=1) + "\n")
     print(f"wrote {len(entries)} entries to {GOLDEN}")
+    print("\n".join(changes(old, entries)) or "no entry changed")
