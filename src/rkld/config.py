@@ -178,36 +178,35 @@ class ExperimentConfig:
         if not parser.has_section("chain"):
             raise ConfigError(f"{origin}: missing [chain] section")
         kernel, objective, chain, experiment = (_parse_section(parser, origin, s) for s in _KEYS)
-        chain["lam"] = chain.pop("lambda")
-        if seed_override is not None:
-            chain["seed"] = seed_override
-        built = {}
-        for section, build, args in (("kernel", KernelSpec, kernel), ("chain", ChainConfig, chain)):
-            try:
-                built[section] = build(**args)
-            except ValueError as exc:
-                raise ConfigError(f"{origin}: [{section}] {exc}") from None
-        data = objective.pop("data")
-        synth = {key: objective.pop(f"synth_{key}") for key in ("kind", "n", "seed")}
-        try:
-            dataset = Dataset.from_csv(data) if data is not None else Dataset.synthesize(**synth)
-        except ValueError as exc:  # an unreadable or invalid data file, or more points than numpy can draw
-            where = f"data = {data!r}" if data is not None else f"synth_n = '{synth['n']}'"
-            raise ConfigError(f"{origin}: [objective] {where}: {exc}") from None
-        try:
-            built["chain"].check_minibatch(dataset.size)
+        kernel = KernelSpec(mu0=kernel["mu0"], gamma=kernel["gamma"])  # the [kernel] parsers refuse what it refuses
+        try:  # the rules across keys: beta >= eta, burn_in < horizon
+            chain = ChainConfig(
+                eta=chain["eta"], beta=chain["beta"], lam=chain["lambda"], n_modes=chain["n_modes"],
+                seed=chain["seed"] if seed_override is None else seed_override, horizon=chain["horizon"],
+                minibatch=chain["minibatch"], burn_in=chain["burn_in"],
+            )
         except ValueError as exc:
             raise ConfigError(f"{origin}: [chain] {exc}") from None
-        return cls(**built, dataset=dataset, **objective, **experiment, source_text=text, origin=origin)
+        data, n = objective["data"], objective["synth_n"]
+        try:
+            dataset = Dataset.from_csv(data) if data is not None else Dataset.synthesize(
+                n, objective["synth_seed"], kind=objective["synth_kind"]
+            )
+        except ValueError as exc:  # an unreadable or invalid data file, or more points than numpy can draw
+            where = f"data = {data!r}" if data is not None else f"synth_n = '{n}'"
+            raise ConfigError(f"{origin}: [objective] {where}: {exc}") from None
+        try:
+            chain.check_minibatch(dataset.size)
+        except ValueError as exc:
+            raise ConfigError(f"{origin}: [chain] {exc}") from None
+        return cls(kernel, objective["loss"], dataset, chain, **experiment, source_text=text, origin=origin)
 
     def build_objective(self, n_modes: int | None = None) -> ObjectiveSpec:
         n_modes = n_modes if n_modes is not None else self.chain.n_modes
         return ObjectiveSpec(self.dataset, self.loss, self.kernel, n_modes)
 
     def config_hash(self) -> str:
-        canonical = "\n".join(
-            line.strip() for line in self.source_text.splitlines() if line.strip()
-        )
+        canonical = "\n".join(line.strip() for line in self.source_text.splitlines() if line.strip())
         payload = canonical + f"\nseed={self.chain.seed}"
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

@@ -9,7 +9,8 @@ private function, class, constant or method that nothing there names, a
 defaulted parameter that no call there passes, a default that every call
 there overrides (a second statement of a value the config decides), and a
 defaulted dataclass field that no code there sets.  Tests do not count as
-callers.  The package's version matches pyproject.toml's.
+callers.  A `**` expansion counts as setting nothing, and a guard keeps that
+exact.  The package's version matches pyproject.toml's.
 """
 
 import ast
@@ -109,11 +110,15 @@ ROOT = Path(__file__).resolve().parent.parent
 PROGRAM = (ROOT / "src" / "rkld", ROOT / "perfbench")  # test_*.py files excluded
 
 
-def _parsed(*dirs):
+def _sources(*dirs):
     for d in dirs:
         for path in sorted(d.rglob("*.py")):
             if not path.name.startswith("test_"):
-                yield ast.parse(path.read_text(), filename=str(path))
+                yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _parsed(*dirs):
+    return (tree for _, tree in _sources(*dirs))
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -151,36 +156,12 @@ def _callables(tree):
                 yield f"{node.name}.{fn.name}", called_as, _parameters(fn, method=not static)
 
 
-def _passed(positional, call: ast.Call, keys: set[str]) -> set[str]:
+def _passed(positional, call: ast.Call) -> set[str]:
     """The parameters that `call` sets, by position or by keyword.  A `*` expansion
-    may reach every positional parameter.  A `**` expansion of a dict
-    comprehension sets none, since its computed keys may leave any name out
-    (`Manifest.load` copies only the keys a file has); any other `**` expansion
-    sets only the names in keys, the string keys that the call's module writes
-    into mappings."""
+    may reach every positional parameter; a `**` expansion sets none, which
+    test_no_double_star_reaches_a_default holds exact."""
     starred = any(isinstance(a, ast.Starred) for a in call.args)
-    passed = set(positional if starred else positional[: len(call.args)])
-    for k in call.keywords:
-        if k.arg:
-            passed.add(k.arg)
-        elif not isinstance(k.value, ast.DictComp):
-            passed |= keys
-    return passed
-
-
-def _mapping_keys(tree) -> set[str]:
-    """The string keys that a module writes into mappings: dict literal keys and
-    `d["key"] = ...` targets, the one way such a key becomes the keyword of a
-    call with a `**` expansion."""
-    keys = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Dict):
-            keys.update(k.value for k in node.keys if isinstance(k, ast.Constant) and isinstance(k.value, str))
-        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
-                if isinstance(target, ast.Subscript) and isinstance(target.slice, ast.Constant):
-                    keys.add(target.slice.value)
-    return keys
+    return set(positional if starred else positional[: len(call.args)]) | {k.arg for k in call.keywords if k.arg}
 
 
 def _public_callables():
@@ -195,16 +176,15 @@ def _root(node):
     return node.id if isinstance(node, ast.Name) else None
 
 
-def _program_calls() -> dict[str, list[tuple[str | None, ast.Call, set[str]]]]:
+def _program_calls() -> dict[str, list[tuple[str | None, ast.Call]]]:
     """Every call in program code that can reach rkld, by the name it calls, with
-    the public rkld class it is made on when it names one (`Manifest.load(p)`)
-    and its module's mapping keys.  A call on an imported module other than
-    rkld's (`json.load(fh)`, `np.zeros(n)`) is left out."""
+    the public rkld class it is made on when it names one (`Manifest.load(p)`).
+    A call on an imported module other than rkld's (`json.load(fh)`,
+    `np.zeros(n)`) is left out."""
     classes = {node.name for tree in _parsed(ROOT / "src" / "rkld") for node in tree.body
                if isinstance(node, ast.ClassDef) and not node.name.startswith("_")}
-    calls: dict[str, list[tuple[str | None, ast.Call, set[str]]]] = {}
+    calls: dict[str, list[tuple[str | None, ast.Call]]] = {}
     for tree in _parsed(*PROGRAM):
-        keys = _mapping_keys(tree)
         foreign = {
             alias.asname or alias.name.split(".")[0]
             for node in ast.walk(tree) if isinstance(node, ast.Import)
@@ -214,19 +194,18 @@ def _program_calls() -> dict[str, list[tuple[str | None, ast.Call, set[str]]]]:
             if isinstance(node, ast.Call):
                 func = node.func
                 if isinstance(func, ast.Name):
-                    calls.setdefault(func.id, []).append((None, node, keys))
+                    calls.setdefault(func.id, []).append((None, node))
                 elif isinstance(func, ast.Attribute) and _root(func.value) not in foreign:
                     on = func.value.id if isinstance(func.value, ast.Name) and func.value.id in classes else None
-                    calls.setdefault(func.attr, []).append((on, node, keys))
+                    calls.setdefault(func.attr, []).append((on, node))
     return calls
 
 
-def _reaching(calls, label, called_as) -> list[tuple[ast.Call, set[str]]]:
-    """The program calls that may reach the callable `label`, each with its module's
-    mapping keys: a method's calls made on another rkld class (`Manifest.load` for
-    `ExperimentConfig.load`) are not."""
+def _reaching(calls, label, called_as) -> list[ast.Call]:
+    """The program calls that may reach the callable `label`: a method's calls made
+    on another rkld class (`Manifest.load` for `ExperimentConfig.load`) are not."""
     cls = label.split(".")[0] if "." in label else None
-    return [(call, keys) for on, call, keys in calls.get(called_as, []) if on in (None, cls)]
+    return [call for on, call in calls.get(called_as, []) if on in (None, cls)]
 
 
 def test_every_defaulted_parameter_has_a_caller():
@@ -237,7 +216,7 @@ def test_every_defaulted_parameter_has_a_caller():
         if label in UNREACHED:
             continue
         reaching = _reaching(calls, label, called_as)
-        passed = set().union(*(_passed(positional, c, keys) for c, keys in reaching))
+        passed = set().union(*(_passed(positional, c) for c in reaching))
         for name in defaulted_names:
             key = f"{label}({name})"
             defaulted.add(key)
@@ -257,14 +236,14 @@ def test_every_default_is_relied_on():
         reaching = _reaching(calls, label, called_as)
         if not reaching:
             continue
-        passed = set.intersection(*(_passed(positional, c, keys) for c, keys in reaching))
+        passed = set.intersection(*(_passed(positional, c) for c in reaching))
         overridden += [f"{label}({name})" for name in defaulted_names if name in passed]
     constructions, _ = _field_setters()
     for cls, names, defaulted_names in _dataclasses():
         made = constructions.get(cls, [])
         if not made:
             continue
-        passed = set.intersection(*(_passed(names, c, keys) for c, keys in made))
+        passed = set.intersection(*(_passed(names, c) for c in made))
         overridden += [f"{cls}.{name}" for name in defaulted_names if name in passed]
     assert not overridden, f"every call in src/ or perfbench/ passes {overridden}: drop the default"
 
@@ -415,52 +394,72 @@ def _dataclasses():
                 yield node.name, [s.target.id for s in annotated], [s.target.id for s in annotated if _has_default(s.value)]
 
 
+def _callee(call: ast.Call, owner: str | None) -> str | None:
+    """The name `call` calls, `cls(...)` inside the class `owner` calling that class."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return owner if name == "cls" else name
+
+
 def _field_setters():
-    """The calls to each name in program code, each with its module's mapping
-    keys, `cls(...)` inside a class counting as a call to that class, and
-    (field name, class that sets it) for every replace(...) keyword, setattr
-    name and assignment to an attribute of an object other than `self`.  A
-    module's mapping keys count as set fields only in a module that makes a
-    call with a `**` expansion, the one way such a key becomes a field's
-    keyword, even through a call by another name (`build(**args)` in
-    `ExperimentConfig.loads`)."""
+    """The calls to each name in program code, and (names, class that sets them)
+    for the keywords of every replace(...) call, every setattr name and every
+    assignment to an attribute of an object other than `self`."""
     calls, named = {}, []
     for tree in _parsed(*PROGRAM):
-        keys = _mapping_keys(tree)
-        expands = any(
-            isinstance(node, ast.Call) and any(k.arg is None for k in node.keywords) for node in ast.walk(tree)
-        )
         for top in tree.body:
             owner = top.name if isinstance(top, ast.ClassDef) else None
-            if expands:
-                named += [(key, owner) for key in _mapping_keys(top)]
             for node in ast.walk(top):
                 if isinstance(node, ast.Call):
-                    func = node.func
-                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                    calls.setdefault(owner if name == "cls" else name, []).append((node, keys))
-                    if name == "replace":
-                        named += [(k.arg, owner) for k in node.keywords if k.arg]
+                    name = _callee(node, owner)
+                    calls.setdefault(name, []).append(node)
+                    if name == "replace" and node.keywords:  # str.replace takes no keywords
+                        named.append(({k.arg for k in node.keywords}, owner))
                     elif name in ("setattr", "__setattr__") and isinstance(node.args[1], ast.Constant):
-                        named.append((node.args[1].value, owner))
+                        named.append(({node.args[1].value}, owner))
                 elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                     for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
-                        if isinstance(target, ast.Attribute) and not (
-                            isinstance(target.value, ast.Name) and target.value.id == "self"
-                        ):
-                            named.append((target.attr, owner))
+                        if isinstance(target, ast.Attribute) and ast.unparse(target.value) != "self":
+                            named.append(({target.attr}, owner))
     return calls, named
 
 
 def test_every_defaulted_field_is_set():
     # a field that the program never sets is a knob nobody turns: hard-code its value
     calls, named = _field_setters()
-    unset = set()
-    for cls, names, defaulted_names in _dataclasses():
-        # the mapping keys that a `**` expansion passes are in named already
-        passed = set().union(*(_passed(names, call, set()) for call, _ in calls.get(cls, [])))
-        # a class normalizing its own field in __post_init__ does not set it
-        passed |= {name for name, owner in named if owner != cls}
-        unset |= {f"{cls}.{name}" for name in defaulted_names if name not in passed}
+    classes = {cls: (names, defaulted) for cls, names, defaulted in _dataclasses()}
+    passed = {cls: set().union(*(_passed(names, c) for c in calls.get(cls, []))) for cls, (names, _) in classes.items()}
+    # replace(...) keywords, a setattr name or an attribute set fields of the one class holding them all
+    ties = []
+    for names, owner in named:
+        holders = [cls for cls, (fields_, _) in classes.items() if names <= set(fields_)]
+        if len(holders) > 1:
+            ties.append(f"{sorted(names)} in {holders}")
+        elif holders and holders[0] != owner:  # a class normalizing its own field in __post_init__ does not set it
+            passed[holders[0]] |= names
+    assert not ties, f"more than one dataclass holds every name set by {ties}"
+    unset = {f"{cls}.{name}" for cls, (_, defaulted) in classes.items() for name in defaulted if name not in passed[cls]}
     assert unset <= set(TEST_ONLY_FIELDS), f"nothing in src/ or perfbench/ sets {sorted(unset - set(TEST_ONLY_FIELDS))}"
     assert set(TEST_ONLY_FIELDS) <= unset, "stale TEST_ONLY_FIELDS entry"
+
+
+def test_no_double_star_reaches_a_default():
+    # the guards read a `**` expansion as setting nothing, which is exact while none can
+    # pass a defaulted parameter or field: each one in src/ expands a dict comprehension
+    # (`Manifest.load` copies only the keys a file has) or builds a class whose fields are
+    # all required; in perfbench/ so does each that names an rkld callable, since the
+    # tracer only forwards the `**kwargs` it was given
+    required = {cls for cls, _, defaulted in _dataclasses() if not defaulted}
+    rkld_names = {called_as for _, called_as, _ in _public_callables()} | {cls for cls, _, _ in _dataclasses()}
+    loose = []
+    for path, tree in _sources(*PROGRAM):
+        for top in tree.body:
+            owner = top.name if isinstance(top, ast.ClassDef) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and any(
+                    k.arg is None and not isinstance(k.value, ast.DictComp) for k in node.keywords
+                ):
+                    name = _callee(node, owner)
+                    if name not in required and (path.parent.name == "rkld" or name in rkld_names):
+                        loose.append(f"{path.relative_to(ROOT)}:{node.lineno}: {ast.unparse(node)}")
+    assert not loose, f"a `**` expansion may pass a defaulted parameter or field: {loose}"

@@ -1,5 +1,7 @@
 import configparser
+import math
 import re
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 
 from rkld.config import _KEYS, ConfigError, ExperimentConfig, Manifest
 from rkld.dynamics import run_chain
+from rkld.spectral import KernelSpec
 
 BASE = """
 [kernel]
@@ -203,6 +206,20 @@ class TestParsing:
         with pytest.raises(ConfigError) as exc_info:
             ExperimentConfig.loads(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"), origin="exp.ini")
         assert str(exc_info.value) == f"exp.ini: [{section}] {key} = {raw!r}: {reason}"
+
+    @pytest.mark.parametrize("key", ["mu0", "gamma"])
+    @pytest.mark.parametrize("value", [0.0, 5e-324, sys.float_info.max, math.inf, math.nan, -1.0])
+    def test_kernel_parsers_refuse_what_kernel_spec_refuses(self, key, value):
+        # loads builds KernelSpec outside any handler: a value that a [kernel] parser
+        # passes must build, and one that KernelSpec refuses must not parse
+        def accepts(make):
+            try:
+                make()
+            except ValueError:
+                return False
+            return True
+
+        assert accepts(lambda: _KEYS["kernel"][key][0](repr(value))) == accepts(lambda: KernelSpec(**{key: value}))
 
     def test_readme_lists_every_key(self):
         # the README's ini block documents the format: same sections, same keys
